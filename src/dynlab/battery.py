@@ -33,7 +33,7 @@ id             contents
 
 from __future__ import annotations
 
-from .core import threshold_grid
+from .core import _closed_walk_counts, threshold_grid
 from .errors import StateExplosion
 from .expansive import (
     expansive_on_per,
@@ -42,7 +42,7 @@ from .expansive import (
     n_expansive_holds,
     strong_measure_expansive_holds,
 )
-from .recurrence import is_transitive, spectral_decomposition
+from .recurrence import _step_sets, is_transitive, spectral_decomposition
 from .serialize import fraction_str
 from .shadowing import modulus_table, special_shadowing_holds
 from .specification import (
@@ -63,28 +63,12 @@ def _frac(value):
 def periodic_spectrum(sys, bound):
     """Count of period-m points for m = 1..bound, exactly.
 
-    With an admissible-step relation the count is the trace of the m-th
-    power of the relation matrix (closed relation walks of length m);
-    otherwise it is the number of fixed points of the m-th iterate.
+    The count is the number of closed walks of length m of the
+    admissible steps: closed relation walks when the system carries a
+    relation, otherwise the fixed points of the m-th iterate.
     """
-    counts = {}
-    if sys.relation is not None:
-        mat = [[1 if j in row else 0 for j in range(sys.n)]
-               for i, row in enumerate(sys.relation)]
-        power = mat
-        for m in range(1, bound + 1):
-            if m > 1:
-                power = [
-                    [sum(power[i][k] * mat[k][j] for k in range(sys.n))
-                     for j in range(sys.n)]
-                    for i in range(sys.n)
-                ]
-            counts[str(m)] = sum(power[i][i] for i in range(sys.n))
-    else:
-        for m in range(1, bound + 1):
-            counts[str(m)] = sum(
-                1 for i in range(sys.n) if sys.power(i, m) == i)
-    return counts
+    counts = _closed_walk_counts(_step_sets(sys), bound)
+    return {str(m): count for m, count in enumerate(counts, 1)}
 
 
 def _equivalence_battery(sys, period_bound, cap):

@@ -92,8 +92,10 @@ def _load_finite(path, window):
     return loaded
 
 
-def _lasso_from_file(path):
-    obj = None
+def _lasso_from_file(path, sys_, two_sided):
+    """Lasso from a JSON object of point lists: ``stem`` (optional) and
+    ``cycle``, plus ``past`` (optional, default the cycle) when
+    two-sided.  Every entry must be a point of ``sys_``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -101,10 +103,21 @@ def _lasso_from_file(path):
         raise SchemaError("", f"cannot read lasso file {path}: {exc}") from exc
     if not isinstance(obj, dict) or "cycle" not in obj:
         raise SchemaError("/cycle", "lasso file needs a cycle list")
-    stem = obj.get("stem", [])
-    if not isinstance(stem, list) or not isinstance(obj["cycle"], list):
-        raise SchemaError("", "lasso stem and cycle must be lists")
-    return Lasso(stem=tuple(stem), cycle=tuple(obj["cycle"]))
+    lists = {"stem": obj.get("stem", []), "cycle": obj["cycle"]}
+    if two_sided:
+        lists["past"] = obj.get("past", obj["cycle"])
+    elif "past" in obj:
+        raise SchemaError("/past", "only a two-sided lasso has a past cycle")
+    for key, entries in lists.items():
+        if not isinstance(entries, list) or (key != "stem" and not entries):
+            raise SchemaError(f"/{key}", "lasso needs a list of points here")
+        for k, point in enumerate(entries):
+            if isinstance(point, (list, dict)) or point not in sys_.index:
+                raise SchemaError(
+                    f"/{key}/{k}", f"{point!r} is not a point of the system")
+    return Lasso(stem=tuple(lists["stem"]), cycle=tuple(lists["cycle"]),
+                 two_sided=two_sided,
+                 past_cycle=tuple(lists["past"]) if two_sided else None)
 
 
 def _cert_obj(cert):
@@ -223,7 +236,8 @@ def _cmd_check_spec(args):
     else:  # limit | two-sided
         if args.lasso is None:
             raise SchemaError("", f"variant {args.variant} needs --lasso FILE")
-        lasso = _lasso_from_file(args.lasso)
+        lasso = _lasso_from_file(args.lasso, sys_,
+                                 args.variant == "two-sided")
         out = generalized_spec_checks(sys_, args.variant, lasso=lasso,
                                       N=args.N)
         results = {"holds": out["holds"], "point": out["point"]}
@@ -386,7 +400,8 @@ def build_parser():
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--k-bound", type=int, default=6, dest="k_bound")
     p.add_argument("--lasso", default=None,
-                   help="JSON file with stem/cycle lists (limit, two-sided)")
+                   help="JSON file with stem/cycle lists (limit, two-sided) "
+                        "and an optional past list (two-sided)")
     p.set_defaults(func=_cmd_check_spec)
 
     p = what.add_parser("expansive")

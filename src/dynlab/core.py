@@ -431,3 +431,67 @@ def threshold_grid(sys):
     else:
         values.add(Fraction(1))
     return ThresholdGrid(tuple(sorted(values)))
+
+
+
+# -- digraph helpers -----------------------------------------------------------
+
+
+def _strong_components(succ):
+    """Strongly connected components of a digraph, as a list of vertex lists.
+
+    ``succ`` gives each vertex's successors: a sequence indexed by
+    0..n-1, or a dict keyed by the vertices.  Iterative Tarjan (SIAM J.
+    Comput. 1, 1972), so depth is not bounded by the recursion limit.
+    """
+    vertices = succ.keys() if isinstance(succ, dict) else range(len(succ))
+    # A vertex placed in a component gets an index above every DFS index,
+    # so edges into finished components never lower a low-link.
+    placed = len(vertices)
+    index, low, stack, frames, components = {}, {}, [], [], []
+    for root in vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        frames.append((root, iter(succ[root])))
+        while frames:
+            v, targets = frames[-1]
+            for w in targets:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    frames.append((w, iter(succ[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = [stack.pop()]
+                    while component[-1] != v:
+                        component.append(stack.pop())
+                    for w in component:
+                        index[w] = placed
+                    components.append(component)
+    return components
+
+
+def _closed_walk_counts(succ, m):
+    """Closed walks of each length 1..m (entry k-1 for length k) of the
+    digraph with edges {(v, w) : w in succ[v]}, i.e. trace(A^k): walk
+    counts from each start are pushed forward as exact integers."""
+    succ = [set(out) for out in succ]
+    counts = [0] * m
+    for start in range(len(succ)):
+        layer = {start: 1}
+        for k in range(m):
+            nxt = {}
+            for v, walks in layer.items():
+                for w in succ[v]:
+                    nxt[w] = nxt.get(w, 0) + walks
+            layer = nxt
+            counts[k] += layer.get(start, 0)
+    return counts

@@ -24,8 +24,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .core import FiniteSystem, build_finite_system
 from .errors import NotCoprime, NotEnoughOrbits
 from .symbolic import build_sft, product_system
@@ -61,6 +59,12 @@ def build_xpq(p, q):
     return build_sft(tuple(range(p + q - 1)), edges)
 
 
+def _is_prime(value):
+    """Trial division, enough for the small primes the products use."""
+    return value > 1 and all(
+        value % d for d in range(2, math.isqrt(value) + 1))
+
+
 def build_product_truncation(primes, n_factors):
     """Product of consecutive two-loop shifts over a run of primes.
 
@@ -78,7 +82,7 @@ def build_product_truncation(primes, n_factors):
     if any(b <= a for a, b in zip(primes, primes[1:])):
         raise ValueError("primes must be strictly increasing")
     for value in primes:
-        if not sympy.isprime(value):
+        if not _is_prime(value):
             raise ValueError(f"{value} is not prime")
     factors = [build_xpq(primes[i + 1], primes[i]) for i in range(n_factors)]
     return product_system(factors)

@@ -24,9 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
-
-from .core import as_fraction, threshold_grid
+from .core import _strong_components, as_fraction, threshold_grid
 from .expansive import stable_sets, strong_measure_expansive_holds
 from .shadowing import DeltaGraph, _largest_passing, modulus_table
 
@@ -77,25 +75,12 @@ def chain_graph(sys, delta):
     return DeltaGraph(delta, succ)
 
 
-def _digraph(succ):
-    g = nx.DiGraph()
-    g.add_nodes_from(range(len(succ)))
-    for i, out in enumerate(succ):
-        for j in out:
-            g.add_edge(i, j)
-    return g
-
-
 def _on_cycle(succ):
     """Indices through which the graph has a closed walk of length >= 1."""
     members = set()
-    for comp in nx.strongly_connected_components(_digraph(succ)):
-        if len(comp) > 1:
-            members |= comp
-        else:
-            (i,) = comp
-            if i in succ[i]:
-                members.add(i)
+    for comp in _strong_components(succ):
+        if len(comp) > 1 or comp[0] in succ[comp[0]]:
+            members.update(comp)
     return members
 
 
@@ -178,8 +163,7 @@ def basic_sets(sys):
     """
     labels = {i: [] for i in range(sys.n)}
     for delta in threshold_grid(sys).positive:
-        graph = _digraph(chain_graph(sys, delta).succ)
-        for comp in nx.strongly_connected_components(graph):
+        for comp in _strong_components(chain_graph(sys, delta).succ):
             tag = min(comp)
             for i in comp:
                 labels[i].append(tag)
@@ -195,6 +179,31 @@ def _restricted_succ(sys, members):
     """Admissible steps that stay inside ``members`` (an index set)."""
     steps = _step_sets(sys)
     return {i: tuple(j for j in steps[i] if j in members) for i in members}
+
+
+def _phase_levels(succ):
+    """Breadth-first levels from the least vertex, and the graph's period.
+
+    ``succ`` is a strongly connected graph as a dict of successor
+    lists.  The period (gcd of all closed-walk lengths) is the gcd of
+    level[i] + 1 - level[j] over the edges i -> j.
+    """
+    root = min(succ)
+    level = {root: 0}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in succ[i]:
+                if j not in level:
+                    level[j] = level[i] + 1
+                    nxt.append(j)
+        frontier = nxt
+    period = 0
+    for i, out in succ.items():
+        for j in out:
+            period = math.gcd(period, level[i] + 1 - level[j])
+    return level, period
 
 
 def cyclic_decomposition(sys, B):
@@ -213,26 +222,9 @@ def cyclic_decomposition(sys, B):
     succ = _restricted_succ(sys, members)
     if any(not out for out in succ.values()):
         raise ValueError("not a basic set: a member has no step inside it")
-    graph = nx.DiGraph()
-    graph.add_nodes_from(members)
-    graph.add_edges_from((i, j) for i, out in succ.items() for j in out)
-    if not nx.is_strongly_connected(graph):
+    if len(_strong_components(succ)) != 1:
         raise ValueError("not a basic set: not strongly connected")
-    root = min(members)
-    level = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in succ[i]:
-                if j not in level:
-                    level[j] = level[i] + 1
-                    nxt.append(j)
-        frontier = nxt
-    a = 0
-    for i, out in succ.items():
-        for j in out:
-            a = math.gcd(a, level[i] + 1 - level[j])
+    level, a = _phase_levels(succ)
     parts = [[] for _ in range(a)]
     for i in sorted(members):
         parts[level[i] % a].append(sys.points[i])
@@ -307,11 +299,7 @@ def is_transitive(sys, subset):
             if wanted <= seen:
                 return True
         return False
-    succ = _restricted_succ(sys, wanted)
-    graph = nx.DiGraph()
-    graph.add_nodes_from(wanted)
-    graph.add_edges_from((i, j) for i, out in succ.items() for j in out)
-    return nx.is_strongly_connected(graph)
+    return len(_strong_components(_restricted_succ(sys, wanted))) == 1
 
 
 def cp_construction(sys, B, p):
@@ -464,27 +452,8 @@ class Decomposition:
                     )
                     for p in part
                 }
-                graph = nx.DiGraph()
-                graph.add_nodes_from(step_a)
-                graph.add_edges_from(
-                    (i, j) for i, out in step_a.items() for j in out)
-                connected = nx.is_strongly_connected(graph)
-                period = 0
-                if connected:
-                    root = min(step_a)
-                    level, frontier = {root: 0}, [root]
-                    while frontier:
-                        nxt_front = []
-                        for i in frontier:
-                            for j in step_a[i]:
-                                if j not in level:
-                                    level[j] = level[i] + 1
-                                    nxt_front.append(j)
-                        frontier = nxt_front
-                    for i, out in step_a.items():
-                        for j in out:
-                            period = math.gcd(period, level[i] + 1 - level[j])
-                if flag != (connected and period == 1):
+                connected = len(_strong_components(step_a)) == 1
+                if flag != (connected and _phase_levels(step_a)[1] == 1):
                     primitive = False
 
         return {

@@ -26,9 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-import networkx as nx
-
-from .core import Lasso, as_fraction, shadows, threshold_grid
+from .core import (Lasso, _strong_components, as_fraction, shadows,
+                   threshold_grid)
 from .errors import BoundTooSmall, NotDecaying, NotInvertible, StateExplosion
 
 __all__ = [
@@ -258,17 +257,15 @@ def _closed_walks_of_graph(succ, length, cap, counter):
 
 
 def _warn_if_bound_blind(succ, bound, label):
-    g = nx.DiGraph((i, j) for i, row in enumerate(succ) for j in row)
-    for comp in nx.strongly_connected_components(g):
-        if len(comp) > bound:
-            warnings.warn(
-                f"{label}: step graph has a strongly connected part of size "
-                f"{len(comp)} > bound {bound}; longer periodic pseudo-orbits "
-                "exist and were not checked",
-                BoundTooSmall,
-                stacklevel=3,
-            )
-            return
+    size = max(len(comp) for comp in _strong_components(succ))
+    if size > bound:
+        warnings.warn(
+            f"{label}: step graph has a strongly connected part of size "
+            f"{size} > bound {bound}; longer periodic pseudo-orbits "
+            "exist and were not checked",
+            BoundTooSmall,
+            stacklevel=3,
+        )
 
 
 def _periodic_variant_holds(sys, delta, epsilon, period_bound, strong, cap):
@@ -498,31 +495,36 @@ def two_sided_limit_shadowing_check(sys, lasso):
     return None
 
 
-def lipschitz_constants(sys, cap=None):
-    """Linear tracing envelope: (L, d0) with every d-pseudo-orbit
-    (L*d)-shadowed for all 0 < d <= d0.
+def _linear_envelope(grid, traces):
+    """Linear envelope (L, d0) of a tracing table over the positive grid.
 
-    Computed from the exact threshold table: for each grid d the least
-    grid epsilon that shadows, then the envelope slope is the running
-    maximum of eps/d.  Among grid candidates the pair minimising L*d0
-    (the certified tracing radius) is returned, preferring larger d0 on
-    ties.  On a finite system the table always fits: below the least
-    positive distance pseudo-orbits are true orbits.
+    ``traces(d, eps)`` says whether level-d inputs are eps-traced.  For
+    each grid d take the least grid eps that traces; the slope is the
+    running maximum of eps/d.  Among grid candidates the pair minimising
+    L*d0 (the certified tracing radius) wins, larger d0 on ties, so for
+    every grid d <= d0 the pair (d, L*d) traces.
     """
-    grid = threshold_grid(sys)
     best = None
     slope = Fraction(0)
     for d in grid.positive:
-        eps_needed = None
-        for eps in grid.positive:
-            if shadowing_holds(sys, d, eps, cap)[0]:
-                eps_needed = eps
-                break
-        assert eps_needed is not None  # top epsilon always shadows
+        # the top epsilon traces everything
+        eps_needed = next(e for e in grid.positive if traces(d, e))
         slope = max(slope, eps_needed / d)
         cand = (slope * d, -d, slope, d)
         if best is None or cand < best:
             best = cand
     _, _, L, d0 = best
-    # certified: for every grid d <= d0 the pair (d, L*d) passes
     return L, d0
+
+
+def lipschitz_constants(sys, cap=None):
+    """Linear tracing envelope: (L, d0) with every d-pseudo-orbit
+    (L*d)-shadowed for all 0 < d <= d0.
+
+    Computed from the exact threshold table (see :func:`_linear_envelope`).
+    On a finite system the table always fits: below the least positive
+    distance pseudo-orbits are true orbits.
+    """
+    return _linear_envelope(
+        threshold_grid(sys),
+        lambda d, eps: shadowing_holds(sys, d, eps, cap)[0])

@@ -28,6 +28,7 @@ from .shadowing import (
     ModulusTable,
     _closed_walks_of_graph,
     _die_search,
+    _linear_envelope,
     _warn_if_bound_blind,
     periodic_shadowing_holds,
     strong_periodic_shadowing_holds,
@@ -255,6 +256,15 @@ class Blocked:
     terms: tuple  # per-seam telescoped step distances
 
 
+def _block_plain(sys, lasso, N):
+    """y_i = x_(N*i) without any threshold bookkeeping."""
+    s, c = len(lasso.stem), len(lasso.cycle)
+    y_stem = tuple(lasso[N * i] for i in range(-(-s // N)))
+    start = len(y_stem)
+    y_cycle = tuple(lasso[N * (start + i)] for i in range(c // math.gcd(N, c)))
+    return Lasso(stem=y_stem, cycle=y_cycle)
+
+
 def blockify(sys, lasso, N, delta):
     """Block a pseudo-orbit into the chain y_i = x_{N*i} with gap N.
 
@@ -268,13 +278,8 @@ def blockify(sys, lasso, N, delta):
     if lasso.two_sided:
         raise ValueError("blocking is a forward-time construction")
     delta = as_fraction(delta)
-    s, c = len(lasso.stem), len(lasso.cycle)
-    y_stem = tuple(lasso[N * i] for i in range(-(-s // N)))
-    y_cycle = tuple(
-        lasso[N * (len(y_stem) + i)] for i in range(c // math.gcd(N, c))
-    )
-    blocked = Lasso(stem=y_stem, cycle=y_cycle)
-    seams = len(y_stem) + len(y_cycle)
+    blocked = _block_plain(sys, lasso, N)
+    seams = len(blocked.stem) + len(blocked.cycle)
     all_terms = []
     for i in range(seams):
         terms = []
@@ -386,20 +391,10 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     tracing table at N=1 (no lasso needed).
     """
     if variant == "lipschitz":
-        grid = threshold_grid(sys)
-        best = None
-        slope = Fraction(0)
-        for d in grid.positive:
-            eps_needed = next(
-                e for e in grid.positive
-                if local_weak_spec_holds(sys, e, N, d, cap)[0]
-            )
-            slope = max(slope, eps_needed / d)
-            cand = (slope * d, -d, slope, d)
-            if best is None or cand < best:
-                best = cand
-        _, _, L, d0 = best
-        return {"variant": variant, "holds": True, "envelope": (L, d0)}
+        envelope = _linear_envelope(
+            threshold_grid(sys),
+            lambda d, eps: local_weak_spec_holds(sys, eps, N, d, cap)[0])
+        return {"variant": variant, "holds": True, "envelope": envelope}
 
     if lasso is None:
         raise ValueError(f"variant {variant!r} needs a lasso")
@@ -414,15 +409,6 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
         point = two_sided_limit_shadowing_check(sys, lasso)
         return {"variant": variant, "holds": point is not None, "point": point}
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def _block_plain(sys, lasso, N):
-    """y_i = x_(N*i) without any threshold bookkeeping."""
-    s, c = len(lasso.stem), len(lasso.cycle)
-    y_stem = tuple(lasso[N * i] for i in range(-(-s // N)))
-    start = len(y_stem)
-    y_cycle = tuple(lasso[N * (start + i)] for i in range(c // math.gcd(N, c)))
-    return Lasso(stem=y_stem, cycle=y_cycle)
 
 
 def _limit_point_under_power(sys, blocked, N):

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import build_finite_system
+from .core import _closed_walk_counts, build_finite_system
 from .errors import EmptyShift, HorizonExceeded
 
 __all__ = [
@@ -206,22 +206,8 @@ def shift_distance(x, y, cap=None):
 
 def _closed_walks(sft, length):
     """All closed vertex walks (v_0, ..., v_{length-1}) with every step allowed."""
-    succ = {a: sft.successors(a) for a in sft.alphabet}
-    walks = []
-
-    def extend(walk):
-        if len(walk) == length:
-            if sft.allows(walk[-1], walk[0]):
-                walks.append(tuple(walk))
-            return
-        for b in succ[walk[-1]]:
-            walk.append(b)
-            extend(walk)
-            walk.pop()
-
-    for a in sft.alphabet:
-        extend([a])
-    return walks
+    return [word for word in _allowed_words(sft, length)
+            if sft.allows(word[-1], word[0])]
 
 
 def periodic_points(sft, period):
@@ -238,37 +224,22 @@ def periodic_points(sft, period):
     return tuple(sorted(pts, key=lambda p: (len(p.cycle), p.cycle)))
 
 
-def _mat_mult(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
 def periodic_point_count(sft, period):
-    """trace(A^period) with exact integer arithmetic."""
-    m = sft.adjacency()
-    acc = m
-    for _ in range(period - 1):
-        acc = _mat_mult(acc, m)
-    return sum(acc[i][i] for i in range(len(acc)))
+    """trace(A^period) with exact integer arithmetic: the number of closed
+    walks of length ``period`` in the transition graph."""
+    if period < 1:
+        raise ValueError("period must be >= 1")
+    pos = {a: i for i, a in enumerate(sft.alphabet)}
+    succ = [[pos[b] for b in sft.successors(a)] for a in sft.alphabet]
+    return _closed_walk_counts(succ, period)[-1]
 
 
 def _allowed_words(sft, length):
     """All allowed words of the given length, in lexicographic order."""
     succ = {a: sft.successors(a) for a in sft.alphabet}
-    words = []
-
-    def extend(word):
-        if len(word) == length:
-            words.append(tuple(word))
-            return
-        for b in succ[word[-1]]:
-            word.append(b)
-            extend(word)
-            word.pop()
-
-    for a in sorted(sft.alphabet):
-        extend([a])
+    words = [(a,) for a in sorted(sft.alphabet)]
+    for _ in range(length - 1):
+        words = [word + (b,) for word in words for b in succ[word[-1]]]
     return words
 
 

@@ -146,3 +146,44 @@ def gamma_window_points(sys, x, delta, horizon):
         ):
             out.append(z)
     return out
+
+
+def mutual_reachability_classes(succ):
+    """Strong components by definition: u and v share a class iff each
+    reaches the other (every vertex reaches itself by the empty walk)."""
+    n = len(succ)
+    reach = []
+    for v in range(n):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    return {frozenset(u for u in range(n) if u in reach[v] and v in reach[u])
+            for v in range(n)}
+
+
+def dense_closed_walk_counts(succ, m):
+    """trace(A^k) for k = 1..m by dense integer matrix powers, A the 0/1
+    adjacency matrix of the successor lists."""
+    n = len(succ)
+    mat = [[1 if j in succ[i] else 0 for j in range(n)] for i in range(n)]
+    power, counts = mat, []
+    for k in range(1, m + 1):
+        if k > 1:
+            power = [[sum(power[i][l] * mat[l][j] for l in range(n))
+                      for j in range(n)] for i in range(n)]
+        counts.append(sum(power[i][i] for i in range(n)))
+    return counts
+
+
+def sieve_primes(limit):
+    """The set of primes below ``limit``, by the sieve of Eratosthenes."""
+    marks = [True] * limit
+    marks[:2] = [False] * min(2, limit)
+    for p in range(2, math.isqrt(limit) + 1):
+        if marks[p]:
+            marks[p * p::p] = [False] * len(range(p * p, limit, p))
+    return {p for p, prime in enumerate(marks) if prime}

@@ -186,3 +186,55 @@ def test_parse_system_file_pointer(tmp_path):
     with pytest.raises(SchemaError) as e:
         parse_system_file(str(f))
     assert e.value.pointer == "/kind"
+
+
+def two_cycle_pair(tmp_path):
+    """The joined/split system of test_generalized_two_sided_variant:
+    two 2-cycles a0 <-> a1 and b0 <-> b1, far apart."""
+    pts = ["a0", "a1", "b0", "b1"]
+    dist = [["0" if p == q else ("1" if p[0] == q[0] else "10") for q in pts]
+            for p in pts]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"kind": "finite", "points": pts, "dist": dist,
+                                "map": ["a1", "a0", "b1", "b0"],
+                                "invertible": True}))
+    return str(path)
+
+
+def check_spec_with_lasso(capsys, tmp_path, system, variant, lasso):
+    path = tmp_path / "lasso.json"
+    path.write_text(json.dumps(lasso))
+    return run(capsys, "check", "spec", "--system", system, "--variant",
+               variant, "--epsilon", "1", "--lasso", str(path))
+
+
+def test_check_spec_two_sided_variant(capsys, tmp_path):
+    system = two_cycle_pair(tmp_path)
+    # the past defaults to the cycle
+    code, out, _ = check_spec_with_lasso(
+        capsys, tmp_path, system, "two-sided", {"cycle": ["a0", "a1"]})
+    assert code == 0
+    assert json.loads(out)["results"]["holds"] is True
+
+    code, out, _ = check_spec_with_lasso(
+        capsys, tmp_path, system, "two-sided",
+        {"cycle": ["b0", "b1"], "past": ["a0", "a1"]})
+    assert code == 1
+    assert json.loads(out)["results"] == {"holds": False, "point": None}
+
+
+def test_lasso_entries_must_be_points_of_the_system(capsys, tmp_path):
+    system = two_cycle_pair(tmp_path)
+    cases = [
+        ("limit", {"cycle": ["nope"]}, "/cycle/0"),
+        ("limit", {"stem": ["a0", ["a1"]], "cycle": ["a0", "a1"]}, "/stem/1"),
+        ("two-sided", {"cycle": ["a0", "a1"], "past": ["a1", 7]}, "/past/1"),
+        ("two-sided", {"cycle": ["a0", "a1"], "past": []}, "/past"),
+        ("limit", {"cycle": ["a0", "a1"], "past": ["a0", "a1"]}, "/past"),
+        ("limit", {"stem": "a0", "cycle": ["a0", "a1"]}, "/stem"),
+    ]
+    for variant, lasso, pointer in cases:
+        code, out, err = check_spec_with_lasso(
+            capsys, tmp_path, system, variant, lasso)
+        assert code == 2 and out == ""
+        assert err.startswith(f"dynlab: {pointer}:")

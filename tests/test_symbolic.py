@@ -129,3 +129,10 @@ def test_product_counts_multiply():
             periodic_point_count(a, n) * periodic_point_count(b, n)
         )
     assert periodic_point_count(prod, 1) == 0
+
+
+def test_periodic_point_count_rejects_periods_below_one():
+    sft = two_loop_shift()
+    for period in (0, -1):
+        with pytest.raises(ValueError, match="period must be >= 1"):
+            periodic_point_count(sft, period)
