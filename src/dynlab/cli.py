@@ -21,7 +21,7 @@ import time
 
 from . import __version__
 from .battery import BATTERY_IDS, run_theorem_battery
-from .core import Lasso, as_fraction
+from .core import Lasso, _largest_passing, as_fraction, threshold_grid
 from .errors import DynlabError, SchemaError, StateExplosion
 from .expansive import (
     expansive_on_per,
@@ -220,12 +220,12 @@ def _cmd_check_spec(args):
             results = {"holds": holds, **_chain_obj(info)}
             code = 0 if holds else 1
         else:
-            from .core import threshold_grid
-            passing = [d for d in threshold_grid(sys_).positive
-                       if check(sys_, epsilon, args.N, d)[0]]
+            best = _largest_passing(
+                threshold_grid(sys_).positive,
+                lambda d: check(sys_, epsilon, args.N, d)[0])
             results = {"best_delta":
-                       fraction_str(passing[-1]) if passing else None}
-            code = 0 if passing else 1
+                       None if best is None else fraction_str(best)}
+            code = 0 if best is not None else 1
     elif args.variant == "lipschitz":
         out = generalized_spec_checks(sys_, "lipschitz", N=args.N)
         L, d0 = out["envelope"]

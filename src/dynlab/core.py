@@ -433,6 +433,23 @@ def threshold_grid(sys):
     return ThresholdGrid(tuple(sorted(values)))
 
 
+def _largest_passing(values, predicate):
+    """Rightmost value in ascending ``values`` satisfying a monotone
+    (downward-closed) predicate, or None, by binary search."""
+    lo, hi = 0, len(values) - 1
+    if predicate(values[hi]):
+        return values[hi]
+    if not predicate(values[lo]):
+        return None
+    # invariant: predicate(values[lo]) and not predicate(values[hi])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if predicate(values[mid]):
+            lo = mid
+        else:
+            hi = mid
+    return values[lo]
+
 
 # -- digraph helpers -----------------------------------------------------------
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import as_fraction, threshold_grid
+from .core import _largest_passing, as_fraction, threshold_grid
 from .errors import NotInvertible
 
 __all__ = [
@@ -100,14 +100,16 @@ def gamma_set(sys, x, delta):
     return GammaSet(x, delta, members, witness)
 
 
+def _at_most_n_close(spread, n, delta):
+    return all(sum(1 for s in row if s <= delta) <= n for row in spread)
+
+
 def n_expansive_holds(sys, n, delta):
     """Does every point's delta-indistinguishability set have <= n members?"""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     delta = _positive(delta)
-    spread = orbit_spread(sys)
-    return all(
-        sum(1 for y in range(sys.n) if spread[x][y] <= delta) <= n
-        for x in range(sys.n)
-    )
+    return _at_most_n_close(orbit_spread(sys), n, delta)
 
 
 def n_expansive_constant(sys, n):
@@ -118,19 +120,10 @@ def n_expansive_constant(sys, n):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    grid = threshold_grid(sys)
     spread = orbit_spread(sys)
-    best = None
-    for delta in grid.positive:
-        ok = all(
-            sum(1 for y in range(sys.n) if spread[x][y] <= delta) <= n
-            for x in range(sys.n)
-        )
-        if ok:
-            best = delta
-        else:
-            break  # sets only grow with delta
-    return best
+    # sets only grow with delta, so the predicate is downward closed
+    return _largest_passing(threshold_grid(sys).positive,
+                            lambda delta: _at_most_n_close(spread, n, delta))
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _strong_components, as_fraction, threshold_grid
+from .core import (_largest_passing, _strong_components, as_fraction,
+                   threshold_grid)
 from .expansive import stable_sets, strong_measure_expansive_holds
-from .shadowing import DeltaGraph, _largest_passing, modulus_table
+from .shadowing import DeltaGraph
 
 __all__ = [
     "BasicPiece",
@@ -353,23 +354,31 @@ class HypothesisReport:
     """
 
     invertible: bool
-    shadowing_populated: bool
     strong_constant: Fraction
     strong_fails_at: tuple
+
+    @property
+    def shadowing_populated(self):
+        """Whether every grid epsilon has a shadowing delta: always True.
+
+        At the sub-minimal grid threshold the step graph is the map
+        itself, so every pseudo-orbit is a true orbit and shadows itself
+        at any positive epsilon.  The flag is kept for the report format.
+        """
+        return True
 
     @property
     def passes(self):
         return self.invertible and self.shadowing_populated
 
 
-def hypothesis_report(sys, cap=None):
+def hypothesis_report(sys):
     grid = threshold_grid(sys)
     constant = _largest_passing(
         grid.positive, lambda d: strong_measure_expansive_holds(sys, d)[0]
     )
     fails = tuple(d for d in grid.positive if d > constant)
-    populated = modulus_table(sys, "shadowing", cap=cap).populated()
-    return HypothesisReport(sys.invertible, populated, constant, fails)
+    return HypothesisReport(sys.invertible, constant, fails)
 
 
 @dataclass(frozen=True)
@@ -467,7 +476,7 @@ class Decomposition:
         }
 
 
-def spectral_decomposition(sys, cap=None):
+def spectral_decomposition(sys):
     """Basic sets, cyclic parts, periods and mixing flags, twice over.
 
     The hypotheses that make the decomposition meaningful (invertible,
@@ -488,4 +497,4 @@ def spectral_decomposition(sys, cap=None):
                 {frozenset(p) for p in cp_parts} == {frozenset(p) for p in parts}
             )
         pieces.append(BasicPiece(B, a, parts, mixing, cp_parts, agree))
-    return Decomposition(tuple(pieces), hypothesis_report(sys, cap=cap))
+    return Decomposition(tuple(pieces), hypothesis_report(sys))

@@ -26,8 +26,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (Lasso, _strong_components, as_fraction, shadows,
-                   threshold_grid)
+from .core import (Lasso, _largest_passing, _strong_components, as_fraction,
+                   shadows, threshold_grid)
 from .errors import BoundTooSmall, NotDecaying, NotInvertible, StateExplosion
 
 __all__ = [
@@ -98,13 +98,35 @@ class ShadowCertificate:
     point: object | None = None
 
 
-def _ball_sets(sys, epsilon):
-    """allowed[i] = indices within epsilon of i (strict)."""
+def _windows(sys, n, epsilon):
+    """allowed[v] = the points z with d(f^i(z), f^i(v)) < epsilon for every
+    0 <= i < n: the epsilon tracking window of v over n steps.  At n = 1
+    the windows are the epsilon-balls."""
     cut = sys.lt_cutoff(epsilon)
+    rank, fmap = sys.rank, sys.fmap
+    windows = []
+    for v in range(sys.n):
+        alive, vi = [(z, z) for z in range(sys.n)], v  # (z, f^i(z))
+        for _ in range(n):
+            alive = [(z, fmap[zi]) for z, zi in alive if rank[zi][vi] < cut]
+            vi = fmap[vi]
+        windows.append(frozenset(z for z, _ in alive))
+    return tuple(windows)
+
+
+def _gap_structures(sys, n, delta, epsilon):
+    """(succ, step, allowed) for gap length n: edges of the gap graph
+    (x -> y iff d(f^n(x), y) < delta), the n-step map, and the epsilon
+    tracking window per vertex.  At n = 1 the gap graph is the delta
+    step graph and the windows are the epsilon-balls."""
+    d_cut = sys.lt_cutoff(delta)
     rank = sys.rank
-    return tuple(
-        frozenset(z for z in range(sys.n) if rank[z][i] < cut) for i in range(sys.n)
+    step = [sys.power(i, n) for i in range(sys.n)]
+    succ = tuple(
+        tuple(j for j in range(sys.n) if rank[step[i]][j] < d_cut)
+        for i in range(sys.n)
     )
+    return succ, step, _windows(sys, n, epsilon)
 
 
 def _die_search(succ, step, allowed, cap):
@@ -176,7 +198,7 @@ def shadowing_holds(sys, delta, epsilon, cap=None):
     if epsilon <= 0 or delta <= 0:
         raise ValueError("thresholds must be positive")
     g = delta_graph(sys, delta)
-    allowed = _ball_sets(sys, epsilon)
+    allowed = _windows(sys, 1, epsilon)
     walk = _die_search(g.succ, sys.fmap, allowed, subset_cap(cap))
     if walk is None:
         return True, None
@@ -212,7 +234,7 @@ def construct_shadow_point(sys, lasso, epsilon):
             )
         )
         return None, {"forward_survivors": forward, "backward_survivors": back}
-    allowed = _ball_sets(sys, epsilon)
+    allowed = _windows(sys, 1, epsilon)
     w = allowed[sys.index[lasso[0]]]
     i = 0
     seen = {}
@@ -268,33 +290,71 @@ def _warn_if_bound_blind(succ, bound, label):
         )
 
 
+def _closed_chains(sys, delta, epsilon, gaps, bound, cap, label):
+    """Every primitive closed chain of the gap graphs, gap by gap.
+
+    For each n in ``gaps`` yields (n, walk, step, allowed): every closed
+    walk of the gap-n graph of length 1..bound, rooted at its least
+    vertex, in (length, lex) order, with the n-step map and tracking
+    windows of :func:`_gap_structures`.  Rotations and repetitions are
+    skipped: shifting a tracer by f^(rn) traces a rotation.  One visit
+    counter runs across all gaps against the cap; ``label``, formatted
+    with the gap n, names the graph in the BoundTooSmall warning.
+    """
+    if bound < 1:
+        raise ValueError(f"length bound must be at least 1, got {bound}")
+    if delta <= 0 or epsilon <= 0:
+        raise ValueError("thresholds must be positive")
+    cap = subset_cap(cap)
+    counter = [0]
+    for n in gaps:
+        succ, step, allowed = _gap_structures(sys, n, delta, epsilon)
+        _warn_if_bound_blind(succ, bound, label.format(n=n))
+        for k in range(1, bound + 1):
+            for walk in _closed_walks_of_graph(succ, k, cap, counter):
+                yield n, walk, step, allowed
+
+
+def _traced(z, horizon, walk, step, allowed):
+    """Does z, moved along ``step``, stay in walk[i % k]'s window for
+    every i < horizon?"""
+    for i in range(horizon):
+        if z not in allowed[walk[i % len(walk)]]:
+            return False
+        z = step[z]
+    return True
+
+
+def _first_untraced(sys, chains, exact):
+    """The first (n, walk) of :func:`_closed_chains` output that no
+    periodic point traces, or None.
+
+    exact: the tracer z has f^(kn)(z) = z (k = len(walk)), so one pass
+    over the walk decides.  Otherwise z may have any period p, and the
+    joint horizon lcm(p, k) covers every phase of z against the walk.
+    """
+    per = [(z, len(sys.cycle(z))) for z in sys.periodic_indices()]
+    for n, walk, step, allowed in chains:
+        k = len(walk)
+        if exact:
+            tracers = [(z, k) for z, p in per if k * n % p == 0]
+        else:
+            tracers = [(z, math.lcm(p, k)) for z, p in per]
+        if not any(_traced(z, horizon, walk, step, allowed)
+                   for z, horizon in tracers):
+            return n, walk
+    return None
+
+
 def _periodic_variant_holds(sys, delta, epsilon, period_bound, strong, cap):
     delta, epsilon = as_fraction(delta), as_fraction(epsilon)
-    g = delta_graph(sys, delta)
-    _warn_if_bound_blind(g.succ, period_bound,
-                         "strong periodic" if strong else "periodic")
-    eps_cut = sys.lt_cutoff(epsilon)
-    rank = sys.rank
-    per = sys.periodic_indices()
-    counter = [0]
-    cap = subset_cap(cap)
-    for k in range(1, period_bound + 1):
-        for walk in _closed_walks_of_graph(g.succ, k, cap, counter):
-            found = False
-            for z in per:
-                p = len(sys.cycle(z))
-                if strong and k % p != 0:
-                    continue
-                horizon = k if strong else math.lcm(p, k)
-                if all(rank[sys.power(z, i)][walk[i % k]] < eps_cut
-                       for i in range(horizon)):
-                    found = True
-                    break
-            if not found:
-                lasso = Lasso(cycle=tuple(sys.points[i] for i in walk))
-                return False, ShadowCertificate(
-                    "counterexample", delta, epsilon, lasso)
-    return True, None
+    chains = _closed_chains(sys, delta, epsilon, (1,), period_bound, cap,
+                            "strong periodic" if strong else "periodic")
+    untraced = _first_untraced(sys, chains, exact=strong)
+    if untraced is None:
+        return True, None
+    lasso = Lasso(cycle=tuple(sys.points[i] for i in untraced[1]))
+    return False, ShadowCertificate("counterexample", delta, epsilon, lasso)
 
 
 def periodic_shadowing_holds(sys, delta, epsilon, period_bound, cap=None):
@@ -366,24 +426,6 @@ class ModulusTable:
 
     def populated(self):
         return all(payload is not None for _, payload in self.rows)
-
-
-def _largest_passing(values, predicate):
-    """Rightmost value in ascending ``values`` satisfying a monotone
-    (downward-closed) predicate, or None."""
-    lo, hi = 0, len(values) - 1
-    if predicate(values[hi]):
-        return values[hi]
-    if not predicate(values[lo]):
-        return None
-    # invariant: predicate(values[lo]) and not predicate(values[hi])
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if predicate(values[mid]):
-            lo = mid
-        else:
-            hi = mid
-    return values[lo]
 
 
 def shadowing_modulus(sys, epsilon, cap=None):

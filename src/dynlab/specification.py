@@ -22,14 +22,15 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Lasso, as_fraction, shadows, threshold_grid
+from .core import Lasso, _largest_passing, as_fraction, shadows, threshold_grid
 from .errors import BoundTooSmall, ModulusViolation, NotDecaying
 from .shadowing import (
     ModulusTable,
-    _closed_walks_of_graph,
+    _closed_chains,
     _die_search,
+    _first_untraced,
+    _gap_structures,
     _linear_envelope,
-    _warn_if_bound_blind,
     periodic_shadowing_holds,
     strong_periodic_shadowing_holds,
     strong_shadow_point,
@@ -107,34 +108,6 @@ def gap_values(sys, N):
     return range(N, max(N + P, T + 2 * P))
 
 
-def _gap_structures(sys, n, delta, epsilon):
-    """(succ, step, allowed) for gap length n: edges of the gap graph,
-    the n-step map, and the epsilon tracking window per vertex."""
-    d_cut = sys.lt_cutoff(delta)
-    e_cut = sys.lt_cutoff(epsilon)
-    rank = sys.rank
-    step = [sys.power(i, n) for i in range(sys.n)]
-    succ = tuple(
-        tuple(j for j in range(sys.n) if rank[step[i]][j] < d_cut)
-        for i in range(sys.n)
-    )
-    allowed = []
-    for v in range(sys.n):
-        members = []
-        for z in range(sys.n):
-            zi, vi = z, v
-            ok = True
-            for _ in range(n):
-                if rank[zi][vi] >= e_cut:
-                    ok = False
-                    break
-                zi, vi = sys.fmap[zi], sys.fmap[vi]
-            if ok:
-                members.append(z)
-        allowed.append(frozenset(members))
-    return succ, step, tuple(allowed)
-
-
 def local_weak_spec_holds(sys, epsilon, N, delta, cap=None):
     """Can every segment chain with any gap n >= N be epsilon-traced?
 
@@ -188,46 +161,18 @@ def local_spec_holds(sys, epsilon, N, delta, k_bound=6, cap=None):
     Warns BoundTooSmall when the gap graph provably has longer cycles.
     """
     epsilon, delta = as_fraction(epsilon), as_fraction(delta)
-    if epsilon <= 0 or delta <= 0 or N < 1:
-        raise ValueError("need positive thresholds and N >= 1")
+    if N < 1:
+        raise ValueError("need N >= 1")
     gaps = gap_values(sys, N)
-    e_cut = sys.lt_cutoff(epsilon)
-    rank = sys.rank
-    cap = subset_cap(cap)
-    counter = [0]
-    for n in gaps:
-        succ, step, _ = _gap_structures(sys, n, delta, epsilon)
-        _warn_if_bound_blind(succ, k_bound, f"closed chains at gap {n}")
-        per = [z for z in range(sys.n) if sys.preperiod(z) == 0]
-        for k in range(1, k_bound + 1):
-            for walk in _closed_walks_of_graph(succ, k, cap, counter):
-                found = False
-                for z in per:
-                    if (k * n) % len(sys.cycle(z)) != 0:
-                        continue
-                    zi = z
-                    ok = True
-                    for i in range(k):
-                        vi = walk[i]
-                        for _ in range(n):
-                            if rank[zi][vi] >= e_cut:
-                                ok = False
-                                break
-                            zi, vi = sys.fmap[zi], sys.fmap[vi]
-                        if not ok:
-                            break
-                    if ok:
-                        found = True
-                        break
-                if not found:
-                    chain = SpecInstance(
-                        sources=tuple(sys.points[i] for i in walk),
-                        gap=n,
-                        closed=True,
-                        delta=delta,
-                    )
-                    return False, {"gap_range": gaps, "counterexample": chain}
-    return True, {"gap_range": gaps}
+    chains = _closed_chains(sys, delta, epsilon, gaps, k_bound, cap,
+                            "closed chains at gap {n}")
+    untraced = _first_untraced(sys, chains, exact=True)
+    if untraced is None:
+        return True, {"gap_range": gaps}
+    n, walk = untraced
+    chain = SpecInstance(sources=tuple(sys.points[i] for i in walk), gap=n,
+                         closed=True, delta=delta)
+    return False, {"gap_range": gaps, "counterexample": chain}
 
 
 def eta_modulus(sys, delta1, N):
@@ -371,9 +316,10 @@ def modulus_table_for_spec(sys, prop="weak", N_range=(1, 2, 3), k_bound=6,
         for eps in grid.positive:
             payload = None
             for N in N_range:
-                passing = [d for d in grid.positive if holds(eps, N, d)]
-                if passing:
-                    payload = (N, max(passing))
+                best = _largest_passing(grid.positive,
+                                        lambda d: holds(eps, N, d))
+                if best is not None:
+                    payload = (N, best)
                     break
             rows.append((eps, payload))
     return ModulusTable(f"spec-{prop}", tuple(rows))
@@ -390,6 +336,8 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     variant "lipschitz": fits the linear envelope (L, d0) to the chain
     tracing table at N=1 (no lasso needed).
     """
+    if N < 1:
+        raise ValueError("need N >= 1")
     if variant == "lipschitz":
         envelope = _linear_envelope(
             threshold_grid(sys),
@@ -450,33 +398,27 @@ def pairwise_tracing_chain(sys, delta, epsilon, k_bound=6, cap=None):
     routes of link one agreed in both directions on every instance.
     """
     delta, epsilon = as_fraction(delta), as_fraction(epsilon)
-    if delta <= 0 or epsilon <= 0:
-        raise ValueError("thresholds must be positive")
-    cap = subset_cap(cap)
-    counter = [0]
     checked = 0
     exact_to_chain = True
     routes_equal = True
     counterexample = None
-    for n in gap_values(sys, 1):
-        succ, _, _ = _gap_structures(sys, n, delta, epsilon)
-        _warn_if_bound_blind(succ, k_bound, f"closed chains at gap {n}")
-        for k in range(1, k_bound + 1):
-            for walk in _closed_walks_of_graph(succ, k, cap, counter):
-                checked += 1
-                sources = tuple(sys.points[i] for i in walk)
-                unrolled = tuple(
-                    sys.points[sys.power(i, r)] for i in walk for r in range(n)
-                )
-                exact = strong_shadow_point(sys, unrolled, epsilon)
-                chain = trace_chain(sys, sources, n, epsilon, periodic=True)
-                if (exact is None) != (chain is None):
-                    routes_equal = False
-                if exact is not None and chain is None:
-                    exact_to_chain = False
-                    if counterexample is None:
-                        counterexample = SpecInstance(
-                            sources=sources, gap=n, closed=True, delta=delta)
+    chains = _closed_chains(sys, delta, epsilon, gap_values(sys, 1), k_bound,
+                            cap, "closed chains at gap {n}")
+    for n, walk, _, _ in chains:
+        checked += 1
+        sources = tuple(sys.points[i] for i in walk)
+        unrolled = tuple(
+            sys.points[sys.power(i, r)] for i in walk for r in range(n)
+        )
+        exact = strong_shadow_point(sys, unrolled, epsilon)
+        chain = trace_chain(sys, sources, n, epsilon, periodic=True)
+        if (exact is None) != (chain is None):
+            routes_equal = False
+        if exact is not None and chain is None:
+            exact_to_chain = False
+            if counterexample is None:
+                counterexample = SpecInstance(
+                    sources=sources, gap=n, closed=True, delta=delta)
     chain_ok = local_spec_holds(sys, epsilon, 1, delta, k_bound, cap)[0]
     periodic_ok = periodic_shadowing_holds(sys, delta, epsilon, k_bound, cap)[0]
     exact_ok = strong_periodic_shadowing_holds(

@@ -10,7 +10,9 @@ import random
 from fractions import Fraction
 
 from dynlab.core import Lasso, build_finite_system
-from dynlab.gallery import build_random_system
+from dynlab.gallery import (build_myex, build_product_truncation,
+                            build_random_system, build_xpq)
+from dynlab.symbolic import window_system
 
 
 def random_metric(rng, n):
@@ -32,6 +34,26 @@ def random_metric(rng, n):
 def random_system(seed, n, invertible=False):
     """Deterministic small test system (the library's seeded generator)."""
     return build_random_system(seed, n, invertible)
+
+
+def seeded_corpus(count, max_size):
+    """Frozen mix of sizes 2..max_size, alternating invertibility."""
+    for seed in range(count):
+        size = 2 + seed % (max_size - 1)
+        yield random_system(seed=seed, n=size, invertible=(seed % 2 == 0))
+
+
+def gallery_corpus():
+    """Every built-in family at small parameters, windows included."""
+    yield window_system(build_xpq(3, 2), 1)
+    yield window_system(build_xpq(3, 2), 2)
+    yield window_system(build_xpq(5, 3), 1)
+    yield window_system(build_product_truncation((2, 3, 5), 2), 1)
+    yield build_myex(2, 1).system
+    yield build_myex(5, 3).system
+    for seed in (1, 2, 5, 7, 13):
+        yield random_system(seed=seed, n=3 + seed % 4,
+                            invertible=(seed % 2 == 0))
 
 
 def two_points_identity(gap=Fraction(1)):

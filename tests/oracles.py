@@ -4,10 +4,23 @@ Nothing here touches the subset-construction machinery under test: a
 lasso family is enumerated outright, each member is classified by its
 worst step error and by the best tracking distance any point achieves
 against it, and threshold questions are answered from that table.
+The closed-chain references at the end keep each decision's own loop,
+sharing with the library only the closed-walk lister and the warning.
 """
 
 import math
 from fractions import Fraction
+
+from dynlab.core import Lasso, as_fraction
+from dynlab.shadowing import (
+    ShadowCertificate,
+    _closed_walks_of_graph,
+    _warn_if_bound_blind,
+    delta_graph,
+    strong_shadow_point,
+    subset_cap,
+)
+from dynlab.specification import SpecInstance, gap_values, trace_chain
 
 
 def lasso_family_pareto(sys, max_len):
@@ -187,3 +200,169 @@ def sieve_primes(limit):
         if marks[p]:
             marks[p * p::p] = [False] * len(range(p * p, limit, p))
     return {p for p, prime in enumerate(marks) if prime}
+
+
+# -- closed-chain decisions, one loop each ------------------------------------
+#
+# Each decision below lists the closed walks of its own gap graph and
+# scans the periodic points with FiniteSystem.power: a route apart from
+# the library's shared enumeration and tracer predicate.
+
+
+def gap_structures_reference(sys, n, delta, epsilon):
+    """(succ, step, allowed) for gap n: gap graph, n-step map, windows."""
+    d_cut = sys.lt_cutoff(delta)
+    e_cut = sys.lt_cutoff(epsilon)
+    rank = sys.rank
+    step = [sys.power(i, n) for i in range(sys.n)]
+    succ = tuple(
+        tuple(j for j in range(sys.n) if rank[step[i]][j] < d_cut)
+        for i in range(sys.n)
+    )
+    allowed = []
+    for v in range(sys.n):
+        members = []
+        for z in range(sys.n):
+            zi, vi = z, v
+            ok = True
+            for _ in range(n):
+                if rank[zi][vi] >= e_cut:
+                    ok = False
+                    break
+                zi, vi = sys.fmap[zi], sys.fmap[vi]
+            if ok:
+                members.append(z)
+        allowed.append(frozenset(members))
+    return succ, step, tuple(allowed)
+
+
+def periodic_variant_reference(sys, delta, epsilon, period_bound, strong,
+                               cap=None):
+    """periodic_shadowing_holds (strong=False) or its exact-period form."""
+    delta, epsilon = as_fraction(delta), as_fraction(epsilon)
+    g = delta_graph(sys, delta)
+    _warn_if_bound_blind(g.succ, period_bound,
+                         "strong periodic" if strong else "periodic")
+    eps_cut = sys.lt_cutoff(epsilon)
+    rank = sys.rank
+    per = sys.periodic_indices()
+    counter = [0]
+    cap = subset_cap(cap)
+    for k in range(1, period_bound + 1):
+        for walk in _closed_walks_of_graph(g.succ, k, cap, counter):
+            found = False
+            for z in per:
+                p = len(sys.cycle(z))
+                if strong and k % p != 0:
+                    continue
+                horizon = k if strong else math.lcm(p, k)
+                if all(rank[sys.power(z, i)][walk[i % k]] < eps_cut
+                       for i in range(horizon)):
+                    found = True
+                    break
+            if not found:
+                lasso = Lasso(cycle=tuple(sys.points[i] for i in walk))
+                return False, ShadowCertificate(
+                    "counterexample", delta, epsilon, lasso)
+    return True, None
+
+
+def local_spec_reference(sys, epsilon, N, delta, k_bound=6, cap=None):
+    """local_spec_holds: closed chains at every gap n >= N."""
+    epsilon, delta = as_fraction(epsilon), as_fraction(delta)
+    gaps = gap_values(sys, N)
+    e_cut = sys.lt_cutoff(epsilon)
+    rank = sys.rank
+    cap = subset_cap(cap)
+    counter = [0]
+    for n in gaps:
+        succ, step, _ = gap_structures_reference(sys, n, delta, epsilon)
+        _warn_if_bound_blind(succ, k_bound, f"closed chains at gap {n}")
+        per = [z for z in range(sys.n) if sys.preperiod(z) == 0]
+        for k in range(1, k_bound + 1):
+            for walk in _closed_walks_of_graph(succ, k, cap, counter):
+                found = False
+                for z in per:
+                    if (k * n) % len(sys.cycle(z)) != 0:
+                        continue
+                    zi = z
+                    ok = True
+                    for i in range(k):
+                        vi = walk[i]
+                        for _ in range(n):
+                            if rank[zi][vi] >= e_cut:
+                                ok = False
+                                break
+                            zi, vi = sys.fmap[zi], sys.fmap[vi]
+                        if not ok:
+                            break
+                    if ok:
+                        found = True
+                        break
+                if not found:
+                    chain = SpecInstance(
+                        sources=tuple(sys.points[i] for i in walk),
+                        gap=n,
+                        closed=True,
+                        delta=delta,
+                    )
+                    return False, {"gap_range": gaps, "counterexample": chain}
+    return True, {"gap_range": gaps}
+
+
+def pairwise_chain_reference(sys, delta, epsilon, k_bound=6, cap=None):
+    """pairwise_tracing_chain, with the reference loops for its links."""
+    delta, epsilon = as_fraction(delta), as_fraction(epsilon)
+    cap = subset_cap(cap)
+    counter = [0]
+    checked = 0
+    exact_to_chain = True
+    routes_equal = True
+    counterexample = None
+    for n in gap_values(sys, 1):
+        succ, _, _ = gap_structures_reference(sys, n, delta, epsilon)
+        _warn_if_bound_blind(succ, k_bound, f"closed chains at gap {n}")
+        for k in range(1, k_bound + 1):
+            for walk in _closed_walks_of_graph(succ, k, cap, counter):
+                checked += 1
+                sources = tuple(sys.points[i] for i in walk)
+                unrolled = tuple(
+                    sys.points[sys.power(i, r)] for i in walk for r in range(n)
+                )
+                exact = strong_shadow_point(sys, unrolled, epsilon)
+                chain = trace_chain(sys, sources, n, epsilon, periodic=True)
+                if (exact is None) != (chain is None):
+                    routes_equal = False
+                if exact is not None and chain is None:
+                    exact_to_chain = False
+                    if counterexample is None:
+                        counterexample = SpecInstance(
+                            sources=sources, gap=n, closed=True, delta=delta)
+    chain_ok = local_spec_reference(sys, epsilon, 1, delta, k_bound, cap)[0]
+    periodic_ok = periodic_variant_reference(
+        sys, delta, epsilon, k_bound, False, cap)[0]
+    exact_ok = periodic_variant_reference(
+        sys, delta, epsilon, k_bound, True, cap)[0]
+    links = {
+        "exact_to_chain": {
+            "holds": exact_to_chain,
+            "routes_equal": routes_equal,
+            "counterexample": counterexample,
+        },
+        "chain_to_periodic": {
+            "holds": (not chain_ok) or periodic_ok,
+            "chain": chain_ok,
+            "periodic": periodic_ok,
+        },
+        "exact_to_periodic": {
+            "holds": (not exact_ok) or periodic_ok,
+            "exact": exact_ok,
+            "periodic": periodic_ok,
+        },
+    }
+    return {
+        "thresholds": (delta, epsilon),
+        "instances_checked": checked,
+        "holds": all(row["holds"] for row in links.values()),
+        **links,
+    }

@@ -32,7 +32,7 @@ from dynlab.expansive import (
     n_expansive_holds,
     strong_measure_expansive_holds,
 )
-from dynlab.gallery import build_myex, build_product_truncation, build_xpq
+from dynlab.gallery import build_myex, build_xpq
 from dynlab.recurrence import (
     chain_recurrent_set,
     nonwandering_set,
@@ -47,28 +47,8 @@ from dynlab.specification import (
 )
 from dynlab.symbolic import periodic_point_count, product_system, window_system
 
-from helpers import random_system
+from helpers import gallery_corpus, random_system, seeded_corpus
 from oracles import brute_shadowing_table
-
-
-def seeded_corpus(count, max_size):
-    """Frozen mix of sizes 2..max_size, alternating invertibility."""
-    for seed in range(count):
-        size = 2 + seed % (max_size - 1)
-        yield random_system(seed=seed, n=size, invertible=(seed % 2 == 0))
-
-
-def gallery_corpus():
-    """Every built-in family at small parameters, windows included."""
-    yield window_system(build_xpq(3, 2), 1)
-    yield window_system(build_xpq(3, 2), 2)
-    yield window_system(build_xpq(5, 3), 1)
-    yield window_system(build_product_truncation((2, 3, 5), 2), 1)
-    yield build_myex(2, 1).system
-    yield build_myex(5, 3).system
-    for seed in (1, 2, 5, 7, 13):
-        yield random_system(seed=seed, n=3 + seed % 4,
-                            invertible=(seed % 2 == 0))
 
 
 def test_01_weak_tracing_row_populated_iff_shadowing_row_populated():

@@ -238,3 +238,30 @@ def test_lasso_entries_must_be_points_of_the_system(capsys, tmp_path):
             capsys, tmp_path, system, variant, lasso)
         assert code == 2 and out == ""
         assert err.startswith(f"dynlab: {pointer}:")
+
+
+def test_bad_bounds_exit_two(capsys, tmp_path):
+    path = emit_x32(capsys, tmp_path)
+    lasso = tmp_path / "lasso.json"
+    lasso.write_text(json.dumps({"cycle": ["0,1,2"]}))
+    common = ["--system", path, "--window", "1", "--epsilon", "1/4"]
+    cases = [
+        ["check", "shadowing", "--delta", "1/8", "--period-bound", "0"],
+        ["check", "spec", "--variant", "full", "--k-bound", "0"],
+        ["check", "spec", "--variant", "full", "--delta", "1/8",
+         "--k-bound", "0"],
+        ["check", "spec", "--variant", "limit", "--N", "0",
+         "--lasso", str(lasso)],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv, *common)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("dynlab: "), argv
+    code, out, _ = run(capsys, "modulus", "--prop", "periodic",
+                       "--period-bound", "-1", "--system", path,
+                       "--window", "1")
+    assert (code, out) == (2, "")
+    code, out, _ = run(capsys, "check", "expansive", "--variant", "n",
+                       "--n", "0", "--delta", "1", "--system", path,
+                       "--window", "1")
+    assert (code, out) == (2, "")

@@ -1,0 +1,125 @@
+"""The closed-chain engine behind periodic tracing, local specification
+and the pairwise chain, against one loop per decision (``oracles``).
+
+Verdicts, certificates, ``instances_checked``, cap hits and
+``BoundTooSmall`` warnings must all agree.  Also here: the binary
+best-threshold search against a linear scan, and the sub-minimal
+threshold fact that makes ``HypothesisReport.shadowing_populated``
+constant.
+"""
+
+import warnings
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dynlab.core import _largest_passing, threshold_grid
+from dynlab.errors import StateExplosion
+from dynlab.gallery import build_random_system
+from dynlab.recurrence import hypothesis_report
+from dynlab.shadowing import (
+    periodic_shadowing_holds,
+    shadowing_holds,
+    strong_periodic_shadowing_holds,
+)
+from dynlab.specification import local_spec_holds, pairwise_tracing_chain
+
+from helpers import gallery_corpus, seeded_corpus
+from oracles import (
+    local_spec_reference,
+    pairwise_chain_reference,
+    periodic_variant_reference,
+)
+
+# the properties are exact, so a slow host must not fail them on time
+untimed = settings(deadline=None)
+
+
+def outcome(fn, *args):
+    """What a call returns, or its cap hit, with the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except StateExplosion as exc:
+            result = ("cap hit", exc.visited, exc.cap)
+    return result, [str(w.message) for w in caught]
+
+
+@st.composite
+def cells(draw, max_bound=4):
+    """A seeded system of 1..6 points, grid thresholds delta and epsilon,
+    a length bound, and a state cap (small caps force cap hits)."""
+    sys = build_random_system(draw(st.integers(0, 10 ** 6)),
+                              draw(st.integers(1, 6)), draw(st.booleans()))
+    grid = threshold_grid(sys).positive
+    return (sys, draw(st.sampled_from(grid)), draw(st.sampled_from(grid)),
+            draw(st.integers(1, max_bound)),
+            draw(st.sampled_from([None, 20, 200])))
+
+
+@untimed
+@given(cells(), st.booleans())
+def test_periodic_variants_match_the_reference(cell, strong):
+    sys, delta, epsilon, bound, cap = cell
+    fn = strong_periodic_shadowing_holds if strong else periodic_shadowing_holds
+    assert outcome(fn, sys, delta, epsilon, bound, cap) == outcome(
+        periodic_variant_reference, sys, delta, epsilon, bound, strong, cap)
+
+
+@untimed
+@given(cells(), st.integers(1, 3))
+def test_local_spec_matches_the_reference(cell, N):
+    sys, delta, epsilon, bound, cap = cell
+    assert outcome(local_spec_holds, sys, epsilon, N, delta, bound, cap) == (
+        outcome(local_spec_reference, sys, epsilon, N, delta, bound, cap))
+
+
+@untimed
+@given(cells(max_bound=3))
+def test_pairwise_chain_matches_the_reference(cell):
+    sys, delta, epsilon, bound, cap = cell
+    assert outcome(pairwise_tracing_chain, sys, delta, epsilon, bound,
+                   cap) == outcome(pairwise_chain_reference, sys, delta,
+                                   epsilon, bound, cap)
+
+
+def test_engine_rejects_bad_bounds_and_thresholds():
+    sys = build_random_system(3, 4, True)
+    calls = [
+        lambda: periodic_shadowing_holds(sys, 0, 0, 3),
+        lambda: periodic_shadowing_holds(sys, 1, 1, 0),
+        lambda: strong_periodic_shadowing_holds(sys, 1, 0, 3),
+        lambda: local_spec_holds(sys, 1, 1, 1, k_bound=0),
+        lambda: local_spec_holds(sys, 1, 0, 1),
+        lambda: pairwise_tracing_chain(sys, 0, 1),
+        lambda: pairwise_tracing_chain(sys, 1, 1, k_bound=-1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, unique=True),
+       st.integers(-60, 60))
+def test_largest_passing_matches_a_linear_scan(values, threshold):
+    values = sorted(values)
+    probed = []
+
+    def at_most_threshold(v):
+        probed.append(v)
+        return v <= threshold
+
+    expected = max((v for v in values if v <= threshold), default=None)
+    assert _largest_passing(values, at_most_threshold) == expected
+    assert len(probed) <= 2 + len(values).bit_length()
+
+
+def test_submin_delta_shadows_at_every_epsilon():
+    # why HypothesisReport.shadowing_populated is constant: below the
+    # least positive distance every pseudo-orbit is a true orbit
+    for sys in list(seeded_corpus(20, 8)) + list(gallery_corpus()):
+        grid = threshold_grid(sys)
+        for eps in grid.positive:
+            assert shadowing_holds(sys, grid.submin, eps) == (True, None)
+        assert hypothesis_report(sys).shadowing_populated
