@@ -301,11 +301,15 @@ def run_theorem_battery(system, battery_id, period_bound=6, cap=None):
     Returns a JSON-ready dict: battery id, per-cell rows, diagnosed
     hypotheses where applicable, asserted flag, violations, cap hits,
     and the periodic-point spectrum up to max(period_bound, 8).
+    A ``period_bound`` below 1 raises ValueError for every battery.
     """
     sys = getattr(system, "system", system)
     if battery_id not in _RUNNERS:
         raise ValueError(
             f"unknown battery {battery_id!r}; choose from {BATTERY_IDS}")
+    if period_bound < 1:
+        raise ValueError(
+            f"period bound must be at least 1, got {period_bound}")
     body = _RUNNERS[battery_id](sys, period_bound, cap)
     spectrum = periodic_spectrum(sys, max(period_bound, 8))
     return {

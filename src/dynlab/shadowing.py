@@ -11,6 +11,15 @@ actual orbit by a finite-branching chain argument), so reachability of
 the empty set is a complete test, and the dying walk is a
 counterexample certificate.
 
+Periodic pseudo-orbits and closed chains (periodic and strong periodic
+shadowing, local specification) are closed walks of a gap graph, to be
+traced by a periodic point.  They are decided by a second breadth-first
+search whose state carries the set of periodic start points still
+viable along the walk, so walks that agree on root, end vertex and that
+set are explored once; the search ends at the first closed walk no
+periodic point traces.  Only the pairwise implication chain, which
+examines every closed chain on its own, lists the closed walks.
+
 All answers are deterministic: searches expand states in (length,
 lexicographic) order, so the reported counterexample is the first
 failing walk in that order, completed into a lasso by the true orbit
@@ -290,67 +299,143 @@ def _warn_if_bound_blind(succ, bound, label):
         )
 
 
-def _closed_chains(sys, delta, epsilon, gaps, bound, cap, label):
-    """Every primitive closed chain of the gap graphs, gap by gap.
-
-    For each n in ``gaps`` yields (n, walk, step, allowed): every closed
-    walk of the gap-n graph of length 1..bound, rooted at its least
-    vertex, in (length, lex) order, with the n-step map and tracking
-    windows of :func:`_gap_structures`.  Rotations and repetitions are
-    skipped: shifting a tracer by f^(rn) traces a rotation.  One visit
-    counter runs across all gaps against the cap; ``label``, formatted
-    with the gap n, names the graph in the BoundTooSmall warning.
-    """
+def _gap_graphs(sys, delta, epsilon, gaps, bound, label):
+    """Validate a closed-chain question once, then yield (n, succ, step,
+    allowed) of :func:`_gap_structures` for each n in ``gaps``, warning
+    BoundTooSmall for a gap graph with cycles longer than ``bound``;
+    ``label``, formatted with the gap n, names the graph."""
     if bound < 1:
         raise ValueError(f"length bound must be at least 1, got {bound}")
     if delta <= 0 or epsilon <= 0:
         raise ValueError("thresholds must be positive")
-    cap = subset_cap(cap)
-    counter = [0]
     for n in gaps:
         succ, step, allowed = _gap_structures(sys, n, delta, epsilon)
         _warn_if_bound_blind(succ, bound, label.format(n=n))
+        yield n, succ, step, allowed
+
+
+def _closed_chains(sys, delta, epsilon, gaps, bound, cap, label):
+    """Every primitive closed chain of the gap graphs, gap by gap.
+
+    For each n in ``gaps`` yields (n, walk) for every closed walk of the
+    gap-n graph of length 1..bound, rooted at its least vertex, in
+    (length, lex) order.  Rotations and repetitions are skipped:
+    shifting a tracer by f^(rn) traces a rotation.  One visit counter
+    runs across all gaps against the cap.
+    """
+    cap = subset_cap(cap)
+    counter = [0]
+    for n, succ, _, _ in _gap_graphs(sys, delta, epsilon, gaps, bound, label):
         for k in range(1, bound + 1):
             for walk in _closed_walks_of_graph(succ, k, cap, counter):
-                yield n, walk, step, allowed
+                yield n, walk
 
 
-def _traced(z, horizon, walk, step, allowed):
-    """Does z, moved along ``step``, stay in walk[i % k]'s window for
-    every i < horizon?"""
-    for i in range(horizon):
-        if z not in allowed[walk[i % len(walk)]]:
-            return False
-        z = step[z]
-    return True
+def _orbit_masks(periodic, step, k):
+    """The orbits of step^k on the periodic points, as bitmasks."""
+    masks, done = [], 0
+    for z in periodic:
+        if done >> z & 1:
+            continue
+        mask, y = 0, z
+        while not mask >> y & 1:
+            mask |= 1 << y
+            for _ in range(k):
+                y = step[y]
+        masks.append(mask)
+        done |= mask
+    return masks
 
 
-def _first_untraced(sys, chains, exact):
-    """The first (n, walk) of :func:`_closed_chains` output that no
-    periodic point traces, or None.
+def _first_untraced_chain(sys, delta, epsilon, gaps, bound, cap, label,
+                          exact):
+    """The first closed chain (n, walk) of the gap graphs, in (gap,
+    length, lex) order, that no periodic point traces, or None.
 
-    exact: the tracer z has f^(kn)(z) = z (k = len(walk)), so one pass
-    over the walk decides.  Otherwise z may have any period p, and the
-    joint horizon lcm(p, k) covers every phase of z against the walk.
+    Breadth-first search over tracer sets.  A state of gap n is (root r,
+    vertex v >= r, S) reached by a walk of length k from r, where the
+    bitmask S holds the periodic z with step^i(z) in allowed[w_i] for
+    every i < k; one edge to u is ``S & masks[k][u]``.  When the walk
+    closes (r is a successor of v) it is traced iff
+
+    - exact (the tracer has f^(kn)(z) = z): S meets {z : p(z) | kn};
+    - otherwise (any period): some step^k-orbit of periodic points lies
+      wholly inside S, since a tracer of period p stays in the windows
+      over the joint horizon lcm(p, k) exactly when every
+      step^(jk)(z) is in S.
+
+    The walks reaching one state share every future verdict, so each
+    level keeps one state per (r, v, S), reached by its lexicographically
+    least walk, and all closures of level k are checked before level
+    k + 1 is built.  The walk returned is therefore the first untraced
+    one that :func:`_closed_chains` lists, and it is primitive: a
+    repetition of a traced walk is traced by the same point.  Each new
+    state counts against the cap, one counter across all gaps, so the
+    count never exceeds the walk prefixes the listing would visit.
     """
-    per = [(z, len(sys.cycle(z))) for z in sys.periodic_indices()]
-    for n, walk, step, allowed in chains:
-        k = len(walk)
+    cap = subset_cap(cap)
+    periodic = sys.periodic_indices()
+    visited = 0
+    for n, succ, step, allowed in _gap_graphs(sys, delta, epsilon, gaps,
+                                              bound, label):
+        # holders[y]: the u with y in allowed[u]; at[z] = step^i(z)
+        holders = [[] for _ in range(sys.n)]
+        for u, window in enumerate(allowed):
+            for y in window:
+                holders[y].append(u)
+        masks, at = [], {z: z for z in periodic}
+        for _ in range(bound):
+            row = [0] * sys.n
+            for z in periodic:
+                for u in holders[at[z]]:
+                    row[u] |= 1 << z
+                at[z] = step[at[z]]
+            masks.append(row)
         if exact:
-            tracers = [(z, k) for z, p in per if k * n % p == 0]
+            hits = [sum(1 << z for z in periodic
+                        if k * n % len(sys.cycle(z)) == 0)
+                    for k in range(bound + 1)]
+            traced = lambda k, s: s & hits[k]
         else:
-            tracers = [(z, math.lcm(p, k)) for z, p in per]
-        if not any(_traced(z, horizon, walk, step, allowed)
-                   for z, horizon in tracers):
-            return n, walk
+            orbits = [None] + [_orbit_masks(periodic, step, k)
+                               for k in range(1, bound + 1)]
+            traced = lambda k, s: any(o & s == o for o in orbits[k])
+        closes = [frozenset(row) for row in succ]
+        level = []
+        for r in range(sys.n):
+            visited += 1
+            if visited > cap:
+                raise StateExplosion(visited, cap, frontier_sample=(n, r, r, 1))
+            level.append((r, r, masks[0][r], (r,)))
+        for k in range(1, bound + 1):
+            for r, v, s, walk in level:
+                if r in closes[v] and not traced(k, s):
+                    return n, walk
+            if k == bound:
+                break
+            row, seen, nxt = masks[k], set(), []
+            for r, v, s, walk in level:
+                for u in succ[v]:
+                    if u < r:
+                        continue
+                    key = (r, u, s & row[u])
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    visited += 1
+                    if visited > cap:
+                        raise StateExplosion(visited, cap,
+                                             frontier_sample=(n, r, u, k + 1))
+                    nxt.append((*key, walk + (u,)))
+            level = nxt
     return None
 
 
 def _periodic_variant_holds(sys, delta, epsilon, period_bound, strong, cap):
     delta, epsilon = as_fraction(delta), as_fraction(epsilon)
-    chains = _closed_chains(sys, delta, epsilon, (1,), period_bound, cap,
-                            "strong periodic" if strong else "periodic")
-    untraced = _first_untraced(sys, chains, exact=strong)
+    untraced = _first_untraced_chain(
+        sys, delta, epsilon, (1,), period_bound, cap,
+        "strong periodic" if strong else "periodic", exact=strong)
     if untraced is None:
         return True, None
     lasso = Lasso(cycle=tuple(sys.points[i] for i in untraced[1]))
@@ -363,16 +448,21 @@ def periodic_shadowing_holds(sys, delta, epsilon, period_bound, cap=None):
 
     Periodic pseudo-orbits are the closed walks of the step graph
     (rotations and repetitions are checked once; a tracer for a walk
-    yields tracers for its rotations by applying f).  Emits a
-    :class:`BoundTooSmall` warning when the step graph provably has
-    cycles longer than the bound.
+    yields tracers for its rotations by applying f).  They are searched
+    breadth-first with the set of still-viable periodic tracers as
+    state, so the cap counts distinct (root, vertex, tracer set) states
+    per walk length, not walks.  The certificate is the first untraced
+    closed walk in (length, lex) order.  Emits a :class:`BoundTooSmall`
+    warning when the step graph provably has cycles longer than the
+    bound.
     """
     return _periodic_variant_holds(sys, delta, epsilon, period_bound, False, cap)
 
 
 def strong_periodic_shadowing_holds(sys, delta, epsilon, period_bound, cap=None):
     """Like :func:`periodic_shadowing_holds`, but the tracer must have the
-    same period as the pseudo-orbit (f^N(x) = x for declared period N)."""
+    same period as the pseudo-orbit (f^N(x) = x for declared period N).
+    Same tracer-set search and cap count."""
     return _periodic_variant_holds(sys, delta, epsilon, period_bound, True, cap)
 
 

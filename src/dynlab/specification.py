@@ -28,7 +28,7 @@ from .shadowing import (
     ModulusTable,
     _closed_chains,
     _die_search,
-    _first_untraced,
+    _first_untraced_chain,
     _gap_structures,
     _linear_envelope,
     periodic_shadowing_holds,
@@ -157,16 +157,19 @@ def local_spec_holds(sys, epsilon, N, delta, k_bound=6, cap=None):
 
     Closed chains are closed walks of the gap graph; rotations and
     repetitions reduce to each other (shift the tracer by f^(rn)), so
-    only primitive walks rooted at their least vertex are searched.
-    Warns BoundTooSmall when the gap graph provably has longer cycles.
+    only walks rooted at their least vertex are searched.  The search
+    runs breadth-first over (root, vertex, viable periodic tracers)
+    states, gap by gap, and the cap counts those states, one counter
+    across all gaps; the counterexample is the first untraced closed
+    chain in (gap, length, lex) order, which is primitive.  Warns
+    BoundTooSmall when the gap graph provably has longer cycles.
     """
     epsilon, delta = as_fraction(epsilon), as_fraction(delta)
     if N < 1:
         raise ValueError("need N >= 1")
     gaps = gap_values(sys, N)
-    chains = _closed_chains(sys, delta, epsilon, gaps, k_bound, cap,
-                            "closed chains at gap {n}")
-    untraced = _first_untraced(sys, chains, exact=True)
+    untraced = _first_untraced_chain(sys, delta, epsilon, gaps, k_bound, cap,
+                                     "closed chains at gap {n}", exact=True)
     if untraced is None:
         return True, {"gap_range": gaps}
     n, walk = untraced
@@ -404,7 +407,7 @@ def pairwise_tracing_chain(sys, delta, epsilon, k_bound=6, cap=None):
     counterexample = None
     chains = _closed_chains(sys, delta, epsilon, gap_values(sys, 1), k_bound,
                             cap, "closed chains at gap {n}")
-    for n, walk, _, _ in chains:
+    for n, walk in chains:
         checked += 1
         sources = tuple(sys.points[i] for i in walk)
         unrolled = tuple(

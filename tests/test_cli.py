@@ -265,3 +265,23 @@ def test_bad_bounds_exit_two(capsys, tmp_path):
                        "--n", "0", "--delta", "1", "--system", path,
                        "--window", "1")
     assert (code, out) == (2, "")
+
+
+def test_battery_rejects_a_period_bound_below_one(capsys, tmp_path):
+    path = emit_x32(capsys, tmp_path)
+    for battery_id in ("thmA", "thmB", "thmC", "thmD", "hierarchy"):
+        for bound in ("0", "-2"):
+            code, out, err = run(capsys, "battery", "--system", path,
+                                 "--window", "1", "--id", battery_id,
+                                 "--period-bound", bound)
+            assert (code, out) == (2, ""), (battery_id, bound)
+            assert err == (f"dynlab: period bound must be at least 1, "
+                           f"got {bound}\n")
+
+
+def test_periodic_modulus_on_window_two_is_decided(capsys, tmp_path):
+    path = emit_x32(capsys, tmp_path)
+    code, out, _ = run(capsys, "modulus", "--prop", "periodic",
+                       "--system", path, "--window", "2")
+    assert code == 0
+    assert json.loads(out)["results"]["table"]["rows"]

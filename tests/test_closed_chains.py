@@ -1,8 +1,12 @@
-"""The closed-chain engine behind periodic tracing, local specification
-and the pairwise chain, against one loop per decision (``oracles``).
+"""The tracer-set search behind periodic tracing and local
+specification, and the closed-chain listing behind the pairwise chain,
+against one walk-listing loop per decision (``oracles``).
 
-Verdicts, certificates, ``instances_checked``, cap hits and
-``BoundTooSmall`` warnings must all agree.  Also here: the binary
+Verdicts, certificates, ``instances_checked`` and ``BoundTooSmall``
+warnings must all agree.  Cap hits agree for the pairwise chain; the
+tracer-set search counts states, not listed walks, so under a cap it
+may decide where the listing runs out (see
+:func:`assert_matches_reference`).  Also here: the binary
 best-threshold search against a linear scan, and the sub-minimal
 threshold fact that makes ``HypothesisReport.shadowing_populated``
 constant.
@@ -14,15 +18,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynlab.core import _largest_passing, threshold_grid
-from dynlab.errors import StateExplosion
-from dynlab.gallery import build_random_system
+from dynlab.errors import BoundTooSmall, StateExplosion
+from dynlab.gallery import build_random_system, build_xpq
 from dynlab.recurrence import hypothesis_report
 from dynlab.shadowing import (
+    modulus_table,
     periodic_shadowing_holds,
     shadowing_holds,
     strong_periodic_shadowing_holds,
 )
 from dynlab.specification import local_spec_holds, pairwise_tracing_chain
+from dynlab.symbolic import window_system
 
 from helpers import gallery_corpus, seeded_corpus
 from oracles import (
@@ -46,6 +52,24 @@ def outcome(fn, *args):
     return result, [str(w.message) for w in caught]
 
 
+def assert_matches_reference(run, reference, cap):
+    """``run(cap)`` agrees with ``reference(cap)``, both :func:`outcome`s.
+
+    Uncapped, or where the reference decides under the cap, they are
+    equal.  Where the reference's walk listing hits the cap, the
+    tracer-set search, which never holds more states than the listing
+    has visited, either hits it too, at the cap's first excess, or
+    returns the uncapped reference outcome.
+    """
+    got, expected = run(cap), reference(cap)
+    if cap is None or expected[0][0] != "cap hit":
+        assert got == expected
+    elif got[0][0] == "cap hit":
+        assert got[0] == ("cap hit", cap + 1, cap)
+    else:
+        assert got == reference(None)
+
+
 @st.composite
 def cells(draw, max_bound=4):
     """A seeded system of 1..6 points, grid thresholds delta and epsilon,
@@ -63,16 +87,22 @@ def cells(draw, max_bound=4):
 def test_periodic_variants_match_the_reference(cell, strong):
     sys, delta, epsilon, bound, cap = cell
     fn = strong_periodic_shadowing_holds if strong else periodic_shadowing_holds
-    assert outcome(fn, sys, delta, epsilon, bound, cap) == outcome(
-        periodic_variant_reference, sys, delta, epsilon, bound, strong, cap)
+    assert_matches_reference(
+        lambda c: outcome(fn, sys, delta, epsilon, bound, c),
+        lambda c: outcome(periodic_variant_reference, sys, delta, epsilon,
+                          bound, strong, c),
+        cap)
 
 
 @untimed
 @given(cells(), st.integers(1, 3))
 def test_local_spec_matches_the_reference(cell, N):
     sys, delta, epsilon, bound, cap = cell
-    assert outcome(local_spec_holds, sys, epsilon, N, delta, bound, cap) == (
-        outcome(local_spec_reference, sys, epsilon, N, delta, bound, cap))
+    assert_matches_reference(
+        lambda c: outcome(local_spec_holds, sys, epsilon, N, delta, bound, c),
+        lambda c: outcome(local_spec_reference, sys, epsilon, N, delta,
+                          bound, c),
+        cap)
 
 
 @untimed
@@ -98,6 +128,49 @@ def test_engine_rejects_bad_bounds_and_thresholds():
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+def test_cap_hit_names_its_frontier_state():
+    # frontier_sample is (gap, root, vertex, walk length) of the state
+    # that went over the cap; the message stays the plain count
+    sys = build_random_system(3, 4, True)
+    top = threshold_grid(sys).positive[-1]
+    calls = [
+        (lambda: periodic_shadowing_holds(sys, top, top, 3, cap=4),
+         (1, 0, 0, 2)),
+        (lambda: strong_periodic_shadowing_holds(sys, top, top, 3, cap=2),
+         (1, 2, 2, 1)),
+        (lambda: local_spec_holds(sys, top, 2, top, 3, cap=5), (2, 0, 1, 2)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundTooSmall)
+        for call, sample in calls:
+            with pytest.raises(StateExplosion) as caught:
+                call()
+            exc = caught.value
+            assert exc.frontier_sample == sample
+            assert str(exc) == (f"subset search exceeded cap: visited "
+                                f"{exc.cap + 1} states (cap {exc.cap})")
+
+
+@pytest.mark.parametrize("prop, holds", [
+    ("periodic", periodic_shadowing_holds),
+    ("strong-periodic", strong_periodic_shadowing_holds),
+])
+def test_window_two_periodic_tables_are_decided(prop, holds, monkeypatch):
+    # the closed-walk listing ran into the default cap on this table
+    monkeypatch.delenv("DYNLAB_SUBSET_CAP", raising=False)
+    sys = window_system(build_xpq(3, 2), 2)
+    grid = threshold_grid(sys).positive
+    table = modulus_table(sys, prop, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundTooSmall)
+        for eps, best in table.rows:
+            if best is not None:
+                assert holds(sys, best, eps, 8)[0]
+            above = [d for d in grid if best is None or d > best]
+            if above:
+                assert not holds(sys, above[0], eps, 8)[0]
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, unique=True),
