@@ -43,7 +43,10 @@ def as_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -82,6 +85,7 @@ class FiniteSystem:
         self._orbit_cache = None
         self._values_cache = None
         self._rank_cache = None
+        self._spread_cache = None
 
     # -- basic queries -------------------------------------------------
 
@@ -170,6 +174,34 @@ class FiniteSystem:
                 tuple(pos[d] for d in row) for row in self.dist
             )
         return self._rank_cache
+
+    @property
+    def spread_rank(self):
+        """spread_rank[a][b] = max of rank[f^i a][f^i b] over i < T + P.
+
+        The rank of the largest distance the orbits of a and b ever
+        reach (T = :attr:`max_preperiod`, P = :attr:`cycle_lcm`; the
+        window argument is in :func:`dynlab.expansive.orbit_spread`).
+        Built once per system, on integer ranks.
+        """
+        if self._spread_cache is None:
+            self._spread_cache = self._build_spread_rank()
+        return self._spread_cache
+
+    def _build_spread_rank(self):
+        rank, fmap = self.rank, self.fmap
+        window = self.max_preperiod + self.cycle_lcm
+        spread = [[0] * self.n for _ in range(self.n)]
+        for a in range(self.n):
+            for b in range(a + 1, self.n):
+                u, v = a, b
+                worst = 0
+                for _ in range(window):
+                    if rank[u][v] > worst:
+                        worst = rank[u][v]
+                    u, v = fmap[u], fmap[v]
+                spread[a][b] = spread[b][a] = worst
+        return tuple(tuple(row) for row in spread)
 
     def lt_cutoff(self, q):
         """Number of distance values < q, so d < q iff rank(d) < cutoff."""

@@ -2,12 +2,13 @@
 
 The central object is the spread matrix S[x][y] = sup_i d(f^i(x),
 f^i(y)) (i over forward time, or all of time on invertible systems),
-computed exactly through the eventual-periodicity window.  Every
+computed exactly through the eventual-periodicity window, once per
+system and on integer ranks (:attr:`FiniteSystem.spread_rank`).  Every
 notion in this module is a threshold question against S: the set of
 points delta-indistinguishable from x is {y : S[x][y] <= delta}
-(non-strict, following the local stable set convention), and the
-hierarchy asks how large those sets may be, counted pointwise or
-through invariant measures.
+(non-strict, following the local stable set convention), which is
+rank < ``sys.le_cutoff(delta)``; the hierarchy asks how large those
+sets may be, counted pointwise or through invariant measures.
 
 Measure quantifiers collapse on a finite system: ergodic invariant
 measures are exactly the uniform distributions on cycles of the map,
@@ -52,20 +53,13 @@ def orbit_spread(sys):
     system every point is periodic (T=0) and f^{-k} = f^{P-k} on each
     cycle, so the same forward window also exhausts negative time: no
     separate backward scan is needed for the two-sided convention.
+
+    The spread is computed once per system, on integer ranks
+    (:attr:`FiniteSystem.spread_rank`); this returns a fresh matrix of
+    the distance values those ranks stand for.
     """
-    n = sys.n
-    T, P = sys.max_preperiod, sys.cycle_lcm
-    spread = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            u, v = a, b
-            worst = Fraction(0)
-            for _ in range(T + P):
-                if sys.dist[u][v] > worst:
-                    worst = sys.dist[u][v]
-                u, v = sys.fmap[u], sys.fmap[v]
-            spread[a][b] = spread[b][a] = worst
-    return spread
+    values = sys.distance_values
+    return [[values[r] for r in row] for row in sys.spread_rank]
 
 
 @dataclass(frozen=True)
@@ -91,25 +85,27 @@ def _positive(value):
 
 def gamma_set(sys, x, delta):
     delta = _positive(delta)
-    xi = sys.index[x]
-    row = orbit_spread(sys)[xi]
+    cutoff = sys.le_cutoff(delta)
+    row = sys.spread_rank[sys.index[x]]
     members = tuple(
-        sys.points[y] for y in range(sys.n) if row[y] <= delta
+        sys.points[y] for y in range(sys.n) if row[y] < cutoff
     )
-    witness = {sys.points[y]: row[y] for y in range(sys.n)}
+    values = sys.distance_values
+    witness = {sys.points[y]: values[row[y]] for y in range(sys.n)}
     return GammaSet(x, delta, members, witness)
 
 
-def _at_most_n_close(spread, n, delta):
-    return all(sum(1 for s in row if s <= delta) <= n for row in spread)
+def _at_most_n_close(sys, n, delta):
+    cutoff = sys.le_cutoff(delta)
+    return all(sum(1 for r in row if r < cutoff) <= n
+               for row in sys.spread_rank)
 
 
 def n_expansive_holds(sys, n, delta):
     """Does every point's delta-indistinguishability set have <= n members?"""
     if n < 1:
         raise ValueError("n must be at least 1")
-    delta = _positive(delta)
-    return _at_most_n_close(orbit_spread(sys), n, delta)
+    return _at_most_n_close(sys, n, _positive(delta))
 
 
 def n_expansive_constant(sys, n):
@@ -120,10 +116,9 @@ def n_expansive_constant(sys, n):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    spread = orbit_spread(sys)
     # sets only grow with delta, so the predicate is downward closed
     return _largest_passing(threshold_grid(sys).positive,
-                            lambda delta: _at_most_n_close(spread, n, delta))
+                            lambda delta: _at_most_n_close(sys, n, delta))
 
 
 @dataclass(frozen=True)
@@ -180,12 +175,12 @@ def strong_measure_expansive_holds(sys, delta):
     |{x} ∩ O|.  Returns (bool, counterexample) where the counterexample
     is (x, uniform measure on the offending cycle).
     """
-    delta = _positive(delta)
-    spread = orbit_spread(sys)
+    cutoff = sys.le_cutoff(_positive(delta))
+    spread = sys.spread_rank
     cycles = _cycles(sys)
     for x in range(sys.n):
         for cyc in cycles:
-            inside = sum(1 for y in cyc if spread[x][y] <= delta)
+            inside = sum(1 for y in cyc if spread[x][y] < cutoff)
             if inside != (1 if x in cyc else 0):
                 w = [Fraction(0)] * sys.n
                 for i in cyc:
@@ -203,11 +198,11 @@ def measure_expansive_holds(sys, delta):
 
 def expansive_on_per(sys, delta):
     """Are periodic points pairwise delta-distinguishable?"""
-    delta = _positive(delta)
-    spread = orbit_spread(sys)
+    cutoff = sys.le_cutoff(_positive(delta))
+    spread = sys.spread_rank
     per = sys.periodic_indices()
     return all(
-        spread[x][y] > delta for x in per for y in per if x != y
+        spread[x][y] >= cutoff for x in per for y in per if x != y
     )
 
 
@@ -277,19 +272,12 @@ def stable_sets(sys, x, epsilon, include_unstable=None):
         raise NotInvertible("unstable sets need backward time")
     xi = sys.index[x]
     T, P = sys.max_preperiod, sys.cycle_lcm
-    s_local, s_global = [], []
-    for y in range(sys.n):
-        u, v = xi, y
-        close = True
-        for _ in range(T + P):
-            if sys.dist[u][v] > epsilon:
-                close = False
-                break
-            u, v = sys.fmap[u], sys.fmap[v]
-        if close:
-            s_local.append(sys.points[y])
-        if sys.power(xi, T + P) == sys.power(y, T + P):
-            s_global.append(sys.points[y])
+    cutoff = sys.le_cutoff(epsilon)
+    spread = sys.spread_rank[xi]
+    s_local = tuple(sys.points[y] for y in range(sys.n)
+                    if spread[y] < cutoff)
+    s_global = tuple(sys.points[y] for y in range(sys.n)
+                     if sys.power(xi, T + P) == sys.power(y, T + P))
     u_local = u_global = None
     if include_unstable:
         u_local, u_global = [], []
@@ -303,7 +291,7 @@ def stable_sets(sys, x, epsilon, include_unstable=None):
             if y == xi:
                 u_global.append(sys.points[y])
         u_local, u_global = tuple(u_local), tuple(u_global)
-    return StableSets(x, epsilon, tuple(s_local), tuple(s_global),
+    return StableSets(x, epsilon, s_local, s_global,
                       u_local, u_global)
 
 

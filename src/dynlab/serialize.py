@@ -46,7 +46,7 @@ def _parse_fraction(value, pointer):
         raise SchemaError(pointer, f"expected an exact rational, got {value!r}")
     try:
         return as_fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as e:
+    except (ValueError, TypeError) as e:
         raise SchemaError(pointer, str(e)) from None
 
 

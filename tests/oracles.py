@@ -161,6 +161,24 @@ def gamma_window_points(sys, x, delta, horizon):
     return out
 
 
+def orbit_spread_reference(sys):
+    """S[x][y] = max distance the orbits of x and y reach over the window
+    i < T + P, compared as Fractions (the library's former route)."""
+    n = sys.n
+    T, P = sys.max_preperiod, sys.cycle_lcm
+    spread = [[Fraction(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            u, v = a, b
+            worst = Fraction(0)
+            for _ in range(T + P):
+                if sys.dist[u][v] > worst:
+                    worst = sys.dist[u][v]
+                u, v = sys.fmap[u], sys.fmap[v]
+            spread[a][b] = spread[b][a] = worst
+    return spread
+
+
 def mutual_reachability_classes(succ):
     """Strong components by definition: u and v share a class iff each
     reaches the other (every vertex reaches itself by the empty walk)."""

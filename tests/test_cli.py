@@ -285,3 +285,22 @@ def test_periodic_modulus_on_window_two_is_decided(capsys, tmp_path):
                        "--system", path, "--window", "2")
     assert code == 0
     assert json.loads(out)["results"]["table"]["rows"]
+
+
+def test_zero_denominator_thresholds_exit_two(capsys, tmp_path):
+    path = emit_x32(capsys, tmp_path)
+    common = ["--system", path, "--window", "1"]
+    cases = [
+        ["check", "shadowing", "--delta", "1/0", "--epsilon", "1/4"],
+        ["check", "shadowing", "--delta", "1/8", "--epsilon", "1/0"],
+        ["check", "spec", "--variant", "full", "--delta", "1/0",
+         "--epsilon", "1/4"],
+        ["check", "spec", "--variant", "weak", "--epsilon", "1/0"],
+        ["check", "expansive", "--variant", "n", "--delta", "1/0"],
+        ["check", "expansive", "--variant", "strong-measure", "--delta",
+         "2/0"],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv, *common)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("dynlab: zero denominator in '"), argv

@@ -5,6 +5,7 @@ import pytest
 
 from dynlab.core import (
     Lasso,
+    as_fraction,
     build_finite_system,
     is_periodic_pseudo_orbit,
     is_pseudo_orbit,
@@ -156,3 +157,11 @@ def test_predicates_constant_between_grid_values():
         for l in lassos[::17]:
             answers = {is_pseudo_orbit(sys_, l, q) for q in probes}
             assert len(answers) == 1
+
+
+def test_as_fraction_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="'1/0'"):
+        as_fraction("1/0")
+    with pytest.raises(ValueError, match="'-3/0'"):
+        as_fraction("-3/0")
+    assert as_fraction("6/4") == Fraction(3, 2)
