@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,13 +37,29 @@ __all__ = [
 ]
 
 
+# Largest decimal exponent magnitude a string may carry, CPython's
+# default int digit limit: Fraction("1e-99999999") would build
+# 10**99999999 before any check could run.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def as_fraction(value):
-    """Coerce ints, strings like ``"2/3"``, and Fractions to Fraction."""
+    """Coerce ints, strings like ``"2/3"``, and Fractions to Fraction.
+
+    A decimal exponent of magnitude above 4300 is a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        match = _EXPONENT.search(value)
+        if match:
+            digits = match[1].replace("_", "").lstrip("0")
+            if (len(digits) > len(str(_MAX_EXPONENT))
+                    or int(digits or "0") > _MAX_EXPONENT):
+                raise ValueError(f"decimal exponent out of range in {value!r}"
+                                 f" (magnitude at most {_MAX_EXPONENT})")
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -528,19 +545,32 @@ def _strong_components(succ):
     return components
 
 
-def _closed_walk_counts(succ, m):
+def _closed_walk_counts(succ, m, primitive=False):
     """Closed walks of each length 1..m (entry k-1 for length k) of the
     digraph with edges {(v, w) : w in succ[v]}, i.e. trace(A^k): walk
-    counts from each start are pushed forward as exact integers."""
+    counts from each start are pushed forward as exact integers.
+
+    With ``primitive``, count only the closed walks w with w[0] = min(w)
+    that repeat no shorter walk.  Walks from each start r then stay
+    inside the vertices >= r.  Such a walk of length k is the (k/d)-th
+    power of exactly one primitive one of length d, for one d dividing
+    k, so subtracting the primitive counts of the proper divisors
+    leaves the primitive walks."""
     succ = [set(out) for out in succ]
     counts = [0] * m
     for start in range(len(succ)):
+        floor = start if primitive else 0
         layer = {start: 1}
         for k in range(m):
             nxt = {}
             for v, walks in layer.items():
                 for w in succ[v]:
-                    nxt[w] = nxt.get(w, 0) + walks
+                    if w >= floor:
+                        nxt[w] = nxt.get(w, 0) + walks
             layer = nxt
             counts[k] += layer.get(start, 0)
+    if primitive:
+        for k in range(2, m + 1):
+            counts[k - 1] -= sum(counts[d - 1] for d in range(1, k)
+                                 if k % d == 0)
     return counts

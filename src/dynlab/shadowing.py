@@ -17,8 +17,8 @@ traced by a periodic point.  They are decided by a second breadth-first
 search whose state carries the set of periodic start points still
 viable along the walk, so walks that agree on root, end vertex and that
 set are explored once; the search ends at the first closed walk no
-periodic point traces.  Only the pairwise implication chain, which
-examines every closed chain on its own, lists the closed walks.
+periodic point traces.  No closed walk is listed: the pairwise
+implication chain counts the closed chains it covers in closed form.
 
 All answers are deterministic: searches expand states in (length,
 lexicographic) order, so the reported counterexample is the first
@@ -260,33 +260,6 @@ def construct_shadow_point(sys, lasso, epsilon):
     return None, {"failed_at": i}
 
 
-def _closed_walks_of_graph(succ, length, cap, counter):
-    """Closed walks w of given length with w[0] = min(w), primitive only."""
-    walks = []
-
-    def extend(walk):
-        counter[0] += 1
-        if counter[0] > cap:
-            raise StateExplosion(counter[0], cap)
-        if len(walk) == length:
-            if walk[0] in succ[walk[-1]]:
-                t = tuple(walk)
-                for d in range(1, length):
-                    if length % d == 0 and t[:d] * (length // d) == t:
-                        return  # repetition of a shorter closed walk
-                walks.append(t)
-            return
-        for u in succ[walk[-1]]:
-            if u >= walk[0]:
-                walk.append(u)
-                extend(walk)
-                walk.pop()
-
-    for v in range(len(succ)):
-        extend([v])
-    return walks
-
-
 def _warn_if_bound_blind(succ, bound, label):
     size = max(len(comp) for comp in _strong_components(succ))
     if size > bound:
@@ -312,23 +285,6 @@ def _gap_graphs(sys, delta, epsilon, gaps, bound, label):
         succ, step, allowed = _gap_structures(sys, n, delta, epsilon)
         _warn_if_bound_blind(succ, bound, label.format(n=n))
         yield n, succ, step, allowed
-
-
-def _closed_chains(sys, delta, epsilon, gaps, bound, cap, label):
-    """Every primitive closed chain of the gap graphs, gap by gap.
-
-    For each n in ``gaps`` yields (n, walk) for every closed walk of the
-    gap-n graph of length 1..bound, rooted at its least vertex, in
-    (length, lex) order.  Rotations and repetitions are skipped:
-    shifting a tracer by f^(rn) traces a rotation.  One visit counter
-    runs across all gaps against the cap.
-    """
-    cap = subset_cap(cap)
-    counter = [0]
-    for n, succ, _, _ in _gap_graphs(sys, delta, epsilon, gaps, bound, label):
-        for k in range(1, bound + 1):
-            for walk in _closed_walks_of_graph(succ, k, cap, counter):
-                yield n, walk
 
 
 def _orbit_masks(periodic, step, k):
@@ -368,10 +324,11 @@ def _first_untraced_chain(sys, delta, epsilon, gaps, bound, cap, label,
     level keeps one state per (r, v, S), reached by its lexicographically
     least walk, and all closures of level k are checked before level
     k + 1 is built.  The walk returned is therefore the first untraced
-    one that :func:`_closed_chains` lists, and it is primitive: a
-    repetition of a traced walk is traced by the same point.  Each new
-    state counts against the cap, one counter across all gaps, so the
-    count never exceeds the walk prefixes the listing would visit.
+    closed walk rooted at its least vertex in (gap, length, lex) order,
+    and it is primitive: a repetition of a traced walk is traced by the
+    same point.  Each new state counts against the cap, one counter
+    across all gaps, so the count never exceeds the walk prefixes a
+    listing of those closed walks would visit.
     """
     cap = subset_cap(cap)
     periodic = sys.periodic_indices()

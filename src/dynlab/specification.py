@@ -22,18 +22,18 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Lasso, _largest_passing, as_fraction, shadows, threshold_grid
+from .core import (Lasso, _closed_walk_counts, _largest_passing, as_fraction,
+                   shadows, threshold_grid)
 from .errors import BoundTooSmall, ModulusViolation, NotDecaying
 from .shadowing import (
     ModulusTable,
-    _closed_chains,
     _die_search,
     _first_untraced_chain,
+    _gap_graphs,
     _gap_structures,
     _linear_envelope,
     periodic_shadowing_holds,
     strong_periodic_shadowing_holds,
-    strong_shadow_point,
     subset_cap,
     two_sided_limit_shadowing_check,
 )
@@ -385,52 +385,42 @@ def pairwise_tracing_chain(sys, delta, epsilon, k_bound=6, cap=None):
 
     checked pairwise at equal thresholds and matched bounds.
 
-    The first link is discharged per instance: a closed chain with gap n
-    unrolls into the period-(k*n) cyclic sequence that inserts each
-    source's n-step orbit burst, and a tracer of matching exact period
-    for that sequence (found by the walk machinery) satisfies the chain
-    windows literally — so finding one must imply a chain tracer.  The
-    second link is the boolean implication from local_spec_holds at N=1
-    to periodic_shadowing_holds at the same thresholds and bound, sound
-    because every periodic pseudo-orbit is a closed chain with gap 1.
-    The third row restates the definitional implication from
-    exact-period tracing to some-period tracing.
+    Each link holds by definition:
 
-    Returns a dict with one entry per link plus "holds" for their
-    conjunction and "routes_equal" recording whether the two tracer
-    routes of link one agreed in both directions on every instance.
+    - exact => chain: a closed chain with gap n unrolls into the
+      period-(k*n) sequence of the sources' n-step orbit bursts, and
+      both an exact-period tracer of that sequence
+      (:func:`~dynlab.shadowing.strong_shadow_point`) and a periodic
+      chain tracer (:func:`trace_chain`) are a z with f^(kn)(z) = z and
+      d(f^(in+j)(z), f^j(x_i)) < epsilon for i < k, j < n.  So the two
+      routes agree ("routes_equal") and no chain is traced;
+      "instances_checked" counts the chains the link covers: the
+      primitive closed walks of length 1..k_bound rooted at their least
+      vertex, over the gap graphs of gap_values(sys, 1).
+    - chain => periodic: at gap 1, local_spec_holds at N=1 runs the
+      search of strong_periodic_shadowing_holds, and an exact-period
+      tracer is a tracer.
+    - exact => periodic: the same tracer argument.
+
+    The last two links are still evaluated from the three tracer-set
+    searches, so a fault in a search shows as a failed link; only those
+    searches count against the cap.  Returns a dict with one entry per
+    link plus "holds" for their conjunction.
     """
     delta, epsilon = as_fraction(delta), as_fraction(epsilon)
     checked = 0
-    exact_to_chain = True
-    routes_equal = True
-    counterexample = None
-    chains = _closed_chains(sys, delta, epsilon, gap_values(sys, 1), k_bound,
-                            cap, "closed chains at gap {n}")
-    for n, walk in chains:
-        checked += 1
-        sources = tuple(sys.points[i] for i in walk)
-        unrolled = tuple(
-            sys.points[sys.power(i, r)] for i in walk for r in range(n)
-        )
-        exact = strong_shadow_point(sys, unrolled, epsilon)
-        chain = trace_chain(sys, sources, n, epsilon, periodic=True)
-        if (exact is None) != (chain is None):
-            routes_equal = False
-        if exact is not None and chain is None:
-            exact_to_chain = False
-            if counterexample is None:
-                counterexample = SpecInstance(
-                    sources=sources, gap=n, closed=True, delta=delta)
+    for _, succ, _, _ in _gap_graphs(sys, delta, epsilon, gap_values(sys, 1),
+                                     k_bound, "closed chains at gap {n}"):
+        checked += sum(_closed_walk_counts(succ, k_bound, primitive=True))
     chain_ok = local_spec_holds(sys, epsilon, 1, delta, k_bound, cap)[0]
     periodic_ok = periodic_shadowing_holds(sys, delta, epsilon, k_bound, cap)[0]
     exact_ok = strong_periodic_shadowing_holds(
         sys, delta, epsilon, k_bound, cap)[0]
     links = {
         "exact_to_chain": {
-            "holds": exact_to_chain,
-            "routes_equal": routes_equal,
-            "counterexample": counterexample,
+            "holds": True,
+            "routes_equal": True,
+            "counterexample": None,
         },
         "chain_to_periodic": {
             "holds": (not chain_ok) or periodic_ok,

@@ -4,17 +4,18 @@ Nothing here touches the subset-construction machinery under test: a
 lasso family is enumerated outright, each member is classified by its
 worst step error and by the best tracking distance any point achieves
 against it, and threshold questions are answered from that table.
-The closed-chain references at the end keep each decision's own loop,
-sharing with the library only the closed-walk lister and the warning.
+The closed-chain references at the end list the closed walks with
+their own lister, which the library no longer has, and keep each
+decision's own loop, sharing with the library only the warning.
 """
 
 import math
 from fractions import Fraction
 
 from dynlab.core import Lasso, as_fraction
+from dynlab.errors import StateExplosion
 from dynlab.shadowing import (
     ShadowCertificate,
-    _closed_walks_of_graph,
     _warn_if_bound_blind,
     delta_graph,
     strong_shadow_point,
@@ -224,7 +225,34 @@ def sieve_primes(limit):
 #
 # Each decision below lists the closed walks of its own gap graph and
 # scans the periodic points with FiniteSystem.power: a route apart from
-# the library's shared enumeration and tracer predicate.
+# the library's tracer-set search and closed-form chain count.
+
+
+def _closed_walks_of_graph(succ, length, cap, counter):
+    """Closed walks w of given length with w[0] = min(w), primitive only."""
+    walks = []
+
+    def extend(walk):
+        counter[0] += 1
+        if counter[0] > cap:
+            raise StateExplosion(counter[0], cap)
+        if len(walk) == length:
+            if walk[0] in succ[walk[-1]]:
+                t = tuple(walk)
+                for d in range(1, length):
+                    if length % d == 0 and t[:d] * (length // d) == t:
+                        return  # repetition of a shorter closed walk
+                walks.append(t)
+            return
+        for u in succ[walk[-1]]:
+            if u >= walk[0]:
+                walk.append(u)
+                extend(walk)
+                walk.pop()
+
+    for v in range(len(succ)):
+        extend([v])
+    return walks
 
 
 def gap_structures_reference(sys, n, delta, epsilon):

@@ -304,3 +304,22 @@ def test_zero_denominator_thresholds_exit_two(capsys, tmp_path):
         code, out, err = run(capsys, *argv, *common)
         assert (code, out) == (2, ""), argv
         assert err.startswith("dynlab: zero denominator in '"), argv
+
+
+def test_hostile_decimal_exponents_exit_two(capsys, tmp_path):
+    path = emit_x32(capsys, tmp_path)
+    code, out, err = run(capsys, "check", "expansive", "--variant", "n",
+                         "--delta", "1e-99999999", "--system", path,
+                         "--window", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("dynlab: decimal exponent out of range in '")
+
+    with open(emit_random(capsys, tmp_path)) as f:
+        obj = json.load(f)
+    obj["dist"][1][2] = "1e-99999999"
+    hostile = tmp_path / "hostile.json"
+    hostile.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", "expansive", "--variant", "n",
+                         "--delta", "1/2", "--system", str(hostile))
+    assert (code, out) == (2, "")
+    assert "/dist/1/2: decimal exponent out of range" in err

@@ -1,11 +1,11 @@
 """The tracer-set search behind periodic tracing and local
-specification, and the closed-chain listing behind the pairwise chain,
-against one walk-listing loop per decision (``oracles``).
+specification, and the closed-form chain count behind the pairwise
+chain, against one walk-listing loop per decision (``oracles``).
 
 Verdicts, certificates, ``instances_checked`` and ``BoundTooSmall``
-warnings must all agree.  Cap hits agree for the pairwise chain; the
-tracer-set search counts states, not listed walks, so under a cap it
-may decide where the listing runs out (see
+warnings must all agree.  The tracer-set search counts states, not
+listed walks, and the chain count takes no cap, so under a cap the
+library may decide where the listing runs out (see
 :func:`assert_matches_reference`).  Also here: the binary
 best-threshold search against a linear scan, and the sub-minimal
 threshold fact that makes ``HypothesisReport.shadowing_populated``
@@ -52,19 +52,25 @@ def outcome(fn, *args):
     return result, [str(w.message) for w in caught]
 
 
+def hit_cap(result):
+    """Whether an :func:`outcome` is a cap hit."""
+    return isinstance(result[0], tuple) and result[0][0] == "cap hit"
+
+
 def assert_matches_reference(run, reference, cap):
     """``run(cap)`` agrees with ``reference(cap)``, both :func:`outcome`s.
 
     Uncapped, or where the reference decides under the cap, they are
     equal.  Where the reference's walk listing hits the cap, the
-    tracer-set search, which never holds more states than the listing
-    has visited, either hits it too, at the cap's first excess, or
-    returns the uncapped reference outcome.
+    library, whose tracer-set search never holds more states than the
+    listing has visited and whose chain count takes no cap, either hits
+    it too, at the cap's first excess, or returns the uncapped
+    reference outcome.
     """
     got, expected = run(cap), reference(cap)
-    if cap is None or expected[0][0] != "cap hit":
+    if cap is None or not hit_cap(expected):
         assert got == expected
-    elif got[0][0] == "cap hit":
+    elif hit_cap(got):
         assert got[0] == ("cap hit", cap + 1, cap)
     else:
         assert got == reference(None)
@@ -109,9 +115,22 @@ def test_local_spec_matches_the_reference(cell, N):
 @given(cells(max_bound=3))
 def test_pairwise_chain_matches_the_reference(cell):
     sys, delta, epsilon, bound, cap = cell
-    assert outcome(pairwise_tracing_chain, sys, delta, epsilon, bound,
-                   cap) == outcome(pairwise_chain_reference, sys, delta,
-                                   epsilon, bound, cap)
+    assert_matches_reference(
+        lambda c: outcome(pairwise_tracing_chain, sys, delta, epsilon, bound,
+                          c),
+        lambda c: outcome(pairwise_chain_reference, sys, delta, epsilon,
+                          bound, c),
+        cap)
+
+
+def test_pairwise_chain_decides_where_the_listing_hits_the_cap():
+    # the chain count takes no cap, and the three searches stay under it
+    sys = build_random_system(2, 3, True)
+    top = threshold_grid(sys).positive[-1]
+    assert hit_cap(outcome(pairwise_chain_reference, sys, top, top, 2, 10))
+    got = outcome(pairwise_tracing_chain, sys, top, top, 2, 10)
+    assert got == outcome(pairwise_chain_reference, sys, top, top, 2, None)
+    assert got[0]["instances_checked"] == 30
 
 
 def test_engine_rejects_bad_bounds_and_thresholds():

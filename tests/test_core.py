@@ -165,3 +165,13 @@ def test_as_fraction_rejects_a_zero_denominator():
     with pytest.raises(ValueError, match="'-3/0'"):
         as_fraction("-3/0")
     assert as_fraction("6/4") == Fraction(3, 2)
+
+
+def test_as_fraction_bounds_the_decimal_exponent():
+    # Fraction would build 10**99999999 before returning
+    for text in ("1e-99999999", "1e99999999", "2E+4301", "1e" + "9" * 9000):
+        with pytest.raises(ValueError, match="exponent out of range"):
+            as_fraction(text)
+    assert as_fraction("0.5") == Fraction(1, 2)
+    assert as_fraction("1e-3") == Fraction(1, 1000)
+    assert as_fraction(" 1e-4_300 ") == Fraction(1, 10 ** 4300)

@@ -1,12 +1,14 @@
 """The private digraph and primality helpers against definitional routes.
 
 Strong components are compared with mutual reachability, closed-walk
-counts with traces of dense matrix powers, and trial division with a
-sieve.  A fresh interpreter also checks that ``import dynlab`` loads
-nothing outside the standard library.
+counts with traces of dense matrix powers, primitive least-rooted counts
+with a walk listing, and trial division with a sieve.  A fresh
+interpreter also checks that ``import dynlab`` loads nothing outside
+the standard library.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +20,7 @@ from dynlab.core import _closed_walk_counts, _strong_components
 from dynlab.gallery import _is_prime
 
 from oracles import (
+    _closed_walks_of_graph,
     dense_closed_walk_counts,
     mutual_reachability_classes,
     sieve_primes,
@@ -64,6 +67,15 @@ def test_strong_components_on_long_paths_and_cycles():
 @given(digraphs, st.integers(1, 7))
 def test_closed_walk_counts_are_traces_of_matrix_powers(succ, m):
     assert _closed_walk_counts(succ, m) == dense_closed_walk_counts(succ, m)
+
+
+@untimed
+@given(digraphs.filter(lambda succ: len(succ) <= 7), st.integers(1, 6))
+def test_primitive_counts_match_the_least_rooted_listing(succ, m):
+    succ = [sorted(set(out)) for out in succ]
+    listed = [len(_closed_walks_of_graph(succ, k, math.inf, [0]))
+              for k in range(1, m + 1)]
+    assert _closed_walk_counts(succ, m, primitive=True) == listed
 
 
 def test_is_prime_matches_a_sieve():

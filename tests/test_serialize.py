@@ -65,10 +65,11 @@ def test_schema_pointers():
     with pytest.raises(SchemaError) as e:
         obj_to_system({**good, "dist": bad_dist})
     assert e.value.pointer == "/dist/1/2"
-    bad_dist[1][2] = "one half"
-    with pytest.raises(SchemaError) as e:
-        obj_to_system({**good, "dist": bad_dist})
-    assert e.value.pointer == "/dist/1/2"
+    for bad in ("one half", "1e-99999999"):
+        bad_dist[1][2] = bad
+        with pytest.raises(SchemaError) as e:
+            obj_to_system({**good, "dist": bad_dist})
+        assert e.value.pointer == "/dist/1/2"
     with pytest.raises(SchemaError) as e:
         obj_to_system({**good, "points": []})
     assert e.value.pointer == "/points"
