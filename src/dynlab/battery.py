@@ -33,7 +33,7 @@ id             contents
 
 from __future__ import annotations
 
-from .core import _closed_walk_counts, _largest_passing, threshold_grid
+from .core import _closed_walk_counts, threshold_grid
 from .errors import StateExplosion
 from .expansive import (
     expansive_on_per,
@@ -42,7 +42,8 @@ from .expansive import (
     n_expansive_holds,
     strong_measure_expansive_holds,
 )
-from .recurrence import _step_sets, is_transitive, spectral_decomposition
+from .recurrence import (_step_sets, hypothesis_report, is_transitive,
+                         spectral_decomposition)
 from .serialize import fraction_str
 from .shadowing import modulus_table
 from .specification import (
@@ -169,14 +170,12 @@ def _matrix_battery(sys, period_bound, cap):
     finite form of measure-level expansiveness)."""
     grid = threshold_grid(sys)
     pair = lockstep_orbit_pair(sys)
-    strong_constant = _largest_passing(
-        grid.positive, lambda d: strong_measure_expansive_holds(sys, d)[0])
     hypotheses = {
         "transitive": is_transitive(sys, sys.points),
         "strong_measure_expansive": pair is None,
         "lockstep_pair": None if pair is None else
             [pair[0], pair[1], fraction_str(pair[2])],
-        "strong_constant": _frac(strong_constant),
+        "strong_constant": _frac(hypothesis_report(sys).strong_constant),
     }
     asserted = hypotheses["transitive"] and hypotheses["strong_measure_expansive"]
     result = {"asserted": asserted, "hypotheses": hypotheses, "rows": [],

@@ -39,15 +39,19 @@ __all__ = [
 
 # Largest decimal exponent magnitude a string may carry, CPython's
 # default int digit limit: Fraction("1e-99999999") would build
-# 10**99999999 before any check could run.
+# 10**99999999 before any check could run.  A parsed numerator or
+# denominator must also stay within that many digits, or it could not
+# be printed back.
 _MAX_EXPONENT = 4300
+_DIGIT_BOUND = 10 ** _MAX_EXPONENT  # the least integer of 4301 digits
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
 def as_fraction(value):
     """Coerce ints, strings like ``"2/3"``, and Fractions to Fraction.
 
-    A decimal exponent of magnitude above 4300 is a ValueError."""
+    A decimal exponent of magnitude above 4300, or a numerator or
+    denominator of more than 4300 digits, is a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -61,9 +65,13 @@ def as_fraction(value):
                 raise ValueError(f"decimal exponent out of range in {value!r}"
                                  f" (magnitude at most {_MAX_EXPONENT})")
         try:
-            return Fraction(value)
+            q = Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+        if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
+            raise ValueError(f"too many digits in {value!r} (numerator and "
+                             f"denominator at most {_MAX_EXPONENT} digits)")
+        return q
     raise TypeError(f"not an exact rational: {value!r}")
 
 

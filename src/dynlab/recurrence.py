@@ -76,10 +76,11 @@ def chain_graph(sys, delta):
     return DeltaGraph(delta, succ)
 
 
-def _on_cycle(succ):
-    """Indices through which the graph has a closed walk of length >= 1."""
+def _on_cycle(succ, comps):
+    """Indices through which the graph has a closed walk of length >= 1;
+    ``comps`` are the graph's strong components."""
     members = set()
-    for comp in _strong_components(succ):
+    for comp in comps:
         if len(comp) > 1 or comp[0] in succ[comp[0]]:
             members.update(comp)
     return members
@@ -113,7 +114,8 @@ def chain_recurrent_set(sys):
     rows = []
     common = set(range(sys.n))
     for delta in threshold_grid(sys).positive:
-        members = _on_cycle(chain_graph(sys, delta).succ)
+        succ = chain_graph(sys, delta).succ
+        members = _on_cycle(succ, _strong_components(succ))
         rows.append((delta, tuple(sys.points[i] for i in sorted(members))))
         common &= members
     return ChainRecurrence(
@@ -163,12 +165,15 @@ def basic_sets(sys):
     sorted by their least member.
     """
     labels = {i: [] for i in range(sys.n)}
+    recurrent = set(range(sys.n))
     for delta in threshold_grid(sys).positive:
-        for comp in _strong_components(chain_graph(sys, delta).succ):
+        succ = chain_graph(sys, delta).succ
+        comps = _strong_components(succ)
+        for comp in comps:
             tag = min(comp)
             for i in comp:
                 labels[i].append(tag)
-    recurrent = {sys.index[p] for p in chain_recurrent_set(sys).points}
+        recurrent &= _on_cycle(succ, comps)
     classes = {}
     for i in sorted(recurrent):
         classes.setdefault(tuple(labels[i]), []).append(i)

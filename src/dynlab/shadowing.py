@@ -11,6 +11,11 @@ actual orbit by a finite-branching chain argument), so reachability of
 the empty set is a complete test, and the dying walk is a
 counterexample certificate.
 
+Tracer sets, windows and balls are Python-int bitmasks (bit z for
+point z).  Chain questions ask the same of gap graphs, whose edges
+advance n steps; :func:`_gap_structures` carries the n-step map and the
+tracking windows along a whole range of gaps in one pass.
+
 Periodic pseudo-orbits and closed chains (periodic and strong periodic
 shadowing, local specification) are closed walks of a gap graph, to be
 traced by a periodic point.  They are decided by a second breadth-first
@@ -80,14 +85,8 @@ class DeltaGraph:
 
 
 def delta_graph(sys, delta):
-    delta = as_fraction(delta)
-    cut = sys.lt_cutoff(delta)
-    rank, fmap = sys.rank, sys.fmap
-    succ = tuple(
-        tuple(j for j in range(sys.n) if rank[fmap[i]][j] < cut)
-        for i in range(sys.n)
-    )
-    return DeltaGraph(delta, succ)
+    delta = as_fraction(delta)  # the step graph is the gap graph at gap 1
+    return DeltaGraph(delta, next(_gap_structures(sys, (1,), delta, delta))[1])
 
 
 @dataclass(frozen=True)
@@ -107,45 +106,49 @@ class ShadowCertificate:
     point: object | None = None
 
 
-def _windows(sys, n, epsilon):
-    """allowed[v] = the points z with d(f^i(z), f^i(v)) < epsilon for every
-    0 <= i < n: the epsilon tracking window of v over n steps.  At n = 1
-    the windows are the epsilon-balls."""
-    cut = sys.lt_cutoff(epsilon)
-    rank, fmap = sys.rank, sys.fmap
-    windows = []
-    for v in range(sys.n):
-        alive, vi = [(z, z) for z in range(sys.n)], v  # (z, f^i(z))
-        for _ in range(n):
-            alive = [(z, fmap[zi]) for z, zi in alive if rank[zi][vi] < cut]
-            vi = fmap[vi]
-        windows.append(frozenset(z for z, _ in alive))
-    return tuple(windows)
+def _gap_structures(sys, gaps, delta, epsilon):
+    """Yield (n, succ, step, allowed) for each n of the ascending range
+    ``gaps``: the gap graph (x -> y iff d(f^n(x), y) < delta), the n-step
+    map, and the bitmask windows allowed[v] = {z : d(f^i(z), f^i(v)) <
+    epsilon for 0 <= i < n}.  Map and windows are carried forward one
+    step at a time, so a whole range costs one pass.  At n = 1 the gap
+    graph is the delta step graph and the windows are the epsilon-balls."""
+    d_cut, e_cut = sys.lt_cutoff(delta), sys.lt_cutoff(epsilon)
+    rank, fmap, size = sys.rank, sys.fmap, sys.n
+    near = tuple(tuple(j for j in range(size) if rank[y][j] < d_cut)
+                 for y in range(size))
+    step, allowed, i = tuple(range(size)), [(1 << size) - 1] * size, 0
+    for n in gaps:
+        while i < n:
+            # fibre[y]: the z with f^i(z) = y; close[w]: d(f^i(z), w) < epsilon
+            fibre = {}
+            for z, y in enumerate(step):
+                fibre[y] = fibre.get(y, 0) | 1 << z
+            close = {w: sum(m for y, m in fibre.items() if rank[y][w] < e_cut)
+                     for w in fibre}
+            allowed = [a & close[step[v]] for v, a in enumerate(allowed)]
+            step, i = tuple(fmap[y] for y in step), i + 1
+        yield n, tuple(near[y] for y in step), step, tuple(allowed)
 
 
-def _gap_structures(sys, n, delta, epsilon):
-    """(succ, step, allowed) for gap length n: edges of the gap graph
-    (x -> y iff d(f^n(x), y) < delta), the n-step map, and the epsilon
-    tracking window per vertex.  At n = 1 the gap graph is the delta
-    step graph and the windows are the epsilon-balls."""
-    d_cut = sys.lt_cutoff(delta)
-    rank = sys.rank
-    step = [sys.power(i, n) for i in range(sys.n)]
-    succ = tuple(
-        tuple(j for j in range(sys.n) if rank[step[i]][j] < d_cut)
-        for i in range(sys.n)
-    )
-    return succ, step, _windows(sys, n, epsilon)
+def _image(w, step):
+    """step(W) for a bitmask W."""
+    out = 0
+    while w:
+        low = w & -w
+        out |= 1 << step[low.bit_length() - 1]
+        w ^= low
+    return out
 
 
 def _die_search(succ, step, allowed, cap):
     """Find a walk of the step graph along which the viable set empties.
 
-    States are (vertex, frozenset of viable tracer positions); the
-    search starts from (v, allowed[v]) for every v and moves along
-    graph edges with W -> step(W) intersected with the target's allowed
-    set.  Returns the vertex walk to the first death in (length, lex)
-    order, or None if no death state is reachable.
+    States are (vertex, bitmask of viable tracer positions); the search
+    starts from (v, allowed[v]) for every v and moves along graph edges
+    with W -> step(W) & allowed[target].  Returns the vertex walk to the
+    first death in (length, lex) order, or None if no death state is
+    reachable.
     """
     visited = set()
     queue = deque()
@@ -157,7 +160,7 @@ def _die_search(succ, step, allowed, cap):
             queue.append(state)
     while queue:
         v, w = queue.popleft()
-        image = frozenset(step[z] for z in w)
+        image = _image(w, step)
         for u in succ[v]:
             w2 = image & allowed[u]
             state = (u, w2)
@@ -206,9 +209,8 @@ def shadowing_holds(sys, delta, epsilon, cap=None):
     delta, epsilon = as_fraction(delta), as_fraction(epsilon)
     if epsilon <= 0 or delta <= 0:
         raise ValueError("thresholds must be positive")
-    g = delta_graph(sys, delta)
-    allowed = _windows(sys, 1, epsilon)
-    walk = _die_search(g.succ, sys.fmap, allowed, subset_cap(cap))
+    _, succ, step, allowed = next(_gap_structures(sys, (1,), delta, epsilon))
+    walk = _die_search(succ, step, allowed, subset_cap(cap))
     if walk is None:
         return True, None
     lasso = _complete_walk(sys, walk)
@@ -243,8 +245,8 @@ def construct_shadow_point(sys, lasso, epsilon):
             )
         )
         return None, {"forward_survivors": forward, "backward_survivors": back}
-    allowed = _windows(sys, 1, epsilon)
-    w = allowed[sys.index[lasso[0]]]
+    _, _, _, balls = next(_gap_structures(sys, (1,), epsilon, epsilon))
+    w = balls[sys.index[lasso[0]]]
     i = 0
     seen = {}
     while w:
@@ -255,8 +257,7 @@ def construct_shadow_point(sys, lasso, epsilon):
                 "viable set cycles without dying, yet no single tracer exists")
         seen[key] = i
         i += 1
-        target = sys.index[lasso[i]]
-        w = frozenset(sys.fmap[z] for z in w) & allowed[target]
+        w = _image(w, sys.fmap) & balls[sys.index[lasso[i]]]
     return None, {"failed_at": i}
 
 
@@ -281,8 +282,7 @@ def _gap_graphs(sys, delta, epsilon, gaps, bound, label):
         raise ValueError(f"length bound must be at least 1, got {bound}")
     if delta <= 0 or epsilon <= 0:
         raise ValueError("thresholds must be positive")
-    for n in gaps:
-        succ, step, allowed = _gap_structures(sys, n, delta, epsilon)
+    for n, succ, step, allowed in _gap_structures(sys, gaps, delta, epsilon):
         _warn_if_bound_blind(succ, bound, label.format(n=n))
         yield n, succ, step, allowed
 
@@ -335,19 +335,12 @@ def _first_untraced_chain(sys, delta, epsilon, gaps, bound, cap, label,
     visited = 0
     for n, succ, step, allowed in _gap_graphs(sys, delta, epsilon, gaps,
                                               bound, label):
-        # holders[y]: the u with y in allowed[u]; at[z] = step^i(z)
-        holders = [[] for _ in range(sys.n)]
-        for u, window in enumerate(allowed):
-            for y in window:
-                holders[y].append(u)
-        masks, at = [], {z: z for z in periodic}
+        # masks[k][u]: the periodic z with step^k(z) in allowed[u]
+        masks, at = [], periodic
         for _ in range(bound):
-            row = [0] * sys.n
-            for z in periodic:
-                for u in holders[at[z]]:
-                    row[u] |= 1 << z
-                at[z] = step[at[z]]
-            masks.append(row)
+            masks.append([sum(1 << z for z, y in zip(periodic, at)
+                              if window >> y & 1) for window in allowed])
+            at = [step[y] for y in at]
         if exact:
             hits = [sum(1 << z for z in periodic
                         if k * n % len(sys.cycle(z)) == 0)
@@ -357,7 +350,7 @@ def _first_untraced_chain(sys, delta, epsilon, gaps, bound, cap, label,
             orbits = [None] + [_orbit_masks(periodic, step, k)
                                for k in range(1, bound + 1)]
             traced = lambda k, s: any(o & s == o for o in orbits[k])
-        closes = [frozenset(row) for row in succ]
+        closes = [sum(1 << u for u in row) for row in succ]
         level = []
         for r in range(sys.n):
             visited += 1
@@ -366,7 +359,7 @@ def _first_untraced_chain(sys, delta, epsilon, gaps, bound, cap, label,
             level.append((r, r, masks[0][r], (r,)))
         for k in range(1, bound + 1):
             for r, v, s, walk in level:
-                if r in closes[v] and not traced(k, s):
+                if closes[v] >> r & 1 and not traced(k, s):
                     return n, walk
             if k == bound:
                 break
@@ -529,13 +522,14 @@ def special_shadowing_holds(sys, epsilon, period_bound=8, cap=None):
 # -- limit-type variants ----------------------------------------------------
 
 
-def _require_exact_cycle(sys, cycle, what):
+def _require_exact_cycle(sys, cycle, what, power=1):
+    """NotDecaying unless f^power maps each cycle entry to the next."""
+    name = "f" if power == 1 else f"f^{power}"
     for j, x in enumerate(cycle):
-        nxt = cycle[(j + 1) % len(cycle)]
-        if sys.apply(x) != nxt:
+        nxt, image = cycle[(j + 1) % len(cycle)], sys.apply(x, power)
+        if image != nxt:
             raise NotDecaying(
-                f"{what} step {j}: f({x!r}) = {sys.apply(x)!r} != {nxt!r}"
-            )
+                f"{what} step {j}: {name}({x!r}) = {image!r} != {nxt!r}")
 
 
 def limit_shadowing_check(sys, lasso):

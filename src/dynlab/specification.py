@@ -32,6 +32,7 @@ from .shadowing import (
     _gap_graphs,
     _gap_structures,
     _linear_envelope,
+    _require_exact_cycle,
     periodic_shadowing_holds,
     strong_periodic_shadowing_holds,
     subset_cap,
@@ -120,8 +121,7 @@ def local_weak_spec_holds(sys, epsilon, N, delta, cap=None):
         raise ValueError("need positive thresholds and N >= 1")
     gaps = gap_values(sys, N)
     cap = subset_cap(cap)
-    for n in gaps:
-        succ, step, allowed = _gap_structures(sys, n, delta, epsilon)
+    for n, succ, step, allowed in _gap_structures(sys, gaps, delta, epsilon):
         walk = _die_search(succ, step, allowed, cap)
         if walk is not None:
             chain = SpecInstance(
@@ -350,29 +350,18 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     if lasso is None:
         raise ValueError(f"variant {variant!r} needs a lasso")
     if variant == "limit":
+        # the tracer whose f^N-orbit eventually agrees with the blocked tail
         blocked = _block_plain(sys, lasso, N)
         try:
-            point = _limit_point_under_power(sys, blocked, N)
+            _require_exact_cycle(sys, blocked.cycle, "blocked cycle", N)
         except NotDecaying:
             return {"variant": variant, "holds": False, "point": None}
+        point = blocked.cycle[(-len(blocked.stem)) % len(blocked.cycle)]
         return {"variant": variant, "holds": True, "point": point}
     if variant == "two-sided":
         point = two_sided_limit_shadowing_check(sys, lasso)
         return {"variant": variant, "holds": point is not None, "point": point}
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def _limit_point_under_power(sys, blocked, N):
-    """Tracer whose f^N-orbit eventually agrees with the blocked tail."""
-    cyc = blocked.cycle
-    for j, x in enumerate(cyc):
-        if sys.apply(x, N) != cyc[(j + 1) % len(cyc)]:
-            raise NotDecaying(
-                f"blocked cycle step {j}: f^{N}({x!r}) != {cyc[(j + 1) % len(cyc)]!r}"
-            )
-    c = len(cyc)
-    x = cyc[(-len(blocked.stem)) % c]
-    return x
 
 
 # -- implication chains at matched bounds -------------------------------------

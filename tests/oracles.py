@@ -7,9 +7,13 @@ against it, and threshold questions are answered from that table.
 The closed-chain references at the end list the closed walks with
 their own lister, which the library no longer has, and keep each
 decision's own loop, sharing with the library only the warning.
+``windows_reference`` and ``die_search_reference`` are the library's
+earlier tracing kernel on frozensets, one window rebuild per gap, kept
+to check the bitmask kernel that replaced it.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 
 from dynlab.core import Lasso, as_fraction
@@ -253,6 +257,63 @@ def _closed_walks_of_graph(succ, length, cap, counter):
     for v in range(len(succ)):
         extend([v])
     return walks
+
+
+def windows_reference(sys, n, epsilon):
+    """allowed[v] = the points z with d(f^i(z), f^i(v)) < epsilon for every
+    0 <= i < n: the epsilon tracking window of v over n steps.  At n = 1
+    the windows are the epsilon-balls."""
+    cut = sys.lt_cutoff(epsilon)
+    rank, fmap = sys.rank, sys.fmap
+    windows = []
+    for v in range(sys.n):
+        alive, vi = [(z, z) for z in range(sys.n)], v  # (z, f^i(z))
+        for _ in range(n):
+            alive = [(z, fmap[zi]) for z, zi in alive if rank[zi][vi] < cut]
+            vi = fmap[vi]
+        windows.append(frozenset(z for z, _ in alive))
+    return tuple(windows)
+
+
+def die_search_reference(succ, step, allowed, cap):
+    """Find a walk of the step graph along which the viable set empties.
+
+    States are (vertex, frozenset of viable tracer positions); the
+    search starts from (v, allowed[v]) for every v and moves along
+    graph edges with W -> step(W) intersected with the target's allowed
+    set.  Returns the vertex walk to the first death in (length, lex)
+    order, or None if no death state is reachable.
+    """
+    visited = set()
+    queue = deque()
+    parent = {}
+    for v in range(len(succ)):
+        state = (v, allowed[v])
+        if state not in visited:
+            visited.add(state)
+            queue.append(state)
+    while queue:
+        v, w = queue.popleft()
+        image = frozenset(step[z] for z in w)
+        for u in succ[v]:
+            w2 = image & allowed[u]
+            state = (u, w2)
+            if state in visited:
+                continue
+            visited.add(state)
+            if len(visited) > cap:
+                raise StateExplosion(len(visited), cap, frontier_sample=[v, u])
+            parent[state] = (v, w)
+            if not w2:
+                walk = [u]
+                cur = state
+                while cur in parent:
+                    cur = parent[cur]
+                    walk.append(cur[0])
+                walk.reverse()
+                return walk
+            queue.append(state)
+    return None
 
 
 def gap_structures_reference(sys, n, delta, epsilon):

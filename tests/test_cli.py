@@ -323,3 +323,13 @@ def test_hostile_decimal_exponents_exit_two(capsys, tmp_path):
                          "--delta", "1/2", "--system", str(hostile))
     assert (code, out) == (2, "")
     assert "/dist/1/2: decimal exponent out of range" in err
+
+
+def test_thresholds_too_long_to_print_exit_two(capsys, tmp_path):
+    path = emit_x32(capsys, tmp_path)
+    for delta in ("1e-4300", "9" * 4000 + "e1000"):
+        code, out, err = run(capsys, "check", "expansive", "--variant", "n",
+                             "--delta", delta, "--system", path,
+                             "--window", "1")
+        assert (code, out) == (2, ""), delta[:8]
+        assert err.startswith(f"dynlab: too many digits in '{delta}'")

@@ -174,4 +174,15 @@ def test_as_fraction_bounds_the_decimal_exponent():
             as_fraction(text)
     assert as_fraction("0.5") == Fraction(1, 2)
     assert as_fraction("1e-3") == Fraction(1, 1000)
-    assert as_fraction(" 1e-4_300 ") == Fraction(1, 10 ** 4300)
+    assert as_fraction(" 1e-4_299 ") == Fraction(1, 10 ** 4299)
+
+
+def test_as_fraction_bounds_the_digit_count():
+    # accepted values must print: str() refuses ints above 4300 digits
+    for text in ("1e-4300", " 1e-4_300 ", "1e4300", "-1e4300",
+                 "9" * 4000 + "e1000"):
+        with pytest.raises(ValueError, match="too many digits in '"):
+            as_fraction(text)
+    assert str(as_fraction("1e-4299")) == "1/1" + "0" * 4299
+    assert str(as_fraction("-1e4299")) == "-1" + "0" * 4299
+    assert str(as_fraction("9" * 4000 + "e300")) == "9" * 4000 + "0" * 300

@@ -65,7 +65,7 @@ def test_schema_pointers():
     with pytest.raises(SchemaError) as e:
         obj_to_system({**good, "dist": bad_dist})
     assert e.value.pointer == "/dist/1/2"
-    for bad in ("one half", "1e-99999999"):
+    for bad in ("one half", "1e-99999999", "1e-4300"):
         bad_dist[1][2] = bad
         with pytest.raises(SchemaError) as e:
             obj_to_system({**good, "dist": bad_dist})
