@@ -202,12 +202,13 @@ class FiniteSystem:
 
     @property
     def spread_rank(self):
-        """spread_rank[a][b] = max of rank[f^i a][f^i b] over i < T + P.
+        """spread_rank[a][b] = max of rank[f^i a][f^i b] over all i >= 0.
 
         The rank of the largest distance the orbits of a and b ever
-        reach (T = :attr:`max_preperiod`, P = :attr:`cycle_lcm`; the
-        window argument is in :func:`dynlab.expansive.orbit_spread`).
-        Built once per system, on integer ranks.
+        reach.  The pair orbit repeats with period lcm(c_a, c_b) once
+        both orbits are on their cycles (of lengths c_a, c_b), so each
+        scan stops there, not at the lcm of all cycles.  Built once per
+        system, on integer ranks.
         """
         if self._spread_cache is None:
             self._spread_cache = self._build_spread_rank()
@@ -215,13 +216,14 @@ class FiniteSystem:
 
     def _build_spread_rank(self):
         rank, fmap = self.rank, self.fmap
-        window = self.max_preperiod + self.cycle_lcm
+        pre, cyc = self._orbits()
         spread = [[0] * self.n for _ in range(self.n)]
         for a in range(self.n):
             for b in range(a + 1, self.n):
                 u, v = a, b
                 worst = 0
-                for _ in range(window):
+                for _ in range(max(len(pre[a]), len(pre[b]))
+                               + math.lcm(len(cyc[a]), len(cyc[b]))):
                     if rank[u][v] > worst:
                         worst = rank[u][v]
                     u, v = fmap[u], fmap[v]
@@ -509,6 +511,18 @@ def _largest_passing(values, predicate):
 
 
 # -- digraph helpers -----------------------------------------------------------
+
+
+def _image(w, rows):
+    """The union of rows[z] over the bits z of the bitmask w: one step
+    of the relation whose successor bitmasks are ``rows`` (1 << f(z)
+    for a map f)."""
+    out = 0
+    while w:
+        low = w & -w
+        out |= rows[low.bit_length() - 1]
+        w ^= low
+    return out
 
 
 def _strong_components(succ):

@@ -6,6 +6,9 @@ full multivalued extension relation it carries.  The single-valued map
 of a window system picks one canonical extension per word, and using it
 alone would make recurrence structure (periods, basic sets, mixing) an
 artifact of that choice; the relation restores every admissible step.
+Vertex sets are integer bitmasks (bit i for index i); one step of a
+set is :func:`dynlab.core._image` over the steps as successor bitmasks,
+and mixing squares such rows up to Wielandt's exponent.
 
 The spectral decomposition is computed twice, by independent routes:
 
@@ -24,10 +27,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (_largest_passing, _strong_components, as_fraction,
+from .core import (_image, _largest_passing, _strong_components, as_fraction,
                    threshold_grid)
 from .expansive import stable_sets, strong_measure_expansive_holds
-from .shadowing import DeltaGraph
+from .shadowing import DeltaGraph, _gap_structures
 
 __all__ = [
     "BasicPiece",
@@ -54,6 +57,20 @@ def _step_sets(sys):
     return tuple((j,) for j in sys.fmap)
 
 
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def _members(mask):
+    """The indices of the bits of ``mask``, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _step_masks(sys):
+    """The admissible steps of :func:`_step_sets` as successor bitmasks."""
+    return tuple(_mask(out) for out in _step_sets(sys))
+
+
 def chain_graph(sys, delta):
     """Digraph with an edge x -> y iff some admissible step from x lands
     within delta of y (strict, matching the pseudo-orbit convention).
@@ -63,27 +80,20 @@ def chain_graph(sys, delta):
     the delta step graph used by the tracing procedures.
     """
     delta = as_fraction(delta)
-    cut = sys.lt_cutoff(delta)
-    rank = sys.rank
-    steps = _step_sets(sys)
-    succ = tuple(
-        tuple(
-            j for j in range(sys.n)
-            if any(rank[z][j] < cut for z in steps[i])
-        )
-        for i in range(sys.n)
-    )
-    return DeltaGraph(delta, succ)
+    # the gap-1 windows of the tracing kernel are the delta-balls
+    _, _, _, near = next(_gap_structures(sys, (1,), delta, delta))
+    return DeltaGraph(delta, tuple(_members(_image(out, near))
+                                   for out in _step_masks(sys)))
 
 
-def _on_cycle(succ, comps):
-    """Indices through which the graph has a closed walk of length >= 1;
-    ``comps`` are the graph's strong components."""
-    members = set()
-    for comp in comps:
-        if len(comp) > 1 or comp[0] in succ[comp[0]]:
-            members.update(comp)
-    return members
+def _chain_levels(sys):
+    """Yield (delta, strong components, bitmask of the points on a closed
+    walk of length >= 1) of the chain graph at each positive grid delta."""
+    for delta in threshold_grid(sys).positive:
+        succ = chain_graph(sys, delta).succ
+        comps = _strong_components(succ)
+        yield delta, comps, _mask(i for comp in comps for i in comp
+                                  if len(comp) > 1 or comp[0] in succ[comp[0]])
 
 
 @dataclass(frozen=True)
@@ -112,14 +122,12 @@ def chain_recurrent_set(sys):
     intersection over the grid decides every positive threshold at once.
     """
     rows = []
-    common = set(range(sys.n))
-    for delta in threshold_grid(sys).positive:
-        succ = chain_graph(sys, delta).succ
-        members = _on_cycle(succ, _strong_components(succ))
-        rows.append((delta, tuple(sys.points[i] for i in sorted(members))))
-        common &= members
+    common = (1 << sys.n) - 1
+    for delta, _, on_cycle in _chain_levels(sys):
+        rows.append((delta, tuple(sys.points[i] for i in _members(on_cycle))))
+        common &= on_cycle
     return ChainRecurrence(
-        tuple(sys.points[i] for i in sorted(common)), tuple(rows)
+        tuple(sys.points[i] for i in _members(common)), tuple(rows)
     )
 
 
@@ -127,31 +135,26 @@ def nonwandering_set(sys):
     """Points every neighborhood of which returns to itself.
 
     Direct reading on the grid: x is non-wandering iff for every grid
-    epsilon some admissible n-step image of the open ball B(x, eps)
-    meets the ball again, n >= 1.  Return times are bounded by
-    max(pre-period + cycle lcm, number of points): a functional orbit
-    repeats beyond the former, and any multivalued return walk can be
-    cut down below the latter.
+    epsilon some admissible k-step image of the open ball B(x, eps)
+    meets the ball again, k >= 1.  Some return happens by step n (the
+    number of points) if any does: a shortest walk from the ball back
+    to it has distinct intermediate points, all outside the ball, so
+    its length is at most n.  Sets are pushed as bitmasks.
     """
-    steps = _step_sets(sys)
-    horizon = max(sys.max_preperiod + sys.cycle_lcm, sys.n)
-    grid = threshold_grid(sys)
+    steps = _step_masks(sys)
+    balls = [next(_gap_structures(sys, (1,), eps, eps))[3]
+             for eps in threshold_grid(sys).positive]
     result = []
     for x in range(sys.n):
-        wandering = False
-        for eps in grid.positive:
-            cut = sys.lt_cutoff(eps)
-            ball = frozenset(y for y in range(sys.n) if sys.rank[x][y] < cut)
-            layer, returned = ball, False
-            for _ in range(horizon):
-                layer = frozenset(j for i in layer for j in steps[i])
+        for ball in (by_eps[x] for by_eps in balls):
+            layer = ball
+            for _ in range(sys.n):
+                layer = _image(layer, steps)
                 if layer & ball:
-                    returned = True
                     break
-            if not returned:
-                wandering = True
-                break
-        if not wandering:
+            else:
+                break  # this ball never returns: x wanders
+        else:
             result.append(sys.points[x])
     return tuple(result)
 
@@ -165,17 +168,15 @@ def basic_sets(sys):
     sorted by their least member.
     """
     labels = {i: [] for i in range(sys.n)}
-    recurrent = set(range(sys.n))
-    for delta in threshold_grid(sys).positive:
-        succ = chain_graph(sys, delta).succ
-        comps = _strong_components(succ)
+    recurrent = (1 << sys.n) - 1
+    for _, comps, on_cycle in _chain_levels(sys):
         for comp in comps:
             tag = min(comp)
             for i in comp:
                 labels[i].append(tag)
-        recurrent &= _on_cycle(succ, comps)
+        recurrent &= on_cycle
     classes = {}
-    for i in sorted(recurrent):
+    for i in _members(recurrent):
         classes.setdefault(tuple(labels[i]), []).append(i)
     pieces = sorted(classes.values(), key=lambda ids: ids[0])
     return tuple(tuple(sys.points[i] for i in ids) for ids in pieces)
@@ -237,50 +238,43 @@ def cyclic_decomposition(sys, B):
     return a, tuple(tuple(part) for part in parts)
 
 
-def _reach_after(sys, start, n):
-    """Indices reachable from the index set ``start`` in exactly n steps."""
-    steps = _step_sets(sys)
-    layer = frozenset(start)
-    for _ in range(n):
-        layer = frozenset(j for i in layer for j in steps[i])
-    return layer
+def _reach_after(steps, start, k):
+    """Bitmask of the indices reachable from the bitmask ``start`` in
+    exactly k steps of the successor bitmasks ``steps``."""
+    for _ in range(k):
+        start = _image(start, steps)
+    return start
 
 
-def _primitive(matrix):
-    """Does some power of the boolean matrix have every entry set?
-
-    A primitive n x n matrix is all-positive by exponent n^2 - 2n + 2,
-    so that many multiplications decide the question exactly.
-    """
-    n = len(matrix)
-    power = matrix
-    for _ in range(n * n - 2 * n + 3):
-        if all(all(row) for row in power):
-            return True
-        power = [
-            [any(power[i][k] and matrix[k][j] for k in range(n))
-             for j in range(n)]
-            for i in range(n)
-        ]
-    return False
+def _primitive(rows, full):
+    """Is some power full of the relation whose successor bitmasks are
+    ``rows``, a dict over the m bits of ``full``?  Squares the rows until
+    each is ``full``: a full power stays full, and a primitive relation
+    is full from exponent (m - 1)^2 + 1 on (H. Wielandt, Math. Z. 52,
+    1950), so squaring up to that exponent decides exactly."""
+    bound, exponent = (len(rows) - 1) ** 2 + 1, 1
+    while not all(row == full for row in rows.values()):
+        if exponent >= bound:
+            return False
+        rows = {i: _image(r, rows) for i, r in rows.items()}
+        exponent *= 2
+    return True
 
 
 def is_mixing(sys, part, a):
     """Is the a-step dynamics restricted to the part primitive?
 
     Builds the "reachable in exactly ``a`` admissible steps" relation
-    between part members and asks whether some power of it is full.
-    Walks may only pass through points that can return to the part, so
-    no explicit restriction of the intermediate steps is needed for
-    parts of a genuine decomposition; a wrong ``a`` shows up as a
-    parity-style obstruction and yields False.
+    between part members as bitmask rows and asks :func:`_primitive`
+    whether some power of it is full.  Walks may only pass through
+    points that can return to the part, so no explicit restriction of
+    the intermediate steps is needed for parts of a genuine
+    decomposition; a wrong ``a`` shows up as a parity-style
+    obstruction and yields False.
     """
-    ids = [sys.index[p] for p in part]
-    matrix = []
-    for i in ids:
-        reach = _reach_after(sys, (i,), a)
-        matrix.append([(j in reach) for j in ids])
-    return _primitive(matrix)
+    steps, full = _step_masks(sys), _mask(sys.index[p] for p in part)
+    return _primitive({i: _reach_after(steps, 1 << i, a) & full
+                       for i in _members(full)}, full)
 
 
 def is_transitive(sys, subset):
@@ -433,39 +427,29 @@ class Decomposition:
             seen |= set(piece.points)
         covers = tuple(sorted(seen, key=sys.index.get)) == nonwandering_set(sys)
 
+        steps = _step_masks(sys)
         invariant = shift = power = transitive = primitive = True
         for piece in self.pieces:
-            members = {sys.index[p] for p in piece.points}
-            succ = _restricted_succ(sys, members)
-            if any(not out for out in succ.values()):
+            members = _mask(sys.index[p] for p in piece.points)
+            if any(not steps[i] & members for i in _members(members)):
                 invariant = False
-            if sys.relation is None:
-                if not all(sys.fmap[i] in members for i in members):
-                    invariant = False
             a, parts = piece.period, piece.parts
-            for k, part in enumerate(parts):
-                nxt = {sys.index[p] for p in parts[(k + 1) % a]}
-                here = {sys.index[p] for p in part}
-                image = {j for i in here for j in succ[i]}
-                if image != nxt:
+            masks = [_mask(sys.index[p] for p in part) for part in parts]
+            for k, here in enumerate(masks):
+                if _image(here, steps) & members != masks[(k + 1) % a]:
                     shift = False
                 back = here
                 for _ in range(a):
-                    back = {j for i in back for j in succ[i]}
+                    back = _image(back, steps) & members
                 if back != here:
                     power = False
             if not is_transitive(sys, piece.points):
                 transitive = False
             # mixing flags re-checked by a different criterion: primitive
             # iff strongly connected with trivial period
-            for flag, part in zip(piece.mixing, parts):
-                step_a = {
-                    sys.index[p]: tuple(
-                        j for j in _reach_after(sys, (sys.index[p],), a)
-                        if sys.points[j] in part
-                    )
-                    for p in part
-                }
+            for flag, here in zip(piece.mixing, masks):
+                step_a = {i: _members(_reach_after(steps, 1 << i, a) & here)
+                          for i in _members(here)}
                 connected = len(_strong_components(step_a)) == 1
                 if flag != (connected and _phase_levels(step_a)[1] == 1):
                     primitive = False

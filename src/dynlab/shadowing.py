@@ -33,6 +33,7 @@ of its last vertex.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import warnings
@@ -40,8 +41,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (Lasso, _largest_passing, _strong_components, as_fraction,
-                   shadows, threshold_grid)
+from .core import (Lasso, _image, _largest_passing, _strong_components,
+                   as_fraction, shadows, threshold_grid)
 from .errors import BoundTooSmall, NotDecaying, NotInvertible, StateExplosion
 
 __all__ = [
@@ -131,16 +132,6 @@ def _gap_structures(sys, gaps, delta, epsilon):
         yield n, tuple(near[y] for y in step), step, tuple(allowed)
 
 
-def _image(w, step):
-    """step(W) for a bitmask W."""
-    out = 0
-    while w:
-        low = w & -w
-        out |= 1 << step[low.bit_length() - 1]
-        w ^= low
-    return out
-
-
 def _die_search(succ, step, allowed, cap):
     """Find a walk of the step graph along which the viable set empties.
 
@@ -150,6 +141,7 @@ def _die_search(succ, step, allowed, cap):
     first death in (length, lex) order, or None if no death state is
     reachable.
     """
+    rows = [1 << y for y in step]
     visited = set()
     queue = deque()
     parent = {}
@@ -160,7 +152,7 @@ def _die_search(succ, step, allowed, cap):
             queue.append(state)
     while queue:
         v, w = queue.popleft()
-        image = _image(w, step)
+        image = _image(w, rows)
         for u in succ[v]:
             w2 = image & allowed[u]
             state = (u, w2)
@@ -247,6 +239,7 @@ def construct_shadow_point(sys, lasso, epsilon):
         return None, {"forward_survivors": forward, "backward_survivors": back}
     _, _, _, balls = next(_gap_structures(sys, (1,), epsilon, epsilon))
     w = balls[sys.index[lasso[0]]]
+    rows = [1 << y for y in sys.fmap]
     i = 0
     seen = {}
     while w:
@@ -257,19 +250,25 @@ def construct_shadow_point(sys, lasso, epsilon):
                 "viable set cycles without dying, yet no single tracer exists")
         seen[key] = i
         i += 1
-        w = _image(w, sys.fmap) & balls[sys.index[lasso[i]]]
+        w = _image(w, rows) & balls[sys.index[lasso[i]]]
     return None, {"failed_at": i}
 
 
 def _warn_if_bound_blind(succ, bound, label):
     size = max(len(comp) for comp in _strong_components(succ))
     if size > bound:
+        # name the first caller outside this package: a fixed stacklevel
+        # lands on a library line when the check runs inside a generator
+        frame, level = inspect.currentframe(), 1
+        while frame is not None and frame.f_globals.get(
+                "__name__", "").partition(".")[0] == __package__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"{label}: step graph has a strongly connected part of size "
             f"{size} > bound {bound}; longer periodic pseudo-orbits "
             "exist and were not checked",
             BoundTooSmall,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 

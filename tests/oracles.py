@@ -9,16 +9,21 @@ their own lister, which the library no longer has, and keep each
 decision's own loop, sharing with the library only the warning.
 ``windows_reference`` and ``die_search_reference`` are the library's
 earlier tracing kernel on frozensets, one window rebuild per gap, kept
-to check the bitmask kernel that replaced it.
+to check the bitmask kernel that replaced it.  The recurrence
+references at the end are the library's earlier recurrence kernel:
+frozenset layers, the T + P return horizon, the ``any()`` chain graph
+loop and dense boolean matrix powers.
 """
 
 import math
 from collections import deque
 from fractions import Fraction
 
-from dynlab.core import Lasso, as_fraction
+from dynlab.core import Lasso, as_fraction, threshold_grid
 from dynlab.errors import StateExplosion
+from dynlab.recurrence import _step_sets
 from dynlab.shadowing import (
+    DeltaGraph,
     ShadowCertificate,
     _warn_if_bound_blind,
     delta_graph,
@@ -473,3 +478,94 @@ def pairwise_chain_reference(sys, delta, epsilon, k_bound=6, cap=None):
         "holds": all(row["holds"] for row in links.values()),
         **links,
     }
+
+
+# -- recurrence on frozensets and dense boolean matrices ----------------------
+
+
+def chain_graph_reference(sys, delta):
+    """Digraph with an edge x -> y iff some admissible step from x lands
+    within delta of y (strict, matching the pseudo-orbit convention)."""
+    delta = as_fraction(delta)
+    cut = sys.lt_cutoff(delta)
+    rank = sys.rank
+    steps = _step_sets(sys)
+    succ = tuple(
+        tuple(
+            j for j in range(sys.n)
+            if any(rank[z][j] < cut for z in steps[i])
+        )
+        for i in range(sys.n)
+    )
+    return DeltaGraph(delta, succ)
+
+
+def nonwandering_reference(sys):
+    """Points every neighborhood of which returns to itself.
+
+    Direct reading on the grid: x is non-wandering iff for every grid
+    epsilon some admissible n-step image of the open ball B(x, eps)
+    meets the ball again, n >= 1.  Return times are bounded by
+    max(pre-period + cycle lcm, number of points): a functional orbit
+    repeats beyond the former, and any multivalued return walk can be
+    cut down below the latter.
+    """
+    steps = _step_sets(sys)
+    horizon = max(sys.max_preperiod + sys.cycle_lcm, sys.n)
+    grid = threshold_grid(sys)
+    result = []
+    for x in range(sys.n):
+        wandering = False
+        for eps in grid.positive:
+            cut = sys.lt_cutoff(eps)
+            ball = frozenset(y for y in range(sys.n) if sys.rank[x][y] < cut)
+            layer, returned = ball, False
+            for _ in range(horizon):
+                layer = frozenset(j for i in layer for j in steps[i])
+                if layer & ball:
+                    returned = True
+                    break
+            if not returned:
+                wandering = True
+                break
+        if not wandering:
+            result.append(sys.points[x])
+    return tuple(result)
+
+
+def reach_after_reference(sys, start, n):
+    """Indices reachable from the index set ``start`` in exactly n steps."""
+    steps = _step_sets(sys)
+    layer = frozenset(start)
+    for _ in range(n):
+        layer = frozenset(j for i in layer for j in steps[i])
+    return layer
+
+
+def primitive_reference(matrix):
+    """Does some power of the boolean matrix have every entry set?
+
+    A primitive n x n matrix is all-positive by exponent n^2 - 2n + 2,
+    so that many multiplications decide the question exactly.
+    """
+    n = len(matrix)
+    power = matrix
+    for _ in range(n * n - 2 * n + 3):
+        if all(all(row) for row in power):
+            return True
+        power = [
+            [any(power[i][k] and matrix[k][j] for k in range(n))
+             for j in range(n)]
+            for i in range(n)
+        ]
+    return False
+
+
+def is_mixing_reference(sys, part, a):
+    """Is the a-step relation between part members primitive?"""
+    ids = [sys.index[p] for p in part]
+    matrix = []
+    for i in ids:
+        reach = reach_after_reference(sys, (i,), a)
+        matrix.append([(j in reach) for j in ids])
+    return primitive_reference(matrix)

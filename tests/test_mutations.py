@@ -1,0 +1,80 @@
+"""Planted faults that the oracle comparisons must catch.
+
+Each case builds a faulty copy of one library function from its own
+source with one fragment replaced, monkeypatches it in, and asserts
+that a named comparison against a reference passes on the real code
+and fails on the copy.  A fragment that no longer occurs in the source
+fails the case, so each fault follows the code it is planted in.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+from dynlab import core, recurrence
+from dynlab.core import FiniteSystem, build_finite_system
+
+from helpers import cycle_system
+from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
+                                    check_primitive, wielandt)
+from test_spread import check_spread
+
+
+def plant(monkeypatch, owners, name, fragment, fault):
+    """Set ``name`` on every owner to a copy of the function whose source
+    has ``fragment`` (occurring once) replaced by ``fault``."""
+    original = getattr(owners[0], name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(fragment) == 1, (name, fragment)
+    namespace = dict(original.__globals__)
+    exec(compile(source.replace(fragment, fault), f"<faulty {name}>", "exec"),
+         namespace)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, namespace[name])
+
+
+def check_wielandt_digraphs():
+    for m in range(1, 9):
+        check_primitive(wielandt(m))
+
+
+def scalene_cycle():
+    """A 3-cycle whose pair (c0, c1) is farthest apart at its third step."""
+    return build_finite_system(
+        ["c0", "c1", "c2"], [[0, 1, 3], [1, 0, 2], [3, 2, 0]],
+        ["c1", "c2", "c0"])
+
+
+def test_primitive_stopping_one_exponent_early(monkeypatch):
+    check_wielandt_digraphs()
+    plant(monkeypatch, [recurrence], "_primitive",
+          "(len(rows) - 1) ** 2 + 1", "(len(rows) - 1) ** 2")
+    with pytest.raises(AssertionError):
+        check_wielandt_digraphs()
+
+
+def test_image_dropping_bit_zero(monkeypatch):
+    check_chain_graphs(cycle_system(3))
+    plant(monkeypatch, [core, recurrence], "_image",
+          "    out = 0\n", "    out, w = 0, w & ~1\n")
+    with pytest.raises(AssertionError):
+        check_chain_graphs(cycle_system(3))
+
+
+def test_nonwandering_horizon_one_short(monkeypatch):
+    # at the sub-minimal epsilon a 5-cycle first returns at step 5
+    check_nonwandering(cycle_system(5))
+    plant(monkeypatch, [recurrence], "nonwandering_set",
+          "for _ in range(sys.n):", "for _ in range(sys.n - 1):")
+    with pytest.raises(AssertionError):
+        check_nonwandering(cycle_system(5))
+
+
+def test_spread_window_one_step_short(monkeypatch):
+    check_spread(scalene_cycle())
+    plant(monkeypatch, [FiniteSystem], "_build_spread_rank",
+          "+ math.lcm(len(cyc[a]), len(cyc[b]))",
+          "+ math.lcm(len(cyc[a]), len(cyc[b])) - 1")
+    with pytest.raises(AssertionError):
+        check_spread(scalene_cycle())  # a fresh system: no cached spread

@@ -68,6 +68,35 @@ def test_chain_recurrent_set_and_table():
     assert set(cr.points) == rows[0]
 
 
+def prime_cycles_with_a_tail():
+    """81 points: cycles of the primes 2..19 (lcm 9,699,690) and a
+    4-point tail into the 2-cycle; distance 1 inside a cycle or the
+    tail, 2 across."""
+    points, fmap, group = [], [], []
+    for length in (2, 3, 5, 7, 11, 13, 17, 19):
+        names = [f"c{length}_{k}" for k in range(length)]
+        points += names
+        fmap += names[1:] + names[:1]
+        group += [length] * length
+    tail = [f"t{k}" for k in range(4)]
+    points += tail
+    fmap += tail[1:] + ["c2_0"]
+    group += [0] * 4
+    dist = [[0 if i == j else 1 if group[i] == group[j] else 2
+             for j in range(81)] for i in range(81)]
+    return build_finite_system(points, dist, fmap)
+
+
+def test_recurrence_cost_does_not_grow_with_the_cycle_lcm():
+    sys = prime_cycles_with_a_tail()
+    assert sys.cycle_lcm == 9699690
+    assert nonwandering_set(sys) == sys.points[:77]
+    dec = spectral_decomposition(sys)
+    assert all(dec.verify(sys).values())
+    assert [len(piece.points) for piece in dec.pieces] == [
+        2, 3, 5, 7, 11, 13, 17, 19]
+
+
 def test_nonwandering_matches_cycle_points_on_plain_systems():
     for seed in range(6):
         sys = random_system(seed=seed, n=6, invertible=(seed % 2 == 0))

@@ -1,0 +1,126 @@
+"""The bitmask recurrence kernel against the frozenset and dense boolean
+matrix kernel it replaced (the recurrence references in ``oracles``).
+
+``chain_graph`` at every grid delta, ``nonwandering_set`` and
+``is_mixing`` on random subsets are compared on random plain systems
+and on window systems of random 2-4 letter shifts of finite type;
+``_primitive`` on random digraphs and on Wielandt's digraphs, whose
+exponent (m - 1)^2 + 1 is the largest a primitive relation on m
+vertices can need.  ``tests/test_mutations.py`` plants faults under the
+``check_*`` comparisons defined here.
+"""
+
+from hypothesis import assume, given, settings, strategies as st
+
+from dynlab import recurrence
+from dynlab.core import _image, threshold_grid
+from dynlab.errors import EmptyShift
+from dynlab.gallery import build_random_system
+from dynlab.symbolic import build_sft, window_system
+
+from oracles import (chain_graph_reference, is_mixing_reference,
+                     nonwandering_reference, primitive_reference)
+
+# the properties are exact, so a slow host must not fail them on time
+untimed = settings(deadline=None)
+
+
+def as_set(mask):
+    return {z for z in range(mask.bit_length()) if mask >> z & 1}
+
+
+def check_chain_graphs(sys):
+    for delta in threshold_grid(sys).positive:
+        assert (recurrence.chain_graph(sys, delta)
+                == chain_graph_reference(sys, delta)), delta
+
+
+def check_nonwandering(sys):
+    assert recurrence.nonwandering_set(sys) == nonwandering_reference(sys)
+
+
+def check_primitive(succ):
+    """``_primitive`` on the digraph with successor lists ``succ``."""
+    m = len(succ)
+    rows = {i: sum(1 << j for j in set(out)) for i, out in enumerate(succ)}
+    matrix = [[j in out for j in range(m)] for out in succ]
+    assert (recurrence._primitive(rows, (1 << m) - 1)
+            == primitive_reference(matrix)), succ
+
+
+def wielandt(m):
+    """W_m: the cycle 0 -> 1 -> ... -> m-1 -> 0 plus the chord m-1 -> 1
+    (W_1 is a loop)."""
+    return [[0]] if m == 1 else [[i + 1] for i in range(m - 1)] + [[0, 1]]
+
+
+def least_full_exponent(succ):
+    """The least k >= 1 with a walk of length exactly k between every
+    ordered pair."""
+    reach, k = [set(out) for out in succ], 1
+    while any(len(r) < len(succ) for r in reach):
+        reach = [{w for v in r for w in succ[v]} for r in reach]
+        k += 1
+    return k
+
+
+@st.composite
+def plain_systems(draw):
+    return build_random_system(draw(st.integers(0, 10 ** 6)),
+                               draw(st.integers(1, 8)), draw(st.booleans()))
+
+
+@st.composite
+def window_systems(draw):
+    """The width-1 window system of a random shift on 2-4 letters."""
+    letters = "0123"[:draw(st.integers(2, 4))]
+    edges = draw(st.sets(st.tuples(st.sampled_from(letters),
+                                   st.sampled_from(letters)), min_size=1))
+    try:
+        sft = build_sft(letters, sorted(edges))
+    except EmptyShift:
+        assume(False)
+    return window_system(sft, 1)
+
+
+systems = st.one_of(plain_systems(), window_systems())
+
+
+@untimed
+@given(systems)
+def test_chain_graphs_and_nonwandering_match_the_frozenset_kernel(sys):
+    check_chain_graphs(sys)
+    check_nonwandering(sys)
+
+
+@untimed
+@given(systems, st.data())
+def test_is_mixing_matches_dense_matrix_powers(sys, data):
+    ids = data.draw(st.sets(st.integers(0, sys.n - 1), min_size=1,
+                            max_size=6))
+    part = tuple(sys.points[i] for i in sorted(ids))
+    for a in range(1, 5):
+        assert (recurrence.is_mixing(sys, part, a)
+                == is_mixing_reference(sys, part, a)), (part, a)
+
+
+@untimed
+@given(window_systems(), st.data())
+def test_image_of_relation_rows_is_the_set_image(sys, data):
+    w = data.draw(st.integers(0, (1 << sys.n) - 1))
+    image = _image(w, recurrence._step_masks(sys))
+    assert as_set(image) == {j for i in as_set(w) for j in sys.relation[i]}
+
+
+@untimed
+@given(st.integers(1, 8).flatmap(lambda m: st.lists(
+    st.lists(st.integers(0, m - 1), max_size=2 * m), min_size=m,
+    max_size=m)))
+def test_primitive_matches_dense_matrix_powers(succ):
+    check_primitive(succ)
+
+
+def test_primitive_at_wielandts_exponent():
+    for m in range(1, 9):
+        assert least_full_exponent(wielandt(m)) == (m - 1) ** 2 + 1
+        check_primitive(wielandt(m))

@@ -22,9 +22,13 @@ from dynlab.specification import (
     local_spec_holds,
     local_weak_spec_holds,
     modulus_table_for_spec,
+    pairwise_tracing_chain,
     spec_to_shadow_point,
     trace_chain,
 )
+
+from dynlab.gallery import build_xpq
+from dynlab.symbolic import window_system
 
 from helpers import cycle_system, random_system, stem_into_cycle, two_points_identity
 
@@ -266,3 +270,20 @@ def test_generalized_two_sided_variant():
                   past_cycle=("a0", "a1"))
     assert generalized_spec_checks(sys, "two-sided", joined)["holds"]
     assert not generalized_spec_checks(sys, "two-sided", split)["holds"]
+
+
+def test_bound_warnings_name_the_calling_line():
+    sys = window_system(build_xpq(3, 2), 1)
+    top = threshold_grid(sys).top
+    calls = {
+        "periodic": lambda: periodic_shadowing_holds(sys, top, top, 2),
+        "local spec": lambda: local_spec_holds(sys, top, 1, top, 2),
+        "pairwise": lambda: pairwise_tracing_chain(sys, top, top, 2),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", BoundTooSmall)
+            call()
+        files = {w.filename for w in caught
+                 if issubclass(w.category, BoundTooSmall)}
+        assert files == {__file__}, name

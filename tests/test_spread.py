@@ -71,11 +71,17 @@ def reference_strong_measure(sys, close):
     return True, None
 
 
+def check_spread(sys):
+    """The library spread against the Fraction window loop; returns it."""
+    spread = orbit_spread_reference(sys)
+    assert orbit_spread(sys) == spread
+    return spread
+
+
 @untimed
 @given(systems())
 def test_threshold_answers_match_the_fraction_spread(sys):
-    spread = orbit_spread_reference(sys)
-    assert orbit_spread(sys) == spread
+    spread = check_spread(sys)
     periodic = [i for i in range(sys.n) if sys.preperiod(i) == 0]
     for delta in threshold_grid(sys).positive:
         close = [[s <= delta for s in row] for row in spread]
