@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -85,8 +86,18 @@ class FiniteSystem:
     ----------
     points : tuple
         Point identifiers, in canonical order.
-    dist : tuple of tuple of Fraction
-        Exact distance matrix aligned with ``points``.
+    scaled : tuple of tuple of int
+        The distance matrix aligned with ``points``, times ``scale``:
+        the one distance store.
+    scale : int
+        The common denominator of the distances, so that
+        ``dist[i][j] == Fraction(scaled[i][j], scale)``.
+    distance_values : tuple of Fraction
+        The distinct distances, ascending.
+    rank : tuple of tuple of int
+        ``rank[i][j]`` is the position of ``dist[i][j]`` in
+        ``distance_values``.  Both are built once, from the sorted
+        distinct integers of ``scaled``.
     fmap : tuple of int
         ``fmap[i]`` is the index of the image of point ``i``.
     invertible : bool
@@ -98,18 +109,22 @@ class FiniteSystem:
         single-valued map collapses).
     """
 
-    def __init__(self, points, dist, fmap, invertible, relation=None):
+    def __init__(self, points, scaled, scale, fmap, invertible, relation=None):
         self.points = tuple(points)
         self.index = {p: i for i, p in enumerate(self.points)}
-        self.dist = tuple(tuple(row) for row in dist)
+        self.scaled = tuple(tuple(row) for row in scaled)
+        self.scale = scale
         self.fmap = tuple(fmap)
         self.invertible = bool(invertible)
         self.relation = None if relation is None else tuple(
             tuple(sorted(succ)) for succ in relation
         )
+        levels = sorted({d for row in self.scaled for d in row})
+        pos = {d: r for r, d in enumerate(levels)}
+        self.rank = tuple(tuple(pos[d] for d in row) for row in self.scaled)
+        self.distance_values = tuple(Fraction(d, scale) for d in levels)
         self._orbit_cache = None
-        self._values_cache = None
-        self._rank_cache = None
+        self._dist_cache = None
         self._spread_cache = None
 
     # -- basic queries -------------------------------------------------
@@ -118,9 +133,18 @@ class FiniteSystem:
     def n(self):
         return len(self.points)
 
+    @property
+    def dist(self):
+        """Exact distance matrix aligned with ``points``, as Fractions."""
+        if self._dist_cache is None:
+            values = self.distance_values
+            self._dist_cache = tuple(tuple(values[r] for r in row)
+                                     for row in self.rank)
+        return self._dist_cache
+
     def d(self, x, y):
         """Distance between two point identifiers."""
-        return self.dist[self.index[x]][self.index[y]]
+        return self.distance_values[self.rank[self.index[x]][self.index[y]]]
 
     def apply(self, x, k=1):
         """Point identifier of the k-th image of ``x`` (k may be negative)."""
@@ -182,23 +206,6 @@ class FiniteSystem:
     #
     # Only the relative order of distances matters to the decision
     # procedures, so distances are compared through integer ranks.
-
-    @property
-    def distance_values(self):
-        """Sorted tuple of the distinct values of the distance matrix."""
-        if self._values_cache is None:
-            self._values_cache = tuple(sorted({d for row in self.dist for d in row}))
-        return self._values_cache
-
-    @property
-    def rank(self):
-        """rank[i][j] = position of dist[i][j] in :attr:`distance_values`."""
-        if self._rank_cache is None:
-            pos = {v: k for k, v in enumerate(self.distance_values)}
-            self._rank_cache = tuple(
-                tuple(pos[d] for d in row) for row in self.dist
-            )
-        return self._rank_cache
 
     @property
     def spread_rank(self):
@@ -360,6 +367,9 @@ def build_finite_system(points, dist, fmap, invertible=None, relation=None):
         If the distance table is not a metric (with the failing points).
     NotABijection
         See ``invertible``.
+    ValueError
+        On a malformed table, or when the common denominator of the
+        distances has more than 4300 digits.
     """
     points = tuple(points)
     n = len(points)
@@ -370,21 +380,10 @@ def build_finite_system(points, dist, fmap, invertible=None, relation=None):
     matrix = [[as_fraction(v) for v in row] for row in dist]
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("distance matrix shape does not match points")
-    for i in range(n):
-        if matrix[i][i] != 0:
-            raise MetricViolation("identity", (points[i],), "nonzero self-distance")
-    for i, j in itertools.combinations(range(n), 2):
-        if matrix[i][j] != matrix[j][i]:
-            raise MetricViolation("symmetry", (points[i], points[j]))
-        if matrix[i][j] <= 0:
-            raise MetricViolation("positivity", (points[i], points[j]))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if matrix[i][k] > matrix[i][j] + matrix[j][k]:
-            raise MetricViolation(
-                "triangle",
-                (points[i], points[j], points[k]),
-                f"{matrix[i][k]} > {matrix[i][j]} + {matrix[j][k]}",
-            )
+    scale = _common_denominator(matrix)
+    scaled = [[v.numerator * (scale // v.denominator) for v in row]
+              for row in matrix]
+    _check_metric(points, matrix, scaled)
 
     idx = {p: i for i, p in enumerate(points)}
     try:
@@ -406,11 +405,53 @@ def build_finite_system(points, dist, fmap, invertible=None, relation=None):
         if len(rel) != n:
             raise ValueError("relation length does not match points")
 
-    sys_ = FiniteSystem(points, matrix, fidx, invertible, rel)
+    sys_ = FiniteSystem(points, scaled, scale, fidx, invertible, rel)
     if sys_.invertible:
         # Finite bijections have no transient part; rely on this everywhere.
         assert all(sys_.preperiod(i) == 0 for i in range(n))
     return sys_
+
+
+def _common_denominator(matrix):
+    """lcm of the denominators of the distances.
+
+    Folded one value at a time, so that a table whose lcm outgrows
+    4300 digits is refused before it is built."""
+    scale = 1
+    for row in matrix:
+        for v in row:
+            scale = math.lcm(scale, v.denominator)
+            if scale >= _DIGIT_BOUND:
+                raise ValueError(f"common denominator of the distances has "
+                                 f"more than {_MAX_EXPONENT} digits")
+    return scale
+
+
+def _check_metric(points, matrix, scaled):
+    """Raise MetricViolation at the first failing axiom: identity, then
+    symmetry and positivity pair by pair, then the triangle inequality
+    d(i,k) <= d(i,j) + d(j,k) at the first triple (i, j, k) in product
+    order.  Decided on ``scaled``, the integer matrix; the message
+    quotes the Fractions of ``matrix``."""
+    n = len(points)
+    for i in range(n):
+        if scaled[i][i] != 0:
+            raise MetricViolation("identity", (points[i],), "nonzero self-distance")
+    for i, j in itertools.combinations(range(n), 2):
+        if scaled[i][j] != scaled[j][i]:
+            raise MetricViolation("symmetry", (points[i], points[j]))
+        if scaled[i][j] <= 0:
+            raise MetricViolation("positivity", (points[i], points[j]))
+    # (i, j) fails for some k iff d(i,k) - d(j,k) > d(i,j) for some k
+    for i, j in itertools.product(range(n), repeat=2):
+        row_i, row_j, bound = scaled[i], scaled[j], scaled[i][j]
+        if max(map(operator.sub, row_i, row_j)) > bound:
+            k = next(k for k in range(n) if row_i[k] - row_j[k] > bound)
+            raise MetricViolation(
+                "triangle",
+                (points[i], points[j], points[k]),
+                f"{matrix[i][k]} > {matrix[i][j]} + {matrix[j][k]}",
+            )
 
 
 def is_pseudo_orbit(sys, lasso, delta):
@@ -420,10 +461,9 @@ def is_pseudo_orbit(sys, lasso, delta):
     for every i in its time set; the lasso structure reduces that to one
     pass over :meth:`Lasso.transitions`.
     """
-    delta = as_fraction(delta)
+    cutoff = sys.lt_cutoff(as_fraction(delta))
     for a, b in lasso.transitions():
-        ia, ib = sys.index[a], sys.index[b]
-        if sys.dist[sys.fmap[ia]][ib] >= delta:
+        if sys.rank[sys.fmap[sys.index[a]]][sys.index[b]] >= cutoff:
             return False
     return True
 
@@ -458,17 +498,17 @@ def shadows(sys, point, lasso, epsilon):
     period forward (and one joint period backward for two-sided lassos,
     which require an invertible system).
     """
-    epsilon = as_fraction(epsilon)
+    cutoff = sys.lt_cutoff(as_fraction(epsilon))
     i0 = sys.index[point]
     for k in range(_forward_window(sys, i0, lasso)):
-        if sys.dist[sys.power(i0, k)][sys.index[lasso[k]]] >= epsilon:
+        if sys.rank[sys.power(i0, k)][sys.index[lasso[k]]] >= cutoff:
             return False
     if lasso.two_sided:
         if not sys.invertible:
             raise NotInvertible("two-sided lasso on a one-sided system")
         back = math.lcm(len(sys.cycle(i0)), len(lasso.past))
         for k in range(-back, 0):
-            if sys.dist[sys.power(i0, k)][sys.index[lasso[k]]] >= epsilon:
+            if sys.rank[sys.power(i0, k)][sys.index[lasso[k]]] >= cutoff:
                 return False
     return True
 

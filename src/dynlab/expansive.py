@@ -221,6 +221,7 @@ def lockstep_orbit_pair(sys):
     the joint orbit, so anchoring the first coordinate at one cycle
     member scans every alignment.
     """
+    rank, fmap = sys.rank, sys.fmap
     cycles = _cycles(sys)
     for a in range(len(cycles)):
         for b in range(a + 1, len(cycles)):
@@ -228,16 +229,17 @@ def lockstep_orbit_pair(sys):
             span = math.lcm(len(c1), len(c2))
             x = c1[0]
             for y in c2:
-                offset = sys.dist[x][y]
+                offset = rank[x][y]
                 u, v = x, y
                 steady = True
                 for _ in range(span - 1):
-                    u, v = sys.fmap[u], sys.fmap[v]
-                    if sys.dist[u][v] != offset:
+                    u, v = fmap[u], fmap[v]
+                    if rank[u][v] != offset:
                         steady = False
                         break
                 if steady:
-                    return sys.points[x], sys.points[y], offset
+                    return (sys.points[x], sys.points[y],
+                            sys.distance_values[offset])
     return None
 
 
@@ -280,17 +282,11 @@ def stable_sets(sys, x, epsilon, include_unstable=None):
                      if sys.power(xi, T + P) == sys.power(y, T + P))
     u_local = u_global = None
     if include_unstable:
-        u_local, u_global = [], []
-        for y in range(sys.n):
-            if all(
-                sys.dist[sys.power(xi, -k)][sys.power(y, -k)] <= epsilon
-                for k in range(P)
-            ):
-                u_local.append(sys.points[y])
-            # backward convergence on a bijection forces equality
-            if y == xi:
-                u_global.append(sys.points[y])
-        u_local, u_global = tuple(u_local), tuple(u_global)
+        # every point of a bijection is periodic, so backward time runs
+        # through the same pair orbits as forward time: the local
+        # unstable set is the local stable set; and backward convergence
+        # on a bijection forces equality
+        u_local, u_global = s_local, (sys.points[xi],)
     return StableSets(x, epsilon, s_local, s_global,
                       u_local, u_global)
 

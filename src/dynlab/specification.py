@@ -181,18 +181,19 @@ def local_spec_holds(sys, epsilon, N, delta, k_bound=6, cap=None):
 def eta_modulus(sys, delta1, N):
     """Worst N-step spread of a pair closer than delta1:
     max{ d(f^i(u), f^i(v)) : d(u,v) < delta1, 0 <= i <= N }."""
-    delta1 = as_fraction(delta1)
-    worst = Fraction(0)
+    cutoff = sys.lt_cutoff(as_fraction(delta1))
+    rank, fmap = sys.rank, sys.fmap
+    worst = 0  # the rank of distance 0
     for a in range(sys.n):
         for b in range(a + 1, sys.n):
-            if sys.dist[a][b] >= delta1:
+            if rank[a][b] >= cutoff:
                 continue
             u, v = a, b
             for _ in range(N + 1):
-                if sys.dist[u][v] > worst:
-                    worst = sys.dist[u][v]
-                u, v = sys.fmap[u], sys.fmap[v]
-    return worst
+                if rank[u][v] > worst:
+                    worst = rank[u][v]
+                u, v = fmap[u], fmap[v]
+    return sys.distance_values[worst]
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,19 @@ earlier tracing kernel on frozensets, one window rebuild per gap, kept
 to check the bitmask kernel that replaced it.  The recurrence
 references at the end are the library's earlier recurrence kernel:
 frozenset layers, the T + P return horizon, the ``any()`` chain graph
-loop and dense boolean matrix powers.
+loop and dense boolean matrix powers.  ``metric_violation_reference``
+is the library's earlier metric check, the Fraction loop over every
+triple, and ``unstable_local_reference`` its earlier backward scan of
+the local unstable set over one lcm of all cycle lengths.
 """
 
+import itertools
 import math
 from collections import deque
 from fractions import Fraction
 
 from dynlab.core import Lasso, as_fraction, threshold_grid
-from dynlab.errors import StateExplosion
+from dynlab.errors import MetricViolation, StateExplosion
 from dynlab.recurrence import _step_sets
 from dynlab.shadowing import (
     DeltaGraph,
@@ -187,6 +191,41 @@ def orbit_spread_reference(sys):
                 u, v = sys.fmap[u], sys.fmap[v]
             spread[a][b] = spread[b][a] = worst
     return spread
+
+
+def metric_violation_reference(points, dist):
+    """The first metric axiom the table breaks, as the MetricViolation
+    the library raises, or None: every check on Fractions, the triangle
+    inequality over every triple in product order."""
+    n = len(points)
+    matrix = [[as_fraction(v) for v in row] for row in dist]
+    for i in range(n):
+        if matrix[i][i] != 0:
+            return MetricViolation("identity", (points[i],),
+                                   "nonzero self-distance")
+    for i, j in itertools.combinations(range(n), 2):
+        if matrix[i][j] != matrix[j][i]:
+            return MetricViolation("symmetry", (points[i], points[j]))
+        if matrix[i][j] <= 0:
+            return MetricViolation("positivity", (points[i], points[j]))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if matrix[i][k] > matrix[i][j] + matrix[j][k]:
+            return MetricViolation(
+                "triangle",
+                (points[i], points[j], points[k]),
+                f"{matrix[i][k]} > {matrix[i][j]} + {matrix[j][k]}",
+            )
+    return None
+
+
+def unstable_local_reference(sys, x, epsilon):
+    """Points y with d(f^-k x, f^-k y) <= epsilon for every k < P, the
+    lcm of all cycle lengths, on an invertible system."""
+    xi, P = sys.index[x], sys.cycle_lcm
+    return tuple(
+        sys.points[y] for y in range(sys.n)
+        if all(sys.dist[sys.power(xi, -k)][sys.power(y, -k)] <= epsilon
+               for k in range(P)))
 
 
 def mutual_reachability_classes(succ):

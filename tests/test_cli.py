@@ -333,3 +333,19 @@ def test_thresholds_too_long_to_print_exit_two(capsys, tmp_path):
                              "--window", "1")
         assert (code, out) == (2, ""), delta[:8]
         assert err.startswith(f"dynlab: too many digits in '{delta}'")
+
+
+def test_hostile_common_denominator_exits_two(capsys, tmp_path):
+    # three coprime 1500-digit denominators: their lcm has 4500 digits
+    big = 10 ** 1499
+    a, b, c = (f"{s + 1}/{s}" for s in (big + 1, big + 2, big + 3))
+    hostile = tmp_path / "hostile.json"
+    hostile.write_text(json.dumps({
+        "kind": "finite", "points": ["a", "b", "c"],
+        "dist": [["0", a, b], [a, "0", c], [b, c, "0"]],
+        "map": ["b", "c", "a"]}))
+    code, out, err = run(capsys, "check", "expansive", "--variant", "n",
+                         "--delta", "1/2", "--system", str(hostile))
+    assert (code, out) == (2, "")
+    assert err == ("dynlab: common denominator of the distances has more "
+                   "than 4300 digits\n")

@@ -18,6 +18,7 @@ from dynlab.core import FiniteSystem, build_finite_system
 from helpers import cycle_system
 from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
                                     check_primitive, wielandt)
+from test_metric import check_metric
 from test_spread import check_spread
 
 
@@ -78,3 +79,15 @@ def test_spread_window_one_step_short(monkeypatch):
           "+ math.lcm(len(cyc[a]), len(cyc[b])) - 1")
     with pytest.raises(AssertionError):
         check_spread(scalene_cycle())  # a fresh system: no cached spread
+
+
+def test_triangle_check_rejecting_equality(monkeypatch):
+    collinear = ["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    check_metric(*collinear)
+    plant(monkeypatch, [core], "_check_metric",
+          "> bound:\n"
+          "            k = next(k for k in range(n) if row_i[k] - row_j[k] > bound)",
+          ">= bound:\n"
+          "            k = next(k for k in range(n) if row_i[k] - row_j[k] >= bound)")
+    with pytest.raises(AssertionError):
+        check_metric(*collinear)

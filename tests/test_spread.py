@@ -3,9 +3,11 @@ window loop it replaced (``oracles.orbit_spread_reference``).
 
 Every expansiveness threshold question is recomputed here from the
 reference spread with Fraction comparisons, at every grid delta, on
-random preperiodic maps and random bijections.  Also here: the cache
-is built once per system and cannot be changed through a returned
-matrix.
+random preperiodic maps and random bijections.  The local unstable set,
+read off the spread row, is checked against the backward scan over one
+lcm of all cycle lengths (``oracles.unstable_local_reference``).  Also
+here: the cache is built once per system and cannot be changed through
+a returned matrix.
 """
 
 import random
@@ -26,8 +28,8 @@ from dynlab.expansive import (
 )
 from dynlab.gallery import build_myex
 
-from helpers import random_metric, random_system
-from oracles import orbit_spread_reference
+from helpers import gallery_corpus, random_metric, random_system, seeded_corpus
+from oracles import orbit_spread_reference, unstable_local_reference
 
 # the properties are exact, so a slow host must not fail them on time
 untimed = settings(deadline=None)
@@ -137,3 +139,45 @@ def test_hierarchy_battery_builds_the_spread_once(monkeypatch):
     assert builds == [sys]
     run_theorem_battery(sys, "hierarchy")
     assert builds == [sys]
+
+
+def test_unstable_sets_match_the_backward_scan():
+    cells = 0
+    for sys in [*seeded_corpus(20, 7), *gallery_corpus()]:
+        if not sys.invertible:
+            continue
+        for epsilon in threshold_grid(sys).positive:
+            for x in sys.points:
+                assert (stable_sets(sys, x, epsilon).u_local
+                        == unstable_local_reference(sys, x, epsilon))
+                cells += 1
+    assert cells == 982
+
+
+def prime_cycles():
+    """77 points on cycles of the primes 2..19 (lcm 9,699,690), all at
+    mutual distance 1."""
+    points, fmap = [], []
+    for length in (2, 3, 5, 7, 11, 13, 17, 19):
+        names = [f"c{length}_{k}" for k in range(length)]
+        points += names
+        fmap += names[1:] + names[:1]
+    dist = [[int(i != j) for j in range(77)] for i in range(77)]
+    return build_finite_system(points, dist, fmap)
+
+
+def test_unstable_sets_do_not_scan_the_cycle_lcm(monkeypatch):
+    sys = prime_cycles()
+    assert sys.invertible and sys.cycle_lcm == 9699690
+    calls = []
+    power = FiniteSystem.power
+
+    def counted(self, i, k):
+        calls.append(k)
+        return power(self, i, k)
+
+    monkeypatch.setattr(FiniteSystem, "power", counted)
+    sets = stable_sets(sys, "c2_0", threshold_grid(sys).top)
+    assert sets.u_local == sets.s_local == sys.points
+    assert sets.u_global == sets.s_global == ("c2_0",)
+    assert len(calls) <= 2 * sys.n
