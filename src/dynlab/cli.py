@@ -15,6 +15,7 @@ cap hit (raise ``DYNLAB_SUBSET_CAP`` to retry).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 import time
@@ -465,9 +466,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`build_parser`, built once per process:
+    parsing reads it and changes nothing in it (no option has a mutable
+    default), and errors go to the ``sys.stderr`` of the moment."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.t0 = time.monotonic()
     try:
         return args.func(args)

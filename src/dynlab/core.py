@@ -15,6 +15,7 @@ extended into the past by a (possibly different) cycle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -126,6 +127,7 @@ class FiniteSystem:
         self._orbit_cache = None
         self._dist_cache = None
         self._spread_cache = None
+        self._memo = {}  # threshold structures, see _memoized
 
     # -- basic queries -------------------------------------------------
 
@@ -237,6 +239,34 @@ class FiniteSystem:
                 spread[a][b] = spread[b][a] = worst
         return tuple(tuple(row) for row in spread)
 
+    def _memoized(self, key, build):
+        """The memo entry ``key``, made by ``build()`` on first use.
+
+        The memo holds the threshold structures every tracing question
+        at the same cutoffs shares: the grid, balls, gap windows, tracer
+        masks and component sizes.  A key is a name followed by integer
+        cutoffs and gaps, never a Fraction, and an entry is immutable
+        (tuples, ints, the frozen grid), so callers share it.  No search
+        verdict is memoized."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            entry = self._memo[key] = build()
+            return entry
+
+    def _balls(self, cut):
+        """balls[y]: the bitmask of the j with rank[y][j] < cut."""
+        return self._memoized(("balls", cut), lambda: tuple(
+            sum(1 << j for j, r in enumerate(row) if r < cut)
+            for row in self.rank))
+
+    def _near(self, cut):
+        """near[y]: the j with rank[y][j] < cut, ascending; the members
+        of balls[y]."""
+        return self._memoized(("near", cut), lambda: tuple(
+            tuple(j for j, r in enumerate(row) if r < cut)
+            for row in self.rank))
+
     def lt_cutoff(self, q):
         """Number of distance values < q, so d < q iff rank(d) < cutoff."""
         return bisect_left(self.distance_values, q)
@@ -327,7 +357,7 @@ class ThresholdGrid:
 
     values: tuple
 
-    @property
+    @functools.cached_property
     def positive(self):
         return tuple(v for v in self.values if v > 0)
 
@@ -514,13 +544,17 @@ def shadows(sys, point, lasso, epsilon):
 
 
 def threshold_grid(sys):
-    """The :class:`ThresholdGrid` of a system.
+    """The :class:`ThresholdGrid` of a system, built once per system.
 
     Examples
     --------
     Three points at mutual distance 1 give {0, 1/2, 1, 2}: the distance
     values plus a sub-minimal and a top sentinel.
     """
+    return sys._memoized(("grid",), lambda: _build_grid(sys))
+
+
+def _build_grid(sys):
     positive = [v for v in sys.distance_values if v > 0]
     values = {Fraction(0)}
     if positive:

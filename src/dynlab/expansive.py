@@ -278,8 +278,11 @@ def stable_sets(sys, x, epsilon, include_unstable=None):
     spread = sys.spread_rank[xi]
     s_local = tuple(sys.points[y] for y in range(sys.n)
                     if spread[y] < cutoff)
+    # orbits converge iff they meet by time T + P
+    eventual = sys._memoized(("eventual",), lambda: tuple(
+        sys.power(y, T + P) for y in range(sys.n)))
     s_global = tuple(sys.points[y] for y in range(sys.n)
-                     if sys.power(xi, T + P) == sys.power(y, T + P))
+                     if eventual[y] == eventual[xi])
     u_local = u_global = None
     if include_unstable:
         # every point of a bijection is periodic, so backward time runs

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .core import (_image, _largest_passing, _strong_components, as_fraction,
                    threshold_grid)
 from .expansive import stable_sets, strong_measure_expansive_holds
-from .shadowing import DeltaGraph, _gap_structures
+from .shadowing import DeltaGraph
 
 __all__ = [
     "BasicPiece",
@@ -80,8 +80,7 @@ def chain_graph(sys, delta):
     the delta step graph used by the tracing procedures.
     """
     delta = as_fraction(delta)
-    # the gap-1 windows of the tracing kernel are the delta-balls
-    _, _, _, near = next(_gap_structures(sys, (1,), delta, delta))
+    near = sys._balls(sys.lt_cutoff(delta))
     return DeltaGraph(delta, tuple(_members(_image(out, near))
                                    for out in _step_masks(sys)))
 
@@ -142,7 +141,7 @@ def nonwandering_set(sys):
     its length is at most n.  Sets are pushed as bitmasks.
     """
     steps = _step_masks(sys)
-    balls = [next(_gap_structures(sys, (1,), eps, eps))[3]
+    balls = [sys._balls(sys.lt_cutoff(eps))
              for eps in threshold_grid(sys).positive]
     result = []
     for x in range(sys.n):

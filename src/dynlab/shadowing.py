@@ -14,7 +14,10 @@ counterexample certificate.
 Tracer sets, windows and balls are Python-int bitmasks (bit z for
 point z).  Chain questions ask the same of gap graphs, whose edges
 advance n steps; :func:`_gap_structures` carries the n-step map and the
-tracking windows along a whole range of gaps in one pass.
+tracking windows along a whole range of gaps in one pass.  These
+structures, the tracer masks of the closed-chain search and the
+component sizes behind its bound warning are built once per system, in
+the system's memo, and shared by every call at the same cutoffs.
 
 Periodic pseudo-orbits and closed chains (periodic and strong periodic
 shadowing, local specification) are closed walks of a gap graph, to be
@@ -111,25 +114,41 @@ def _gap_structures(sys, gaps, delta, epsilon):
     """Yield (n, succ, step, allowed) for each n of the ascending range
     ``gaps``: the gap graph (x -> y iff d(f^n(x), y) < delta), the n-step
     map, and the bitmask windows allowed[v] = {z : d(f^i(z), f^i(v)) <
-    epsilon for 0 <= i < n}.  Map and windows are carried forward one
-    step at a time, so a whole range costs one pass.  At n = 1 the gap
-    graph is the delta step graph and the windows are the epsilon-balls."""
+    epsilon for 0 <= i < n}.  At n = 1 the gap graph is the delta step
+    graph and the windows are the epsilon-balls.
+
+    Map and windows depend on epsilon only through its cutoff.  The
+    system's memo keeps them per epsilon cutoff as one tuple of layers,
+    layer i holding f^i and the windows at gap i, carried forward one
+    step at a time as far as some call has reached; a call reads the
+    layers it needs and extends the tuple when it needs more."""
     d_cut, e_cut = sys.lt_cutoff(delta), sys.lt_cutoff(epsilon)
-    rank, fmap, size = sys.rank, sys.fmap, sys.n
-    near = tuple(tuple(j for j in range(size) if rank[y][j] < d_cut)
-                 for y in range(size))
-    step, allowed, i = tuple(range(size)), [(1 << size) - 1] * size, 0
+    near, key = sys._near(d_cut), ("windows", e_cut)
     for n in gaps:
-        while i < n:
-            # fibre[y]: the z with f^i(z) = y; close[w]: d(f^i(z), w) < epsilon
-            fibre = {}
-            for z, y in enumerate(step):
-                fibre[y] = fibre.get(y, 0) | 1 << z
-            close = {w: sum(m for y, m in fibre.items() if rank[y][w] < e_cut)
-                     for w in fibre}
-            allowed = [a & close[step[v]] for v, a in enumerate(allowed)]
-            step, i = tuple(fmap[y] for y in step), i + 1
-        yield n, tuple(near[y] for y in step), step, tuple(allowed)
+        layers = sys._memo.get(key, ())
+        if len(layers) <= n:
+            grown = list(layers) or [(tuple(range(sys.n)),
+                                      ((1 << sys.n) - 1,) * sys.n)]
+            while len(grown) <= n:
+                grown.append(_carry_window(sys, e_cut, grown))
+            layers = sys._memo[key] = tuple(grown)
+        step, allowed = layers[n]
+        yield n, tuple(near[y] for y in step), step, allowed
+
+
+def _carry_window(sys, e_cut, layers):
+    """The layer after the last of ``layers``: from f^i and the windows
+    at gap i, f^(i+1) and the windows at gap i + 1, allowed_{i+1}[v] =
+    allowed_i[v] & {z : rank(f^i(z), f^i(v)) < e_cut}."""
+    rank, (step, allowed) = sys.rank, layers[-1]
+    # fibre[y]: the z with f^i(z) = y; close[w]: d(f^i(z), w) < epsilon
+    fibre = {}
+    for z, y in enumerate(step):
+        fibre[y] = fibre.get(y, 0) | 1 << z
+    close = {w: sum(m for y, m in fibre.items() if rank[y][w] < e_cut)
+             for w in fibre}
+    return (tuple(sys.fmap[y] for y in step),
+            tuple(a & close[step[v]] for v, a in enumerate(allowed)))
 
 
 def _die_search(succ, step, allowed, cap):
@@ -237,7 +256,7 @@ def construct_shadow_point(sys, lasso, epsilon):
             )
         )
         return None, {"forward_survivors": forward, "backward_survivors": back}
-    _, _, _, balls = next(_gap_structures(sys, (1,), epsilon, epsilon))
+    balls = sys._balls(sys.lt_cutoff(epsilon))
     w = balls[sys.index[lasso[0]]]
     rows = [1 << y for y in sys.fmap]
     i = 0
@@ -254,8 +273,9 @@ def construct_shadow_point(sys, lasso, epsilon):
     return None, {"failed_at": i}
 
 
-def _warn_if_bound_blind(succ, bound, label):
-    size = max(len(comp) for comp in _strong_components(succ))
+def _warn_if_bound_blind(size, bound, label):
+    """Warn BoundTooSmall when a graph whose largest strongly connected
+    part has ``size`` vertices has cycles longer than ``bound``."""
     if size > bound:
         # name the first caller outside this package: a fixed stacklevel
         # lands on a library line when the check runs inside a generator
@@ -281,8 +301,11 @@ def _gap_graphs(sys, delta, epsilon, gaps, bound, label):
         raise ValueError(f"length bound must be at least 1, got {bound}")
     if delta <= 0 or epsilon <= 0:
         raise ValueError("thresholds must be positive")
+    d_cut = sys.lt_cutoff(delta)
     for n, succ, step, allowed in _gap_structures(sys, gaps, delta, epsilon):
-        _warn_if_bound_blind(succ, bound, label.format(n=n))
+        size = sys._memoized(("scc", d_cut, n), lambda: max(
+            len(comp) for comp in _strong_components(succ)))
+        _warn_if_bound_blind(size, bound, label.format(n=n))
         yield n, succ, step, allowed
 
 
@@ -299,7 +322,18 @@ def _orbit_masks(periodic, step, k):
                 y = step[y]
         masks.append(mask)
         done |= mask
-    return masks
+    return tuple(masks)
+
+
+def _tracer_masks(periodic, step, allowed, bound):
+    """masks[k][u] for k < bound: the periodic z with step^k(z) in
+    allowed[u], as bitmasks."""
+    masks, at = [], periodic
+    for _ in range(bound):
+        masks.append(tuple(sum(1 << z for z, y in zip(periodic, at)
+                               if window >> y & 1) for window in allowed))
+        at = [step[y] for y in at]
+    return tuple(masks)
 
 
 def _first_untraced_chain(sys, delta, epsilon, gaps, bound, cap, label,
@@ -331,25 +365,25 @@ def _first_untraced_chain(sys, delta, epsilon, gaps, bound, cap, label,
     """
     cap = subset_cap(cap)
     periodic = sys.periodic_indices()
+    e_cut, balls = sys.lt_cutoff(epsilon), sys._balls(sys.lt_cutoff(delta))
     visited = 0
     for n, succ, step, allowed in _gap_graphs(sys, delta, epsilon, gaps,
                                               bound, label):
-        # masks[k][u]: the periodic z with step^k(z) in allowed[u]
-        masks, at = [], periodic
-        for _ in range(bound):
-            masks.append([sum(1 << z for z, y in zip(periodic, at)
-                              if window >> y & 1) for window in allowed])
-            at = [step[y] for y in at]
+        masks = sys._memoized(("masks", e_cut, n, bound),
+                              lambda: _tracer_masks(periodic, step, allowed,
+                                                    bound))
         if exact:
-            hits = [sum(1 << z for z in periodic
-                        if k * n % len(sys.cycle(z)) == 0)
-                    for k in range(bound + 1)]
+            hits = sys._memoized(("hits", n, bound), lambda: tuple(
+                sum(1 << z for z in periodic
+                    if k * n % len(sys.cycle(z)) == 0)
+                for k in range(bound + 1)))
             traced = lambda k, s: s & hits[k]
         else:
-            orbits = [None] + [_orbit_masks(periodic, step, k)
-                               for k in range(1, bound + 1)]
+            orbits = sys._memoized(("orbits", n, bound), lambda: (None,) + (
+                tuple(_orbit_masks(periodic, step, k)
+                      for k in range(1, bound + 1))))
             traced = lambda k, s: any(o & s == o for o in orbits[k])
-        closes = [sum(1 << u for u in row) for row in succ]
+        closes = [balls[y] for y in step]  # closes[v] >> u & 1: u in succ[v]
         level = []
         for r in range(sys.n):
             visited += 1

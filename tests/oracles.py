@@ -16,6 +16,11 @@ loop and dense boolean matrix powers.  ``metric_violation_reference``
 is the library's earlier metric check, the Fraction loop over every
 triple, and ``unstable_local_reference`` its earlier backward scan of
 the local unstable set over one lcm of all cycle lengths.
+
+Nothing here reads a system's memo of threshold structures: the grid,
+the gap graphs and their largest strongly connected parts are rebuilt
+from the distances (``threshold_grid_reference``,
+``gap_structures_reference``, ``mutual_reachability_classes``).
 """
 
 import itertools
@@ -23,14 +28,13 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from dynlab.core import Lasso, as_fraction, threshold_grid
+from dynlab.core import Lasso, as_fraction
 from dynlab.errors import MetricViolation, StateExplosion
 from dynlab.recurrence import _step_sets
 from dynlab.shadowing import (
     DeltaGraph,
     ShadowCertificate,
     _warn_if_bound_blind,
-    delta_graph,
     strong_shadow_point,
     subset_cap,
 )
@@ -303,6 +307,13 @@ def _closed_walks_of_graph(succ, length, cap, counter):
     return walks
 
 
+def warn_if_bound_blind_reference(succ, bound, label):
+    """The library's BoundTooSmall warning, for a graph whose largest
+    class of mutual reachability is larger than ``bound``."""
+    size = max(len(c) for c in mutual_reachability_classes(succ))
+    _warn_if_bound_blind(size, bound, label)
+
+
 def windows_reference(sys, n, epsilon):
     """allowed[v] = the points z with d(f^i(z), f^i(v)) < epsilon for every
     0 <= i < n: the epsilon tracking window of v over n steps.  At n = 1
@@ -391,16 +402,16 @@ def periodic_variant_reference(sys, delta, epsilon, period_bound, strong,
                                cap=None):
     """periodic_shadowing_holds (strong=False) or its exact-period form."""
     delta, epsilon = as_fraction(delta), as_fraction(epsilon)
-    g = delta_graph(sys, delta)
-    _warn_if_bound_blind(g.succ, period_bound,
-                         "strong periodic" if strong else "periodic")
+    succ = gap_structures_reference(sys, 1, delta, delta)[0]
+    warn_if_bound_blind_reference(succ, period_bound,
+                                  "strong periodic" if strong else "periodic")
     eps_cut = sys.lt_cutoff(epsilon)
     rank = sys.rank
     per = sys.periodic_indices()
     counter = [0]
     cap = subset_cap(cap)
     for k in range(1, period_bound + 1):
-        for walk in _closed_walks_of_graph(g.succ, k, cap, counter):
+        for walk in _closed_walks_of_graph(succ, k, cap, counter):
             found = False
             for z in per:
                 p = len(sys.cycle(z))
@@ -428,7 +439,8 @@ def local_spec_reference(sys, epsilon, N, delta, k_bound=6, cap=None):
     counter = [0]
     for n in gaps:
         succ, step, _ = gap_structures_reference(sys, n, delta, epsilon)
-        _warn_if_bound_blind(succ, k_bound, f"closed chains at gap {n}")
+        warn_if_bound_blind_reference(succ, k_bound,
+                                      f"closed chains at gap {n}")
         per = [z for z in range(sys.n) if sys.preperiod(z) == 0]
         for k in range(1, k_bound + 1):
             for walk in _closed_walks_of_graph(succ, k, cap, counter):
@@ -472,7 +484,8 @@ def pairwise_chain_reference(sys, delta, epsilon, k_bound=6, cap=None):
     counterexample = None
     for n in gap_values(sys, 1):
         succ, _, _ = gap_structures_reference(sys, n, delta, epsilon)
-        _warn_if_bound_blind(succ, k_bound, f"closed chains at gap {n}")
+        warn_if_bound_blind_reference(succ, k_bound,
+                                      f"closed chains at gap {n}")
         for k in range(1, k_bound + 1):
             for walk in _closed_walks_of_graph(succ, k, cap, counter):
                 checked += 1
@@ -551,11 +564,10 @@ def nonwandering_reference(sys):
     """
     steps = _step_sets(sys)
     horizon = max(sys.max_preperiod + sys.cycle_lcm, sys.n)
-    grid = threshold_grid(sys)
     result = []
     for x in range(sys.n):
         wandering = False
-        for eps in grid.positive:
+        for eps in threshold_grid_reference(sys)[1:]:  # the positive ones
             cut = sys.lt_cutoff(eps)
             ball = frozenset(y for y in range(sys.n) if sys.rank[x][y] < cut)
             layer, returned = ball, False
@@ -570,6 +582,26 @@ def nonwandering_reference(sys):
         if not wandering:
             result.append(sys.points[x])
     return tuple(result)
+
+
+def stable_sets_reference(sys, x, epsilon):
+    """(local, global) stable sets of x: the y whose orbit stays within
+    epsilon of x's over one pre-period plus one cycle lcm, and the y
+    whose orbit meets x's, which happens within n steps if ever."""
+    horizon = sys.max_preperiod + sys.cycle_lcm
+    local = tuple(gamma_window_points(sys, x, epsilon, horizon))
+    meet = sys.apply(x, sys.n)
+    return local, tuple(y for y in sys.points if sys.apply(y, sys.n) == meet)
+
+
+def threshold_grid_reference(sys):
+    """The grid values, ascending: 0, the positive distances, half the
+    least of them and the largest plus one (or 0 and 1 on one point)."""
+    positive = [v for row in sys.dist for v in row if v > 0]
+    if not positive:
+        return (Fraction(0), Fraction(1))
+    low, high = min(positive), max(positive)
+    return tuple(sorted({Fraction(0), low / 2, high + 1, *positive}))
 
 
 def reach_after_reference(sys, start, n):

@@ -1,9 +1,13 @@
 """Command-line tool: loading, reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
 
+from dynlab import cli
 from dynlab.cli import main, parse_system_file
 from dynlab.errors import SchemaError
 from dynlab.serialize import canonical_json, modulus_csv
@@ -164,6 +168,37 @@ def test_reports_deterministic_modulo_wall_time(capsys, tmp_path):
     for report in outs:
         report.pop("wall_ms")
     assert canonical_json(outs[0]) == canonical_json(outs[1])
+
+
+def test_parser_built_once_answers_as_a_fresh_one(capsys, tmp_path):
+    path = emit_random(capsys, tmp_path, seed=13, size=4)
+    commands = [
+        ("check", "shadowing", "--system", path, "--epsilon", "1"),
+        ("battery", "--system", path, "--id", "hierarchy"),
+        ("check", "expansive", "--system", path, "--variant", "n",
+         "--delta", "1"),
+    ]
+
+    def call(argv):
+        code, out, err = run(capsys, *argv)
+        return code, re.sub(r'"wall_ms": *[0-9.]+', '"wall_ms": 0', out), err
+
+    shared = [call(argv) for argv in commands]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert shared == fresh
+    # argparse reports to the sys.stderr of the call, not of the build
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), pytest.raises(SystemExit) as exc:
+        main(["check", "shadowing", "--system", path, "--epsilon", "1",
+              "--bogus"])
+    assert exc.value.code == 2
+    assert stderr.getvalue().startswith("usage: dynlab ")
+    assert "unrecognized arguments: --bogus" in stderr.getvalue()
+    assert capsys.readouterr().err == ""
 
 
 def test_emit_writes_stdout_bytes(capsys, tmp_path):

@@ -9,10 +9,11 @@ fails the case, so each fault follows the code it is planted in.
 
 import inspect
 import textwrap
+from fractions import Fraction
 
 import pytest
 
-from dynlab import core, recurrence
+from dynlab import core, recurrence, shadowing
 from dynlab.core import FiniteSystem, build_finite_system
 
 from helpers import cycle_system
@@ -20,6 +21,7 @@ from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
                                     check_primitive, wielandt)
 from test_metric import check_metric
 from test_spread import check_spread
+from test_tracing_kernel import check_gap_structures
 
 
 def plant(monkeypatch, owners, name, fragment, fault):
@@ -45,6 +47,15 @@ def scalene_cycle():
     return build_finite_system(
         ["c0", "c1", "c2"], [[0, 1, 3], [1, 0, 2], [3, 2, 0]],
         ["c1", "c2", "c0"])
+
+
+def check_scalene_gap_structures():
+    """The gap structures of a fresh scalene 3-cycle, whose memo no
+    earlier call filled, at one delta and two epsilons whose balls
+    differ."""
+    check_gap_structures(scalene_cycle(), [
+        (Fraction(4), Fraction(1, 2), 1), (Fraction(4), Fraction(4), 1),
+        (Fraction(1), Fraction(2), 2)])
 
 
 def test_primitive_stopping_one_exponent_early(monkeypatch):
@@ -91,3 +102,20 @@ def test_triangle_check_rejecting_equality(monkeypatch):
           "            k = next(k for k in range(n) if row_i[k] - row_j[k] >= bound)")
     with pytest.raises(AssertionError):
         check_metric(*collinear)
+
+
+def test_tracking_window_one_step_short(monkeypatch):
+    check_scalene_gap_structures()
+    plant(monkeypatch, [shadowing], "_gap_structures",
+          "step, allowed = layers[n]\n",
+          "step, allowed = layers[n][0], layers[n - 1][1]\n")
+    with pytest.raises(AssertionError):
+        check_scalene_gap_structures()
+
+
+def test_window_entry_keyed_on_the_delta_cutoff(monkeypatch):
+    check_scalene_gap_structures()
+    plant(monkeypatch, [shadowing], "_gap_structures",
+          '("windows", e_cut)', '("windows", d_cut)')
+    with pytest.raises(AssertionError):
+        check_scalene_gap_structures()

@@ -3,21 +3,36 @@
 ``_gap_structures`` carries the n-step map and the tracking windows
 forward along a gap range; every gap it yields must match the
 per-gap rebuild (``windows_reference``, ``FiniteSystem.power`` and the
-gap graph of ``gap_structures_reference``).  ``_die_search`` on
-bitmasks must return the same walks and the same cap hits as the
-frozenset search (``die_search_reference``).
+gap graph of ``gap_structures_reference``), on a fresh system and on
+one whose memo earlier calls have filled.  ``_die_search`` on bitmasks
+must return the same walks and the same cap hits as the frozenset
+search (``die_search_reference``).  A system whose memo a battery has
+filled must answer as a freshly built one.  ``tests/test_mutations.py``
+plants faults under ``check_gap_structures``.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
+from dynlab import shadowing
+from dynlab.battery import run_theorem_battery
 from dynlab.core import _image, threshold_grid
 from dynlab.errors import StateExplosion
+from dynlab.expansive import stable_sets
 from dynlab.gallery import build_random_system
-from dynlab.shadowing import _die_search, _gap_structures
-from dynlab.specification import gap_values
+from dynlab.shadowing import (_die_search, _gap_structures,
+                              periodic_shadowing_holds,
+                              strong_periodic_shadowing_holds)
+from dynlab.specification import (gap_values, local_spec_holds,
+                                  pairwise_tracing_chain)
 
 from oracles import (die_search_reference, gap_structures_reference,
+                     local_spec_reference, periodic_variant_reference,
+                     stable_sets_reference, threshold_grid_reference,
                      windows_reference)
+from test_closed_chains import outcome
+from test_recurrence_kernel import check_chain_graphs, check_nonwandering
 
 # the properties are exact, so a slow host must not fail them on time
 untimed = settings(deadline=None)
@@ -35,33 +50,115 @@ def search_outcome(search, *args):
         return ("cap hit", exc.visited, exc.cap, exc.frontier_sample)
 
 
+# the arguments of a seeded system of 1..7 points
+system_params = st.tuples(st.integers(0, 10 ** 6), st.integers(1, 7),
+                          st.booleans())
+
+
 @st.composite
 def kernel_cells(draw):
     """A seeded system of 1..7 points, grid thresholds and a least gap."""
-    sys = build_random_system(draw(st.integers(0, 10 ** 6)),
-                              draw(st.integers(1, 7)), draw(st.booleans()))
+    sys = build_random_system(*draw(system_params))
     grid = threshold_grid(sys).positive
     return (sys, draw(st.sampled_from(grid)), draw(st.sampled_from(grid)),
             draw(st.integers(1, 3)))
+
+
+def check_gap_structures(sys, cells):
+    """``shadowing._gap_structures`` at each (delta, epsilon, N) of
+    ``cells`` in turn, on one system, against a rebuild per gap; then
+    the memo holds windows for the epsilon cutoffs and gaps reached
+    and no others."""
+    reached = {}
+    for delta, epsilon, N in cells:
+        gaps = gap_values(sys, N)
+        yielded = list(shadowing._gap_structures(sys, gaps, delta, epsilon))
+        assert [n for n, _, _, _ in yielded] == list(gaps)
+        for n, succ, step, allowed in yielded:
+            assert step == tuple(sys.power(i, n) for i in range(sys.n))
+            assert (tuple(map(as_set, allowed))
+                    == windows_reference(sys, n, epsilon)), (delta, epsilon, n)
+            ref_succ, ref_step, ref_allowed = gap_structures_reference(
+                sys, n, delta, epsilon)
+            assert (succ, list(step)) == (ref_succ, ref_step)
+            assert tuple(map(as_set, allowed)) == ref_allowed
+            for w, window in zip(allowed, ref_allowed):
+                assert (as_set(_image(w, [1 << y for y in step]))
+                        == {step[z] for z in window})
+        cut = sys.lt_cutoff(epsilon)
+        reached[cut] = max(reached.get(cut, 0), gaps[-1])
+    assert {key[1]: len(layers) - 1 for key, layers in sys._memo.items()
+            if key[0] == "windows"} == reached
 
 
 @untimed
 @given(kernel_cells())
 def test_carried_gap_structures_match_a_rebuild_per_gap(cell):
     sys, delta, epsilon, N = cell
-    gaps = gap_values(sys, N)
-    yielded = list(_gap_structures(sys, gaps, delta, epsilon))
-    assert [n for n, _, _, _ in yielded] == list(gaps)
-    for n, succ, step, allowed in yielded:
-        assert step == tuple(sys.power(i, n) for i in range(sys.n))
-        assert tuple(map(as_set, allowed)) == windows_reference(sys, n, epsilon)
-        ref_succ, ref_step, ref_allowed = gap_structures_reference(
-            sys, n, delta, epsilon)
-        assert (succ, list(step)) == (ref_succ, ref_step)
-        assert tuple(map(as_set, allowed)) == ref_allowed
-        for w, window in zip(allowed, ref_allowed):
-            assert (as_set(_image(w, [1 << y for y in step]))
-                    == {step[z] for z in window})
+    check_gap_structures(sys, [(delta, epsilon, N)])
+
+
+@untimed
+@given(system_params, st.data())
+def test_warm_memo_matches_a_rebuild_per_gap(params, data):
+    sys = build_random_system(*params)
+    grid = threshold_grid(sys).positive
+    epsilons = data.draw(st.lists(st.sampled_from(grid), min_size=2,
+                                  max_size=3))
+    deltas = data.draw(st.lists(st.sampled_from(grid), min_size=1,
+                                max_size=2))
+    # each epsilon recurs with every delta at N = 3, 2, 1, whose gap
+    # ranges overlap, in a drawn order
+    cells = [(d, e, N) for e in epsilons for N in (3, 2, 1) for d in deltas]
+    check_gap_structures(sys, data.draw(st.permutations(cells)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(system_params)
+def test_warm_system_answers_as_a_fresh_one(params):
+    warm = build_random_system(*params)
+    run_theorem_battery(warm, "thmC", period_bound=3)
+    grid = threshold_grid(warm).positive
+    assert threshold_grid(warm).values == threshold_grid_reference(warm)
+    check_chain_graphs(warm)
+    check_nonwandering(warm)
+    for epsilon in grid:
+        for x in warm.points:
+            sets = stable_sets(warm, x, epsilon, include_unstable=False)
+            assert ((sets.s_local, sets.s_global)
+                    == stable_sets_reference(warm, x, epsilon))
+        # the closed-chain searches at the cutoffs the battery reached
+        for delta in (epsilon, grid[-1]):
+            for strong, fn in ((False, periodic_shadowing_holds),
+                               (True, strong_periodic_shadowing_holds)):
+                assert (outcome(fn, warm, delta, epsilon, 3)
+                        == outcome(periodic_variant_reference, warm, delta,
+                                   epsilon, 3, strong))
+            assert (outcome(local_spec_holds, warm, epsilon, 1, delta, 3)
+                    == outcome(local_spec_reference, warm, epsilon, 1, delta,
+                               3))
+    for battery in ("thmA", "thmC", "thmD"):
+        assert (run_theorem_battery(warm, battery, period_bound=3)
+                == run_theorem_battery(build_random_system(*params), battery,
+                                       period_bound=3))
+
+
+def test_pairwise_chain_builds_each_window_once(monkeypatch):
+    builds = []
+    carry = shadowing._carry_window
+
+    def counted(sys, e_cut, layers):
+        builds.append((e_cut, len(layers)))
+        return carry(sys, e_cut, layers)
+
+    monkeypatch.setattr(shadowing, "_carry_window", counted)
+    sys = build_random_system(11, 7, invertible=True)
+    grid = threshold_grid(sys).positive
+    delta, epsilon = grid[2], grid[4]
+    pairwise_tracing_chain(sys, delta, epsilon)
+    cut = sys.lt_cutoff(epsilon)
+    assert len(gap_values(sys, 1)) > 1
+    assert Counter(builds) == Counter((cut, n) for n in gap_values(sys, 1))
 
 
 @untimed
