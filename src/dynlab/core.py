@@ -47,6 +47,8 @@ __all__ = [
 _MAX_EXPONENT = 4300
 _DIGIT_BOUND = 10 ** _MAX_EXPONENT  # the least integer of 4301 digits
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+_LONG_DENOMINATOR = (f"common denominator of the distances has more than "
+                     f"{_MAX_EXPONENT} digits")
 
 
 def as_fraction(value):
@@ -401,19 +403,38 @@ def build_finite_system(points, dist, fmap, invertible=None, relation=None):
         On a malformed table, or when the common denominator of the
         distances has more than 4300 digits.
     """
+    matrix = [[as_fraction(v) for v in row] for row in dist]
+    scale = _common_denominator(matrix)
+    scaled = [[v.numerator * (scale // v.denominator) for v in row]
+              for row in matrix]
+    return _assemble(points, scaled, scale, fmap, invertible, relation)
+
+
+def _assemble(points, scaled, scale, fmap, invertible, relation):
+    """Validate and assemble a :class:`FiniteSystem` from an integer
+    table: the distance from ``points[i]`` to ``points[j]`` is
+    ``scaled[i][j] / scale``, with ``scale`` a positive int.
+
+    The one validation path: :func:`build_finite_system` and the
+    gallery and window builders all end here.  The common factor of
+    ``scale`` and the entries is divided out first, so ``scale`` is the
+    least common denominator of the distances whatever table a builder
+    hands in.  Raises as :func:`build_finite_system` documents."""
     points = tuple(points)
     n = len(points)
     if len(set(points)) != n:
         raise ValueError("duplicate point identifiers")
     if n == 0:
         raise ValueError("a system needs at least one point")
-    matrix = [[as_fraction(v) for v in row] for row in dist]
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    if len(scaled) != n or any(len(row) != n for row in scaled):
         raise ValueError("distance matrix shape does not match points")
-    scale = _common_denominator(matrix)
-    scaled = [[v.numerator * (scale // v.denominator) for v in row]
-              for row in matrix]
-    _check_metric(points, matrix, scaled)
+    common = math.gcd(scale, *itertools.chain.from_iterable(scaled))
+    if common > 1:
+        scale //= common
+        scaled = [[v // common for v in row] for row in scaled]
+    if scale >= _DIGIT_BOUND:
+        raise ValueError(_LONG_DENOMINATOR)
+    _check_metric(points, scaled, scale)
 
     idx = {p: i for i, p in enumerate(points)}
     try:
@@ -452,17 +473,16 @@ def _common_denominator(matrix):
         for v in row:
             scale = math.lcm(scale, v.denominator)
             if scale >= _DIGIT_BOUND:
-                raise ValueError(f"common denominator of the distances has "
-                                 f"more than {_MAX_EXPONENT} digits")
+                raise ValueError(_LONG_DENOMINATOR)
     return scale
 
 
-def _check_metric(points, matrix, scaled):
+def _check_metric(points, scaled, scale):
     """Raise MetricViolation at the first failing axiom: identity, then
     symmetry and positivity pair by pair, then the triangle inequality
     d(i,k) <= d(i,j) + d(j,k) at the first triple (i, j, k) in product
     order.  Decided on ``scaled``, the integer matrix; the message
-    quotes the Fractions of ``matrix``."""
+    quotes the distances ``scaled[i][j] / scale`` as Fractions."""
     n = len(points)
     for i in range(n):
         if scaled[i][i] != 0:
@@ -472,7 +492,16 @@ def _check_metric(points, matrix, scaled):
             raise MetricViolation("symmetry", (points[i], points[j]))
         if scaled[i][j] <= 0:
             raise MetricViolation("positivity", (points[i], points[j]))
-    # (i, j) fails for some k iff d(i,k) - d(j,k) > d(i,j) for some k
+    # (i, j) fails for some k iff d(i,k) - d(j,k) > d(i,j), and by
+    # symmetry (j, i) iff d(i,k) - d(j,k) < -d(i,j): one difference list
+    # decides both, and (i, i) never fails
+    for i, j in itertools.combinations(range(n), 2):
+        diff = list(map(operator.sub, scaled[i], scaled[j]))
+        if max(diff) > scaled[i][j] or min(diff) < -scaled[i][j]:
+            break
+    else:
+        return
+    # some triple fails: find the first in product order
     for i, j in itertools.product(range(n), repeat=2):
         row_i, row_j, bound = scaled[i], scaled[j], scaled[i][j]
         if max(map(operator.sub, row_i, row_j)) > bound:
@@ -480,7 +509,8 @@ def _check_metric(points, matrix, scaled):
             raise MetricViolation(
                 "triangle",
                 (points[i], points[j], points[k]),
-                f"{matrix[i][k]} > {matrix[i][j]} + {matrix[j][k]}",
+                f"{Fraction(row_i[k], scale)} > {Fraction(bound, scale)} + "
+                f"{Fraction(row_j[k], scale)}",
             )
 
 

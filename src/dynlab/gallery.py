@@ -19,12 +19,13 @@ tests; it is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FiniteSystem, build_finite_system
+from .core import FiniteSystem, _assemble
 from .errors import NotCoprime, NotEnoughOrbits
 from .symbolic import build_sft, product_system
 
@@ -89,37 +90,29 @@ def build_product_truncation(primes, n_factors):
 
 
 # -- hyperbolic lattice map with satellite orbits ---------------------------
+#
+# A lattice point (a/q, b/q) is kept as the integer pair (a, b) mod q.
 
 _ANOSOV = ((2, 1), (1, 1))
 
 
-def _lattice_apply(pt):
+def _lattice_apply(pt, q):
     x, y = pt
-    return ((_ANOSOV[0][0] * x + _ANOSOV[0][1] * y) % 1,
-            (_ANOSOV[1][0] * x + _ANOSOV[1][1] * y) % 1)
-
-
-def _wrap(t):
-    t = t % 1
-    return min(t, 1 - t)
-
-
-def _lattice_dist(a, b):
-    return max(_wrap(a[0] - b[0]), _wrap(a[1] - b[1]))
+    return ((_ANOSOV[0][0] * x + _ANOSOV[0][1] * y) % q,
+            (_ANOSOV[1][0] * x + _ANOSOV[1][1] * y) % q)
 
 
 def _lattice_orbits(q):
     """Orbits of the lattice map, sorted by (length, least point)."""
-    pts = [(Fraction(a, q), Fraction(b, q)) for a in range(q) for b in range(q)]
     seen, orbits = set(), []
-    for start in pts:
+    for start in itertools.product(range(q), repeat=2):
         if start in seen:
             continue
         orbit, v = [], start
         while v not in seen:
             seen.add(v)
             orbit.append(v)
-            v = _lattice_apply(v)
+            v = _lattice_apply(v, q)
         orbits.append(tuple(sorted(orbit)))
     return sorted(orbits, key=lambda o: (len(o), o[0]))
 
@@ -148,8 +141,9 @@ def build_myex(lattice_q, K):
     Satellite q(k, j) sits at distance 1/k + d(y, A^j(p_k)) from any
     lattice point y and rotates q(k, j) -> q(k, j+1 mod period); the
     anchors p_1..p_K are representatives of distinct lattice orbits,
-    taken in increasing period order (ties by least point).  Metric
-    axioms are re-verified exhaustively during assembly.
+    taken in increasing period order (ties by least point).  The table
+    is built on integers over q * lcm(1..K), and the metric axioms are
+    still re-verified exhaustively on those integers during assembly.
 
     Raises NotEnoughOrbits when the lattice has fewer than K orbits.
     """
@@ -162,52 +156,42 @@ def build_myex(lattice_q, K):
         raise NotEnoughOrbits(
             f"lattice 1/{lattice_q} has {len(orbits)} orbits, wanted {K}")
 
+    q = lattice_q
     lattice = sorted(pt for orbit in orbits for pt in orbit)
-    names = {pt: f"({pt[0]},{pt[1]})" for pt in lattice}
-    coords = {names[pt]: pt for pt in lattice}
+    names = {pt: f"({Fraction(pt[0], q)},{Fraction(pt[1], q)})"
+             for pt in lattice}
     anchors = [orbits[k][0] for k in range(K)]
 
-    points, fmap = [], {}
+    points, fmap = [], []
     for pt in lattice:
         points.append(names[pt])
-        fmap[names[pt]] = names[_lattice_apply(pt)]
-    sat_orbits = []
+        fmap.append(names[_lattice_apply(pt, q)])
+    # distances over scale = q * lcm(1..K): a lattice distance m/q is
+    # m * lcm(1..K), the offset 1/k is scale // k
+    unit = math.lcm(*range(1, K + 1))
+    scale = q * unit
+    # location: the offset and lattice point of each satellite, in order
+    sat_orbits, location = [], []
     for k in range(1, K + 1):
         period = len(orbits[k - 1])
         ids = [f"q({k},{j})" for j in range(period)]
+        pt = anchors[k - 1]
         for j, sid in enumerate(ids):
             points.append(sid)
-            fmap[sid] = ids[(j + 1) % period]
+            fmap.append(ids[(j + 1) % period])
+            location.append((scale // k, pt))
+            pt = _lattice_apply(pt, q)
         sat_orbits.append(tuple(ids))
 
-    def anchor_image(k, j):
-        pt = anchors[k - 1]
-        for _ in range(j):
-            pt = _lattice_apply(pt)
-        return pt
-
-    location = {}
-    for k in range(1, K + 1):
-        for j, sid in enumerate(sat_orbits[k - 1]):
-            location[sid] = (Fraction(1, k), anchor_image(k, j))
-
-    def dist(a, b):
-        if a == b:
-            return Fraction(0)
-        if a in location and b in location:
-            oa, pa = location[a]
-            ob, pb = location[b]
-            return oa + ob + _lattice_dist(pa, pb)
-        if a in location:
-            a, b = b, a
-        if b in location:
-            off, pb = location[b]
-            return off + _lattice_dist(coords[a], pb)
-        return _lattice_dist(coords[a], coords[b])
-
-    matrix = [[dist(a, b) for b in points] for a in points]
-    system = build_finite_system(
-        points, matrix, [fmap[p] for p in points], invertible=True)
+    # wrap[t]: the distance of t/q to the nearest integer, over scale
+    wrap = [unit * min(t, q - t) for t in range(q)]
+    # lattice points carry offset 0, so one formula covers every pair
+    placed = [(0, pt) for pt in lattice] + location
+    matrix = [[0 if i == j else oa + ob + max(wrap[(pa[0] - pb[0]) % q],
+                                              wrap[(pa[1] - pb[1]) % q])
+               for j, (ob, pb) in enumerate(placed)]
+              for i, (oa, pa) in enumerate(placed)]
+    system = _assemble(points, matrix, scale, fmap, True, None)
     return MyexInstance(
         lattice_q, K, tuple(names[a] for a in anchors),
         tuple(sat_orbits), system)
@@ -224,17 +208,19 @@ def build_random_system(seed, size, invertible=False):
     if size < 1:
         raise ValueError("size must be >= 1")
     rng = random.Random(seed)
-    base = [[Fraction(0)] * size for _ in range(size)]
+    # weights m/c with c in {1, 2, 3, 4, 6} are kept over 12 as m * (12 // c)
+    base = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            w = Fraction(rng.randint(1, 12), rng.choice([1, 2, 3, 4, 6]))
+            w = rng.randint(1, 12) * (12 // rng.choice([1, 2, 3, 4, 6]))
             base[i][j] = base[j][i] = w
     for k in range(size):
-        for i in range(size):
+        row_k = base[k]
+        for row in base:
+            via = row[k]
             for j in range(size):
-                via = base[i][k] + base[k][j]
-                if via < base[i][j]:
-                    base[i][j] = via
+                if via + row_k[j] < row[j]:
+                    row[j] = via + row_k[j]
     points = tuple(f"p{i}" for i in range(size))
     if invertible:
         perm = list(range(size))
@@ -242,4 +228,4 @@ def build_random_system(seed, size, invertible=False):
         fmap = [points[perm[i]] for i in range(size)]
     else:
         fmap = [points[rng.randrange(size)] for _ in range(size)]
-    return build_finite_system(points, base, fmap, invertible=invertible or None)
+    return _assemble(points, base, 12, fmap, invertible or None, None)

@@ -120,19 +120,28 @@ def _gap_structures(sys, gaps, delta, epsilon):
     Map and windows depend on epsilon only through its cutoff.  The
     system's memo keeps them per epsilon cutoff as one tuple of layers,
     layer i holding f^i and the windows at gap i, carried forward one
-    step at a time as far as some call has reached; a call reads the
-    layers it needs and extends the tuple when it needs more."""
+    step at a time as far as some call has reached, but never past gap
+    T + P (T the largest preperiod, P the lcm of the cycle lengths):
+    from there on f^n = f^(T + (n - T) mod P) and the windows are those
+    at T + P, since every constraint d(f^i(z), f^i(v)) < epsilon with
+    i >= T + P repeats one at i - P.  A call reads the layers it needs
+    and extends the tuple when it needs more."""
     d_cut, e_cut = sys.lt_cutoff(delta), sys.lt_cutoff(epsilon)
     near, key = sys._near(d_cut), ("windows", e_cut)
+    T, P = sys.max_preperiod, sys.cycle_lcm
     for n in gaps:
+        last = min(n, T + P)
         layers = sys._memo.get(key, ())
-        if len(layers) <= n:
+        if len(layers) <= last:
             grown = list(layers) or [(tuple(range(sys.n)),
                                       ((1 << sys.n) - 1,) * sys.n)]
-            while len(grown) <= n:
+            while len(grown) <= last:
                 grown.append(_carry_window(sys, e_cut, grown))
             layers = sys._memo[key] = tuple(grown)
-        step, allowed = layers[n]
+        if n > last:
+            step, allowed = layers[T + (n - T) % P][0], layers[last][1]
+        else:
+            step, allowed = layers[n]
         yield n, tuple(near[y] for y in step), step, allowed
 
 

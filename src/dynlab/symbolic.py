@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _closed_walk_counts, build_finite_system
+from .core import _assemble, _closed_walk_counts
 from .errors import EmptyShift, HorizonExceeded
 
 __all__ = [
@@ -261,17 +261,15 @@ def window_system(sft, w):
     pos = {word: k for k, word in enumerate(words)}
     succ = {a: sft.successors(a) for a in sft.alphabet}
 
-    dist, n = [], len(words)
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(Fraction(0))
-                continue
-            u, v = words[i], words[j]
-            k = min(abs(c - w) for c in range(2 * w + 1) if u[c] != v[c])
-            row.append(Fraction(1, 2 ** k))
-        dist.append(row)
+    # distances over 2^w: 2^(-k) is 1 << (w - k); positions are tried
+    # from the centre outwards, so the first mismatch gives k
+    n, order = len(words), sorted(range(2 * w + 1), key=lambda c: abs(c - w))
+    dist = [[0] * n for _ in range(n)]
+    for i, u in enumerate(words):
+        for j in range(i + 1, n):
+            v = words[j]
+            k = next(abs(c - w) for c in order if u[c] != v[c])
+            dist[i][j] = dist[j][i] = 1 << (w - k)
 
     fmap, relation = [], []
     for word in words:
@@ -282,7 +280,7 @@ def window_system(sft, w):
         relation.append(tuple(ids[pos[im]] for im in images))
         fmap.append(min(ids[pos[im]] for im in images))
 
-    return build_finite_system(ids, dist, fmap, invertible=None, relation=relation)
+    return _assemble(ids, dist, 1 << w, fmap, None, relation)
 
 
 def product_system(sfts):

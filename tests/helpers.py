@@ -43,17 +43,29 @@ def seeded_corpus(count, max_size):
         yield random_system(seed=seed, n=size, invertible=(seed % 2 == 0))
 
 
+def myex_system(lattice_q, K):
+    return build_myex(lattice_q, K).system
+
+
+def gallery_recipes():
+    """Every built-in family at small parameters, windows included, as
+    (builder, arguments) pairs."""
+    return (
+        (window_system, (build_xpq(3, 2), 1)),
+        (window_system, (build_xpq(3, 2), 2)),
+        (window_system, (build_xpq(5, 3), 1)),
+        (window_system, (build_product_truncation((2, 3, 5), 2), 1)),
+        (myex_system, (2, 1)),
+        (myex_system, (5, 3)),
+        *((random_system, (seed, 3 + seed % 4, seed % 2 == 0))
+          for seed in (1, 2, 5, 7, 13)),
+    )
+
+
 def gallery_corpus():
     """Every built-in family at small parameters, windows included."""
-    yield window_system(build_xpq(3, 2), 1)
-    yield window_system(build_xpq(3, 2), 2)
-    yield window_system(build_xpq(5, 3), 1)
-    yield window_system(build_product_truncation((2, 3, 5), 2), 1)
-    yield build_myex(2, 1).system
-    yield build_myex(5, 3).system
-    for seed in (1, 2, 5, 7, 13):
-        yield random_system(seed=seed, n=3 + seed % 4,
-                            invertible=(seed % 2 == 0))
+    for build, args in gallery_recipes():
+        yield build(*args)
 
 
 def two_points_identity(gap=Fraction(1)):

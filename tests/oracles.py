@@ -16,6 +16,10 @@ loop and dense boolean matrix powers.  ``metric_violation_reference``
 is the library's earlier metric check, the Fraction loop over every
 triple, and ``unstable_local_reference`` its earlier backward scan of
 the local unstable set over one lcm of all cycle lengths.
+``myex_table_reference``, ``random_table_reference`` and
+``window_table_reference`` are the gallery's and the window builder's
+earlier Fraction tables, kept to check the integer tables that replaced
+them.
 
 Nothing here reads a system's memo of threshold structures: the grid,
 the gap graphs and their largest strongly connected parts are rebuilt
@@ -25,6 +29,7 @@ from the distances (``threshold_grid_reference``,
 
 import itertools
 import math
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -39,6 +44,7 @@ from dynlab.shadowing import (
     subset_cap,
 )
 from dynlab.specification import SpecInstance, gap_values, trace_chain
+from dynlab.symbolic import _allowed_words
 
 
 def lasso_family_pareto(sys, max_len):
@@ -220,6 +226,99 @@ def metric_violation_reference(points, dist):
                 f"{matrix[i][k]} > {matrix[i][j]} + {matrix[j][k]}",
             )
     return None
+
+
+# -- the gallery's earlier Fraction tables ------------------------------------
+#
+# Each returns the arguments of ``build_finite_system`` (points, dist,
+# fmap, invertible, relation) the library's builders used to hand it: a
+# table of Fractions, before the builders kept their tables as integers.
+
+
+def _lattice_apply(pt):
+    x, y = pt
+    return (2 * x + y) % 1, (x + y) % 1
+
+
+def _wrap(t):
+    t = t % 1
+    return min(t, 1 - t)
+
+
+def _lattice_dist(a, b):
+    return max(_wrap(a[0] - b[0]), _wrap(a[1] - b[1]))
+
+
+def myex_table_reference(lattice_q, K):
+    """The lattice map on (Z/q)^2 / q with K satellite orbits at offset
+    1/k from the least point of the k-th orbit (orbits by length, then
+    least point), on Fractions."""
+    pts = [(Fraction(a, lattice_q), Fraction(b, lattice_q))
+           for a in range(lattice_q) for b in range(lattice_q)]
+    seen, orbits = set(), []
+    for start in pts:
+        orbit, v = [], start
+        while v not in seen:
+            seen.add(v)
+            orbit.append(v)
+            v = _lattice_apply(v)
+        if orbit:
+            orbits.append(tuple(sorted(orbit)))
+    orbits.sort(key=lambda o: (len(o), o[0]))
+    lattice = sorted(pts)
+    names = [f"({x},{y})" for x, y in lattice]
+    fmap = [f"({x},{y})" for x, y in map(_lattice_apply, lattice)]
+    located = [(Fraction(0), pt) for pt in lattice]
+    for k in range(1, K + 1):
+        period, pt = len(orbits[k - 1]), orbits[k - 1][0]
+        for j in range(period):
+            names.append(f"q({k},{j})")
+            fmap.append(f"q({k},{(j + 1) % period})")
+            located.append((Fraction(1, k), pt))
+            pt = _lattice_apply(pt)
+    dist = [[Fraction(0) if a == b else oa + ob + _lattice_dist(pa, pb)
+             for b, (ob, pb) in enumerate(located)]
+            for a, (oa, pa) in enumerate(located)]
+    return names, dist, fmap, True, None
+
+
+def random_table_reference(seed, size, invertible=False):
+    """Weights m / c drawn as Fractions, completed by shortest paths."""
+    rng = random.Random(seed)
+    base = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            w = Fraction(rng.randint(1, 12), rng.choice([1, 2, 3, 4, 6]))
+            base[i][j] = base[j][i] = w
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                via = base[i][k] + base[k][j]
+                if via < base[i][j]:
+                    base[i][j] = via
+    points = tuple(f"p{i}" for i in range(size))
+    if invertible:
+        perm = list(range(size))
+        rng.shuffle(perm)
+        fmap = [points[perm[i]] for i in range(size)]
+    else:
+        fmap = [points[rng.randrange(size)] for _ in range(size)]
+    return points, base, fmap, invertible or None, None
+
+
+def window_table_reference(sft, w):
+    """Words of length 2w + 1 at distance 2^(-k), k the least |i| with
+    u_i != v_i; the shift fills in the least allowed successor."""
+    words = _allowed_words(sft, 2 * w + 1)
+    ids = [",".join(map(str, word)) for word in words]
+    dist = [[Fraction(0) if u == v else Fraction(1, 2 ** min(
+                abs(c - w) for c in range(2 * w + 1) if u[c] != v[c]))
+             for v in words] for u in words]
+    pos = {word: k for k, word in enumerate(words)}
+    relation = [tuple(ids[pos[word[1:] + (b,)]]
+                      for b in sft.successors(word[-1])
+                      if word[1:] + (b,) in pos) for word in words]
+    return ids, dist, [min(row) for row in relation], None, relation
 
 
 def unstable_local_reference(sys, x, epsilon):

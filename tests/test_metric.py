@@ -4,22 +4,31 @@
 denominator of its distances; ``oracles.metric_violation_reference``
 runs every axiom on Fractions.  On random shortest-path metrics with
 planted faults both must name the same axiom, the same points and the
-same message.  Systems built from valid tables must keep the Fraction
-distances, ranks and distance values they had.
+same message.  The gallery and window builders hand integer tables to
+the same assembly; every system they build, and every window a shift
+file loads as, must equal field for field, ``scale`` included, the
+system ``build_finite_system`` makes from the Fraction table the
+builder used to make (``oracles.myex_table_reference`` and its
+siblings).
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynlab import gallery, symbolic
-from dynlab.core import as_fraction, build_finite_system
+from dynlab import cli, gallery
+from dynlab.core import build_finite_system
 from dynlab.errors import MetricViolation
+from dynlab.gallery import build_xpq
+from dynlab.serialize import sft_to_obj
+from dynlab.symbolic import window_system
 
-from helpers import gallery_corpus, random_metric
-from oracles import metric_violation_reference
+from helpers import gallery_recipes, myex_system, random_metric, random_system
+from oracles import (metric_violation_reference, myex_table_reference,
+                     random_table_reference, window_table_reference)
 
 # the properties are exact, so a slow host must not fail them on time
 untimed = settings(deadline=None)
@@ -107,28 +116,42 @@ def test_common_denominator_is_bounded():
     assert sys.scale == p and sys.d("a", "b") == Fraction(p + 1, p)
 
 
-def fields_reference(dist):
-    """Fraction matrix, ranks and sorted distinct values of a table."""
-    matrix = tuple(tuple(as_fraction(v) for v in row) for row in dist)
-    values = tuple(sorted({v for row in matrix for v in row}))
-    pos = {v: r for r, v in enumerate(values)}
-    return matrix, tuple(tuple(pos[v] for v in row) for row in matrix), values
+# the Fraction table each library builder used to hand build_finite_system
+REFERENCE_TABLES = {
+    window_system: window_table_reference,
+    myex_system: myex_table_reference,
+    random_system: random_table_reference,
+}
 
 
-def test_gallery_corpus_builds_unchanged(monkeypatch):
-    tables = []
+def system_fields(sys):
+    return (sys.points, sys.scale, sys.scaled, sys.rank, sys.distance_values,
+            sys.dist, sys.fmap, sys.invertible, sys.relation)
 
-    def recording(points, dist, *args, **kwargs):
-        tables.append(dist)
-        return build_finite_system(points, dist, *args, **kwargs)
 
-    for module in (gallery, symbolic):
-        monkeypatch.setattr(module, "build_finite_system", recording)
-    systems = list(gallery_corpus())
-    assert len(tables) == len(systems)
-    for sys, dist in zip(systems, tables):
-        assert (sys.dist, sys.rank, sys.distance_values) == fields_reference(
-            dist)
-        assert all(sys.d(x, y) == sys.dist[i][j]
-                   for i, x in enumerate(sys.points)
-                   for j, y in enumerate(sys.points))
+def check_built_as_reference(sys, table):
+    """A system from an integer-table builder against the system
+    ``build_finite_system`` makes from the Fraction reference table of
+    the same family and arguments, field by field."""
+    assert system_fields(sys) == system_fields(build_finite_system(*table))
+    assert all(sys.d(x, y) == sys.dist[i][j]
+               for i, x in enumerate(sys.points)
+               for j, y in enumerate(sys.points))
+
+
+def test_gallery_corpus_builds_unchanged():
+    recipes = [*gallery_recipes(), (myex_system, (7, 3)),
+               *((random_system, (seed, 2 + seed % 7, False))
+                 for seed in range(20, 30))]
+    for build, args in recipes:
+        check_built_as_reference(build(*args),
+                                 REFERENCE_TABLES[build](*args))
+
+
+def test_window_files_load_as_the_reference(tmp_path):
+    path = tmp_path / "xpq.json"
+    path.write_text(json.dumps(sft_to_obj(build_xpq(3, 2))))
+    sft = cli.parse_system_file(str(path))
+    for w in (1, 2):
+        check_built_as_reference(cli._load_finite(str(path), w),
+                                 window_table_reference(sft, w))

@@ -13,26 +13,30 @@ from fractions import Fraction
 
 import pytest
 
-from dynlab import core, recurrence, shadowing
+from dynlab import core, gallery, recurrence, shadowing, symbolic
 from dynlab.core import FiniteSystem, build_finite_system
+from dynlab.gallery import build_xpq
 
 from helpers import cycle_system
+from oracles import myex_table_reference, window_table_reference
 from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
                                     check_primitive, wielandt)
-from test_metric import check_metric
+from test_metric import check_built_as_reference, check_metric
 from test_spread import check_spread
 from test_tracing_kernel import check_gap_structures
 
 
-def plant(monkeypatch, owners, name, fragment, fault):
+def plant(monkeypatch, owners, name, fragment, fault, *more):
     """Set ``name`` on every owner to a copy of the function whose source
-    has ``fragment`` (occurring once) replaced by ``fault``."""
+    has ``fragment`` (occurring once) replaced by ``fault``; ``more``
+    gives further (fragment, fault) pairs for the same copy."""
     original = getattr(owners[0], name)
     source = textwrap.dedent(inspect.getsource(original))
-    assert source.count(fragment) == 1, (name, fragment)
+    for old, new in ((fragment, fault), *more):
+        assert source.count(old) == 1, (name, old)
+        source = source.replace(old, new)
     namespace = dict(original.__globals__)
-    exec(compile(source.replace(fragment, fault), f"<faulty {name}>", "exec"),
-         namespace)
+    exec(compile(source, f"<faulty {name}>", "exec"), namespace)
     for owner in owners:
         monkeypatch.setattr(owner, name, namespace[name])
 
@@ -95,11 +99,14 @@ def test_spread_window_one_step_short(monkeypatch):
 def test_triangle_check_rejecting_equality(monkeypatch):
     collinear = ["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     check_metric(*collinear)
+    # both passes: the pairs i < j, then the rescan in product order
     plant(monkeypatch, [core], "_check_metric",
-          "> bound:\n"
-          "            k = next(k for k in range(n) if row_i[k] - row_j[k] > bound)",
-          ">= bound:\n"
-          "            k = next(k for k in range(n) if row_i[k] - row_j[k] >= bound)")
+          "max(diff) > scaled[i][j] or min(diff) < -scaled[i][j]",
+          "max(diff) >= scaled[i][j] or min(diff) <= -scaled[i][j]",
+          ("> bound:\n"
+           "            k = next(k for k in range(n) if row_i[k] - row_j[k] > bound)",
+           ">= bound:\n"
+           "            k = next(k for k in range(n) if row_i[k] - row_j[k] >= bound)"))
     with pytest.raises(AssertionError):
         check_metric(*collinear)
 
@@ -119,3 +126,30 @@ def test_window_entry_keyed_on_the_delta_cutoff(monkeypatch):
           '("windows", e_cut)', '("windows", d_cut)')
     with pytest.raises(AssertionError):
         check_scalene_gap_structures()
+
+
+def check_window_table():
+    sft = build_xpq(3, 2)
+    check_built_as_reference(symbolic.window_system(sft, 2),
+                             window_table_reference(sft, 2))
+
+
+def test_window_distance_one_power_of_two_off(monkeypatch):
+    check_window_table()
+    plant(monkeypatch, [symbolic], "window_system",
+          "= 1 << (w - k)\n", "= 1 << (w - k + 1)\n")
+    with pytest.raises(AssertionError):
+        check_window_table()
+
+
+def check_satellite_table():
+    check_built_as_reference(gallery.build_myex(3, 2).system,
+                             myex_table_reference(3, 2))
+
+
+def test_satellite_offset_one_over_k_plus_one(monkeypatch):
+    check_satellite_table()
+    plant(monkeypatch, [gallery], "build_myex",
+          "(scale // k, pt)", "(scale // (k + 1), pt)")
+    with pytest.raises(AssertionError):
+        check_satellite_table()

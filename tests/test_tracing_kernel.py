@@ -11,13 +11,14 @@ filled must answer as a freshly built one.  ``tests/test_mutations.py``
 plants faults under ``check_gap_structures``.
 """
 
+import random
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from dynlab import shadowing
+from dynlab import shadowing, specification
 from dynlab.battery import run_theorem_battery
-from dynlab.core import _image, threshold_grid
+from dynlab.core import _image, build_finite_system, threshold_grid
 from dynlab.errors import StateExplosion
 from dynlab.expansive import stable_sets
 from dynlab.gallery import build_random_system
@@ -25,12 +26,14 @@ from dynlab.shadowing import (_die_search, _gap_structures,
                               periodic_shadowing_holds,
                               strong_periodic_shadowing_holds)
 from dynlab.specification import (gap_values, local_spec_holds,
+                                  local_weak_spec_holds,
                                   pairwise_tracing_chain)
 
 from oracles import (die_search_reference, gap_structures_reference,
                      local_spec_reference, periodic_variant_reference,
                      stable_sets_reference, threshold_grid_reference,
                      windows_reference)
+from helpers import random_metric
 from test_closed_chains import outcome
 from test_recurrence_kernel import check_chain_graphs, check_nonwandering
 
@@ -67,9 +70,9 @@ def kernel_cells(draw):
 def check_gap_structures(sys, cells):
     """``shadowing._gap_structures`` at each (delta, epsilon, N) of
     ``cells`` in turn, on one system, against a rebuild per gap; then
-    the memo holds windows for the epsilon cutoffs and gaps reached
-    and no others."""
-    reached = {}
+    the memo holds windows for the epsilon cutoffs reached and no
+    others, each up to the largest gap reached or T + P if less."""
+    reached, horizon = {}, sys.max_preperiod + sys.cycle_lcm
     for delta, epsilon, N in cells:
         gaps = gap_values(sys, N)
         yielded = list(shadowing._gap_structures(sys, gaps, delta, epsilon))
@@ -86,7 +89,7 @@ def check_gap_structures(sys, cells):
                 assert (as_set(_image(w, [1 << y for y in step]))
                         == {step[z] for z in window})
         cut = sys.lt_cutoff(epsilon)
-        reached[cut] = max(reached.get(cut, 0), gaps[-1])
+        reached[cut] = max(reached.get(cut, 0), min(gaps[-1], horizon))
     assert {key[1]: len(layers) - 1 for key, layers in sys._memo.items()
             if key[0] == "windows"} == reached
 
@@ -157,8 +160,42 @@ def test_pairwise_chain_builds_each_window_once(monkeypatch):
     delta, epsilon = grid[2], grid[4]
     pairwise_tracing_chain(sys, delta, epsilon)
     cut = sys.lt_cutoff(epsilon)
-    assert len(gap_values(sys, 1)) > 1
-    assert Counter(builds) == Counter((cut, n) for n in gap_values(sys, 1))
+    horizon = sys.max_preperiod + sys.cycle_lcm
+    assert len(gap_values(sys, 1)) > horizon > 1
+    # layers past T + P are read off the layers up to it
+    assert Counter(builds) == Counter((cut, n) for n in gap_values(sys, 1)
+                                      if n <= horizon)
+
+
+def test_window_layers_stop_at_t_plus_p(monkeypatch):
+    # cycles of lengths 3, 4 and 5 (P = 60) and a two-point tail into
+    # the 3-cycle (T = 2): weak specification walks gaps 1..121
+    images = [1, 2, 0, 4, 5, 6, 3, 8, 9, 10, 11, 7, 13, 0]
+    points = [f"p{i}" for i in range(len(images))]
+    sys = build_finite_system(points, random_metric(random.Random(3), 14),
+                              [points[j] for j in images])
+    T, P = sys.max_preperiod, sys.cycle_lcm
+    assert (T, P) == (2, 60)
+    yielded = []
+    carry = shadowing._gap_structures
+
+    def recording(sys, gaps, delta, epsilon):
+        for n, succ, step, allowed in carry(sys, gaps, delta, epsilon):
+            yielded.append((epsilon, n, step, allowed))
+            yield n, succ, step, allowed
+
+    monkeypatch.setattr(specification, "_gap_structures", recording)
+    grid = threshold_grid(sys).positive
+    # at the sub-minimal delta every chain is an orbit, so no gap fails
+    for epsilon in (grid[0], grid[len(grid) // 2], grid[-1]):
+        assert local_weak_spec_holds(sys, epsilon, 1, grid[0])[0]
+    assert max(n for _, n, _, _ in yielded) == T + 2 * P - 1
+    assert all(len(layers) <= T + P + 1 for key, layers in sys._memo.items()
+               if key[0] == "windows")
+    for epsilon, n, step, allowed in yielded:
+        assert step == tuple(sys.power(i, n) for i in range(sys.n))
+        assert (tuple(map(as_set, allowed))
+                == windows_reference(sys, n, epsilon)), (epsilon, n)
 
 
 @untimed
