@@ -340,13 +340,11 @@ def _cmd_battery(args):
 def _cmd_modulus(args):
     sys_ = _load_finite(args.system, args.window)
     digest = _system_digest(sys_)
-    if args.prop in ("shadowing", "periodic", "strong-periodic"):
-        table = modulus_table(sys_, args.prop, args.period_bound)
-    elif args.prop in ("spec-weak", "spec-full"):
+    if args.prop.startswith("spec-"):
         table = modulus_table_for_spec(sys_, args.prop.removeprefix("spec-"),
                                        k_bound=args.k_bound)
     else:
-        raise SchemaError("", f"unknown property {args.prop!r}")
+        table = modulus_table(sys_, args.prop, args.period_bound)
     params = {"prop": args.prop, "period_bound": args.period_bound,
               "k_bound": args.k_bound, "window": args.window}
     results = {"table": modulus_table_to_obj(table),

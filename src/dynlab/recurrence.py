@@ -106,12 +106,6 @@ class ChainRecurrence:
     points: tuple
     table: tuple
 
-    def at(self, delta):
-        for d, pts in self.table:
-            if d == delta:
-                return pts
-        raise KeyError(f"delta {delta} not on the grid")
-
 
 def chain_recurrent_set(sys):
     """Points that chain back to themselves at every positive grid delta.

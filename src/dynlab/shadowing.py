@@ -84,9 +84,6 @@ class DeltaGraph:
     delta: Fraction
     succ: tuple  # succ[i] = sorted tuple of j with d(f(i), j) < delta
 
-    def edge(self, i, j):
-        return j in self.succ[i]
-
 
 def delta_graph(sys, delta):
     delta = as_fraction(delta)  # the step graph is the gap graph at gap 1
@@ -500,12 +497,6 @@ class ModulusTable:
     prop: str
     rows: tuple
 
-    def best(self, epsilon):
-        for eps, payload in self.rows:
-            if eps == epsilon:
-                return payload
-        raise KeyError(f"epsilon {epsilon} not on the grid")
-
     def populated(self):
         return all(payload is not None for _, payload in self.rows)
 
@@ -522,27 +513,30 @@ def shadowing_modulus(sys, epsilon, cap=None):
     )
 
 
-def modulus_table(sys, prop, period_bound=8, cap=None):
-    """ModulusTable for prop in {"shadowing", "periodic", "strong-periodic"}."""
-    grid = threshold_grid(sys)
-
-    def best(eps):
-        if prop == "shadowing":
-            pred = lambda d: shadowing_holds(sys, d, eps, cap)[0]
-        elif prop == "periodic":
-            pred = lambda d: periodic_shadowing_holds(
-                sys, d, eps, period_bound, cap)[0]
-        elif prop == "strong-periodic":
-            pred = lambda d: strong_periodic_shadowing_holds(
-                sys, d, eps, period_bound, cap)[0]
-        else:
-            raise ValueError(f"unknown property {prop!r}")
-        return _largest_passing(grid.positive, pred)
-
+def _table(grid, prop, best):
+    """The ModulusTable of rows (eps, best(eps)) over the positive grid,
+    with BoundTooSmall silenced once for the whole table."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundTooSmall)
         rows = tuple((eps, best(eps)) for eps in grid.positive)
     return ModulusTable(prop, rows)
+
+
+def modulus_table(sys, prop, period_bound=8, cap=None):
+    """ModulusTable for prop in {"shadowing", "periodic", "strong-periodic"}."""
+    if prop == "shadowing":
+        holds = lambda d, eps: shadowing_holds(sys, d, eps, cap)[0]
+    elif prop == "periodic":
+        holds = lambda d, eps: periodic_shadowing_holds(
+            sys, d, eps, period_bound, cap)[0]
+    elif prop == "strong-periodic":
+        holds = lambda d, eps: strong_periodic_shadowing_holds(
+            sys, d, eps, period_bound, cap)[0]
+    else:
+        raise ValueError(f"unknown property {prop!r}")
+    grid = threshold_grid(sys)
+    return _table(grid, prop, lambda eps: _largest_passing(
+        grid.positive, lambda d: holds(d, eps)))
 
 
 def special_shadowing_holds(sys, epsilon, period_bound=8, cap=None):

@@ -26,13 +26,13 @@ from .core import (Lasso, _closed_walk_counts, _largest_passing, as_fraction,
                    shadows, threshold_grid)
 from .errors import BoundTooSmall, ModulusViolation, NotDecaying
 from .shadowing import (
-    ModulusTable,
     _die_search,
     _first_untraced_chain,
     _gap_graphs,
     _gap_structures,
     _linear_envelope,
     _require_exact_cycle,
+    _table,
     periodic_shadowing_holds,
     strong_periodic_shadowing_holds,
     subset_cap,
@@ -103,8 +103,11 @@ def gap_values(sys, N):
 
     f^n, the gap graph, and the tracking windows repeat in n beyond
     T + P with period P (T = max preperiod, P = lcm of cycle lengths),
-    so [N, max(N+P, T+2P)) exhausts the quantifier.
+    so [N, max(N+P, T+2P)) exhausts the quantifier.  N must be at
+    least 1.
     """
+    if N < 1:
+        raise ValueError("need N >= 1")
     T, P = sys.max_preperiod, sys.cycle_lcm
     return range(N, max(N + P, T + 2 * P))
 
@@ -165,8 +168,6 @@ def local_spec_holds(sys, epsilon, N, delta, k_bound=6, cap=None):
     BoundTooSmall when the gap graph provably has longer cycles.
     """
     epsilon, delta = as_fraction(epsilon), as_fraction(delta)
-    if N < 1:
-        raise ValueError("need N >= 1")
     gaps = gap_values(sys, N)
     untraced = _first_untraced_chain(sys, delta, epsilon, gaps, k_bound, cap,
                                      "closed chains at gap {n}", exact=True)
@@ -226,6 +227,8 @@ def blockify(sys, lasso, N, delta):
     """
     if lasso.two_sided:
         raise ValueError("blocking is a forward-time construction")
+    if N < 1:
+        raise ValueError("need N >= 1")
     delta = as_fraction(delta)
     blocked = _block_plain(sys, lasso, N)
     seams = len(blocked.stem) + len(blocked.cycle)
@@ -297,36 +300,30 @@ def spec_to_shadow_point(sys, lasso, N, epsilon, cap=None):
     )
 
 
-def modulus_table_for_spec(sys, prop="weak", N_range=(1, 2, 3), k_bound=6,
-                           cap=None):
+def modulus_table_for_spec(sys, prop="weak", k_bound=6, cap=None):
     """Best (N, delta) per grid epsilon for chain tracing.
 
     prop "weak" quantifies over open chains, "full" over closed chains
     with periodic tracers.  Rows hold (N, delta) with the smallest
-    workable N and the largest grid delta at that N, or None.
+    workable N in 1, 2, 3 and the largest grid delta at that N, or None.
     """
+    if prop == "weak":
+        holds = lambda eps, N, d: local_weak_spec_holds(sys, eps, N, d, cap)[0]
+    elif prop == "full":
+        holds = lambda eps, N, d: local_spec_holds(sys, eps, N, d, k_bound,
+                                                   cap)[0]
+    else:
+        raise ValueError(f"unknown property {prop!r}")
     grid = threshold_grid(sys)
 
-    def holds(eps, N, delta):
-        if prop == "weak":
-            return local_weak_spec_holds(sys, eps, N, delta, cap)[0]
-        if prop == "full":
-            return local_spec_holds(sys, eps, N, delta, k_bound, cap)[0]
-        raise ValueError(f"unknown property {prop!r}")
+    def best(eps):
+        for N in (1, 2, 3):
+            delta = _largest_passing(grid.positive, lambda d: holds(eps, N, d))
+            if delta is not None:
+                return N, delta
+        return None
 
-    rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundTooSmall)
-        for eps in grid.positive:
-            payload = None
-            for N in N_range:
-                best = _largest_passing(grid.positive,
-                                        lambda d: holds(eps, N, d))
-                if best is not None:
-                    payload = (N, best)
-                    break
-            rows.append((eps, payload))
-    return ModulusTable(f"spec-{prop}", tuple(rows))
+    return _table(grid, f"spec-{prop}", best)
 
 
 def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
@@ -432,11 +429,10 @@ def pairwise_tracing_chain(sys, delta, epsilon, k_bound=6, cap=None):
     }
 
 
-def derived_periodic_shadowing(sys, epsilon, N_range=(1, 2, 3), k_bound=6,
-                               period_bound=None, cap=None):
+def derived_periodic_shadowing(sys, epsilon, k_bound=6, cap=None):
     """Transfer chain tracing at half quality into periodic tracing.
 
-    Hypothesis search on the grid: the first N in N_range admitting a
+    Hypothesis search on the grid: the first N in 1, 2, 3 admitting a
     grid delta < epsilon/2 with local_spec_holds at (epsilon/2, N,
     delta), taking the largest such delta; then the largest grid delta1
     whose N-step continuity spread eta = eta_modulus(sys, delta1, N)
@@ -445,43 +441,34 @@ def derived_periodic_shadowing(sys, epsilon, N_range=(1, 2, 3), k_bound=6,
     orbit by N telescopes every seam to at most N*eta < delta, the
     blocked chain is then traced at epsilon/2 by a point of matching
     power-period, and unblocking costs at most epsilon/2 + N*eta <
-    epsilon — so periodic_shadowing_holds must confirm at (delta1,
-    epsilon).  Returns the parameters and the confirmation; when no
-    grid parameters fit the hypothesis shape, "applicable" is False and
-    nothing is asserted.
+    epsilon — so periodic_shadowing_holds, with period bound k_bound,
+    must confirm at (delta1, epsilon).  Returns the parameters and the
+    confirmation; when no grid parameters fit the hypothesis shape,
+    "applicable" is False and nothing is asserted.
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if period_bound is None:
-        period_bound = k_bound
     grid = threshold_grid(sys)
     half = epsilon / 2
-    chosen = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundTooSmall)
-        for N in N_range:
-            for delta in reversed(grid.positive):
-                if delta >= half:
-                    continue
-                if local_spec_holds(sys, half, N, delta, k_bound, cap)[0]:
-                    chosen = (N, delta)
-                    break
-            if chosen:
-                break
-    if chosen is None:
-        return {"applicable": False, "epsilon": epsilon}
-    N, delta = chosen
-    delta1 = eta = None
-    for v in reversed(grid.positive):
-        spread = eta_modulus(sys, v, N)
-        if N * spread < delta:
-            delta1, eta = v, spread
-            break
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundTooSmall)
+        # top-down: a bisection would decide other cells, which can hit
+        # the cap
+        chosen = next(((N, delta) for N in (1, 2, 3)
+                       for delta in reversed(grid.positive)
+                       if delta < half
+                       and local_spec_holds(sys, half, N, delta, k_bound,
+                                            cap)[0]), None)
+        if chosen is None:
+            return {"applicable": False, "epsilon": epsilon}
+        N, delta = chosen
+        # eta only grows with delta1 and is 0 below the least distance
+        delta1 = _largest_passing(
+            grid.positive, lambda v: N * eta_modulus(sys, v, N) < delta)
+        eta = eta_modulus(sys, delta1, N)
         holds, certificate = periodic_shadowing_holds(
-            sys, delta1, epsilon, period_bound, cap)
+            sys, delta1, epsilon, k_bound, cap)
     return {
         "applicable": True,
         "epsilon": epsilon,

@@ -48,19 +48,8 @@ class Sft:
     def successors(self, a):
         return tuple(sorted(b for (x, b) in self.edges if x == a))
 
-    def predecessors(self, b):
-        return tuple(sorted(a for (a, y) in self.edges if y == b))
-
     def allows(self, a, b):
         return (a, b) in self.edges
-
-    def adjacency(self):
-        """Adjacency matrix as a list of lists of Python ints (exact)."""
-        pos = {a: i for i, a in enumerate(self.alphabet)}
-        m = [[0] * len(self.alphabet) for _ in self.alphabet]
-        for a, b in self.edges:
-            m[pos[a]][pos[b]] = 1
-        return m
 
     def point(self, stem=(), cycle=(), past_cycle=None):
         """A :class:`SymbolicPoint` after checking every transition is allowed."""

@@ -17,7 +17,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynlab.core import _largest_passing, threshold_grid
+from dynlab.core import Lasso, _largest_passing, threshold_grid
 from dynlab.errors import BoundTooSmall, StateExplosion
 from dynlab.gallery import build_random_system, build_xpq
 from dynlab.recurrence import hypothesis_report
@@ -27,7 +27,8 @@ from dynlab.shadowing import (
     shadowing_holds,
     strong_periodic_shadowing_holds,
 )
-from dynlab.specification import local_spec_holds, pairwise_tracing_chain
+from dynlab.specification import (blockify, gap_values, local_spec_holds,
+                                  pairwise_tracing_chain)
 from dynlab.symbolic import window_system
 
 from helpers import gallery_corpus, seeded_corpus
@@ -144,6 +145,10 @@ def test_engine_rejects_bad_bounds_and_thresholds():
         lambda: pairwise_tracing_chain(sys, 0, 1),
         lambda: pairwise_tracing_chain(sys, 1, 1, k_bound=-1),
     ]
+    fixed = Lasso(cycle=(sys.points[0],))
+    for N in (0, -1):  # a gap below 1
+        calls += [lambda N=N: gap_values(sys, N),
+                  lambda N=N: blockify(sys, fixed, N, 1)]
     for call in calls:
         with pytest.raises(ValueError):
             call()

@@ -1,10 +1,12 @@
 """Chain recurrence, non-wandering points, and the decomposition routes."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from dynlab.core import build_finite_system, threshold_grid
+from dynlab.gallery import build_xpq
 from dynlab.recurrence import (
     basic_sets,
     chain_graph,
@@ -20,7 +22,7 @@ from dynlab.recurrence import (
 from dynlab.shadowing import modulus_table
 from dynlab.symbolic import build_sft, window_system
 
-from helpers import cycle_system, random_system, stem_into_cycle
+from helpers import cycle_system, myex_system, random_system, stem_into_cycle
 
 
 def two_fixed_points():
@@ -214,6 +216,39 @@ def test_decomposition_verifies_and_routes_agree_on_plain_systems():
         assert all(p.routes_agree for p in dec.pieces)
         if dec.report.passes:
             assert dec.partition("graph") == dec.partition("stable-set")
+
+
+def with_piece(dec, i, **fields):
+    """``dec`` with the given fields of piece i replaced."""
+    pieces = list(dec.pieces)
+    pieces[i] = replace(pieces[i], **fields)
+    return replace(dec, pieces=tuple(pieces))
+
+
+def test_decomposition_verify_catches_planted_faults():
+    myex = myex_system(3, 1)  # fixed points 0 and 3, two 4-cycles
+    window = window_system(build_xpq(3, 2), 1)  # one mixing piece
+    rand = random_system(seed=3, n=6, invertible=True)  # a 4-cycle first
+    dec, wdec, rdec = (spectral_decomposition(s) for s in (myex, window, rand))
+    cycle, rcycle = dec.pieces[1], rdec.pieces[0]
+    assert cycle.period == rcycle.period == 4
+    fixed = dec.pieces[0].points + dec.pieces[3].points
+    merged = with_piece(dec, 0, points=fixed, parts=(fixed,))
+    cases = [
+        (myex, dec, "disjoint", replace(dec, pieces=dec.pieces + dec.pieces[:1])),
+        (myex, dec, "covers_nonwandering", replace(dec, pieces=dec.pieces[:-1])),
+        (myex, dec, "invariant", with_piece(dec, 1, points=cycle.points[1:])),
+        (myex, dec, "parts_shift", with_piece(dec, 1, parts=cycle.parts[::-1])),
+        (myex, dec, "parts_period", with_piece(dec, 1, period=2)),
+        (myex, dec, "transitive", replace(merged, pieces=merged.pieces[:3])),
+        (window, wdec, "primitive", with_piece(wdec, 0, mixing=(False,))),
+        (rand, rdec, "parts_shift", with_piece(rdec, 0, parts=rcycle.parts[::-1])),
+        (rand, rdec, "primitive",
+         with_piece(rdec, 0, mixing=(False,) + rcycle.mixing[1:])),
+    ]
+    for sys, real, flag, faulty in cases:
+        assert all(real.verify(sys).values())
+        assert faulty.verify(sys)[flag] is False, flag
 
 
 def test_hypothesis_report_fields():
