@@ -49,6 +49,11 @@ _DIGIT_BOUND = 10 ** _MAX_EXPONENT  # the least integer of 4301 digits
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 _LONG_DENOMINATOR = (f"common denominator of the distances has more than "
                      f"{_MAX_EXPONENT} digits")
+# The triangle check makes about n^3 / 2 subtractions of integers as wide
+# as the widest of L and the scaled entries; a table whose n^3 times that
+# bit width exceeds this is refused unchecked.  The 168-point product
+# window (3-bit entries) needs 1.4e7.
+_METRIC_BUDGET = 10 ** 9
 
 
 def as_fraction(value):
@@ -412,12 +417,16 @@ def build_finite_system(points, dist, fmap, invertible=None, relation=None):
     NotABijection
         See ``invertible``.
     ValueError
-        On a malformed table, or when the common denominator of the
-        distances has more than 4300 digits.
+        On a malformed table, when the common denominator of the
+        distances has more than 4300 digits, or when the metric check
+        would cost too much: n^3 times the bit width of the widest
+        scaled distance (or of the common denominator) above 10^9.
     """
     matrix = [[as_fraction(v) for v in row] for row in dist]
-    scale = _common_denominator(matrix)
-    scaled = [[v.numerator * (scale // v.denominator) for v in row]
+    dens = dict.fromkeys(v.denominator for row in matrix for v in row)
+    scale = _common_denominator(dens)
+    factor = {den: scale // den for den in dens}
+    scaled = [[v.numerator * factor[v.denominator] for v in row]
               for row in matrix]
     return _assemble(points, scaled, scale, fmap, invertible, relation)
 
@@ -446,6 +455,13 @@ def _assemble(points, scaled, scale, fmap, invertible, relation):
         scaled = [[v // common for v in row] for row in scaled]
     if scale >= _DIGIT_BOUND:
         raise ValueError(_LONG_DENOMINATOR)
+    widest = max(scale, *map(abs, itertools.chain.from_iterable(scaled)))
+    bits = widest.bit_length()
+    if n ** 3 * bits > _METRIC_BUDGET:
+        raise ValueError(
+            f"distance table too costly to check: {n} points with {bits}-bit "
+            f"scaled distances exceed the budget of {_METRIC_BUDGET} for "
+            f"n^3 times the bit width")
     _check_metric(points, scaled, scale)
 
     idx = {p: i for i, p in enumerate(points)}
@@ -475,17 +491,18 @@ def _assemble(points, scaled, scale, fmap, invertible, relation):
     return sys_
 
 
-def _common_denominator(matrix):
-    """lcm of the denominators of the distances.
+def _common_denominator(dens):
+    """lcm of the distinct denominators ``dens`` of the distances.
 
-    Folded one value at a time, so that a table whose lcm outgrows
-    4300 digits is refused before it is built."""
+    Folded one denominator at a time, so that a table whose lcm
+    outgrows 4300 digits is refused before it is built, and once per
+    distinct denominator, since an lcm of long integers costs far more
+    than hashing them."""
     scale = 1
-    for row in matrix:
-        for v in row:
-            scale = math.lcm(scale, v.denominator)
-            if scale >= _DIGIT_BOUND:
-                raise ValueError(_LONG_DENOMINATOR)
+    for den in dens:
+        scale = math.lcm(scale, den)
+        if scale >= _DIGIT_BOUND:
+            raise ValueError(_LONG_DENOMINATOR)
     return scale
 
 

@@ -315,6 +315,23 @@ def _gap_graphs(sys, delta, epsilon, gaps, bound, label):
         yield n, succ, step, allowed
 
 
+def _distinct(structures):
+    """The (n, succ, step, allowed) of ``structures`` whose (step,
+    allowed) no earlier one had.
+
+    With delta fixed, a chain search at gap n reads nothing else: succ
+    is read off step, and on a p-cycle f^n rotates by n mod p, so step
+    also fixes every residue of n that the exact-period test reads.  A
+    repeat can only follow a gap that passed, since a failing gap ends
+    the search, so dropping it keeps the first counterexample."""
+    seen = set()
+    for structure in structures:
+        key = structure[2:]
+        if key not in seen:
+            seen.add(key)
+            yield structure
+
+
 def _orbit_masks(periodic, step, k):
     """The orbits of step^k on the periodic points, as bitmasks."""
     masks, done = [], 0
@@ -365,16 +382,18 @@ def _first_untraced_chain(sys, delta, epsilon, gaps, bound, cap, label,
     k + 1 is built.  The walk returned is therefore the first untraced
     closed walk rooted at its least vertex in (gap, length, lex) order,
     and it is primitive: a repetition of a traced walk is traced by the
-    same point.  Each new state counts against the cap, one counter
-    across all gaps, so the count never exceeds the walk prefixes a
-    listing of those closed walks would visit.
+    same point.  A gap whose structure repeats one already searched in
+    this call is skipped (:func:`_distinct`).  Each new state counts
+    against the cap, one counter across the gaps searched, so the count
+    never exceeds the walk prefixes a listing of those closed walks
+    would visit.
     """
     cap = subset_cap(cap)
     periodic = sys.periodic_indices()
     e_cut, balls = sys.lt_cutoff(epsilon), sys._balls(sys.lt_cutoff(delta))
     visited = 0
-    for n, succ, step, allowed in _gap_graphs(sys, delta, epsilon, gaps,
-                                              bound, label):
+    for n, succ, step, allowed in _distinct(_gap_graphs(
+            sys, delta, epsilon, gaps, bound, label)):
         masks = sys._memoized(("masks", e_cut, n, bound),
                               lambda: _tracer_masks(periodic, step, allowed,
                                                     bound))
@@ -513,17 +532,32 @@ def shadowing_modulus(sys, epsilon, cap=None):
     )
 
 
-def _table(grid, prop, best):
-    """The ModulusTable of rows (eps, best(eps)) over the positive grid,
-    with BoundTooSmall silenced once for the whole table."""
+def _table(grid, prop, holds):
+    """The ModulusTable of rows (eps, best delta) over the positive grid,
+    the best delta being the largest grid delta with ``holds(delta,
+    eps)``, or None; BoundTooSmall is silenced once for the whole table.
+
+    Every tracing property here is monotone in epsilon: a delta that
+    passes at epsilon passes at every larger epsilon.  So each row's
+    bisection takes every delta up to the previous row's best as
+    passing without deciding it.  The bisection path is the one a row
+    bisected alone would take, so the cells decided are a subset of
+    those, in the same order, and the rows are the same."""
+    rows, last = [], None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundTooSmall)
-        rows = tuple((eps, best(eps)) for eps in grid.positive)
-    return ModulusTable(prop, rows)
+        for eps in grid.positive:
+            last = _largest_passing(grid.positive, lambda d: (
+                last is not None and d <= last or holds(d, eps)))
+            rows.append((eps, last))
+    return ModulusTable(prop, tuple(rows))
 
 
 def modulus_table(sys, prop, period_bound=8, cap=None):
-    """ModulusTable for prop in {"shadowing", "periodic", "strong-periodic"}."""
+    """ModulusTable for prop in {"shadowing", "periodic", "strong-periodic"}.
+
+    Rows are built by :func:`_table`, which decides no cell that the
+    previous row's best delta already implies."""
     if prop == "shadowing":
         holds = lambda d, eps: shadowing_holds(sys, d, eps, cap)[0]
     elif prop == "periodic":
@@ -534,9 +568,7 @@ def modulus_table(sys, prop, period_bound=8, cap=None):
             sys, d, eps, period_bound, cap)[0]
     else:
         raise ValueError(f"unknown property {prop!r}")
-    grid = threshold_grid(sys)
-    return _table(grid, prop, lambda eps: _largest_passing(
-        grid.positive, lambda d: holds(d, eps)))
+    return _table(threshold_grid(sys), prop, holds)
 
 
 def special_shadowing_holds(sys, epsilon, period_bound=8, cap=None):
@@ -622,13 +654,18 @@ def _linear_envelope(grid, traces):
     running maximum of eps/d.  Among grid candidates the pair minimising
     L*d0 (the certified tracing radius) wins, larger d0 on ties, so for
     every grid d <= d0 the pair (d, L*d) traces.
+
+    The least tracing eps only grows with d (a d-level input is a
+    d'-level one for d' > d), so each d's scan starts at the previous
+    d's eps: every smaller eps is known to fail.
     """
     best = None
     slope = Fraction(0)
-    for d in grid.positive:
+    values, at = grid.positive, 0
+    for d in values:
         # the top epsilon traces everything
-        eps_needed = next(e for e in grid.positive if traces(d, e))
-        slope = max(slope, eps_needed / d)
+        at = next(i for i in range(at, len(values)) if traces(d, values[i]))
+        slope = max(slope, values[at] / d)
         cand = (slope * d, -d, slope, d)
         if best is None or cand < best:
             best = cand

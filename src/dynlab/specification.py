@@ -26,7 +26,9 @@ from .core import (Lasso, _closed_walk_counts, _largest_passing, as_fraction,
                    shadows, threshold_grid)
 from .errors import BoundTooSmall, ModulusViolation, NotDecaying
 from .shadowing import (
+    ModulusTable,
     _die_search,
+    _distinct,
     _first_untraced_chain,
     _gap_graphs,
     _gap_structures,
@@ -117,14 +119,18 @@ def local_weak_spec_holds(sys, epsilon, N, delta, cap=None):
 
     Returns (bool, info); info always reports the finite range of gaps
     that discharges "n >= N", and on failure carries the offending
-    chain as a verified SpecInstance.
+    chain as a verified SpecInstance.  Gaps are searched in ascending
+    order, each with its own state cap, and a gap whose structure
+    repeats one already searched in this call is skipped: its search
+    would repeat a passing verdict.
     """
     epsilon, delta = as_fraction(epsilon), as_fraction(delta)
     if epsilon <= 0 or delta <= 0 or N < 1:
         raise ValueError("need positive thresholds and N >= 1")
     gaps = gap_values(sys, N)
     cap = subset_cap(cap)
-    for n, succ, step, allowed in _gap_structures(sys, gaps, delta, epsilon):
+    for n, succ, step, allowed in _distinct(_gap_structures(sys, gaps, delta,
+                                                          epsilon)):
         walk = _die_search(succ, step, allowed, cap)
         if walk is not None:
             chain = SpecInstance(
@@ -164,8 +170,10 @@ def local_spec_holds(sys, epsilon, N, delta, k_bound=6, cap=None):
     runs breadth-first over (root, vertex, viable periodic tracers)
     states, gap by gap, and the cap counts those states, one counter
     across all gaps; the counterexample is the first untraced closed
-    chain in (gap, length, lex) order, which is primitive.  Warns
-    BoundTooSmall when the gap graph provably has longer cycles.
+    chain in (gap, length, lex) order, which is primitive.  A gap whose
+    structure repeats one already searched in this call is skipped and
+    counts nothing.  Warns BoundTooSmall when the gap graph provably
+    has longer cycles.
     """
     epsilon, delta = as_fraction(epsilon), as_fraction(delta)
     gaps = gap_values(sys, N)
@@ -304,26 +312,23 @@ def modulus_table_for_spec(sys, prop="weak", k_bound=6, cap=None):
     """Best (N, delta) per grid epsilon for chain tracing.
 
     prop "weak" quantifies over open chains, "full" over closed chains
-    with periodic tracers.  Rows hold (N, delta) with the smallest
-    workable N in 1, 2, 3 and the largest grid delta at that N, or None.
+    with periodic tracers.  Rows hold (1, delta), delta the largest grid
+    delta at N = 1: at the sub-minimal grid delta every chain is a true
+    orbit, which traces itself, so N = 1 always has a passing delta.
+    Rows are built by :func:`~dynlab.shadowing._table`, which decides no
+    cell that the previous row's best delta already implies.
     """
     if prop == "weak":
-        holds = lambda eps, N, d: local_weak_spec_holds(sys, eps, N, d, cap)[0]
+        holds = lambda d, eps: local_weak_spec_holds(sys, eps, 1, d, cap)[0]
     elif prop == "full":
-        holds = lambda eps, N, d: local_spec_holds(sys, eps, N, d, k_bound,
-                                                   cap)[0]
+        holds = lambda d, eps: local_spec_holds(sys, eps, 1, d, k_bound,
+                                                cap)[0]
     else:
         raise ValueError(f"unknown property {prop!r}")
-    grid = threshold_grid(sys)
-
-    def best(eps):
-        for N in (1, 2, 3):
-            delta = _largest_passing(grid.positive, lambda d: holds(eps, N, d))
-            if delta is not None:
-                return N, delta
-        return None
-
-    return _table(grid, f"spec-{prop}", best)
+    table = _table(threshold_grid(sys), f"spec-{prop}", holds)
+    return ModulusTable(table.prop, tuple(
+        (eps, None if delta is None else (1, delta))
+        for eps, delta in table.rows))
 
 
 def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
@@ -432,18 +437,19 @@ def pairwise_tracing_chain(sys, delta, epsilon, k_bound=6, cap=None):
 def derived_periodic_shadowing(sys, epsilon, k_bound=6, cap=None):
     """Transfer chain tracing at half quality into periodic tracing.
 
-    Hypothesis search on the grid: the first N in 1, 2, 3 admitting a
-    grid delta < epsilon/2 with local_spec_holds at (epsilon/2, N,
-    delta), taking the largest such delta; then the largest grid delta1
-    whose N-step continuity spread eta = eta_modulus(sys, delta1, N)
-    satisfies N*eta < delta (delta1 always exists: eta vanishes below
-    the least positive distance).  Blocking a periodic delta1-pseudo-
-    orbit by N telescopes every seam to at most N*eta < delta, the
-    blocked chain is then traced at epsilon/2 by a point of matching
-    power-period, and unblocking costs at most epsilon/2 + N*eta <
-    epsilon — so periodic_shadowing_holds, with period bound k_bound,
-    must confirm at (delta1, epsilon).  Returns the parameters and the
-    confirmation; when no grid parameters fit the hypothesis shape,
+    Hypothesis search on the grid, at N = 1: the largest grid delta <
+    epsilon/2 with local_spec_holds at (epsilon/2, 1, delta), which
+    exists whenever the sub-minimal grid delta is below epsilon/2 (there
+    every chain is a true orbit, which traces itself); then the largest
+    grid delta1 whose one-step continuity spread eta =
+    eta_modulus(sys, delta1, 1) satisfies eta < delta (delta1 always
+    exists: eta vanishes below the least positive distance).  A periodic
+    delta1-pseudo-orbit is then a closed chain at gap 1 whose seams,
+    distances below delta1, are at most eta < delta, so a point of
+    matching period traces it at epsilon/2 < epsilon, and
+    periodic_shadowing_holds, with period bound k_bound, must confirm at
+    (delta1, epsilon).  Returns the parameters and the confirmation
+    (N is always 1); when no grid parameters fit the hypothesis shape,
     "applicable" is False and nothing is asserted.
     """
     epsilon = as_fraction(epsilon)
@@ -455,24 +461,22 @@ def derived_periodic_shadowing(sys, epsilon, k_bound=6, cap=None):
         warnings.simplefilter("ignore", BoundTooSmall)
         # top-down: a bisection would decide other cells, which can hit
         # the cap
-        chosen = next(((N, delta) for N in (1, 2, 3)
-                       for delta in reversed(grid.positive)
-                       if delta < half
-                       and local_spec_holds(sys, half, N, delta, k_bound,
-                                            cap)[0]), None)
-        if chosen is None:
+        delta = next((delta for delta in reversed(grid.positive)
+                      if delta < half
+                      and local_spec_holds(sys, half, 1, delta, k_bound,
+                                           cap)[0]), None)
+        if delta is None:
             return {"applicable": False, "epsilon": epsilon}
-        N, delta = chosen
         # eta only grows with delta1 and is 0 below the least distance
         delta1 = _largest_passing(
-            grid.positive, lambda v: N * eta_modulus(sys, v, N) < delta)
-        eta = eta_modulus(sys, delta1, N)
+            grid.positive, lambda v: eta_modulus(sys, v, 1) < delta)
+        eta = eta_modulus(sys, delta1, 1)
         holds, certificate = periodic_shadowing_holds(
             sys, delta1, epsilon, k_bound, cap)
     return {
         "applicable": True,
         "epsilon": epsilon,
-        "N": N,
+        "N": 1,
         "delta": delta,
         "eta": eta,
         "delta1": delta1,

@@ -9,7 +9,12 @@ their own lister, which the library no longer has, and keep each
 decision's own loop, sharing with the library only the warning.
 ``windows_reference`` and ``die_search_reference`` are the library's
 earlier tracing kernel on frozensets, one window rebuild per gap, kept
-to check the bitmask kernel that replaced it.  The recurrence
+to check the bitmask kernel that replaced it; with them,
+``local_weak_spec_reference`` searches every gap, where the library
+skips a gap whose structure repeats.  ``modulus_table_reference``
+bisects each table row on its own, where the library carries the
+previous row's best threshold forward, and keeps the spec tables' old
+fallback to N = 2 and 3.  The recurrence
 references at the end are the library's earlier recurrence kernel:
 frozenset layers, the T + P return horizon, the ``any()`` chain graph
 loop and dense boolean matrix powers.  ``metric_violation_reference``
@@ -30,11 +35,13 @@ from the distances (``threshold_grid_reference``,
 import itertools
 import math
 import random
+import warnings
 from collections import deque
 from fractions import Fraction
 
+from dynlab import shadowing, specification
 from dynlab.core import Lasso, as_fraction
-from dynlab.errors import MetricViolation, StateExplosion
+from dynlab.errors import BoundTooSmall, MetricViolation, StateExplosion
 from dynlab.recurrence import _step_sets
 from dynlab.shadowing import (
     DeltaGraph,
@@ -629,6 +636,81 @@ def pairwise_chain_reference(sys, delta, epsilon, k_bound=6, cap=None):
         "holds": all(row["holds"] for row in links.values()),
         **links,
     }
+
+
+def local_weak_spec_reference(sys, epsilon, N, delta, cap=None):
+    """local_weak_spec_holds: one frozenset die search per gap n >= N,
+    every gap searched, each with its own cap."""
+    epsilon, delta = as_fraction(epsilon), as_fraction(delta)
+    gaps = gap_values(sys, N)
+    for n in gaps:
+        walk = die_search_reference(
+            *gap_structures_reference(sys, n, delta, epsilon), subset_cap(cap))
+        if walk is not None:
+            chain = SpecInstance(sources=tuple(sys.points[i] for i in walk),
+                                 gap=n, closed=False, delta=delta)
+            return False, {"gap_range": gaps, "counterexample": chain}
+    return True, {"gap_range": gaps}
+
+
+# -- best-threshold tables, each row bisected on its own ----------------------
+
+
+def largest_passing_reference(values, passes):
+    """The largest of the ascending ``values`` passing a downward-closed
+    test, or None, probing as the library's bisection does: the top,
+    then the bottom, then halving the bracket."""
+    if passes(values[-1]):
+        return values[-1]
+    if not passes(values[0]):
+        return None
+    lo, hi = 0, len(values) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if passes(values[mid]) else (lo, mid)
+    return values[lo]
+
+
+def modulus_table_reference(sys, prop, period_bound=8, k_bound=6, cap=None):
+    """The rows (epsilon, best) of one of the five best-threshold tables,
+    every row bisected on its own from the whole grid.  The spec tables
+    try N = 1, 2, 3 in turn and keep (N, delta) for the first N with a
+    passing delta.  The decision functions are looked up on their
+    modules at each call, in the argument form the library's tables
+    use, so a test can log the cells both decide."""
+    grid = threshold_grid_reference(sys)[1:]
+    if prop.startswith("spec-"):
+        holds = {
+            "spec-weak": lambda eps, N, d: specification.local_weak_spec_holds(
+                sys, eps, N, d, cap),
+            "spec-full": lambda eps, N, d: specification.local_spec_holds(
+                sys, eps, N, d, k_bound, cap),
+        }[prop]
+
+        def best(eps):
+            for N in (1, 2, 3):
+                delta = largest_passing_reference(
+                    grid, lambda d: holds(eps, N, d)[0])
+                if delta is not None:
+                    return N, delta
+            return None
+    else:
+        holds = {
+            "shadowing": lambda d, eps: shadowing.shadowing_holds(
+                sys, d, eps, cap),
+            "periodic": lambda d, eps: shadowing.periodic_shadowing_holds(
+                sys, d, eps, period_bound, cap),
+            "strong-periodic":
+                lambda d, eps: shadowing.strong_periodic_shadowing_holds(
+                    sys, d, eps, period_bound, cap),
+        }[prop]
+
+        def best(eps):
+            return largest_passing_reference(
+                grid, lambda d: holds(d, eps)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundTooSmall)
+        return tuple((eps, best(eps)) for eps in grid)
 
 
 # -- recurrence on frozensets and dense boolean matrices ----------------------

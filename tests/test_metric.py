@@ -19,10 +19,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynlab import cli, gallery
+from dynlab import cli, core, gallery
 from dynlab.core import build_finite_system
 from dynlab.errors import MetricViolation
-from dynlab.gallery import build_xpq
+from dynlab.gallery import build_product_truncation, build_xpq
 from dynlab.serialize import sft_to_obj
 from dynlab.symbolic import window_system
 
@@ -114,6 +114,33 @@ def test_common_denominator_is_bounded():
     # two such denominators stay within the bound
     sys = build_finite_system("ab", [[0, a], [a, 0]], "ab")
     assert sys.scale == p and sys.d("a", "b") == Fraction(p + 1, p)
+
+
+def test_metric_check_over_budget_is_refused_unchecked(monkeypatch):
+    # 70 points at distances 1 + a/p over three coprime 1400-digit p: the
+    # common denominator has about 4200 digits, under its bound, but the
+    # triangle check would subtract 14,000-bit integers 70^3 / 2 times
+    ps = [10 ** 1399 + k for k in (1, 2, 3)]
+    n = 70
+    points = [f"p{i}" for i in range(n)]
+    dist = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = ps[(i + j) % 3]
+            dist[i][j] = dist[j][i] = Fraction(p + 1 + i * n + j, p)
+
+    def unreachable(*args):
+        raise AssertionError("the metric check ran")
+
+    monkeypatch.setattr(core, "_check_metric", unreachable)
+    with pytest.raises(ValueError, match="too costly to check: 70 points"):
+        build_finite_system(points, dist, points)
+
+
+def test_metric_check_budget_admits_the_largest_window():
+    # the 168-point product window: the largest gallery or window build
+    sys = window_system(build_product_truncation((2, 3, 5), 2), 2)
+    assert sys.n == 168
 
 
 # the Fraction table each library builder used to hand build_finite_system

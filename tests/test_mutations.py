@@ -13,15 +13,19 @@ from fractions import Fraction
 
 import pytest
 
-from dynlab import core, gallery, recurrence, shadowing, symbolic
-from dynlab.core import FiniteSystem, build_finite_system
-from dynlab.gallery import build_xpq
+from dynlab import (core, gallery, recurrence, shadowing, specification,
+                    symbolic)
+from dynlab.core import FiniteSystem, build_finite_system, threshold_grid
+from dynlab.gallery import build_random_system, build_xpq
+from dynlab.specification import local_spec_holds
 
 from helpers import cycle_system
-from oracles import myex_table_reference, window_table_reference
+from oracles import (local_spec_reference, myex_table_reference,
+                     window_table_reference)
 from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
                                     check_primitive, wielandt)
 from test_metric import check_built_as_reference, check_metric
+from test_shadowing import check_tables
 from test_spread import check_spread
 from test_tracing_kernel import check_gap_structures
 
@@ -153,3 +157,49 @@ def test_satellite_offset_one_over_k_plus_one(monkeypatch):
           "(scale // k, pt)", "(scale // (k + 1), pt)")
     with pytest.raises(AssertionError):
         check_satellite_table()
+
+
+def test_table_carry_one_grid_step_past_the_previous_best(monkeypatch):
+    check_tables(build_random_system(1, 3))
+    plant(monkeypatch, [shadowing, specification], "_table", "d <= last",
+          "grid.positive.index(d) <= grid.positive.index(last) + 1")
+    with pytest.raises(AssertionError):
+        check_tables(build_random_system(1, 3))
+
+
+def check_exact_period_hits():
+    sys = build_random_system(0, 3, True)  # fresh: hits are memoized
+    grid = threshold_grid(sys).positive
+    for delta in grid:
+        for eps in grid:
+            assert (local_spec_holds(sys, eps, 1, delta, 4)
+                    == local_spec_reference(sys, eps, 1, delta, 4))
+
+
+def test_exact_period_hits_reading_k_for_k_times_n(monkeypatch):
+    check_exact_period_hits()
+    plant(monkeypatch, [shadowing, specification], "_first_untraced_chain",
+          "k * n % len(sys.cycle(z))", "k % len(sys.cycle(z))")
+    with pytest.raises(AssertionError):
+        check_exact_period_hits()
+
+
+# two rare cells, found by a sweep of random systems, where skipping a
+# gap with the same step map but other windows answers wrongly
+STEP_ONLY_CELLS = ((36, 6, Fraction(2, 3), Fraction(7, 4)),
+                   (39, 5, Fraction(2), Fraction(2)))
+
+
+def check_step_only_cells():
+    for seed, size, delta, eps in STEP_ONLY_CELLS:
+        sys = build_random_system(seed, size)
+        assert (local_spec_holds(sys, eps, 1, delta, 4)
+                == local_spec_reference(sys, eps, 1, delta, 4))
+
+
+def test_gap_skip_keyed_on_the_step_map_alone(monkeypatch):
+    check_step_only_cells()
+    plant(monkeypatch, [shadowing, specification], "_distinct",
+          "key = structure[2:]", "key = structure[2]")
+    with pytest.raises(AssertionError):
+        check_step_only_cells()

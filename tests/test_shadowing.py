@@ -5,9 +5,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dynlab import shadowing, specification
 from dynlab.core import Lasso, build_finite_system, is_pseudo_orbit, shadows, threshold_grid
 from dynlab.errors import BoundTooSmall, NotDecaying, StateExplosion
+from dynlab.gallery import build_random_system
 from dynlab.shadowing import (
     construct_shadow_point,
     delta_graph,
@@ -23,7 +26,10 @@ from dynlab.shadowing import (
 )
 
 from helpers import cycle_system, random_system, two_points_identity
-from oracles import brute_shadowing_table
+from oracles import (brute_shadowing_table, local_spec_reference,
+                     local_weak_spec_reference, modulus_table_reference,
+                     periodic_variant_reference)
+from test_closed_chains import assert_matches_reference, outcome
 
 
 def hand_system(pts, dfn, images, invertible=None):
@@ -326,3 +332,115 @@ def test_random_spot_checks_certificates():
         ok, cert = shadowing_holds(sys, delta, eps)
         if not ok:
             assert_counterexample(sys, cert, delta, eps)
+
+
+# -- skipped work: table rows carry their best delta, chain searches skip
+# -- repeated gap structures ---------------------------------------------------
+
+TABLES = ("shadowing", "periodic", "strong-periodic", "spec-weak", "spec-full")
+
+DECISIONS = (
+    (shadowing, "shadowing_holds"),
+    (shadowing, "periodic_shadowing_holds"),
+    (shadowing, "strong_periodic_shadowing_holds"),
+    (specification, "local_weak_spec_holds"),
+    (specification, "local_spec_holds"),
+)
+
+
+def library_table(sys, prop, bound):
+    """The rows of one of the five tables, bound as period and k bound."""
+    if prop.startswith("spec-"):
+        return specification.modulus_table_for_spec(
+            sys, prop.removeprefix("spec-"), bound).rows
+    return shadowing.modulus_table(sys, prop, bound).rows
+
+
+def check_tables(sys, bound=3):
+    """Each of the five tables equals the carry-free reference."""
+    for prop in TABLES:
+        assert library_table(sys, prop, bound) == modulus_table_reference(
+            sys, prop, bound, bound), prop
+
+
+def log_cells(monkeypatch):
+    """Log (function, arguments after the system) of every decision call
+    made through the modules' public names."""
+    cells = []
+    for module, name in DECISIONS:
+        def logged(sys, *args, _decide=getattr(module, name), _name=name):
+            cells.append((_name, args))
+            return _decide(sys, *args)
+        monkeypatch.setattr(module, name, logged)
+    return cells
+
+
+def is_subsequence(sub, seq):
+    rest = iter(seq)
+    return all(any(x == y for y in rest) for x in sub)
+
+
+small_systems = st.builds(build_random_system, st.integers(0, 10 ** 6),
+                          st.integers(1, 5), st.booleans())
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_systems, st.sampled_from(TABLES))
+def test_tables_decide_a_subset_of_the_carry_free_cells(sys, prop):
+    # the library may skip cells, never add or reorder them
+    with pytest.MonkeyPatch.context() as mp:
+        cells = log_cells(mp)
+        got = library_table(sys, prop, 3)
+        decided = list(cells)
+        cells.clear()
+        expected = modulus_table_reference(sys, prop, 3, 3)
+    assert got == expected
+    assert is_subsequence(decided, cells)
+
+
+@settings(deadline=None, max_examples=25)
+@given(small_systems, st.integers(1, 2))
+def test_chain_searches_answer_as_the_skip_free_references(sys, N):
+    # every gap searched, at a cap of 40: the weak search caps each gap
+    # on its own, so it caps exactly where the reference does; the
+    # closed-chain searches count across gaps and may decide more
+    grid = threshold_grid(sys).positive
+    for delta in grid:
+        for eps in grid:
+            assert (outcome(specification.local_weak_spec_holds, sys, eps, N,
+                            delta, 40)
+                    == outcome(local_weak_spec_reference, sys, eps, N, delta,
+                               40))
+            assert_matches_reference(
+                lambda c: outcome(specification.local_spec_holds, sys, eps,
+                                  N, delta, 3, c),
+                lambda c: outcome(local_spec_reference, sys, eps, N, delta,
+                                  3, c),
+                40)
+            if N == 1:
+                assert_matches_reference(
+                    lambda c: outcome(periodic_shadowing_holds, sys, delta,
+                                      eps, 3, c),
+                    lambda c: outcome(periodic_variant_reference, sys, delta,
+                                      eps, 3, False, c),
+                    40)
+
+
+def test_envelope_scan_starts_at_the_previous_least_epsilon():
+    # the least tracing epsilon only grows with d, so each d scans up
+    # from the last one found: at most one failing probe per d
+    for seed in (3, 4, 5):
+        sys = random_system(seed=seed, n=4)
+        grid = threshold_grid(sys).positive
+        probes = []
+
+        def traces(d, eps):
+            probes.append((d, eps))
+            return shadowing_holds(sys, d, eps)[0]
+
+        L, d0 = shadowing._linear_envelope(threshold_grid(sys), traces)
+        assert (L, d0) == lipschitz_constants(sys)
+        least = [next(e for e in grid if shadowing_holds(sys, d, e)[0])
+                 for d in grid]
+        assert least == sorted(least)
+        assert len(probes) == len(grid) + grid.index(least[-1])

@@ -30,7 +30,8 @@ from dynlab.specification import (
 from dynlab.gallery import build_xpq
 from dynlab.symbolic import window_system
 
-from helpers import cycle_system, random_system, stem_into_cycle, two_points_identity
+from helpers import (cycle_system, gallery_corpus, random_system,
+                     seeded_corpus, stem_into_cycle, two_points_identity)
 
 
 def all_short_chains(sys, gap, delta, max_k):
@@ -236,6 +237,22 @@ def test_spec_tables_are_populated_with_gap_requirement_one():
         assert all(N == 1 for _, (N, _) in weak.rows)
         full = modulus_table_for_spec(sys, "full", k_bound=4)
         assert full.populated()
+
+
+def test_spec_rows_take_gap_one_on_the_corpus():
+    # why N = 1 suffices: at the sub-minimal delta every chain is a true
+    # orbit, which traces itself, so every row has a passing delta there
+    for sys in [*gallery_corpus(), *seeded_corpus(20, 7)]:
+        if sys.n > 12:
+            continue
+        grid = threshold_grid(sys)
+        for eps in grid.positive:
+            assert local_weak_spec_holds(sys, eps, 1, grid.submin)[0]
+            assert local_spec_holds(sys, eps, 1, grid.submin)[0]
+        for prop in ("weak", "full"):
+            table = modulus_table_for_spec(sys, prop)
+            assert table.populated()
+            assert all(N == 1 for _, (N, _) in table.rows)
 
 
 def test_generalized_variants():
