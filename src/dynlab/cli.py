@@ -73,7 +73,8 @@ def parse_system_file(path):
             obj = json.load(fh)
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep to decode
         raise SchemaError("", f"{path} is not JSON: {exc}") from exc
     return parse_system_obj(obj)
 
@@ -100,7 +101,7 @@ def _lasso_from_file(path, sys_, two_sided):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("", f"cannot read lasso file {path}: {exc}") from exc
     if not isinstance(obj, dict) or "cycle" not in obj:
         raise SchemaError("/cycle", "lasso file needs a cycle list")

@@ -267,10 +267,13 @@ class FiniteSystem:
 
         The memo holds the threshold structures every tracing question
         at the same cutoffs shares: the grid, balls, gap windows, tracer
-        masks and component sizes.  A key is a name followed by integer
-        cutoffs and gaps, never a Fraction, and an entry is immutable
-        (tuples, ints, the frozen grid), so callers share it.  No search
-        verdict is memoized."""
+        masks and component sizes; and two entries with no cutoff, the
+        admissible steps as successor bitmasks (``("steps",)``, read by
+        every recurrence question) and the eventual images of the
+        stable sets (``("eventual",)``).  A key is a name followed by
+        integer cutoffs and gaps, never a Fraction, and an entry is
+        immutable (tuples, ints, the frozen grid), so callers share it.
+        No search verdict is memoized."""
         try:
             return self._memo[key]
         except KeyError:
@@ -422,13 +425,64 @@ def build_finite_system(points, dist, fmap, invertible=None, relation=None):
         would cost too much: n^3 times the bit width of the widest
         scaled distance (or of the common denominator) above 10^9.
     """
+    points = tuple(points)
     matrix = [[as_fraction(v) for v in row] for row in dist]
-    dens = dict.fromkeys(v.denominator for row in matrix for v in row)
+    # each distinct entry once, keyed on its (numerator, denominator):
+    # hashing a Fraction costs a modular inverse
+    pairs = dict.fromkeys((v.numerator, v.denominator)
+                          for row in matrix for v in row)
+    dens = dict.fromkeys(den for _, den in pairs)
     scale = _common_denominator(dens)
     factor = {den: scale // den for den in dens}
-    scaled = [[v.numerator * factor[v.denominator] for v in row]
+    # a hostile table is refused before its entries are multiplied out;
+    # reduced entries over their lcm share no factor with it, so these
+    # are the widths _assemble will see
+    _check_budget(_check_shape(points, matrix),
+                  _widest_bits(scale, pairs, factor))
+    value = {(num, den): num * factor[den] for num, den in pairs}
+    scaled = [[value[v.numerator, v.denominator] for v in row]
               for row in matrix]
     return _assemble(points, scaled, scale, fmap, invertible, relation)
+
+
+def _widest_bits(scale, pairs, factor):
+    """Bit width of the widest of ``scale`` and the scaled entries
+    ``num * factor[den]`` over the (num, den) ``pairs``, multiplying no
+    entry out: a b-bit |num| times the c-bit factor has b + c bits iff
+    |num| reaches ceil(2^(b + c - 1) / factor), a bound shared by every
+    entry of that denominator and width, and b + c - 1 bits otherwise."""
+    bits, least = scale.bit_length(), {}
+    for num, den in pairs:
+        a, f = abs(num), factor[den]
+        if a:
+            key = den, a.bit_length()
+            full = key[1] + f.bit_length()
+            if key not in least:
+                least[key] = -(-(1 << (full - 1)) // f)
+            bits = max(bits, full - (a < least[key]))
+    return bits
+
+
+def _check_shape(points, table):
+    """The number of points, once they are distinct and non-empty and
+    ``table`` is square over them."""
+    n = len(points)
+    if len(set(points)) != n:
+        raise ValueError("duplicate point identifiers")
+    if n == 0:
+        raise ValueError("a system needs at least one point")
+    if len(table) != n or any(len(row) != n for row in table):
+        raise ValueError("distance matrix shape does not match points")
+    return n
+
+
+def _check_budget(n, bits):
+    """Refuse a table whose metric check would cost too much."""
+    if n ** 3 * bits > _METRIC_BUDGET:
+        raise ValueError(
+            f"distance table too costly to check: {n} points with {bits}-bit "
+            f"scaled distances exceed the budget of {_METRIC_BUDGET} for "
+            f"n^3 times the bit width")
 
 
 def _assemble(points, scaled, scale, fmap, invertible, relation):
@@ -442,13 +496,7 @@ def _assemble(points, scaled, scale, fmap, invertible, relation):
     least common denominator of the distances whatever table a builder
     hands in.  Raises as :func:`build_finite_system` documents."""
     points = tuple(points)
-    n = len(points)
-    if len(set(points)) != n:
-        raise ValueError("duplicate point identifiers")
-    if n == 0:
-        raise ValueError("a system needs at least one point")
-    if len(scaled) != n or any(len(row) != n for row in scaled):
-        raise ValueError("distance matrix shape does not match points")
+    n = _check_shape(points, scaled)
     common = math.gcd(scale, *itertools.chain.from_iterable(scaled))
     if common > 1:
         scale //= common
@@ -456,12 +504,7 @@ def _assemble(points, scaled, scale, fmap, invertible, relation):
     if scale >= _DIGIT_BOUND:
         raise ValueError(_LONG_DENOMINATOR)
     widest = max(scale, *map(abs, itertools.chain.from_iterable(scaled)))
-    bits = widest.bit_length()
-    if n ** 3 * bits > _METRIC_BUDGET:
-        raise ValueError(
-            f"distance table too costly to check: {n} points with {bits}-bit "
-            f"scaled distances exceed the budget of {_METRIC_BUDGET} for "
-            f"n^3 times the bit width")
+    _check_budget(n, widest.bit_length())
     _check_metric(points, scaled, scale)
 
     idx = {p: i for i, p in enumerate(points)}

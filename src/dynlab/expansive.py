@@ -260,6 +260,13 @@ class StableSets:
     u_global: tuple | None = None
 
 
+def _eventual_images(sys):
+    """f^(T + P) of every index, T the longest preperiod and P the cycle
+    lcm: two orbits converge iff they meet by then."""
+    horizon = sys.max_preperiod + sys.cycle_lcm
+    return tuple(sys.power(y, horizon) for y in range(sys.n))
+
+
 def stable_sets(sys, x, epsilon, include_unstable=None):
     """Stable sets of x at epsilon; unstable sides on invertible systems.
 
@@ -273,14 +280,11 @@ def stable_sets(sys, x, epsilon, include_unstable=None):
     elif include_unstable and not sys.invertible:
         raise NotInvertible("unstable sets need backward time")
     xi = sys.index[x]
-    T, P = sys.max_preperiod, sys.cycle_lcm
     cutoff = sys.le_cutoff(epsilon)
     spread = sys.spread_rank[xi]
     s_local = tuple(sys.points[y] for y in range(sys.n)
                     if spread[y] < cutoff)
-    # orbits converge iff they meet by time T + P
-    eventual = sys._memoized(("eventual",), lambda: tuple(
-        sys.power(y, T + P) for y in range(sys.n)))
+    eventual = sys._memoized(("eventual",), lambda: _eventual_images(sys))
     s_global = tuple(sys.points[y] for y in range(sys.n)
                      if eventual[y] == eventual[xi])
     u_local = u_global = None

@@ -12,8 +12,11 @@ and mixing squares such rows up to Wielandt's exponent.
 
 The spectral decomposition is computed twice, by independent routes:
 
-* a graph route — strongly connected pieces of the recurrent part,
-  with the cyclic parts read off breadth-first phase classes; and
+* a graph route — the strongly connected pieces of the step relation
+  that carry a closed walk, which are the basic sets at every grid
+  threshold (the chain graph only gains edges as the threshold grows,
+  and below the least positive distance it is the step relation), with
+  the cyclic parts read off breadth-first phase classes; and
 * a stable-set route — iterating "global stable set of a periodic
   anchor, intersected with the piece" until it closes up.
 
@@ -67,8 +70,17 @@ def _members(mask):
 
 
 def _step_masks(sys):
-    """The admissible steps of :func:`_step_sets` as successor bitmasks."""
-    return tuple(_mask(out) for out in _step_sets(sys))
+    """The admissible steps of :func:`_step_sets` as successor bitmasks,
+    built once per system."""
+    return sys._memoized(("steps",), lambda: tuple(
+        _mask(out) for out in _step_sets(sys)))
+
+
+def _cyclic_components(succ):
+    """The strong components of ``succ`` that carry a closed walk of
+    length >= 1: more than one vertex, or a vertex with a self-loop."""
+    return [comp for comp in _strong_components(succ)
+            if len(comp) > 1 or comp[0] in succ[comp[0]]]
 
 
 def chain_graph(sys, delta):
@@ -83,16 +95,6 @@ def chain_graph(sys, delta):
     near = sys._balls(sys.lt_cutoff(delta))
     return DeltaGraph(delta, tuple(_members(_image(out, near))
                                    for out in _step_masks(sys)))
-
-
-def _chain_levels(sys):
-    """Yield (delta, strong components, bitmask of the points on a closed
-    walk of length >= 1) of the chain graph at each positive grid delta."""
-    for delta in threshold_grid(sys).positive:
-        succ = chain_graph(sys, delta).succ
-        comps = _strong_components(succ)
-        yield delta, comps, _mask(i for comp in comps for i in comp
-                                  if len(comp) > 1 or comp[0] in succ[comp[0]])
 
 
 @dataclass(frozen=True)
@@ -112,11 +114,15 @@ def chain_recurrent_set(sys):
 
     A point is recurrent at delta when it lies on a cycle of
     :func:`chain_graph`; shrinking delta only removes edges, so the
-    intersection over the grid decides every positive threshold at once.
+    intersection over the grid decides every positive threshold at once,
+    and it is the first row: at the sub-minimal delta the chain graph is
+    the step relation.  The table keeps every row.
     """
     rows = []
     common = (1 << sys.n) - 1
-    for delta, _, on_cycle in _chain_levels(sys):
+    for delta in threshold_grid(sys).positive:
+        on_cycle = _mask(i for comp in _cyclic_components(
+            chain_graph(sys, delta).succ) for i in comp)
         rows.append((delta, tuple(sys.points[i] for i in _members(on_cycle))))
         common &= on_cycle
     return ChainRecurrence(
@@ -127,28 +133,23 @@ def chain_recurrent_set(sys):
 def nonwandering_set(sys):
     """Points every neighborhood of which returns to itself.
 
-    Direct reading on the grid: x is non-wandering iff for every grid
-    epsilon some admissible k-step image of the open ball B(x, eps)
-    meets the ball again, k >= 1.  Some return happens by step n (the
-    number of points) if any does: a shortest walk from the ball back
-    to it has distinct intermediate points, all outside the ball, so
-    its length is at most n.  Sets are pushed as bitmasks.
+    Read on the grid, x is non-wandering iff for every grid epsilon some
+    admissible k-step image of the open ball B(x, eps) meets the ball
+    again, k >= 1.  The least ball, at the sub-minimal epsilon, is {x},
+    and every other ball contains it: if {x} returns to x, every ball
+    returns.  So x is non-wandering iff x is reached again from {x}.
+    That happens by step n (the number of points) if at all: a shortest
+    closed walk through x repeats no point.  Sets are pushed as bitmasks.
     """
     steps = _step_masks(sys)
-    balls = [sys._balls(sys.lt_cutoff(eps))
-             for eps in threshold_grid(sys).positive]
     result = []
     for x in range(sys.n):
-        for ball in (by_eps[x] for by_eps in balls):
-            layer = ball
-            for _ in range(sys.n):
-                layer = _image(layer, steps)
-                if layer & ball:
-                    break
-            else:
-                break  # this ball never returns: x wanders
-        else:
-            result.append(sys.points[x])
+        layer = ball = 1 << x
+        for _ in range(sys.n):
+            layer = _image(layer, steps)
+            if layer & ball:
+                result.append(sys.points[x])
+                break
     return tuple(result)
 
 
@@ -157,21 +158,15 @@ def basic_sets(sys):
 
     Two recurrent points are equivalent when they lie in the same
     strongly connected component of the chain graph at *every* positive
-    grid delta.  Returned as point tuples, each in canonical order,
-    sorted by their least member.
+    grid delta.  Decided once, on the step relation: the chain graph
+    only gains edges as delta grows, and at the sub-minimal delta it is
+    the step relation, so its components refine those at every delta
+    and its points on a closed walk are the recurrent ones.  Returned
+    as point tuples, each in canonical order, sorted by their least
+    member.
     """
-    labels = {i: [] for i in range(sys.n)}
-    recurrent = (1 << sys.n) - 1
-    for _, comps, on_cycle in _chain_levels(sys):
-        for comp in comps:
-            tag = min(comp)
-            for i in comp:
-                labels[i].append(tag)
-        recurrent &= on_cycle
-    classes = {}
-    for i in _members(recurrent):
-        classes.setdefault(tuple(labels[i]), []).append(i)
-    pieces = sorted(classes.values(), key=lambda ids: ids[0])
+    pieces = sorted(sorted(comp)
+                    for comp in _cyclic_components(_step_sets(sys)))
     return tuple(tuple(sys.points[i] for i in ids) for ids in pieces)
 
 

@@ -41,6 +41,12 @@ def _expect(cond, pointer, detail):
         raise SchemaError(pointer, detail)
 
 
+def _known(name, known):
+    """Is ``name`` one of the strings ``known``?  A JSON list or object
+    is not, and is not looked up: it has no hash."""
+    return isinstance(name, str) and name in known
+
+
 def _parse_fraction(value, pointer):
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise SchemaError(pointer, f"expected an exact rational, got {value!r}")
@@ -90,7 +96,8 @@ def obj_to_system(obj):
             f"list of {n} point identifiers required")
     known = set(points)
     for i, target in enumerate(fmap):
-        _expect(target in known, f"/map/{i}", f"unknown point {target!r}")
+        _expect(_known(target, known), f"/map/{i}",
+                f"unknown point {target!r}")
 
     relation = obj.get("relation")
     if relation is not None:
@@ -100,7 +107,7 @@ def obj_to_system(obj):
             _expect(isinstance(row, list) and row, f"/relation/{i}",
                     "non-empty successor list required")
             for j, target in enumerate(row):
-                _expect(target in known, f"/relation/{i}/{j}",
+                _expect(_known(target, known), f"/relation/{i}/{j}",
                         f"unknown point {target!r}")
 
     invertible = obj.get("invertible")
@@ -135,7 +142,7 @@ def obj_to_sft(obj):
     for i, e in enumerate(edges):
         _expect(isinstance(e, list) and len(e) == 2, f"/edges/{i}",
                 "a pair [from, to] required")
-        _expect(e[0] in known and e[1] in known, f"/edges/{i}",
+        _expect(_known(e[0], known) and _known(e[1], known), f"/edges/{i}",
                 "edge uses letters outside the alphabet")
         pairs.append((e[0], e[1]))
     return build_sft(alphabet, pairs)

@@ -17,7 +17,10 @@ previous row's best threshold forward, and keeps the spec tables' old
 fallback to N = 2 and 3.  The recurrence
 references at the end are the library's earlier recurrence kernel:
 frozenset layers, the T + P return horizon, the ``any()`` chain graph
-loop and dense boolean matrix powers.  ``metric_violation_reference``
+loop and dense boolean matrix powers; ``basic_sets_reference`` and
+``chain_recurrent_reference`` read the recurrence of every grid delta
+off its own chain graph, where the library decides it once, on the
+step relation.  ``metric_violation_reference``
 is the library's earlier metric check, the Fraction loop over every
 triple, and ``unstable_local_reference`` its earlier backward scan of
 the local unstable set over one lcm of all cycle lengths.
@@ -718,19 +721,58 @@ def modulus_table_reference(sys, prop, period_bound=8, k_bound=6, cap=None):
 
 def chain_graph_reference(sys, delta):
     """Digraph with an edge x -> y iff some admissible step from x lands
-    within delta of y (strict, matching the pseudo-orbit convention)."""
+    within delta of y (strict, matching the pseudo-orbit convention),
+    read off the Fraction distances, not the library's rank cutoffs."""
     delta = as_fraction(delta)
-    cut = sys.lt_cutoff(delta)
-    rank = sys.rank
+    dist = sys.dist
     steps = _step_sets(sys)
     succ = tuple(
         tuple(
             j for j in range(sys.n)
-            if any(rank[z][j] < cut for z in steps[i])
+            if any(dist[z][j] < delta for z in steps[i])
         )
         for i in range(sys.n)
     )
     return DeltaGraph(delta, succ)
+
+
+def _chain_levels_reference(sys):
+    """At each positive grid delta: (delta, the indices on a closed walk
+    of length >= 1 of the chain graph, each index's class of mutual
+    reachability)."""
+    for delta in threshold_grid_reference(sys)[1:]:
+        succ = chain_graph_reference(sys, delta).succ
+        classes = mutual_reachability_classes(succ)
+        on_cycle = {v for c in classes for v in c
+                    if len(c) > 1 or v in succ[v]}
+        yield delta, on_cycle, {v: c for c in classes for v in c}
+
+
+def chain_recurrent_reference(sys):
+    """(points, table) of the chain recurrent set, one chain graph per
+    positive grid delta: table rows are (delta, the points on a closed
+    walk at delta), and the points are those on one at every delta."""
+    levels = list(_chain_levels_reference(sys))
+    table = tuple((delta, tuple(sys.points[i] for i in sorted(on_cycle)))
+                  for delta, on_cycle, _ in levels)
+    points = tuple(p for i, p in enumerate(sys.points)
+                   if all(i in on_cycle for _, on_cycle, _ in levels))
+    return points, table
+
+
+def basic_sets_reference(sys):
+    """Basic sets by definition: the points on a closed walk of the
+    chain graph at every positive grid delta, grouped by their classes
+    of mutual reachability at every delta; in canonical order, sorted
+    by least member."""
+    levels = list(_chain_levels_reference(sys))
+    pieces = {}
+    for i in range(sys.n):
+        if all(i in on_cycle for _, on_cycle, _ in levels):
+            key = tuple(label[i] for _, _, label in levels)
+            pieces.setdefault(key, []).append(i)
+    return tuple(tuple(sys.points[i] for i in ids)
+                 for ids in sorted(pieces.values()))
 
 
 def nonwandering_reference(sys):

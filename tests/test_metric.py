@@ -13,7 +13,9 @@ siblings).
 """
 
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -116,10 +118,10 @@ def test_common_denominator_is_bounded():
     assert sys.scale == p and sys.d("a", "b") == Fraction(p + 1, p)
 
 
-def test_metric_check_over_budget_is_refused_unchecked(monkeypatch):
-    # 70 points at distances 1 + a/p over three coprime 1400-digit p: the
-    # common denominator has about 4200 digits, under its bound, but the
-    # triangle check would subtract 14,000-bit integers 70^3 / 2 times
+def hostile_table():
+    """70 points at distances 1 + a/p over three coprime 1400-digit p:
+    the common denominator has about 4200 digits, under its bound, but
+    the triangle check would subtract 14,000-bit integers 70^3 / 2 times."""
     ps = [10 ** 1399 + k for k in (1, 2, 3)]
     n = 70
     points = [f"p{i}" for i in range(n)]
@@ -128,13 +130,52 @@ def test_metric_check_over_budget_is_refused_unchecked(monkeypatch):
         for j in range(i + 1, n):
             p = ps[(i + j) % 3]
             dist[i][j] = dist[j][i] = Fraction(p + 1 + i * n + j, p)
+    return points, dist
+
+
+def test_metric_check_over_budget_is_refused_unchecked(monkeypatch):
+    points, dist = hostile_table()
 
     def unreachable(*args):
         raise AssertionError("the metric check ran")
 
     monkeypatch.setattr(core, "_check_metric", unreachable)
-    with pytest.raises(ValueError, match="too costly to check: 70 points"):
+    with pytest.raises(ValueError, match="too costly to check: 70 points "
+                                         "with 13943-bit scaled"):
         build_finite_system(points, dist, points)
+
+
+def test_hostile_table_is_refused_before_scaling():
+    # the refusal multiplies no entry out: 4,900 products of 4,648-bit
+    # numerators by 9,296-bit factors took 0.2-0.3 s on a 2-core Xeon VM
+    points, dist = hostile_table()
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too costly to check"):
+            build_finite_system(points, dist, points)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1, times
+
+
+@settings(deadline=None)
+@given(st.lists(st.fractions(max_denominator=2 ** 70).filter(bool)
+                | st.integers(-2 ** 200, 2 ** 200).map(Fraction),
+                min_size=1, max_size=12))
+def test_widest_bits_match_the_multiplied_entries(entries):
+    pairs = dict.fromkeys((q.numerator, q.denominator) for q in entries)
+    scale = math.lcm(*(den for _, den in pairs))
+    factor = {den: scale // den for _, den in pairs}
+    widest = max(scale, *(abs(num) * factor[den] for num, den in pairs))
+    assert core._widest_bits(scale, pairs, factor) == widest.bit_length()
+
+
+def test_widest_bits_on_every_small_entry():
+    # every width boundary of |num| * factor up to 2^12, zero included
+    for num in range(-64, 65):
+        for f in range(1, 65):
+            assert (core._widest_bits(1, {(num, 7): None}, {7: f})
+                    == max(1, abs(num) * f).bit_length()), (num, f)
 
 
 def test_metric_check_budget_admits_the_largest_window():

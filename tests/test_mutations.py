@@ -19,11 +19,13 @@ from dynlab.core import FiniteSystem, build_finite_system, threshold_grid
 from dynlab.gallery import build_random_system, build_xpq
 from dynlab.specification import local_spec_holds
 
-from helpers import cycle_system
+from helpers import cycle_system, stem_into_cycle
 from oracles import (local_spec_reference, myex_table_reference,
                      window_table_reference)
+from test_recurrence import two_fixed_points
 from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
-                                    check_primitive, wielandt)
+                                    check_primitive, check_recurrence,
+                                    wielandt)
 from test_metric import check_built_as_reference, check_metric
 from test_shadowing import check_tables
 from test_spread import check_spread
@@ -89,6 +91,35 @@ def test_nonwandering_horizon_one_short(monkeypatch):
           "for _ in range(sys.n):", "for _ in range(sys.n - 1):")
     with pytest.raises(AssertionError):
         check_nonwandering(cycle_system(5))
+
+
+def test_closed_walk_test_dropping_the_self_loop(monkeypatch):
+    check_recurrence(two_fixed_points())
+    plant(monkeypatch, [recurrence], "_cyclic_components",
+          "len(comp) > 1 or comp[0] in succ[comp[0]]", "len(comp) > 1")
+    with pytest.raises(AssertionError):
+        check_recurrence(two_fixed_points())
+
+
+def test_basic_sets_read_above_the_least_distance(monkeypatch):
+    # the second positive grid delta is the least positive distance,
+    # where the open balls are still single points: the third is the
+    # first delta whose chain graph can differ from the step relation
+    check_recurrence(two_fixed_points())
+    plant(monkeypatch, [recurrence], "basic_sets", "_step_sets(sys)",
+          "chain_graph(sys, threshold_grid(sys).positive[2]).succ")
+    with pytest.raises(AssertionError):
+        check_recurrence(two_fixed_points())
+
+
+def test_lt_cutoff_counting_the_threshold_itself(monkeypatch):
+    # at delta = 1 a closed ball would let the fixed point z chain back
+    # to the transient point s1
+    check_recurrence(stem_into_cycle())
+    plant(monkeypatch, [FiniteSystem], "lt_cutoff",
+          "bisect_left(", "bisect_right(")
+    with pytest.raises(AssertionError):
+        check_recurrence(stem_into_cycle())
 
 
 def test_spread_window_one_step_short(monkeypatch):

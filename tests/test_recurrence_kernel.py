@@ -3,7 +3,10 @@ matrix kernel it replaced (the recurrence references in ``oracles``).
 
 ``chain_graph`` at every grid delta, ``nonwandering_set`` and
 ``is_mixing`` on random subsets are compared on random plain systems
-and on window systems of random 2-4 letter shifts of finite type;
+and on window systems of random 2-4 letter shifts of finite type, and
+so are ``basic_sets`` and ``chain_recurrent_set``, which the library
+decides on the step relation, against their reading at every grid
+delta;
 ``_primitive`` on random digraphs and on Wielandt's digraphs, whose
 exponent (m - 1)^2 + 1 is the largest a primitive relation on m
 vertices can need.  ``tests/test_mutations.py`` plants faults under the
@@ -18,7 +21,8 @@ from dynlab.errors import EmptyShift
 from dynlab.gallery import build_random_system
 from dynlab.symbolic import build_sft, window_system
 
-from oracles import (chain_graph_reference, is_mixing_reference,
+from oracles import (basic_sets_reference, chain_graph_reference,
+                     chain_recurrent_reference, is_mixing_reference,
                      nonwandering_reference, primitive_reference)
 
 # the properties are exact, so a slow host must not fail them on time
@@ -37,6 +41,19 @@ def check_chain_graphs(sys):
 
 def check_nonwandering(sys):
     assert recurrence.nonwandering_set(sys) == nonwandering_reference(sys)
+
+
+def check_recurrence(sys):
+    """Basic sets and the chain recurrent table, decided once on the
+    step relation, against one chain graph per grid delta; and the
+    chain recurrent points, the union of the basic sets and the
+    non-wandering set as one set."""
+    pieces = recurrence.basic_sets(sys)
+    assert pieces == basic_sets_reference(sys)
+    chain = recurrence.chain_recurrent_set(sys)
+    assert (chain.points, chain.table) == chain_recurrent_reference(sys)
+    union = tuple(p for p in sys.points if any(p in b for b in pieces))
+    assert chain.points == union == recurrence.nonwandering_set(sys)
 
 
 def check_primitive(succ):
@@ -91,6 +108,12 @@ systems = st.one_of(plain_systems(), window_systems())
 def test_chain_graphs_and_nonwandering_match_the_frozenset_kernel(sys):
     check_chain_graphs(sys)
     check_nonwandering(sys)
+
+
+@untimed
+@given(systems)
+def test_recurrence_matches_the_reading_at_every_grid_delta(sys):
+    check_recurrence(sys)
 
 
 @untimed
