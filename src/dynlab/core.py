@@ -54,6 +54,9 @@ _LONG_DENOMINATOR = (f"common denominator of the distances has more than "
 # bit width exceeds this is refused unchecked.  The 168-point product
 # window (3-bit entries) needs 1.4e7.
 _METRIC_BUDGET = 10 ** 9
+# Above this many points n^3 alone exceeds the budget, so such a table is
+# refused at any bit width: builders refuse it before listing its points.
+_MAX_POINTS = 1000
 
 
 def as_fraction(value):
@@ -267,13 +270,14 @@ class FiniteSystem:
 
         The memo holds the threshold structures every tracing question
         at the same cutoffs shares: the grid, balls, gap windows, tracer
-        masks and component sizes; and two entries with no cutoff, the
+        masks and component sizes; and three entries with no cutoff, the
         admissible steps as successor bitmasks (``("steps",)``, read by
-        every recurrence question) and the eventual images of the
-        stable sets (``("eventual",)``).  A key is a name followed by
-        integer cutoffs and gaps, never a Fraction, and an entry is
-        immutable (tuples, ints, the frozen grid), so callers share it.
-        No search verdict is memoized."""
+        every recurrence question), the eventual images of the stable
+        sets and of the C_p parts (``("eventual",)``), and the cycles of
+        the map behind every measure question (``("cycles",)``).  A key
+        is a name followed by integer cutoffs and gaps, never a Fraction,
+        and an entry is immutable (tuples, ints, the frozen grid), so
+        callers share it.  No search verdict is memoized."""
         try:
             return self._memo[key]
         except KeyError:
@@ -318,6 +322,8 @@ class Lasso:
     repeated forever.  Two-sided lassos additionally run a cycle
     backwards in time: index -1 is the last element of ``past_cycle``
     (which defaults to ``cycle``), index -2 the one before, and so on.
+    :class:`~dynlab.symbolic.SymbolicPoint` is the canonical two-sided
+    form.
     """
 
     stem: tuple = ()
@@ -474,6 +480,15 @@ def _check_shape(points, table):
     if len(table) != n or any(len(row) != n for row in table):
         raise ValueError("distance matrix shape does not match points")
     return n
+
+
+def _check_size(n, what):
+    """Refuse ``what``, a system of at least ``n`` points, before its
+    table is built, when ``n`` is above _MAX_POINTS."""
+    if n > _MAX_POINTS:
+        raise ValueError(
+            f"{what}: more than {_MAX_POINTS} points exceed the budget of "
+            f"{_METRIC_BUDGET} for n^3 times the bit width")
 
 
 def _check_budget(n, bits):
@@ -638,11 +653,17 @@ def shadows(sys, point, lasso, epsilon):
     if lasso.two_sided:
         if not sys.invertible:
             raise NotInvertible("two-sided lasso on a one-sided system")
-        back = math.lcm(len(sys.cycle(i0)), len(lasso.past))
-        for k in range(-back, 0):
-            if sys.rank[sys.power(i0, k)][sys.index[lasso[k]]] >= cutoff:
-                return False
+        return _shadows_backward(sys, i0, lasso, cutoff)
     return True
+
+
+def _shadows_backward(sys, i0, lasso, cutoff):
+    """The backward half of :func:`shadows`: rank(f^k(i0), x_k) < cutoff
+    for every k < 0.  On an invertible system both sides run backward
+    along cycles, so one joint period of them is every negative time."""
+    back = math.lcm(len(sys.cycle(i0)), len(lasso.past))
+    return all(sys.rank[sys.power(i0, k)][sys.index[lasso[k]]] < cutoff
+               for k in range(-back, 0))
 
 
 def threshold_grid(sys):

@@ -144,26 +144,23 @@ def enumerate_ergodic_measures(sys):
     On a finite system these are exactly the ergodic invariant
     measures, and every invariant measure is a convex combination.
     """
-    out = []
-    for cyc in _cycles(sys):
-        w = [Fraction(0)] * sys.n
-        share = Fraction(1, len(cyc))
-        for i in cyc:
-            w[i] = share
-        out.append(InvariantMeasure(tuple(w), ergodic=True))
-    return out
+    return [_uniform(sys, cyc) for cyc in _cycles(sys)]
 
 
 def _cycles(sys):
-    seen = set()
-    cycles = []
-    for i in range(sys.n):
-        if sys.preperiod(i) == 0 and i not in seen:
-            cyc = sys.cycle(i)
-            if min(cyc) == i:
-                cycles.append(cyc)
-                seen.update(cyc)
-    return sorted(cycles, key=lambda c: c[0])
+    """The cycles of the map, each read from its least index, ordered by
+    it; built once per system."""
+    return sys._memoized(("cycles",), lambda: tuple(
+        cyc for i, cyc in enumerate(sys._orbits[1])
+        if sys.preperiod(i) == 0 and min(cyc) == i))
+
+
+def _uniform(sys, cyc):
+    """The uniform (ergodic) measure on the cycle ``cyc``."""
+    weights, share = [Fraction(0)] * sys.n, Fraction(1, len(cyc))
+    for i in cyc:
+        weights[i] = share
+    return InvariantMeasure(tuple(weights), ergodic=True)
 
 
 def strong_measure_expansive_holds(sys, delta):
@@ -182,10 +179,7 @@ def strong_measure_expansive_holds(sys, delta):
         for cyc in cycles:
             inside = sum(1 for y in cyc if spread[x][y] < cutoff)
             if inside != (1 if x in cyc else 0):
-                w = [Fraction(0)] * sys.n
-                for i in cyc:
-                    w[i] = Fraction(1, len(cyc))
-                return False, (sys.points[x], InvariantMeasure(tuple(w), True))
+                return False, (sys.points[x], _uniform(sys, cyc))
     return True, None
 
 
@@ -219,26 +213,18 @@ def lockstep_orbit_pair(sys):
     a satellite-style construction plants lockstep pairs at offsets
     shrinking with the family parameter.  Constancy is invariant along
     the joint orbit, so anchoring the first coordinate at one cycle
-    member scans every alignment.
+    member scans every alignment; the joint orbit is read off the two
+    cycles.
     """
-    rank, fmap = sys.rank, sys.fmap
-    cycles = _cycles(sys)
-    for a in range(len(cycles)):
-        for b in range(a + 1, len(cycles)):
-            c1, c2 = cycles[a], cycles[b]
+    rank, cycles = sys.rank, _cycles(sys)
+    for a, c1 in enumerate(cycles):
+        for c2 in cycles[a + 1:]:
             span = math.lcm(len(c1), len(c2))
-            x = c1[0]
-            for y in c2:
-                offset = rank[x][y]
-                u, v = x, y
-                steady = True
-                for _ in range(span - 1):
-                    u, v = fmap[u], fmap[v]
-                    if rank[u][v] != offset:
-                        steady = False
-                        break
-                if steady:
-                    return (sys.points[x], sys.points[y],
+            for j, y in enumerate(c2):
+                offset = rank[c1[0]][y]
+                if all(rank[c1[k % len(c1)]][c2[(j + k) % len(c2)]] == offset
+                       for k in range(1, span)):
+                    return (sys.points[c1[0]], sys.points[y],
                             sys.distance_values[offset])
     return None
 
@@ -262,9 +248,12 @@ class StableSets:
 
 def _eventual_images(sys):
     """f^(T + P) of every index, T the longest preperiod and P the cycle
-    lcm: two orbits converge iff they meet by then."""
-    horizon = sys.max_preperiod + sys.cycle_lcm
-    return tuple(sys.power(y, horizon) for y in range(sys.n))
+    lcm: two orbits converge iff they meet by then.  Built once per
+    system."""
+    def build():
+        horizon = sys.max_preperiod + sys.cycle_lcm
+        return tuple(sys.power(y, horizon) for y in range(sys.n))
+    return sys._memoized(("eventual",), build)
 
 
 def stable_sets(sys, x, epsilon, include_unstable=None):
@@ -284,7 +273,7 @@ def stable_sets(sys, x, epsilon, include_unstable=None):
     spread = sys.spread_rank[xi]
     s_local = tuple(sys.points[y] for y in range(sys.n)
                     if spread[y] < cutoff)
-    eventual = sys._memoized(("eventual",), lambda: _eventual_images(sys))
+    eventual = _eventual_images(sys)
     s_global = tuple(sys.points[y] for y in range(sys.n)
                      if eventual[y] == eventual[xi])
     u_local = u_global = None

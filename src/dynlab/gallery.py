@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FiniteSystem, _assemble
+from .core import FiniteSystem, _assemble, _check_size
 from .errors import NotCoprime, NotEnoughOrbits
 from .symbolic import build_sft, product_system
 
@@ -203,10 +203,13 @@ def build_random_system(seed, size, invertible=False):
     Pairwise weights are drawn as exact rationals and completed to a
     metric by all-pairs shortest paths; the map is a uniform random
     function, or a uniform random permutation when ``invertible``.
-    The same seed always yields the identical system.
+    The same seed always yields the identical system.  A size above
+    1000 is refused before any weight is drawn: no such table passes the
+    metric-check budget.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
+    _check_size(size, f"random system size {size}")
     rng = random.Random(seed)
     # weights m/c with c in {1, 2, 3, 4, 6} are kept over 12 as m * (12 // c)
     base = [[0] * size for _ in range(size)]

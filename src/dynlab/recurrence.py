@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .core import (_image, _largest_passing, _strong_components, as_fraction,
                    threshold_grid)
-from .expansive import stable_sets, strong_measure_expansive_holds
+from .expansive import _eventual_images, strong_measure_expansive_holds
 from .shadowing import DeltaGraph
 
 __all__ = [
@@ -268,9 +268,10 @@ def is_mixing(sys, part, a):
 def is_transitive(sys, subset):
     """Does one admissible orbit visit every point of the subset?
 
-    Plain systems: some point's forward orbit covers the subset.
-    Multivalued systems: the relation restricted to the subset is
-    strongly connected (a covering closed walk then exists).
+    Plain systems: some point's forward orbit, its prefix and cycle,
+    covers the subset.  Multivalued systems: the relation restricted to
+    the subset is strongly connected (a covering closed walk then
+    exists).
     """
     wanted = {sys.index[p] for p in subset}
     if not wanted:
@@ -278,55 +279,45 @@ def is_transitive(sys, subset):
     if len(wanted) == 1:
         return True
     if sys.relation is None:
-        for i in range(sys.n):
-            seen = set(sys.cycle(i))
-            j = i
-            while j not in seen:
-                seen.add(j)
-                j = sys.fmap[j]
-            if wanted <= seen:
-                return True
-        return False
+        return any(wanted <= {*prefix, *cycle}
+                   for prefix, cycle in zip(*sys._orbits))
     return len(_strong_components(_restricted_succ(sys, wanted))) == 1
 
 
 def cp_construction(sys, B, p):
     """Part of a basic set grown from a periodic anchor's stable set.
 
-    C_p = (global stable set of p) intersected with B.  Requires p to
-    be a periodic member of B.
+    C_p = (global stable set of p) intersected with B: the q in B whose
+    orbit meets that of p, read off the eventual images the stable sets
+    share.  Requires p to be a periodic member of B.
     """
     if p not in B:
         raise ValueError("anchor must belong to the basic set")
     if sys.preperiod(sys.index[p]) != 0:
         raise ValueError("anchor must be periodic")
-    top = threshold_grid(sys).top
-    stable = set(stable_sets(sys, p, top, include_unstable=False).s_global)
-    return tuple(q for q in B if q in stable)
+    eventual = _eventual_images(sys)
+    return tuple(q for q in B
+                 if eventual[sys.index[q]] == eventual[sys.index[p]])
 
 
 def _cp_parts(sys, B):
-    """Stable-set route to the cyclic parts: iterate the anchor forward.
+    """Stable-set route to the cyclic parts: C_q for q along the cycle
+    of the anchor, the first periodic member of B.
 
     Returns (M, parts) where M is the least positive step count with
-    C_{f^M(anchor)} == C_anchor, or None when B holds no periodic point
-    to anchor on (possible only for multivalued systems, where the
-    canonical map may spiral out of the piece).
+    C_{f^M(anchor)} == C_anchor (at most the anchor's period) and parts
+    are C_{f^m(anchor)} for m < M, or None when B holds no periodic
+    point to anchor on (possible only for multivalued systems, where
+    the canonical map may spiral out of the piece).
     """
     periodic = [p for p in B if sys.preperiod(sys.index[p]) == 0]
     if not periodic:
         return None
-    anchor = periodic[0]
-    first = cp_construction(sys, B, anchor)
-    parts, point = [first], sys.apply(anchor)
-    bound = len(sys.cycle(sys.index[anchor]))
-    for m in range(1, bound + 1):
-        current = cp_construction(sys, B, point)
-        if current == first:
-            return m, tuple(parts)
-        parts.append(current)
-        point = sys.apply(point)
-    raise AssertionError("anchor iteration must close within its period")
+    parts = [cp_construction(sys, B, sys.points[i])
+             for i in sys.cycle(sys.index[periodic[0]])]
+    m = next((m for m in range(1, len(parts)) if parts[m] == parts[0]),
+             len(parts))
+    return m, tuple(parts[:m])
 
 
 @dataclass(frozen=True)

@@ -37,15 +37,14 @@ of its last vertex.
 from __future__ import annotations
 
 import inspect
-import math
 import os
 import warnings
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (Lasso, _image, _largest_passing, _strong_components,
-                   as_fraction, shadows, threshold_grid)
+from .core import (Lasso, _image, _largest_passing, _shadows_backward,
+                   _strong_components, as_fraction, shadows, threshold_grid)
 from .errors import BoundTooSmall, NotDecaying, NotInvertible, StateExplosion
 
 __all__ = [
@@ -200,14 +199,12 @@ def _die_search(succ, step, allowed, cap):
 
 
 def _complete_walk(sys, walk):
-    """Extend a finite index walk into a lasso by the true orbit of its end."""
+    """Extend a finite index walk into a lasso by the true orbit of its
+    end: the orbit of f(end) before its cycle, then that cycle."""
+    prefixes, cycles = sys._orbits
     nxt = sys.fmap[walk[-1]]
-    prefix = [nxt]
-    while sys.preperiod(prefix[-1]) > 0:
-        prefix.append(sys.fmap[prefix[-1]])
-    stem = tuple(sys.points[i] for i in walk + prefix[:-1])
-    cycle = tuple(sys.points[i] for i in sys.cycle(prefix[-1]))
-    return Lasso(stem=stem, cycle=cycle)
+    return Lasso(stem=tuple(sys.points[i] for i in (*walk, *prefixes[nxt])),
+                 cycle=tuple(sys.points[i] for i in cycles[nxt]))
 
 
 def shadowing_holds(sys, delta, epsilon, cap=None):
@@ -243,26 +240,22 @@ def construct_shadow_point(sys, lasso, epsilon):
     certificate; on failure point is None and info locates the
     obstruction: the first index at which the viable tracer set dies
     (one-sided), or the forward/backward survivor sets whose
-    intersection at index 0 is empty (two-sided).
+    intersection at index 0 is empty (two-sided).  Both halves are those
+    of :func:`~dynlab.core.shadows`.
     """
     epsilon = as_fraction(epsilon)
     for z in sys.points:
         if shadows(sys, z, lasso, epsilon):
             return z, {"certificate": ShadowCertificate(
                 "traced", None, epsilon, lasso, point=z)}
+    cutoff = sys.lt_cutoff(epsilon)
     if lasso.two_sided:
         fwd = Lasso(stem=lasso.stem, cycle=lasso.cycle)
         forward = tuple(z for z in sys.points if shadows(sys, z, fwd, epsilon))
-        back = tuple(
-            z for z in sys.points
-            if all(
-                sys.d(sys.apply(z, k), lasso[k]) < epsilon
-                for k in range(-math.lcm(len(sys.cycle(sys.index[z])),
-                                         len(lasso.past)), 0)
-            )
-        )
+        back = tuple(z for i, z in enumerate(sys.points)
+                     if _shadows_backward(sys, i, lasso, cutoff))
         return None, {"forward_survivors": forward, "backward_survivors": back}
-    balls = sys._balls(sys.lt_cutoff(epsilon))
+    balls = sys._balls(cutoff)
     w = balls[sys.index[lasso[0]]]
     rows = [1 << y for y in sys.fmap]
     i = 0
@@ -481,7 +474,9 @@ def strong_shadow_point(sys, cycle_points, epsilon):
     stays epsilon-close to the sequence read cyclically, and returns it,
     or None.  This is the single-instance form of the quantified
     :func:`strong_periodic_shadowing_holds`; the sequence need not be a
-    pseudo-orbit at any particular delta.
+    pseudo-orbit at any particular delta.  A periodic x whose period
+    divides N is such a tracer iff it shadows the sequence as a lasso
+    cycle (:func:`~dynlab.core.shadows`).
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
@@ -489,15 +484,10 @@ def strong_shadow_point(sys, cycle_points, epsilon):
     k = len(cycle_points)
     if k == 0:
         raise ValueError("need a non-empty cyclic sequence")
-    walk = [sys.index[p] for p in cycle_points]
-    eps_cut = sys.lt_cutoff(epsilon)
-    rank = sys.rank
-    for z in sys.periodic_indices():
-        if k % len(sys.cycle(z)) != 0:
-            continue
-        if all(rank[sys.power(z, i)][walk[i]] < eps_cut for i in range(k)):
-            return sys.points[z]
-    return None
+    lasso = Lasso(cycle=tuple(cycle_points))
+    return next((sys.points[z] for z in sys.periodic_indices()
+                 if k % len(sys.cycle(z)) == 0
+                 and shadows(sys, sys.points[z], lasso, epsilon)), None)
 
 
 # -- moduli -----------------------------------------------------------------
@@ -600,6 +590,15 @@ def _require_exact_cycle(sys, cycle, what, power=1):
                 f"{what} step {j}: {name}({x!r}) = {image!r} != {nxt!r}")
 
 
+def _phase_tracer(sys, lasso, what, power=1):
+    """The cycle entry whose f^power-orbit runs along the tail of the
+    one-sided ``lasso`` from index 0 on, once the stem is past:
+    NotDecaying (see :func:`_require_exact_cycle`) unless the cycle is
+    an exact f^power cycle."""
+    _require_exact_cycle(sys, lasso.cycle, what, power)
+    return lasso.cycle[-len(lasso.stem) % len(lasso.cycle)]
+
+
 def limit_shadowing_check(sys, lasso):
     """Tracer for an error-decaying pseudo-orbit (errors eventually zero).
 
@@ -611,11 +610,9 @@ def limit_shadowing_check(sys, lasso):
     """
     if lasso.two_sided:
         raise ValueError("one-sided lasso expected; see the two-sided variant")
-    _require_exact_cycle(sys, lasso.cycle, "cycle")
-    c = len(lasso.cycle)
-    x = lasso.cycle[(-len(lasso.stem)) % c]
-    assert all(sys.apply(x, i) == lasso[i]
-               for i in range(len(lasso.stem), len(lasso.stem) + c))
+    x = _phase_tracer(sys, lasso, "cycle")
+    assert all(sys.apply(x, i) == lasso[i] for i in range(
+        len(lasso.stem), len(lasso.stem) + len(lasso.cycle)))
     return x
 
 
@@ -625,8 +622,11 @@ def two_sided_limit_shadowing_check(sys, lasso):
     Both tails must be exact cycles of f.  On a finite invertible
     system every orbit is a single cycle, so a matching point exists
     iff the past and future tails lie on the same orbit with
-    compatible phases; the search below settles that exactly.
-    Returns the point, or None when past and future cannot be joined.
+    compatible phases.  The search settles that exactly: a point
+    matches when it traces the past, and its image after the stem the
+    future cycle, both by :func:`~dynlab.core.shadows` below the least
+    positive distance, where tracing is equality.  Returns the point,
+    or None when past and future cannot be joined.
     """
     if not sys.invertible:
         raise NotInvertible("two-sided limit tracing needs an invertible system")
@@ -634,14 +634,11 @@ def two_sided_limit_shadowing_check(sys, lasso):
         raise ValueError("two-sided lasso expected")
     _require_exact_cycle(sys, lasso.cycle, "future cycle")
     _require_exact_cycle(sys, lasso.past, "past cycle")
-    s = len(lasso.stem)
-    for z in sys.points:
-        cz = len(sys.cycle(sys.index[z]))
-        fwd = math.lcm(cz, len(lasso.cycle))
-        back = math.lcm(cz, len(lasso.past))
-        if all(sys.apply(z, i) == lasso[i] for i in range(s, s + fwd)) and all(
-            sys.apply(z, i) == lasso[i] for i in range(-back, 0)
-        ):
+    tail = Lasso(cycle=lasso.cycle)
+    exact = threshold_grid(sys).submin  # below every positive distance
+    for i, z in enumerate(sys.points):
+        if (shadows(sys, sys.apply(z, len(lasso.stem)), tail, exact)
+                and _shadows_backward(sys, i, lasso, sys.lt_cutoff(exact))):
             return z
     return None
 

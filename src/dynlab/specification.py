@@ -33,7 +33,7 @@ from .shadowing import (
     _gap_graphs,
     _gap_structures,
     _linear_envelope,
-    _require_exact_cycle,
+    _phase_tracer,
     _table,
     periodic_shadowing_holds,
     strong_periodic_shadowing_holds,
@@ -263,8 +263,10 @@ def spec_to_shadow_point(sys, lasso, N, epsilon, cap=None):
 
     Requires chain tracing to hold at (epsilon/2, N, delta) for some
     grid delta that also dominates N times the spread of the lasso's
-    own error level (ValueError otherwise).  The returned point is
-    re-verified against the original lasso before being returned.
+    own error level (ValueError otherwise).  The blocked chain is traced
+    by :func:`~dynlab.core.shadows` on the lasso of its N-step bursts,
+    and the returned point is re-verified against the original lasso
+    the same way.
     """
     epsilon = as_fraction(epsilon)
     half = epsilon / 2
@@ -285,24 +287,17 @@ def spec_to_shadow_point(sys, lasso, N, epsilon, cap=None):
         raise ValueError(
             "no grid delta supports the chain route at these parameters"
         )
-    blocked = blockify(sys, lasso, N, chosen)
-    y = blocked.lasso
+    y = blockify(sys, lasso, N, chosen).lasso
     # trace the infinite blocked chain definitionally: the tracker must
-    # stay within epsilon/2 of the n-step burst of every block
-    sy, cy = len(y.stem), len(y.cycle)
+    # stay within epsilon/2 of the N-step burst of every block, which is
+    # to shadow the lasso of bursts
+    burst = lambda blocks: tuple(sys.apply(x, j) for x in blocks
+                                 for j in range(N))
+    bursts = Lasso(stem=burst(y.stem), cycle=burst(y.cycle))
     for z in sys.points:
-        horizon = max(sys.preperiod(sys.index[z]), sy * N) + math.lcm(
-            len(sys.cycle(sys.index[z])), cy * N
-        )
-        if all(
-            sys.d(sys.apply(z, i * N + j), sys.apply(y[i], j)) < half
-            for i in range(-(-horizon // N))
-            for j in range(N)
-        ):
+        if shadows(sys, z, bursts, half):
             assert shadows(sys, z, lasso, epsilon)
-            return z, SpecCertificate(
-                z, tuple(y[i] for i in range(sy + cy)), N, half, False
-            )
+            return z, SpecCertificate(z, y.stem + y.cycle, N, half, False)
     raise AssertionError(
         "chain tracing held but no tracer was found for the blocked chain"
     )
@@ -335,12 +330,15 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     """Finite-scale forms of the tail-exact and linear-envelope chain
     properties, each reduced through blocking.
 
-    variant "limit": the blocked tail must be an exact orbit segment;
-    returns the phase-matched tracer whose errors vanish eventually.
-    variant "two-sided": both blocked tails must be exact; searches for
-    an orbit matching past and future phases (may legitimately fail).
+    variant "limit": the blocked tail must be an exact f^N orbit
+    segment; returns the phase-matched tracer whose errors vanish
+    eventually ("holds" False, no point, otherwise).
+    variant "two-sided": both tails must be exact cycles of f; searches
+    for an orbit matching past and future phases (may legitimately
+    fail).  Blocking is a forward-time construction, so this variant
+    takes only N = 1 (ValueError otherwise).
     variant "lipschitz": fits the linear envelope (L, d0) to the chain
-    tracing table at N=1 (no lasso needed).
+    tracing table over the gaps n >= N (no lasso needed).
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -354,14 +352,16 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
         raise ValueError(f"variant {variant!r} needs a lasso")
     if variant == "limit":
         # the tracer whose f^N-orbit eventually agrees with the blocked tail
-        blocked = _block_plain(sys, lasso, N)
         try:
-            _require_exact_cycle(sys, blocked.cycle, "blocked cycle", N)
+            point = _phase_tracer(sys, _block_plain(sys, lasso, N),
+                                  "blocked cycle", N)
         except NotDecaying:
             return {"variant": variant, "holds": False, "point": None}
-        point = blocked.cycle[(-len(blocked.stem)) % len(blocked.cycle)]
         return {"variant": variant, "holds": True, "point": point}
     if variant == "two-sided":
+        if N != 1:
+            raise ValueError("the two-sided variant takes N = 1 only: "
+                             "blocking is a forward-time construction")
         point = two_sided_limit_shadowing_check(sys, lasso)
         return {"variant": variant, "holds": point is not None, "point": point}
     raise ValueError(f"unknown variant {variant!r}")

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _assemble, _closed_walk_counts
+from .core import (_MAX_POINTS, Lasso, _assemble, _check_size,
+                   _closed_walk_counts)
 from .errors import EmptyShift, HorizonExceeded
 
 __all__ = [
@@ -70,16 +71,16 @@ def _rotation_period(word):
     return n
 
 
-class SymbolicPoint:
-    """A bi-infinite, eventually periodic sequence of letters.
+class SymbolicPoint(Lasso):
+    """A bi-infinite, eventually periodic sequence of letters: the
+    canonical two-sided :class:`~dynlab.core.Lasso`.
 
     Stored canonically: the forward tail as the shortest stem plus a
-    primitive cycle, the past as a primitive cycle anchored so that
-    index -1 is its last letter.  Two presentations of the same
-    sequence compare (and hash) equal.
+    primitive cycle, the past (``past_cycle``, always stored) as a
+    primitive cycle anchored so that index -1 is its last letter; the
+    past defaults to the given cycle as passed in.  Two presentations of
+    the same sequence compare (and hash) equal.
     """
-
-    __slots__ = ("stem", "cycle", "past")
 
     def __init__(self, stem, cycle, past_cycle=None):
         if not cycle:
@@ -98,43 +99,15 @@ class SymbolicPoint:
             cycle = cycle[-1:] + cycle[:-1]
         # Canonical past: same reduction; the anchor (index -1 = last letter)
         # is preserved because a rotation-invariant word is periodic in phase.
-        past = past[: _rotation_period(past)]
-        object.__setattr__(self, "stem", stem)
-        object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "past", past)
+        Lasso.__init__(self, stem, cycle, True,
+                       past[: _rotation_period(past)])
 
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("SymbolicPoint is immutable")
-
-    def __getitem__(self, i):
-        if i < 0:
-            return self.past[i % len(self.past)]
-        s = len(self.stem)
-        if i < s:
-            return self.stem[i]
-        return self.cycle[(i - s) % len(self.cycle)]
+    def __hash__(self):
+        return hash((self.stem, self.cycle, self.past))
 
     def transition_pairs(self):
         """Every adjacent letter pair the sequence realises (finite cover)."""
-        pairs = {(self.past[j], self.past[(j + 1) % len(self.past)])
-                 for j in range(len(self.past))}
-        pairs.add((self.past[-1], self[0]))
-        for j in range(len(self.stem)):
-            pairs.add((self.stem[j], self[j + 1]))
-        pairs.update(
-            (self.cycle[j], self.cycle[(j + 1) % len(self.cycle)])
-            for j in range(len(self.cycle))
-        )
-        return pairs
-
-    def _key(self):
-        return (self.stem, self.cycle, self.past)
-
-    def __eq__(self, other):
-        return isinstance(other, SymbolicPoint) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return set(self.transitions())
 
     def __repr__(self):
         past = "".join(map(str, self.past))
@@ -232,6 +205,25 @@ def _allowed_words(sft, length):
     return words
 
 
+def _word_count(sft, length, cap):
+    """The number of allowed words of the given length, or ``cap`` when
+    there are at least that many, listing none: the count of words
+    ending in each letter is pushed one letter at a time and clamped at
+    ``cap``, which changes no count below ``cap``."""
+    succ = {a: sft.successors(a) for a in sft.alphabet}
+    ends = dict.fromkeys(sft.alphabet, 1)
+    for _ in range(length - 1):
+        nxt = dict.fromkeys(sft.alphabet, 0)
+        for a, count in ends.items():
+            for b in succ[a]:
+                nxt[b] += count
+        nxt = {b: min(count, cap) for b, count in nxt.items()}
+        if nxt == ends:  # every later layer is this one
+            break
+        ends = nxt
+    return min(sum(ends.values()), cap)
+
+
 def window_system(sft, w):
     """Finite metric system on the allowed words of length 2w+1.
 
@@ -240,9 +232,14 @@ def window_system(sft, w):
     positive value is therefore 2^(-w).  The map shifts left and fills
     the new rightmost letter with the least allowed successor; all
     allowed fillings are recorded in the system's ``relation``.
+
+    Raises ValueError, before listing any word, when there are more
+    than 1000 words: no such table passes the metric-check budget.
     """
     if w < 1:
         raise ValueError("window radius must be >= 1")
+    _check_size(_word_count(sft, 2 * w + 1, _MAX_POINTS + 1),
+                f"window radius {w}")
     words = _allowed_words(sft, 2 * w + 1)
     if not words:
         raise EmptyShift("no allowed words at this window size")

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import pathlib
 import re
+import time
 
 import pytest
 
@@ -384,3 +386,67 @@ def test_hostile_common_denominator_exits_two(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == ("dynlab: common denominator of the distances has more "
                    "than 4300 digits\n")
+
+
+def test_spec_lasso_variants_at_gap_two(capsys, tmp_path):
+    # random(3, 6, inv): f(p0) = p3, so the cycle (p0, p5, p1, p5) is no
+    # cycle of f, while f^2 maps p0 -> p1 -> p0, the blocked cycle
+    system = tmp_path / "r3.json"
+    code, _, _ = run(capsys, "gallery", "random", "--seed", "3", "--size",
+                     "6", "--invertible", "--emit", str(system))
+    assert code == 0
+    lasso = tmp_path / "lasso.json"
+    lasso.write_text(json.dumps({"cycle": ["p0", "p5", "p1", "p5"]}))
+    argv = ["check", "spec", "--system", str(system), "--epsilon", "1",
+            "--N", "2", "--lasso", str(lasso)]
+    code, out, _ = run(capsys, *argv, "--variant", "limit")
+    assert code == 0
+    assert json.loads(out)["results"] == {"holds": True, "point": "p0"}
+    # blocking is forward-time only: the two-sided variant refuses N = 2
+    # rather than answer for N = 1
+    code, out, err = run(capsys, *argv, "--variant", "two-sided")
+    assert (code, out) == (2, "")
+    assert err == ("dynlab: the two-sided variant takes N = 1 only: "
+                   "blocking is a forward-time construction\n")
+
+
+FROZEN_REPORTS = json.loads(
+    (pathlib.Path(__file__).parent / "cli_reports.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_REPORTS))
+def test_report_matches_frozen_report(capsys, tmp_path, monkeypatch, name):
+    """Report paths no other test reaches (failing certificates, chain
+    counterexamples, a battery cap hit, product and windowed gallery
+    reports), byte for byte but for the wall_ms value, against reports
+    frozen before the orbit-shape code moved into core."""
+    files = {"{random-5-4}": emit_random(capsys, tmp_path),
+             "{random-3-6-invertible}": str(tmp_path / "r3.json"),
+             "{lasso}": str(tmp_path / "lasso.json")}
+    run(capsys, "gallery", "random", "--seed", "3", "--size", "6",
+        "--invertible", "--emit", files["{random-3-6-invertible}"])
+    (tmp_path / "lasso.json").write_text(
+        json.dumps({"cycle": ["p0", "p5", "p1", "p5"]}))
+    case = FROZEN_REPORTS[name]
+    for key, value in case["env"].items():
+        monkeypatch.setenv(key, value)
+    code, out, _ = run(capsys, *(files.get(a, a) for a in case["argv"]))
+    assert code == case["exit"]
+    assert re.sub(r'"wall_ms": \d+', '"wall_ms": 0', out) == case["report"]
+
+
+def test_hostile_window_is_refused_before_listing_words(capsys, tmp_path):
+    # xpq(3,2) has 299,426 words of length 41: its table would hold about
+    # 9 * 10^10 entries
+    path = emit_x32(capsys, tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectral", "--system", path,
+                         "--window", "20")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("dynlab: window radius 20: more than 1000 points exceed "
+                   "the budget of 1000000000 for n^3 times the bit width\n")
+    code, out, err = run(capsys, "gallery", "random", "--seed", "0",
+                         "--size", "1001")
+    assert (code, out) == (2, "")
+    assert err.startswith("dynlab: random system size 1001: more than 1000")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -125,6 +126,24 @@ def test_shadows_matches_unrolled_definition():
                     assert shadows(sys_, p, l, eps) == unrolled_shadows(
                         sys_, p, l, eps, 120
                     )
+
+
+def check_two_sided_shadows(sys_):
+    """shadows equals the unrolled definition on every two-sided lasso
+    whose stem (maybe empty), cycle and past have at most two entries,
+    at every grid epsilon."""
+    words = [w for k in (1, 2) for w in itertools.product(sys_.points, repeat=k)]
+    for stem, cycle, past in itertools.product([()] + words, words, words):
+        lasso = Lasso(stem, cycle, two_sided=True, past_cycle=past)
+        for eps in threshold_grid(sys_).positive:
+            for p in sys_.points:
+                assert shadows(sys_, p, lasso, eps) == unrolled_shadows(
+                    sys_, p, lasso, eps, 12), (p, lasso, eps)
+
+
+def test_shadows_matches_unrolled_definition_on_every_short_past():
+    check_two_sided_shadows(cycle_system(2))
+    check_two_sided_shadows(two_points_identity())
 
 
 def test_shadows_two_sided_needs_invertible():

@@ -28,8 +28,10 @@ from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
                                     wielandt)
 from test_metric import check_built_as_reference, check_metric
 from test_shadowing import check_tables
+from test_core import check_two_sided_shadows
 from test_spread import check_spread
 from test_tracing_kernel import check_gap_structures
+import test_symbolic
 
 
 def plant(monkeypatch, owners, name, fragment, fault, *more):
@@ -234,3 +236,31 @@ def test_gap_skip_keyed_on_the_step_map_alone(monkeypatch):
           "key = structure[2:]", "key = structure[2]")
     with pytest.raises(AssertionError):
         check_step_only_cells()
+
+
+def check_short_pasts():
+    check_two_sided_shadows(cycle_system(2))
+
+
+def test_backward_window_one_step_short(monkeypatch):
+    # on a 2-cycle, c0 traces the past (c1,) at step -1 and fails only
+    # at step -2, the last of the joint period
+    check_short_pasts()
+    plant(monkeypatch, [core, shadowing], "_shadows_backward",
+          "range(-back, 0)", "range(-back + 1, 0)")
+    with pytest.raises(AssertionError):
+        check_short_pasts()
+
+
+def check_canonical_points():
+    # called through the module, so that pytest collects them only there
+    test_symbolic.test_symbolic_point_canonical_equality()
+    test_symbolic.test_shift_distance_basic()
+
+
+def test_stem_absorption_without_the_cycle_rotation(monkeypatch):
+    check_canonical_points()
+    plant(monkeypatch, [symbolic.SymbolicPoint], "__init__",
+          "        cycle = cycle[-1:] + cycle[:-1]\n", "")
+    with pytest.raises(AssertionError):
+        check_canonical_points()

@@ -1,10 +1,13 @@
 """Chain recurrence, non-wandering points, and the decomposition routes."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from dynlab.battery import run_theorem_battery
+from dynlab.cli import main
 from dynlab.core import build_finite_system, threshold_grid
 from dynlab.gallery import build_xpq
 from dynlab.recurrence import (
@@ -19,6 +22,7 @@ from dynlab.recurrence import (
     nonwandering_set,
     spectral_decomposition,
 )
+from dynlab.serialize import canonical_json, sft_to_obj
 from dynlab.shadowing import modulus_table
 from dynlab.symbolic import build_sft, window_system
 
@@ -258,3 +262,22 @@ def test_hypothesis_report_fields():
     assert rep.strong_fails_at == (Fraction(1), Fraction(2))
     assert rep.invertible and rep.shadowing_populated and rep.passes
     assert not hypothesis_report(stem_into_cycle()).passes
+
+def test_piece_without_a_periodic_anchor(tmp_path, capsys):
+    # the canonical map sends '1,1,1' to '1,1,0', out of its basic set,
+    # though the relation keeps the self-loop: the stable-set route has
+    # no periodic anchor there
+    sft = build_sft(("0", "1"), {("1", "1"), ("1", "0"), ("0", "0")})
+    sys = window_system(sft, 1)
+    dec = spectral_decomposition(sys)
+    anchorless = [piece for piece in dec.pieces if piece.cp_parts is None]
+    assert [piece.points for piece in anchorless] == [("1,1,1",)]
+    assert anchorless[0].routes_agree is None
+    assert all(dec.verify(sys).values())
+    assert not dec.report.passes
+    assert run_theorem_battery(sys, "thmD", 6)["violations"] == []
+    path = tmp_path / "sft.json"
+    path.write_text(canonical_json(sft_to_obj(sft)))
+    assert main(["spectral", "--system", str(path), "--window", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(report["results"]["checks"].values())

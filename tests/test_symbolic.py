@@ -4,6 +4,9 @@ import pytest
 
 from dynlab.errors import EmptyShift, HorizonExceeded
 from dynlab.symbolic import (
+    Sft,
+    _allowed_words,
+    _word_count,
     build_sft,
     periodic_point_count,
     periodic_points,
@@ -136,3 +139,13 @@ def test_periodic_point_count_rejects_periods_below_one():
     for period in (0, -1):
         with pytest.raises(ValueError, match="period must be >= 1"):
             periodic_point_count(sft, period)
+
+
+def test_word_count_matches_the_listing_up_to_the_cap():
+    dead_end = Sft(("a", "b"), frozenset({("a", "a"), ("a", "b")}))
+    for sft, longest in ((two_loop_shift(), 14), (full_shift(2), 12),
+                         (full_shift(3), 8), (dead_end, 6)):
+        for length in range(1, longest + 1):
+            listed = len(_allowed_words(sft, length))
+            for cap in (1, 5, 1001):
+                assert _word_count(sft, length, cap) == min(listed, cap)
