@@ -20,8 +20,9 @@ import itertools
 import math
 import operator
 import re
+import reprlib
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 
 from .errors import MetricViolation, NotABijection, NotInvertible
@@ -107,6 +108,103 @@ class _cached:
         value = self.build(instance)
         setattr(instance, self.name, value)
         return value
+
+
+class _Record:
+    """Base of dynlab's frozen result records (Lasso, the certificates,
+    tables and reports).
+
+    A subclass that declares fields is processed once by
+    ``dataclass(init=False, repr=False, eq=False)``, which compiles no
+    code, so ``dataclasses.fields``, ``replace``, ``is_dataclass`` and
+    ``__match_args__`` work on it as on any dataclass.  The methods that
+    ``@dataclass(frozen=True)`` would compile for every class (0.7 ms
+    each on CPython 3.11, most of ``import dynlab``) are defined here
+    once and behave as the compiled ones do: ``__init__`` takes the
+    fields positionally or by keyword, with their defaults, then runs
+    ``__post_init__``; ``repr``, ``==`` and ``hash`` read the field
+    tuple; and fields cannot be set or deleted.  A subclass that
+    declares no fields (``SymbolicPoint``) keeps its parent's, as an
+    undecorated subclass of a dataclass does: only those fields are
+    frozen on it.  ``__dataclass_params__`` reads init, repr, eq and
+    frozen as False.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__annotations__" not in cls.__dict__:
+            return
+        dataclass(init=False, repr=False, eq=False)(cls)
+        declared = fields(cls)
+        if len(cls.__dataclass_fields__) != len(declared) or any(
+                f.default_factory is not MISSING or not f.init
+                for f in declared):
+            raise TypeError(f"{cls.__qualname__}: record fields take plain "
+                            f"defaults only, and no ClassVar or InitVar")
+        cls._names = names = tuple(f.name for f in declared)
+        cls._defaults = {f.name: f.default for f in declared
+                         if f.default is not MISSING}
+        # the field tuple, read in C for == and hash
+        cls._values = (operator.attrgetter(*names) if len(names) > 1 else
+                       staticmethod(lambda self: tuple(
+                           getattr(self, name) for name in names)))
+
+    def __init__(self, *args, **kwargs):
+        names = self._names
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values, in order, of a call that passes keywords
+        or leaves defaults; TypeError on a call that does not fit."""
+        names = cls._names
+        values = dict(cls._defaults)
+        values.update(zip(names, args))
+        values.update(kwargs)
+        if (len(args) > len(names)
+                or values.keys() != cls.__dataclass_fields__.keys()
+                or not kwargs.keys().isdisjoint(names[:len(args)])):
+            raise TypeError(f"{cls.__qualname__}() takes the fields {names} "
+                            f"(defaults {cls._defaults}), got {len(args)} "
+                            f"positional arguments and the keywords "
+                            f"{sorted(kwargs)}")
+        return map(values.__getitem__, names)
+
+    def __post_init__(self):
+        pass
+
+    @reprlib.recursive_repr()
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._names)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def _frozen(self, name):
+        """Whether ``name`` is frozen: any name on a record whose class
+        declared its fields, a field name on any record."""
+        return "__dataclass_fields__" in vars(type(self)) or name in self._names
+
+    def __setattr__(self, name, value):
+        if self._frozen(name):
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if self._frozen(name):
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        object.__delattr__(self, name)
 
 
 class FiniteSystem:
@@ -218,19 +316,26 @@ class FiniteSystem:
             return prefix[k]
         return cycle[(k - len(prefix)) % len(cycle)]
 
-    @property
+    @_cached
     def max_preperiod(self):
-        return max((self.preperiod(i) for i in range(self.n)), default=0)
+        """The largest number of steps before an orbit enters its cycle."""
+        return max(map(len, self._orbits[0]), default=0)
 
-    @property
+    @_cached
     def cycle_lcm(self):
         """lcm of the lengths of all cycles of the functional graph."""
-        lengths = {len(self.cycle(i)) for i in range(self.n)}
+        lengths = set(map(len, self._orbits[1]))
         return math.lcm(*lengths) if lengths else 1
+
+    @_cached
+    def _periodic(self):
+        """The indices on a cycle, read by :meth:`periodic_indices`."""
+        return tuple(i for i, prefix in enumerate(self._orbits[0])
+                     if not prefix)
 
     def periodic_indices(self):
         """Indices lying on a cycle of the functional graph."""
-        return tuple(i for i in range(self.n) if self.preperiod(i) == 0)
+        return self._periodic
 
     # -- exact threshold machinery ---------------------------------------
     #
@@ -314,8 +419,7 @@ class FiniteSystem:
         return f"<FiniteSystem {self.n} points, {tag}>"
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(_Record):
     """Finite presentation of an eventually periodic (pseudo-)orbit.
 
     One-sided lassos denote the sequence ``stem`` followed by ``cycle``
@@ -372,8 +476,7 @@ class Lasso:
         return pairs
 
 
-@dataclass(frozen=True)
-class ThresholdGrid:
+class ThresholdGrid(_Record):
     """All thresholds at which any strict or non-strict predicate can flip.
 
     Contains 0, every distance value of the system, a value strictly

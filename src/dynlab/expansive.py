@@ -21,10 +21,9 @@ reduction is unit-tested against explicit convex combinations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _largest_passing, as_fraction, threshold_grid
+from .core import _Record, _largest_passing, as_fraction, threshold_grid
 from .errors import NotInvertible
 
 __all__ = [
@@ -62,8 +61,7 @@ def orbit_spread(sys):
     return [[values[r] for r in row] for row in sys.spread_rank]
 
 
-@dataclass(frozen=True)
-class GammaSet:
+class GammaSet(_Record):
     """Points delta-indistinguishable from the center, with witnesses.
 
     ``spread`` maps every point of the system to the largest synchronized
@@ -121,8 +119,7 @@ def n_expansive_constant(sys, n):
                             lambda delta: _at_most_n_close(sys, n, delta))
 
 
-@dataclass(frozen=True)
-class InvariantMeasure:
+class InvariantMeasure(_Record):
     """A rational invariant probability vector over the points."""
 
     weights: tuple
@@ -229,8 +226,7 @@ def lockstep_orbit_pair(sys):
     return None
 
 
-@dataclass(frozen=True)
-class StableSets:
+class StableSets(_Record):
     """Local and global stable/unstable sets around a center point.
 
     Unstable fields are None when backward time was not requested (or

@@ -22,10 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FiniteSystem, _assemble, _check_size
+from .core import FiniteSystem, _Record, _assemble, _check_size
 from .errors import NotCoprime, NotEnoughOrbits
 from .symbolic import build_sft, product_system
 
@@ -117,8 +116,7 @@ def _lattice_orbits(q):
     return sorted(orbits, key=lambda o: (len(o), o[0]))
 
 
-@dataclass(frozen=True)
-class MyexInstance:
+class MyexInstance(_Record):
     """A lattice map with satellite orbits, plus the names to address it.
 
     ``anchors[k-1]`` is the lattice point p_k whose orbit the k-th

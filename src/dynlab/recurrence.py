@@ -27,11 +27,10 @@ invariant can be re-verified from scratch via :meth:`Decomposition.verify`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (_image, _largest_passing, _strong_components, as_fraction,
-                   threshold_grid)
+from .core import (_Record, _image, _largest_passing, _strong_components,
+                   as_fraction, threshold_grid)
 from .expansive import _eventual_images, strong_measure_expansive_holds
 from .shadowing import DeltaGraph
 
@@ -97,8 +96,7 @@ def chain_graph(sys, delta):
                                    for out in _step_masks(sys)))
 
 
-@dataclass(frozen=True)
-class ChainRecurrence:
+class ChainRecurrence(_Record):
     """Chain recurrent points, with the per-threshold table they came from.
 
     ``table`` rows are (delta, points-on-a-delta-chain-cycle) over the
@@ -320,8 +318,7 @@ def _cp_parts(sys, B):
     return m, tuple(parts[:m])
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(_Record):
     """Grid diagnosis of the assumptions the decomposition relies on.
 
     ``strong_constant`` is the largest grid delta at which strong
@@ -359,8 +356,7 @@ def hypothesis_report(sys):
     return HypothesisReport(sys.invertible, constant, fails)
 
 
-@dataclass(frozen=True)
-class BasicPiece:
+class BasicPiece(_Record):
     """One basic set with both decompositions of its cyclic structure.
 
     ``parts``/``period`` come from the graph route, ``cp_parts`` from
@@ -376,8 +372,10 @@ class BasicPiece:
     routes_agree: bool | None
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
+    """A spectral decomposition: the basic pieces of the non-wandering
+    set, each with its cyclic parts, and the hypothesis report."""
+
     pieces: tuple
     report: HypothesisReport
 

@@ -57,10 +57,12 @@ def _parse_fraction(value, pointer):
 
 
 def system_to_obj(sys):
+    # each distinct distance formatted once, the rows read through rank
+    text = [fraction_str(d) for d in sys.distance_values]
     obj = {
         "kind": "finite",
         "points": list(sys.points),
-        "dist": [[fraction_str(d) for d in row] for row in sys.dist],
+        "dist": [[text[r] for r in row] for row in sys.rank],
         "map": [sys.points[j] for j in sys.fmap],
         "invertible": sys.invertible,
     }

@@ -40,11 +40,11 @@ import inspect
 import os
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (Lasso, _image, _largest_passing, _shadows_backward,
-                   _strong_components, as_fraction, shadows, threshold_grid)
+from .core import (Lasso, _Record, _image, _largest_passing,
+                   _shadows_backward, _strong_components, as_fraction, shadows,
+                   threshold_grid)
 from .errors import BoundTooSmall, NotDecaying, NotInvertible, StateExplosion
 
 __all__ = [
@@ -76,8 +76,7 @@ def subset_cap(cap=None):
     return int(os.environ.get("DYNLAB_SUBSET_CAP", DEFAULT_SUBSET_CAP))
 
 
-@dataclass(frozen=True)
-class DeltaGraph:
+class DeltaGraph(_Record):
     """The step graph of a system at threshold delta (strict inequality)."""
 
     delta: Fraction
@@ -89,8 +88,7 @@ def delta_graph(sys, delta):
     return DeltaGraph(delta, next(_gap_structures(sys, (1,), delta, delta))[1])
 
 
-@dataclass(frozen=True)
-class ShadowCertificate:
+class ShadowCertificate(_Record):
     """Evidence for a tracing verdict.
 
     ``kind`` is "counterexample" (a delta-pseudo-orbit no point traces;
@@ -493,8 +491,7 @@ def strong_shadow_point(sys, cycle_points, epsilon):
 # -- moduli -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModulusTable:
+class ModulusTable(_Record):
     """Best thresholds per epsilon for one tracing property.
 
     ``rows`` is a tuple of (epsilon, payload) pairs, epsilon ascending

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (Lasso, _closed_walk_counts, _largest_passing, as_fraction,
-                   shadows, threshold_grid)
+from .core import (Lasso, _Record, _closed_walk_counts, _largest_passing,
+                   as_fraction, shadows, threshold_grid)
 from .errors import BoundTooSmall, ModulusViolation, NotDecaying
 from .shadowing import (
     ModulusTable,
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpecInstance:
+class SpecInstance(_Record):
     """A segment chain: sources, gap length, and its closing convention."""
 
     sources: tuple
@@ -78,8 +76,7 @@ class SpecInstance:
         )
 
 
-@dataclass(frozen=True)
-class SpecCertificate:
+class SpecCertificate(_Record):
     """A tracing point for a chain, re-verifiable by orbit evaluation."""
 
     point: object
@@ -205,8 +202,7 @@ def eta_modulus(sys, delta1, N):
     return sys.distance_values[worst]
 
 
-@dataclass(frozen=True)
-class Blocked:
+class Blocked(_Record):
     """Result of blocking a pseudo-orbit into an N-gapped chain."""
 
     lasso: Lasso  # the blocked sequence y_i = x_{N*i}, as a lasso

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (_MAX_POINTS, Lasso, _assemble, _check_size,
-                   _closed_walk_counts)
+from .core import (_DIGIT_BOUND, _MAX_POINTS, Lasso, _Record, _assemble,
+                   _check_budget, _check_size, _closed_walk_counts, _image)
 from .errors import EmptyShift, HorizonExceeded
 
 __all__ = [
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sft:
+class Sft(_Record):
     """An edge shift: vertices ``alphabet`` and allowed transitions ``edges``."""
 
     alphabet: tuple
@@ -224,6 +222,27 @@ def _word_count(sft, length, cap):
     return min(sum(ends.values()), cap)
 
 
+def _differ_at_radius(sft, w):
+    """Whether two allowed words of length 2w + 1 first differ at
+    radius w, listing none: whether some allowed block of 2w - 1 letters
+    from x to y has more than one extension a + block + b, that is
+    |pred(x)| |succ(y)| >= 2.  The letters each x reaches in 2w - 2
+    steps are pushed as bitmasks."""
+    pos = {a: i for i, a in enumerate(sft.alphabet)}
+    succ = [sft.successors(a) for a in sft.alphabet]
+    rows = [sum(1 << pos[b] for b in out) for out in succ]
+    preds = [0] * len(rows)
+    for out in succ:
+        for b in out:
+            preds[pos[b]] += 1
+    reach = [1 << x for x in range(len(rows))]
+    for _ in range(2 * w - 2):
+        reach = [_image(r, rows) for r in reach]
+    return any(preds[x] * len(succ[y]) >= 2
+               for x, r in enumerate(reach) for y in range(len(rows))
+               if r >> y & 1)
+
+
 def window_system(sft, w):
     """Finite metric system on the allowed words of length 2w+1.
 
@@ -234,12 +253,20 @@ def window_system(sft, w):
     allowed fillings are recorded in the system's ``relation``.
 
     Raises ValueError, before listing any word, when there are more
-    than 1000 words: no such table passes the metric-check budget.
+    than 1000 words, or when two words first differ at radius w and
+    n^3 (w + 1) exceeds the metric-check budget: no such table passes
+    it.
     """
     if w < 1:
         raise ValueError("window radius must be >= 1")
-    _check_size(_word_count(sft, 2 * w + 1, _MAX_POINTS + 1),
-                f"window radius {w}")
+    n = _word_count(sft, 2 * w + 1, _MAX_POINTS + 1)
+    _check_size(n, f"window radius {w}")
+    # after _assemble divides out the common power of two, the widest
+    # entry is 2^kmax over 2^kmax, kmax the largest radius at which two
+    # words first differ: w + 1 bits when kmax = w (a scale of 4301
+    # digits or more is refused first, on its length)
+    if w < _DIGIT_BOUND.bit_length() and _differ_at_radius(sft, w):
+        _check_budget(n, w + 1)
     words = _allowed_words(sft, 2 * w + 1)
     if not words:
         raise EmptyShift("no allowed words at this window size")

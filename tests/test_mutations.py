@@ -27,6 +27,7 @@ from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
                                     check_primitive, check_recurrence,
                                     wielandt)
 from test_metric import check_built_as_reference, check_metric
+from test_records import check_records
 from test_shadowing import check_tables
 from test_core import check_two_sided_shadows
 from test_spread import check_spread
@@ -264,3 +265,20 @@ def test_stem_absorption_without_the_cycle_rotation(monkeypatch):
           "        cycle = cycle[-1:] + cycle[:-1]\n", "")
     with pytest.raises(AssertionError):
         check_canonical_points()
+
+
+def test_record_hash_dropping_the_last_field(monkeypatch):
+    check_records()
+    plant(monkeypatch, [core._Record], "__hash__", "hash(self._values(self))",
+          "hash(self._values(self)[:-1])")
+    with pytest.raises(AssertionError):
+        check_records()
+
+
+def test_record_equality_dropping_the_last_field(monkeypatch):
+    check_records()
+    plant(monkeypatch, [core._Record], "__eq__",
+          "self._values(self) == other._values(other)",
+          "self._values(self)[:-1] == other._values(other)[:-1]")
+    with pytest.raises(AssertionError):
+        check_records()

@@ -1,11 +1,17 @@
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from dynlab import core, symbolic
 from dynlab.errors import EmptyShift, HorizonExceeded
+from dynlab.gallery import build_xpq
 from dynlab.symbolic import (
     Sft,
     _allowed_words,
+    _differ_at_radius,
     _word_count,
     build_sft,
     periodic_point_count,
@@ -149,3 +155,60 @@ def test_word_count_matches_the_listing_up_to_the_cap():
             listed = len(_allowed_words(sft, length))
             for cap in (1, 5, 1001):
                 assert _word_count(sft, length, cap) == min(listed, cap)
+
+
+def widest_radius(sft, w):
+    """The largest radius at which two listed words of length 2w + 1
+    first differ, or None when there is at most one word."""
+    return max((min(abs(c - w) for c in range(2 * w + 1) if u[c] != v[c])
+                for u, v in itertools.combinations(
+                    _allowed_words(sft, 2 * w + 1), 2)), default=None)
+
+
+def test_differ_at_radius_matches_the_listing():
+    rng = random.Random(0)
+    shifts = [two_loop_shift(), full_shift(2), build_xpq(3, 2),
+              build_sft("abc", {("a", "b"), ("b", "c"), ("c", "a")}),
+              Sft(("a", "b"), frozenset({("a", "a"), ("a", "b")}))]
+    for _ in range(80):  # unpruned shifts too, with dead ends and sources
+        letters = "abc"[:rng.randint(1, 3)]
+        pairs = list(itertools.product(letters, repeat=2))
+        shifts.append(Sft(tuple(letters), frozenset(
+            rng.sample(pairs, rng.randint(1, len(pairs))))))
+    for sft in shifts:
+        for w in (1, 2) if len(sft.alphabet) > 2 else (1, 2, 3):
+            assert _differ_at_radius(sft, w) == (widest_radius(sft, w) == w)
+
+
+def window_outcome(sft, w):
+    try:
+        built = window_system(sft, w)
+    except ValueError as exc:
+        return str(exc)
+    return built.points, built.scaled, built.scale
+
+
+def test_window_budget_refuses_as_the_listing_path(monkeypatch):
+    # acceptance is decided before the cubic metric check, stubbed out here
+    monkeypatch.setattr(core, "_check_metric", lambda *args: None)
+    for sft in (build_xpq(3, 2), build_xpq(2, 3)):
+        early = [window_outcome(sft, w) for w in range(1, 10)]
+        with monkeypatch.context() as listing:
+            listing.setattr(symbolic, "_differ_at_radius", lambda *args: False)
+            assert [window_outcome(sft, w) for w in range(1, 10)] == early
+        assert [isinstance(out, str) for out in early] == [False] * 8 + [True]
+
+
+def test_wide_window_is_refused_before_listing_words(monkeypatch):
+    def listing(*args):
+        raise AssertionError("words listed")
+
+    monkeypatch.setattr(symbolic, "_allowed_words", listing)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        window_system(build_xpq(3, 2), 9)
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == (
+        "distance table too costly to check: 616 points with 10-bit scaled "
+        "distances exceed the budget of 1000000000 for n^3 times the bit "
+        "width")
