@@ -10,235 +10,46 @@ The package is organised around :class:`dynlab.core.FiniteSystem`:
 - :mod:`dynlab.expansive` — dynamical balls, measures, stable sets;
 - :mod:`dynlab.recurrence` — chain recurrence and spectral decomposition;
 - :mod:`dynlab.gallery` — built-in example systems;
-- :mod:`dynlab.battery` / :mod:`dynlab.cli` — law batteries and the
-  ``dynlab`` command line tool.
+- :mod:`dynlab.battery` — law batteries over whole threshold grids;
+- :mod:`dynlab.serialize` — canonical JSON, digests and the report
+  encoders ``fraction_str``, ``decomposition_to_obj`` and
+  ``modulus_table_to_obj``;
+- :mod:`dynlab.errors` — ``DynlabError`` and its subclasses, among them
+  ``NotABijection``, ``NotInvertible``, ``EmptyShift``,
+  ``HorizonExceeded``, ``NotCoprime``, ``NotEnoughOrbits``,
+  ``NotDecaying`` and ``ModulusViolation``, and the ``BoundTooSmall``
+  warning;
+- :mod:`dynlab.cli` — the ``dynlab`` command line tool.
 
-Everything below is re-exported here, so ``from dynlab import ...``
-reaches the whole public surface; the submodules remain importable for
-readers who want the module-level docstrings next to the code.
+Every submodule except the command line module is republished here:
+each public name is declared once, in its module's ``__all__``, and
+``from dynlab import ...`` reaches all of them.  ``import dynlab`` does
+not load :mod:`dynlab.cli`.
 """
 
-from .battery import BATTERY_IDS, periodic_spectrum, run_theorem_battery
-from .core import (
-    FiniteSystem,
-    Lasso,
-    ThresholdGrid,
-    as_fraction,
-    build_finite_system,
-    is_periodic_pseudo_orbit,
-    is_pseudo_orbit,
-    shadows,
-    threshold_grid,
-)
-from .errors import (
-    BoundTooSmall,
-    DynlabError,
-    MetricViolation,
-    SchemaError,
-    StateExplosion,
-)
-from .expansive import (
-    GammaSet,
-    InvariantMeasure,
-    StableSets,
-    enumerate_ergodic_measures,
-    expansive_on_per,
-    gamma_set,
-    lockstep_orbit_pair,
-    measure_expansive_holds,
-    n_expansive_constant,
-    n_expansive_holds,
-    orbit_spread,
-    stable_sets,
-    strong_measure_expansive_holds,
-    theorem_stableset_check,
-)
-from .gallery import (
-    MyexInstance,
-    build_myex,
-    build_product_truncation,
-    build_random_system,
-    build_xpq,
-)
-from .recurrence import (
-    BasicPiece,
-    ChainRecurrence,
-    Decomposition,
-    HypothesisReport,
-    basic_sets,
-    chain_graph,
-    chain_recurrent_set,
-    cp_construction,
-    cyclic_decomposition,
-    hypothesis_report,
-    is_mixing,
-    is_transitive,
-    nonwandering_set,
-    spectral_decomposition,
-)
-from .serialize import (
-    canonical_json,
-    digest_obj,
-    modulus_csv,
-    obj_to_sft,
-    obj_to_system,
-    parse_system_obj,
-    sft_to_obj,
-    system_to_obj,
-)
-from .shadowing import (
-    DeltaGraph,
-    ModulusTable,
-    ShadowCertificate,
-    construct_shadow_point,
-    delta_graph,
-    limit_shadowing_check,
-    lipschitz_constants,
-    modulus_table,
-    periodic_shadowing_holds,
-    shadowing_holds,
-    shadowing_modulus,
-    special_shadowing_holds,
-    strong_periodic_shadowing_holds,
-    strong_shadow_point,
-    subset_cap,
-    two_sided_limit_shadowing_check,
-)
-from .specification import (
-    Blocked,
-    SpecCertificate,
-    SpecInstance,
-    blockify,
-    derived_periodic_shadowing,
-    eta_modulus,
-    gap_values,
-    generalized_spec_checks,
-    local_spec_holds,
-    local_weak_spec_holds,
-    modulus_table_for_spec,
-    pairwise_tracing_chain,
-    spec_to_shadow_point,
-    trace_chain,
-)
-from .symbolic import (
-    Sft,
-    SymbolicPoint,
-    build_sft,
-    periodic_point_count,
-    periodic_points,
-    product_system,
-    shift_distance,
-    window_system,
-)
+from .battery import *
+from .core import *
+from .errors import *
+from .expansive import *
+from .gallery import *
+from .recurrence import *
+from .serialize import *
+from .shadowing import *
+from .specification import *
+from .symbolic import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # core
-    "FiniteSystem",
-    "Lasso",
-    "ThresholdGrid",
-    "as_fraction",
-    "build_finite_system",
-    "is_periodic_pseudo_orbit",
-    "is_pseudo_orbit",
-    "shadows",
-    "threshold_grid",
-    # errors
-    "BoundTooSmall",
-    "DynlabError",
-    "MetricViolation",
-    "SchemaError",
-    "StateExplosion",
-    # symbolic
-    "Sft",
-    "SymbolicPoint",
-    "build_sft",
-    "periodic_point_count",
-    "periodic_points",
-    "product_system",
-    "shift_distance",
-    "window_system",
-    # shadowing
-    "DeltaGraph",
-    "ModulusTable",
-    "ShadowCertificate",
-    "construct_shadow_point",
-    "delta_graph",
-    "limit_shadowing_check",
-    "lipschitz_constants",
-    "modulus_table",
-    "periodic_shadowing_holds",
-    "shadowing_holds",
-    "shadowing_modulus",
-    "special_shadowing_holds",
-    "strong_periodic_shadowing_holds",
-    "strong_shadow_point",
-    "subset_cap",
-    "two_sided_limit_shadowing_check",
-    # specification
-    "Blocked",
-    "SpecCertificate",
-    "SpecInstance",
-    "blockify",
-    "derived_periodic_shadowing",
-    "eta_modulus",
-    "gap_values",
-    "generalized_spec_checks",
-    "local_spec_holds",
-    "local_weak_spec_holds",
-    "modulus_table_for_spec",
-    "pairwise_tracing_chain",
-    "spec_to_shadow_point",
-    "trace_chain",
-    # expansive
-    "GammaSet",
-    "InvariantMeasure",
-    "StableSets",
-    "enumerate_ergodic_measures",
-    "expansive_on_per",
-    "gamma_set",
-    "lockstep_orbit_pair",
-    "measure_expansive_holds",
-    "n_expansive_constant",
-    "n_expansive_holds",
-    "orbit_spread",
-    "stable_sets",
-    "strong_measure_expansive_holds",
-    "theorem_stableset_check",
-    # recurrence
-    "BasicPiece",
-    "ChainRecurrence",
-    "Decomposition",
-    "HypothesisReport",
-    "basic_sets",
-    "chain_graph",
-    "chain_recurrent_set",
-    "cp_construction",
-    "cyclic_decomposition",
-    "hypothesis_report",
-    "is_mixing",
-    "is_transitive",
-    "nonwandering_set",
-    "spectral_decomposition",
-    # gallery
-    "MyexInstance",
-    "build_myex",
-    "build_product_truncation",
-    "build_random_system",
-    "build_xpq",
-    # battery
-    "BATTERY_IDS",
-    "periodic_spectrum",
-    "run_theorem_battery",
-    # serialize
-    "canonical_json",
-    "digest_obj",
-    "modulus_csv",
-    "obj_to_sft",
-    "obj_to_system",
-    "parse_system_obj",
-    "sft_to_obj",
-    "system_to_obj",
+    *battery.__all__,
+    *core.__all__,
+    *errors.__all__,
+    *expansive.__all__,
+    *gallery.__all__,
+    *recurrence.__all__,
+    *serialize.__all__,
+    *shadowing.__all__,
+    *specification.__all__,
+    *symbolic.__all__,
 ]

@@ -750,14 +750,23 @@ def shadows(sys, point, lasso, epsilon):
     """
     cutoff = sys.lt_cutoff(as_fraction(epsilon))
     i0 = sys.index[point]
-    for k in range(_forward_window(sys, i0, lasso)):
-        if sys.rank[sys.power(i0, k)][sys.index[lasso[k]]] >= cutoff:
-            return False
+    if _first_miss(sys, i0, lasso, cutoff) is not None:
+        return False
     if lasso.two_sided:
         if not sys.invertible:
             raise NotInvertible("two-sided lasso on a one-sided system")
         return _shadows_backward(sys, i0, lasso, cutoff)
     return True
+
+
+def _first_miss(sys, i0, lasso, cutoff):
+    """The forward half of :func:`shadows`: the least k >= 0 with
+    rank(f^k(i0), x_k) >= cutoff, or None when the orbit of i0 traces
+    every forward time of the lasso."""
+    for k in range(_forward_window(sys, i0, lasso)):
+        if sys.rank[sys.power(i0, k)][sys.index[lasso[k]]] >= cutoff:
+            return k
+    return None
 
 
 def _shadows_backward(sys, i0, lasso, cutoff):

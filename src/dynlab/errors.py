@@ -1,5 +1,21 @@
 """Exception and warning types shared across dynlab."""
 
+__all__ = [
+    "BoundTooSmall",
+    "DynlabError",
+    "EmptyShift",
+    "HorizonExceeded",
+    "MetricViolation",
+    "ModulusViolation",
+    "NotABijection",
+    "NotCoprime",
+    "NotDecaying",
+    "NotEnoughOrbits",
+    "NotInvertible",
+    "SchemaError",
+    "StateExplosion",
+]
+
 
 class DynlabError(Exception):
     """Base class for all dynlab errors."""

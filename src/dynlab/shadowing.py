@@ -41,8 +41,9 @@ import os
 import warnings
 from collections import deque
 from fractions import Fraction
+from itertools import compress
 
-from .core import (Lasso, _Record, _image, _largest_passing,
+from .core import (Lasso, _Record, _first_miss, _image, _largest_passing,
                    _shadows_backward, _strong_components, as_fraction, shadows,
                    threshold_grid)
 from .errors import BoundTooSmall, NotDecaying, NotInvertible, StateExplosion
@@ -239,35 +240,26 @@ def construct_shadow_point(sys, lasso, epsilon):
     obstruction: the first index at which the viable tracer set dies
     (one-sided), or the forward/backward survivor sets whose
     intersection at index 0 is empty (two-sided).  Both halves are those
-    of :func:`~dynlab.core.shadows`.
+    of :func:`~dynlab.core.shadows`, run once per point.
     """
     epsilon = as_fraction(epsilon)
-    for z in sys.points:
-        if shadows(sys, z, lasso, epsilon):
+    cutoff = sys.lt_cutoff(epsilon)
+    misses, behind = [], []
+    for i, z in enumerate(sys.points):
+        misses.append(_first_miss(sys, i, lasso, cutoff))
+        behind.append(not lasso.two_sided
+                      or _shadows_backward(sys, i, lasso, cutoff))
+        if misses[-1] is None and behind[-1]:
             return z, {"certificate": ShadowCertificate(
                 "traced", None, epsilon, lasso, point=z)}
-    cutoff = sys.lt_cutoff(epsilon)
     if lasso.two_sided:
-        fwd = Lasso(stem=lasso.stem, cycle=lasso.cycle)
-        forward = tuple(z for z in sys.points if shadows(sys, z, fwd, epsilon))
-        back = tuple(z for i, z in enumerate(sys.points)
-                     if _shadows_backward(sys, i, lasso, cutoff))
-        return None, {"forward_survivors": forward, "backward_survivors": back}
-    balls = sys._balls(cutoff)
-    w = balls[sys.index[lasso[0]]]
-    rows = [1 << y for y in sys.fmap]
-    i = 0
-    seen = {}
-    while w:
-        key = (i if i < len(lasso.stem)
-               else len(lasso.stem) + (i - len(lasso.stem)) % len(lasso.cycle), w)
-        if key in seen:
-            raise AssertionError(
-                "viable set cycles without dying, yet no single tracer exists")
-        seen[key] = i
-        i += 1
-        w = _image(w, rows) & balls[sys.index[lasso[i]]]
-    return None, {"failed_at": i}
+        forward = tuple(z for z, miss in zip(sys.points, misses)
+                        if miss is None)
+        return None, {"forward_survivors": forward,
+                      "backward_survivors": tuple(compress(sys.points, behind))}
+    # the viable set at index i is the f^i-image of the points that have
+    # not missed by i, so it dies at the latest first miss
+    return None, {"failed_at": max(misses)}
 
 
 def _warn_if_bound_blind(size, bound, label):

@@ -11,7 +11,10 @@ decision's own loop, sharing with the library only the warning.
 earlier tracing kernel on frozensets, one window rebuild per gap, kept
 to check the bitmask kernel that replaced it; with them,
 ``local_weak_spec_reference`` searches every gap, where the library
-skips a gap whose structure repeats.  ``modulus_table_reference``
+skips a gap whose structure repeats.  ``construct_shadow_point_reference``
+is the library's earlier tracer search, which locates a one-sided
+failure by pushing the viable tracer set along the lasso, where the
+library reads it off each point's first miss.  ``modulus_table_reference``
 bisects each table row on its own, where the library carries the
 previous row's best threshold forward, and keeps the spec tables' old
 fallback to N = 2 and 3.  The recurrence
@@ -43,7 +46,7 @@ from collections import deque
 from fractions import Fraction
 
 from dynlab import shadowing, specification
-from dynlab.core import Lasso, as_fraction
+from dynlab.core import Lasso, _image, _shadows_backward, as_fraction, shadows
 from dynlab.errors import BoundTooSmall, MetricViolation, StateExplosion
 from dynlab.recurrence import _step_sets
 from dynlab.shadowing import (
@@ -478,6 +481,45 @@ def die_search_reference(succ, step, allowed, cap):
                 return walk
             queue.append(state)
     return None
+
+
+def construct_shadow_point_reference(sys, lasso, epsilon):
+    """Search for a point whose orbit epsilon-shadows the given lasso.
+
+    Returns (point, info).  On success info carries the verified
+    certificate; on failure point is None and info locates the
+    obstruction: the first index at which the viable tracer set dies
+    (one-sided), or the forward/backward survivor sets whose
+    intersection at index 0 is empty (two-sided).  Both halves are those
+    of :func:`~dynlab.core.shadows`.
+    """
+    epsilon = as_fraction(epsilon)
+    for z in sys.points:
+        if shadows(sys, z, lasso, epsilon):
+            return z, {"certificate": ShadowCertificate(
+                "traced", None, epsilon, lasso, point=z)}
+    cutoff = sys.lt_cutoff(epsilon)
+    if lasso.two_sided:
+        fwd = Lasso(stem=lasso.stem, cycle=lasso.cycle)
+        forward = tuple(z for z in sys.points if shadows(sys, z, fwd, epsilon))
+        back = tuple(z for i, z in enumerate(sys.points)
+                     if _shadows_backward(sys, i, lasso, cutoff))
+        return None, {"forward_survivors": forward, "backward_survivors": back}
+    balls = sys._balls(cutoff)
+    w = balls[sys.index[lasso[0]]]
+    rows = [1 << y for y in sys.fmap]
+    i = 0
+    seen = {}
+    while w:
+        key = (i if i < len(lasso.stem)
+               else len(lasso.stem) + (i - len(lasso.stem)) % len(lasso.cycle), w)
+        if key in seen:
+            raise AssertionError(
+                "viable set cycles without dying, yet no single tracer exists")
+        seen[key] = i
+        i += 1
+        w = _image(w, rows) & balls[sys.index[lasso[i]]]
+    return None, {"failed_at": i}
 
 
 def gap_structures_reference(sys, n, delta, epsilon):

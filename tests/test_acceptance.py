@@ -17,11 +17,14 @@ pass/fail line per law:
 
 Corpora are seeded and frozen; shrinking them would weaken the laws,
 so edit with care.  Runtime is dominated by the brute-force oracle of
-law 02 (roughly a minute and a half); everything else is seconds.
+law 02 (two and a half minutes or more on a shared 2-core VM, most of
+the whole suite), which is marked ``slow``; everything else is seconds.
 """
 
 import json
 from fractions import Fraction
+
+import pytest
 
 from dynlab.cli import main
 from dynlab.core import threshold_grid
@@ -65,6 +68,7 @@ def test_01_weak_tracing_row_populated_iff_shadowing_row_populated():
                 sys.points, eps_w, row_w, row_s)
 
 
+@pytest.mark.slow
 def test_02_subset_decision_matches_lasso_brute_force():
     # (seed, size, invertible, stem+cycle bound): sizes 2 and 3 carry
     # the full bound of 12; the larger sizes keep the deepest bound the

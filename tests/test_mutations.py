@@ -28,7 +28,7 @@ from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
                                     wielandt)
 from test_metric import check_built_as_reference, check_metric
 from test_records import check_records
-from test_shadowing import check_tables
+from test_shadowing import check_failed_at_is_the_dying_step, check_tables
 from test_core import check_two_sided_shadows
 from test_spread import check_spread
 from test_tracing_kernel import check_gap_structures
@@ -199,6 +199,14 @@ def test_table_carry_one_grid_step_past_the_previous_best(monkeypatch):
           "grid.positive.index(d) <= grid.positive.index(last) + 1")
     with pytest.raises(AssertionError):
         check_tables(build_random_system(1, 3))
+
+
+def test_failed_at_read_off_the_earliest_miss(monkeypatch):
+    check_failed_at_is_the_dying_step(build_random_system(1, 4))
+    plant(monkeypatch, [shadowing], "construct_shadow_point", "max(misses)",
+          "min(misses)")
+    with pytest.raises(AssertionError):
+        check_failed_at_is_the_dying_step(build_random_system(1, 4))
 
 
 def check_exact_period_hits():

@@ -25,10 +25,11 @@ from dynlab.shadowing import (
     two_sided_limit_shadowing_check,
 )
 
-from helpers import cycle_system, random_system, two_points_identity
-from oracles import (brute_shadowing_table, local_spec_reference,
-                     local_weak_spec_reference, modulus_table_reference,
-                     periodic_variant_reference)
+from helpers import (cycle_system, random_system, seeded_corpus,
+                     two_points_identity)
+from oracles import (brute_shadowing_table, construct_shadow_point_reference,
+                     local_spec_reference, local_weak_spec_reference,
+                     modulus_table_reference, periodic_variant_reference)
 from test_closed_chains import assert_matches_reference, outcome
 
 
@@ -163,6 +164,49 @@ def test_construct_shadow_point_two_sided_diagnostics():
     assert z is None
     assert set(info["forward_survivors"]) == {"b0", "b1"}
     assert set(info["backward_survivors"]) == {"a0", "a1"}
+
+
+@st.composite
+def lasso_cells(draw):
+    """A seeded system of 1-7 points, a lasso over its points (two-sided
+    only on a bijection) and a grid epsilon."""
+    sys = build_random_system(draw(st.integers(0, 10 ** 6)),
+                              draw(st.integers(1, 7)), draw(st.booleans()))
+    words = st.lists(st.sampled_from(sys.points), min_size=1, max_size=3)
+    stem = tuple(draw(st.lists(st.sampled_from(sys.points), max_size=3)))
+    cycle = tuple(draw(words))
+    if sys.invertible and draw(st.booleans()):
+        lasso = Lasso(stem, cycle, two_sided=True,
+                      past_cycle=tuple(draw(words)))
+    else:
+        lasso = Lasso(stem, cycle)
+    return sys, lasso, draw(st.sampled_from(threshold_grid(sys).positive))
+
+
+@settings(deadline=None, max_examples=300)
+@given(lasso_cells())
+def test_construct_shadow_point_matches_the_viable_set_locator(cell):
+    assert construct_shadow_point(*cell) == construct_shadow_point_reference(
+        *cell)
+
+
+def check_failed_at_is_the_dying_step(sys):
+    """On every failing grid cell, the viable set along the certificate's
+    lasso dies at the step where the die search saw it die."""
+    grid = threshold_grid(sys).positive
+    for delta in grid:
+        for eps in grid:
+            holds, cert = shadowing_holds(sys, delta, eps)
+            if not holds:
+                point, info = shadowing.construct_shadow_point(
+                    sys, cert.lasso, eps)
+                assert point is None, (delta, eps)
+                assert info["failed_at"] == cert.dying_step, (delta, eps)
+
+
+def test_failed_at_is_the_dying_step():
+    for sys in seeded_corpus(40, 8):
+        check_failed_at_is_the_dying_step(sys)
 
 
 def tight_cycle_with_far_fixed_point():
