@@ -63,7 +63,7 @@ from .specification import (
 )
 from .symbolic import Sft, window_system
 
-__all__ = ["main", "parse_system_file", "run_theorem_battery"]
+__all__ = ["main", "parse_system_file"]
 
 
 def parse_system_file(path):

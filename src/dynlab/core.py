@@ -50,10 +50,12 @@ _DIGIT_BOUND = 10 ** _MAX_EXPONENT  # the least integer of 4301 digits
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 _LONG_DENOMINATOR = (f"common denominator of the distances has more than "
                      f"{_MAX_EXPONENT} digits")
-# The triangle check makes about n^3 / 2 subtractions of integers as wide
-# as the widest of L and the scaled entries; a table whose n^3 times that
-# bit width exceeds this is refused unchecked.  The 168-point product
-# window (3-bit entries) needs 1.4e7.
+# The triangle check subtracts packed rows of n fields, each two bits
+# wider than the widest scaled entry, about n^2 times: some n^3 times
+# that bit width in bit operations.  A table whose n^3 times the bit
+# width of the widest of L and the scaled entries exceeds this is
+# refused unchecked.  The 168-point product window (3-bit entries)
+# needs 1.4e7.
 _METRIC_BUDGET = 10 ** 9
 # Above this many points n^3 alone exceeds the budget, so such a table is
 # refused at any bit width: builders refuse it before listing its points.
@@ -672,7 +674,11 @@ def _check_metric(points, scaled, scale):
     symmetry and positivity pair by pair, then the triangle inequality
     d(i,k) <= d(i,j) + d(j,k) at the first triple (i, j, k) in product
     order.  Decided on ``scaled``, the integer matrix; the message
-    quotes the distances ``scaled[i][j] / scale`` as Fractions."""
+    quotes the distances ``scaled[i][j] / scale`` as Fractions.
+
+    The triangles are decided by :func:`_triangles_hold`, a packed pass
+    over the pairs; only when it finds a failure are the rows rescanned
+    in product order for the first failing triple."""
     n = len(points)
     for i in range(n):
         if scaled[i][i] != 0:
@@ -682,14 +688,7 @@ def _check_metric(points, scaled, scale):
             raise MetricViolation("symmetry", (points[i], points[j]))
         if scaled[i][j] <= 0:
             raise MetricViolation("positivity", (points[i], points[j]))
-    # (i, j) fails for some k iff d(i,k) - d(j,k) > d(i,j), and by
-    # symmetry (j, i) iff d(i,k) - d(j,k) < -d(i,j): one difference list
-    # decides both, and (i, i) never fails
-    for i, j in itertools.combinations(range(n), 2):
-        diff = list(map(operator.sub, scaled[i], scaled[j]))
-        if max(diff) > scaled[i][j] or min(diff) < -scaled[i][j]:
-            break
-    else:
+    if _triangles_hold(scaled):
         return
     # some triple fails: find the first in product order
     for i, j in itertools.product(range(n), repeat=2):
@@ -702,6 +701,32 @@ def _check_metric(points, scaled, scale):
                 f"{Fraction(row_i[k], scale)} > {Fraction(bound, scale)} + "
                 f"{Fraction(row_j[k], scale)}",
             )
+
+
+def _triangles_hold(scaled):
+    """Whether d(i,k) <= d(i,j) + d(j,k) for every triple, on a symmetric
+    table ``scaled`` of non-negative ints.
+
+    Each row is packed into one int, entry k in the W-bit field k, with
+    W two bits wider than the widest entry.  The pair (i, j) holds for
+    every k iff each field of d(i,j) + 2^(W-1) + row j - row i keeps its
+    top bit: a field's value lies in (0, 2^W), so no borrow or carry
+    crosses into the next, and its top bit is set iff d(j,k) + d(i,j)
+    >= d(i,k).  Subtracting the rows the other way round decides (j, i),
+    and (i, i) never fails.  Exact integers throughout: n^2 / 2 pairs,
+    each a few sums of n W-bit fields."""
+    n = len(scaled)
+    width = max(map(max, scaled)).bit_length() + 2
+    offsets = range(0, n * width, width)
+    ones = sum(1 << k for k in offsets)
+    top = ones << (width - 1)
+    packed = [sum(map(operator.lshift, row, offsets)) for row in scaled]
+    for i, j in itertools.combinations(range(n), 2):
+        slack = scaled[i][j] * ones + top
+        diff = packed[j] - packed[i]
+        if (slack + diff) & (slack - diff) & top != top:
+            return False
+    return True
 
 
 def is_pseudo_orbit(sys, lasso, delta):

@@ -274,15 +274,24 @@ def window_system(sft, w):
     pos = {word: k for k, word in enumerate(words)}
     succ = {a: sft.successors(a) for a in sft.alphabet}
 
-    # distances over 2^w: 2^(-k) is 1 << (w - k); positions are tried
-    # from the centre outwards, so the first mismatch gives k
-    n, order = len(words), sorted(range(2 * w + 1), key=lambda c: abs(c - w))
-    dist = [[0] * n for _ in range(n)]
-    for i, u in enumerate(words):
-        for j in range(i + 1, n):
-            v = words[j]
-            k = next(abs(c - w) for c in order if u[c] != v[c])
-            dist[i][j] = dist[j][i] = 1 << (w - k)
+    # distances over 2^w: 2^(-k) is 1 << (w - k).  Words that share
+    # their central block of radius r - 1 first differ at radius r or
+    # later, so for r = 1..w each group of them is set to 1 << (w - r);
+    # distinct words differ within radius w
+    n = len(words)
+    dist = [[1 << w] * n for _ in range(n)]
+    for r in range(1, w + 1):
+        groups = {}
+        for i, word in enumerate(words):
+            groups.setdefault(word[w - r + 1:w + r], []).append(i)
+        value = 1 << (w - r)
+        for group in groups.values():
+            for i in group:
+                row = dist[i]
+                for j in group:
+                    row[j] = value
+    for i in range(n):
+        dist[i][i] = 0
 
     fmap, relation = [], []
     for word in words:
@@ -307,9 +316,9 @@ def product_system(sfts):
         raise ValueError("need at least one factor")
     alphabet = ["|".join(map(str, combo))
                 for combo in itertools.product(*(s.alphabet for s in sfts))]
+    # one edge from each factor makes one edge of the product
     edges = set()
-    for combo_a in itertools.product(*(s.alphabet for s in sfts)):
-        for combo_b in itertools.product(*(s.alphabet for s in sfts)):
-            if all(s.allows(a, b) for s, a, b in zip(sfts, combo_a, combo_b)):
-                edges.add(("|".join(map(str, combo_a)), "|".join(map(str, combo_b))))
+    for combo in itertools.product(*(s.edges for s in sfts)):
+        tails, heads = zip(*combo)
+        edges.add(("|".join(map(str, tails)), "|".join(map(str, heads))))
     return build_sft(alphabet, edges)

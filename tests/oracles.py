@@ -30,7 +30,9 @@ the local unstable set over one lcm of all cycle lengths.
 ``myex_table_reference``, ``random_table_reference`` and
 ``window_table_reference`` are the gallery's and the window builder's
 earlier Fraction tables, kept to check the integer tables that replaced
-them.
+them; ``product_system_reference`` is the product builder's earlier
+loop, which asks every factor about every pair of letters, where the
+library pairs the factors' edges.
 
 Nothing here reads a system's memo of threshold structures: the grid,
 the gap graphs and their largest strongly connected parts are rebuilt
@@ -57,7 +59,7 @@ from dynlab.shadowing import (
     subset_cap,
 )
 from dynlab.specification import SpecInstance, gap_values, trace_chain
-from dynlab.symbolic import _allowed_words
+from dynlab.symbolic import _allowed_words, build_sft
 
 
 def lasso_family_pareto(sys, max_len):
@@ -332,6 +334,21 @@ def window_table_reference(sft, w):
                       for b in sft.successors(word[-1])
                       if word[1:] + (b,) in pos) for word in words]
     return ids, dist, [min(row) for row in relation], None, relation
+
+
+def product_system_reference(sfts):
+    """The product shift from every pair of product letters, a pair
+    being an edge when each factor allows its coordinates."""
+    sfts = list(sfts)
+    alphabet = ["|".join(map(str, combo))
+                for combo in itertools.product(*(s.alphabet for s in sfts))]
+    edges = set()
+    for combo_a in itertools.product(*(s.alphabet for s in sfts)):
+        for combo_b in itertools.product(*(s.alphabet for s in sfts)):
+            if all(s.allows(a, b) for s, a, b in zip(sfts, combo_a, combo_b)):
+                edges.add(("|".join(map(str, combo_a)),
+                           "|".join(map(str, combo_b))))
+    return build_sft(alphabet, edges)
 
 
 def unstable_local_reference(sys, x, epsilon):

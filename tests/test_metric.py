@@ -2,16 +2,19 @@
 
 ``build_finite_system`` validates the table on integers over the common
 denominator of its distances; ``oracles.metric_violation_reference``
-runs every axiom on Fractions.  On random shortest-path metrics with
-planted faults both must name the same axiom, the same points and the
-same message.  The gallery and window builders hand integer tables to
-the same assembly; every system they build, and every window a shift
-file loads as, must equal field for field, ``scale`` included, the
-system ``build_finite_system`` makes from the Fraction table the
-builder used to make (``oracles.myex_table_reference`` and its
-siblings).
+runs every axiom on Fractions.  On random metrics with planted faults
+both must name the same axiom, the same points and the same message,
+on small tables and on tables of up to 20 points with entries of
+hundreds of bits; the packed triangle pass is also pinned on tables at
+the edges of its field width.  The gallery and window builders hand
+integer tables to the same assembly; every system they build, and
+every window a shift file loads as, must equal field for field,
+``scale`` included, the system ``build_finite_system`` makes from the
+Fraction table the builder used to make
+(``oracles.myex_table_reference`` and its siblings).
 """
 
+import itertools
 import json
 import math
 import random
@@ -82,6 +85,98 @@ def tables(draw):
 @given(tables())
 def test_metric_check_matches_the_fraction_loop(table):
     check_metric(*table)
+
+
+def tight_triples(dist):
+    """The triples (i, j, k) of distinct points with d(i,k) = d(i,j) +
+    d(j,k), in product order."""
+    return [(i, j, k) for i, j, k in itertools.permutations(range(len(dist)), 3)
+            if dist[i][k] == dist[i][j] + dist[j][k]]
+
+
+@st.composite
+def wide_tables(draw):
+    """An integer metric on 2..20 points with entries below 2^b, b from
+    5 to 400, with 0-2 faults of one unit planted on tight triangles,
+    all over a denominator.
+
+    The points lie on a line, where every triple in line order is tight
+    and the widest entry is 2^b - 1, the largest value of its field
+    width, or at shortest-path distances, where every triple along a
+    shortest path is tight.  A fault raises d(i,k) or lowers d(i,j) of
+    a tight triple (i, j, k) by one, so that it fails by exactly one
+    (raising 2^b - 1 widens the field)."""
+    n = draw(st.integers(2, 20))
+    bits = draw(st.integers(5, 400))
+    widest = 2 ** bits - 1
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        where = {0, widest}
+        while len(where) < n:
+            where.add(rng.randrange(widest))
+        where = rng.sample(sorted(where), n)
+        dist = [[abs(x - y) for y in where] for x in where]
+    else:
+        dist = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            dist[i][j] = dist[j][i] = rng.choice(
+                (widest, widest >> 1, rng.randint(1, widest)))
+        for k, i, j in itertools.product(range(n), repeat=3):
+            dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    tight = tight_triples(dist)
+    for _ in range(draw(st.integers(0, 2)) if tight else 0):
+        i, j, k = draw(st.sampled_from(tight))
+        if draw(st.booleans()):
+            dist[i][k] = dist[k][i] = dist[i][k] + 1
+        else:
+            dist[i][j] = dist[j][i] = dist[i][j] - 1
+    den = draw(st.sampled_from((1, 3, 2 ** 70)))
+    return ([f"p{i}" for i in range(n)],
+            [[Fraction(v, den) for v in row] for row in dist])
+
+
+@settings(deadline=None, max_examples=60)
+@given(wide_tables())
+def test_wide_metric_check_matches_the_fraction_loop(table):
+    check_metric(*table)
+
+
+def check_triangles(scaled):
+    """The packed triangle pass on a symmetric table of positive
+    off-diagonal ints against the Fraction loop."""
+    points = [f"p{i}" for i in range(len(scaled))]
+    assert core._triangles_hold(scaled) == (
+        metric_violation_reference(points, scaled) is None)
+
+
+# Entries of at most 4 bits, so 6-bit fields.  On the pair (p0, p1)
+# the field of p2 reads 12 + 12 - 8 = 16, and that of p3 2 + 12 - 15 =
+# -1, in the first table: d(p0,p3) = 15 exceeds 12 + 2 by exactly one,
+# the one failing triangle.  In 5-bit fields the field of p2 would carry
+# into that of p3 and make it pass; the field that carries then reads
+# as failing itself, so the narrow pass still rejects the first table,
+# and shows instead by rejecting the second, its tight twin.
+CARRY_TABLES = (
+    [[0, 12, 8, 15], [12, 0, 12, 2], [8, 12, 0, 10], [15, 2, 10, 0]],
+    [[0, 12, 8, 14], [12, 0, 12, 2], [8, 12, 0, 10], [14, 2, 10, 0]],
+)
+
+
+def check_packed_triangles():
+    for table in CARRY_TABLES:
+        check_triangles(table)
+    for bits in (2, 3, 8, 64, 300):
+        widest = 2 ** bits - 1  # the largest entry of its field width
+        check_triangles([[0, widest, widest], [widest, 0, widest],
+                         [widest, widest, 0]])
+        check_triangles([[0, widest, 1], [widest, 0, widest - 1],
+                         [1, widest - 1, 0]])
+
+
+def test_packed_triangles_on_the_field_boundaries():
+    check_packed_triangles()
+    assert [core._triangles_hold(table) for table in CARRY_TABLES] == [
+        False, True]
 
 
 def test_planted_triangle_faults_keep_their_first_triple():
@@ -208,7 +303,11 @@ def check_built_as_reference(sys, table):
 
 
 def test_gallery_corpus_builds_unchanged():
+    # the gallery's windows of xpq(3,2) at radii 1-2 and of the product
+    # at radius 1, and one radius wider each
     recipes = [*gallery_recipes(), (myex_system, (7, 3)),
+               (window_system, (build_xpq(3, 2), 3)),
+               (window_system, (build_product_truncation((2, 3, 5), 2), 2)),
                *((random_system, (seed, 2 + seed % 7, False))
                  for seed in range(20, 30))]
     for build, args in recipes:

@@ -26,7 +26,8 @@ from test_recurrence import two_fixed_points
 from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
                                     check_primitive, check_recurrence,
                                     wielandt)
-from test_metric import check_built_as_reference, check_metric
+from test_metric import (check_built_as_reference, check_metric,
+                         check_packed_triangles)
 from test_records import check_records
 from test_shadowing import check_failed_at_is_the_dying_step, check_tables
 from test_core import check_two_sided_shadows
@@ -137,16 +138,26 @@ def test_spread_window_one_step_short(monkeypatch):
 def test_triangle_check_rejecting_equality(monkeypatch):
     collinear = ["a", "b", "c"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     check_metric(*collinear)
-    # both passes: the pairs i < j, then the rescan in product order
+    # both passes: the packed pass over the pairs, then the rescan in
+    # product order; the packed one is planted first, so that the copy
+    # of _check_metric, made over core's globals, calls the faulty one
+    plant(monkeypatch, [core], "_triangles_hold", "scaled[i][j] * ones",
+          "(scaled[i][j] - 1) * ones")
     plant(monkeypatch, [core], "_check_metric",
-          "max(diff) > scaled[i][j] or min(diff) < -scaled[i][j]",
-          "max(diff) >= scaled[i][j] or min(diff) <= -scaled[i][j]",
           ("> bound:\n"
-           "            k = next(k for k in range(n) if row_i[k] - row_j[k] > bound)",
-           ">= bound:\n"
+           "            k = next(k for k in range(n) if row_i[k] - row_j[k] > bound)"),
+          (">= bound:\n"
            "            k = next(k for k in range(n) if row_i[k] - row_j[k] >= bound)"))
     with pytest.raises(AssertionError):
         check_metric(*collinear)
+
+
+def test_triangle_fields_one_bit_narrow(monkeypatch):
+    check_packed_triangles()
+    plant(monkeypatch, [core], "_triangles_hold", "bit_length() + 2",
+          "bit_length() + 1")
+    with pytest.raises(AssertionError):
+        check_packed_triangles()
 
 
 def test_tracking_window_one_step_short(monkeypatch):
@@ -175,7 +186,7 @@ def check_window_table():
 def test_window_distance_one_power_of_two_off(monkeypatch):
     check_window_table()
     plant(monkeypatch, [symbolic], "window_system",
-          "= 1 << (w - k)\n", "= 1 << (w - k + 1)\n")
+          "= 1 << (w - r)\n", "= 1 << (w - r + 1)\n")
     with pytest.raises(AssertionError):
         check_window_table()
 

@@ -6,6 +6,7 @@ module.  The frozen lists below pin the surface so that a name cannot
 drop out of it unnoticed.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -73,6 +74,28 @@ def test_all_is_the_version_then_each_submodule_list():
         expected += module.__all__
     assert dynlab.__all__ == expected
     assert len(set(dynlab.__all__)) == len(dynlab.__all__)
+
+
+def defined_names(module):
+    """The names that the top-level statements of ``module``'s source
+    bind, imports aside."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(leaf.id for target in targets
+                         for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name))
+    return names
+
+
+def test_each_submodule_lists_only_what_it_defines():
+    # the command line module too, though dynlab does not republish it
+    for module in [*submodules(), importlib.import_module("dynlab.cli")]:
+        assert set(module.__all__) <= defined_names(module), module.__name__
 
 
 def test_each_name_is_the_submodules_object():

@@ -21,6 +21,8 @@ from dynlab.symbolic import (
     window_system,
 )
 
+from oracles import product_system_reference
+
 
 def full_shift(k):
     letters = tuple(str(i) for i in range(k))
@@ -138,6 +140,20 @@ def test_product_counts_multiply():
             periodic_point_count(a, n) * periodic_point_count(b, n)
         )
     assert periodic_point_count(prod, 1) == 0
+
+
+def test_product_edges_match_the_all_pairs_loop():
+    # the alphabet in the same order and the same edges, pruning
+    # included: the dead end's letter b carries no product walk
+    dead_end = Sft(("a", "b"), frozenset({("a", "a"), ("a", "b")}))
+    for factors in ([build_xpq(3, 2), build_xpq(5, 3)],
+                    [build_xpq(2, 1), build_xpq(3, 2), build_xpq(5, 3)],
+                    [build_xpq(3, 2)] * 3,
+                    [two_loop_shift(), dead_end]):
+        built, reference = (product_system(factors),
+                            product_system_reference(factors))
+        assert built.alphabet == reference.alphabet
+        assert built.edges == reference.edges
 
 
 def test_periodic_point_count_rejects_periods_below_one():
