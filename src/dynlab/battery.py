@@ -44,7 +44,7 @@ from .expansive import (
 )
 from .recurrence import (_step_sets, hypothesis_report, is_transitive,
                          spectral_decomposition)
-from .serialize import fraction_str
+from .serialize import _frac, decomposition_to_obj, fraction_str
 from .shadowing import modulus_table
 from .specification import (
     derived_periodic_shadowing,
@@ -55,10 +55,6 @@ from .specification import (
 __all__ = ["BATTERY_IDS", "run_theorem_battery", "periodic_spectrum"]
 
 BATTERY_IDS = ("thmA", "thmB", "thmC", "thmD", "hierarchy")
-
-
-def _frac(value):
-    return None if value is None else fraction_str(value)
 
 
 def periodic_spectrum(sys, bound):
@@ -72,15 +68,25 @@ def periodic_spectrum(sys, bound):
     return {str(m): count for m, count in enumerate(counts, 1)}
 
 
+def _cell(cap_hits, label, run):
+    """``run()``; None when it trips the subset cap, after recording the
+    hit of the cell ``label`` in ``cap_hits``."""
+    try:
+        return run()
+    except StateExplosion as exc:
+        cap_hits.append({"cell": label, "detail": str(exc)})
+        return None
+
+
 def _equivalence_battery(sys, period_bound, cap):
     """Per-epsilon: chain-tracing row non-empty iff shadowing row is."""
     result = {"asserted": True, "rows": [], "violations": [], "cap_hits": []}
-    try:
-        shad = modulus_table(sys, "shadowing", cap=cap)
-        weak = modulus_table_for_spec(sys, "weak", cap=cap)
-    except StateExplosion as exc:
-        result["cap_hits"].append({"cell": "modulus tables", "detail": str(exc)})
+    tables = _cell(result["cap_hits"], "modulus tables", lambda: (
+        modulus_table(sys, "shadowing", cap=cap),
+        modulus_table_for_spec(sys, "weak", cap=cap)))
+    if tables is None:
         return result
+    shad, weak = tables
     for (eps, s), (_, w) in zip(shad.rows, weak.rows):
         agree = (s is None) == (w is None)
         result["rows"].append({
@@ -102,15 +108,13 @@ def _transfer_battery(sys, period_bound, cap):
     """Derived-parameter periodic transfer plus the pairwise chain."""
     result = {"asserted": True, "transfer_rows": [], "chain_cells": [],
               "violations": [], "cap_hits": []}
+    hits = result["cap_hits"]
     grid = threshold_grid(sys)
     for eps in grid.positive:
-        try:
-            row = derived_periodic_shadowing(
-                sys, eps, k_bound=period_bound, cap=cap)
-        except StateExplosion as exc:
-            result["cap_hits"].append(
-                {"cell": f"transfer at epsilon {fraction_str(eps)}",
-                 "detail": str(exc)})
+        row = _cell(hits, f"transfer at epsilon {fraction_str(eps)}",
+                    lambda: derived_periodic_shadowing(
+                        sys, eps, k_bound=period_bound, cap=cap))
+        if row is None:
             continue
         out = {
             "epsilon": _frac(eps),
@@ -135,14 +139,11 @@ def _transfer_battery(sys, period_bound, cap):
         for delta in grid.positive:
             if delta > eps:
                 continue
-            try:
-                cell = pairwise_tracing_chain(
-                    sys, delta, eps, k_bound=period_bound, cap=cap)
-            except StateExplosion as exc:
-                result["cap_hits"].append(
-                    {"cell": f"chain at delta {fraction_str(delta)} epsilon "
-                             f"{fraction_str(eps)}",
-                     "detail": str(exc)})
+            cell = _cell(hits, f"chain at delta {fraction_str(delta)} "
+                               f"epsilon {fraction_str(eps)}",
+                         lambda: pairwise_tracing_chain(
+                             sys, delta, eps, k_bound=period_bound, cap=cap))
+            if cell is None:
                 continue
             result["chain_cells"].append({
                 "delta": _frac(delta),
@@ -180,21 +181,17 @@ def _matrix_battery(sys, period_bound, cap):
     asserted = hypotheses["transitive"] and hypotheses["strong_measure_expansive"]
     result = {"asserted": asserted, "hypotheses": hypotheses, "rows": [],
               "violations": [], "cap_hits": []}
-    columns = {}
-    try:
-        columns["local_spec"] = dict(modulus_table_for_spec(
-            sys, "full", k_bound=period_bound, cap=cap).rows)
-        columns["weak_spec"] = dict(modulus_table_for_spec(
-            sys, "weak", cap=cap).rows)
-        columns["shadowing"] = dict(modulus_table(
-            sys, "shadowing", cap=cap).rows)
-        columns["strong_periodic"] = dict(modulus_table(
-            sys, "strong-periodic", period_bound, cap).rows)
-        columns["periodic"] = dict(modulus_table(
-            sys, "periodic", period_bound, cap).rows)
-    except StateExplosion as exc:
-        result["cap_hits"].append(
-            {"cell": "modulus tables", "detail": str(exc)})
+    columns = _cell(result["cap_hits"], "modulus tables", lambda: {
+        "local_spec": dict(modulus_table_for_spec(
+            sys, "full", k_bound=period_bound, cap=cap).rows),
+        "weak_spec": dict(modulus_table_for_spec(sys, "weak", cap=cap).rows),
+        "shadowing": dict(modulus_table(sys, "shadowing", cap=cap).rows),
+        "strong_periodic": dict(modulus_table(
+            sys, "strong-periodic", period_bound, cap).rows),
+        "periodic": dict(modulus_table(
+            sys, "periodic", period_bound, cap).rows),
+    })
+    if columns is None:
         return result
     for eps in grid.positive:
         row = {"epsilon": _frac(eps)}
@@ -215,24 +212,14 @@ def _matrix_battery(sys, period_bound, cap):
 
 def _decomposition_battery(sys, period_bound, cap):
     """Re-verify every decomposition invariant and compare routes."""
-    result = {"asserted": True, "violations": [], "cap_hits": []}
     dec = spectral_decomposition(sys)
     checks = dec.verify(sys)
-    result["checks"] = checks
-    result["pieces"] = [{
-        "points": list(piece.points),
-        "period": piece.period,
-        "parts": [list(part) for part in piece.parts],
-        "mixing": piece.mixing,
-        "routes_agree": piece.routes_agree,
-    } for piece in dec.pieces]
-    result["hypothesis_report"] = {
-        "invertible": dec.report.invertible,
-        "shadowing_populated": dec.report.shadowing_populated,
-        "strong_constant": _frac(dec.report.strong_constant),
-        "strong_fails_at": [_frac(v) for v in dec.report.strong_fails_at],
-        "passes": dec.report.passes,
-    }
+    obj = decomposition_to_obj(dec)
+    for piece in obj["pieces"]:
+        del piece["stable_set_parts"]
+    result = {"asserted": True, "checks": checks, "pieces": obj["pieces"],
+              "hypothesis_report": obj["report"], "violations": [],
+              "cap_hits": []}
     for name, ok in checks.items():
         if not ok:
             result["violations"].append(

@@ -7,9 +7,14 @@ system, the results, and wall time.  Replaying a command on the same
 inputs reproduces the report byte for byte except for the wall-time
 field.  The CLI adds no mathematics — results quote library outputs.
 
+Every command that takes a system runs :func:`_run`: load and digest
+the system, get parameters, results and exit code from the command's
+handler, emit the report.  Output files are written before the report.
+
 Exit codes: 0 all asserted checks pass; 1 a checked property or
-asserted law failed (the report says which); 2 input error; 3 resource
-cap hit (raise ``DYNLAB_SUBSET_CAP`` to retry).
+asserted law failed (the report says which); 2 input error or an
+unwritable output file; 3 resource cap hit (raise ``DYNLAB_SUBSET_CAP``
+to retry).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .gallery import (
 )
 from .recurrence import spectral_decomposition
 from .serialize import (
+    _frac,
     canonical_json,
     decomposition_to_obj,
     digest_obj,
@@ -127,8 +133,8 @@ def _cert_obj(cert):
         return None
     return {
         "kind": cert.kind,
-        "delta": None if cert.delta is None else fraction_str(cert.delta),
-        "epsilon": None if cert.epsilon is None else fraction_str(cert.epsilon),
+        "delta": _frac(cert.delta),
+        "epsilon": _frac(cert.epsilon),
         "lasso": {"stem": list(cert.lasso.stem), "cycle": list(cert.lasso.cycle)},
         "dying_step": cert.dying_step,
         "point": cert.point,
@@ -149,92 +155,94 @@ def _chain_obj(info):
     return out
 
 
-def _emit(report, emit_path):
-    text = canonical_json(report)
-    _sys.stdout.write(text)
-    if emit_path:
-        with open(emit_path, "w", encoding="utf-8") as fh:
+def _write(path, text):
+    """Write an output file; a path that cannot be written is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _report(args, command, parameters, digest, results):
-    return {
+def _emit(args, command, parameters, digest, results, emitted=None):
+    """Print the report of a run, first writing it (or ``emitted``) to
+    ``--emit`` when given, so that a failed write prints nothing."""
+    text = canonical_json({
         "tool": f"dynlab {__version__}",
         "command": command,
         "parameters": parameters,
         "system_digest": digest,
         "results": results,
         "wall_ms": int((time.monotonic() - args.t0) * 1000),
-    }
+    })
+    if args.emit:
+        _write(args.emit, text if emitted is None else canonical_json(emitted))
+    _sys.stdout.write(text)
 
 
-def _system_digest(loaded):
-    obj = sft_to_obj(loaded) if isinstance(loaded, Sft) else system_to_obj(loaded)
-    return digest_obj(obj)
-
-
-# -- subcommand handlers ------------------------------------------------------
-
-
-def _cmd_check_shadowing(args):
+def _run(args):
+    """The report path of every command that takes a system: load and
+    digest the system, run the command's handler on it, and emit the
+    parameters and results the handler returns, with its exit code."""
     sys_ = _load_finite(args.system, args.window)
-    digest = _system_digest(sys_)
-    epsilon = as_fraction(args.epsilon)
-    params = {"epsilon": fraction_str(epsilon),
-              "period_bound": args.period_bound, "window": args.window}
-    if args.delta is None:
-        best = shadowing_modulus(sys_, epsilon)
-        results = {"modulus_delta": fraction_str(best)}
-        code = 0
-    else:
-        delta = as_fraction(args.delta)
-        params["delta"] = fraction_str(delta)
-        holds, cert = shadowing_holds(sys_, delta, epsilon)
-        p_holds, p_cert = periodic_shadowing_holds(
-            sys_, delta, epsilon, args.period_bound)
-        s_holds, s_cert = strong_periodic_shadowing_holds(
-            sys_, delta, epsilon, args.period_bound)
-        results = {
-            "shadowing": {"holds": holds, "certificate": _cert_obj(cert)},
-            "periodic": {"holds": p_holds, "certificate": _cert_obj(p_cert)},
-            "strong_periodic": {"holds": s_holds,
-                                "certificate": _cert_obj(s_cert)},
-        }
-        code = 0 if holds else 1
-    _emit(_report(args, "check shadowing", params, digest, results), args.emit)
+    digest = digest_obj(system_to_obj(sys_))
+    params, results, code = args.handler(args, sys_)
+    params["window"] = args.window
+    command = f"check {args.what}" if args.command == "check" else args.command
+    _emit(args, command, params, digest, results)
     return code
 
 
-def _cmd_check_spec(args):
-    sys_ = _load_finite(args.system, args.window)
-    digest = _system_digest(sys_)
+# -- subcommand handlers: (args, system) -> (parameters, results, exit code) --
+
+
+def _cmd_check_shadowing(args, sys_):
+    epsilon = as_fraction(args.epsilon)
+    params = {"epsilon": fraction_str(epsilon),
+              "period_bound": args.period_bound}
+    if args.delta is None:
+        best = shadowing_modulus(sys_, epsilon)
+        return params, {"modulus_delta": fraction_str(best)}, 0
+    delta = as_fraction(args.delta)
+    params["delta"] = fraction_str(delta)
+    holds, cert = shadowing_holds(sys_, delta, epsilon)
+    p_holds, p_cert = periodic_shadowing_holds(
+        sys_, delta, epsilon, args.period_bound)
+    s_holds, s_cert = strong_periodic_shadowing_holds(
+        sys_, delta, epsilon, args.period_bound)
+    results = {
+        "shadowing": {"holds": holds, "certificate": _cert_obj(cert)},
+        "periodic": {"holds": p_holds, "certificate": _cert_obj(p_cert)},
+        "strong_periodic": {"holds": s_holds,
+                            "certificate": _cert_obj(s_cert)},
+    }
+    return params, results, 0 if holds else 1
+
+
+def _cmd_check_spec(args, sys_):
     epsilon = as_fraction(args.epsilon)
     params = {"variant": args.variant, "epsilon": fraction_str(epsilon),
-              "N": args.N, "k_bound": args.k_bound, "window": args.window}
+              "N": args.N, "k_bound": args.k_bound}
     if args.variant in ("weak", "full"):
         check = (local_weak_spec_holds if args.variant == "weak"
                  else lambda s, e, n, d: local_spec_holds(s, e, n, d,
                                                           args.k_bound))
-        if args.delta is not None:
-            delta = as_fraction(args.delta)
-            params["delta"] = fraction_str(delta)
-            holds, info = check(sys_, epsilon, args.N, delta)
-            results = {"holds": holds, **_chain_obj(info)}
-            code = 0 if holds else 1
-        else:
+        if args.delta is None:
             best = _largest_passing(
                 threshold_grid(sys_).positive,
                 lambda d: check(sys_, epsilon, args.N, d)[0])
-            results = {"best_delta":
-                       None if best is None else fraction_str(best)}
             code = 0 if best is not None else 1
-    elif args.variant == "lipschitz":
+            return params, {"best_delta": _frac(best)}, code
+        delta = as_fraction(args.delta)
+        params["delta"] = fraction_str(delta)
+        holds, info = check(sys_, epsilon, args.N, delta)
+        return params, {"holds": holds, **_chain_obj(info)}, 0 if holds else 1
+    if args.variant == "lipschitz":
         out = generalized_spec_checks(sys_, "lipschitz", N=args.N)
         L, d0 = out["envelope"]
         results = {"holds": out["holds"],
                    "envelope": {"slope": fraction_str(L),
                                 "delta0": fraction_str(d0)}}
-        code = 0 if out["holds"] else 1
     else:  # limit | two-sided
         if args.lasso is None:
             raise SchemaError("", f"variant {args.variant} needs --lasso FILE")
@@ -243,20 +251,15 @@ def _cmd_check_spec(args):
         out = generalized_spec_checks(sys_, args.variant, lasso=lasso,
                                       N=args.N)
         results = {"holds": out["holds"], "point": out["point"]}
-        code = 0 if out["holds"] else 1
-    _emit(_report(args, "check spec", params, digest, results), args.emit)
-    return code
+    return params, results, 0 if out["holds"] else 1
 
 
-def _cmd_check_expansive(args):
-    sys_ = _load_finite(args.system, args.window)
-    digest = _system_digest(sys_)
+def _cmd_check_expansive(args, sys_):
     delta = as_fraction(args.delta)
     params = {"variant": args.variant, "delta": fraction_str(delta),
-              "n": args.n, "window": args.window}
+              "n": args.n}
     if args.variant == "n":
-        holds = n_expansive_holds(sys_, args.n, delta)
-        results = {"holds": holds}
+        results = {"holds": n_expansive_holds(sys_, args.n, delta)}
     elif args.variant == "strong-measure":
         holds, witness = strong_measure_expansive_holds(sys_, delta)
         results = {"holds": holds}
@@ -271,24 +274,41 @@ def _cmd_check_expansive(args):
         holds, note = measure_expansive_holds(sys_, delta)
         results = {"holds": holds, "note": note}
     else:  # per
-        holds = expansive_on_per(sys_, delta)
-        results = {"holds": holds}
-    _emit(_report(args, "check expansive", params, digest, results), args.emit)
-    return 0 if results["holds"] else 1
+        results = {"holds": expansive_on_per(sys_, delta)}
+    return params, results, 0 if results["holds"] else 1
 
 
-def _cmd_spectral(args):
-    sys_ = _load_finite(args.system, args.window)
-    digest = _system_digest(sys_)
+def _cmd_spectral(args, sys_):
     dec = spectral_decomposition(sys_)
     checks = dec.verify(sys_)
     routes_ok = (not dec.report.passes) or all(
         piece.routes_agree for piece in dec.pieces)
     results = {"decomposition": decomposition_to_obj(dec), "checks": checks,
                "routes_agree_under_hypotheses": routes_ok}
-    params = {"window": args.window}
-    _emit(_report(args, "spectral", params, digest, results), args.emit)
-    return 0 if all(checks.values()) and routes_ok else 1
+    return {}, results, 0 if all(checks.values()) and routes_ok else 1
+
+
+def _cmd_battery(args, sys_):
+    results = run_theorem_battery(sys_, args.id, args.period_bound)
+    code = 3 if results["cap_hits"] else 0
+    if results.get("asserted") and results["violations"]:
+        code = 1
+    return {"id": args.id, "period_bound": args.period_bound}, results, code
+
+
+def _cmd_modulus(args, sys_):
+    if args.prop.startswith("spec-"):
+        table = modulus_table_for_spec(sys_, args.prop.removeprefix("spec-"),
+                                       k_bound=args.k_bound)
+    else:
+        table = modulus_table(sys_, args.prop, args.period_bound)
+    if args.csv:
+        _write(args.csv, modulus_csv(table))
+    params = {"prop": args.prop, "period_bound": args.period_bound,
+              "k_bound": args.k_bound}
+    results = {"table": modulus_table_to_obj(table),
+               "populated": table.populated()}
+    return params, results, 0
 
 
 def _cmd_gallery(args):
@@ -314,56 +334,20 @@ def _cmd_gallery(args):
     obj = sft_to_obj(built) if isinstance(built, Sft) else system_to_obj(built)
     results = {"system": obj, "kind": obj["kind"],
                "size": len(obj.get("points", obj.get("alphabet", ())))}
-    report = _report(args, f"gallery {args.family}", params, digest_obj(obj),
-                     results)
-    text = canonical_json(report)
-    _sys.stdout.write(text)
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(obj))
-    return 0
-
-
-def _cmd_battery(args):
-    sys_ = _load_finite(args.system, args.window)
-    digest = _system_digest(sys_)
-    results = run_theorem_battery(sys_, args.id, args.period_bound)
-    params = {"id": args.id, "period_bound": args.period_bound,
-              "window": args.window}
-    _emit(_report(args, "battery", params, digest, results), args.emit)
-    if results.get("asserted") and results["violations"]:
-        return 1
-    if results["cap_hits"]:
-        return 3
-    return 0
-
-
-def _cmd_modulus(args):
-    sys_ = _load_finite(args.system, args.window)
-    digest = _system_digest(sys_)
-    if args.prop.startswith("spec-"):
-        table = modulus_table_for_spec(sys_, args.prop.removeprefix("spec-"),
-                                       k_bound=args.k_bound)
-    else:
-        table = modulus_table(sys_, args.prop, args.period_bound)
-    params = {"prop": args.prop, "period_bound": args.period_bound,
-              "k_bound": args.k_bound, "window": args.window}
-    results = {"table": modulus_table_to_obj(table),
-               "populated": table.populated()}
-    _emit(_report(args, "modulus", params, digest, results), args.emit)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(modulus_csv(table))
+    _emit(args, f"gallery {args.family}", params, digest_obj(obj), results,
+          obj)
     return 0
 
 
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(parser, system=True):
-    if system:
+def _add_common(parser, handler=None):
+    """--window, --emit, and --system for a command run by ``handler``."""
+    if handler is not None:
         parser.add_argument("--system", required=True,
                             help="path to a system JSON file")
+        parser.set_defaults(func=_run, handler=handler)
     parser.add_argument("--window", type=int, default=None,
                         help="window radius; turns a shift file into its "
                              "finite window system")
@@ -384,15 +368,14 @@ def build_parser():
     what = check.add_subparsers(dest="what", required=True)
 
     p = what.add_parser("shadowing")
-    _add_common(p)
+    _add_common(p, _cmd_check_shadowing)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--delta", default=None,
                    help="omit to compute the best grid delta instead")
     p.add_argument("--period-bound", type=int, default=8, dest="period_bound")
-    p.set_defaults(func=_cmd_check_shadowing)
 
     p = what.add_parser("spec")
-    _add_common(p)
+    _add_common(p, _cmd_check_spec)
     p.add_argument("--variant", required=True,
                    choices=("weak", "full", "limit", "lipschitz", "two-sided"))
     p.add_argument("--epsilon", required=True)
@@ -402,57 +385,50 @@ def build_parser():
     p.add_argument("--lasso", default=None,
                    help="JSON file with stem/cycle lists (limit, two-sided) "
                         "and an optional past list (two-sided)")
-    p.set_defaults(func=_cmd_check_spec)
 
     p = what.add_parser("expansive")
-    _add_common(p)
+    _add_common(p, _cmd_check_expansive)
     p.add_argument("--variant", required=True,
                    choices=("n", "strong-measure", "measure", "per"))
     p.add_argument("--delta", required=True)
     p.add_argument("--n", type=int, default=1)
-    p.set_defaults(func=_cmd_check_expansive)
 
     p = sub.add_parser("spectral", help="basic sets, cyclic parts, mixing")
-    _add_common(p)
-    p.set_defaults(func=_cmd_spectral)
+    _add_common(p, _cmd_spectral)
 
     gallery = sub.add_parser("gallery", help="construct a built-in example")
+    gallery.set_defaults(func=_cmd_gallery)
     fam = gallery.add_subparsers(dest="family", required=True)
 
     p = fam.add_parser("xpq")
-    _add_common(p, system=False)
+    _add_common(p)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=_cmd_gallery)
 
     p = fam.add_parser("myex")
-    _add_common(p, system=False)
+    _add_common(p)
     p.add_argument("--lattice", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
-    p.set_defaults(func=_cmd_gallery)
 
     p = fam.add_parser("product")
-    _add_common(p, system=False)
+    _add_common(p)
     p.add_argument("--primes", required=True,
                    help="comma-separated strictly increasing primes")
     p.add_argument("--factors", type=int, required=True)
-    p.set_defaults(func=_cmd_gallery)
 
     p = fam.add_parser("random")
-    _add_common(p, system=False)
+    _add_common(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--invertible", action="store_true")
-    p.set_defaults(func=_cmd_gallery)
 
     p = sub.add_parser("battery", help="run a quantified law battery")
-    _add_common(p)
+    _add_common(p, _cmd_battery)
     p.add_argument("--id", required=True, choices=BATTERY_IDS)
     p.add_argument("--period-bound", type=int, default=6, dest="period_bound")
-    p.set_defaults(func=_cmd_battery)
 
     p = sub.add_parser("modulus", help="best-threshold table per epsilon")
-    _add_common(p)
+    _add_common(p, _cmd_modulus)
     p.add_argument("--prop", required=True,
                    choices=("shadowing", "periodic", "strong-periodic",
                             "spec-weak", "spec-full"))
@@ -460,7 +436,6 @@ def build_parser():
     p.add_argument("--k-bound", type=int, default=6, dest="k_bound")
     p.add_argument("--csv", default=None,
                    help="also write the table as CSV to this path")
-    p.set_defaults(func=_cmd_modulus)
 
     return parser
 

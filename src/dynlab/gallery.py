@@ -143,12 +143,16 @@ def build_myex(lattice_q, K):
     is built on integers over q * lcm(1..K), and the metric axioms are
     still re-verified exhaustively on those integers during assembly.
 
-    Raises NotEnoughOrbits when the lattice has fewer than K orbits.
+    Raises NotEnoughOrbits when the lattice has fewer than K orbits, and
+    ValueError over 1000 points: the lattice's before its orbits are
+    traced, the whole system's before its table is built.
     """
     if lattice_q < 2:
         raise ValueError("lattice denominator must be >= 2")
     if K < 1:
         raise ValueError("need at least one satellite family")
+    what = f"myex lattice {lattice_q}"
+    _check_size(lattice_q ** 2, what)
     orbits = _lattice_orbits(lattice_q)
     if K > len(orbits):
         raise NotEnoughOrbits(
@@ -180,6 +184,7 @@ def build_myex(lattice_q, K):
             location.append((scale // k, pt))
             pt = _lattice_apply(pt, q)
         sat_orbits.append(tuple(ids))
+    _check_size(len(points), f"{what} with {K} satellite families")
 
     # wrap[t]: the distance of t/q to the nearest integer, over scale
     wrap = [unit * min(t, q - t) for t in range(q)]

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .core import as_fraction, build_finite_system
 from .errors import SchemaError
-from .symbolic import Sft, build_sft
+from .symbolic import build_sft
 
 __all__ = [
     "canonical_json",
@@ -34,6 +34,10 @@ __all__ = [
 def fraction_str(value):
     """Canonical exact form: "p/q", or plain "p" for integers."""
     return str(Fraction(value))
+
+
+def _frac(value):
+    return None if value is None else fraction_str(value)
 
 
 def _expect(cond, pointer, detail):

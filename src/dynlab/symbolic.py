@@ -18,6 +18,7 @@ artifact of the collapse.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -44,8 +45,16 @@ class Sft(_Record):
     alphabet: tuple
     edges: frozenset
 
+    @functools.cached_property
+    def _successors(self):
+        """Each letter's successors in sorted order, built once per shift."""
+        succ = {a: [] for a in self.alphabet}
+        for a, b in self.edges:
+            succ.setdefault(a, []).append(b)
+        return {a: tuple(sorted(out)) for a, out in succ.items()}
+
     def successors(self, a):
-        return tuple(sorted(b for (x, b) in self.edges if x == a))
+        return self._successors.get(a, ())
 
     def allows(self, a, b):
         return (a, b) in self.edges
@@ -196,7 +205,7 @@ def periodic_point_count(sft, period):
 
 def _allowed_words(sft, length):
     """All allowed words of the given length, in lexicographic order."""
-    succ = {a: sft.successors(a) for a in sft.alphabet}
+    succ = sft._successors
     words = [(a,) for a in sorted(sft.alphabet)]
     for _ in range(length - 1):
         words = [word + (b,) for word in words for b in succ[word[-1]]]
@@ -208,7 +217,7 @@ def _word_count(sft, length, cap):
     there are at least that many, listing none: the count of words
     ending in each letter is pushed one letter at a time and clamped at
     ``cap``, which changes no count below ``cap``."""
-    succ = {a: sft.successors(a) for a in sft.alphabet}
+    succ = sft._successors
     ends = dict.fromkeys(sft.alphabet, 1)
     for _ in range(length - 1):
         nxt = dict.fromkeys(sft.alphabet, 0)
@@ -272,7 +281,6 @@ def window_system(sft, w):
         raise EmptyShift("no allowed words at this window size")
     ids = [",".join(map(str, word)) for word in words]
     pos = {word: k for k, word in enumerate(words)}
-    succ = {a: sft.successors(a) for a in sft.alphabet}
 
     # distances over 2^w: 2^(-k) is 1 << (w - k).  Words that share
     # their central block of radius r - 1 first differ at radius r or
@@ -295,7 +303,7 @@ def window_system(sft, w):
 
     fmap, relation = [], []
     for word in words:
-        images = [word[1:] + (b,) for b in succ[word[-1]]]
+        images = [word[1:] + (b,) for b in sft._successors[word[-1]]]
         images = [im for im in images if im in pos]
         # pruning keeps every follower of an allowed word allowed
         assert images, "an allowed word must have an allowed shift"

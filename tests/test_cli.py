@@ -417,12 +417,16 @@ FROZEN_REPORTS = json.loads(
 @pytest.mark.parametrize("name", sorted(FROZEN_REPORTS))
 def test_report_matches_frozen_report(capsys, tmp_path, monkeypatch, name):
     """Report paths no other test reaches (failing certificates, chain
-    counterexamples, a battery cap hit, product and windowed gallery
-    reports), byte for byte but for the wall_ms value, against reports
-    frozen before the orbit-shape code moved into core."""
+    counterexamples, battery cap hits, every battery, spectral, modulus
+    and gallery reports), byte for byte but for the wall_ms value,
+    against reports frozen before the orbit-shape code moved into core
+    and before the commands shared one report path.  A case that writes
+    a file (``--csv``, ``gallery --emit``) to ``{out}`` also pins the
+    file's text."""
     files = {"{random-5-4}": emit_random(capsys, tmp_path),
              "{random-3-6-invertible}": str(tmp_path / "r3.json"),
-             "{lasso}": str(tmp_path / "lasso.json")}
+             "{lasso}": str(tmp_path / "lasso.json"),
+             "{out}": str(tmp_path / "out")}
     run(capsys, "gallery", "random", "--seed", "3", "--size", "6",
         "--invertible", "--emit", files["{random-3-6-invertible}"])
     (tmp_path / "lasso.json").write_text(
@@ -433,6 +437,8 @@ def test_report_matches_frozen_report(capsys, tmp_path, monkeypatch, name):
     code, out, _ = run(capsys, *(files.get(a, a) for a in case["argv"]))
     assert code == case["exit"]
     assert re.sub(r'"wall_ms": \d+', '"wall_ms": 0', out) == case["report"]
+    if "written" in case:
+        assert (tmp_path / "out").read_text() == case["written"]
 
 
 def test_hostile_window_is_refused_before_listing_words(capsys, tmp_path):
@@ -450,3 +456,40 @@ def test_hostile_window_is_refused_before_listing_words(capsys, tmp_path):
                          "--size", "1001")
     assert (code, out) == (2, "")
     assert err.startswith("dynlab: random system size 1001: more than 1000")
+
+
+def test_a_failed_write_exits_two_and_prints_nothing(capsys, tmp_path):
+    # each output file is written before the report is printed
+    system = emit_random(capsys, tmp_path)
+    missing = tmp_path / "missing"
+    cases = [
+        (["modulus", "--system", system, "--prop", "shadowing", "--csv"],
+         missing / "t.csv"),
+        (["spectral", "--system", system, "--emit"], missing / "t.json"),
+        (["gallery", "xpq", "--p", "3", "--q", "2", "--emit"],
+         missing / "t.json"),
+        (["check", "expansive", "--system", system, "--variant", "n",
+          "--delta", "1", "--emit"], tmp_path),
+    ]
+    for argv, path in cases:
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, ""), argv
+        reason = ("Is a directory" if path == tmp_path
+                  else "No such file or directory")
+        assert err == f"dynlab: cannot write {path}: {reason}\n", argv
+    assert not missing.exists()
+
+
+def test_hostile_lattice_is_refused_before_listing_orbits(capsys):
+    # lattice 33 has 1089 points; lattice 31 has 961, and its first four
+    # orbits add 46 satellites
+    for lattice, K, what in (("33", "1", "myex lattice 33"),
+                             ("31", "4", "myex lattice 31 with 4 satellite "
+                                         "families")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gallery", "myex", "--lattice", lattice,
+                             "--K", K)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (f"dynlab: {what}: more than 1000 points exceed the "
+                       f"budget of 1000000000 for n^3 times the bit width\n")

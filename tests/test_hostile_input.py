@@ -1,12 +1,18 @@
-"""Malformed and hostile system files through ``dynlab spectral``.
+"""Malformed and hostile system files through ``dynlab spectral``, and
+malformed lasso files through ``dynlab check spec``.
 
-Each case starts from a valid finite system or shift file and breaks
-it one way: truncated JSON, a top level that is not an object, a field
-or an entry of the wrong type, a ragged distance table or map, a map or
-relation target outside the points, a JSON float, or an over-long
-decimal exponent or integer.
-Every case must exit 2 with one ``dynlab:`` message on stderr: an
-exception that escaped ``main`` would fail the test with its traceback.
+Each system case starts from a valid finite system or shift file and
+breaks it one way: truncated JSON, a top level that is not an object, a
+field or an entry of the wrong type, a ragged distance table or map, a
+map or relation target outside the points, a JSON float, or an
+over-long decimal exponent or integer.  Each lasso case starts from a
+valid lasso of a valid system and breaks it one way: truncated JSON, a
+top level that is not an object, no cycle, a list field of the wrong
+type, an entry that is not a point, an empty cycle or past, or a past
+cycle given to the one-sided variant.
+Every case must exit 2 with one ``dynlab:`` message on stderr and
+nothing on stdout: an exception that escaped ``main`` would fail the
+test with its traceback.
 """
 
 import contextlib
@@ -43,16 +49,26 @@ FINITE_LISTS = ("points", "dist", "map")
 SFT_LISTS = ("alphabet", "edges")
 
 
-def spectral(text):
-    """Exit code and stderr of ``dynlab spectral`` on a file of ``text``."""
+def run_on_files(argv, **texts):
+    """Exit code, stdout and stderr of ``dynlab argv``, where each
+    ``{name}`` in ``argv`` is a file holding ``texts[name]``."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "system.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["spectral", "--system", path])
-    return code, err.getvalue()
+            code = main([arg.format(**paths) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def spectral(text):
+    """Exit code and stderr of ``dynlab spectral`` on a file of ``text``."""
+    code, _, err = run_on_files(["spectral", "--system", "{system}"],
+                                system=text)
+    return code, err
 
 
 def dumps(obj):
@@ -141,9 +157,8 @@ def malformed_files(draw):
     return dumps(obj)
 
 
-def refused(text):
-    code, err = spectral(text)
-    assert code == 2, (text[:300], err)
+def refused(code, out, err, text):
+    assert (code, out) == (2, ""), (text[:300], err)
     assert err.startswith("dynlab: ") and err.count("\n") == 1, err
 
 
@@ -159,7 +174,8 @@ def refused(text):
 # nesting too deep to decode once ended in a RecursionError traceback
 @example("[" * 100_000 + "]" * 100_000)
 def test_malformed_system_files_exit_two(text):
-    refused(text)
+    refused(*run_on_files(["spectral", "--system", "{system}"], system=text),
+            text)
 
 
 def test_the_valid_bases_run():
@@ -168,3 +184,89 @@ def test_the_valid_bases_run():
                 system_to_obj(build_random_system(1, 4, True))):
         code, _ = spectral(dumps(obj))
         assert code == (2 if obj["kind"] == "sft" else 0)
+
+
+# the lasso cases run on one invertible system, so both variants apply
+LASSO_SYSTEM = system_to_obj(build_random_system(1, 4, True))
+POINTS = LASSO_SYSTEM["points"]
+IMAGE = dict(zip(POINTS, LASSO_SYSTEM["map"]))
+not_a_point = (json_values | over_long).filter(lambda v: v not in POINTS)
+
+
+def check_spec(variant, lasso_text):
+    return run_on_files(
+        ["check", "spec", "--system", "{system}", "--variant", variant,
+         "--epsilon", "1", "--lasso", "{lasso}"],
+        system=canonical_json(LASSO_SYSTEM), lasso=lasso_text)
+
+
+def orbit(point):
+    """The cycle of the map through ``point``, from ``point`` on."""
+    cycle = [point]
+    while IMAGE[cycle[-1]] != point:
+        cycle.append(IMAGE[cycle[-1]])
+    return cycle
+
+
+@st.composite
+def valid_lassos(draw):
+    """A variant and a lasso of LASSO_SYSTEM that it accepts."""
+    points = st.sampled_from(POINTS)
+    variant = draw(st.sampled_from(["limit", "two-sided"]))
+    if variant == "limit":
+        obj = {"cycle": draw(st.lists(points, min_size=1, max_size=3))}
+    else:  # both tails are cycles of the map
+        obj = {"cycle": orbit(draw(points))}
+        if draw(st.booleans()):
+            obj["past"] = orbit(draw(points))
+    if draw(st.booleans()):
+        obj["stem"] = draw(st.lists(points, max_size=3))
+    return variant, obj
+
+
+@st.composite
+def malformed_lassos(draw):
+    variant, obj = draw(valid_lassos())
+    lists = [key for key in ("stem", "cycle", "past") if key in obj]
+    how = draw(st.sampled_from(
+        ["truncated", "top level", "no cycle", "field type", "entry",
+         "empty", "past"]))
+    if how == "truncated":
+        text = canonical_json(obj)
+        return variant, text[:draw(st.integers(0, text.rindex("}") - 1))]
+    if how == "top level":
+        return variant, dumps(draw(json_values.filter(
+            lambda v: not isinstance(v, dict))))
+    if how == "no cycle":
+        del obj["cycle"]
+    elif how == "field type":
+        obj[draw(st.sampled_from(lists))] = draw(not_a_list)
+    elif how == "entry":
+        key = draw(st.sampled_from([key for key in lists if obj[key]]))
+        entries = obj[key]
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(not_a_point)
+    elif how == "empty":
+        obj[draw(st.sampled_from(
+            ["cycle", "past"] if variant == "two-sided" else ["cycle"]))] = []
+    else:  # a past cycle on the one-sided variant
+        variant = "limit"
+        obj["past"] = draw(st.lists(st.sampled_from(POINTS), max_size=3))
+    return variant, dumps(obj)
+
+
+@settings(deadline=None, max_examples=300)
+@given(malformed_lassos())
+@example(("limit", "[" * 100_000 + "]" * 100_000))
+@example(("two-sided", canonical_json({"cycle": ["p0"], "past": "p1"})))
+def test_malformed_lasso_files_exit_two(case):
+    variant, text = case
+    refused(*check_spec(variant, text), text)
+
+
+@settings(deadline=None, max_examples=30)
+@given(valid_lassos())
+def test_the_valid_lassos_run(case):
+    # the lassos the cases break are accepted as they are
+    variant, obj = case
+    code, out, err = check_spec(variant, canonical_json(obj))
+    assert code in (0, 1) and out and not err, err

@@ -10,6 +10,7 @@ import ast
 import importlib
 import inspect
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -130,3 +131,29 @@ def test_import_loads_the_republished_modules_and_not_the_cli():
     loaded = set(out.stdout.split())
     assert "dynlab.cli" not in loaded
     assert loaded == LOADED
+
+
+def imported_names(tree):
+    """The names that the import statements in ``tree`` bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_every_imported_name_is_used_or_listed():
+    # the package module is exempt: it imports its submodules to
+    # republish them
+    for path in sorted(pathlib.Path(dynlab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        listed = importlib.import_module(f"dynlab.{path.stem}").__all__
+        unused = imported_names(tree) - used - set(listed)
+        assert not unused, (path.name, sorted(unused))
