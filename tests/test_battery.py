@@ -1,11 +1,16 @@
 """Battery runner: grid sweeps report rows, diagnose hypotheses, and
 collect violations without inventing new mathematics."""
 
+import dataclasses
+import json
 import warnings
+from fractions import Fraction
 
 import pytest
 
+from dynlab import battery
 from dynlab.battery import BATTERY_IDS, periodic_spectrum, run_theorem_battery
+from dynlab.cli import main
 from dynlab.gallery import build_myex, build_xpq
 from dynlab.symbolic import window_system
 
@@ -105,3 +110,134 @@ def test_gallery_wrapper_unwrapped():
     direct = run_theorem_battery(inst.system, "hierarchy")
     wrapped = run_theorem_battery(inst, "hierarchy")
     assert direct == wrapped
+
+
+# -- every law can fail: one planted fault per violation path -----------------
+#
+# Each case replaces one library function as dynlab.battery binds it, by a
+# wrapper that plants one wrong answer, and pins the battery's whole
+# violations list.
+
+
+def plant_empty_row(monkeypatch, name, prop, epsilon):
+    """Make battery.<name> (a modulus table builder) report no delta at
+    ``epsilon`` in its ``prop`` table."""
+    real = getattr(battery, name)
+
+    def planted(sys_, kind, *args, **kwargs):
+        table = real(sys_, kind, *args, **kwargs)
+        if kind != prop:
+            return table
+        return dataclasses.replace(table, rows=tuple(
+            (eps, None if eps == epsilon else best) for eps, best in table.rows))
+
+    monkeypatch.setattr(battery, name, planted)
+
+
+def plant_failure(monkeypatch, name, *at):
+    """Make battery.<name> answer ``holds: False`` when called with the
+    thresholds ``at`` (its positional arguments after the system)."""
+    real = getattr(battery, name)
+
+    def planted(sys_, *args, **kwargs):
+        row = real(sys_, *args, **kwargs)
+        return {**row, "holds": False} if args[:len(at)] == at else row
+
+    monkeypatch.setattr(battery, name, planted)
+
+
+def plant_decomposition(monkeypatch, change):
+    """Make battery.spectral_decomposition report ``change(pieces)``."""
+    real = battery.spectral_decomposition
+
+    def planted(sys_):
+        dec = real(sys_)
+        return dataclasses.replace(dec, pieces=change(dec.pieces))
+
+    monkeypatch.setattr(battery, "spectral_decomposition", planted)
+
+
+def test_equivalence_violation_names_its_epsilon(monkeypatch):
+    plant_empty_row(monkeypatch, "modulus_table_for_spec", "weak",
+                    Fraction(1, 2))
+    out = run_theorem_battery(two_loop_window(), "thmA", period_bound=4)
+    assert [row["agree"] for row in out["rows"]] == [True, False, True, True]
+    assert out["violations"] == [{
+        "law": "chain-tracing and shadowing rows must be non-empty together",
+        "epsilon": "1/2"}]
+
+
+def test_transfer_violation_names_its_epsilon(monkeypatch):
+    plant_failure(monkeypatch, "derived_periodic_shadowing", Fraction(2))
+    out = run_theorem_battery(two_loop_window(), "thmB", period_bound=4)
+    assert out["violations"] == [{
+        "law": "chain tracing at half quality must transfer to periodic "
+               "tracing at the derived thresholds",
+        "epsilon": "2"}]
+
+
+def test_pairwise_chain_violation_names_its_cell(monkeypatch):
+    plant_failure(monkeypatch, "pairwise_tracing_chain",
+                  Fraction(1, 2), Fraction(1))
+    out = run_theorem_battery(two_loop_window(), "thmB", period_bound=4)
+    assert out["violations"] == [{
+        "law": "pairwise tracing chain", "delta": "1/2", "epsilon": "1"}]
+
+
+def test_matrix_violation_names_its_epsilon(monkeypatch):
+    plant_empty_row(monkeypatch, "modulus_table_for_spec", "weak", Fraction(1))
+    out = run_theorem_battery(two_loop_window(), "thmC", period_bound=4)
+    assert out["asserted"]
+    assert [row["equivalent"] for row in out["rows"]] == [
+        True, True, False, True]
+    assert out["violations"] == [{
+        "law": "all six tracing properties must agree under the diagnosed "
+               "hypotheses",
+        "epsilon": "1"}]
+
+
+def test_decomposition_invariant_violation(monkeypatch):
+    plant_decomposition(monkeypatch, lambda pieces: pieces[:-1])
+    out = run_theorem_battery(build_myex(2, 1), "thmD")
+    assert out["violations"] == [
+        {"law": "decomposition invariant: covers_nonwandering"}]
+
+
+def test_decomposition_route_violation_names_its_piece(monkeypatch):
+    plant_decomposition(monkeypatch, lambda pieces: (
+        pieces[0], dataclasses.replace(pieces[1], routes_agree=False),
+        *pieces[2:]))
+    out = run_theorem_battery(build_myex(2, 1), "thmD")
+    assert all(out["checks"].values())
+    assert out["violations"] == [{
+        "law": "construction routes must agree when the hypothesis report "
+               "passes",
+        "piece": ["(0,1/2)", "(1/2,0)", "(1/2,1/2)"]}]
+
+
+HIERARCHY_VIOLATIONS = [
+    {"law": "1-expansive implies strong measure expansive", "delta": "1/4"}]
+
+
+def test_hierarchy_violation_names_its_delta(monkeypatch):
+    monkeypatch.setattr(battery, "strong_measure_expansive_holds",
+                        lambda sys_, delta: (False, None))
+    out = run_theorem_battery(two_loop_window(), "hierarchy", period_bound=4)
+    assert out["violations"] == HIERARCHY_VIOLATIONS
+
+
+def test_asserted_violation_exits_one_through_cli(monkeypatch, capsys,
+                                                  tmp_path):
+    path = str(tmp_path / "x32.json")
+    assert main(["gallery", "xpq", "--p", "3", "--q", "2",
+                 "--emit", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(battery, "strong_measure_expansive_holds",
+                        lambda sys_, delta: (False, None))
+    code = main(["battery", "--system", path, "--window", "1",
+                 "--id", "hierarchy", "--period-bound", "4"])
+    out = capsys.readouterr()
+    assert (code, out.err) == (1, "")
+    results = json.loads(out.out)["results"]
+    assert results["asserted"]
+    assert results["violations"] == HIERARCHY_VIOLATIONS
