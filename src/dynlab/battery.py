@@ -12,6 +12,12 @@ first-class inputs rather than errors.
 Resource caps are respected per cell: a subset search that trips
 StateExplosion marks its cell and the battery moves on.
 
+:func:`run_theorem_battery` builds the one result record (battery id,
+period bound, ``asserted``, ``violations``, ``cap_hits``) and hands it
+to the battery's runner, which adds only its own fields; ``_cell``
+records a cap hit in it and ``_check`` records a violation: the law's
+text plus the cell it failed at (``epsilon``, ``delta`` or ``piece``).
+
 Battery ids (opaque tokens, fixed by the command-line contract):
 
 =============  ==============================================================
@@ -68,120 +74,102 @@ def periodic_spectrum(sys, bound):
     return {str(m): count for m, count in enumerate(counts, 1)}
 
 
-def _cell(cap_hits, label, run):
+def _cell(result, label, run):
     """``run()``; None when it trips the subset cap, after recording the
-    hit of the cell ``label`` in ``cap_hits``."""
+    hit of the cell ``label`` in the battery record ``result``."""
     try:
         return run()
     except StateExplosion as exc:
-        cap_hits.append({"cell": label, "detail": str(exc)})
+        result["cap_hits"].append({"cell": label, "detail": str(exc)})
         return None
 
 
-def _equivalence_battery(sys, period_bound, cap):
+def _check(result, holds, law, **cell):
+    """Record in ``result`` that ``law`` fails at ``cell`` (its epsilon,
+    delta or piece) unless it ``holds``."""
+    if not holds:
+        result["violations"].append({"law": law, **cell})
+
+
+def _equivalence_battery(result, sys, period_bound, cap):
     """Per-epsilon: chain-tracing row non-empty iff shadowing row is."""
-    result = {"asserted": True, "rows": [], "violations": [], "cap_hits": []}
-    tables = _cell(result["cap_hits"], "modulus tables", lambda: (
+    result["rows"] = []
+    tables = _cell(result, "modulus tables", lambda: (
         modulus_table(sys, "shadowing", cap=cap),
         modulus_table_for_spec(sys, "weak", cap=cap)))
     if tables is None:
-        return result
+        return
     shad, weak = tables
     for (eps, s), (_, w) in zip(shad.rows, weak.rows):
-        agree = (s is None) == (w is None)
-        result["rows"].append({
+        row = {
             "epsilon": _frac(eps),
             "shadowing_delta": _frac(s),
             "weak_spec": None if w is None else [w[0], _frac(w[1])],
-            "agree": agree,
-        })
-        if not agree:
-            result["violations"].append({
-                "law": "chain-tracing and shadowing rows must be non-empty "
-                       "together",
-                "epsilon": _frac(eps),
-            })
-    return result
+            "agree": (s is None) == (w is None),
+        }
+        result["rows"].append(row)
+        _check(result, row["agree"], "chain-tracing and shadowing rows must "
+               "be non-empty together", epsilon=row["epsilon"])
 
 
-def _transfer_battery(sys, period_bound, cap):
+def _transfer_battery(result, sys, period_bound, cap):
     """Derived-parameter periodic transfer plus the pairwise chain."""
-    result = {"asserted": True, "transfer_rows": [], "chain_cells": [],
-              "violations": [], "cap_hits": []}
-    hits = result["cap_hits"]
+    result.update(transfer_rows=[], chain_cells=[])
     grid = threshold_grid(sys)
     for eps in grid.positive:
-        row = _cell(hits, f"transfer at epsilon {fraction_str(eps)}",
+        row = _cell(result, f"transfer at epsilon {fraction_str(eps)}",
                     lambda: derived_periodic_shadowing(
                         sys, eps, k_bound=period_bound, cap=cap))
         if row is None:
             continue
-        out = {
-            "epsilon": _frac(eps),
-            "applicable": row["applicable"],
-        }
+        out = {"epsilon": _frac(eps), "applicable": row["applicable"]}
         if row["applicable"]:
-            out.update({
-                "N": row["N"],
-                "delta": _frac(row["delta"]),
-                "eta": _frac(row["eta"]),
-                "delta1": _frac(row["delta1"]),
-                "holds": row["holds"],
-            })
-            if not row["holds"]:
-                result["violations"].append({
-                    "law": "chain tracing at half quality must transfer to "
-                           "periodic tracing at the derived thresholds",
-                    "epsilon": _frac(eps),
-                })
+            out.update({name: _frac(row[name])
+                        for name in ("delta", "eta", "delta1")},
+                       N=row["N"], holds=row["holds"])
+            _check(result, row["holds"], "chain tracing at half quality must "
+                   "transfer to periodic tracing at the derived thresholds",
+                   epsilon=out["epsilon"])
         result["transfer_rows"].append(out)
-    for eps in grid.positive:
-        for delta in grid.positive:
-            if delta > eps:
-                continue
-            cell = _cell(hits, f"chain at delta {fraction_str(delta)} "
-                               f"epsilon {fraction_str(eps)}",
+    for k, eps in enumerate(grid.positive):
+        for delta in grid.positive[:k + 1]:
+            cell = _cell(result, f"chain at delta {fraction_str(delta)} "
+                                 f"epsilon {fraction_str(eps)}",
                          lambda: pairwise_tracing_chain(
                              sys, delta, eps, k_bound=period_bound, cap=cap))
             if cell is None:
                 continue
+            at = {"delta": _frac(delta), "epsilon": _frac(eps)}
             result["chain_cells"].append({
-                "delta": _frac(delta),
-                "epsilon": _frac(eps),
+                **at,
                 "holds": cell["holds"],
                 "routes_equal": cell["exact_to_chain"]["routes_equal"],
                 "instances": cell["instances_checked"],
             })
-            if not cell["holds"]:
-                result["violations"].append({
-                    "law": "pairwise tracing chain",
-                    "delta": _frac(delta),
-                    "epsilon": _frac(eps),
-                })
-    return result
+            _check(result, cell["holds"], "pairwise tracing chain", **at)
 
 
 _MATRIX_COLUMNS = ("local_spec", "weak_spec", "shadowing", "strong_periodic",
                    "periodic", "special")
 
 
-def _matrix_battery(sys, period_bound, cap):
+def _matrix_battery(result, sys, period_bound, cap):
     """Six tracing properties per epsilon, gated by the two hypotheses:
     transitivity and freeness from lockstep orbit pairs (the uniform
     finite form of measure-level expansiveness)."""
     grid = threshold_grid(sys)
     pair = lockstep_orbit_pair(sys)
-    hypotheses = {
+    hypotheses = result["hypotheses"] = {
         "transitive": is_transitive(sys, sys.points),
         "strong_measure_expansive": pair is None,
         "lockstep_pair": None if pair is None else
             [pair[0], pair[1], fraction_str(pair[2])],
         "strong_constant": _frac(hypothesis_report(sys).strong_constant),
     }
-    asserted = hypotheses["transitive"] and hypotheses["strong_measure_expansive"]
-    result = {"asserted": asserted, "hypotheses": hypotheses, "rows": [],
-              "violations": [], "cap_hits": []}
-    columns = _cell(result["cap_hits"], "modulus tables", lambda: {
+    asserted = result["asserted"] = (
+        hypotheses["transitive"] and hypotheses["strong_measure_expansive"])
+    result["rows"] = []
+    columns = _cell(result, "modulus tables", lambda: {
         "local_spec": dict(modulus_table_for_spec(
             sys, "full", k_bound=period_bound, cap=cap).rows),
         "weak_spec": dict(modulus_table_for_spec(sys, "weak", cap=cap).rows),
@@ -192,7 +180,7 @@ def _matrix_battery(sys, period_bound, cap):
             sys, "periodic", period_bound, cap).rows),
     })
     if columns is None:
-        return result
+        return
     for eps in grid.positive:
         row = {"epsilon": _frac(eps)}
         for name in _MATRIX_COLUMNS[:-1]:
@@ -201,73 +189,53 @@ def _matrix_battery(sys, period_bound, cap):
         row["special"] = row["shadowing"] and row["periodic"]
         row["equivalent"] = len({row[name] for name in _MATRIX_COLUMNS}) <= 1
         result["rows"].append(row)
-        if asserted and not row["equivalent"]:
-            result["violations"].append({
-                "law": "all six tracing properties must agree under the "
-                       "diagnosed hypotheses",
-                "epsilon": _frac(eps),
-            })
-    return result
+        _check(result, not asserted or row["equivalent"], "all six tracing "
+               "properties must agree under the diagnosed hypotheses",
+               epsilon=row["epsilon"])
 
 
-def _decomposition_battery(sys, period_bound, cap):
+def _decomposition_battery(result, sys, period_bound, cap):
     """Re-verify every decomposition invariant and compare routes."""
     dec = spectral_decomposition(sys)
     checks = dec.verify(sys)
     obj = decomposition_to_obj(dec)
     for piece in obj["pieces"]:
         del piece["stable_set_parts"]
-    result = {"asserted": True, "checks": checks, "pieces": obj["pieces"],
-              "hypothesis_report": obj["report"], "violations": [],
-              "cap_hits": []}
+    result.update(checks=checks, pieces=obj["pieces"],
+                  hypothesis_report=obj["report"])
     for name, ok in checks.items():
-        if not ok:
-            result["violations"].append(
-                {"law": f"decomposition invariant: {name}"})
-    if dec.report.passes:
-        for piece in dec.pieces:
-            if not piece.routes_agree:
-                result["violations"].append({
-                    "law": "construction routes must agree when the "
-                           "hypothesis report passes",
-                    "piece": list(piece.points),
-                })
-    return result
+        _check(result, ok, f"decomposition invariant: {name}")
+    for piece in dec.pieces:
+        _check(result, not dec.report.passes or piece.routes_agree,
+               "construction routes must agree when the hypothesis report "
+               "passes", piece=list(piece.points))
 
 
-def _hierarchy_battery(sys, period_bound, cap):
+def _hierarchy_battery(result, sys, period_bound, cap):
     """The expansiveness ladder at every grid delta."""
-    result = {"asserted": True, "rows": [], "violations": [], "cap_hits": []}
-    grid = threshold_grid(sys)
-    for delta in grid.positive:
+    result["rows"] = []
+    for delta in threshold_grid(sys).positive:
         counts = {n: n_expansive_holds(sys, n, delta) for n in range(1, 5)}
         strong = strong_measure_expansive_holds(sys, delta)[0]
         measure = measure_expansive_holds(sys, delta)[0]
         on_per = expansive_on_per(sys, delta)
-        row = {
-            "delta": _frac(delta),
+        at = _frac(delta)
+        result["rows"].append({
+            "delta": at,
             "n_expansive": {str(n): counts[n] for n in counts},
             "strong_measure": strong,
             "measure": measure,
             "expansive_on_per": on_per,
-        }
-        result["rows"].append(row)
-        laws = [
-            ("1-expansive implies strong measure expansive",
-             (not counts[1]) or strong),
-            ("strong measure expansive implies measure expansive",
-             (not strong) or measure),
-            ("strong measure expansive implies expansive on periodic points",
-             (not strong) or on_per),
-        ]
+        })
+        _check(result, not counts[1] or strong,
+               "1-expansive implies strong measure expansive", delta=at)
+        _check(result, not strong or measure,
+               "strong measure expansive implies measure expansive", delta=at)
+        _check(result, not strong or on_per, "strong measure expansive "
+               "implies expansive on periodic points", delta=at)
         for n in range(1, 4):
-            laws.append((f"{n}-expansive implies {n + 1}-expansive",
-                         (not counts[n]) or counts[n + 1]))
-        for law, ok in laws:
-            if not ok:
-                result["violations"].append(
-                    {"law": law, "delta": _frac(delta)})
-    return result
+            _check(result, not counts[n] or counts[n + 1],
+                   f"{n}-expansive implies {n + 1}-expansive", delta=at)
 
 
 _RUNNERS = {
@@ -296,11 +264,8 @@ def run_theorem_battery(system, battery_id, period_bound=6, cap=None):
     if period_bound < 1:
         raise ValueError(
             f"period bound must be at least 1, got {period_bound}")
-    body = _RUNNERS[battery_id](sys, period_bound, cap)
-    spectrum = periodic_spectrum(sys, max(period_bound, 8))
-    return {
-        "battery": battery_id,
-        "period_bound": period_bound,
-        "periodic_spectrum": spectrum,
-        **body,
-    }
+    result = {"battery": battery_id, "period_bound": period_bound,
+              "asserted": True, "violations": [], "cap_hits": []}
+    _RUNNERS[battery_id](result, sys, period_bound, cap)
+    result["periodic_spectrum"] = periodic_spectrum(sys, max(period_bound, 8))
+    return result

@@ -72,14 +72,26 @@ from .symbolic import Sft, window_system
 __all__ = ["main", "parse_system_file"]
 
 
+def _json_int(text):
+    """A JSON integer literal as an int: json.load's ``parse_int``, so
+    that a literal too long for int() is refused in words of its own
+    (int's message names an interpreter setting)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"an integer literal of {len(text)} characters is "
+                         f"too long") from None
+
+
 def parse_system_file(path):
     """Load and validate a system file (finite or shift kind)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc.strerror}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, undecodable text or an over-long integer;
         # RecursionError: arrays or objects nested too deep to decode
         raise SchemaError("", f"{path} is not JSON: {exc}") from exc
     return parse_system_obj(obj)
@@ -106,8 +118,8 @@ def _lasso_from_file(path, sys_, two_sided):
     two-sided.  Every entry must be a point of ``sys_``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            obj = json.load(fh, parse_int=_json_int)
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError("", f"cannot read lasso file {path}: {exc}") from exc
     if not isinstance(obj, dict) or "cycle" not in obj:
         raise SchemaError("/cycle", "lasso file needs a cycle list")

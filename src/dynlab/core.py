@@ -252,9 +252,10 @@ class FiniteSystem:
         self.relation = None if relation is None else tuple(
             tuple(sorted(succ)) for succ in relation
         )
-        levels = sorted({d for row in self.scaled for d in row})
+        levels = sorted(set(itertools.chain.from_iterable(self.scaled)))
         pos = {d: r for r, d in enumerate(levels)}
-        self.rank = tuple(tuple(pos[d] for d in row) for row in self.scaled)
+        self.rank = tuple(tuple(map(pos.__getitem__, row))
+                          for row in self.scaled)
         self.distance_values = tuple(Fraction(d, scale) for d in levels)
         self._memo = {}  # threshold structures, see _memoized
 

@@ -70,12 +70,11 @@ class Sft(_Record):
 
 
 def _rotation_period(word):
-    """Least d dividing len(word) with the cyclic word invariant under d-rotation."""
+    """Least d dividing len(word) with the cyclic word invariant under
+    d-rotation; the word is not empty, so d = len(word) qualifies."""
     n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[d:] + word[:d]:
-            return d
-    return n
+    return next(d for d in range(1, n + 1)
+                if n % d == 0 and word == word[d:] + word[:d])
 
 
 class SymbolicPoint(Lasso):

@@ -151,6 +151,16 @@ def test_input_errors_exit_two(capsys, tmp_path):
                        "--epsilon", "1/4")
     assert code == 2 and "--window" in err
 
+    # the lasso variants need a lasso file
+    code, _, err = run(capsys, "check", "spec", "--system", rnd,
+                       "--variant", "limit", "--epsilon", "1")
+    assert code == 2 and "needs --lasso FILE" in err
+
+    # a finite family cannot be windowed
+    code, out, err = run(capsys, "gallery", "myex", "--lattice", "2",
+                         "--K", "1", "--window", "1")
+    assert (code, out) == (2, "") and "--window" in err
+
 
 def test_cap_exit_three(capsys, tmp_path, monkeypatch):
     path = emit_random(capsys, tmp_path, seed=10, size=6)
@@ -275,6 +285,27 @@ def test_lasso_entries_must_be_points_of_the_system(capsys, tmp_path):
             capsys, tmp_path, system, variant, lasso)
         assert code == 2 and out == ""
         assert err.startswith(f"dynlab: {pointer}:")
+
+
+def test_over_long_integer_literal_names_its_file(capsys, tmp_path):
+    # json.load raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal beyond int's digit limit
+    literal = "9" * 5000
+    system = tmp_path / "long.json"
+    system.write_text('{"kind": "finite", "points": ["a"], '
+                      f'"dist": [[{literal}]], "map": ["a"]}}')
+    lasso = tmp_path / "lasso.json"
+    lasso.write_text(f'{{"cycle": [{literal}]}}')
+    cases = [
+        (system, ["spectral", "--system", str(system)]),
+        (lasso, ["check", "spec", "--system", two_cycle_pair(tmp_path),
+                 "--variant", "limit", "--epsilon", "1",
+                 "--lasso", str(lasso)]),
+    ]
+    for path, argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert str(path) in err and "set_int_max_str_digits" not in err, err
 
 
 def test_bad_bounds_exit_two(capsys, tmp_path):

@@ -57,6 +57,21 @@ def test_invertibility_flag():
     assert build_finite_system(pts, dist, ("b", "a")).invertible
 
 
+def test_malformed_systems_are_refused():
+    dist = [[0, 1], [1, 0]]
+    cases = [
+        (("a", "a"), dist, ("a", "a"), None, "duplicate point"),
+        ((), [], (), None, "at least one point"),
+        (("a", "b"), [[0, 1], [1]], ("a", "b"), None, "shape"),
+        (("a", "b"), dist, ("a", "c"), None, "outside the space: 'c'"),
+        (("a", "b"), dist, ("a",), None, "map length"),
+        (("a", "b"), dist, ("b", "a"), [["a"]], "relation length"),
+    ]
+    for points, table, fmap, relation, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build_finite_system(points, table, fmap, relation=relation)
+
+
 def test_orbit_powers_match_iteration():
     for seed in range(6):
         sys_ = random_system(seed, 7)
@@ -91,6 +106,7 @@ def test_pseudo_orbit_strict_inequality():
     assert not is_pseudo_orbit(sys_, alternating, 1)
     assert is_pseudo_orbit(sys_, alternating, Fraction(3, 2))
     assert is_periodic_pseudo_orbit(sys_, alternating, Fraction(3, 2)) == 2
+    assert is_periodic_pseudo_orbit(sys_, alternating, 1) is None
     assert is_periodic_pseudo_orbit(sys_, Lasso(stem=("a",), cycle=("b",)), 2) is None
 
 

@@ -110,6 +110,8 @@ def test_modulus_table_rendering():
     spec_csv = modulus_csv(spec_table)
     assert spec_csv.startswith("epsilon,gap,delta\n")
     empty = ModulusTable("shadowing", ((Fraction(1, 2), None),))
+    assert modulus_table_to_obj(empty)["rows"] == [
+        {"epsilon": "1/2", "best": None}]
     assert modulus_csv(empty) == "epsilon,delta\n1/2,\n"
     gap_empty = ModulusTable("spec-weak", ((Fraction(1, 2), None),))
     assert modulus_csv(gap_empty) == "epsilon,gap,delta\n1/2,,\n"

@@ -1,5 +1,6 @@
 """Chain tracing: definitional cross-checks and the block reductions."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from dynlab.shadowing import (
     strong_periodic_shadowing_holds,
 )
 from dynlab.specification import (
+    SpecCertificate,
     _gap_structures,
     blockify,
     eta_modulus,
@@ -135,19 +137,22 @@ def test_closed_chain_tracing_sits_between_periodic_variants():
         grid = threshold_grid(sys)
         gaps = gap_values(sys, 1)
         big_bound = k_bound * max(gaps)
-        for delta in grid.positive[:2]:
+        for delta in grid.positive:
             for eps in grid.positive:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", BoundTooSmall)
                     strong = strong_periodic_shadowing_holds(
                         sys, delta, eps, big_bound
                     )[0]
-                    mid = local_spec_holds(sys, eps, 1, delta, k_bound)[0]
+                    mid, info = local_spec_holds(sys, eps, 1, delta, k_bound)
                     plain = periodic_shadowing_holds(sys, delta, eps, k_bound)[0]
                 if strong:
                     assert mid, (delta, eps)
                 if mid:
                     assert plain, (delta, eps)
+                else:
+                    # the counterexample is a closed delta-chain
+                    assert info["counterexample"].verify(sys), (delta, eps)
 
 
 def test_blockify_true_orbit_is_free():
@@ -210,6 +215,11 @@ def test_chain_route_shadow_point_on_true_orbit():
     z, cert = spec_to_shadow_point(sys, orbit, 1, Fraction(1))
     assert z == sys.points[0]
     assert cert.verify(sys)
+    # c0 traces the one-source chain (c0,) at gap 1, but f(c0) = c1, so
+    # not as a periodic tracer
+    own = SpecCertificate("c0", ("c0",), 1, Fraction(1), False)
+    assert own.verify(sys)
+    assert not dataclasses.replace(own, periodic=True).verify(sys)
 
 
 def test_chain_route_shadow_point_verifies_against_original():
