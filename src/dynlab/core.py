@@ -340,6 +340,13 @@ class FiniteSystem:
         """Indices lying on a cycle of the functional graph."""
         return self._periodic
 
+    @_cached
+    def _cycles(self):
+        """The cycles of the map, each read from its least index, ordered
+        by it."""
+        return tuple(cyc for i, (prefix, cyc) in enumerate(zip(*self._orbits))
+                     if not prefix and min(cyc) == i)
+
     # -- exact threshold machinery ---------------------------------------
     #
     # Only the relative order of distances matters to the decision
@@ -350,39 +357,59 @@ class FiniteSystem:
         """spread_rank[a][b] = max of rank[f^i a][f^i b] over all i >= 0.
 
         The rank of the largest distance the orbits of a and b ever
-        reach.  The pair orbit repeats with period lcm(c_a, c_b) once
-        both orbits are on their cycles (of lengths c_a, c_b), so each
-        scan stops there, not at the lcm of all cycles.  Built once per
-        system, on integer ranks.
+        reach, built once per system on integer ranks, in O(n^2) steps
+        whatever the cycle lengths.  A pair of fixed points never moves,
+        so its entry is its rank.  The pairs between two cycles of
+        lengths p and q split into gcd(p, q) pair orbits of length
+        lcm(p, q): each orbit is walked once and its largest rank
+        written to every pair on it.  A pair with a transient point
+        then takes the larger of its own rank and the entry of its
+        image pair, by ascending preperiod, so the image is final first.
         """
         return self._build_spread_rank()
 
     def _build_spread_rank(self):
         rank, fmap = self.rank, self.fmap
-        pre, cyc = self._orbits
-        spread = [[0] * self.n for _ in range(self.n)]
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                u, v = a, b
-                worst = 0
-                for _ in range(max(len(pre[a]), len(pre[b]))
-                               + math.lcm(len(cyc[a]), len(cyc[b]))):
-                    if rank[u][v] > worst:
-                        worst = rank[u][v]
-                    u, v = fmap[u], fmap[v]
-                spread[a][b] = spread[b][a] = worst
-        return tuple(tuple(row) for row in spread)
+        spread = [list(row) for row in rank]
+        cycles = sorted(self._cycles, key=len, reverse=True)
+        for k, c1 in enumerate(cycles):
+            if len(c1) == 1:
+                break
+            for c2 in cycles[k:]:
+                steps = math.lcm(len(c1), len(c2))
+                for offset in range(math.gcd(len(c1), len(c2))):
+                    u, v, worst = c1[0], c2[offset], 0
+                    for _ in range(steps):
+                        if rank[u][v] > worst:
+                            worst = rank[u][v]
+                        u, v = fmap[u], fmap[v]
+                    # back at the orbit's start: write the largest rank
+                    # to every pair on it
+                    for _ in range(steps):
+                        spread[u][v] = spread[v][u] = worst
+                        u, v = fmap[u], fmap[v]
+        prefixes = self._orbits[0]
+        done = list(self._periodic)
+        for a in sorted((i for i in range(self.n) if prefixes[i]),
+                        key=lambda i: len(prefixes[i])):
+            done.append(a)
+            row, image, ranks = spread[a], spread[fmap[a]], rank[a]
+            for b in done:
+                worst = image[fmap[b]]
+                if ranks[b] > worst:
+                    worst = ranks[b]
+                row[b] = spread[b][a] = worst
+        return tuple(map(tuple, spread))
 
     def _memoized(self, key, build):
         """The memo entry ``key``, made by ``build()`` on first use.
 
         The memo holds the threshold structures every tracing question
         at the same cutoffs shares: the grid, balls, gap windows, tracer
-        masks and component sizes; and three entries with no cutoff, the
+        masks and component sizes; and two entries with no cutoff, the
         admissible steps as successor bitmasks (``("steps",)``, read by
-        every recurrence question), the eventual images of the stable
-        sets and of the C_p parts (``("eventual",)``), and the cycles of
-        the map behind every measure question (``("cycles",)``).  A key
+        every recurrence question) and the eventual images of the stable
+        sets and of the C_p parts (``("eventual",)``).  A key
         is a name followed by integer cutoffs and gaps, never a Fraction,
         and an entry is immutable (tuples, ints, the frozen grid), so
         callers share it.  No search verdict is memoized."""

@@ -2,8 +2,10 @@
 
 The central object is the spread matrix S[x][y] = sup_i d(f^i(x),
 f^i(y)) (i over forward time, or all of time on invertible systems),
-computed exactly through the eventual-periodicity window, once per
-system and on integer ranks (:attr:`FiniteSystem.spread_rank`).  Every
+computed exactly once per system, on integer ranks, by walking each
+orbit of pairs of cycle points once and filling the pairs with a
+transient point from their image pairs
+(:attr:`FiniteSystem.spread_rank`).  Every
 notion in this module is a threshold question against S: the set of
 points delta-indistinguishable from x is {y : S[x][y] <= delta}
 (non-strict, following the local stable set convention), which is
@@ -47,15 +49,18 @@ __all__ = [
 def orbit_spread(sys):
     """S[x][y] = max distance the orbits of x and y ever reach.
 
-    Pairs (f^i(x), f^i(y)) are eventually periodic with preperiod <= T
-    and period dividing P, so i < T+P exhausts i >= 0.  On an invertible
-    system every point is periodic (T=0) and f^{-k} = f^{P-k} on each
-    cycle, so the same forward window also exhausts negative time: no
-    separate backward scan is needed for the two-sided convention.
+    Once both points are on their cycles, of lengths p and q, the pair
+    (f^i(x), f^i(y)) runs around a pair orbit of length lcm(p, q), so S
+    is the largest distance on that orbit; before that, S[x][y] is the
+    larger of d(x, y) and S[f(x)][f(y)].  On an invertible system every
+    point is periodic and f^{-k} = f^{P-k} on each cycle (P the cycle
+    lcm), so the pair orbit also exhausts negative time: no separate
+    backward scan is needed for the two-sided convention.
 
-    The spread is computed once per system, on integer ranks
-    (:attr:`FiniteSystem.spread_rank`); this returns a fresh matrix of
-    the distance values those ranks stand for.
+    The spread is computed once per system, on integer ranks, in O(n^2)
+    steps whatever the cycle lengths (:attr:`FiniteSystem.spread_rank`);
+    this returns a fresh matrix of the distance values those ranks
+    stand for.
     """
     values = sys.distance_values
     return [[values[r] for r in row] for row in sys.spread_rank]
@@ -141,15 +146,7 @@ def enumerate_ergodic_measures(sys):
     On a finite system these are exactly the ergodic invariant
     measures, and every invariant measure is a convex combination.
     """
-    return [_uniform(sys, cyc) for cyc in _cycles(sys)]
-
-
-def _cycles(sys):
-    """The cycles of the map, each read from its least index, ordered by
-    it; built once per system."""
-    return sys._memoized(("cycles",), lambda: tuple(
-        cyc for i, cyc in enumerate(sys._orbits[1])
-        if sys.preperiod(i) == 0 and min(cyc) == i))
+    return [_uniform(sys, cyc) for cyc in sys._cycles]
 
 
 def _uniform(sys, cyc):
@@ -171,7 +168,7 @@ def strong_measure_expansive_holds(sys, delta):
     """
     cutoff = sys.le_cutoff(_positive(delta))
     spread = sys.spread_rank
-    cycles = _cycles(sys)
+    cycles = sys._cycles
     for x in range(sys.n):
         for cyc in cycles:
             inside = sum(1 for y in cyc if spread[x][y] < cutoff)
@@ -213,7 +210,7 @@ def lockstep_orbit_pair(sys):
     member scans every alignment; the joint orbit is read off the two
     cycles.
     """
-    rank, cycles = sys.rank, _cycles(sys)
+    rank, cycles = sys.rank, sys._cycles
     for a, c1 in enumerate(cycles):
         for c2 in cycles[a + 1:]:
             span = math.lcm(len(c1), len(c2))

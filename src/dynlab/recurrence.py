@@ -237,12 +237,15 @@ def _primitive(rows, full):
     ``rows``, a dict over the m bits of ``full``?  Squares the rows until
     each is ``full``: a full power stays full, and a primitive relation
     is full from exponent (m - 1)^2 + 1 on (H. Wielandt, Math. Z. 52,
-    1950), so squaring up to that exponent decides exactly."""
+    1950), so squaring up to that exponent decides exactly.  A row's
+    image depends only on the row, and the rows converge (often to
+    ``full``), so each squaring images every distinct row once."""
     bound, exponent = (len(rows) - 1) ** 2 + 1, 1
     while not all(row == full for row in rows.values()):
         if exponent >= bound:
             return False
-        rows = {i: _image(r, rows) for i, r in rows.items()}
+        images = {r: _image(r, rows) for r in set(rows.values())}
+        rows = {i: images[r] for i, r in rows.items()}
         exponent *= 2
     return True
 

@@ -126,13 +126,24 @@ def test_lt_cutoff_counting_the_threshold_itself(monkeypatch):
         check_recurrence(stem_into_cycle())
 
 
-def test_spread_window_one_step_short(monkeypatch):
+def test_spread_pair_orbit_one_step_short(monkeypatch):
+    # the self-pair orbit through (c0, c1) reaches its largest distance,
+    # at (c2, c0), on its third and last step
     check_spread(scalene_cycle())
     plant(monkeypatch, [FiniteSystem], "_build_spread_rank",
-          "+ math.lcm(len(cyc[a]), len(cyc[b]))",
-          "+ math.lcm(len(cyc[a]), len(cyc[b])) - 1")
+          "steps = math.lcm(len(c1), len(c2))",
+          "steps = math.lcm(len(c1), len(c2)) - 1")
     with pytest.raises(AssertionError):
         check_spread(scalene_cycle())  # a fresh system: no cached spread
+
+
+def test_spread_preperiodic_pass_dropping_the_own_rank(monkeypatch):
+    # s0 -> s1 -> z -> z: every image pair of (s0, z) is closer than it
+    check_spread(stem_into_cycle())
+    plant(monkeypatch, [FiniteSystem], "_build_spread_rank",
+          "if ranks[b] > worst:", "if False:")
+    with pytest.raises(AssertionError):
+        check_spread(stem_into_cycle())
 
 
 def test_triangle_check_rejecting_equality(monkeypatch):

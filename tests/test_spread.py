@@ -1,9 +1,14 @@
 """The integer orbit spread, cached on the system, against the Fraction
-window loop it replaced (``oracles.orbit_spread_reference``).
+window loop over the longest preperiod plus the lcm of all cycle lengths
+(``oracles.orbit_spread_reference``).
 
 Every expansiveness threshold question is recomputed here from the
 reference spread with Fraction comparisons, at every grid delta, on
-random preperiodic maps and random bijections.  The local unstable set,
+random preperiodic maps and random bijections.  The spread alone is
+also checked on maps drawn by cycle type (up to 14 points), and on
+sampled pairs of coprime 31- and 37-cycles, whose lcm the library's
+pair-orbit walk never scans.  On bijections strong measure
+expansiveness is checked to be 1-expansiveness.  The local unstable set,
 read off the spread row, is checked against the backward scan over one
 lcm of all cycle lengths (``oracles.unstable_local_reference``).  Also
 here: the cache is built once per system and cannot be changed through
@@ -47,6 +52,36 @@ def systems(draw):
     points = [f"p{i}" for i in range(n)]
     dist = random_metric(random.Random(draw(st.integers(0, 10 ** 6))), n)
     return build_finite_system(points, dist, [points[j] for j in images])
+
+
+@st.composite
+def cycle_type_systems(draw, tails=True):
+    """A random metric with a map built from a cycle type: up to two
+    fixed points, two to four cycles of lengths 1-7, and (with
+    ``tails``) transient points that each map to a point listed before
+    them, at most 14 points in all; the points are then relabelled by a
+    random permutation, so neither the cycles nor the tails come in
+    index order.  Without tails the map is a bijection."""
+    count = draw(st.integers(2, 4))
+    lengths = [1] * draw(st.integers(0, 2))
+    for k in range(count):
+        room = 14 - sum(lengths) - (count - k - 1)
+        lengths.append(draw(st.integers(1, min(7, room))))
+    images = []
+    for length in lengths:
+        start = len(images)
+        images += [start + (i + 1) % length for i in range(length)]
+    if tails:
+        for i in range(len(images), draw(st.integers(len(images), 14))):
+            images.append(draw(st.integers(0, i - 1)))
+    n = len(images)
+    label = draw(st.permutations(range(n)))
+    points = [f"p{i}" for i in range(n)]
+    fmap = [None] * n
+    for i, j in enumerate(images):
+        fmap[label[i]] = points[label[j]]
+    dist = random_metric(random.Random(draw(st.integers(0, 10 ** 6))), n)
+    return build_finite_system(points, dist, fmap)
 
 
 def reference_cycles(sys):
@@ -105,6 +140,54 @@ def test_threshold_answers_match_the_fraction_spread(sys):
             assert g.spread == {sys.points[y]: spread[xi][y]
                                 for y in range(sys.n)}
             assert stable_sets(sys, x, delta).s_local == members
+
+
+@untimed
+@given(cycle_type_systems())
+def test_spread_by_cycle_type_matches_the_fraction_window(sys):
+    check_spread(sys)
+
+
+def coprime_long_cycles():
+    """Cycles of lengths 31 and 37 (lcm 1147), three fixed points and a
+    two-point tail into the 31-cycle, placed at random distinct
+    positions on a line."""
+    fmap = [(i + 1) % 31 for i in range(31)]
+    fmap += [31 + (i + 1) % 37 for i in range(37)]
+    fmap += [68, 69, 70, 72, 0]
+    points = list(range(len(fmap)))
+    place = random.Random(7).sample(range(10 ** 4), len(points))
+    dist = [[abs(x - y) for y in place] for x in place]
+    return build_finite_system(points, dist, fmap)
+
+
+def test_spread_on_coprime_long_cycles():
+    sys = coprime_long_cycles()
+    assert sys.cycle_lcm == 1147 and sys.max_preperiod == 2
+    spread = orbit_spread(sys)
+    rng = random.Random(0)
+    pairs = [(a, b) for a in range(68, sys.n) for b in range(sys.n)]
+    pairs += [tuple(rng.sample(range(68), 2)) for _ in range(60)]
+    for a, b in pairs:
+        u, v, worst = a, b, Fraction(0)
+        for _ in range(sys.max_preperiod + sys.cycle_lcm):
+            worst = max(worst, sys.dist[u][v])
+            u, v = sys.fmap[u], sys.fmap[v]
+        assert spread[a][b] == spread[b][a] == worst
+
+
+@untimed
+@given(cycle_type_systems(tails=False))
+def test_strong_measure_is_one_expansive_on_bijections(sys):
+    """On a bijection every point is periodic, so a second point of
+    Gamma_delta(x) lies on a cycle and breaks the strong measure
+    condition at x: the two properties agree at every threshold, and
+    no finite bijection is strong measure expansive without being
+    1-expansive."""
+    assert sys.invertible
+    for delta in threshold_grid(sys).positive:
+        assert (strong_measure_expansive_holds(sys, delta)[0]
+                == n_expansive_holds(sys, 1, delta))
 
 
 def test_returned_spread_is_a_copy():
