@@ -28,7 +28,8 @@ id             contents
 ``thmB``       periodic-tracing transfer at derived parameters, plus the
                pairwise chain exact-period => chain(N=1) => some-period
 ``thmC``       six tracing properties per epsilon with the transitivity and
-               lockstep-freeness hypotheses diagnosed up front
+               lockstep-freeness hypotheses diagnosed up front, and three
+               orders of best deltas that need no hypothesis
 ``thmD``       decomposition invariants re-verified and the two construction
                routes compared under the hypothesis report
 ``hierarchy``  the expansiveness ladder per delta: 1-expansive => strong
@@ -152,11 +153,31 @@ def _transfer_battery(result, sys, period_bound, cap):
 _MATRIX_COLUMNS = ("local_spec", "weak_spec", "shadowing", "strong_periodic",
                    "periodic", "special")
 
+# (lower, upper, law): at every epsilon the lower column's best delta is
+# at most the upper's, None counting as below every delta.  Each holds
+# cell by cell with no hypothesis: a chain at gap 1 is a pseudo-orbit
+# (closed ones up to the same bound), and a tracer of exact period is a
+# periodic tracer.
+_ORDER_LAWS = (
+    ("weak_spec", "shadowing",
+     "weak specification's best delta must not exceed shadowing's"),
+    ("local_spec", "strong_periodic", "local specification's best delta "
+     "must not exceed strong periodic shadowing's"),
+    ("strong_periodic", "periodic", "strong periodic shadowing's best delta "
+     "must not exceed periodic shadowing's"),
+)
+
+
+def _best_delta(payload):
+    """A table row's best delta: spec rows hold (N, delta)."""
+    return payload[1] if isinstance(payload, tuple) else payload
+
 
 def _matrix_battery(result, sys, period_bound, cap):
     """Six tracing properties per epsilon, gated by the two hypotheses:
     transitivity and freeness from lockstep orbit pairs (the uniform
-    finite form of measure-level expansiveness)."""
+    finite form of measure-level expansiveness).  The best-delta orders
+    of ``_ORDER_LAWS`` are checked at every epsilon, asserted or not."""
     grid = threshold_grid(sys)
     pair = lockstep_orbit_pair(sys)
     hypotheses = result["hypotheses"] = {
@@ -192,6 +213,11 @@ def _matrix_battery(result, sys, period_bound, cap):
         _check(result, not asserted or row["equivalent"], "all six tracing "
                "properties must agree under the diagnosed hypotheses",
                epsilon=row["epsilon"])
+        for lower, upper, law in _ORDER_LAWS:
+            low = _best_delta(columns[lower][eps])
+            high = _best_delta(columns[upper][eps])
+            _check(result, low is None or high is not None and low <= high,
+                   law, epsilon=row["epsilon"])
 
 
 def _decomposition_battery(result, sys, period_bound, cap):

@@ -11,8 +11,8 @@ Every command that takes a system runs :func:`_run`: load and digest
 the system, get parameters, results and exit code from the command's
 handler, emit the report.  Output files are written before the report.
 
-Exit codes: 0 all asserted checks pass; 1 a checked property or
-asserted law failed (the report says which); 2 input error or an
+Exit codes: 0 all checks pass; 1 a checked property or a battery
+law failed (the report says which); 2 input error or an
 unwritable output file; 3 resource cap hit (raise ``DYNLAB_SUBSET_CAP``
 to retry).
 """
@@ -303,7 +303,7 @@ def _cmd_spectral(args, sys_):
 def _cmd_battery(args, sys_):
     results = run_theorem_battery(sys_, args.id, args.period_bound)
     code = 3 if results["cap_hits"] else 0
-    if results.get("asserted") and results["violations"]:
+    if results["violations"]:
         code = 1
     return {"id": args.id, "period_bound": args.period_bound}, results, code
 

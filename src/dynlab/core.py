@@ -362,7 +362,9 @@ class FiniteSystem:
         so its entry is its rank.  The pairs between two cycles of
         lengths p and q split into gcd(p, q) pair orbits of length
         lcm(p, q): each orbit is walked once and its largest rank
-        written to every pair on it.  A pair with a transient point
+        written to every pair on it (of a cycle paired with itself,
+        only the offsets 1..p//2 are walked: offset p - r is offset r
+        transposed).  A pair with a transient point
         then takes the larger of its own rank and the entry of its
         image pair, by ascending preperiod, so the image is final first.
         """
@@ -377,7 +379,12 @@ class FiniteSystem:
                 break
             for c2 in cycles[k:]:
                 steps = math.lcm(len(c1), len(c2))
-                for offset in range(math.gcd(len(c1), len(c2))):
+                # a cycle paired with itself: offsets r and p - r walk
+                # one pair orbit, transposed, and offset 0 is the
+                # diagonal, whose rank 0 is already final
+                offsets = (range(1, len(c1) // 2 + 1) if c2 is c1
+                           else range(math.gcd(len(c1), len(c2))))
+                for offset in offsets:
                     u, v, worst = c1[0], c2[offset], 0
                     for _ in range(steps):
                         if rank[u][v] > worst:

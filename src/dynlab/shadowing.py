@@ -511,7 +511,7 @@ def shadowing_modulus(sys, epsilon, cap=None):
     )
 
 
-def _table(grid, prop, holds):
+def _table(sys, prop, holds):
     """The ModulusTable of rows (eps, best delta) over the positive grid,
     the best delta being the largest grid delta with ``holds(delta,
     eps)``, or None; BoundTooSmall is silenced once for the whole table.
@@ -521,13 +521,31 @@ def _table(grid, prop, holds):
     bisection takes every delta up to the previous row's best as
     passing without deciding it.  The bisection path is the one a row
     bisected alone would take, so the cells decided are a subset of
-    those, in the same order, and the rows are the same."""
+    those, in the same order, and the rows are the same.
+
+    Two kinds of sentinel cell pass by definition, with no search:
+
+    - delta at or below the least positive distance, in every table:
+      every delta-pseudo-orbit and every gap-n chain is then a true
+      orbit segment and traces itself, and a closed one is traced by a
+      point of its exact period;
+    - epsilon above every distance, in the "shadowing", "periodic" and
+      "spec-weak" tables: every orbit then epsilon-traces every
+      sequence, and a finite self-map has a periodic point.  The
+      exact-period tables ("strong-periodic", "spec-full") still
+      search there, since a closed walk can have no tracer of its
+      period."""
+    grid = threshold_grid(sys)
+    any_tracer = prop in ("shadowing", "periodic", "spec-weak")
     rows, last = [], None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundTooSmall)
         for eps in grid.positive:
+            free = any_tracer and (sys.lt_cutoff(eps)
+                                   == len(sys.distance_values))
             last = _largest_passing(grid.positive, lambda d: (
-                last is not None and d <= last or holds(d, eps)))
+                free or sys.lt_cutoff(d) <= 1
+                or last is not None and d <= last or holds(d, eps)))
             rows.append((eps, last))
     return ModulusTable(prop, tuple(rows))
 
@@ -536,7 +554,9 @@ def modulus_table(sys, prop, period_bound=8, cap=None):
     """ModulusTable for prop in {"shadowing", "periodic", "strong-periodic"}.
 
     Rows are built by :func:`_table`, which decides no cell that the
-    previous row's best delta already implies."""
+    previous row's best delta already implies, and no cell at delta at
+    or below the least positive distance, or (shadowing and periodic
+    only) at epsilon above every distance: those pass by definition."""
     if prop == "shadowing":
         holds = lambda d, eps: shadowing_holds(sys, d, eps, cap)[0]
     elif prop == "periodic":
@@ -547,7 +567,7 @@ def modulus_table(sys, prop, period_bound=8, cap=None):
             sys, d, eps, period_bound, cap)[0]
     else:
         raise ValueError(f"unknown property {prop!r}")
-    return _table(threshold_grid(sys), prop, holds)
+    return _table(sys, prop, holds)
 
 
 def special_shadowing_holds(sys, epsilon, period_bound=8, cap=None):

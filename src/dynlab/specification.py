@@ -307,7 +307,11 @@ def modulus_table_for_spec(sys, prop="weak", k_bound=6, cap=None):
     delta at N = 1: at the sub-minimal grid delta every chain is a true
     orbit, which traces itself, so N = 1 always has a passing delta.
     Rows are built by :func:`~dynlab.shadowing._table`, which decides no
-    cell that the previous row's best delta already implies.
+    cell that the previous row's best delta already implies, and no
+    cell at delta at or below the least positive distance, or ("weak"
+    only) at epsilon above every distance, where any point traces any
+    chain: those pass by definition.  "full" still searches at epsilon
+    above every distance, since its tracers need an exact period.
     """
     if prop == "weak":
         holds = lambda d, eps: local_weak_spec_holds(sys, eps, 1, d, cap)[0]
@@ -316,7 +320,7 @@ def modulus_table_for_spec(sys, prop="weak", k_bound=6, cap=None):
                                                 cap)[0]
     else:
         raise ValueError(f"unknown property {prop!r}")
-    table = _table(threshold_grid(sys), f"spec-{prop}", holds)
+    table = _table(sys, f"spec-{prop}", holds)
     return ModulusTable(table.prop, tuple(
         (eps, None if delta is None else (1, delta))
         for eps, delta in table.rows))

@@ -119,9 +119,9 @@ def test_gallery_wrapper_unwrapped():
 # violations list.
 
 
-def plant_empty_row(monkeypatch, name, prop, epsilon):
-    """Make battery.<name> (a modulus table builder) report no delta at
-    ``epsilon`` in its ``prop`` table."""
+def plant_row(monkeypatch, name, prop, epsilon, payload=None):
+    """Make battery.<name> (a modulus table builder) report ``payload``
+    (default: no delta) at ``epsilon`` in its ``prop`` table."""
     real = getattr(battery, name)
 
     def planted(sys_, kind, *args, **kwargs):
@@ -129,7 +129,8 @@ def plant_empty_row(monkeypatch, name, prop, epsilon):
         if kind != prop:
             return table
         return dataclasses.replace(table, rows=tuple(
-            (eps, None if eps == epsilon else best) for eps, best in table.rows))
+            (eps, payload if eps == epsilon else best)
+            for eps, best in table.rows))
 
     monkeypatch.setattr(battery, name, planted)
 
@@ -158,7 +159,7 @@ def plant_decomposition(monkeypatch, change):
 
 
 def test_equivalence_violation_names_its_epsilon(monkeypatch):
-    plant_empty_row(monkeypatch, "modulus_table_for_spec", "weak",
+    plant_row(monkeypatch, "modulus_table_for_spec", "weak",
                     Fraction(1, 2))
     out = run_theorem_battery(two_loop_window(), "thmA", period_bound=4)
     assert [row["agree"] for row in out["rows"]] == [True, False, True, True]
@@ -185,7 +186,7 @@ def test_pairwise_chain_violation_names_its_cell(monkeypatch):
 
 
 def test_matrix_violation_names_its_epsilon(monkeypatch):
-    plant_empty_row(monkeypatch, "modulus_table_for_spec", "weak", Fraction(1))
+    plant_row(monkeypatch, "modulus_table_for_spec", "weak", Fraction(1))
     out = run_theorem_battery(two_loop_window(), "thmC", period_bound=4)
     assert out["asserted"]
     assert [row["equivalent"] for row in out["rows"]] == [
@@ -193,6 +194,63 @@ def test_matrix_violation_names_its_epsilon(monkeypatch):
     assert out["violations"] == [{
         "law": "all six tracing properties must agree under the diagnosed "
                "hypotheses",
+        "epsilon": "1"}]
+
+
+# on two_loop_window at period bound 4 every column's best delta at
+# epsilon = 1 is 1/2; each plant breaks one order and no other law
+ORDER_FAULTS = {
+    "weak-spec-above-shadowing": (
+        "modulus_table", "shadowing", Fraction(1, 4),
+        "weak specification's best delta must not exceed shadowing's"),
+    "local-spec-above-strong-periodic": (
+        "modulus_table_for_spec", "full", (1, Fraction(2)),
+        "local specification's best delta must not exceed strong periodic "
+        "shadowing's"),
+    "strong-periodic-above-periodic": (
+        "modulus_table", "periodic", Fraction(1, 4),
+        "strong periodic shadowing's best delta must not exceed periodic "
+        "shadowing's"),
+    "strong-periodic-above-an-empty-periodic-row": (
+        "modulus_table", "periodic", None,
+        "strong periodic shadowing's best delta must not exceed periodic "
+        "shadowing's"),
+}
+
+
+@pytest.mark.parametrize("name, prop, payload, law", ORDER_FAULTS.values(),
+                         ids=ORDER_FAULTS.keys())
+def test_order_violation_names_its_epsilon(monkeypatch, name, prop, payload,
+                                           law):
+    plant_row(monkeypatch, name, prop, Fraction(1), payload)
+    out = run_theorem_battery(two_loop_window(), "thmC", period_bound=4)
+    assert out["asserted"]
+    expected = [{"law": law, "epsilon": "1"}]
+    if payload is None:  # an empty row also breaks the agreement law
+        expected.insert(0, {
+            "law": "all six tracing properties must agree under the "
+                   "diagnosed hypotheses",
+            "epsilon": "1"})
+    assert out["violations"] == expected
+
+
+def test_order_laws_checked_without_the_hypotheses(monkeypatch, capsys,
+                                                   tmp_path):
+    # myex(2,1) fails both hypotheses: thmC describes its rows, yet an
+    # order law that fails is a violation, and exits 1
+    path = str(tmp_path / "myex.json")
+    assert main(["gallery", "myex", "--lattice", "2", "--K", "1",
+                 "--emit", path]) == 0
+    capsys.readouterr()
+    plant_row(monkeypatch, "modulus_table", "shadowing", Fraction(1),
+              Fraction(1, 4))
+    code = main(["battery", "--system", path, "--id", "thmC",
+                 "--period-bound", "4"])
+    out = capsys.readouterr()
+    results = json.loads(out.out)["results"]
+    assert (code, out.err, results["asserted"]) == (1, "", False)
+    assert results["violations"] == [{
+        "law": "weak specification's best delta must not exceed shadowing's",
         "epsilon": "1"}]
 
 

@@ -29,6 +29,7 @@ from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
 from test_metric import (check_built_as_reference, check_metric,
                          check_packed_triangles)
 from test_records import check_records
+from test_battery import two_loop_window
 from test_shadowing import check_failed_at_is_the_dying_step, check_tables
 from test_core import check_two_sided_shadows
 from test_spread import check_spread
@@ -137,6 +138,18 @@ def test_spread_pair_orbit_one_step_short(monkeypatch):
         check_spread(scalene_cycle())  # a fresh system: no cached spread
 
 
+def test_spread_max_walk_one_step_short(monkeypatch):
+    # only the max walk is cut: the writes still cover the whole orbit,
+    # and the one walk of offset 1 is the only one that sees (c2, c0)
+    check_spread(scalene_cycle())
+    plant(monkeypatch, [FiniteSystem], "_build_spread_rank",
+          "for _ in range(steps):\n                    if rank[u][v] > worst:",
+          "for _ in range(steps - 1):\n"
+          "                    if rank[u][v] > worst:")
+    with pytest.raises(AssertionError):
+        check_spread(scalene_cycle())
+
+
 def test_spread_preperiodic_pass_dropping_the_own_rank(monkeypatch):
     # s0 -> s1 -> z -> z: every image pair of (s0, z) is closer than it
     check_spread(stem_into_cycle())
@@ -221,6 +234,27 @@ def test_table_carry_one_grid_step_past_the_previous_best(monkeypatch):
           "grid.positive.index(d) <= grid.positive.index(last) + 1")
     with pytest.raises(AssertionError):
         check_tables(build_random_system(1, 3))
+
+
+# two_loop_window, xpq(3,2) at window 1: its strong periodic and local
+# specification rows at the top epsilon are 1/2, and below the top
+# epsilon every table fails at delta = 1, the second positive distance
+
+
+def test_table_any_tracer_rule_on_the_exact_period_tables(monkeypatch):
+    check_tables(two_loop_window())
+    plant(monkeypatch, [shadowing, specification], "_table",
+          'prop in ("shadowing", "periodic", "spec-weak")', "True")
+    with pytest.raises(AssertionError):
+        check_tables(two_loop_window())
+
+
+def test_table_submin_rule_one_distance_too_far(monkeypatch):
+    check_tables(two_loop_window())
+    plant(monkeypatch, [shadowing, specification], "_table",
+          "sys.lt_cutoff(d) <= 1", "sys.lt_cutoff(d) <= 2")
+    with pytest.raises(AssertionError):
+        check_tables(two_loop_window())
 
 
 def test_failed_at_read_off_the_earliest_miss(monkeypatch):

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from dynlab import shadowing, specification
 from dynlab.core import Lasso, build_finite_system, is_pseudo_orbit, shadows, threshold_grid
 from dynlab.errors import BoundTooSmall, NotDecaying, StateExplosion
-from dynlab.gallery import build_random_system
+from dynlab.gallery import build_random_system, build_xpq
+from dynlab.symbolic import window_system
 from dynlab.shadowing import (
     construct_shadow_point,
     delta_graph,
@@ -440,6 +441,55 @@ def test_tables_decide_a_subset_of_the_carry_free_cells(sys, prop):
         expected = modulus_table_reference(sys, prop, 3, 3)
     assert got == expected
     assert is_subsequence(decided, cells)
+
+
+ANY_TRACER_TABLES = ("shadowing", "periodic", "spec-weak")
+
+
+def cell_thresholds(name, args):
+    """(delta, epsilon) of a logged decision call: the spec decisions
+    take (epsilon, N, delta, ...), the others (delta, epsilon, ...)."""
+    if name.startswith("local"):
+        return args[2], args[0]
+    return args[0], args[1]
+
+
+def searched_cells(sys, prop, bound):
+    """The (delta, epsilon) cells one table sends to a decision function."""
+    with pytest.MonkeyPatch.context() as mp:
+        cells = log_cells(mp)
+        library_table(sys, prop, bound)
+    return [cell_thresholds(name, args) for name, args in cells]
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_systems, st.sampled_from(TABLES))
+def test_tables_search_no_sentinel_cell_with_a_definitional_answer(sys, prop):
+    # at delta up to the least positive distance every pseudo-orbit is an
+    # orbit; above every distance any orbit traces, exact period aside
+    top = len(sys.distance_values)
+    for delta, eps in searched_cells(sys, prop, 3):
+        assert sys.lt_cutoff(delta) > 1, (prop, delta)
+        assert prop not in ANY_TRACER_TABLES or sys.lt_cutoff(eps) < top, (
+            prop, eps)
+
+
+def test_only_exact_period_tables_search_above_every_distance():
+    # on xpq(3,2) window 2 the exact-period rows at epsilon = 2 are 1/4:
+    # a closed walk there can have no tracer of its own period
+    sys = window_system(build_xpq(3, 2), 2)
+    top = threshold_grid(sys).positive[-1]
+    counts = {}
+    for prop in TABLES:
+        cells = searched_cells(sys, prop, 3)
+        counts[prop] = len(cells)
+        assert any(eps == top for _, eps in cells) == (
+            prop not in ANY_TRACER_TABLES), prop
+        best = top if prop in ANY_TRACER_TABLES else Fraction(1, 4)
+        payload = (1, best) if prop.startswith("spec-") else best
+        assert library_table(sys, prop, 3)[-1] == (top, payload), prop
+    assert counts == {"shadowing": 8, "periodic": 8, "strong-periodic": 10,
+                      "spec-weak": 8, "spec-full": 10}
 
 
 @settings(deadline=None, max_examples=25)

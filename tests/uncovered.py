@@ -7,10 +7,16 @@ library only.
 
     python3 tests/uncovered.py                  # pytest -q -m "not slow"
     python3 tests/uncovered.py tests/test_cli.py   # any pytest arguments
+    python3 tests/uncovered.py --expect tests/uncovered_exempt.txt [ARGS]
 
-The exit status is pytest's.  Tracing makes the run several times
-slower than a plain one, and lines run only by a test's subprocess do
-not count.
+The exit status is pytest's.  With ``--expect FILE`` (the first two
+arguments) it is 1 instead of 0 when a line that never ran is not in
+the exempt list FILE, and each such line is printed.  An entry of FILE
+is ``path: text``, the module's path from the repository root and the
+stripped source text of one exempt line, so an entry follows its line
+when the lines above it move; blank lines and lines starting with
+``#`` are comments.  Tracing makes the run several times slower than a
+plain one, and lines run only by a test's subprocess do not count.
 """
 
 import os
@@ -69,23 +75,47 @@ def spans(numbers):
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in out)
 
 
+def exempt_lines(path):
+    """The (module path, stripped line text) entries of an exempt list."""
+    entries = set()
+    for line in pathlib.Path(path).read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, _, text = line.partition(": ")
+            entries.add((name, text.strip()))
+    return entries
+
+
 def main(args):
+    exempt = None
+    if args[:1] == ["--expect"]:
+        exempt, args = exempt_lines(args[1]), args[2:]
     src = str(PACKAGE.parent)
     sys.path.insert(0, src)
     # for the tests that start a Python subprocess
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))
     status, ran = run_traced(args or DEFAULT_ARGS)
-    missed = False
+    missed, unexpected = False, []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = code_lines(path) - {line for name, line in ran
                                     if name == str(path)}
         if lines:
             missed = True
-            print(f"{path.relative_to(ROOT)}: {spans(lines)}")
+            name = str(path.relative_to(ROOT))
+            print(f"{name}: {spans(lines)}")
+            if exempt is not None:
+                texts = path.read_text().splitlines()
+                unexpected += [f"{name}:{n}: {texts[n - 1].strip()}"
+                               for n in sorted(lines)
+                               if (name, texts[n - 1].strip()) not in exempt]
     if not missed:
         print("every line of src/dynlab ran")
-    return status
+    if exempt is None:
+        return status
+    for line in unexpected:
+        print(f"not exempt: {line}")
+    print(f"{len(unexpected)} lines that never ran are not exempt")
+    return status or int(bool(unexpected))
 
 
 if __name__ == "__main__":
