@@ -27,7 +27,7 @@ import time
 
 from . import __version__
 from .battery import BATTERY_IDS, run_theorem_battery
-from .core import Lasso, _largest_passing, as_fraction, threshold_grid
+from .core import Lasso, as_fraction
 from .errors import DynlabError, SchemaError, StateExplosion
 from .expansive import (
     expansive_on_per,
@@ -55,6 +55,7 @@ from .serialize import (
     system_to_obj,
 )
 from .shadowing import (
+    _best_delta,
     modulus_table,
     periodic_shadowing_holds,
     shadowing_holds,
@@ -62,6 +63,7 @@ from .shadowing import (
     strong_periodic_shadowing_holds,
 )
 from .specification import (
+    gap_values,
     generalized_spec_checks,
     local_spec_holds,
     local_weak_spec_holds,
@@ -240,9 +242,9 @@ def _cmd_check_spec(args, sys_):
                  else lambda s, e, n, d: local_spec_holds(s, e, n, d,
                                                           args.k_bound))
         if args.delta is None:
-            best = _largest_passing(
-                threshold_grid(sys_).positive,
-                lambda d: check(sys_, epsilon, args.N, d)[0])
+            gap_values(sys_, args.N)  # refuses N < 1 where no cell is searched
+            best = _best_delta(sys_, f"spec-{args.variant}", epsilon,
+                               lambda d, eps: check(sys_, eps, args.N, d)[0])
             code = 0 if best is not None else 1
             return params, {"best_delta": _frac(best)}, code
         delta = as_fraction(args.delta)

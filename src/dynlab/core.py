@@ -48,8 +48,6 @@ __all__ = [
 _MAX_EXPONENT = 4300
 _DIGIT_BOUND = 10 ** _MAX_EXPONENT  # the least integer of 4301 digits
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
-_LONG_DENOMINATOR = (f"common denominator of the distances has more than "
-                     f"{_MAX_EXPONENT} digits")
 # The triangle check subtracts packed rows of n fields, each two bits
 # wider than the widest scaled entry, about n^2 times: some n^3 times
 # that bit width in bit operations.  A table whose n^3 times the bit
@@ -656,8 +654,6 @@ def _assemble(points, scaled, scale, fmap, invertible, relation):
     if common > 1:
         scale //= common
         scaled = [[v // common for v in row] for row in scaled]
-    if scale >= _DIGIT_BOUND:
-        raise ValueError(_LONG_DENOMINATOR)
     widest = max(scale, *map(abs, itertools.chain.from_iterable(scaled)))
     _check_budget(n, widest.bit_length())
     _check_metric(points, scaled, scale)
@@ -700,7 +696,8 @@ def _common_denominator(dens):
     for den in dens:
         scale = math.lcm(scale, den)
         if scale >= _DIGIT_BOUND:
-            raise ValueError(_LONG_DENOMINATOR)
+            raise ValueError(f"common denominator of the distances has "
+                             f"more than {_MAX_EXPONENT} digits")
     return scale
 
 

@@ -15,9 +15,9 @@ Tracer sets, windows and balls are Python-int bitmasks (bit z for
 point z).  Chain questions ask the same of gap graphs, whose edges
 advance n steps; :func:`_gap_structures` carries the n-step map and the
 tracking windows along a whole range of gaps in one pass.  These
-structures, the tracer masks of the closed-chain search and the
-component sizes behind its bound warning are built once per system, in
-the system's memo, and shared by every call at the same cutoffs.
+structures, the tracer masks of the closed-chain search and the walk
+lengths behind its bound warning are built once per system, in the
+system's memo, and shared by every call at the same cutoffs.
 
 Periodic pseudo-orbits and closed chains (periodic and strong periodic
 shadowing, local specification) are closed walks of a gap graph, to be
@@ -37,6 +37,7 @@ of its last vertex.
 from __future__ import annotations
 
 import inspect
+import math
 import os
 import warnings
 from collections import deque
@@ -262,10 +263,25 @@ def construct_shadow_point(sys, lasso, epsilon):
     return None, {"failed_at": max(misses)}
 
 
-def _warn_if_bound_blind(size, bound, label):
-    """Warn BoundTooSmall when a graph whose largest strongly connected
-    part has ``size`` vertices has cycles longer than ``bound``."""
-    if size > bound:
+def _longest_primitive_walk(succ):
+    """The greatest length of a primitive closed walk of a digraph (not
+    a repetition of a shorter one): 0 if none, inf if unbounded.  A
+    strongly connected part with as many internal edges as vertices is
+    one cycle; one with more has two closed walks through some vertex,
+    and m rounds of one, then the other, are primitive for every m."""
+    longest = 0
+    for part in map(set, _strong_components(succ)):
+        edges = sum(u in part for v in part for u in succ[v])
+        if edges > len(part):
+            return math.inf
+        longest = max(longest, len(part) if edges else 0)
+    return longest
+
+
+def _warn_if_bound_blind(longest, bound, label):
+    """Warn BoundTooSmall when ``longest``, the length of the longest
+    primitive closed walk of a graph, is past ``bound``."""
+    if longest > bound:
         # name the first caller outside this package: a fixed stacklevel
         # lands on a library line when the check runs inside a generator
         frame, level = inspect.currentframe(), 1
@@ -273,9 +289,8 @@ def _warn_if_bound_blind(size, bound, label):
                 "__name__", "").partition(".")[0] == __package__:
             frame, level = frame.f_back, level + 1
         warnings.warn(
-            f"{label}: step graph has a strongly connected part of size "
-            f"{size} > bound {bound}; longer periodic pseudo-orbits "
-            "exist and were not checked",
+            f"{label}: step graph has primitive closed walks longer than "
+            f"bound {bound}, which were not checked",
             BoundTooSmall,
             stacklevel=level,
         )
@@ -284,7 +299,7 @@ def _warn_if_bound_blind(size, bound, label):
 def _gap_graphs(sys, delta, epsilon, gaps, bound, label):
     """Validate a closed-chain question once, then yield (n, succ, step,
     allowed) of :func:`_gap_structures` for each n in ``gaps``, warning
-    BoundTooSmall for a gap graph with cycles longer than ``bound``;
+    BoundTooSmall where a gap graph's closed walks outrun ``bound``;
     ``label``, formatted with the gap n, names the graph."""
     if bound < 1:
         raise ValueError(f"length bound must be at least 1, got {bound}")
@@ -292,9 +307,9 @@ def _gap_graphs(sys, delta, epsilon, gaps, bound, label):
         raise ValueError("thresholds must be positive")
     d_cut = sys.lt_cutoff(delta)
     for n, succ, step, allowed in _gap_structures(sys, gaps, delta, epsilon):
-        size = sys._memoized(("scc", d_cut, n), lambda: max(
-            len(comp) for comp in _strong_components(succ)))
-        _warn_if_bound_blind(size, bound, label.format(n=n))
+        longest = sys._memoized(("walks", d_cut, n),
+                                lambda: _longest_primitive_walk(succ))
+        _warn_if_bound_blind(longest, bound, label.format(n=n))
         yield n, succ, step, allowed
 
 
@@ -500,30 +515,21 @@ class ModulusTable(_Record):
 
 
 def shadowing_modulus(sys, epsilon, cap=None):
-    """Largest grid delta at which shadowing holds for this epsilon.
+    """Largest grid delta at which shadowing holds for this epsilon,
+    by the tables' row rule (:func:`_best_delta`).
 
     Never None: below the least positive distance the only pseudo-orbits
     are true orbits, which shadow themselves at any positive epsilon.
     """
-    grid = threshold_grid(sys)
-    return _largest_passing(
-        grid.positive, lambda d: shadowing_holds(sys, d, epsilon, cap)[0]
-    )
+    return _best_delta(sys, "shadowing", epsilon,
+                       lambda d, eps: shadowing_holds(sys, d, eps, cap)[0])
 
 
-def _table(sys, prop, holds):
-    """The ModulusTable of rows (eps, best delta) over the positive grid,
-    the best delta being the largest grid delta with ``holds(delta,
-    eps)``, or None; BoundTooSmall is silenced once for the whole table.
-
-    Every tracing property here is monotone in epsilon: a delta that
-    passes at epsilon passes at every larger epsilon.  So each row's
-    bisection takes every delta up to the previous row's best as
-    passing without deciding it.  The bisection path is the one a row
-    bisected alone would take, so the cells decided are a subset of
-    those, in the same order, and the rows are the same.
-
-    Two kinds of sentinel cell pass by definition, with no search:
+def _best_delta(sys, prop, eps, holds, last=None):
+    """The largest grid delta with ``holds(delta, eps)``, or None, by
+    bisection, for the property ``prop`` (a table name of :func:`_table`).
+    Every delta up to ``last``, one known to pass, passes undecided, and
+    so do two kinds of sentinel cell, by definition:
 
     - delta at or below the least positive distance, in every table:
       every delta-pseudo-orbit and every gap-n chain is then a true
@@ -535,28 +541,36 @@ def _table(sys, prop, holds):
       exact-period tables ("strong-periodic", "spec-full") still
       search there, since a closed walk can have no tracer of its
       period."""
-    grid = threshold_grid(sys)
-    any_tracer = prop in ("shadowing", "periodic", "spec-weak")
+    eps, grid = as_fraction(eps), threshold_grid(sys)
+    if eps <= 0:
+        raise ValueError("thresholds must be positive")
+    free = prop in ("shadowing", "periodic", "spec-weak") and (
+        sys.lt_cutoff(eps) == len(sys.distance_values))
+    return _largest_passing(grid.positive, lambda d: (
+        free or sys.lt_cutoff(d) <= 1
+        or last is not None and d <= last or holds(d, eps)))
+
+
+def _table(sys, prop, holds):
+    """The ModulusTable of rows (eps, best delta) over the positive grid,
+    by :func:`_best_delta`; BoundTooSmall is silenced for the table.
+
+    A delta that passes at epsilon passes at every larger epsilon, so
+    each row carries the previous row's best as passing.  The cells
+    decided are a subset of those of rows bisected alone, in the same
+    order, and the rows are the same."""
     rows, last = [], None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundTooSmall)
-        for eps in grid.positive:
-            free = any_tracer and (sys.lt_cutoff(eps)
-                                   == len(sys.distance_values))
-            last = _largest_passing(grid.positive, lambda d: (
-                free or sys.lt_cutoff(d) <= 1
-                or last is not None and d <= last or holds(d, eps)))
+        for eps in threshold_grid(sys).positive:
+            last = _best_delta(sys, prop, eps, holds, last)
             rows.append((eps, last))
     return ModulusTable(prop, tuple(rows))
 
 
 def modulus_table(sys, prop, period_bound=8, cap=None):
-    """ModulusTable for prop in {"shadowing", "periodic", "strong-periodic"}.
-
-    Rows are built by :func:`_table`, which decides no cell that the
-    previous row's best delta already implies, and no cell at delta at
-    or below the least positive distance, or (shadowing and periodic
-    only) at epsilon above every distance: those pass by definition."""
+    """ModulusTable for prop in {"shadowing", "periodic", "strong-periodic"},
+    built by :func:`_table` (cells passing undecided: :func:`_best_delta`)."""
     if prop == "shadowing":
         holds = lambda d, eps: shadowing_holds(sys, d, eps, cap)[0]
     elif prop == "periodic":
@@ -571,19 +585,18 @@ def modulus_table(sys, prop, period_bound=8, cap=None):
 
 
 def special_shadowing_holds(sys, epsilon, period_bound=8, cap=None):
-    """Shadowing and periodic shadowing both admit a delta at this epsilon."""
+    """Shadowing and periodic shadowing both admit a delta at this
+    epsilon, each by the row rule of the tables (:func:`_best_delta`)."""
+    if period_bound < 1:  # the row rule may decide every cell unsearched
+        raise ValueError(f"length bound must be at least 1, got {period_bound}")
     s = shadowing_modulus(sys, epsilon, cap)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundTooSmall)
-        p = _largest_passing(
-            threshold_grid(sys).positive,
-            lambda d: periodic_shadowing_holds(sys, d, epsilon, period_bound,
-                                               cap)[0],
-        )
-    return (s is not None and p is not None), {
-        "shadowing_delta": s,
-        "periodic_delta": p,
-    }
+        p = _best_delta(sys, "periodic", epsilon, lambda d, eps:
+                        periodic_shadowing_holds(sys, d, eps, period_bound,
+                                                 cap)[0])
+    return (s is not None and p is not None), {"shadowing_delta": s,
+                                               "periodic_delta": p}
 
 
 # -- limit-type variants ----------------------------------------------------
@@ -652,30 +665,22 @@ def two_sided_limit_shadowing_check(sys, lasso):
     return None
 
 
-def _linear_envelope(grid, traces):
-    """Linear envelope (L, d0) of a tracing table over the positive grid.
+def _linear_envelope(table):
+    """Linear envelope (L, d0) of a tracing table of plain best deltas.
 
-    ``traces(d, eps)`` says whether level-d inputs are eps-traced.  For
-    each grid d take the least grid eps that traces; the slope is the
-    running maximum of eps/d.  Among grid candidates the pair minimising
-    L*d0 (the certified tracing radius) wins, larger d0 on ties, so for
-    every grid d <= d0 the pair (d, L*d) traces.
-
-    The least tracing eps only grows with d (a d-level input is a
-    d'-level one for d' > d), so each d's scan starts at the previous
-    d's eps: every smaller eps is known to fail.
+    For each grid d the least tracing eps is that of the first row whose
+    best delta is at least d (the top row's passes every d: see
+    :func:`_best_delta`).  The slope is the running maximum of eps/d.  Among grid candidates
+    the pair minimising L*d0 (the certified tracing radius) wins, larger
+    d0 on ties, so for every grid d <= d0 the pair (d, L*d) traces.
     """
-    best = None
-    slope = Fraction(0)
-    values, at = grid.positive, 0
-    for d in values:
-        # the top epsilon traces everything
-        at = next(i for i in range(at, len(values)) if traces(d, values[i]))
-        slope = max(slope, values[at] / d)
-        cand = (slope * d, -d, slope, d)
-        if best is None or cand < best:
-            best = cand
-    _, _, L, d0 = best
+    rows, at, slope, cands = table.rows, 0, Fraction(0), []
+    for d, _ in rows:  # the grid deltas are the rows' epsilons
+        while rows[at][1] is None or rows[at][1] < d:
+            at += 1
+        slope = max(slope, rows[at][0] / d)
+        cands.append((slope * d, -d, slope, d))
+    _, _, L, d0 = min(cands)
     return L, d0
 
 
@@ -683,10 +688,9 @@ def lipschitz_constants(sys, cap=None):
     """Linear tracing envelope: (L, d0) with every d-pseudo-orbit
     (L*d)-shadowed for all 0 < d <= d0.
 
-    Computed from the exact threshold table (see :func:`_linear_envelope`).
-    On a finite system the table always fits: below the least positive
-    distance pseudo-orbits are true orbits.
+    Read off ``modulus_table(sys, "shadowing")`` (see
+    :func:`_linear_envelope`).  On a finite system the table always
+    fits: below the least positive distance pseudo-orbits are true
+    orbits.
     """
-    return _linear_envelope(
-        threshold_grid(sys),
-        lambda d, eps: shadowing_holds(sys, d, eps, cap)[0])
+    return _linear_envelope(modulus_table(sys, "shadowing", cap=cap))

@@ -306,12 +306,8 @@ def modulus_table_for_spec(sys, prop="weak", k_bound=6, cap=None):
     with periodic tracers.  Rows hold (1, delta), delta the largest grid
     delta at N = 1: at the sub-minimal grid delta every chain is a true
     orbit, which traces itself, so N = 1 always has a passing delta.
-    Rows are built by :func:`~dynlab.shadowing._table`, which decides no
-    cell that the previous row's best delta already implies, and no
-    cell at delta at or below the least positive distance, or ("weak"
-    only) at epsilon above every distance, where any point traces any
-    chain: those pass by definition.  "full" still searches at epsilon
-    above every distance, since its tracers need an exact period.
+    Rows are built by :func:`~dynlab.shadowing._table` (cells passing
+    undecided: :func:`~dynlab.shadowing._best_delta`).
     """
     if prop == "weak":
         holds = lambda d, eps: local_weak_spec_holds(sys, eps, 1, d, cap)[0]
@@ -338,14 +334,15 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     fail).  Blocking is a forward-time construction, so this variant
     takes only N = 1 (ValueError otherwise).
     variant "lipschitz": fits the linear envelope (L, d0) to the chain
-    tracing table over the gaps n >= N (no lasso needed).
+    tracing table over the gaps n >= N (no lasso needed): the rows of
+    :func:`~dynlab.shadowing._table` over local_weak_spec_holds at N.
     """
     if N < 1:
         raise ValueError("need N >= 1")
     if variant == "lipschitz":
-        envelope = _linear_envelope(
-            threshold_grid(sys),
-            lambda d, eps: local_weak_spec_holds(sys, eps, N, d, cap)[0])
+        envelope = _linear_envelope(_table(
+            sys, "spec-weak",
+            lambda d, eps: local_weak_spec_holds(sys, eps, N, d, cap)[0]))
         return {"variant": variant, "holds": True, "envelope": envelope}
 
     if lasso is None:

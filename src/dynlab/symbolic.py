@@ -271,8 +271,8 @@ def window_system(sft, w):
     _check_size(n, f"window radius {w}")
     # after _assemble divides out the common power of two, the widest
     # entry is 2^kmax over 2^kmax, kmax the largest radius at which two
-    # words first differ: w + 1 bits when kmax = w (a scale of 4301
-    # digits or more is refused first, on its length)
+    # words first differ: w + 1 bits when kmax = w (past radius 14,284,
+    # at most 1000 words come from cycles of length <= 1000: kmax < 1000)
     if w < _DIGIT_BOUND.bit_length() and _differ_at_radius(sft, w):
         _check_budget(n, w + 1)
     words = _allowed_words(sft, 2 * w + 1)

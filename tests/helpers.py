@@ -82,6 +82,13 @@ def cycle_system(n, gap=Fraction(1)):
     return build_finite_system(pts, dist, fmap, invertible=True)
 
 
+def scalene_cycle():
+    """A 3-cycle whose pair (c0, c1) is farthest apart at its third step."""
+    return build_finite_system(
+        ["c0", "c1", "c2"], [[0, 1, 3], [1, 0, 2], [3, 2, 0]],
+        ["c1", "c2", "c0"])
+
+
 def stem_into_cycle():
     """Two transient points merging into a fixed point (non-invertible)."""
     pts = ("s0", "s1", "z")

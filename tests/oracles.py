@@ -4,6 +4,9 @@ Nothing here touches the subset-construction machinery under test: a
 lasso family is enumerated outright, each member is classified by its
 worst step error and by the best tracking distance any point achieves
 against it, and threshold questions are answered from that table.
+``lasso_pareto_by_states`` builds that table from the distinct stem
+states and cycle classes; ``lasso_family_pareto``, which lists every
+sequence, is kept as its reference.
 The closed-chain references at the end list the closed walks with
 their own lister, which the library no longer has, and keep each
 decision's own loop, sharing with the library only the warning.
@@ -35,7 +38,7 @@ loop, which asks every factor about every pair of letters, where the
 library pairs the factors' edges.
 
 Nothing here reads a system's memo of threshold structures: the grid,
-the gap graphs and their largest strongly connected parts are rebuilt
+the gap graphs and their classes of mutual reachability are rebuilt
 from the distances (``threshold_grid_reference``,
 ``gap_structures_reference``, ``mutual_reachability_classes``).
 """
@@ -165,11 +168,85 @@ def lasso_family_pareto(sys, max_len):
     return best
 
 
+def lasso_pareto_by_states(sys, max_len):
+    """:func:`lasso_family_pareto`, from deduplicated stem and cycle
+    states in place of every sequence.
+
+    A lasso's (e, b) reads its stem x_0..x_(s-1) only through the stem
+    state: last = x_(s-1), the worst stem step rank, and prof[z] = max
+    over i < s of rank(f^i(z), x_i), f^s being the same for every stem
+    of length s.  It reads its cycle y_0..y_(k-1) only through the cycle
+    class: y_0, the worst cycle step rank (wrap y_(k-1) -> y_0
+    included) and cost[w] = max over j >= 0 of rank(f^j(w), y_(j mod k)),
+    the worst rank of the orbit of w against the cycle.  That max runs
+    over residues r mod k: cost[w] = max_r g[r][w][y_r], g[r][w][a] the
+    worst rank of a against the f^j(w) with j = r mod k, over the
+    eventual window pre(w) + lcm(p(w), k) of the pair (f^j(w), j mod k).
+    So stems and cycles are each grown letter by letter, one state per
+    distinct key, and every stem state of length s meets every cycle
+    class of length k <= max_len - s, with
+    e = max(stem steps, cycle steps, rank(f(last), y_0)) and
+    b = min over z of max(prof[z], cost[f^s(z)]).
+
+    Repeated cycles and stem tails absorbed into the cycle are not
+    skipped: they only repeat (e, b) of a shorter member.  Reads only
+    ``rank``, ``fmap``, ``preperiod`` and ``cycle``.
+    """
+    n, rank, f = sys.n, sys.rank, sys.fmap
+    pre = [sys.preperiod(w) for w in range(n)]
+    period = [len(sys.cycle(w)) for w in range(n)]
+
+    # stems[s]: the distinct (prof, worst step, last) of stems of length
+    # s; the empty stem has no last letter
+    stems, at = [{(tuple([0] * n), 0, None)}], list(range(n))  # at = f^s
+    images = [at]
+    for s in range(1, max_len):
+        stems.append({
+            (tuple(max(p, rank[z][x]) for p, z in zip(prof, at)),
+             step if last is None else max(step, rank[f[last]][x]), x)
+            for prof, step, last in stems[-1] for x in range(n)})
+        at = [f[z] for z in at]
+        images.append(at)
+
+    best = {}
+    for k in range(1, max_len + 1):
+        # g[r][w][a] over the eventual window of (f^j(w), j mod k)
+        g = [[[0] * n for _ in range(n)] for _ in range(k)]
+        for w in range(n):
+            z = w
+            for j in range(pre[w] + math.lcm(period[w], k)):
+                row = g[j % k][w]
+                for a in range(n):
+                    row[a] = max(row[a], rank[z][a])
+                z = f[z]
+        # cycle prefixes y_0..y_(r-1): (cost so far, y_0, worst step, y_(r-1))
+        level = {(tuple(g[0][w][a] for w in range(n)), a, 0, a)
+                 for a in range(n)}
+        for r in range(1, k):
+            level = {(tuple(map(max, cost, (g[r][w][a] for w in range(n)))),
+                      first, max(step, rank[f[last]][a]), a)
+                     for cost, first, step, last in level for a in range(n)}
+        cycles = {(cost, first, max(step, rank[f[last]][first]))
+                  for cost, first, step, last in level}
+        for s in range(max_len - k + 1):
+            at = images[s]
+            for prof, stem_step, last in stems[s]:
+                for cost, first, step in cycles:
+                    e = max(stem_step, step)
+                    if last is not None:
+                        e = max(e, rank[f[last]][first])
+                    b = min(max(p, cost[z]) for p, z in zip(prof, at))
+                    if best.get(e, -1) < b:
+                        best[e] = b
+    return best
+
+
 def brute_shadowing_table(sys, max_len):
     """Callable (delta, epsilon) -> bool answering the family question:
     is every delta-pseudo-orbit with stem+cycle <= max_len
-    epsilon-shadowed by some point of the system?"""
-    pareto = lasso_family_pareto(sys, max_len)
+    epsilon-shadowed by some point of the system?  Read off
+    :func:`lasso_pareto_by_states`."""
+    pareto = lasso_pareto_by_states(sys, max_len)
     top = max(r for row in sys.rank for r in row) + 1
     worst = [-1] * (top + 2)  # worst[t] = max b over lassos with e < t
     for e, b in pareto.items():
@@ -437,10 +514,19 @@ def _closed_walks_of_graph(succ, length, cap, counter):
 
 
 def warn_if_bound_blind_reference(succ, bound, label):
-    """The library's BoundTooSmall warning, for a graph whose largest
-    class of mutual reachability is larger than ``bound``."""
-    size = max(len(c) for c in mutual_reachability_classes(succ))
-    _warn_if_bound_blind(size, bound, label)
+    """The library's BoundTooSmall warning, for a graph with a primitive
+    closed walk longer than ``bound``: a class of mutual reachability
+    with more internal edges than members carries two distinct cycles,
+    so primitive closed walks of every length past some point; one with
+    as many is a single cycle, whose length is its size."""
+    longest = 0
+    for members in mutual_reachability_classes(succ):
+        edges = sum(u in members for v in members for u in succ[v])
+        if edges > len(members):
+            longest = math.inf
+        elif edges:
+            longest = max(longest, len(members))
+    _warn_if_bound_blind(longest, bound, label)
 
 
 def windows_reference(sys, n, epsilon):

@@ -335,6 +335,16 @@ def test_bad_bounds_exit_two(capsys, tmp_path):
     assert (code, out) == (2, "")
 
 
+def test_best_delta_above_every_distance_refuses_gap_zero(capsys, tmp_path):
+    # at this epsilon every weak chain cell passes by definition, so no
+    # search would refuse N = 0 on its own
+    path = emit_x32(capsys, tmp_path)
+    code, out, err = run(capsys, "check", "spec", "--variant", "weak",
+                         "--N", "0", "--epsilon", "100", "--system", path,
+                         "--window", "1")
+    assert (code, out, err) == (2, "", "dynlab: need N >= 1\n")
+
+
 def test_battery_rejects_a_period_bound_below_one(capsys, tmp_path):
     path = emit_x32(capsys, tmp_path)
     for battery_id in ("thmA", "thmB", "thmC", "thmD", "hierarchy"):

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from dynlab.core import (
+    FiniteSystem,
     Lasso,
+    _cached,
     as_fraction,
     build_finite_system,
     is_periodic_pseudo_orbit,
@@ -166,6 +168,13 @@ def test_shadows_two_sided_needs_invertible():
     sys_ = stem_into_cycle()
     with pytest.raises(NotInvertible):
         shadows(sys_, "z", Lasso(cycle=("z",), two_sided=True), 1)
+
+
+def test_cached_attribute_read_on_the_class_is_its_descriptor():
+    # so help() and inspect see the build function's docstring
+    attr = FiniteSystem.dist
+    assert isinstance(attr, _cached) and attr.name == "dist"
+    assert attr.__doc__ == attr.build.__doc__
 
 
 def test_threshold_grid_one_point():

@@ -13,13 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from dynlab import (core, gallery, recurrence, shadowing, specification,
-                    symbolic)
-from dynlab.core import FiniteSystem, build_finite_system, threshold_grid
+from dynlab import (cli, core, gallery, recurrence, shadowing,
+                    specification, symbolic)
+from dynlab.core import FiniteSystem, threshold_grid
 from dynlab.gallery import build_random_system, build_xpq
 from dynlab.specification import local_spec_holds
 
-from helpers import cycle_system, stem_into_cycle
+from helpers import cycle_system, scalene_cycle, stem_into_cycle
 from oracles import (local_spec_reference, myex_table_reference,
                      window_table_reference)
 from test_recurrence import two_fixed_points
@@ -31,6 +31,7 @@ from test_metric import (check_built_as_reference, check_metric,
 from test_records import check_records
 from test_battery import two_loop_window
 from test_shadowing import check_failed_at_is_the_dying_step, check_tables
+from test_specification import check_gap_range
 from test_core import check_two_sided_shadows
 from test_spread import check_spread
 from test_tracing_kernel import check_gap_structures
@@ -55,13 +56,6 @@ def plant(monkeypatch, owners, name, fragment, fault, *more):
 def check_wielandt_digraphs():
     for m in range(1, 9):
         check_primitive(wielandt(m))
-
-
-def scalene_cycle():
-    """A 3-cycle whose pair (c0, c1) is farthest apart at its third step."""
-    return build_finite_system(
-        ["c0", "c1", "c2"], [[0, 1, 3], [1, 0, 2], [3, 2, 0]],
-        ["c1", "c2", "c0"])
 
 
 def check_scalene_gap_structures():
@@ -230,7 +224,7 @@ def test_satellite_offset_one_over_k_plus_one(monkeypatch):
 
 def test_table_carry_one_grid_step_past_the_previous_best(monkeypatch):
     check_tables(build_random_system(1, 3))
-    plant(monkeypatch, [shadowing, specification], "_table", "d <= last",
+    plant(monkeypatch, [shadowing, cli], "_best_delta", "d <= last",
           "grid.positive.index(d) <= grid.positive.index(last) + 1")
     with pytest.raises(AssertionError):
         check_tables(build_random_system(1, 3))
@@ -243,7 +237,7 @@ def test_table_carry_one_grid_step_past_the_previous_best(monkeypatch):
 
 def test_table_any_tracer_rule_on_the_exact_period_tables(monkeypatch):
     check_tables(two_loop_window())
-    plant(monkeypatch, [shadowing, specification], "_table",
+    plant(monkeypatch, [shadowing, cli], "_best_delta",
           'prop in ("shadowing", "periodic", "spec-weak")', "True")
     with pytest.raises(AssertionError):
         check_tables(two_loop_window())
@@ -251,10 +245,20 @@ def test_table_any_tracer_rule_on_the_exact_period_tables(monkeypatch):
 
 def test_table_submin_rule_one_distance_too_far(monkeypatch):
     check_tables(two_loop_window())
-    plant(monkeypatch, [shadowing, specification], "_table",
+    plant(monkeypatch, [shadowing, cli], "_best_delta",
           "sys.lt_cutoff(d) <= 1", "sys.lt_cutoff(d) <= 2")
     with pytest.raises(AssertionError):
         check_tables(two_loop_window())
+
+
+def test_gap_range_one_gap_short(monkeypatch):
+    # the scalene cycle's windows change at gap T + P = 3, so the last
+    # gap, 5, is the only one with f^2 and the settled windows
+    check_gap_range(scalene_cycle())
+    plant(monkeypatch, [specification], "gap_values",
+          "T + 2 * P", "T + 2 * P - 1")
+    with pytest.raises(AssertionError):
+        check_gap_range(scalene_cycle())
 
 
 def test_failed_at_read_off_the_earliest_miss(monkeypatch):

@@ -3,26 +3,32 @@ exception type it must raise, and a fragment of the message.
 
 A refusal that regressed, by raising another type or by dropping its
 check and answering, fails its row.  The rows cover the refusals of
-``expansive``, ``recurrence``, ``shadowing`` and ``specification`` that
-no other fast test runs; each row runs on a fresh copy of the
-three-point system s0 -> s1 -> z -> z, which is not invertible (the one
-refusal that needs an invertible system builds a 2-cycle).
+the library that no other fast test runs; each row is handed a fresh
+copy of the three-point system s0 -> s1 -> z -> z, which is not
+invertible (the one refusal that needs an invertible system builds a
+2-cycle), and the rows that build their own input ignore it.
 """
+
+from dataclasses import field
 
 import pytest
 
-from dynlab.core import Lasso
-from dynlab.errors import NotInvertible
+from dynlab.core import Lasso, _Record
+from dynlab.errors import EmptyShift, NotInvertible
+from dynlab.gallery import build_myex, build_product_truncation, build_xpq
 from dynlab.expansive import gamma_set, n_expansive_constant
 from dynlab.recurrence import (cp_construction, cyclic_decomposition,
                                is_transitive, spectral_decomposition)
 from dynlab.shadowing import (modulus_table, shadowing_holds,
+                              shadowing_modulus, special_shadowing_holds,
                               strong_shadow_point,
                               two_sided_limit_shadowing_check)
 from dynlab.specification import (blockify, derived_periodic_shadowing,
                                   generalized_spec_checks,
                                   local_weak_spec_holds,
                                   modulus_table_for_spec)
+from dynlab.symbolic import (Sft, SymbolicPoint, build_sft, periodic_points,
+                             product_system, window_system)
 
 from helpers import cycle_system, stem_into_cycle
 
@@ -30,6 +36,49 @@ FIXED = Lasso(cycle=("z",))
 TWO_SIDED = Lasso(cycle=("z",), two_sided=True)
 
 REFUSALS = {
+    "float-threshold": (
+        lambda sys: shadowing_holds(sys, 0.5, 1),
+        TypeError, "not an exact rational: 0.5"),
+    "record-field-with-a-factory": (
+        lambda sys: type("Bad", (_Record,), {
+            "__annotations__": {"x": list}, "x": field(default_factory=list)}),
+        TypeError, "Bad: record fields take plain defaults only"),
+    "negative-index-of-a-one-sided-lasso": (
+        lambda sys: FIXED[-1],
+        IndexError, "one-sided lasso has no negative indices"),
+    "two-loop-shift-with-an-empty-loop": (
+        lambda sys: build_xpq(0, 1),
+        ValueError, "loop lengths must be positive"),
+    "product-truncation-of-no-factors": (
+        lambda sys: build_product_truncation((2, 3), 0),
+        ValueError, "need at least one factor"),
+    "myex-on-a-one-point-lattice": (
+        lambda sys: build_myex(1, 1),
+        ValueError, "lattice denominator must be >= 2"),
+    "myex-with-no-satellites": (
+        lambda sys: build_myex(3, 0),
+        ValueError, "need at least one satellite family"),
+    "symbolic-point-with-no-cycle": (
+        lambda sys: SymbolicPoint((), ()),
+        ValueError, "cycle must be non-empty"),
+    "symbolic-point-with-no-past": (
+        lambda sys: SymbolicPoint((), ("a",), ()),
+        ValueError, "past cycle must be non-empty"),
+    "edge-outside-the-alphabet": (
+        lambda sys: build_sft(("a",), [("a", "b")]),
+        ValueError, "edge ('a', 'b') uses letters outside the alphabet"),
+    "periodic-points-of-period-zero": (
+        lambda sys: periodic_points(build_xpq(3, 2), 0),
+        ValueError, "period must be >= 1"),
+    "window-of-radius-zero": (
+        lambda sys: window_system(build_xpq(3, 2), 0),
+        ValueError, "window radius must be >= 1"),
+    "window-of-a-shift-with-no-edges": (
+        lambda sys: window_system(Sft(("a",), frozenset()), 1),
+        EmptyShift, "no allowed words at this window size"),
+    "product-of-no-shifts": (
+        lambda sys: product_system([]),
+        ValueError, "need at least one factor"),
     "threshold-at-zero": (
         lambda sys: gamma_set(sys, "z", 0),
         ValueError, "threshold must be positive"),
@@ -57,6 +106,13 @@ REFUSALS = {
     "strong-shadow-of-no-points": (
         lambda sys: strong_shadow_point(sys, [], 1),
         ValueError, "need a non-empty cyclic sequence"),
+    # above every distance the row rule searches no cell of these two
+    "special-tracing-at-bound-zero": (
+        lambda sys: special_shadowing_holds(sys, 100, 0),
+        ValueError, "length bound must be at least 1, got 0"),
+    "modulus-at-zero-epsilon-on-one-point": (
+        lambda sys: shadowing_modulus(cycle_system(1), 0),
+        ValueError, "thresholds must be positive"),
     "unknown-table-property": (
         lambda sys: modulus_table(sys, "limit"),
         ValueError, "unknown property 'limit'"),

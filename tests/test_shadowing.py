@@ -1,5 +1,6 @@
 """Subset-construction tracing decisions versus definitional brute force."""
 
+import itertools
 import random
 import warnings
 from fractions import Fraction
@@ -29,8 +30,10 @@ from dynlab.shadowing import (
 from helpers import (cycle_system, random_system, seeded_corpus,
                      two_points_identity)
 from oracles import (brute_shadowing_table, construct_shadow_point_reference,
+                     lasso_family_pareto, lasso_pareto_by_states,
                      local_spec_reference, local_weak_spec_reference,
                      modulus_table_reference, periodic_variant_reference)
+from test_acceptance import LAW_02_CORPUS
 from test_closed_chains import assert_matches_reference, outcome
 
 
@@ -57,6 +60,19 @@ def check_against_brute(sys, max_len):
             assert got == brute(delta, eps), (delta, eps)
             if not got:
                 assert_counterexample(sys, cert, delta, eps)
+
+
+# stem+cycle bounds by system size at which the listing oracle takes
+# about a second on the law-02 corpus
+LISTING_BOUND = {2: 12, 3: 9, 4: 7, 5: 6, 6: 5}
+
+
+def test_state_oracle_matches_the_lasso_listing():
+    for seed, size, invertible, _ in LAW_02_CORPUS:
+        sys = random_system(seed=seed, n=size, invertible=invertible)
+        bound = LISTING_BOUND[size]
+        assert lasso_pareto_by_states(sys, bound) == lasso_family_pareto(
+            sys, bound), (seed, size)
 
 
 def test_agrees_with_brute_force_on_two_points():
@@ -252,6 +268,17 @@ def test_small_bound_warns_when_graph_has_longer_cycles():
         periodic_shadowing_holds(sys, 4, 4, period_bound=2)
     with pytest.warns(BoundTooSmall):
         strong_periodic_shadowing_holds(sys, 4, 4, period_bound=1)
+
+
+def test_bound_warns_at_a_part_no_larger_than_the_bound():
+    # the step graph at delta = 7/12 is one part of 5 vertices and 9
+    # edges, so it has primitive closed walks of every length past some
+    # point; the first untraced one has length 7
+    sys = build_random_system(3, 5, invertible=True)
+    for bound, holds in ((6, True), (7, False)):
+        with pytest.warns(BoundTooSmall):
+            assert periodic_shadowing_holds(
+                sys, Fraction(7, 12), Fraction(13, 12), bound)[0] is holds
 
 
 def test_periodic_brute_check_on_random_systems():
@@ -474,6 +501,26 @@ def test_tables_search_no_sentinel_cell_with_a_definitional_answer(sys, prop):
             prop, eps)
 
 
+@settings(deadline=None, max_examples=30)
+@given(small_systems)
+def test_single_row_moduli_answer_as_the_table_rows(sys):
+    # the row rule of the tables: every grid epsilon answered as the
+    # shadowing and periodic rows, with no sentinel cell searched
+    shadow = dict(library_table(sys, "shadowing", 3))
+    periodic = dict(library_table(sys, "periodic", 3))
+    top = len(sys.distance_values)
+    for eps in threshold_grid(sys).positive:
+        with pytest.MonkeyPatch.context() as mp:
+            cells = log_cells(mp)
+            assert shadowing_modulus(sys, eps) == shadow[eps]
+            assert special_shadowing_holds(sys, eps, 3)[1] == {
+                "shadowing_delta": shadow[eps],
+                "periodic_delta": periodic[eps]}
+        for name, args in cells:
+            delta, cell_eps = cell_thresholds(name, args)
+            assert sys.lt_cutoff(delta) > 1 and sys.lt_cutoff(cell_eps) < top
+
+
 def test_only_exact_period_tables_search_above_every_distance():
     # on xpq(3,2) window 2 the exact-period rows at epsilon = 2 are 1/4:
     # a closed walk there can have no tracer of its own period
@@ -520,21 +567,23 @@ def test_chain_searches_answer_as_the_skip_free_references(sys, N):
                     40)
 
 
-def test_envelope_scan_starts_at_the_previous_least_epsilon():
-    # the least tracing epsilon only grows with d, so each d scans up
-    # from the last one found: at most one failing probe per d
+def test_envelope_reads_the_least_epsilon_off_the_shadowing_table():
+    # the envelope of the definitional scan (for each d, the least eps
+    # that traces, every cell decided), which the library reads off the
+    # shadowing table, deciding only the cells the table decides
     for seed in (3, 4, 5):
         sys = random_system(seed=seed, n=4)
         grid = threshold_grid(sys).positive
-        probes = []
-
-        def traces(d, eps):
-            probes.append((d, eps))
-            return shadowing_holds(sys, d, eps)[0]
-
-        L, d0 = shadowing._linear_envelope(threshold_grid(sys), traces)
-        assert (L, d0) == lipschitz_constants(sys)
         least = [next(e for e in grid if shadowing_holds(sys, d, e)[0])
                  for d in grid]
-        assert least == sorted(least)
-        assert len(probes) == len(grid) + grid.index(least[-1])
+        slopes = itertools.accumulate(
+            (eps / d for d, eps in zip(grid, least)), max)
+        _, _, L, d0 = min((slope * d, -d, slope, d)
+                          for d, slope in zip(grid, slopes))
+        with pytest.MonkeyPatch.context() as mp:
+            cells = log_cells(mp)
+            assert lipschitz_constants(sys) == (L, d0)
+            decided = list(cells)
+            cells.clear()
+            modulus_table(sys, "shadowing")
+        assert decided == cells

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dynlab import specification
 from dynlab.core import Lasso, threshold_grid
 from dynlab.errors import BoundTooSmall, ModulusViolation
 from dynlab.shadowing import (
@@ -33,7 +34,9 @@ from dynlab.gallery import build_xpq
 from dynlab.symbolic import window_system
 
 from helpers import (cycle_system, gallery_corpus, random_system,
-                     seeded_corpus, stem_into_cycle, two_points_identity)
+                     scalene_cycle, seeded_corpus, stem_into_cycle,
+                     two_points_identity)
+from oracles import gap_structures_reference
 
 
 def all_short_chains(sys, gap, delta, max_k):
@@ -121,6 +124,29 @@ def test_weak_chain_tracing_at_gap_one_is_shadowing():
                     local_weak_spec_holds(sys, eps, 1, delta)[0]
                     == shadowing_holds(sys, delta, eps)[0]
                 ), (seed, delta, eps)
+
+
+def check_gap_range(sys):
+    """Each gap n >= N up to N + 2(T + P) has the n-step map and windows
+    of some gap in ``gap_values(sys, N)``, at N = 1, 2 and every grid
+    epsilon: the range exhausts the quantifier over n >= N."""
+    horizon = 2 * (sys.max_preperiod + sys.cycle_lcm)
+    for N in (1, 2):
+        gaps = specification.gap_values(sys, N)
+        for eps in threshold_grid(sys).positive:
+            def structure(n):
+                _, step, allowed = gap_structures_reference(sys, n, eps, eps)
+                return tuple(step), allowed
+            covered = set(map(structure, gaps))
+            assert all(structure(n) in covered
+                       for n in range(N, N + horizon + 1)), (N, eps)
+
+
+def test_gap_range_covers_every_gap():
+    for sys in (scalene_cycle(), cycle_system(3), stem_into_cycle(),
+                random_system(seed=13, n=4, invertible=True),
+                random_system(seed=5, n=6)):
+        check_gap_range(sys)
 
 
 def test_closed_chain_tracing_sits_between_periodic_variants():

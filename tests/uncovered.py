@@ -5,7 +5,7 @@ prints, per module of ``src/dynlab``, the lines that compile to code
 (read from the code objects' ``co_lines``) and never ran.  Standard
 library only.
 
-    python3 tests/uncovered.py                  # pytest -q -m "not slow"
+    python3 tests/uncovered.py                  # pytest -q
     python3 tests/uncovered.py tests/test_cli.py   # any pytest arguments
     python3 tests/uncovered.py --expect tests/uncovered_exempt.txt [ARGS]
 
@@ -27,7 +27,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dynlab"
-DEFAULT_ARGS = ["-q", "-m", "not slow"]
+DEFAULT_ARGS = ["-q"]
 
 
 def code_lines(path):
