@@ -105,7 +105,7 @@ def _equivalence_battery(result, sys, period_bound, cap):
         row = {
             "epsilon": _frac(eps),
             "shadowing_delta": _frac(s),
-            "weak_spec": None if w is None else [w[0], _frac(w[1])],
+            "weak_spec": None if w is None else [1, _frac(w)],
             "agree": (s is None) == (w is None),
         }
         result["rows"].append(row)
@@ -168,11 +168,6 @@ _ORDER_LAWS = (
 )
 
 
-def _best_delta(payload):
-    """A table row's best delta: spec rows hold (N, delta)."""
-    return payload[1] if isinstance(payload, tuple) else payload
-
-
 def _matrix_battery(result, sys, period_bound, cap):
     """Six tracing properties per epsilon, gated by the two hypotheses:
     transitivity and freeness from lockstep orbit pairs (the uniform
@@ -214,8 +209,7 @@ def _matrix_battery(result, sys, period_bound, cap):
                "properties must agree under the diagnosed hypotheses",
                epsilon=row["epsilon"])
         for lower, upper, law in _ORDER_LAWS:
-            low = _best_delta(columns[lower][eps])
-            high = _best_delta(columns[upper][eps])
+            low, high = columns[lower][eps], columns[upper][eps]
             _check(result, low is None or high is not None and low <= high,
                    law, epsilon=row["epsilon"])
 

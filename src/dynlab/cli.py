@@ -63,7 +63,7 @@ from .shadowing import (
     strong_periodic_shadowing_holds,
 )
 from .specification import (
-    gap_values,
+    _chain_decider,
     generalized_spec_checks,
     local_spec_holds,
     local_weak_spec_holds,
@@ -238,18 +238,18 @@ def _cmd_check_spec(args, sys_):
     params = {"variant": args.variant, "epsilon": fraction_str(epsilon),
               "N": args.N, "k_bound": args.k_bound}
     if args.variant in ("weak", "full"):
-        check = (local_weak_spec_holds if args.variant == "weak"
-                 else lambda s, e, n, d: local_spec_holds(s, e, n, d,
-                                                          args.k_bound))
         if args.delta is None:
-            gap_values(sys_, args.N)  # refuses N < 1 where no cell is searched
             best = _best_delta(sys_, f"spec-{args.variant}", epsilon,
-                               lambda d, eps: check(sys_, eps, args.N, d)[0])
+                               _chain_decider(sys_, args.variant, args.N,
+                                              args.k_bound))
             code = 0 if best is not None else 1
             return params, {"best_delta": _frac(best)}, code
         delta = as_fraction(args.delta)
         params["delta"] = fraction_str(delta)
-        holds, info = check(sys_, epsilon, args.N, delta)
+        holds, info = (
+            local_weak_spec_holds(sys_, epsilon, args.N, delta)
+            if args.variant == "weak" else
+            local_spec_holds(sys_, epsilon, args.N, delta, args.k_bound))
         return params, {"holds": holds, **_chain_obj(info)}, 0 if holds else 1
     if args.variant == "lipschitz":
         out = generalized_spec_checks(sys_, "lipschitz", N=args.N)

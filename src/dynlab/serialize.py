@@ -166,31 +166,24 @@ def parse_system_obj(obj):
 
 
 def modulus_table_to_obj(table):
-    rows = []
-    for eps, payload in table.rows:
-        if payload is None:
-            entry = None
-        elif isinstance(payload, tuple):
-            n, delta = payload
-            entry = {"gap": n, "delta": fraction_str(delta)}
-        else:
-            entry = {"delta": fraction_str(payload)}
-        rows.append({"epsilon": fraction_str(eps), "best": entry})
-    return {"property": table.prop, "rows": rows}
+    """JSON form of a modulus table; the spec tables' rows also carry
+    their gap requirement, which is always 1."""
+    gap = {"gap": 1} if table.prop.startswith("spec-") else {}
+    return {"property": table.prop, "rows": [
+        {"epsilon": fraction_str(eps),
+         "best": None if delta is None else {**gap,
+                                             "delta": fraction_str(delta)}}
+        for eps, delta in table.rows]}
 
 
 def modulus_csv(table):
-    """CSV form of a modulus table, exact cells, empty when unpopulated."""
+    """CSV form of a modulus table, exact cells, empty when unpopulated;
+    the spec tables' gap column is always 1."""
     spec_style = table.prop.startswith("spec-")
     lines = ["epsilon,gap,delta" if spec_style else "epsilon,delta"]
-    for eps, payload in table.rows:
-        if payload is None:
-            lines.append(fraction_str(eps) + (",," if spec_style else ","))
-        elif isinstance(payload, tuple):
-            n, delta = payload
-            lines.append(f"{fraction_str(eps)},{n},{fraction_str(delta)}")
-        else:
-            lines.append(f"{fraction_str(eps)},{fraction_str(payload)}")
+    for eps, delta in table.rows:
+        gap = ("," if delta is None else "1,") if spec_style else ""
+        lines.append(f"{fraction_str(eps)},{gap}{_frac(delta) or ''}")
     return "\n".join(lines) + "\n"
 
 

@@ -296,13 +296,18 @@ def _warn_if_bound_blind(longest, bound, label):
         )
 
 
+def _require_bound(bound):
+    """Refuse a closed-walk length bound below 1."""
+    if bound < 1:
+        raise ValueError(f"length bound must be at least 1, got {bound}")
+
+
 def _gap_graphs(sys, delta, epsilon, gaps, bound, label):
     """Validate a closed-chain question once, then yield (n, succ, step,
     allowed) of :func:`_gap_structures` for each n in ``gaps``, warning
     BoundTooSmall where a gap graph's closed walks outrun ``bound``;
     ``label``, formatted with the gap n, names the graph."""
-    if bound < 1:
-        raise ValueError(f"length bound must be at least 1, got {bound}")
+    _require_bound(bound)
     if delta <= 0 or epsilon <= 0:
         raise ValueError("thresholds must be positive")
     d_cut = sys.lt_cutoff(delta)
@@ -501,17 +506,34 @@ def strong_shadow_point(sys, cycle_points, epsilon):
 class ModulusTable(_Record):
     """Best thresholds per epsilon for one tracing property.
 
-    ``rows`` is a tuple of (epsilon, payload) pairs, epsilon ascending
-    over the positive threshold grid.  The payload is the best (largest)
-    delta at which the property holds, or None; specification-type
-    tables store (N, delta) pairs instead.
+    ``rows`` is a tuple of (epsilon, delta) pairs, epsilon ascending
+    over the positive threshold grid, delta the best (largest) grid
+    delta at which the property holds, or None.  The specification
+    tables ("spec-weak", "spec-full") hold their best delta at gap
+    requirement N = 1, where every row has one.
     """
 
     prop: str
     rows: tuple
 
     def populated(self):
-        return all(payload is not None for _, payload in self.rows)
+        return all(delta is not None for _, delta in self.rows)
+
+
+def _decider(sys, prop, period_bound=8, cap=None):
+    """The cell predicate holds(delta, eps) of the table ``prop``:
+    "shadowing", "periodic" or "strong-periodic" (the chain tables'
+    rule is :func:`~dynlab.specification._chain_decider`).  A period
+    bound below 1 is refused here, since the row rule may pass every
+    cell undecided (:func:`_best_delta`)."""
+    if prop == "shadowing":
+        return lambda d, eps: shadowing_holds(sys, d, eps, cap)[0]
+    decide = {"periodic": periodic_shadowing_holds,
+              "strong-periodic": strong_periodic_shadowing_holds}.get(prop)
+    if decide is None:
+        raise ValueError(f"unknown property {prop!r}")
+    _require_bound(period_bound)
+    return lambda d, eps: decide(sys, d, eps, period_bound, cap)[0]
 
 
 def shadowing_modulus(sys, epsilon, cap=None):
@@ -522,7 +544,7 @@ def shadowing_modulus(sys, epsilon, cap=None):
     are true orbits, which shadow themselves at any positive epsilon.
     """
     return _best_delta(sys, "shadowing", epsilon,
-                       lambda d, eps: shadowing_holds(sys, d, eps, cap)[0])
+                       _decider(sys, "shadowing", cap=cap))
 
 
 def _best_delta(sys, prop, eps, holds, last=None):
@@ -540,61 +562,49 @@ def _best_delta(sys, prop, eps, holds, last=None):
       sequence, and a finite self-map has a periodic point.  The
       exact-period tables ("strong-periodic", "spec-full") still
       search there, since a closed walk can have no tracer of its
-      period."""
+      period.
+
+    BoundTooSmall is silenced: the answer is a threshold, and the
+    warning is for single-cell calls."""
     eps, grid = as_fraction(eps), threshold_grid(sys)
     if eps <= 0:
         raise ValueError("thresholds must be positive")
     free = prop in ("shadowing", "periodic", "spec-weak") and (
         sys.lt_cutoff(eps) == len(sys.distance_values))
-    return _largest_passing(grid.positive, lambda d: (
-        free or sys.lt_cutoff(d) <= 1
-        or last is not None and d <= last or holds(d, eps)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundTooSmall)
+        return _largest_passing(grid.positive, lambda d: (
+            free or sys.lt_cutoff(d) <= 1
+            or last is not None and d <= last or holds(d, eps)))
 
 
 def _table(sys, prop, holds):
     """The ModulusTable of rows (eps, best delta) over the positive grid,
-    by :func:`_best_delta`; BoundTooSmall is silenced for the table.
+    by :func:`_best_delta`.
 
     A delta that passes at epsilon passes at every larger epsilon, so
     each row carries the previous row's best as passing.  The cells
     decided are a subset of those of rows bisected alone, in the same
     order, and the rows are the same."""
     rows, last = [], None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundTooSmall)
-        for eps in threshold_grid(sys).positive:
-            last = _best_delta(sys, prop, eps, holds, last)
-            rows.append((eps, last))
+    for eps in threshold_grid(sys).positive:
+        last = _best_delta(sys, prop, eps, holds, last)
+        rows.append((eps, last))
     return ModulusTable(prop, tuple(rows))
 
 
 def modulus_table(sys, prop, period_bound=8, cap=None):
-    """ModulusTable for prop in {"shadowing", "periodic", "strong-periodic"},
-    built by :func:`_table` (cells passing undecided: :func:`_best_delta`)."""
-    if prop == "shadowing":
-        holds = lambda d, eps: shadowing_holds(sys, d, eps, cap)[0]
-    elif prop == "periodic":
-        holds = lambda d, eps: periodic_shadowing_holds(
-            sys, d, eps, period_bound, cap)[0]
-    elif prop == "strong-periodic":
-        holds = lambda d, eps: strong_periodic_shadowing_holds(
-            sys, d, eps, period_bound, cap)[0]
-    else:
-        raise ValueError(f"unknown property {prop!r}")
-    return _table(sys, prop, holds)
+    """ModulusTable for prop in {"shadowing", "periodic", "strong-periodic"}:
+    rows by :func:`_table`, cells by :func:`_decider`."""
+    return _table(sys, prop, _decider(sys, prop, period_bound, cap))
 
 
 def special_shadowing_holds(sys, epsilon, period_bound=8, cap=None):
     """Shadowing and periodic shadowing both admit a delta at this
     epsilon, each by the row rule of the tables (:func:`_best_delta`)."""
-    if period_bound < 1:  # the row rule may decide every cell unsearched
-        raise ValueError(f"length bound must be at least 1, got {period_bound}")
+    periodic = _decider(sys, "periodic", period_bound, cap)  # refuses first
     s = shadowing_modulus(sys, epsilon, cap)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundTooSmall)
-        p = _best_delta(sys, "periodic", epsilon, lambda d, eps:
-                        periodic_shadowing_holds(sys, d, eps, period_bound,
-                                                 cap)[0])
+    p = _best_delta(sys, "periodic", epsilon, periodic)
     return (s is not None and p is not None), {"shadowing_delta": s,
                                                "periodic_delta": p}
 

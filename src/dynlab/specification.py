@@ -25,7 +25,6 @@ from .core import (Lasso, _Record, _closed_walk_counts, _largest_passing,
                    as_fraction, shadows, threshold_grid)
 from .errors import BoundTooSmall, ModulusViolation, NotDecaying
 from .shadowing import (
-    ModulusTable,
     _die_search,
     _distinct,
     _first_untraced_chain,
@@ -33,6 +32,7 @@ from .shadowing import (
     _gap_structures,
     _linear_envelope,
     _phase_tracer,
+    _require_bound,
     _table,
     periodic_shadowing_holds,
     strong_periodic_shadowing_holds,
@@ -299,27 +299,30 @@ def spec_to_shadow_point(sys, lasso, N, epsilon, cap=None):
     )
 
 
-def modulus_table_for_spec(sys, prop="weak", k_bound=6, cap=None):
-    """Best (N, delta) per grid epsilon for chain tracing.
+def _chain_decider(sys, variant, N=1, k_bound=6, cap=None):
+    """The cell predicate holds(delta, eps) of the table "spec-<variant>"
+    at the gaps n >= N: "weak" quantifies over open chains, "full" over
+    closed chains of length at most k_bound with periodic tracers.  An
+    N or a k_bound below 1 is refused here, since the row rule may pass
+    every cell undecided (:func:`~dynlab.shadowing._best_delta`)."""
+    if N < 1:
+        raise ValueError("need N >= 1")
+    if variant == "weak":
+        return lambda d, eps: local_weak_spec_holds(sys, eps, N, d, cap)[0]
+    if variant != "full":
+        raise ValueError(f"unknown property {variant!r}")
+    _require_bound(k_bound)
+    return lambda d, eps: local_spec_holds(sys, eps, N, d, k_bound, cap)[0]
 
-    prop "weak" quantifies over open chains, "full" over closed chains
-    with periodic tracers.  Rows hold (1, delta), delta the largest grid
-    delta at N = 1: at the sub-minimal grid delta every chain is a true
-    orbit, which traces itself, so N = 1 always has a passing delta.
-    Rows are built by :func:`~dynlab.shadowing._table` (cells passing
-    undecided: :func:`~dynlab.shadowing._best_delta`).
+
+def modulus_table_for_spec(sys, prop="weak", k_bound=6, cap=None):
+    """The table "spec-<prop>": the best delta per grid epsilon for chain
+    tracing at N = 1, never None (at the sub-minimal grid delta every
+    chain is a true orbit, which traces itself).  Rows are built by
+    :func:`~dynlab.shadowing._table`, cells by :func:`_chain_decider`.
     """
-    if prop == "weak":
-        holds = lambda d, eps: local_weak_spec_holds(sys, eps, 1, d, cap)[0]
-    elif prop == "full":
-        holds = lambda d, eps: local_spec_holds(sys, eps, 1, d, k_bound,
-                                                cap)[0]
-    else:
-        raise ValueError(f"unknown property {prop!r}")
-    table = _table(sys, f"spec-{prop}", holds)
-    return ModulusTable(table.prop, tuple(
-        (eps, None if delta is None else (1, delta))
-        for eps, delta in table.rows))
+    return _table(sys, f"spec-{prop}", _chain_decider(sys, prop, 1, k_bound,
+                                                      cap))
 
 
 def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
@@ -335,14 +338,13 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     takes only N = 1 (ValueError otherwise).
     variant "lipschitz": fits the linear envelope (L, d0) to the chain
     tracing table over the gaps n >= N (no lasso needed): the rows of
-    :func:`~dynlab.shadowing._table` over local_weak_spec_holds at N.
+    :func:`~dynlab.shadowing._table` over :func:`_chain_decider` at N.
     """
     if N < 1:
         raise ValueError("need N >= 1")
     if variant == "lipschitz":
         envelope = _linear_envelope(_table(
-            sys, "spec-weak",
-            lambda d, eps: local_weak_spec_holds(sys, eps, N, d, cap)[0]))
+            sys, "spec-weak", _chain_decider(sys, "weak", N, cap=cap)))
         return {"variant": variant, "holds": True, "envelope": envelope}
 
     if lasso is None:

@@ -23,6 +23,12 @@ def two_loop_window():
     return window_system(build_xpq(3, 2), 1)
 
 
+def check_order_laws(sys):
+    """thmC reports no violation on ``sys``; its best-delta orders are
+    checked whether or not its hypotheses hold."""
+    assert run_theorem_battery(sys, "thmC")["violations"] == []
+
+
 def test_battery_id_validation():
     assert BATTERY_IDS == ("thmA", "thmB", "thmC", "thmD", "hierarchy")
     with pytest.raises(ValueError):
@@ -204,7 +210,7 @@ ORDER_FAULTS = {
         "modulus_table", "shadowing", Fraction(1, 4),
         "weak specification's best delta must not exceed shadowing's"),
     "local-spec-above-strong-periodic": (
-        "modulus_table_for_spec", "full", (1, Fraction(2)),
+        "modulus_table_for_spec", "full", Fraction(2),
         "local specification's best delta must not exceed strong periodic "
         "shadowing's"),
     "strong-periodic-above-periodic": (

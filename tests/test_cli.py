@@ -6,6 +6,7 @@ import json
 import pathlib
 import re
 import time
+import warnings
 
 import pytest
 
@@ -343,6 +344,64 @@ def test_best_delta_above_every_distance_refuses_gap_zero(capsys, tmp_path):
                          "--N", "0", "--epsilon", "100", "--system", path,
                          "--window", "1")
     assert (code, out, err) == (2, "", "dynlab: need N >= 1\n")
+
+
+def test_one_point_system_refuses_a_length_bound_of_zero(capsys, tmp_path):
+    # every cell of a one-point system passes by definition, so no search
+    # would refuse the bound on its own; the tables that take no bound
+    # ignore it
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"kind": "finite", "points": ["a"],
+                                "dist": [["0"]], "map": ["a"]}))
+    for argv in (["modulus", "--prop", "periodic", "--period-bound", "0"],
+                 ["modulus", "--prop", "spec-full", "--k-bound", "0"],
+                 ["check", "spec", "--variant", "full", "--k-bound", "0",
+                  "--epsilon", "1"]):
+        code, out, err = run(capsys, *argv, "--system", str(path))
+        assert (code, out, err) == (
+            2, "", "dynlab: length bound must be at least 1, got 0\n"), argv
+    for prop, flag in (("shadowing", "--period-bound"),
+                       ("spec-weak", "--k-bound")):
+        code, _, err = run(capsys, "modulus", "--prop", prop, flag, "0",
+                           "--system", str(path))
+        assert (code, err) == (0, ""), prop
+
+
+def test_best_delta_paths_warn_no_bound_too_small(capsys, tmp_path):
+    # a best-threshold question answers a threshold; at window 1 the gap
+    # graphs of xpq(3,2) have closed walks longer than the k bound 6
+    path = emit_x32(capsys, tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "check", "spec", "--variant", "full",
+                             "--epsilon", "1/4", "--system", path,
+                             "--window", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["best_delta"] == "1/2"
+        code, _, err = run(capsys, "modulus", "--prop", "spec-full",
+                           "--system", path, "--window", "1")
+        assert (code, err) == (0, "")
+    assert [w.message for w in caught] == []
+
+
+def test_both_best_delta_paths_agree(capsys, tmp_path):
+    # check spec without --delta answers each epsilon as the table row
+    path = emit_x32(capsys, tmp_path)
+    cells = 0
+    for window in ("1", "2"):
+        for variant in ("weak", "full"):
+            code, out, _ = run(capsys, "modulus", "--prop", f"spec-{variant}",
+                               "--system", path, "--window", window)
+            assert code == 0
+            for row in json.loads(out)["results"]["table"]["rows"]:
+                code, out, _ = run(capsys, "check", "spec", "--variant",
+                                   variant, "--epsilon", row["epsilon"],
+                                   "--system", path, "--window", window)
+                assert code == 0
+                assert json.loads(out)["results"]["best_delta"] == (
+                    row["best"]["delta"]), (window, variant, row["epsilon"])
+                cells += 1
+    assert cells == 18
 
 
 def test_battery_rejects_a_period_bound_below_one(capsys, tmp_path):

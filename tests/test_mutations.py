@@ -29,7 +29,7 @@ from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
 from test_metric import (check_built_as_reference, check_metric,
                          check_packed_triangles)
 from test_records import check_records
-from test_battery import two_loop_window
+from test_battery import check_order_laws, two_loop_window
 from test_shadowing import check_failed_at_is_the_dying_step, check_tables
 from test_specification import check_gap_range
 from test_core import check_two_sided_shadows
@@ -249,6 +249,21 @@ def test_table_submin_rule_one_distance_too_far(monkeypatch):
           "sys.lt_cutoff(d) <= 1", "sys.lt_cutoff(d) <= 2")
     with pytest.raises(AssertionError):
         check_tables(two_loop_window())
+
+
+def test_weak_spec_rule_deciding_periodic_shadowing(monkeypatch):
+    # on this system the periodic best delta exceeds shadowing's at 8
+    # grid epsilons, from 1/12 on, so weak specification's order fails
+    sys = build_random_system(7, 6)
+    check_order_laws(sys)
+    check_tables(sys)
+    plant(monkeypatch, [specification], "_chain_decider",
+          "local_weak_spec_holds(sys, eps, N, d, cap)[0]",
+          "periodic_shadowing_holds(sys, d, eps, k_bound, cap)[0]")
+    with pytest.raises(AssertionError):
+        check_order_laws(sys)
+    with pytest.raises(AssertionError):
+        check_tables(sys)
 
 
 def test_gap_range_one_gap_short(monkeypatch):

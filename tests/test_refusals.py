@@ -113,6 +113,14 @@ REFUSALS = {
     "modulus-at-zero-epsilon-on-one-point": (
         lambda sys: shadowing_modulus(cycle_system(1), 0),
         ValueError, "thresholds must be positive"),
+    # every cell of a one-point system passes by definition, so no
+    # search would refuse these bounds on its own
+    "periodic-table-at-bound-zero-on-one-point": (
+        lambda sys: modulus_table(cycle_system(1), "periodic", 0),
+        ValueError, "length bound must be at least 1, got 0"),
+    "full-spec-table-at-bound-zero-on-one-point": (
+        lambda sys: modulus_table_for_spec(cycle_system(1), "full", 0),
+        ValueError, "length bound must be at least 1, got 0"),
     "unknown-table-property": (
         lambda sys: modulus_table(sys, "limit"),
         ValueError, "unknown property 'limit'"),
