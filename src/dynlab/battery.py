@@ -40,7 +40,7 @@ id             contents
 
 from __future__ import annotations
 
-from .core import _closed_walk_counts, threshold_grid
+from .core import _at_least, _closed_walk_counts, threshold_grid
 from .errors import StateExplosion
 from .expansive import (
     expansive_on_per,
@@ -281,9 +281,7 @@ def run_theorem_battery(system, battery_id, period_bound=6, cap=None):
     if battery_id not in _RUNNERS:
         raise ValueError(
             f"unknown battery {battery_id!r}; choose from {BATTERY_IDS}")
-    if period_bound < 1:
-        raise ValueError(
-            f"period bound must be at least 1, got {period_bound}")
+    _at_least(period_bound, 1, "period bound")
     result = {"battery": battery_id, "period_bound": period_bound,
               "asserted": True, "violations": [], "cap_hits": []}
     _RUNNERS[battery_id](result, sys, period_bound, cap)

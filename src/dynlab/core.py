@@ -88,6 +88,21 @@ def as_fraction(value):
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _positive(value, name):
+    """The threshold ``value`` as a Fraction; ValueError unless positive.
+    With :func:`_at_least`, the one place a threshold or count is refused."""
+    value = as_fraction(value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def _at_least(value, least, name):
+    """ValueError when the count ``value`` is below ``least``."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 class _cached:
     """An attribute built by ``build(instance)`` on first read, then
     stored on the instance, where later reads find it.

@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import _Record, _largest_passing, as_fraction, threshold_grid
+from .core import (_Record, _at_least, _largest_passing, _positive,
+                   as_fraction, threshold_grid)
 from .errors import NotInvertible
 
 __all__ = [
@@ -79,15 +80,8 @@ class GammaSet(_Record):
     spread: dict
 
 
-def _positive(value):
-    value = as_fraction(value)
-    if value <= 0:
-        raise ValueError("threshold must be positive")
-    return value
-
-
 def gamma_set(sys, x, delta):
-    delta = _positive(delta)
+    delta = _positive(delta, "delta")
     cutoff = sys.le_cutoff(delta)
     row = sys.spread_rank[sys.index[x]]
     members = tuple(
@@ -106,9 +100,8 @@ def _at_most_n_close(sys, n, delta):
 
 def n_expansive_holds(sys, n, delta):
     """Does every point's delta-indistinguishability set have <= n members?"""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return _at_most_n_close(sys, n, _positive(delta))
+    _at_least(n, 1, "n")
+    return _at_most_n_close(sys, n, _positive(delta, "delta"))
 
 
 def n_expansive_constant(sys, n):
@@ -117,8 +110,7 @@ def n_expansive_constant(sys, n):
     Never None: below the least positive distance every
     indistinguishability set is a singleton.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _at_least(n, 1, "n")
     # sets only grow with delta, so the predicate is downward closed
     return _largest_passing(threshold_grid(sys).positive,
                             lambda delta: _at_most_n_close(sys, n, delta))
@@ -166,7 +158,7 @@ def strong_measure_expansive_holds(sys, delta):
     |{x} ∩ O|.  Returns (bool, counterexample) where the counterexample
     is (x, uniform measure on the offending cycle).
     """
-    cutoff = sys.le_cutoff(_positive(delta))
+    cutoff = sys.le_cutoff(_positive(delta, "delta"))
     spread = sys.spread_rank
     cycles = sys._cycles
     for x in range(sys.n):
@@ -180,13 +172,13 @@ def strong_measure_expansive_holds(sys, delta):
 def measure_expansive_holds(sys, delta):
     """Non-atomic invariant measures do not exist on a finite point set,
     so the condition holds vacuously at every delta."""
-    _positive(delta)
+    _positive(delta, "delta")
     return True, "vacuous"
 
 
 def expansive_on_per(sys, delta):
     """Are periodic points pairwise delta-distinguishable?"""
-    cutoff = sys.le_cutoff(_positive(delta))
+    cutoff = sys.le_cutoff(_positive(delta, "delta"))
     spread = sys.spread_rank
     per = sys.periodic_indices()
     return all(

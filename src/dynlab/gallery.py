@@ -24,7 +24,7 @@ import math
 import random
 from fractions import Fraction
 
-from .core import FiniteSystem, _Record, _assemble, _check_size
+from .core import FiniteSystem, _Record, _assemble, _at_least, _check_size
 from .errors import NotCoprime, NotEnoughOrbits
 from .symbolic import build_sft, product_system
 
@@ -45,8 +45,8 @@ def build_xpq(p, q):
     q == 1).  The loop lengths must be coprime, which makes the graph's
     period 1 and hence the shift mixing.
     """
-    if p < 1 or q < 1:
-        raise ValueError("loop lengths must be positive")
+    _at_least(p, 1, "loop length")
+    _at_least(q, 1, "loop length")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"loop lengths {p} and {q} share a factor")
     edges = [(i, i + 1) for i in range(p - 1)] + [(p - 1, 0)]
@@ -75,8 +75,7 @@ def build_product_truncation(primes, n_factors):
     period grows without bound even though every factor is mixing.
     """
     primes = list(primes)
-    if n_factors < 1:
-        raise ValueError("need at least one factor")
+    _at_least(n_factors, 1, "number of factors")
     if len(primes) < n_factors + 1:
         raise ValueError("need n_factors + 1 primes")
     if any(b <= a for a, b in zip(primes, primes[1:])):
@@ -147,10 +146,8 @@ def build_myex(lattice_q, K):
     ValueError over 1000 points: the lattice's before its orbits are
     traced, the whole system's before its table is built.
     """
-    if lattice_q < 2:
-        raise ValueError("lattice denominator must be >= 2")
-    if K < 1:
-        raise ValueError("need at least one satellite family")
+    _at_least(lattice_q, 2, "lattice denominator")
+    _at_least(K, 1, "number of satellite families")
     what = f"myex lattice {lattice_q}"
     _check_size(lattice_q ** 2, what)
     orbits = _lattice_orbits(lattice_q)
@@ -210,8 +207,7 @@ def build_random_system(seed, size, invertible=False):
     1000 is refused before any weight is drawn: no such table passes the
     metric-check budget.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    _at_least(size, 1, "size")
     _check_size(size, f"random system size {size}")
     rng = random.Random(seed)
     # weights m/c with c in {1, 2, 3, 4, 6} are kept over 12 as m * (12 // c)

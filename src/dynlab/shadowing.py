@@ -44,9 +44,9 @@ from collections import deque
 from fractions import Fraction
 from itertools import compress
 
-from .core import (Lasso, _Record, _first_miss, _image, _largest_passing,
-                   _shadows_backward, _strong_components, as_fraction, shadows,
-                   threshold_grid)
+from .core import (Lasso, _Record, _at_least, _first_miss, _image,
+                   _largest_passing, _positive, _shadows_backward,
+                   _strong_components, as_fraction, shadows, threshold_grid)
 from .errors import BoundTooSmall, NotDecaying, NotInvertible, StateExplosion
 
 __all__ = [
@@ -220,9 +220,7 @@ def shadowing_holds(sys, delta, epsilon, cap=None):
         If the subset search would exceed the state cap
         (``DYNLAB_SUBSET_CAP``, default 2^20).
     """
-    delta, epsilon = as_fraction(delta), as_fraction(epsilon)
-    if epsilon <= 0 or delta <= 0:
-        raise ValueError("thresholds must be positive")
+    delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
     _, succ, step, allowed = next(_gap_structures(sys, (1,), delta, epsilon))
     walk = _die_search(succ, step, allowed, subset_cap(cap))
     if walk is None:
@@ -296,20 +294,14 @@ def _warn_if_bound_blind(longest, bound, label):
         )
 
 
-def _require_bound(bound):
-    """Refuse a closed-walk length bound below 1."""
-    if bound < 1:
-        raise ValueError(f"length bound must be at least 1, got {bound}")
-
-
 def _gap_graphs(sys, delta, epsilon, gaps, bound, label):
-    """Validate a closed-chain question once, then yield (n, succ, step,
-    allowed) of :func:`_gap_structures` for each n in ``gaps``, warning
-    BoundTooSmall where a gap graph's closed walks outrun ``bound``;
-    ``label``, formatted with the gap n, names the graph."""
-    _require_bound(bound)
-    if delta <= 0 or epsilon <= 0:
-        raise ValueError("thresholds must be positive")
+    """Refuse a ``bound`` below 1 or a threshold that is not positive
+    (the one check on the periodic, closed-chain and pairwise paths),
+    then yield (n, succ, step, allowed) of :func:`_gap_structures` per n
+    in ``gaps``, warning BoundTooSmall where a gap graph's closed walks
+    outrun ``bound``; ``label``, formatted with the gap n, names it."""
+    _at_least(bound, 1, "length bound")
+    delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
     d_cut = sys.lt_cutoff(delta)
     for n, succ, step, allowed in _gap_structures(sys, gaps, delta, epsilon):
         longest = sys._memoized(("walks", d_cut, n),
@@ -488,9 +480,7 @@ def strong_shadow_point(sys, cycle_points, epsilon):
     divides N is such a tracer iff it shadows the sequence as a lasso
     cycle (:func:`~dynlab.core.shadows`).
     """
-    epsilon = as_fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = _positive(epsilon, "epsilon")
     k = len(cycle_points)
     if k == 0:
         raise ValueError("need a non-empty cyclic sequence")
@@ -532,7 +522,7 @@ def _decider(sys, prop, period_bound=8, cap=None):
               "strong-periodic": strong_periodic_shadowing_holds}.get(prop)
     if decide is None:
         raise ValueError(f"unknown property {prop!r}")
-    _require_bound(period_bound)
+    _at_least(period_bound, 1, "length bound")
     return lambda d, eps: decide(sys, d, eps, period_bound, cap)[0]
 
 
@@ -566,9 +556,7 @@ def _best_delta(sys, prop, eps, holds, last=None):
 
     BoundTooSmall is silenced: the answer is a threshold, and the
     warning is for single-cell calls."""
-    eps, grid = as_fraction(eps), threshold_grid(sys)
-    if eps <= 0:
-        raise ValueError("thresholds must be positive")
+    eps, grid = _positive(eps, "epsilon"), threshold_grid(sys)
     free = prop in ("shadowing", "periodic", "spec-weak") and (
         sys.lt_cutoff(eps) == len(sys.distance_values))
     with warnings.catch_warnings():

@@ -21,8 +21,9 @@ import math
 import warnings
 from fractions import Fraction
 
-from .core import (Lasso, _Record, _closed_walk_counts, _largest_passing,
-                   as_fraction, shadows, threshold_grid)
+from .core import (Lasso, _Record, _at_least, _closed_walk_counts,
+                   _largest_passing, _positive, as_fraction, shadows,
+                   threshold_grid)
 from .errors import BoundTooSmall, ModulusViolation, NotDecaying
 from .shadowing import (
     _die_search,
@@ -32,7 +33,6 @@ from .shadowing import (
     _gap_structures,
     _linear_envelope,
     _phase_tracer,
-    _require_bound,
     _table,
     periodic_shadowing_holds,
     strong_periodic_shadowing_holds,
@@ -102,11 +102,10 @@ def gap_values(sys, N):
 
     f^n, the gap graph, and the tracking windows repeat in n beyond
     T + P with period P (T = max preperiod, P = lcm of cycle lengths),
-    so [N, max(N+P, T+2P)) exhausts the quantifier.  N must be at
-    least 1.
+    so [N, max(N+P, T+2P)) exhausts the quantifier.  An N below 1 is
+    refused here, for every chain question that reads its gaps.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
+    _at_least(N, 1, "N")
     T, P = sys.max_preperiod, sys.cycle_lcm
     return range(N, max(N + P, T + 2 * P))
 
@@ -121,9 +120,7 @@ def local_weak_spec_holds(sys, epsilon, N, delta, cap=None):
     repeats one already searched in this call is skipped: its search
     would repeat a passing verdict.
     """
-    epsilon, delta = as_fraction(epsilon), as_fraction(delta)
-    if epsilon <= 0 or delta <= 0 or N < 1:
-        raise ValueError("need positive thresholds and N >= 1")
+    epsilon, delta = _positive(epsilon, "epsilon"), _positive(delta, "delta")
     gaps = gap_values(sys, N)
     cap = subset_cap(cap)
     for n, succ, step, allowed in _distinct(_gap_structures(sys, gaps, delta,
@@ -144,10 +141,13 @@ def trace_chain(sys, sources, gap, epsilon, periodic=False):
     """Scan all points for a tracer of the given chain, definitionally.
 
     With periodic=True the tracer must also satisfy f^(k*gap)(x) = x.
-    Returns a SpecCertificate or None.
+    Returns a SpecCertificate or None.  An empty chain, a gap below 1
+    and an epsilon that is not positive are refused before the scan.
     """
-    epsilon = as_fraction(epsilon)
     k = len(sources)
+    _at_least(k, 1, "number of sources")
+    _at_least(gap, 1, "gap")
+    epsilon = _positive(epsilon, "epsilon")
     for z in sys.points:
         if periodic and sys.apply(z, k * gap) != z:
             continue
@@ -186,7 +186,9 @@ def local_spec_holds(sys, epsilon, N, delta, k_bound=6, cap=None):
 
 def eta_modulus(sys, delta1, N):
     """Worst N-step spread of a pair closer than delta1:
-    max{ d(f^i(u), f^i(v)) : d(u,v) < delta1, 0 <= i <= N }."""
+    max{ d(f^i(u), f^i(v)) : d(u,v) < delta1, 0 <= i <= N }.  An N
+    below 0, whose horizon is empty, is refused."""
+    _at_least(N, 0, "N")
     cutoff = sys.lt_cutoff(as_fraction(delta1))
     rank, fmap = sys.rank, sys.fmap
     worst = 0  # the rank of distance 0
@@ -231,8 +233,7 @@ def blockify(sys, lasso, N, delta):
     """
     if lasso.two_sided:
         raise ValueError("blocking is a forward-time construction")
-    if N < 1:
-        raise ValueError("need N >= 1")
+    _at_least(N, 1, "N")
     delta = as_fraction(delta)
     blocked = _block_plain(sys, lasso, N)
     seams = len(blocked.stem) + len(blocked.cycle)
@@ -305,13 +306,12 @@ def _chain_decider(sys, variant, N=1, k_bound=6, cap=None):
     closed chains of length at most k_bound with periodic tracers.  An
     N or a k_bound below 1 is refused here, since the row rule may pass
     every cell undecided (:func:`~dynlab.shadowing._best_delta`)."""
-    if N < 1:
-        raise ValueError("need N >= 1")
+    _at_least(N, 1, "N")
     if variant == "weak":
         return lambda d, eps: local_weak_spec_holds(sys, eps, N, d, cap)[0]
     if variant != "full":
         raise ValueError(f"unknown property {variant!r}")
-    _require_bound(k_bound)
+    _at_least(k_bound, 1, "length bound")
     return lambda d, eps: local_spec_holds(sys, eps, N, d, k_bound, cap)[0]
 
 
@@ -340,8 +340,7 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     tracing table over the gaps n >= N (no lasso needed): the rows of
     :func:`~dynlab.shadowing._table` over :func:`_chain_decider` at N.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
+    _at_least(N, 1, "N")
     if variant == "lipschitz":
         envelope = _linear_envelope(_table(
             sys, "spec-weak", _chain_decider(sys, "weak", N, cap=cap)))
@@ -451,9 +450,8 @@ def derived_periodic_shadowing(sys, epsilon, k_bound=6, cap=None):
     (N is always 1); when no grid parameters fit the hypothesis shape,
     "applicable" is False and nothing is asserted.
     """
-    epsilon = as_fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = _positive(epsilon, "epsilon")
+    _at_least(k_bound, 1, "length bound")
     grid = threshold_grid(sys)
     half = epsilon / 2
     with warnings.catch_warnings():

@@ -24,7 +24,8 @@ import math
 from fractions import Fraction
 
 from .core import (_DIGIT_BOUND, _MAX_POINTS, Lasso, _Record, _assemble,
-                   _check_budget, _check_size, _closed_walk_counts, _image)
+                   _at_least, _check_budget, _check_size, _closed_walk_counts,
+                   _image)
 from .errors import EmptyShift, HorizonExceeded
 
 __all__ = [
@@ -186,8 +187,7 @@ def periodic_points(sft, period):
     equals the trace of the ``period``-th power of the adjacency
     matrix; see :func:`periodic_point_count`.
     """
-    if period < 1:
-        raise ValueError("period must be >= 1")
+    _at_least(period, 1, "period")
     pts = {SymbolicPoint((), walk) for walk in _closed_walks(sft, period)}
     return tuple(sorted(pts, key=lambda p: (len(p.cycle), p.cycle)))
 
@@ -195,8 +195,7 @@ def periodic_points(sft, period):
 def periodic_point_count(sft, period):
     """trace(A^period) with exact integer arithmetic: the number of closed
     walks of length ``period`` in the transition graph."""
-    if period < 1:
-        raise ValueError("period must be >= 1")
+    _at_least(period, 1, "period")
     pos = {a: i for i, a in enumerate(sft.alphabet)}
     succ = [[pos[b] for b in sft.successors(a)] for a in sft.alphabet]
     return _closed_walk_counts(succ, period)[-1]
@@ -265,8 +264,7 @@ def window_system(sft, w):
     n^3 (w + 1) exceeds the metric-check budget: no such table passes
     it.
     """
-    if w < 1:
-        raise ValueError("window radius must be >= 1")
+    _at_least(w, 1, "window radius")
     n = _word_count(sft, 2 * w + 1, _MAX_POINTS + 1)
     _check_size(n, f"window radius {w}")
     # after _assemble divides out the common power of two, the widest

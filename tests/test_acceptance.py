@@ -79,6 +79,8 @@ LAW_02_CORPUS = (
     (3, 5, False, 8),
     (11, 6, False, 7),
     (4, 6, True, 7),
+    (5, 8, False, 6),
+    (14, 5, True, 8),
 )
 
 

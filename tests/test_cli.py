@@ -343,7 +343,16 @@ def test_best_delta_above_every_distance_refuses_gap_zero(capsys, tmp_path):
     code, out, err = run(capsys, "check", "spec", "--variant", "weak",
                          "--N", "0", "--epsilon", "100", "--system", path,
                          "--window", "1")
-    assert (code, out, err) == (2, "", "dynlab: need N >= 1\n")
+    assert (code, out, err) == (
+        2, "", "dynlab: N must be at least 1, got 0\n")
+
+
+def test_threshold_at_zero_is_refused_by_name(capsys, tmp_path):
+    path = emit_x32(capsys, tmp_path)
+    code, out, err = run(capsys, "check", "shadowing", "--delta", "0",
+                         "--epsilon", "1", "--system", path, "--window", "1")
+    assert (code, out, err) == (
+        2, "", "dynlab: delta must be positive, got 0\n")
 
 
 def test_one_point_system_refuses_a_length_bound_of_zero(capsys, tmp_path):

@@ -64,7 +64,7 @@ def check_against_brute(sys, max_len):
 
 # stem+cycle bounds by system size at which the listing oracle takes
 # about a second on the law-02 corpus
-LISTING_BOUND = {2: 12, 3: 9, 4: 7, 5: 6, 6: 5}
+LISTING_BOUND = {2: 12, 3: 9, 4: 7, 5: 6, 6: 5, 8: 5}
 
 
 def test_state_oracle_matches_the_lasso_listing():

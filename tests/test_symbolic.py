@@ -159,7 +159,8 @@ def test_product_edges_match_the_all_pairs_loop():
 def test_periodic_point_count_rejects_periods_below_one():
     sft = two_loop_shift()
     for period in (0, -1):
-        with pytest.raises(ValueError, match="period must be >= 1"):
+        with pytest.raises(ValueError, match=(
+                f"^period must be at least 1, got {period}$")):
             periodic_point_count(sft, period)
 
 
