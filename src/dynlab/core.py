@@ -950,28 +950,69 @@ def _strong_components(succ):
 
 def _closed_walk_counts(succ, m, primitive=False):
     """Closed walks of each length 1..m (entry k-1 for length k) of the
-    digraph with edges {(v, w) : w in succ[v]}, i.e. trace(A^k): walk
-    counts from each start are pushed forward as exact integers.
+    digraph with edges {(v, w) : w in succ[v]}, i.e. trace(A^k); a
+    repeated successor is one edge.
+
+    The walks of all starts are pushed at once, in packed integer fields
+    (the idiom of :func:`_triangles_hold`): ``at[v]`` is one int whose
+    W-bit field r counts the walks of the current length from r to v,
+    and one step sets ``at[v]`` to the sum of ``at[u]`` over the
+    predecessors u of v.  Masking field v of each ``at[v]`` gathers the
+    diagonal of A^k into one int, and halving folds, each adding the
+    upper half of its fields onto the lower half, sum it to trace(A^k)
+    in linear time, where one product with a 1 in every field would cost
+    a full multiplication of n*W-bit ints.  W is the bit length of the
+    largest number of walks of one length k <= m (at least n, the walks
+    of length 0), counted first by the same push on plain ints, or n
+    itself when no vertex has two successors.  That number bounds every
+    entry of A^k and every partial sum of trace(A^k), so no field
+    carries into the next.
 
     With ``primitive``, count only the closed walks w with w[0] = min(w)
-    that repeat no shorter walk.  Walks from each start r then stay
-    inside the vertices >= r.  Such a walk of length k is the (k/d)-th
-    power of exactly one primitive one of length d, for one d dividing
-    k, so subtracting the primitive counts of the proper divisors
-    leaves the primitive walks."""
+    that repeat no shorter walk.  Each step clears the fields r > v of
+    ``at[v]``, so walks from r stay inside the vertices >= r.  Such a
+    walk of length k is the (k/d)-th power of exactly one primitive one
+    of length d, for one d dividing k, so subtracting the primitive
+    counts of the proper divisors leaves the primitive walks."""
     succ = [set(out) for out in succ]
-    counts = [0] * m
-    for start in range(len(succ)):
-        floor = start if primitive else 0
-        layer = {start: 1}
-        for k in range(m):
-            nxt = {}
-            for v, walks in layer.items():
-                for w in succ[v]:
-                    if w >= floor:
-                        nxt[w] = nxt.get(w, 0) + walks
-            layer = nxt
-            counts[k] += layer.get(start, 0)
+    n = len(succ)
+    if not n:
+        return [0] * m
+    preds = [[] for _ in succ]
+    for u, out in enumerate(succ):
+        for v in out:
+            preds[v].append(u)
+    # a vertex with one predecessor reads it directly
+    preds = [p[0] if len(p) == 1 else p for p in preds]
+
+    def push(at):
+        return [at[p] if type(p) is int else sum(map(at.__getitem__, p))
+                for p in preds]
+
+    most = n
+    if any(len(out) > 1 for out in succ):
+        at = [1] * n
+        for _ in range(m):
+            at = push(at)
+            most = max(most, sum(at))
+    width = most.bit_length()
+    shifts = range(0, n * width, width)
+    at = [1 << s for s in shifts]
+    diag = [((1 << width) - 1) << s for s in shifts]
+    low = [(1 << s + width) - 1 for s in shifts]
+    folds, fields = [], n
+    while fields > 1:
+        fields -= fields // 2
+        folds.append((fields * width, (1 << fields * width) - 1))
+    counts = []
+    for _ in range(m):
+        at = push(at)
+        if primitive:
+            at = list(map(int.__and__, at, low))
+        trace = sum(map(int.__and__, at, diag))
+        for shift, mask in folds:
+            trace = (trace & mask) + (trace >> shift)
+        counts.append(trace)
     if primitive:
         for k in range(2, m + 1):
             counts[k - 1] -= sum(counts[d - 1] for d in range(1, k)

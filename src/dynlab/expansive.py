@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .core import (_Record, _at_least, _largest_passing, _positive,
-                   as_fraction, threshold_grid)
+                   threshold_grid)
 from .errors import NotInvertible
 
 __all__ = [
@@ -248,7 +248,7 @@ def stable_sets(sys, x, epsilon, include_unstable=None):
     invertible; True demands them (NotInvertible otherwise); False
     skips them.
     """
-    epsilon = as_fraction(epsilon)
+    epsilon = _positive(epsilon, "epsilon")
     if include_unstable is None:
         include_unstable = sys.invertible
     elif include_unstable and not sys.invertible:
@@ -278,7 +278,7 @@ def theorem_stableset_check(sys, epsilon):
     system :func:`stable_sets` makes the local unstable set the local
     stable one, and both global sets the point alone (f^(T+P) is a
     bijection)."""
-    epsilon = as_fraction(epsilon)
+    epsilon = _positive(epsilon, "epsilon")
     for p in sys.periodic_indices():
         sets = stable_sets(sys, sys.points[p], epsilon)
         if not set(sets.s_local) <= set(sets.s_global):

@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import (_Record, _image, _largest_passing, _strong_components,
-                   as_fraction, threshold_grid)
+from .core import (_Record, _image, _largest_passing, _positive,
+                   _strong_components, threshold_grid)
 from .expansive import _eventual_images, strong_measure_expansive_holds
 from .shadowing import DeltaGraph
 
@@ -90,7 +90,7 @@ def chain_graph(sys, delta):
     multivalued stepper can realise; for plain systems it coincides with
     the delta step graph used by the tracing procedures.
     """
-    delta = as_fraction(delta)
+    delta = _positive(delta, "delta")
     near = sys._balls(sys.lt_cutoff(delta))
     return DeltaGraph(delta, tuple(_members(_image(out, near))
                                    for out in _step_masks(sys)))

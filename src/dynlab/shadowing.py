@@ -86,7 +86,8 @@ class DeltaGraph(_Record):
 
 
 def delta_graph(sys, delta):
-    delta = as_fraction(delta)  # the step graph is the gap graph at gap 1
+    delta = _positive(delta, "delta")
+    # the step graph is the gap graph at gap 1
     return DeltaGraph(delta, next(_gap_structures(sys, (1,), delta, delta))[1])
 
 
@@ -241,7 +242,7 @@ def construct_shadow_point(sys, lasso, epsilon):
     intersection at index 0 is empty (two-sided).  Both halves are those
     of :func:`~dynlab.core.shadows`, run once per point.
     """
-    epsilon = as_fraction(epsilon)
+    epsilon = _positive(epsilon, "epsilon")
     cutoff = sys.lt_cutoff(epsilon)
     misses, behind = [], []
     for i, z in enumerate(sys.points):

@@ -189,7 +189,7 @@ def eta_modulus(sys, delta1, N):
     max{ d(f^i(u), f^i(v)) : d(u,v) < delta1, 0 <= i <= N }.  An N
     below 0, whose horizon is empty, is refused."""
     _at_least(N, 0, "N")
-    cutoff = sys.lt_cutoff(as_fraction(delta1))
+    cutoff = sys.lt_cutoff(_positive(delta1, "delta1"))
     rank, fmap = sys.rank, sys.fmap
     worst = 0  # the rank of distance 0
     for a in range(sys.n):
@@ -234,7 +234,7 @@ def blockify(sys, lasso, N, delta):
     if lasso.two_sided:
         raise ValueError("blocking is a forward-time construction")
     _at_least(N, 1, "N")
-    delta = as_fraction(delta)
+    delta = _positive(delta, "delta")
     blocked = _block_plain(sys, lasso, N)
     seams = len(blocked.stem) + len(blocked.cycle)
     all_terms = []
@@ -265,7 +265,7 @@ def spec_to_shadow_point(sys, lasso, N, epsilon, cap=None):
     and the returned point is re-verified against the original lasso
     the same way.
     """
-    epsilon = as_fraction(epsilon)
+    epsilon = _positive(epsilon, "epsilon")
     half = epsilon / 2
     grid = threshold_grid(sys)
     err = max(

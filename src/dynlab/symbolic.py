@@ -194,7 +194,12 @@ def periodic_points(sft, period):
 
 def periodic_point_count(sft, period):
     """trace(A^period) with exact integer arithmetic: the number of closed
-    walks of length ``period`` in the transition graph."""
+    walks of length ``period`` in the transition graph.
+
+    Counted by :func:`~dynlab.core._closed_walk_counts`, which pushes
+    the walk counts of every start at once in packed integer fields;
+    the tests check it against dense matrix powers
+    (``tests/oracles.py``, ``dense_closed_walk_counts``)."""
     _at_least(period, 1, "period")
     pos = {a: i for i, a in enumerate(sft.alphabet)}
     succ = [[pos[b] for b in sft.successors(a)] for a in sft.alphabet]

@@ -30,6 +30,9 @@ step relation.  ``metric_violation_reference``
 is the library's earlier metric check, the Fraction loop over every
 triple, and ``unstable_local_reference`` its earlier backward scan of
 the local unstable set over one lcm of all cycle lengths.
+``pushed_closed_walk_counts`` is the library's earlier closed-walk
+count, one dict push per start, kept to check the packed push of all
+starts at once that replaced it.
 ``myex_table_reference``, ``random_table_reference`` and
 ``window_table_reference`` are the gallery's and the window builder's
 earlier Fraction tables, kept to check the integer tables that replaced
@@ -466,6 +469,33 @@ def dense_closed_walk_counts(succ, m):
             power = [[sum(power[i][l] * mat[l][j] for l in range(n))
                       for j in range(n)] for i in range(n)]
         counts.append(sum(power[i][i] for i in range(n)))
+    return counts
+
+
+def pushed_closed_walk_counts(succ, m, primitive=False):
+    """The library's earlier closed-walk count: a dict of walk counts
+    pushed forward from each start in turn, one start at a time.
+
+    With ``primitive``, walks from each start r stay inside the vertices
+    >= r, and the primitive counts of the proper divisors are
+    subtracted, as in the library."""
+    succ = [set(out) for out in succ]
+    counts = [0] * m
+    for start in range(len(succ)):
+        floor = start if primitive else 0
+        layer = {start: 1}
+        for k in range(m):
+            nxt = {}
+            for v, walks in layer.items():
+                for w in succ[v]:
+                    if w >= floor:
+                        nxt[w] = nxt.get(w, 0) + walks
+            layer = nxt
+            counts[k] += layer.get(start, 0)
+    if primitive:
+        for k in range(2, m + 1):
+            counts[k - 1] -= sum(counts[d - 1] for d in range(1, k)
+                                 if k % d == 0)
     return counts
 
 

@@ -1,10 +1,19 @@
 """The private digraph and primality helpers against definitional routes.
 
-Strong components are compared with mutual reachability, closed-walk
-counts with traces of dense matrix powers, primitive least-rooted counts
-with a walk listing, and trial division with a sieve.  A fresh
-interpreter also checks that ``import dynlab`` loads nothing outside
-the standard library.
+Strong components are compared with mutual reachability and trial
+division with a sieve.  Closed walks are counted by
+``core._closed_walk_counts``, which pushes the walk counts of all starts
+at once in packed integer fields, one field per start.  Its counts are
+compared with traces of dense matrix powers
+(``oracles.dense_closed_walk_counts``), with the earlier one-start dict
+push (``oracles.pushed_closed_walk_counts``) in both modes, and, for
+the primitive least-rooted counts, with a walk listing
+(``oracles._closed_walks_of_graph``).  Closed forms whose walk count
+sets the field width exactly (a directed cycle, a looped vertex, the
+cycles of a map) fail when the field is one bit narrower: a partial
+sum of the trace then carries into the next field, as on the 3-, 6-
+and 7-cycles.  A fresh interpreter also checks that ``import dynlab``
+loads nothing outside the standard library.
 """
 
 import json
@@ -16,13 +25,17 @@ import sys
 from hypothesis import given, settings, strategies as st
 
 import dynlab
+from dynlab.battery import periodic_spectrum
 from dynlab.core import _closed_walk_counts, _strong_components
 from dynlab.gallery import _is_prime
+from dynlab.symbolic import Sft, periodic_point_count
 
+from helpers import cycle_system, myex_system, seeded_corpus, stem_into_cycle
 from oracles import (
     _closed_walks_of_graph,
     dense_closed_walk_counts,
     mutual_reachability_classes,
+    pushed_closed_walk_counts,
     sieve_primes,
 )
 
@@ -64,18 +77,75 @@ def test_strong_components_on_long_paths_and_cycles():
 
 
 @untimed
-@given(digraphs, st.integers(1, 7))
+@given(digraphs, st.integers(1, 12))
 def test_closed_walk_counts_are_traces_of_matrix_powers(succ, m):
     assert _closed_walk_counts(succ, m) == dense_closed_walk_counts(succ, m)
 
 
 @untimed
-@given(digraphs.filter(lambda succ: len(succ) <= 7), st.integers(1, 6))
-def test_primitive_counts_match_the_least_rooted_listing(succ, m):
+@given(digraphs, st.integers(1, 12), st.booleans())
+def test_closed_walk_counts_match_the_one_start_push(succ, m, primitive):
+    assert _closed_walk_counts(succ, m, primitive) == (
+        pushed_closed_walk_counts(succ, m, primitive))
+
+
+def check_primitive_counts(succ, m):
     succ = [sorted(set(out)) for out in succ]
     listed = [len(_closed_walks_of_graph(succ, k, math.inf, [0]))
               for k in range(1, m + 1)]
     assert _closed_walk_counts(succ, m, primitive=True) == listed
+
+
+@untimed
+@given(digraphs.filter(lambda succ: len(succ) <= 7), st.integers(1, 6))
+def test_primitive_counts_match_the_least_rooted_listing(succ, m):
+    check_primitive_counts(succ, m)
+
+
+def check_primitive_listing():
+    # the full 2-shift: a walk rooted at 1 that dips to 0 is not counted
+    check_primitive_counts([[0, 1], [0, 1]], 6)
+    check_primitive_counts([[1], [0, 2], [1, 2]], 6)
+
+
+def test_primitive_counts_on_small_shifts():
+    check_primitive_listing()
+
+
+def check_closed_forms():
+    # one walk of each length from every vertex of a cycle or a loop, so
+    # the p closed walks of a p-cycle set the field width exactly
+    for p in range(2, 10):
+        cycle = [[(v + 1) % p] for v in range(p)]
+        assert _closed_walk_counts(cycle, 12) == [
+            p if k % p == 0 else 0 for k in range(1, 13)]
+    assert _closed_walk_counts([[0]], 12) == [1] * 12
+    # a relation: the complete digraph with loops, n^k closed walks
+    for n in range(1, 5):
+        complete = [list(range(n)) * 2 for _ in range(n)]
+        assert _closed_walk_counts(complete, 12) == [
+            n ** k for k in range(1, 13)]
+
+
+def test_closed_walk_counts_of_cycles_loops_and_complete_digraphs():
+    check_closed_forms()
+    # a shift built with no letters has no closed walks
+    assert periodic_point_count(Sft((), frozenset()), 3) == 0
+
+
+def check_map_spectra():
+    # a map's period-k points are the periodic z whose cycle length
+    # divides k
+    systems = [cycle_system(7), stem_into_cycle(), myex_system(5, 3),
+               *seeded_corpus(9, 8)]
+    for sys_ in systems:
+        lengths = [len(sys_.cycle(z)) for z in sys_.periodic_indices()]
+        assert periodic_spectrum(sys_, 12) == {
+            str(k): sum(k % c == 0 for c in lengths) for k in range(1, 13)}
+
+
+def test_periodic_spectrum_of_maps_counts_periodic_points():
+    check_map_spectra()
 
 
 def test_is_prime_matches_a_sieve():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynlab import (cli, core, gallery, recurrence, shadowing,
+from dynlab import (battery, cli, core, gallery, recurrence, shadowing,
                     specification, symbolic)
 from dynlab.core import FiniteSystem, threshold_grid
 from dynlab.gallery import build_random_system, build_xpq
@@ -35,6 +35,7 @@ from test_specification import check_gap_range
 from test_core import check_two_sided_shadows
 from test_spread import check_spread
 from test_tracing_kernel import check_gap_structures
+import test_digraph
 import test_symbolic
 
 
@@ -176,6 +177,26 @@ def test_triangle_fields_one_bit_narrow(monkeypatch):
           "bit_length() + 1")
     with pytest.raises(AssertionError):
         check_packed_triangles()
+
+
+def test_walk_fields_one_bit_narrow(monkeypatch):
+    # the p closed walks of a p-cycle set the field width exactly
+    test_digraph.check_closed_forms()
+    test_digraph.check_map_spectra()
+    plant(monkeypatch, [core, battery, test_digraph], "_closed_walk_counts",
+          "most.bit_length()", "most.bit_length() - 1")
+    with pytest.raises(AssertionError):
+        test_digraph.check_closed_forms()
+    with pytest.raises(AssertionError):
+        test_digraph.check_map_spectra()
+
+
+def test_primitive_mask_keeping_the_next_field(monkeypatch):
+    test_digraph.check_primitive_listing()
+    plant(monkeypatch, [core, test_digraph], "_closed_walk_counts",
+          "(1 << s + width) - 1", "(1 << s + 2 * width) - 1")
+    with pytest.raises(AssertionError):
+        test_digraph.check_primitive_listing()
 
 
 def test_tracking_window_one_step_short(monkeypatch):

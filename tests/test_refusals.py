@@ -25,17 +25,21 @@ from dynlab.core import Lasso, _Record
 from dynlab.errors import EmptyShift, NotInvertible
 from dynlab.gallery import (build_myex, build_product_truncation,
                             build_random_system, build_xpq)
-from dynlab.expansive import gamma_set, n_expansive_constant
-from dynlab.recurrence import (cp_construction, cyclic_decomposition,
-                               is_transitive, spectral_decomposition)
-from dynlab.shadowing import (modulus_table, shadowing_holds,
+from dynlab.expansive import (gamma_set, n_expansive_constant, stable_sets,
+                              theorem_stableset_check)
+from dynlab.recurrence import (chain_graph, cp_construction,
+                               cyclic_decomposition, is_transitive,
+                               spectral_decomposition)
+from dynlab.shadowing import (construct_shadow_point, delta_graph,
+                              modulus_table, shadowing_holds,
                               shadowing_modulus, special_shadowing_holds,
                               strong_shadow_point,
                               two_sided_limit_shadowing_check)
 from dynlab.specification import (blockify, derived_periodic_shadowing,
                                   eta_modulus, generalized_spec_checks,
                                   local_weak_spec_holds,
-                                  modulus_table_for_spec, trace_chain)
+                                  modulus_table_for_spec,
+                                  spec_to_shadow_point, trace_chain)
 from dynlab.symbolic import (Sft, SymbolicPoint, build_sft, periodic_points,
                              product_system, window_system)
 
@@ -91,9 +95,18 @@ REFUSALS = {
     "threshold-at-zero": (
         lambda sys: gamma_set(sys, "z", 0),
         ValueError, "delta must be positive, got 0"),
+    "stable-sets-at-zero-epsilon": (
+        lambda sys: stable_sets(sys, "z", 0),
+        ValueError, "epsilon must be positive, got 0"),
+    "stable-set-theorem-at-negative-epsilon": (
+        lambda sys: theorem_stableset_check(sys, -1),
+        ValueError, "epsilon must be positive, got -1"),
     "n-expansive-constant-at-zero": (
         lambda sys: n_expansive_constant(sys, 0),
         ValueError, "n must be at least 1, got 0"),
+    "chain-graph-at-negative-delta": (
+        lambda sys: chain_graph(sys, -1),
+        ValueError, "delta must be positive, got -1"),
     "basic-set-leaving-itself": (
         lambda sys: cyclic_decomposition(sys, ("s0", "s1")),
         ValueError, "a member has no step inside it"),
@@ -109,6 +122,12 @@ REFUSALS = {
     "shadowing-at-zero-delta": (
         lambda sys: shadowing_holds(sys, 0, 1),
         ValueError, "delta must be positive, got 0"),
+    "step-graph-at-zero-delta": (
+        lambda sys: delta_graph(sys, 0),
+        ValueError, "delta must be positive, got 0"),
+    "shadow-point-at-zero-epsilon": (
+        lambda sys: construct_shadow_point(sys, FIXED, 0),
+        ValueError, "epsilon must be positive, got 0"),
     "strong-shadow-at-zero-epsilon": (
         lambda sys: strong_shadow_point(sys, ["z"], 0),
         ValueError, "epsilon must be positive, got 0"),
@@ -146,6 +165,12 @@ REFUSALS = {
     "blocking-a-two-sided-lasso": (
         lambda sys: blockify(sys, TWO_SIDED, 1, 1),
         ValueError, "blocking is a forward-time construction"),
+    "blocking-at-zero-delta": (
+        lambda sys: blockify(sys, FIXED, 1, 0),
+        ValueError, "delta must be positive, got 0"),
+    "chain-route-shadow-at-zero-epsilon": (
+        lambda sys: spec_to_shadow_point(sys, FIXED, 1, 0),
+        ValueError, "epsilon must be positive, got 0"),
     "unknown-spec-table-property": (
         lambda sys: modulus_table_for_spec(sys, "limit"),
         ValueError, "unknown property 'limit'"),
@@ -178,6 +203,9 @@ REFUSALS = {
     "spread-over-a-negative-horizon": (
         lambda sys: eta_modulus(sys, 1, -1),
         ValueError, "N must be at least 0, got -1"),
+    "spread-modulus-at-zero-delta": (
+        lambda sys: eta_modulus(sys, 0, 1),
+        ValueError, "delta1 must be positive, got 0"),
     "random-system-of-no-points": (
         lambda sys: build_random_system(1, 0),
         ValueError, "size must be at least 1, got 0"),
