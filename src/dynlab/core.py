@@ -238,12 +238,13 @@ class FiniteSystem:
     scale : int
         The common denominator of the distances, so that
         ``dist[i][j] == Fraction(scaled[i][j], scale)``.
+    levels : tuple of int
+        The distinct entries of ``scaled``, ascending.
     distance_values : tuple of Fraction
-        The distinct distances, ascending.
+        The distinct distances, ascending: ``levels`` over ``scale``.
     rank : tuple of tuple of int
         ``rank[i][j]`` is the position of ``dist[i][j]`` in
-        ``distance_values``.  Both are built once, from the sorted
-        distinct integers of ``scaled``.
+        ``distance_values``.  Both are built once, from ``levels``.
     fmap : tuple of int
         ``fmap[i]`` is the index of the image of point ``i``.
     invertible : bool
@@ -265,11 +266,12 @@ class FiniteSystem:
         self.relation = None if relation is None else tuple(
             tuple(sorted(succ)) for succ in relation
         )
-        levels = sorted(set(itertools.chain.from_iterable(self.scaled)))
-        pos = {d: r for r, d in enumerate(levels)}
+        self.levels = tuple(sorted(set(
+            itertools.chain.from_iterable(self.scaled))))
+        pos = {d: r for r, d in enumerate(self.levels)}
         self.rank = tuple(tuple(map(pos.__getitem__, row))
                           for row in self.scaled)
-        self.distance_values = tuple(Fraction(d, scale) for d in levels)
+        self.distance_values = tuple(Fraction(d, scale) for d in self.levels)
         self._memo = {}  # threshold structures, see _memoized
 
     # -- basic queries -------------------------------------------------
@@ -425,12 +427,13 @@ class FiniteSystem:
         """The memo entry ``key``, made by ``build()`` on first use.
 
         The memo holds the threshold structures every tracing question
-        at the same cutoffs shares: the grid, balls, gap windows, tracer
-        masks and component sizes; and two entries with no cutoff, the
-        admissible steps as successor bitmasks (``("steps",)``, read by
-        every recurrence question) and the eventual images of the stable
-        sets and of the C_p parts (``("eventual",)``).  A key
-        is a name followed by integer cutoffs and gaps, never a Fraction,
+        at the same cutoffs shares: the grid and its cutoffs, balls, gap
+        windows, tracer masks, component sizes and closed-chain counts;
+        and two entries with no cutoff, the admissible steps as
+        successor bitmasks (``("steps",)``, read by every recurrence
+        question) and the eventual images of the stable sets and of the
+        C_p parts (``("eventual",)``).  A key is a name followed by
+        integer cutoffs, gaps and bounds, never a Fraction,
         and an entry is immutable (tuples, ints, the frozen grid), so
         callers share it.  No search verdict is memoized."""
         try:
@@ -453,12 +456,21 @@ class FiniteSystem:
             for row in self.rank))
 
     def lt_cutoff(self, q):
-        """Number of distance values < q, so d < q iff rank(d) < cutoff."""
-        return bisect_left(self.distance_values, q)
+        """Number of distance values < q, so d < q iff rank(d) < cutoff.
+
+        Counted on ``levels`` in integers: a level is below q * scale iff
+        it is below the ceiling of q * scale, read off the numerator and
+        denominator of the rational q with no Fraction comparison."""
+        return bisect_left(self.levels,
+                           -(-q.numerator * self.scale // q.denominator))
 
     def le_cutoff(self, q):
-        """Number of distance values <= q, so d <= q iff rank(d) < cutoff."""
-        return bisect_right(self.distance_values, q)
+        """Number of distance values <= q, so d <= q iff rank(d) < cutoff.
+
+        Counted on ``levels`` in integers, as :meth:`lt_cutoff`: a level
+        is at most q * scale iff it is at most its floor."""
+        return bisect_right(self.levels,
+                            q.numerator * self.scale // q.denominator)
 
     @property
     def max_distance(self):

@@ -32,6 +32,15 @@ All answers are deterministic: searches expand states in (length,
 lexicographic) order, so the reported counterexample is the first
 failing walk in that order, completed into a lasso by the true orbit
 of its last vertex.
+
+The searches take delta and epsilon as integer cutoffs.  A public
+single-cell call refuses bad input, converts its thresholds, runs the
+search, scans the gap graphs for :class:`BoundTooSmall` and builds the
+certificate.  A best-threshold table decides its cells on the grid's
+cutoffs and keeps only each verdict (:func:`_decider`,
+:func:`_best_delta`): the same search at the same cap, so the same
+verdict and the same :class:`StateExplosion`, but no record and no
+scan, and so no warning.
 """
 
 from __future__ import annotations
@@ -87,8 +96,9 @@ class DeltaGraph(_Record):
 
 def delta_graph(sys, delta):
     delta = _positive(delta, "delta")
+    cut = sys.lt_cutoff(delta)
     # the step graph is the gap graph at gap 1
-    return DeltaGraph(delta, next(_gap_structures(sys, (1,), delta, delta))[1])
+    return DeltaGraph(delta, next(_gap_structures(sys, (1,), cut, cut))[1])
 
 
 class ShadowCertificate(_Record):
@@ -107,23 +117,24 @@ class ShadowCertificate(_Record):
     point: object | None = None
 
 
-def _gap_structures(sys, gaps, delta, epsilon):
+def _gap_structures(sys, gaps, d_cut, e_cut):
     """Yield (n, succ, step, allowed) for each n of the ascending range
     ``gaps``: the gap graph (x -> y iff d(f^n(x), y) < delta), the n-step
     map, and the bitmask windows allowed[v] = {z : d(f^i(z), f^i(v)) <
-    epsilon for 0 <= i < n}.  At n = 1 the gap graph is the delta step
-    graph and the windows are the epsilon-balls.
+    epsilon for 0 <= i < n}, with delta and epsilon given by their
+    cutoffs ``d_cut`` and ``e_cut`` (see
+    :meth:`~dynlab.core.FiniteSystem.lt_cutoff`).  At n = 1 the gap
+    graph is the delta step graph and the windows are the epsilon-balls.
 
-    Map and windows depend on epsilon only through its cutoff.  The
-    system's memo keeps them per epsilon cutoff as one tuple of layers,
-    layer i holding f^i and the windows at gap i, carried forward one
-    step at a time as far as some call has reached, but never past gap
-    T + P (T the largest preperiod, P the lcm of the cycle lengths):
-    from there on f^n = f^(T + (n - T) mod P) and the windows are those
-    at T + P, since every constraint d(f^i(z), f^i(v)) < epsilon with
-    i >= T + P repeats one at i - P.  A call reads the layers it needs
-    and extends the tuple when it needs more."""
-    d_cut, e_cut = sys.lt_cutoff(delta), sys.lt_cutoff(epsilon)
+    The system's memo keeps map and windows per epsilon cutoff as one
+    tuple of layers, layer i holding f^i and the windows at gap i,
+    carried forward one step at a time as far as some call has reached,
+    but never past gap T + P (T the largest preperiod, P the lcm of the
+    cycle lengths): from there on f^n = f^(T + (n - T) mod P) and the
+    windows are those at T + P, since every constraint d(f^i(z),
+    f^i(v)) < epsilon with i >= T + P repeats one at i - P.  A call
+    reads the layers it needs and extends the tuple when it needs
+    more."""
     near, key = sys._near(d_cut), ("windows", e_cut)
     T, P = sys.max_preperiod, sys.cycle_lcm
     for n in gaps:
@@ -199,13 +210,19 @@ def _die_search(succ, step, allowed, cap):
     return None
 
 
-def _complete_walk(sys, walk):
-    """Extend a finite index walk into a lasso by the true orbit of its
-    end: the orbit of f(end) before its cycle, then that cycle."""
-    prefixes, cycles = sys._orbits
-    nxt = sys.fmap[walk[-1]]
-    return Lasso(stem=tuple(sys.points[i] for i in (*walk, *prefixes[nxt])),
-                 cycle=tuple(sys.points[i] for i in cycles[nxt]))
+def _first_dying_chain(sys, d_cut, e_cut, gaps, cap):
+    """The first chain (n, walk) of the gap graphs at the cutoffs
+    ``d_cut`` and ``e_cut``, in (gap, length, lex) order, along which
+    the viable set empties (:func:`_die_search`, each gap with its own
+    ``cap``), or None.  A gap whose structure repeats one already
+    searched is skipped (:func:`_distinct`).  At gaps (1,) this is the
+    shadowing search."""
+    for n, succ, step, allowed in _distinct(_gap_structures(sys, gaps, d_cut,
+                                                          e_cut)):
+        walk = _die_search(succ, step, allowed, cap)
+        if walk is not None:
+            return n, walk
+    return None
 
 
 def shadowing_holds(sys, delta, epsilon, cap=None):
@@ -222,11 +239,16 @@ def shadowing_holds(sys, delta, epsilon, cap=None):
         (``DYNLAB_SUBSET_CAP``, default 2^20).
     """
     delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
-    _, succ, step, allowed = next(_gap_structures(sys, (1,), delta, epsilon))
-    walk = _die_search(succ, step, allowed, subset_cap(cap))
-    if walk is None:
+    dying = _first_dying_chain(sys, sys.lt_cutoff(delta),
+                               sys.lt_cutoff(epsilon), (1,), subset_cap(cap))
+    if dying is None:
         return True, None
-    lasso = _complete_walk(sys, walk)
+    # the dying walk, completed into a lasso by the true orbit of its
+    # end: the orbit of f(end) before its cycle, then that cycle
+    walk, (prefixes, cycles) = dying[1], sys._orbits
+    nxt = sys.fmap[walk[-1]]
+    lasso = Lasso(stem=tuple(sys.points[i] for i in (*walk, *prefixes[nxt])),
+                  cycle=tuple(sys.points[i] for i in cycles[nxt]))
     return False, ShadowCertificate(
         "counterexample", delta, epsilon, lasso, dying_step=len(walk) - 1
     )
@@ -295,19 +317,17 @@ def _warn_if_bound_blind(longest, bound, label):
         )
 
 
-def _gap_graphs(sys, delta, epsilon, gaps, bound, label):
-    """Refuse a ``bound`` below 1 or a threshold that is not positive
-    (the one check on the periodic, closed-chain and pairwise paths),
-    then yield (n, succ, step, allowed) of :func:`_gap_structures` per n
-    in ``gaps``, warning BoundTooSmall where a gap graph's closed walks
-    outrun ``bound``; ``label``, formatted with the gap n, names it."""
-    _at_least(bound, 1, "length bound")
-    delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
-    d_cut = sys.lt_cutoff(delta)
-    for n, succ, step, allowed in _gap_structures(sys, gaps, delta, epsilon):
-        longest = sys._memoized(("walks", d_cut, n),
-                                lambda: _longest_primitive_walk(succ))
-        _warn_if_bound_blind(longest, bound, label.format(n=n))
+def _gap_graphs(sys, d_cut, e_cut, gaps, bound, label):
+    """Yield (n, succ, step, allowed) of :func:`_gap_structures` per n in
+    ``gaps``.  With a ``label``, which single-cell calls give, warn
+    BoundTooSmall where a gap graph's closed walks outrun ``bound``;
+    the label, formatted with the gap n, names it.  Table cells give
+    none: their verdicts answer a threshold, and no walk is scanned."""
+    for n, succ, step, allowed in _gap_structures(sys, gaps, d_cut, e_cut):
+        if label is not None:
+            longest = sys._memoized(("walks", d_cut, n),
+                                    lambda: _longest_primitive_walk(succ))
+            _warn_if_bound_blind(longest, bound, label.format(n=n))
         yield n, succ, step, allowed
 
 
@@ -355,10 +375,12 @@ def _tracer_masks(periodic, step, allowed, bound):
     return tuple(masks)
 
 
-def _first_untraced_chain(sys, delta, epsilon, gaps, bound, cap, label,
-                          exact):
-    """The first closed chain (n, walk) of the gap graphs, in (gap,
-    length, lex) order, that no periodic point traces, or None.
+def _first_untraced_chain(sys, d_cut, e_cut, gaps, bound, cap, exact,
+                          label):
+    """The first closed chain (n, walk) of the gap graphs at the cutoffs
+    ``d_cut`` and ``e_cut``, in (gap, length, lex) order, that no
+    periodic point traces, or None.  ``label`` is that of
+    :func:`_gap_graphs`: single-cell calls give one, table cells none.
 
     Breadth-first search over tracer sets.  A state of gap n is (root r,
     vertex v >= r, S) reached by a walk of length k from r, where the
@@ -384,12 +406,10 @@ def _first_untraced_chain(sys, delta, epsilon, gaps, bound, cap, label,
     never exceeds the walk prefixes a listing of those closed walks
     would visit.
     """
-    cap = subset_cap(cap)
-    periodic = sys.periodic_indices()
-    e_cut, balls = sys.lt_cutoff(epsilon), sys._balls(sys.lt_cutoff(delta))
+    periodic, balls = sys.periodic_indices(), sys._balls(d_cut)
     visited = 0
     for n, succ, step, allowed in _distinct(_gap_graphs(
-            sys, delta, epsilon, gaps, bound, label)):
+            sys, d_cut, e_cut, gaps, bound, label)):
         masks = sys._memoized(("masks", e_cut, n, bound),
                               lambda: _tracer_masks(periodic, step, allowed,
                                                     bound))
@@ -435,11 +455,16 @@ def _first_untraced_chain(sys, delta, epsilon, gaps, bound, cap, label,
     return None
 
 
-def _periodic_variant_holds(sys, delta, epsilon, period_bound, strong, cap):
+def _periodic_variant_holds(sys, delta, epsilon, period_bound, strong, cap,
+                            label):
+    """The verdict and certificate of the (strong) periodic search at
+    one cell; ``label`` as in :func:`_gap_graphs`."""
     delta, epsilon = as_fraction(delta), as_fraction(epsilon)
+    _at_least(period_bound, 1, "length bound")
+    delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
     untraced = _first_untraced_chain(
-        sys, delta, epsilon, (1,), period_bound, cap,
-        "strong periodic" if strong else "periodic", exact=strong)
+        sys, sys.lt_cutoff(delta), sys.lt_cutoff(epsilon), (1,),
+        period_bound, subset_cap(cap), strong, label)
     if untraced is None:
         return True, None
     lasso = Lasso(cycle=tuple(sys.points[i] for i in untraced[1]))
@@ -460,14 +485,16 @@ def periodic_shadowing_holds(sys, delta, epsilon, period_bound, cap=None):
     warning when the step graph provably has cycles longer than the
     bound.
     """
-    return _periodic_variant_holds(sys, delta, epsilon, period_bound, False, cap)
+    return _periodic_variant_holds(sys, delta, epsilon, period_bound, False,
+                                   cap, "periodic")
 
 
 def strong_periodic_shadowing_holds(sys, delta, epsilon, period_bound, cap=None):
     """Like :func:`periodic_shadowing_holds`, but the tracer must have the
     same period as the pseudo-orbit (f^N(x) = x for declared period N).
     Same tracer-set search and cap count."""
-    return _periodic_variant_holds(sys, delta, epsilon, period_bound, True, cap)
+    return _periodic_variant_holds(sys, delta, epsilon, period_bound, True,
+                                   cap, "strong periodic")
 
 
 def strong_shadow_point(sys, cycle_points, epsilon):
@@ -499,7 +526,8 @@ class ModulusTable(_Record):
 
     ``rows`` is a tuple of (epsilon, delta) pairs, epsilon ascending
     over the positive threshold grid, delta the best (largest) grid
-    delta at which the property holds, or None.  The specification
+    delta at which the property holds: never None, since the
+    sub-minimal delta passes by definition.  The specification
     tables ("spec-weak", "spec-full") hold their best delta at gap
     requirement N = 1, where every row has one.
     """
@@ -512,19 +540,26 @@ class ModulusTable(_Record):
 
 
 def _decider(sys, prop, period_bound=8, cap=None):
-    """The cell predicate holds(delta, eps) of the table ``prop``:
+    """The cell predicate holds(d_cut, e_cut) of the table ``prop``:
     "shadowing", "periodic" or "strong-periodic" (the chain tables'
-    rule is :func:`~dynlab.specification._chain_decider`).  A period
-    bound below 1 is refused here, since the row rule may pass every
-    cell undecided (:func:`_best_delta`)."""
+    rule is :func:`~dynlab.specification._chain_decider`).  It takes the
+    cutoffs of delta and epsilon and returns the verdict of the search
+    that the single-cell call runs (:func:`_first_dying_chain`,
+    :func:`_first_untraced_chain`), at the same cap, read once here: no
+    certificate is built and no walk is scanned for BoundTooSmall.  A
+    period bound below 1 is refused here, since the row rule may pass
+    every cell undecided (:func:`_best_delta`)."""
     if prop == "shadowing":
-        return lambda d, eps: shadowing_holds(sys, d, eps, cap)[0]
-    decide = {"periodic": periodic_shadowing_holds,
-              "strong-periodic": strong_periodic_shadowing_holds}.get(prop)
-    if decide is None:
+        cap = subset_cap(cap)
+        return lambda d_cut, e_cut: _first_dying_chain(
+            sys, d_cut, e_cut, (1,), cap) is None
+    exact = {"periodic": False, "strong-periodic": True}.get(prop)
+    if exact is None:
         raise ValueError(f"unknown property {prop!r}")
     _at_least(period_bound, 1, "length bound")
-    return lambda d, eps: decide(sys, d, eps, period_bound, cap)[0]
+    cap = subset_cap(cap)
+    return lambda d_cut, e_cut: _first_untraced_chain(
+        sys, d_cut, e_cut, (1,), period_bound, cap, exact, None) is None
 
 
 def shadowing_modulus(sys, epsilon, cap=None):
@@ -538,16 +573,23 @@ def shadowing_modulus(sys, epsilon, cap=None):
                        _decider(sys, "shadowing", cap=cap))
 
 
-def _best_delta(sys, prop, eps, holds, last=None):
-    """The largest grid delta with ``holds(delta, eps)``, or None, by
-    bisection, for the property ``prop`` (a table name of :func:`_table`).
-    Every delta up to ``last``, one known to pass, passes undecided, and
-    so do two kinds of sentinel cell, by definition:
+def _best_delta(sys, prop, eps, holds, last=0):
+    """The largest grid delta whose cell passes at ``eps``, by bisection,
+    for the property ``prop`` (a table name of :func:`_table`).
 
-    - delta at or below the least positive distance, in every table:
-      every delta-pseudo-orbit and every gap-n chain is then a true
-      orbit segment and traces itself, and a closed one is traced by a
-      point of its exact period;
+    The rule reads integers only.  The positive grid is the sub-minimal
+    value, the positive distances and the top value, so its i-th value
+    has the cutoff max(i, 1): the bisection runs over the positions,
+    which are the cutoffs from position 1 on, and a cell is decided by
+    ``holds(d_cut, e_cut)``, with the cutoff of ``eps`` computed once.
+    Every delta with a cutoff up to ``last``, that of a delta known to
+    pass, passes undecided, and so do two kinds of sentinel cell, by
+    definition:
+
+    - delta at or below the least positive distance (cutoff at most 1),
+      in every table: every delta-pseudo-orbit and every gap-n chain is
+      then a true orbit segment and traces itself, and a closed one is
+      traced by a point of its exact period;
     - epsilon above every distance, in the "shadowing", "periodic" and
       "spec-weak" tables: every orbit then epsilon-traces every
       sequence, and a finite self-map has a periodic point.  The
@@ -555,16 +597,17 @@ def _best_delta(sys, prop, eps, holds, last=None):
       search there, since a closed walk can have no tracer of its
       period.
 
-    BoundTooSmall is silenced: the answer is a threshold, and the
-    warning is for single-cell calls."""
-    eps, grid = _positive(eps, "epsilon"), threshold_grid(sys)
+    So the sub-minimal delta always passes.  The cells answer a
+    threshold, not a verdict each: the deciders scan no walk for
+    BoundTooSmall, and nothing warns."""
+    e_cut = sys.lt_cutoff(_positive(eps, "epsilon"))
+    grid = threshold_grid(sys).positive
     free = prop in ("shadowing", "periodic", "spec-weak") and (
-        sys.lt_cutoff(eps) == len(sys.distance_values))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundTooSmall)
-        return _largest_passing(grid.positive, lambda d: (
-            free or sys.lt_cutoff(d) <= 1
-            or last is not None and d <= last or holds(d, eps)))
+        e_cut == len(sys.distance_values))
+    # position 0, the sub-minimal value, passes as a cutoff of 1 does
+    best = _largest_passing(range(len(grid)), lambda d_cut: (
+        free or d_cut <= 1 or d_cut <= last or holds(d_cut, e_cut)))
+    return grid[best]
 
 
 def _table(sys, prop, holds):
@@ -572,13 +615,14 @@ def _table(sys, prop, holds):
     by :func:`_best_delta`.
 
     A delta that passes at epsilon passes at every larger epsilon, so
-    each row carries the previous row's best as passing.  The cells
-    decided are a subset of those of rows bisected alone, in the same
-    order, and the rows are the same."""
-    rows, last = [], None
+    each row carries the previous row's best, by its cutoff, as
+    passing.  The cells decided are a subset of those of rows bisected
+    alone, in the same order, and the rows are the same."""
+    rows, last = [], 0
     for eps in threshold_grid(sys).positive:
-        last = _best_delta(sys, prop, eps, holds, last)
-        rows.append((eps, last))
+        best = _best_delta(sys, prop, eps, holds, last)
+        rows.append((eps, best))
+        last = sys.lt_cutoff(best)
     return ModulusTable(prop, tuple(rows))
 
 

@@ -18,20 +18,18 @@ n in [N, max(N+P, T+2P)) covers every n >= N.  The bound is reported.
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 
 from .core import (Lasso, _Record, _at_least, _closed_walk_counts,
                    _largest_passing, _positive, as_fraction, shadows,
                    threshold_grid)
-from .errors import BoundTooSmall, ModulusViolation, NotDecaying
+from .errors import ModulusViolation, NotDecaying
 from .shadowing import (
-    _die_search,
-    _distinct,
+    _first_dying_chain,
     _first_untraced_chain,
     _gap_graphs,
-    _gap_structures,
     _linear_envelope,
+    _periodic_variant_holds,
     _phase_tracer,
     _table,
     periodic_shadowing_holds,
@@ -97,6 +95,9 @@ class SpecCertificate(_Record):
         )
 
 
+_CHAIN_LABEL = "closed chains at gap {n}"
+
+
 def gap_values(sys, N):
     """All gap lengths n >= N with distinct behavior, as an exact range.
 
@@ -122,19 +123,14 @@ def local_weak_spec_holds(sys, epsilon, N, delta, cap=None):
     """
     epsilon, delta = _positive(epsilon, "epsilon"), _positive(delta, "delta")
     gaps = gap_values(sys, N)
-    cap = subset_cap(cap)
-    for n, succ, step, allowed in _distinct(_gap_structures(sys, gaps, delta,
-                                                          epsilon)):
-        walk = _die_search(succ, step, allowed, cap)
-        if walk is not None:
-            chain = SpecInstance(
-                sources=tuple(sys.points[i] for i in walk),
-                gap=n,
-                closed=False,
-                delta=delta,
-            )
-            return False, {"gap_range": gaps, "counterexample": chain}
-    return True, {"gap_range": gaps}
+    dying = _first_dying_chain(sys, sys.lt_cutoff(delta),
+                               sys.lt_cutoff(epsilon), gaps, subset_cap(cap))
+    if dying is None:
+        return True, {"gap_range": gaps}
+    n, walk = dying
+    chain = SpecInstance(sources=tuple(sys.points[i] for i in walk), gap=n,
+                         closed=False, delta=delta)
+    return False, {"gap_range": gaps, "counterexample": chain}
 
 
 def trace_chain(sys, sources, gap, epsilon, periodic=False):
@@ -174,8 +170,11 @@ def local_spec_holds(sys, epsilon, N, delta, k_bound=6, cap=None):
     """
     epsilon, delta = as_fraction(epsilon), as_fraction(delta)
     gaps = gap_values(sys, N)
-    untraced = _first_untraced_chain(sys, delta, epsilon, gaps, k_bound, cap,
-                                     "closed chains at gap {n}", exact=True)
+    _at_least(k_bound, 1, "length bound")
+    delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
+    untraced = _first_untraced_chain(
+        sys, sys.lt_cutoff(delta), sys.lt_cutoff(epsilon), gaps, k_bound,
+        subset_cap(cap), True, _CHAIN_LABEL)
     if untraced is None:
         return True, {"gap_range": gaps}
     n, walk = untraced
@@ -301,18 +300,27 @@ def spec_to_shadow_point(sys, lasso, N, epsilon, cap=None):
 
 
 def _chain_decider(sys, variant, N=1, k_bound=6, cap=None):
-    """The cell predicate holds(delta, eps) of the table "spec-<variant>"
-    at the gaps n >= N: "weak" quantifies over open chains, "full" over
-    closed chains of length at most k_bound with periodic tracers.  An
-    N or a k_bound below 1 is refused here, since the row rule may pass
-    every cell undecided (:func:`~dynlab.shadowing._best_delta`)."""
-    _at_least(N, 1, "N")
+    """The cell predicate holds(d_cut, e_cut) of the table
+    "spec-<variant>" at the gaps n >= N: "weak" quantifies over open
+    chains, "full" over closed chains of length at most k_bound with
+    periodic tracers.  It takes the cutoffs of delta and epsilon and
+    returns the verdict of the search that :func:`local_weak_spec_holds`
+    or :func:`local_spec_holds` runs, at the same cap, read once here:
+    no chain record is built and no gap graph is scanned for
+    BoundTooSmall.  An N or a k_bound below 1 is refused here, since
+    the row rule may pass every cell undecided
+    (:func:`~dynlab.shadowing._best_delta`)."""
+    gaps = gap_values(sys, N)
     if variant == "weak":
-        return lambda d, eps: local_weak_spec_holds(sys, eps, N, d, cap)[0]
+        cap = subset_cap(cap)
+        return lambda d_cut, e_cut: _first_dying_chain(
+            sys, d_cut, e_cut, gaps, cap) is None
     if variant != "full":
         raise ValueError(f"unknown property {variant!r}")
     _at_least(k_bound, 1, "length bound")
-    return lambda d, eps: local_spec_holds(sys, eps, N, d, k_bound, cap)[0]
+    cap = subset_cap(cap)
+    return lambda d_cut, e_cut: _first_untraced_chain(
+        sys, d_cut, e_cut, gaps, k_bound, cap, True, None) is None
 
 
 def modulus_table_for_spec(sys, prop="weak", k_bound=6, cap=None):
@@ -398,10 +406,19 @@ def pairwise_tracing_chain(sys, delta, epsilon, k_bound=6, cap=None):
     link plus "holds" for their conjunction.
     """
     delta, epsilon = as_fraction(delta), as_fraction(epsilon)
+    _at_least(k_bound, 1, "length bound")
+    delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
+    d_cut = sys.lt_cutoff(delta)
     checked = 0
-    for _, succ, _, _ in _gap_graphs(sys, delta, epsilon, gap_values(sys, 1),
-                                     k_bound, "closed chains at gap {n}"):
-        checked += sum(_closed_walk_counts(succ, k_bound, primitive=True))
+    for n, succ, _, _ in _gap_graphs(sys, d_cut, sys.lt_cutoff(epsilon),
+                                     gap_values(sys, 1), k_bound,
+                                     _CHAIN_LABEL):
+        # a count of graph structure, not a verdict: kept in the memo
+        key = ("chain counts", d_cut, n, k_bound)
+        if key not in sys._memo:
+            sys._memo[key] = sum(_closed_walk_counts(succ, k_bound,
+                                                     primitive=True))
+        checked += sys._memo[key]
     chain_ok = local_spec_holds(sys, epsilon, 1, delta, k_bound, cap)[0]
     periodic_ok = periodic_shadowing_holds(sys, delta, epsilon, k_bound, cap)[0]
     exact_ok = strong_periodic_shadowing_holds(
@@ -449,27 +466,31 @@ def derived_periodic_shadowing(sys, epsilon, k_bound=6, cap=None):
     (delta1, epsilon).  Returns the parameters and the confirmation
     (N is always 1); when no grid parameters fit the hypothesis shape,
     "applicable" is False and nothing is asserted.
+
+    The delta scan asks the cell predicate of the "spec-full" table
+    (:func:`_chain_decider`), and the confirmation runs the search of
+    periodic_shadowing_holds and builds its certificate.  The answer is
+    a transfer of thresholds, so, as in the tables, no gap graph is
+    scanned for BoundTooSmall and nothing warns.
     """
     epsilon = _positive(epsilon, "epsilon")
     _at_least(k_bound, 1, "length bound")
     grid = threshold_grid(sys)
     half = epsilon / 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundTooSmall)
-        # top-down: a bisection would decide other cells, which can hit
-        # the cap
-        delta = next((delta for delta in reversed(grid.positive)
-                      if delta < half
-                      and local_spec_holds(sys, half, 1, delta, k_bound,
-                                           cap)[0]), None)
-        if delta is None:
-            return {"applicable": False, "epsilon": epsilon}
-        # eta only grows with delta1 and is 0 below the least distance
-        delta1 = _largest_passing(
-            grid.positive, lambda v: eta_modulus(sys, v, 1) < delta)
-        eta = eta_modulus(sys, delta1, 1)
-        holds, certificate = periodic_shadowing_holds(
-            sys, delta1, epsilon, k_bound, cap)
+    spec = _chain_decider(sys, "full", 1, k_bound, cap)
+    h_cut = sys.lt_cutoff(half)
+    # top-down: a bisection would decide other cells, which can hit the cap
+    delta = next((delta for delta in reversed(grid.positive)
+                  if delta < half and spec(sys.lt_cutoff(delta), h_cut)),
+                 None)
+    if delta is None:
+        return {"applicable": False, "epsilon": epsilon}
+    # eta only grows with delta1 and is 0 below the least distance
+    delta1 = _largest_passing(
+        grid.positive, lambda v: eta_modulus(sys, v, 1) < delta)
+    eta = eta_modulus(sys, delta1, 1)
+    holds, certificate = _periodic_variant_holds(sys, delta1, epsilon, k_bound,
+                                                 False, cap, None)
     return {
         "applicable": True,
         "epsilon": epsilon,

@@ -32,7 +32,10 @@ triple, and ``unstable_local_reference`` its earlier backward scan of
 the local unstable set over one lcm of all cycle lengths.
 ``pushed_closed_walk_counts`` is the library's earlier closed-walk
 count, one dict push per start, kept to check the packed push of all
-starts at once that replaced it.
+starts at once that replaced it.  ``lt_cutoff_reference`` and
+``le_cutoff_reference`` are the library's earlier threshold cutoffs, a
+bisection of the Fraction distance values, kept to check the integer
+cutoffs on the scaled levels that replaced them.
 ``myex_table_reference``, ``random_table_reference`` and
 ``window_table_reference`` are the gallery's and the window builder's
 earlier Fraction tables, kept to check the integer tables that replaced
@@ -50,6 +53,7 @@ import itertools
 import math
 import random
 import warnings
+from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 
@@ -296,6 +300,16 @@ def orbit_spread_reference(sys):
                 u, v = sys.fmap[u], sys.fmap[v]
             spread[a][b] = spread[b][a] = worst
     return spread
+
+
+def lt_cutoff_reference(sys, q):
+    """Number of distance values < q, by bisecting the Fractions."""
+    return bisect_left(sys.distance_values, q)
+
+
+def le_cutoff_reference(sys, q):
+    """Number of distance values <= q, by bisecting the Fractions."""
+    return bisect_right(sys.distance_values, q)
 
 
 def metric_violation_reference(points, dist):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlab.core import (
     FiniteSystem,
@@ -16,6 +17,7 @@ from dynlab.core import (
     threshold_grid,
 )
 from dynlab.errors import MetricViolation, NotABijection, NotInvertible
+from dynlab.gallery import build_random_system
 
 from helpers import (
     all_lassos,
@@ -26,6 +28,7 @@ from helpers import (
     unrolled_pseudo_orbit,
     unrolled_shadows,
 )
+from oracles import le_cutoff_reference, lt_cutoff_reference
 
 
 def test_metric_validation_triangle():
@@ -230,3 +233,26 @@ def test_as_fraction_bounds_the_digit_count():
     assert str(as_fraction("1e-4299")) == "1/1" + "0" * 4299
     assert str(as_fraction("-1e4299")) == "-1" + "0" * 4299
     assert str(as_fraction("9" * 4000 + "e300")) == "9" * 4000 + "0" * 300
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10 ** 6), st.integers(1, 7), st.booleans(), st.data())
+def test_integer_cutoffs_match_the_fraction_bisection(seed, size, invertible,
+                                                      data):
+    # at every distance, between distances, at the grid's sentinels, a
+    # hair off each distance (a denominator longer than the scale) and
+    # at a drawn rational
+    sys = build_random_system(seed, size, invertible)
+    values, grid = sys.distance_values, threshold_grid(sys)
+    hair = Fraction(1, sys.scale * data.draw(st.integers(2, 10 ** 12)))
+    thresholds = {Fraction(0), *values, grid.submin, grid.top,
+                  *((a + b) / 2 for a, b in zip(values, values[1:])),
+                  *(v + side * hair for v in values for side in (-1, 1)),
+                  data.draw(st.fractions(0, 2 * grid.top,
+                                         max_denominator=10 ** 15))}
+    for q in thresholds:
+        assert sys.lt_cutoff(q) == lt_cutoff_reference(sys, q), q
+        assert sys.le_cutoff(q) == le_cutoff_reference(sys, q), q
+    # the tables bisect the positive grid on its positions, the cutoffs
+    assert [sys.lt_cutoff(q) for q in grid.positive] == [
+        max(i, 1) for i in range(len(grid.positive))]

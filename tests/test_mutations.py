@@ -30,7 +30,8 @@ from test_metric import (check_built_as_reference, check_metric,
                          check_packed_triangles)
 from test_records import check_records
 from test_battery import check_order_laws, two_loop_window
-from test_shadowing import check_failed_at_is_the_dying_step, check_tables
+from test_shadowing import (check_failed_at_is_the_dying_step, check_tables,
+                            check_table_verdicts)
 from test_specification import check_gap_range
 from test_core import check_two_sided_shadows
 from test_spread import check_spread
@@ -245,8 +246,8 @@ def test_satellite_offset_one_over_k_plus_one(monkeypatch):
 
 def test_table_carry_one_grid_step_past_the_previous_best(monkeypatch):
     check_tables(build_random_system(1, 3))
-    plant(monkeypatch, [shadowing, cli], "_best_delta", "d <= last",
-          "grid.positive.index(d) <= grid.positive.index(last) + 1")
+    plant(monkeypatch, [shadowing, cli], "_best_delta", "d_cut <= last",
+          "d_cut <= last + 1")
     with pytest.raises(AssertionError):
         check_tables(build_random_system(1, 3))
 
@@ -267,9 +268,19 @@ def test_table_any_tracer_rule_on_the_exact_period_tables(monkeypatch):
 def test_table_submin_rule_one_distance_too_far(monkeypatch):
     check_tables(two_loop_window())
     plant(monkeypatch, [shadowing, cli], "_best_delta",
-          "sys.lt_cutoff(d) <= 1", "sys.lt_cutoff(d) <= 2")
+          "d_cut <= 1", "d_cut <= 2")
     with pytest.raises(AssertionError):
         check_tables(two_loop_window())
+
+
+def test_table_verdict_ignoring_the_exact_period(monkeypatch):
+    # the strong periodic cells at the top epsilon fail there, and pass
+    # when any periodic tracer will do
+    check_table_verdicts(two_loop_window())
+    plant(monkeypatch, [shadowing], "_decider", '"strong-periodic": True',
+          '"strong-periodic": False')
+    with pytest.raises(AssertionError):
+        check_table_verdicts(two_loop_window())
 
 
 def test_weak_spec_rule_deciding_periodic_shadowing(monkeypatch):
@@ -279,8 +290,9 @@ def test_weak_spec_rule_deciding_periodic_shadowing(monkeypatch):
     check_order_laws(sys)
     check_tables(sys)
     plant(monkeypatch, [specification], "_chain_decider",
-          "local_weak_spec_holds(sys, eps, N, d, cap)[0]",
-          "periodic_shadowing_holds(sys, d, eps, k_bound, cap)[0]")
+          "_first_dying_chain(\n            sys, d_cut, e_cut, gaps, cap)",
+          "_first_untraced_chain(sys, d_cut, e_cut, (1,), k_bound, cap,"
+          " False, None)")
     with pytest.raises(AssertionError):
         check_order_laws(sys)
     with pytest.raises(AssertionError):
@@ -337,7 +349,7 @@ def check_step_only_cells():
 
 def test_gap_skip_keyed_on_the_step_map_alone(monkeypatch):
     check_step_only_cells()
-    plant(monkeypatch, [shadowing, specification], "_distinct",
+    plant(monkeypatch, [shadowing], "_distinct",
           "key = structure[2:]", "key = structure[2]")
     with pytest.raises(AssertionError):
         check_step_only_cells()

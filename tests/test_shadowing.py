@@ -1,6 +1,8 @@
 """Subset-construction tracing decisions versus definitional brute force."""
 
+import ast
 import itertools
+import pathlib
 import random
 import warnings
 from fractions import Fraction
@@ -8,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dynlab
 from dynlab import shadowing, specification
 from dynlab.core import Lasso, build_finite_system, is_pseudo_orbit, shadows, threshold_grid
 from dynlab.errors import BoundTooSmall, NotDecaying, StateExplosion
@@ -411,12 +414,14 @@ def test_random_spot_checks_certificates():
 
 TABLES = ("shadowing", "periodic", "strong-periodic", "spec-weak", "spec-full")
 
+# the public single-cell decision of each table, which the references
+# call
 DECISIONS = (
-    (shadowing, "shadowing_holds"),
-    (shadowing, "periodic_shadowing_holds"),
-    (shadowing, "strong_periodic_shadowing_holds"),
-    (specification, "local_weak_spec_holds"),
-    (specification, "local_spec_holds"),
+    (shadowing, "shadowing_holds", "shadowing"),
+    (shadowing, "periodic_shadowing_holds", "periodic"),
+    (shadowing, "strong_periodic_shadowing_holds", "strong-periodic"),
+    (specification, "local_weak_spec_holds", "spec-weak"),
+    (specification, "local_spec_holds", "spec-full"),
 )
 
 
@@ -447,14 +452,33 @@ def check_tables(sys, bound=3):
 
 
 def log_cells(monkeypatch):
-    """Log (function, arguments after the system) of every decision call
-    made through the modules' public names."""
+    """Log (table, d_cut, e_cut) of every cell decided, with delta and
+    epsilon as their cutoffs: the library's tables decide a cell through
+    the predicate of ``shadowing._decider`` or
+    ``specification._chain_decider``, the references through the public
+    single-cell names, whose thresholds are logged as cutoffs."""
     cells = []
-    for module, name in DECISIONS:
-        def logged(sys, *args, _decide=getattr(module, name), _name=name):
-            cells.append((_name, args))
+    for module, name, table in DECISIONS:
+        def logged(sys, *args, _decide=getattr(module, name), _table=table):
+            delta, eps = cell_thresholds(_table, args)
+            cells.append((_table, sys.lt_cutoff(delta), sys.lt_cutoff(eps)))
             return _decide(sys, *args)
         monkeypatch.setattr(module, name, logged)
+
+    def logging(make, table_of):
+        def make_logged(sys, kind, *args, **kwargs):
+            holds, table = make(sys, kind, *args, **kwargs), table_of(kind)
+
+            def logged(d_cut, e_cut):
+                cells.append((table, d_cut, e_cut))
+                return holds(d_cut, e_cut)
+            return logged
+        return make_logged
+
+    monkeypatch.setattr(shadowing, "_decider",
+                        logging(shadowing._decider, str))
+    monkeypatch.setattr(specification, "_chain_decider",
+                        logging(specification._chain_decider, "spec-{}".format))
     return cells
 
 
@@ -484,20 +508,21 @@ def test_tables_decide_a_subset_of_the_carry_free_cells(sys, prop):
 ANY_TRACER_TABLES = ("shadowing", "periodic", "spec-weak")
 
 
-def cell_thresholds(name, args):
-    """(delta, epsilon) of a logged decision call: the spec decisions
+def cell_thresholds(table, args):
+    """(delta, epsilon) of a public decision call: the spec decisions
     take (epsilon, N, delta, ...), the others (delta, epsilon, ...)."""
-    if name.startswith("local"):
+    if table.startswith("spec-"):
         return args[2], args[0]
     return args[0], args[1]
 
 
 def searched_cells(sys, prop, bound):
-    """The (delta, epsilon) cells one table sends to a decision function."""
+    """The (d_cut, e_cut) cells one table decides."""
     with pytest.MonkeyPatch.context() as mp:
         cells = log_cells(mp)
         library_table(sys, prop, bound)
-    return [cell_thresholds(name, args) for name, args in cells]
+    assert {table for table, _, _ in cells} <= {prop}
+    return [(d_cut, e_cut) for _, d_cut, e_cut in cells]
 
 
 @settings(deadline=None, max_examples=40)
@@ -506,10 +531,9 @@ def test_tables_search_no_sentinel_cell_with_a_definitional_answer(sys, prop):
     # at delta up to the least positive distance every pseudo-orbit is an
     # orbit; above every distance any orbit traces, exact period aside
     top = len(sys.distance_values)
-    for delta, eps in searched_cells(sys, prop, 3):
-        assert sys.lt_cutoff(delta) > 1, (prop, delta)
-        assert prop not in ANY_TRACER_TABLES or sys.lt_cutoff(eps) < top, (
-            prop, eps)
+    for d_cut, e_cut in searched_cells(sys, prop, 3):
+        assert d_cut > 1, (prop, d_cut)
+        assert prop not in ANY_TRACER_TABLES or e_cut < top, (prop, e_cut)
 
 
 @settings(deadline=None, max_examples=30)
@@ -527,9 +551,95 @@ def test_single_row_moduli_answer_as_the_table_rows(sys):
             assert special_shadowing_holds(sys, eps, 3)[1] == {
                 "shadowing_delta": shadow[eps],
                 "periodic_delta": periodic[eps]}
-        for name, args in cells:
-            delta, cell_eps = cell_thresholds(name, args)
-            assert sys.lt_cutoff(delta) > 1 and sys.lt_cutoff(cell_eps) < top
+        for _, d_cut, e_cut in cells:
+            assert d_cut > 1 and e_cut < top
+
+
+def table_decider(sys, prop, bound, cap):
+    """The cell predicate of one of the five tables, bound as period and
+    k bound."""
+    if prop.startswith("spec-"):
+        return specification._chain_decider(sys, prop.removeprefix("spec-"),
+                                            1, bound, cap)
+    return shadowing._decider(sys, prop, bound, cap)
+
+
+def public_cell(sys, prop, d_cut, e_cut, bound, cap):
+    """The verdict of the public single-cell call of the table ``prop``
+    at the grid cell whose thresholds have the cutoffs given."""
+    cut = {sys.lt_cutoff(v): v for v in threshold_grid(sys).positive}
+    delta, eps = cut[d_cut], cut[e_cut]
+    if prop == "spec-weak":
+        return specification.local_weak_spec_holds(sys, eps, 1, delta, cap)[0]
+    if prop == "spec-full":
+        return specification.local_spec_holds(sys, eps, 1, delta, bound,
+                                              cap)[0]
+    if prop == "shadowing":
+        return shadowing_holds(sys, delta, eps, cap)[0]
+    decide = {"periodic": periodic_shadowing_holds,
+              "strong-periodic": strong_periodic_shadowing_holds}[prop]
+    return decide(sys, delta, eps, bound, cap)[0]
+
+
+def verdict(decide, *args):
+    """A cell's verdict, or the fields of its cap hit."""
+    try:
+        return decide(*args)
+    except StateExplosion as exc:
+        return "cap hit", exc.visited, exc.cap, exc.frontier_sample
+
+
+def check_table_verdicts(sys, bound=3):
+    """At every grid cell of the five tables, with no cap and at cap 40,
+    the table's predicate answers as the public single-cell call: the
+    same verdict, or the same cap hit."""
+    cuts = sorted({sys.lt_cutoff(v) for v in threshold_grid(sys).positive})
+    for prop in TABLES:
+        for cap in (None, 40):
+            holds = table_decider(sys, prop, bound, cap)
+            for d_cut, e_cut in itertools.product(cuts, cuts):
+                assert verdict(holds, d_cut, e_cut) == verdict(
+                    public_cell, sys, prop, d_cut, e_cut, bound, cap), (
+                    prop, cap, d_cut, e_cut)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_systems)
+def test_table_verdicts_match_the_public_verdicts(sys):
+    check_table_verdicts(sys)
+
+
+def test_tables_scan_no_walk_for_the_bound():
+    # single-cell calls on this system warn at bound 6 (see below); the
+    # tables, the single-row moduli and the derived transfer answer a
+    # threshold and scan no walk, so none warns
+    sys = build_random_system(3, 5, invertible=True)
+    with pytest.warns(BoundTooSmall):
+        periodic_shadowing_holds(sys, Fraction(7, 12), Fraction(13, 12), 6)
+    with pytest.warns(BoundTooSmall):
+        specification.local_spec_holds(sys, Fraction(13, 12), 1,
+                                       Fraction(7, 12), 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundTooSmall)
+        for prop in TABLES:
+            library_table(sys, prop, 6)
+        for eps in threshold_grid(sys).positive:
+            special_shadowing_holds(sys, eps, 6)
+            specification.derived_periodic_shadowing(sys, eps, 6)
+
+
+def test_the_library_silences_no_warning():
+    # the tables scan no walk for BoundTooSmall, so no path of the
+    # library needs a warnings filter
+    found = []
+    for path in sorted(pathlib.Path(dynlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "catch_warnings":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_only_exact_period_tables_search_above_every_distance():
@@ -541,7 +651,7 @@ def test_only_exact_period_tables_search_above_every_distance():
     for prop in TABLES:
         cells = searched_cells(sys, prop, 3)
         counts[prop] = len(cells)
-        assert any(eps == top for _, eps in cells) == (
+        assert any(e_cut == sys.lt_cutoff(top) for _, e_cut in cells) == (
             prop not in ANY_TRACER_TABLES), prop
         best = top if prop in ANY_TRACER_TABLES else Fraction(1, 4)
         assert library_table(sys, prop, 3)[-1] == (top, best), prop

@@ -10,6 +10,7 @@ from dynlab import specification
 from dynlab.core import Lasso, threshold_grid
 from dynlab.errors import BoundTooSmall, ModulusViolation
 from dynlab.shadowing import (
+    _gap_structures,
     lipschitz_constants,
     periodic_shadowing_holds,
     shadowing_holds,
@@ -17,7 +18,6 @@ from dynlab.shadowing import (
 )
 from dynlab.specification import (
     SpecCertificate,
-    _gap_structures,
     blockify,
     eta_modulus,
     gap_values,
@@ -63,7 +63,8 @@ def test_gap_structures_repeat_with_the_claimed_period():
         grid = threshold_grid(sys)
         delta, eps = grid.positive[1], grid.positive[-2]
         gaps = {n: rest for n, *rest in _gap_structures(
-            sys, range(1, T + 4 * P), delta, eps)}
+            sys, range(1, T + 4 * P), sys.lt_cutoff(delta),
+            sys.lt_cutoff(eps))}
         for n in range(T + P, T + 3 * P):
             assert gaps[n] == gaps[n + P]
 

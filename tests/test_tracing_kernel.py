@@ -75,7 +75,8 @@ def check_gap_structures(sys, cells):
     reached, horizon = {}, sys.max_preperiod + sys.cycle_lcm
     for delta, epsilon, N in cells:
         gaps = gap_values(sys, N)
-        yielded = list(shadowing._gap_structures(sys, gaps, delta, epsilon))
+        yielded = list(shadowing._gap_structures(
+            sys, gaps, sys.lt_cutoff(delta), sys.lt_cutoff(epsilon)))
         assert [n for n, _, _, _ in yielded] == list(gaps)
         for n, succ, step, allowed in yielded:
             assert step == tuple(sys.power(i, n) for i in range(sys.n))
@@ -179,20 +180,23 @@ def test_window_layers_stop_at_t_plus_p(monkeypatch):
     yielded = []
     carry = shadowing._gap_structures
 
-    def recording(sys, gaps, delta, epsilon):
-        for n, succ, step, allowed in carry(sys, gaps, delta, epsilon):
-            yielded.append((epsilon, n, step, allowed))
+    def recording(sys, gaps, d_cut, e_cut):
+        for n, succ, step, allowed in carry(sys, gaps, d_cut, e_cut):
+            yielded.append((e_cut, n, step, allowed))
             yield n, succ, step, allowed
 
-    monkeypatch.setattr(specification, "_gap_structures", recording)
+    monkeypatch.setattr(shadowing, "_gap_structures", recording)
     grid = threshold_grid(sys).positive
+    epsilons = (grid[0], grid[len(grid) // 2], grid[-1])
     # at the sub-minimal delta every chain is an orbit, so no gap fails
-    for epsilon in (grid[0], grid[len(grid) // 2], grid[-1]):
+    for epsilon in epsilons:
         assert local_weak_spec_holds(sys, epsilon, 1, grid[0])[0]
     assert max(n for _, n, _, _ in yielded) == T + 2 * P - 1
     assert all(len(layers) <= T + P + 1 for key, layers in sys._memo.items()
                if key[0] == "windows")
-    for epsilon, n, step, allowed in yielded:
+    at_cut = {sys.lt_cutoff(epsilon): epsilon for epsilon in epsilons}
+    for e_cut, n, step, allowed in yielded:
+        epsilon = at_cut[e_cut]
         assert step == tuple(sys.power(i, n) for i in range(sys.n))
         assert (tuple(map(as_set, allowed))
                 == windows_reference(sys, n, epsilon)), (epsilon, n)
@@ -202,8 +206,9 @@ def test_window_layers_stop_at_t_plus_p(monkeypatch):
 @given(kernel_cells())
 def test_die_search_matches_the_frozenset_search(cell):
     sys, delta, epsilon, N = cell
-    for n, succ, step, allowed in _gap_structures(sys, gap_values(sys, N),
-                                                  delta, epsilon):
+    for n, succ, step, allowed in _gap_structures(
+            sys, gap_values(sys, N), sys.lt_cutoff(delta),
+            sys.lt_cutoff(epsilon)):
         sets = tuple(map(as_set, allowed))
         for cap in (None, 3, 20):
             bound = 2 ** 20 if cap is None else cap
