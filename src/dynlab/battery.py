@@ -53,11 +53,7 @@ from .recurrence import (_step_sets, hypothesis_report, is_transitive,
                          spectral_decomposition)
 from .serialize import _frac, decomposition_to_obj, fraction_str
 from .shadowing import modulus_table
-from .specification import (
-    derived_periodic_shadowing,
-    modulus_table_for_spec,
-    pairwise_tracing_chain,
-)
+from .specification import derived_periodic_shadowing, pairwise_tracing_chain
 
 __all__ = ["BATTERY_IDS", "run_theorem_battery", "periodic_spectrum"]
 
@@ -101,7 +97,7 @@ def _equivalence_battery(result, sys, period_bound, cap):
     result["rows"] = []
     tables = _cell(result, "modulus tables", lambda: (
         modulus_table(sys, "shadowing", cap=cap),
-        modulus_table_for_spec(sys, "weak", cap=cap)))
+        modulus_table(sys, "spec-weak", cap=cap)))
     if tables is None:
         return
     shad, weak = tables
@@ -190,9 +186,9 @@ def _matrix_battery(result, sys, period_bound, cap):
         hypotheses["transitive"] and hypotheses["strong_measure_expansive"])
     result["rows"] = []
     columns = _cell(result, "modulus tables", lambda: {
-        "local_spec": dict(modulus_table_for_spec(
-            sys, "full", k_bound=period_bound, cap=cap).rows),
-        "weak_spec": dict(modulus_table_for_spec(sys, "weak", cap=cap).rows),
+        "local_spec": dict(modulus_table(
+            sys, "spec-full", period_bound, cap).rows),
+        "weak_spec": dict(modulus_table(sys, "spec-weak", cap=cap).rows),
         "shadowing": dict(modulus_table(sys, "shadowing", cap=cap).rows),
         "strong_periodic": dict(modulus_table(
             sys, "strong-periodic", period_bound, cap).rows),

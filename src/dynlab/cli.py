@@ -55,7 +55,9 @@ from .serialize import (
     system_to_obj,
 )
 from .shadowing import (
+    _TABLES,
     _best_delta,
+    _decider,
     modulus_table,
     periodic_shadowing_holds,
     shadowing_holds,
@@ -63,11 +65,9 @@ from .shadowing import (
     strong_periodic_shadowing_holds,
 )
 from .specification import (
-    _chain_decider,
     generalized_spec_checks,
     local_spec_holds,
     local_weak_spec_holds,
-    modulus_table_for_spec,
 )
 from .symbolic import Sft, window_system
 
@@ -239,11 +239,10 @@ def _cmd_check_spec(args, sys_):
               "N": args.N, "k_bound": args.k_bound}
     if args.variant in ("weak", "full"):
         if args.delta is None:
-            best = _best_delta(sys_, f"spec-{args.variant}", epsilon,
-                               _chain_decider(sys_, args.variant, args.N,
-                                              args.k_bound))
-            code = 0 if best is not None else 1
-            return params, {"best_delta": _frac(best)}, code
+            prop = f"spec-{args.variant}"
+            best = _best_delta(sys_, prop, epsilon,
+                               _decider(sys_, prop, args.k_bound, N=args.N))
+            return params, {"best_delta": _frac(best)}, 0
         delta = as_fraction(args.delta)
         params["delta"] = fraction_str(delta)
         holds, info = (
@@ -311,11 +310,8 @@ def _cmd_battery(args, sys_):
 
 
 def _cmd_modulus(args, sys_):
-    if args.prop.startswith("spec-"):
-        table = modulus_table_for_spec(sys_, args.prop.removeprefix("spec-"),
-                                       k_bound=args.k_bound)
-    else:
-        table = modulus_table(sys_, args.prop, args.period_bound)
+    bound = args.k_bound if args.prop == "spec-full" else args.period_bound
+    table = modulus_table(sys_, args.prop, bound)
     if args.csv:
         _write(args.csv, modulus_csv(table))
     params = {"prop": args.prop, "period_bound": args.period_bound,
@@ -443,9 +439,7 @@ def build_parser():
 
     p = sub.add_parser("modulus", help="best-threshold table per epsilon")
     _add_common(p, _cmd_modulus)
-    p.add_argument("--prop", required=True,
-                   choices=("shadowing", "periodic", "strong-periodic",
-                            "spec-weak", "spec-full"))
+    p.add_argument("--prop", required=True, choices=tuple(_TABLES))
     p.add_argument("--period-bound", type=int, default=8, dest="period_bound")
     p.add_argument("--k-bound", type=int, default=6, dest="k_bound")
     p.add_argument("--csv", default=None,

@@ -63,6 +63,7 @@ __all__ = [
     "ModulusTable",
     "ShadowCertificate",
     "delta_graph",
+    "gap_values",
     "shadowing_holds",
     "shadowing_modulus",
     "construct_shadow_point",
@@ -81,10 +82,26 @@ DEFAULT_SUBSET_CAP = 2 ** 20
 
 
 def subset_cap(cap=None):
-    """Effective state cap: explicit argument, else DYNLAB_SUBSET_CAP, else 2^20."""
-    if cap is not None:
-        return cap
-    return int(os.environ.get("DYNLAB_SUBSET_CAP", DEFAULT_SUBSET_CAP))
+    """Effective state cap: explicit argument, else DYNLAB_SUBSET_CAP, else
+    2^20.  A cap below 1, from either source, is refused here, before
+    any search."""
+    if cap is None:
+        cap = int(os.environ.get("DYNLAB_SUBSET_CAP", DEFAULT_SUBSET_CAP))
+    _at_least(cap, 1, "state cap")
+    return cap
+
+
+def gap_values(sys, N):
+    """All gap lengths n >= N with distinct behavior, as an exact range.
+
+    f^n, the gap graph, and the tracking windows repeat in n beyond
+    T + P with period P (T = max preperiod, P = lcm of cycle lengths),
+    so [N, max(N+P, T+2P)) exhausts the quantifier.  An N below 1 is
+    refused here, for every chain question that reads its gaps.
+    """
+    _at_least(N, 1, "N")
+    T, P = sys.max_preperiod, sys.cycle_lcm
+    return range(N, max(N + P, T + 2 * P))
 
 
 class DeltaGraph(_Record):
@@ -539,27 +556,43 @@ class ModulusTable(_Record):
         return all(delta is not None for _, delta in self.rows)
 
 
-def _decider(sys, prop, period_bound=8, cap=None):
-    """The cell predicate holds(d_cut, e_cut) of the table ``prop``:
-    "shadowing", "periodic" or "strong-periodic" (the chain tables'
-    rule is :func:`~dynlab.specification._chain_decider`).  It takes the
+# The five best-threshold tables, by name: (exact, chains).  ``exact``
+# names the search that decides a cell: None the open-chain die search
+# (:func:`_first_dying_chain`), else the closed-chain search
+# (:func:`_first_untraced_chain`), whose tracer must have the walk's
+# exact period when True and may have any period when False.
+# ``chains``: the table's chains take every gap n >= N, not the step alone.
+_TABLES = {
+    "shadowing": (None, False),
+    "periodic": (False, False),
+    "strong-periodic": (True, False),
+    "spec-weak": (None, True),
+    "spec-full": (True, True),
+}
+
+
+def _decider(sys, prop, bound=8, cap=None, N=1):
+    """The cell predicate holds(d_cut, e_cut) of the table ``prop`` (see
+    ``_TABLES``), whose chains take the gaps n >= N.  It takes the
     cutoffs of delta and epsilon and returns the verdict of the search
-    that the single-cell call runs (:func:`_first_dying_chain`,
-    :func:`_first_untraced_chain`), at the same cap, read once here: no
-    certificate is built and no walk is scanned for BoundTooSmall.  A
-    period bound below 1 is refused here, since the row rule may pass
-    every cell undecided (:func:`_best_delta`)."""
-    if prop == "shadowing":
-        cap = subset_cap(cap)
-        return lambda d_cut, e_cut: _first_dying_chain(
-            sys, d_cut, e_cut, (1,), cap) is None
-    exact = {"periodic": False, "strong-periodic": True}.get(prop)
-    if exact is None:
+    that the single-cell call runs, over closed walks of length at most
+    ``bound`` where the table has them, at the same cap, read once here:
+    no certificate is built and no walk is scanned for BoundTooSmall.
+    An unknown name, an N below 1 and, for the closed-walk tables, a
+    bound below 1 are refused here, in that order, since the row rule
+    may pass every cell undecided (:func:`_best_delta`)."""
+    if prop not in _TABLES:
         raise ValueError(f"unknown property {prop!r}")
-    _at_least(period_bound, 1, "length bound")
+    exact, chains = _TABLES[prop]
+    gaps = gap_values(sys, N) if chains else (1,)
+    if exact is not None:
+        _at_least(bound, 1, "length bound")
     cap = subset_cap(cap)
+    if exact is None:
+        return lambda d_cut, e_cut: _first_dying_chain(
+            sys, d_cut, e_cut, gaps, cap) is None
     return lambda d_cut, e_cut: _first_untraced_chain(
-        sys, d_cut, e_cut, (1,), period_bound, cap, exact, None) is None
+        sys, d_cut, e_cut, gaps, bound, cap, exact, None) is None
 
 
 def shadowing_modulus(sys, epsilon, cap=None):
@@ -575,7 +608,7 @@ def shadowing_modulus(sys, epsilon, cap=None):
 
 def _best_delta(sys, prop, eps, holds, last=0):
     """The largest grid delta whose cell passes at ``eps``, by bisection,
-    for the property ``prop`` (a table name of :func:`_table`).
+    for the table ``prop`` (see ``_TABLES``).
 
     The rule reads integers only.  The positive grid is the sub-minimal
     value, the positive distances and the top value, so its i-th value
@@ -590,20 +623,19 @@ def _best_delta(sys, prop, eps, holds, last=0):
       in every table: every delta-pseudo-orbit and every gap-n chain is
       then a true orbit segment and traces itself, and a closed one is
       traced by a point of its exact period;
-    - epsilon above every distance, in the "shadowing", "periodic" and
-      "spec-weak" tables: every orbit then epsilon-traces every
-      sequence, and a finite self-map has a periodic point.  The
-      exact-period tables ("strong-periodic", "spec-full") still
-      search there, since a closed walk can have no tracer of its
-      period.
+    - epsilon above every distance, in the tables whose tracer may have
+      any period ("shadowing", "periodic", "spec-weak"): every orbit
+      then epsilon-traces every sequence, and a finite self-map has a
+      periodic point.  The exact-period tables ("strong-periodic",
+      "spec-full") still search there, since a closed walk can have no
+      tracer of its period.
 
     So the sub-minimal delta always passes.  The cells answer a
     threshold, not a verdict each: the deciders scan no walk for
     BoundTooSmall, and nothing warns."""
     e_cut = sys.lt_cutoff(_positive(eps, "epsilon"))
     grid = threshold_grid(sys).positive
-    free = prop in ("shadowing", "periodic", "spec-weak") and (
-        e_cut == len(sys.distance_values))
+    free = not _TABLES[prop][0] and e_cut == len(sys.distance_values)
     # position 0, the sub-minimal value, passes as a cutoff of 1 does
     best = _largest_passing(range(len(grid)), lambda d_cut: (
         free or d_cut <= 1 or d_cut <= last or holds(d_cut, e_cut)))
@@ -627,19 +659,23 @@ def _table(sys, prop, holds):
 
 
 def modulus_table(sys, prop, period_bound=8, cap=None):
-    """ModulusTable for prop in {"shadowing", "periodic", "strong-periodic"}:
-    rows by :func:`_table`, cells by :func:`_decider`."""
+    """ModulusTable for ``prop``, one of "shadowing", "periodic",
+    "strong-periodic", "spec-weak" and "spec-full", the chain tables at
+    N = 1: rows by :func:`_table`, cells by :func:`_decider`.
+    ``period_bound`` bounds the closed walks of the periodic tables and
+    the closed chains of "spec-full"."""
     return _table(sys, prop, _decider(sys, prop, period_bound, cap))
 
 
 def special_shadowing_holds(sys, epsilon, period_bound=8, cap=None):
     """Shadowing and periodic shadowing both admit a delta at this
-    epsilon, each by the row rule of the tables (:func:`_best_delta`)."""
+    epsilon, each by the row rule of the tables (:func:`_best_delta`).
+    So the verdict is always True: the row rule never answers None,
+    since the sub-minimal delta passes every table."""
     periodic = _decider(sys, "periodic", period_bound, cap)  # refuses first
-    s = shadowing_modulus(sys, epsilon, cap)
-    p = _best_delta(sys, "periodic", epsilon, periodic)
-    return (s is not None and p is not None), {"shadowing_delta": s,
-                                               "periodic_delta": p}
+    return True, {"shadowing_delta": shadowing_modulus(sys, epsilon, cap),
+                  "periodic_delta": _best_delta(sys, "periodic", epsilon,
+                                                periodic)}
 
 
 # -- limit-type variants ----------------------------------------------------
@@ -719,7 +755,7 @@ def _linear_envelope(table):
     """
     rows, at, slope, cands = table.rows, 0, Fraction(0), []
     for d, _ in rows:  # the grid deltas are the rows' epsilons
-        while rows[at][1] is None or rows[at][1] < d:
+        while rows[at][1] < d:
             at += 1
         slope = max(slope, rows[at][0] / d)
         cands.append((slope * d, -d, slope, d))

@@ -25,6 +25,7 @@ from .core import (Lasso, _Record, _at_least, _closed_walk_counts,
                    threshold_grid)
 from .errors import ModulusViolation, NotDecaying
 from .shadowing import (
+    _decider,
     _first_dying_chain,
     _first_untraced_chain,
     _gap_graphs,
@@ -32,6 +33,7 @@ from .shadowing import (
     _periodic_variant_holds,
     _phase_tracer,
     _table,
+    gap_values,
     periodic_shadowing_holds,
     strong_periodic_shadowing_holds,
     subset_cap,
@@ -42,14 +44,12 @@ __all__ = [
     "SpecInstance",
     "SpecCertificate",
     "Blocked",
-    "gap_values",
     "local_weak_spec_holds",
     "local_spec_holds",
     "trace_chain",
     "eta_modulus",
     "blockify",
     "spec_to_shadow_point",
-    "modulus_table_for_spec",
     "generalized_spec_checks",
     "pairwise_tracing_chain",
     "derived_periodic_shadowing",
@@ -96,19 +96,6 @@ class SpecCertificate(_Record):
 
 
 _CHAIN_LABEL = "closed chains at gap {n}"
-
-
-def gap_values(sys, N):
-    """All gap lengths n >= N with distinct behavior, as an exact range.
-
-    f^n, the gap graph, and the tracking windows repeat in n beyond
-    T + P with period P (T = max preperiod, P = lcm of cycle lengths),
-    so [N, max(N+P, T+2P)) exhausts the quantifier.  An N below 1 is
-    refused here, for every chain question that reads its gaps.
-    """
-    _at_least(N, 1, "N")
-    T, P = sys.max_preperiod, sys.cycle_lcm
-    return range(N, max(N + P, T + 2 * P))
 
 
 def local_weak_spec_holds(sys, epsilon, N, delta, cap=None):
@@ -299,40 +286,6 @@ def spec_to_shadow_point(sys, lasso, N, epsilon, cap=None):
     )
 
 
-def _chain_decider(sys, variant, N=1, k_bound=6, cap=None):
-    """The cell predicate holds(d_cut, e_cut) of the table
-    "spec-<variant>" at the gaps n >= N: "weak" quantifies over open
-    chains, "full" over closed chains of length at most k_bound with
-    periodic tracers.  It takes the cutoffs of delta and epsilon and
-    returns the verdict of the search that :func:`local_weak_spec_holds`
-    or :func:`local_spec_holds` runs, at the same cap, read once here:
-    no chain record is built and no gap graph is scanned for
-    BoundTooSmall.  An N or a k_bound below 1 is refused here, since
-    the row rule may pass every cell undecided
-    (:func:`~dynlab.shadowing._best_delta`)."""
-    gaps = gap_values(sys, N)
-    if variant == "weak":
-        cap = subset_cap(cap)
-        return lambda d_cut, e_cut: _first_dying_chain(
-            sys, d_cut, e_cut, gaps, cap) is None
-    if variant != "full":
-        raise ValueError(f"unknown property {variant!r}")
-    _at_least(k_bound, 1, "length bound")
-    cap = subset_cap(cap)
-    return lambda d_cut, e_cut: _first_untraced_chain(
-        sys, d_cut, e_cut, gaps, k_bound, cap, True, None) is None
-
-
-def modulus_table_for_spec(sys, prop="weak", k_bound=6, cap=None):
-    """The table "spec-<prop>": the best delta per grid epsilon for chain
-    tracing at N = 1, never None (at the sub-minimal grid delta every
-    chain is a true orbit, which traces itself).  Rows are built by
-    :func:`~dynlab.shadowing._table`, cells by :func:`_chain_decider`.
-    """
-    return _table(sys, f"spec-{prop}", _chain_decider(sys, prop, 1, k_bound,
-                                                      cap))
-
-
 def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     """Finite-scale forms of the tail-exact and linear-envelope chain
     properties, each reduced through blocking.
@@ -346,12 +299,13 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     takes only N = 1 (ValueError otherwise).
     variant "lipschitz": fits the linear envelope (L, d0) to the chain
     tracing table over the gaps n >= N (no lasso needed): the rows of
-    :func:`~dynlab.shadowing._table` over :func:`_chain_decider` at N.
+    :func:`~dynlab.shadowing._table` over the "spec-weak" cells of
+    :func:`~dynlab.shadowing._decider` at N.
     """
     _at_least(N, 1, "N")
     if variant == "lipschitz":
         envelope = _linear_envelope(_table(
-            sys, "spec-weak", _chain_decider(sys, "weak", N, cap=cap)))
+            sys, "spec-weak", _decider(sys, "spec-weak", cap=cap, N=N)))
         return {"variant": variant, "holds": True, "envelope": envelope}
 
     if lasso is None:
@@ -468,16 +422,16 @@ def derived_periodic_shadowing(sys, epsilon, k_bound=6, cap=None):
     "applicable" is False and nothing is asserted.
 
     The delta scan asks the cell predicate of the "spec-full" table
-    (:func:`_chain_decider`), and the confirmation runs the search of
+    (:func:`~dynlab.shadowing._decider`, which refuses a k_bound below
+    1), and the confirmation runs the search of
     periodic_shadowing_holds and builds its certificate.  The answer is
     a transfer of thresholds, so, as in the tables, no gap graph is
     scanned for BoundTooSmall and nothing warns.
     """
     epsilon = _positive(epsilon, "epsilon")
-    _at_least(k_bound, 1, "length bound")
+    spec = _decider(sys, "spec-full", k_bound, cap)
     grid = threshold_grid(sys)
     half = epsilon / 2
-    spec = _chain_decider(sys, "full", 1, k_bound, cap)
     h_cut = sys.lt_cutoff(half)
     # top-down: a bisection would decide other cells, which can hit the cap
     delta = next((delta for delta in reversed(grid.positive)

@@ -43,7 +43,6 @@ from dynlab.serialize import canonical_json
 from dynlab.shadowing import modulus_table, shadowing_holds
 from dynlab.specification import (
     derived_periodic_shadowing,
-    modulus_table_for_spec,
     pairwise_tracing_chain,
 )
 from dynlab.symbolic import periodic_point_count, product_system, window_system
@@ -58,7 +57,7 @@ def test_01_weak_tracing_row_populated_iff_shadowing_row_populated():
     corpus.append(window_system(build_xpq(3, 2), 2))
     assert len(corpus) >= 22
     for sys in corpus:
-        weak = modulus_table_for_spec(sys, "weak")
+        weak = modulus_table(sys, "spec-weak")
         shad = modulus_table(sys, "shadowing")
         for (eps_w, row_w), (eps_s, row_s) in zip(weak.rows, shad.rows):
             assert eps_w == eps_s

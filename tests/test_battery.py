@@ -125,10 +125,10 @@ def test_gallery_wrapper_unwrapped():
 # violations list.
 
 
-def plant_row(monkeypatch, name, prop, epsilon, payload=None):
-    """Make battery.<name> (a modulus table builder) report ``payload``
-    (default: no delta) at ``epsilon`` in its ``prop`` table."""
-    real = getattr(battery, name)
+def plant_row(monkeypatch, prop, epsilon, payload=None):
+    """Make battery.modulus_table report ``payload`` (default: no delta)
+    at ``epsilon`` in its ``prop`` table."""
+    real = battery.modulus_table
 
     def planted(sys_, kind, *args, **kwargs):
         table = real(sys_, kind, *args, **kwargs)
@@ -138,7 +138,7 @@ def plant_row(monkeypatch, name, prop, epsilon, payload=None):
             (eps, payload if eps == epsilon else best)
             for eps, best in table.rows))
 
-    monkeypatch.setattr(battery, name, planted)
+    monkeypatch.setattr(battery, "modulus_table", planted)
 
 
 def plant_failure(monkeypatch, name, *at):
@@ -165,8 +165,7 @@ def plant_decomposition(monkeypatch, change):
 
 
 def test_equivalence_violation_names_its_epsilon(monkeypatch):
-    plant_row(monkeypatch, "modulus_table_for_spec", "weak",
-                    Fraction(1, 2))
+    plant_row(monkeypatch, "spec-weak", Fraction(1, 2))
     out = run_theorem_battery(two_loop_window(), "thmA", period_bound=4)
     assert [row["agree"] for row in out["rows"]] == [True, False, True, True]
     assert out["violations"] == [{
@@ -192,7 +191,7 @@ def test_pairwise_chain_violation_names_its_cell(monkeypatch):
 
 
 def test_matrix_violation_names_its_epsilon(monkeypatch):
-    plant_row(monkeypatch, "modulus_table_for_spec", "weak", Fraction(1))
+    plant_row(monkeypatch, "spec-weak", Fraction(1))
     out = run_theorem_battery(two_loop_window(), "thmC", period_bound=4)
     assert out["asserted"]
     assert [row["equivalent"] for row in out["rows"]] == [
@@ -207,28 +206,27 @@ def test_matrix_violation_names_its_epsilon(monkeypatch):
 # epsilon = 1 is 1/2; each plant breaks one order and no other law
 ORDER_FAULTS = {
     "weak-spec-above-shadowing": (
-        "modulus_table", "shadowing", Fraction(1, 4),
+        "shadowing", Fraction(1, 4),
         "weak specification's best delta must not exceed shadowing's"),
     "local-spec-above-strong-periodic": (
-        "modulus_table_for_spec", "full", Fraction(2),
+        "spec-full", Fraction(2),
         "local specification's best delta must not exceed strong periodic "
         "shadowing's"),
     "strong-periodic-above-periodic": (
-        "modulus_table", "periodic", Fraction(1, 4),
+        "periodic", Fraction(1, 4),
         "strong periodic shadowing's best delta must not exceed periodic "
         "shadowing's"),
     "strong-periodic-above-an-empty-periodic-row": (
-        "modulus_table", "periodic", None,
+        "periodic", None,
         "strong periodic shadowing's best delta must not exceed periodic "
         "shadowing's"),
 }
 
 
-@pytest.mark.parametrize("name, prop, payload, law", ORDER_FAULTS.values(),
+@pytest.mark.parametrize("prop, payload, law", ORDER_FAULTS.values(),
                          ids=ORDER_FAULTS.keys())
-def test_order_violation_names_its_epsilon(monkeypatch, name, prop, payload,
-                                           law):
-    plant_row(monkeypatch, name, prop, Fraction(1), payload)
+def test_order_violation_names_its_epsilon(monkeypatch, prop, payload, law):
+    plant_row(monkeypatch, prop, Fraction(1), payload)
     out = run_theorem_battery(two_loop_window(), "thmC", period_bound=4)
     assert out["asserted"]
     expected = [{"law": law, "epsilon": "1"}]
@@ -248,8 +246,7 @@ def test_order_laws_checked_without_the_hypotheses(monkeypatch, capsys,
     assert main(["gallery", "myex", "--lattice", "2", "--K", "1",
                  "--emit", path]) == 0
     capsys.readouterr()
-    plant_row(monkeypatch, "modulus_table", "shadowing", Fraction(1),
-              Fraction(1, 4))
+    plant_row(monkeypatch, "shadowing", Fraction(1), Fraction(1, 4))
     code = main(["battery", "--system", path, "--id", "thmC",
                  "--period-bound", "4"])
     out = capsys.readouterr()

@@ -260,7 +260,7 @@ def test_table_carry_one_grid_step_past_the_previous_best(monkeypatch):
 def test_table_any_tracer_rule_on_the_exact_period_tables(monkeypatch):
     check_tables(two_loop_window())
     plant(monkeypatch, [shadowing, cli], "_best_delta",
-          'prop in ("shadowing", "periodic", "spec-weak")', "True")
+          "not _TABLES[prop][0]", "True")
     with pytest.raises(AssertionError):
         check_tables(two_loop_window())
 
@@ -277,8 +277,7 @@ def test_table_verdict_ignoring_the_exact_period(monkeypatch):
     # the strong periodic cells at the top epsilon fail there, and pass
     # when any periodic tracer will do
     check_table_verdicts(two_loop_window())
-    plant(monkeypatch, [shadowing], "_decider", '"strong-periodic": True',
-          '"strong-periodic": False')
+    monkeypatch.setitem(shadowing._TABLES, "strong-periodic", (False, False))
     with pytest.raises(AssertionError):
         check_table_verdicts(two_loop_window())
 
@@ -289,10 +288,7 @@ def test_weak_spec_rule_deciding_periodic_shadowing(monkeypatch):
     sys = build_random_system(7, 6)
     check_order_laws(sys)
     check_tables(sys)
-    plant(monkeypatch, [specification], "_chain_decider",
-          "_first_dying_chain(\n            sys, d_cut, e_cut, gaps, cap)",
-          "_first_untraced_chain(sys, d_cut, e_cut, (1,), k_bound, cap,"
-          " False, None)")
+    monkeypatch.setitem(shadowing._TABLES, "spec-weak", (False, False))
     with pytest.raises(AssertionError):
         check_order_laws(sys)
     with pytest.raises(AssertionError):
@@ -303,7 +299,7 @@ def test_gap_range_one_gap_short(monkeypatch):
     # the scalene cycle's windows change at gap T + P = 3, so the last
     # gap, 5, is the only one with f^2 and the settled windows
     check_gap_range(scalene_cycle())
-    plant(monkeypatch, [specification], "gap_values",
+    plant(monkeypatch, [shadowing, specification], "gap_values",
           "T + 2 * P", "T + 2 * P - 1")
     with pytest.raises(AssertionError):
         check_gap_range(scalene_cycle())

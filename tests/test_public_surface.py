@@ -43,7 +43,7 @@ EARLIER_SURFACE = {
     "is_periodic_pseudo_orbit", "is_pseudo_orbit", "is_transitive",
     "limit_shadowing_check", "lipschitz_constants", "local_spec_holds",
     "local_weak_spec_holds", "lockstep_orbit_pair", "measure_expansive_holds",
-    "modulus_csv", "modulus_table", "modulus_table_for_spec",
+    "modulus_csv", "modulus_table",
     "n_expansive_constant", "n_expansive_holds", "nonwandering_set",
     "obj_to_sft", "obj_to_system", "orbit_spread", "pairwise_tracing_chain",
     "parse_system_obj", "periodic_point_count", "periodic_points",

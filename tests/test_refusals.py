@@ -14,6 +14,7 @@ package words such a refusal itself.
 """
 
 import ast
+import json
 import pathlib
 from dataclasses import field
 from fractions import Fraction
@@ -21,6 +22,7 @@ from fractions import Fraction
 import pytest
 
 import dynlab
+from dynlab.cli import main
 from dynlab.core import Lasso, _Record
 from dynlab.errors import EmptyShift, NotInvertible
 from dynlab.gallery import (build_myex, build_product_truncation,
@@ -38,7 +40,6 @@ from dynlab.shadowing import (construct_shadow_point, delta_graph,
 from dynlab.specification import (blockify, derived_periodic_shadowing,
                                   eta_modulus, generalized_spec_checks,
                                   local_weak_spec_holds,
-                                  modulus_table_for_spec,
                                   spec_to_shadow_point, trace_chain)
 from dynlab.symbolic import (Sft, SymbolicPoint, build_sft, periodic_points,
                              product_system, window_system)
@@ -122,6 +123,13 @@ REFUSALS = {
     "shadowing-at-zero-delta": (
         lambda sys: shadowing_holds(sys, 0, 1),
         ValueError, "delta must be positive, got 0"),
+    # a cap below 1 would report a cap hit on input that is only bad
+    "shadowing-at-state-cap-zero": (
+        lambda sys: shadowing_holds(sys, 1, 1, cap=0),
+        ValueError, "state cap must be at least 1, got 0"),
+    "table-at-state-cap-minus-one": (
+        lambda sys: modulus_table(sys, "shadowing", cap=-1),
+        ValueError, "state cap must be at least 1, got -1"),
     "step-graph-at-zero-delta": (
         lambda sys: delta_graph(sys, 0),
         ValueError, "delta must be positive, got 0"),
@@ -147,7 +155,7 @@ REFUSALS = {
         lambda sys: modulus_table(cycle_system(1), "periodic", 0),
         ValueError, "length bound must be at least 1, got 0"),
     "full-spec-table-at-bound-zero-on-one-point": (
-        lambda sys: modulus_table_for_spec(cycle_system(1), "full", 0),
+        lambda sys: modulus_table(cycle_system(1), "spec-full", 0),
         ValueError, "length bound must be at least 1, got 0"),
     "unknown-table-property": (
         lambda sys: modulus_table(sys, "limit"),
@@ -172,8 +180,8 @@ REFUSALS = {
         lambda sys: spec_to_shadow_point(sys, FIXED, 1, 0),
         ValueError, "epsilon must be positive, got 0"),
     "unknown-spec-table-property": (
-        lambda sys: modulus_table_for_spec(sys, "limit"),
-        ValueError, "unknown property 'limit'"),
+        lambda sys: modulus_table(sys, "spec-limit"),
+        ValueError, "unknown property 'spec-limit'"),
     "limit-variant-without-a-lasso": (
         lambda sys: generalized_spec_checks(sys, "limit"),
         ValueError, "variant 'limit' needs a lasso"),
@@ -221,6 +229,22 @@ def test_refusal(call, error, fragment):
     assert fragment in str(raised.value)
 
 
+def test_state_cap_below_one_from_the_environment_exits_two(
+        monkeypatch, tmp_path, capsys):
+    # bad input, not a resource cap hit: exit 2, not 3
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({
+        "kind": "finite", "points": ["s0", "s1", "z"],
+        "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
+        "map": ["s1", "z", "z"]}))
+    monkeypatch.setenv("DYNLAB_SUBSET_CAP", "0")
+    code = main(["check", "shadowing", "--system", str(path),
+                 "--delta", "2", "--epsilon", "1/2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (
+        2, "", "dynlab: state cap must be at least 1, got 0\n")
+
+
 # the helpers that word every refusal of a threshold or count
 REFUSERS = {"core._positive", "core._at_least"}
 RULE_WORDS = ("must be positive", "must be at least")
@@ -250,3 +274,26 @@ def test_only_the_core_helpers_word_a_refusal():
         wording.update(where for where, text in raised_texts(tree, path.stem)
                        if any(words in text for words in RULE_WORDS))
     assert wording == REFUSERS
+
+
+TABLE_NAMES = {"shadowing", "periodic", "strong-periodic", "spec-weak",
+               "spec-full"}
+
+
+def test_the_tables_are_named_in_one_registry():
+    # one function refuses a table name it does not know, and one literal
+    # of the library, the registry of dynlab.shadowing, spells all five
+    refusing, spelled = set(), []
+    for path in sorted(pathlib.Path(dynlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        refusing.update(where for where, text in raised_texts(tree, path.stem)
+                        if "unknown property" in text)
+        for node in ast.walk(tree):
+            items = (node.keys if isinstance(node, ast.Dict) else
+                     node.elts if isinstance(node, (ast.Tuple, ast.List,
+                                                    ast.Set)) else ())
+            if TABLE_NAMES <= {item.value for item in items
+                               if isinstance(item, ast.Constant)}:
+                spelled.append(path.stem)
+    assert refusing == {"shadowing._decider"}
+    assert spelled == ["shadowing"]

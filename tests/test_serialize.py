@@ -22,7 +22,6 @@ from dynlab.serialize import (
     system_to_obj,
 )
 from dynlab.shadowing import ModulusTable, modulus_table
-from dynlab.specification import modulus_table_for_spec
 from dynlab.symbolic import window_system
 
 from helpers import random_system, stem_into_cycle
@@ -106,7 +105,7 @@ def test_modulus_table_rendering():
     lines = csv.strip().split("\n")
     assert lines[0] == "epsilon,delta"
     assert len(lines) == len(table.rows) + 1
-    spec_table = modulus_table_for_spec(sys, "weak")
+    spec_table = modulus_table(sys, "spec-weak")
     spec_csv = modulus_csv(spec_table)
     assert spec_csv.startswith("epsilon,gap,delta\n")
     empty = ModulusTable("shadowing", ((Fraction(1, 2), None),))

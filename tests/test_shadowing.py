@@ -427,9 +427,6 @@ DECISIONS = (
 
 def library_table(sys, prop, bound):
     """The rows of one of the five tables, bound as period and k bound."""
-    if prop.startswith("spec-"):
-        return specification.modulus_table_for_spec(
-            sys, prop.removeprefix("spec-"), bound).rows
     return shadowing.modulus_table(sys, prop, bound).rows
 
 
@@ -454,9 +451,8 @@ def check_tables(sys, bound=3):
 def log_cells(monkeypatch):
     """Log (table, d_cut, e_cut) of every cell decided, with delta and
     epsilon as their cutoffs: the library's tables decide a cell through
-    the predicate of ``shadowing._decider`` or
-    ``specification._chain_decider``, the references through the public
-    single-cell names, whose thresholds are logged as cutoffs."""
+    the predicate of ``shadowing._decider``, the references through the
+    public single-cell names, whose thresholds are logged as cutoffs."""
     cells = []
     for module, name, table in DECISIONS:
         def logged(sys, *args, _decide=getattr(module, name), _table=table):
@@ -465,20 +461,18 @@ def log_cells(monkeypatch):
             return _decide(sys, *args)
         monkeypatch.setattr(module, name, logged)
 
-    def logging(make, table_of):
-        def make_logged(sys, kind, *args, **kwargs):
-            holds, table = make(sys, kind, *args, **kwargs), table_of(kind)
+    real = shadowing._decider
 
-            def logged(d_cut, e_cut):
-                cells.append((table, d_cut, e_cut))
-                return holds(d_cut, e_cut)
-            return logged
-        return make_logged
+    def make_logged(sys, table, *args, **kwargs):
+        holds = real(sys, table, *args, **kwargs)
 
-    monkeypatch.setattr(shadowing, "_decider",
-                        logging(shadowing._decider, str))
-    monkeypatch.setattr(specification, "_chain_decider",
-                        logging(specification._chain_decider, "spec-{}".format))
+        def logged(d_cut, e_cut):
+            cells.append((table, d_cut, e_cut))
+            return holds(d_cut, e_cut)
+        return logged
+
+    for module in (shadowing, specification):
+        monkeypatch.setattr(module, "_decider", make_logged)
     return cells
 
 
@@ -558,9 +552,6 @@ def test_single_row_moduli_answer_as_the_table_rows(sys):
 def table_decider(sys, prop, bound, cap):
     """The cell predicate of one of the five tables, bound as period and
     k bound."""
-    if prop.startswith("spec-"):
-        return specification._chain_decider(sys, prop.removeprefix("spec-"),
-                                            1, bound, cap)
     return shadowing._decider(sys, prop, bound, cap)
 
 

@@ -12,6 +12,7 @@ from dynlab.errors import BoundTooSmall, ModulusViolation
 from dynlab.shadowing import (
     _gap_structures,
     lipschitz_constants,
+    modulus_table,
     periodic_shadowing_holds,
     shadowing_holds,
     strong_periodic_shadowing_holds,
@@ -24,7 +25,6 @@ from dynlab.specification import (
     generalized_spec_checks,
     local_spec_holds,
     local_weak_spec_holds,
-    modulus_table_for_spec,
     pairwise_tracing_chain,
     spec_to_shadow_point,
     trace_chain,
@@ -269,11 +269,11 @@ def test_chain_route_refuses_without_eta_margin():
 def test_spec_tables_are_populated_with_gap_requirement_one():
     for seed in (0, 8):
         sys = random_system(seed=seed, n=4)
-        weak = modulus_table_for_spec(sys, "weak")
+        weak = modulus_table(sys, "spec-weak")
         assert weak.populated()
         assert all(local_weak_spec_holds(sys, eps, 1, delta)[0]
                    for eps, delta in weak.rows)
-        full = modulus_table_for_spec(sys, "full", k_bound=4)
+        full = modulus_table(sys, "spec-full", 4)
         assert full.populated()
 
 
@@ -287,8 +287,8 @@ def test_spec_rows_take_gap_one_on_the_corpus():
         for eps in grid.positive:
             assert local_weak_spec_holds(sys, eps, 1, grid.submin)[0]
             assert local_spec_holds(sys, eps, 1, grid.submin)[0]
-        for prop in ("weak", "full"):
-            table = modulus_table_for_spec(sys, prop)
+        for prop in ("spec-weak", "spec-full"):
+            table = modulus_table(sys, prop, 6)
             assert table.populated()
             assert all(delta in grid.positive for _, delta in table.rows)
 
