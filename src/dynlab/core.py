@@ -429,11 +429,13 @@ class FiniteSystem:
         The memo holds the threshold structures every tracing question
         at the same cutoffs shares: the grid and its cutoffs, balls, gap
         windows, tracer masks, component sizes and closed-chain counts;
-        and two entries with no cutoff, the admissible steps as
+        and four entries with no cutoff, the admissible steps as
         successor bitmasks (``("steps",)``, read by every recurrence
-        question) and the eventual images of the stable sets and of the
-        C_p parts (``("eventual",)``).  A key is a name followed by
-        integer cutoffs, gaps and bounds, never a Fraction,
+        question), the eventual images of the stable sets and of the
+        C_p parts (``("eventual",)``) and the expansiveness floors, the
+        cutoffs up to which each rung of the hierarchy holds
+        (``("n floors",)``, ``("periodic floors",)``).  A key is a name
+        followed by integer cutoffs, gaps and bounds, never a Fraction,
         and an entry is immutable (tuples, ints, the frozen grid), so
         callers share it.  No search verdict is memoized."""
         try:

@@ -10,7 +10,10 @@ notion in this module is a threshold question against S: the set of
 points delta-indistinguishable from x is {y : S[x][y] <= delta}
 (non-strict, following the local stable set convention), which is
 rank < ``sys.le_cutoff(delta)``; the hierarchy asks how large those
-sets may be, counted pointwise or through invariant measures.
+sets may be, counted pointwise or through invariant measures.  Each
+rung of it holds exactly up to one integer cutoff, a floor read off S
+once per system (:func:`_n_floor`, :func:`_periodic_floors`), so each
+predicate is one comparison of that floor with ``le_cutoff(delta)``.
 
 Measure quantifiers collapse on a finite system: ergodic invariant
 measures are exactly the uniform distributions on cycles of the map,
@@ -25,8 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import (_Record, _at_least, _largest_passing, _positive,
-                   threshold_grid)
+from .core import _Record, _at_least, _positive, threshold_grid
 from .errors import NotInvertible
 
 __all__ = [
@@ -92,28 +94,81 @@ def gamma_set(sys, x, delta):
     return GammaSet(x, delta, members, witness)
 
 
-def _at_most_n_close(sys, n, delta):
-    cutoff = sys.le_cutoff(delta)
-    return all(sum(1 for r in row if r < cutoff) <= n
-               for row in sys.spread_rank)
+def _n_floor(sys, n):
+    """The cutoff up to which the system is n-expansive: a delta with
+    cutoff c = ``sys.le_cutoff(delta)`` is n-expansive iff c is at most
+    this floor.  Every Gamma_delta(x) has at most n members iff the
+    (n+1)-th smallest entry of x's spread row is not below c, so the
+    floor is the least such entry over the rows
+    (:func:`_build_n_floors`); with n >= sys.n it is the number of
+    distance values, which no cutoff exceeds."""
+    if n >= sys.n:
+        return len(sys.distance_values)
+    return sys._memoized(("n floors",), lambda: _build_n_floors(sys))[n]
+
+
+def _build_n_floors(sys):
+    """floors[k]: the least (k+1)-th smallest entry of any spread row,
+    for k < sys.n, the rows sorted once per system."""
+    return tuple(map(min, zip(*map(sorted, sys.spread_rank))))
+
+
+def _periodic_floors(sys):
+    """(strong, per): the cutoffs up to which the system is strong
+    measure expansive and expansive on periodic points, built once per
+    system (:func:`_build_periodic_floors`)."""
+    return sys._memoized(("periodic floors",),
+                         lambda: _build_periodic_floors(sys))
+
+
+def _build_periodic_floors(sys):
+    """Gamma_delta(x) always holds x (S[x][x] = 0) and the cycles
+    partition the periodic points, so strong measure expansiveness at
+    delta asks that no periodic y != x be in any Gamma_delta(x): strong
+    is the least S[x][y] over every x and periodic y != x, which S's
+    symmetry reads off the rows of the periodic y.  per is the least
+    over two distinct periodic points.  A floor with no pair behind it
+    is the number of distance values, which no cutoff exceeds."""
+    spread, per = sys.spread_rank, sys.periodic_indices()
+    top = len(sys.distance_values)
+    strong = min(min(spread[y][:y] + spread[y][y + 1:], default=top)
+                 for y in per)
+    return strong, min((spread[x][y] for x in per for y in per if x < y),
+                       default=top)
+
+
+def _largest_within(sys, floor):
+    """The largest positive grid delta whose cutoff is at most
+    ``floor`` (at least 1).  The positive grid is the sub-minimal value,
+    the positive distances and the top value, so its i-th value has
+    the cutoff min(i + 1, L), L the number of distance values."""
+    grid = threshold_grid(sys).positive
+    return grid[-1] if floor >= len(sys.distance_values) else grid[floor - 1]
 
 
 def n_expansive_holds(sys, n, delta):
-    """Does every point's delta-indistinguishability set have <= n members?"""
+    """Does every point's delta-indistinguishability set have <= n
+    members?  One comparison with the n-expansive floor of
+    :func:`_n_floor`."""
     _at_least(n, 1, "n")
-    return _at_most_n_close(sys, n, _positive(delta, "delta"))
+    return sys.le_cutoff(_positive(delta, "delta")) <= _n_floor(sys, n)
 
 
 def n_expansive_constant(sys, n):
-    """Largest grid delta at which the system is n-expansive.
+    """Largest grid delta at which the system is n-expansive, read off
+    the n-expansive floor.
 
     Never None: below the least positive distance every
     indistinguishability set is a singleton.
     """
     _at_least(n, 1, "n")
-    # sets only grow with delta, so the predicate is downward closed
-    return _largest_passing(threshold_grid(sys).positive,
-                            lambda delta: _at_most_n_close(sys, n, delta))
+    return _largest_within(sys, _n_floor(sys, n))
+
+
+def _strong_constant(sys):
+    """Largest grid delta at which the system is strong measure
+    expansive; never None, as the sub-minimal delta passes."""
+    return _largest_within(sys, _periodic_floors(sys)[0])
 
 
 class InvariantMeasure(_Record):
@@ -157,16 +212,19 @@ def strong_measure_expansive_holds(sys, delta):
     every cycle O of the map, |Gamma_delta(x) ∩ O| must equal
     |{x} ∩ O|.  Returns (bool, counterexample) where the counterexample
     is (x, uniform measure on the offending cycle).
+
+    That holds iff no periodic y != x is in any Gamma_delta(x): one
+    comparison with the strong floor of :func:`_periodic_floors`.  Only a
+    failure scans, for the first x and the first cycle that meets
+    Gamma_delta(x) off x.
     """
     cutoff = sys.le_cutoff(_positive(delta, "delta"))
+    if cutoff <= _periodic_floors(sys)[0]:
+        return True, None
     spread = sys.spread_rank
-    cycles = sys._cycles
-    for x in range(sys.n):
-        for cyc in cycles:
-            inside = sum(1 for y in cyc if spread[x][y] < cutoff)
-            if inside != (1 if x in cyc else 0):
-                return False, (sys.points[x], _uniform(sys, cyc))
-    return True, None
+    x, cyc = next((x, cyc) for x in range(sys.n) for cyc in sys._cycles
+                  if any(spread[x][y] < cutoff for y in cyc if y != x))
+    return False, (sys.points[x], _uniform(sys, cyc))
 
 
 def measure_expansive_holds(sys, delta):
@@ -177,13 +235,9 @@ def measure_expansive_holds(sys, delta):
 
 
 def expansive_on_per(sys, delta):
-    """Are periodic points pairwise delta-distinguishable?"""
-    cutoff = sys.le_cutoff(_positive(delta, "delta"))
-    spread = sys.spread_rank
-    per = sys.periodic_indices()
-    return all(
-        spread[x][y] >= cutoff for x in per for y in per if x != y
-    )
+    """Are periodic points pairwise delta-distinguishable?  One
+    comparison with the least spread of two distinct periodic points."""
+    return sys.le_cutoff(_positive(delta, "delta")) <= _periodic_floors(sys)[1]
 
 
 def lockstep_orbit_pair(sys):

@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import (_Record, _image, _largest_passing, _positive,
-                   _strong_components, threshold_grid)
-from .expansive import _eventual_images, strong_measure_expansive_holds
+from .core import (_Record, _image, _positive, _strong_components,
+                   threshold_grid)
+from .expansive import _eventual_images, _strong_constant
 from .shadowing import DeltaGraph
 
 __all__ = [
@@ -351,11 +351,8 @@ class HypothesisReport(_Record):
 
 
 def hypothesis_report(sys):
-    grid = threshold_grid(sys)
-    constant = _largest_passing(
-        grid.positive, lambda d: strong_measure_expansive_holds(sys, d)[0]
-    )
-    fails = tuple(d for d in grid.positive if d > constant)
+    constant = _strong_constant(sys)
+    fails = tuple(d for d in threshold_grid(sys).positive if d > constant)
     return HypothesisReport(sys.invertible, constant, fails)
 
 

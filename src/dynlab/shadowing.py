@@ -86,7 +86,12 @@ def subset_cap(cap=None):
     2^20.  A cap below 1, from either source, is refused here, before
     any search."""
     if cap is None:
-        cap = int(os.environ.get("DYNLAB_SUBSET_CAP", DEFAULT_SUBSET_CAP))
+        raw = os.environ.get("DYNLAB_SUBSET_CAP", DEFAULT_SUBSET_CAP)
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError("DYNLAB_SUBSET_CAP must be an integer, "
+                             f"got {raw!r}") from None
     _at_least(cap, 1, "state cap")
     return cap
 
@@ -383,12 +388,21 @@ def _orbit_masks(periodic, step, k):
 
 def _tracer_masks(periodic, step, allowed, bound):
     """masks[k][u] for k < bound: the periodic z with step^k(z) in
-    allowed[u], as bitmasks."""
-    masks, at = [], periodic
+    allowed[u], as bitmasks.
+
+    pre[y] holds the periodic z with step^k(z) = y, so masks[k][u] is
+    the union of pre[y] over y in allowed[u]; each step pushes every
+    fibre to its image."""
+    pre = [0] * len(step)
+    for z in periodic:
+        pre[z] = 1 << z
+    masks = []
     for _ in range(bound):
-        masks.append(tuple(sum(1 << z for z, y in zip(periodic, at)
-                               if window >> y & 1) for window in allowed))
-        at = [step[y] for y in at]
+        masks.append(tuple(_image(window, pre) for window in allowed))
+        image = [0] * len(step)
+        for y in periodic:
+            image[step[y]] |= pre[y]
+        pre = image
     return tuple(masks)
 
 

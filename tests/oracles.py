@@ -30,6 +30,13 @@ step relation.  ``metric_violation_reference``
 is the library's earlier metric check, the Fraction loop over every
 triple, and ``unstable_local_reference`` its earlier backward scan of
 the local unstable set over one lcm of all cycle lengths.
+The expansiveness references (``n_expansive_reference``,
+``strong_measure_reference``, ``expansive_on_per_reference`` and the
+bisections ``n_expansive_constant_reference`` and
+``hypothesis_report_reference``) are the library's earlier scans of the
+whole spread at each delta, kept to check the per-system floors that
+replaced them; ``tracer_masks_reference`` is its earlier tracer masks,
+one bit test per periodic point, kept to check the pushed fibres.
 ``pushed_closed_walk_counts`` is the library's earlier closed-walk
 count, one dict push per start, kept to check the packed push of all
 starts at once that replaced it.  ``lt_cutoff_reference`` and
@@ -312,6 +319,60 @@ def le_cutoff_reference(sys, q):
     return bisect_right(sys.distance_values, q)
 
 
+# -- the expansiveness hierarchy, one scan of the spread per question --------
+
+
+def n_expansive_reference(sys, n, delta):
+    """Does every row of the spread have at most n entries within
+    delta?  The library's earlier scan of the whole spread."""
+    cutoff = le_cutoff_reference(sys, delta)
+    return all(sum(1 for r in row if r < cutoff) <= n
+               for row in sys.spread_rank)
+
+
+def strong_measure_reference(sys, delta):
+    """(holds, counterexample) by the library's earlier count of
+    Gamma_delta(x) on every cycle, x by x and cycle by cycle; the
+    counterexample is (x, the uniform weights on the first cycle whose
+    count differs from that of {x})."""
+    cutoff = le_cutoff_reference(sys, delta)
+    spread = sys.spread_rank
+    for x in range(sys.n):
+        for cyc in sys._cycles:
+            inside = sum(1 for y in cyc if spread[x][y] < cutoff)
+            if inside != (1 if x in cyc else 0):
+                return False, (sys.points[x], tuple(
+                    Fraction(1, len(cyc)) if y in cyc else Fraction(0)
+                    for y in range(sys.n)))
+    return True, None
+
+
+def expansive_on_per_reference(sys, delta):
+    """Are two distinct periodic points never within delta all along?"""
+    cutoff = le_cutoff_reference(sys, delta)
+    per = [x for x in range(sys.n) if sys.preperiod(x) == 0]
+    return all(sys.spread_rank[x][y] >= cutoff
+               for x in per for y in per if x != y)
+
+
+def n_expansive_constant_reference(sys, n):
+    """The largest positive grid delta that is n-expansive, bisected
+    with a scan per probe."""
+    positive = [d for d in threshold_grid_reference(sys) if d > 0]
+    return largest_passing_reference(
+        positive, lambda d: n_expansive_reference(sys, n, d))
+
+
+def hypothesis_report_reference(sys):
+    """(invertible, strong constant, the grid deltas above it), the
+    constant bisected with a strong measure scan per probe."""
+    positive = [d for d in threshold_grid_reference(sys) if d > 0]
+    constant = largest_passing_reference(
+        positive, lambda d: strong_measure_reference(sys, d)[0])
+    return (sys.invertible, constant,
+            tuple(d for d in positive if d > constant))
+
+
 def metric_violation_reference(points, dist):
     """The first metric axiom the table breaks, as the MetricViolation
     the library raises, or None: every check on Fractions, the triangle
@@ -587,6 +648,18 @@ def windows_reference(sys, n, epsilon):
             vi = fmap[vi]
         windows.append(frozenset(z for z, _ in alive))
     return tuple(windows)
+
+
+def tracer_masks_reference(periodic, step, allowed, bound):
+    """masks[k][u] for k < bound: the periodic z with step^k(z) in
+    allowed[u], one bit test per periodic point and window (the
+    library's earlier ``_tracer_masks``)."""
+    masks, at = [], periodic
+    for _ in range(bound):
+        masks.append(tuple(sum(1 << z for z, y in zip(periodic, at)
+                               if window >> y & 1) for window in allowed))
+        at = [step[y] for y in at]
+    return tuple(masks)
 
 
 def die_search_reference(succ, step, allowed, cap):

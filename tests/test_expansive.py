@@ -1,12 +1,26 @@
-"""Indistinguishability sets, the measure reduction, and stable sets."""
+"""Indistinguishability sets, the measure reduction, and stable sets.
+
+The hierarchy's predicates compare one cutoff with per-system floors;
+``check_hierarchy`` compares every answer they give, the strong measure
+counterexample, the n-expansive constants and the hypothesis report
+with the scans of the whole spread in ``tests/oracles.py``, on seeded
+random systems and window systems.  ``tests/test_mutations.py`` plants
+a fault under it.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dynlab import expansive
+from dynlab.battery import run_theorem_battery
 from dynlab.core import threshold_grid
 from dynlab.errors import NotInvertible
+from dynlab.gallery import build_myex, build_xpq
+from dynlab.recurrence import hypothesis_report, spectral_decomposition
+from dynlab.symbolic import build_sft, window_system
 from dynlab.expansive import (
     enumerate_ergodic_measures,
     expansive_on_per,
@@ -21,7 +35,88 @@ from dynlab.expansive import (
 )
 
 from helpers import cycle_system, random_system, stem_into_cycle, two_points_identity
-from oracles import gamma_window_points
+from oracles import (expansive_on_per_reference, gamma_window_points,
+                     hypothesis_report_reference,
+                     n_expansive_constant_reference, n_expansive_reference,
+                     strong_measure_reference)
+
+# the properties are exact, so a slow host must not fail them on time
+untimed = settings(deadline=None)
+
+
+def check_hierarchy(sys):
+    """Every hierarchy answer at every grid delta and n = 1..sys.n + 1,
+    the strong measure counterexample, the n-expansive constants and the
+    hypothesis report, against the scans of the spread."""
+    for delta in threshold_grid(sys).positive:
+        for n in range(1, sys.n + 2):
+            assert (n_expansive_holds(sys, n, delta)
+                    == n_expansive_reference(sys, n, delta))
+        holds, witness = strong_measure_expansive_holds(sys, delta)
+        if witness is not None:
+            witness = (witness[0], witness[1].weights)
+        assert (holds, witness) == strong_measure_reference(sys, delta)
+        assert expansive_on_per(sys, delta) == expansive_on_per_reference(
+            sys, delta)
+    for n in range(1, sys.n + 2):
+        assert n_expansive_constant(sys, n) == n_expansive_constant_reference(
+            sys, n)
+    report = hypothesis_report(sys)
+    assert ((report.invertible, report.strong_constant,
+             report.strong_fails_at) == hypothesis_report_reference(sys))
+
+
+def window(recipe):
+    """A window system of the xpq(3,2) or xpq(5,3) shift, the golden
+    mean shift or the full 2-shift."""
+    name, w = recipe
+    if name == "golden":
+        sft = build_sft("ab", [("a", "a"), ("a", "b"), ("b", "a")])
+    elif name == "full":
+        sft = build_sft("ab", [(u, v) for u in "ab" for v in "ab"])
+    else:
+        sft = build_xpq(*name)
+    return window_system(sft, w)
+
+
+WINDOWS = (((3, 2), 1), ((3, 2), 2), ((5, 3), 1), ("golden", 1),
+           ("golden", 2), ("golden", 3), ("full", 1), ("full", 2))
+
+
+@untimed
+@given(st.integers(0, 10 ** 6), st.integers(1, 9), st.booleans())
+def test_hierarchy_floors_match_the_spread_scans(seed, size, invertible):
+    check_hierarchy(random_system(seed, size, invertible))
+
+
+@untimed
+@given(st.sampled_from(WINDOWS))
+def test_hierarchy_floors_match_the_spread_scans_on_windows(recipe):
+    check_hierarchy(window(recipe))
+
+
+def test_battery_and_decomposition_build_each_floor_once(monkeypatch):
+    builds = []
+
+    def count(name):
+        build = getattr(expansive, name)
+
+        def counted(sys):
+            builds.append((name, sys))
+            return build(sys)
+
+        monkeypatch.setattr(expansive, name, counted)
+
+    count("_build_n_floors")
+    count("_build_periodic_floors")
+    sys = build_myex(5, 3).system
+    spectral_decomposition(sys)
+    run_theorem_battery(sys, "hierarchy")
+    once = [("_build_periodic_floors", sys), ("_build_n_floors", sys)]
+    assert builds == once
+    run_theorem_battery(sys, "hierarchy")
+    spectral_decomposition(sys)
+    assert builds == once
 
 
 def test_spread_matches_long_unrolled_window():

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from dynlab import (battery, cli, core, gallery, recurrence, shadowing,
-                    specification, symbolic)
+from dynlab import (battery, cli, core, expansive, gallery, recurrence,
+                    shadowing, specification, symbolic)
 from dynlab.core import FiniteSystem, threshold_grid
 from dynlab.gallery import build_random_system, build_xpq
 from dynlab.specification import local_spec_holds
@@ -34,6 +34,7 @@ from test_shadowing import (check_failed_at_is_the_dying_step, check_tables,
                             check_table_verdicts)
 from test_specification import check_gap_range
 from test_core import check_two_sided_shadows
+from test_expansive import check_hierarchy
 from test_spread import check_spread
 from test_tracing_kernel import check_gap_structures
 import test_digraph
@@ -153,6 +154,19 @@ def test_spread_preperiodic_pass_dropping_the_own_rank(monkeypatch):
           "if ranks[b] > worst:", "if False:")
     with pytest.raises(AssertionError):
         check_spread(stem_into_cycle())
+
+
+def check_hierarchy_corpus():
+    for seed in range(4):
+        check_hierarchy(build_random_system(seed, 5, seed % 2 == 0))
+
+
+def test_n_expansive_floor_reading_the_nth_smallest_entry(monkeypatch):
+    check_hierarchy_corpus()
+    plant(monkeypatch, [expansive], "_n_floor", "_build_n_floors(sys))[n]",
+          "_build_n_floors(sys))[n - 1]")
+    with pytest.raises(AssertionError):
+        check_hierarchy_corpus()
 
 
 def test_triangle_check_rejecting_equality(monkeypatch):

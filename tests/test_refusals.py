@@ -35,7 +35,7 @@ from dynlab.recurrence import (chain_graph, cp_construction,
 from dynlab.shadowing import (construct_shadow_point, delta_graph,
                               modulus_table, shadowing_holds,
                               shadowing_modulus, special_shadowing_holds,
-                              strong_shadow_point,
+                              strong_shadow_point, subset_cap,
                               two_sided_limit_shadowing_check)
 from dynlab.specification import (blockify, derived_periodic_shadowing,
                                   eta_modulus, generalized_spec_checks,
@@ -243,6 +243,24 @@ def test_state_cap_below_one_from_the_environment_exits_two(
     out, err = capsys.readouterr()
     assert (code, out, err) == (
         2, "", "dynlab: state cap must be at least 1, got 0\n")
+
+
+def test_state_cap_not_an_integer_from_the_environment_exits_two(
+        monkeypatch, tmp_path, capsys):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({
+        "kind": "finite", "points": ["s0", "s1", "z"],
+        "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
+        "map": ["s1", "z", "z"]}))
+    monkeypatch.setenv("DYNLAB_SUBSET_CAP", "1e6")
+    code = main(["check", "shadowing", "--system", str(path),
+                 "--delta", "2", "--epsilon", "1/2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (
+        2, "", "dynlab: DYNLAB_SUBSET_CAP must be an integer, got '1e6'\n")
+    # what int() reads is still read
+    monkeypatch.setenv("DYNLAB_SUBSET_CAP", " 1_000 ")
+    assert subset_cap() == 1000
 
 
 # the helpers that word every refusal of a threshold or count

@@ -4,8 +4,10 @@
 forward along a gap range; every gap it yields must match the
 per-gap rebuild (``windows_reference``, ``FiniteSystem.power`` and the
 gap graph of ``gap_structures_reference``), on a fresh system and on
-one whose memo earlier calls have filled.  ``_die_search`` on bitmasks
-must return the same walks and the same cap hits as the frozenset
+one whose memo earlier calls have filled.  ``_tracer_masks``, which
+pushes the fibres of the n-step map, must give the masks of one bit
+test per periodic point (``tracer_masks_reference``).  ``_die_search``
+on bitmasks must return the same walks and the same cap hits as the frozenset
 search (``die_search_reference``).  A system whose memo a battery has
 filled must answer as a freshly built one.  ``tests/test_mutations.py``
 plants faults under ``check_gap_structures``.
@@ -32,8 +34,8 @@ from dynlab.specification import (gap_values, local_spec_holds,
 from oracles import (die_search_reference, gap_structures_reference,
                      local_spec_reference, periodic_variant_reference,
                      stable_sets_reference, threshold_grid_reference,
-                     windows_reference)
-from helpers import random_metric
+                     tracer_masks_reference, windows_reference)
+from helpers import gallery_corpus, random_metric, seeded_corpus
 from test_closed_chains import outcome
 from test_recurrence_kernel import check_chain_graphs, check_nonwandering
 
@@ -215,3 +217,21 @@ def test_die_search_matches_the_frozenset_search(cell):
             assert (search_outcome(_die_search, succ, step, allowed, bound)
                     == search_outcome(die_search_reference, succ, step, sets,
                                       bound)), (n, cap)
+
+
+def test_pushed_tracer_masks_match_a_bit_test_per_point():
+    cells = 0
+    for sys in [*gallery_corpus(), *seeded_corpus(20, 7)]:
+        periodic = sys.periodic_indices()
+        cuts = sorted({1, len(sys.distance_values) // 2 + 1,
+                       len(sys.distance_values)})
+        for d_cut in cuts:
+            for e_cut in cuts:
+                for _, _, step, allowed in shadowing._gap_structures(
+                        sys, range(1, 4), d_cut, e_cut):
+                    assert (shadowing._tracer_masks(periodic, step,
+                                                    allowed, 6)
+                            == tracer_masks_reference(periodic, step,
+                                                      allowed, 6))
+                    cells += 1
+    assert cells == 777
