@@ -426,18 +426,22 @@ class FiniteSystem:
     def _memoized(self, key, build):
         """The memo entry ``key``, made by ``build()`` on first use.
 
-        The memo holds the threshold structures every tracing question
-        at the same cutoffs shares: the grid and its cutoffs, balls, gap
-        windows, tracer masks, component sizes and closed-chain counts;
-        and four entries with no cutoff, the admissible steps as
-        successor bitmasks (``("steps",)``, read by every recurrence
-        question), the eventual images of the stable sets and of the
-        C_p parts (``("eventual",)``) and the expansiveness floors, the
-        cutoffs up to which each rung of the hierarchy holds
-        (``("n floors",)``, ``("periodic floors",)``).  A key is a name
-        followed by integer cutoffs, gaps and bounds, never a Fraction,
-        and an entry is immutable (tuples, ints, the frozen grid), so
-        callers share it.  No search verdict is memoized."""
+        The memo holds what questions at the same cutoffs share: the
+        grid ``("grid",)``; balls as bitmasks and as tuples
+        (``("balls", cut)``, ``("near", cut)``); the gap maps and
+        tracking windows ``("windows", e_cut)``; the longest primitive
+        closed walk of a gap graph ``("walks", d_cut, n)``; the tracer
+        masks, exact-period hits and step^k orbits of the closed-chain
+        search (``("masks", e_cut, n, bound)``, ``("hits", n, bound)``,
+        ``("orbits", n, bound)``); the closed-chain counts
+        ``("chain counts", d_cut, n, k_bound)``; the admissible steps
+        as successor bitmasks ``("steps",)``; f^(T + P) of every index
+        ``("eventual",)``; and the expansiveness floors, the cutoffs up
+        to which each rung of the hierarchy holds (``("n floors",)``,
+        ``("periodic floors",)``).  A key is a name followed by integer
+        cutoffs, gaps and bounds, never a Fraction, and an entry is
+        immutable (tuples, ints, the frozen grid), so callers share it.
+        No search verdict is memoized."""
         try:
             return self._memo[key]
         except KeyError:

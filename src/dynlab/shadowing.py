@@ -33,14 +33,14 @@ lexicographic) order, so the reported counterexample is the first
 failing walk in that order, completed into a lasso by the true orbit
 of its last vertex.
 
-The searches take delta and epsilon as integer cutoffs.  A public
-single-cell call refuses bad input, converts its thresholds, runs the
-search, scans the gap graphs for :class:`BoundTooSmall` and builds the
-certificate.  A best-threshold table decides its cells on the grid's
-cutoffs and keeps only each verdict (:func:`_decider`,
-:func:`_best_delta`): the same search at the same cap, so the same
-verdict and the same :class:`StateExplosion`, but no record and no
-scan, and so no warning.
+The searches take delta and epsilon as integer cutoffs, and one
+decider (:func:`_decider`) serves single cells and tables alike, with
+each property's search, gaps and :class:`BoundTooSmall` label read off
+the registry ``_TABLES``.  Only a public single-cell call scans the gap
+graphs for :class:`BoundTooSmall` and builds a certificate; a
+best-threshold table keeps each verdict alone (:func:`_best_delta`):
+the same search at the same cap, so the same verdict and the same
+:class:`StateExplosion`, but no record, no scan and no warning.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class ShadowCertificate(_Record):
     point: object | None = None
 
 
-def _gap_structures(sys, gaps, d_cut, e_cut):
+def _gap_structures(sys, gaps, d_cut, e_cut, bound=0, label=None):
     """Yield (n, succ, step, allowed) for each n of the ascending range
     ``gaps``: the gap graph (x -> y iff d(f^n(x), y) < delta), the n-step
     map, and the bitmask windows allowed[v] = {z : d(f^i(z), f^i(v)) <
@@ -156,7 +156,9 @@ def _gap_structures(sys, gaps, d_cut, e_cut):
     windows are those at T + P, since every constraint d(f^i(z),
     f^i(v)) < epsilon with i >= T + P repeats one at i - P.  A call
     reads the layers it needs and extends the tuple when it needs
-    more."""
+    more.  With a ``label``, which single cells give, BoundTooSmall
+    warns where a gap graph's closed walks outrun ``bound``, named by
+    the label formatted with the gap n; tables scan no walk."""
     near, key = sys._near(d_cut), ("windows", e_cut)
     T, P = sys.max_preperiod, sys.cycle_lcm
     for n in gaps:
@@ -172,7 +174,12 @@ def _gap_structures(sys, gaps, d_cut, e_cut):
             step, allowed = layers[T + (n - T) % P][0], layers[last][1]
         else:
             step, allowed = layers[n]
-        yield n, tuple(near[y] for y in step), step, allowed
+        succ = tuple(near[y] for y in step)
+        if label is not None:
+            longest = sys._memoized(("walks", d_cut, n),
+                                    lambda: _longest_primitive_walk(succ))
+            _warn_if_bound_blind(longest, bound, label.format(n=n))
+        yield n, succ, step, allowed
 
 
 def _carry_window(sys, e_cut, layers):
@@ -261,8 +268,8 @@ def shadowing_holds(sys, delta, epsilon, cap=None):
         (``DYNLAB_SUBSET_CAP``, default 2^20).
     """
     delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
-    dying = _first_dying_chain(sys, sys.lt_cutoff(delta),
-                               sys.lt_cutoff(epsilon), (1,), subset_cap(cap))
+    dying = _decider(sys, "shadowing", cap=cap)(
+        sys.lt_cutoff(delta), sys.lt_cutoff(epsilon))
     if dying is None:
         return True, None
     # the dying walk, completed into a lasso by the true orbit of its
@@ -339,20 +346,6 @@ def _warn_if_bound_blind(longest, bound, label):
         )
 
 
-def _gap_graphs(sys, d_cut, e_cut, gaps, bound, label):
-    """Yield (n, succ, step, allowed) of :func:`_gap_structures` per n in
-    ``gaps``.  With a ``label``, which single-cell calls give, warn
-    BoundTooSmall where a gap graph's closed walks outrun ``bound``;
-    the label, formatted with the gap n, names it.  Table cells give
-    none: their verdicts answer a threshold, and no walk is scanned."""
-    for n, succ, step, allowed in _gap_structures(sys, gaps, d_cut, e_cut):
-        if label is not None:
-            longest = sys._memoized(("walks", d_cut, n),
-                                    lambda: _longest_primitive_walk(succ))
-            _warn_if_bound_blind(longest, bound, label.format(n=n))
-        yield n, succ, step, allowed
-
-
 def _distinct(structures):
     """The (n, succ, step, allowed) of ``structures`` whose (step,
     allowed) no earlier one had.
@@ -410,8 +403,9 @@ def _first_untraced_chain(sys, d_cut, e_cut, gaps, bound, cap, exact,
                           label):
     """The first closed chain (n, walk) of the gap graphs at the cutoffs
     ``d_cut`` and ``e_cut``, in (gap, length, lex) order, that no
-    periodic point traces, or None.  ``label`` is that of
-    :func:`_gap_graphs`: single-cell calls give one, table cells none.
+    periodic point traces, or None.  ``bound`` and ``label`` are those
+    of :func:`_gap_structures`: single-cell calls give a label, table
+    cells none.
 
     Breadth-first search over tracer sets.  A state of gap n is (root r,
     vertex v >= r, S) reached by a walk of length k from r, where the
@@ -439,8 +433,8 @@ def _first_untraced_chain(sys, d_cut, e_cut, gaps, bound, cap, exact,
     """
     periodic, balls = sys.periodic_indices(), sys._balls(d_cut)
     visited = 0
-    for n, succ, step, allowed in _distinct(_gap_graphs(
-            sys, d_cut, e_cut, gaps, bound, label)):
+    for n, succ, step, allowed in _distinct(_gap_structures(
+            sys, gaps, d_cut, e_cut, bound, label)):
         masks = sys._memoized(("masks", e_cut, n, bound),
                               lambda: _tracer_masks(periodic, step, allowed,
                                                     bound))
@@ -486,16 +480,14 @@ def _first_untraced_chain(sys, d_cut, e_cut, gaps, bound, cap, exact,
     return None
 
 
-def _periodic_variant_holds(sys, delta, epsilon, period_bound, strong, cap,
-                            label):
-    """The verdict and certificate of the (strong) periodic search at
-    one cell; ``label`` as in :func:`_gap_graphs`."""
+def _periodic_variant_holds(sys, delta, epsilon, period_bound, prop, cap,
+                            warn):
+    """The verdict and certificate of the table ``prop``, "periodic" or
+    "strong-periodic", at one cell; ``warn`` as in :func:`_decider`."""
     delta, epsilon = as_fraction(delta), as_fraction(epsilon)
-    _at_least(period_bound, 1, "length bound")
+    decide = _decider(sys, prop, period_bound, cap, 1, warn)
     delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
-    untraced = _first_untraced_chain(
-        sys, sys.lt_cutoff(delta), sys.lt_cutoff(epsilon), (1,),
-        period_bound, subset_cap(cap), strong, label)
+    untraced = decide(sys.lt_cutoff(delta), sys.lt_cutoff(epsilon))
     if untraced is None:
         return True, None
     lasso = Lasso(cycle=tuple(sys.points[i] for i in untraced[1]))
@@ -516,16 +508,16 @@ def periodic_shadowing_holds(sys, delta, epsilon, period_bound, cap=None):
     warning when the step graph provably has cycles longer than the
     bound.
     """
-    return _periodic_variant_holds(sys, delta, epsilon, period_bound, False,
-                                   cap, "periodic")
+    return _periodic_variant_holds(sys, delta, epsilon, period_bound,
+                                   "periodic", cap, True)
 
 
 def strong_periodic_shadowing_holds(sys, delta, epsilon, period_bound, cap=None):
     """Like :func:`periodic_shadowing_holds`, but the tracer must have the
     same period as the pseudo-orbit (f^N(x) = x for declared period N).
     Same tracer-set search and cap count."""
-    return _periodic_variant_holds(sys, delta, epsilon, period_bound, True,
-                                   cap, "strong periodic")
+    return _periodic_variant_holds(sys, delta, epsilon, period_bound,
+                                   "strong-periodic", cap, True)
 
 
 def strong_shadow_point(sys, cycle_points, epsilon):
@@ -570,43 +562,46 @@ class ModulusTable(_Record):
         return all(delta is not None for _, delta in self.rows)
 
 
-# The five best-threshold tables, by name: (exact, chains).  ``exact``
-# names the search that decides a cell: None the open-chain die search
-# (:func:`_first_dying_chain`), else the closed-chain search
+# The five tracing properties, by name: (exact, chains, label).
+# ``exact`` names the search that decides a cell: None the open-chain
+# die search (:func:`_first_dying_chain`), else the closed-chain search
 # (:func:`_first_untraced_chain`), whose tracer must have the walk's
 # exact period when True and may have any period when False.
-# ``chains``: the table's chains take every gap n >= N, not the step alone.
+# ``chains``: the chains take every gap n >= N, not the step alone.
+# ``label``: a closed-walk search's BoundTooSmall warning, formatted
+# with the gap n (see :func:`_gap_structures`).
 _TABLES = {
-    "shadowing": (None, False),
-    "periodic": (False, False),
-    "strong-periodic": (True, False),
-    "spec-weak": (None, True),
-    "spec-full": (True, True),
+    "shadowing": (None, False, None),
+    "periodic": (False, False, "periodic"),
+    "strong-periodic": (True, False, "strong periodic"),
+    "spec-weak": (None, True, None),
+    "spec-full": (True, True, "closed chains at gap {n}"),
 }
 
 
-def _decider(sys, prop, bound=8, cap=None, N=1):
-    """The cell predicate holds(d_cut, e_cut) of the table ``prop`` (see
-    ``_TABLES``), whose chains take the gaps n >= N.  It takes the
-    cutoffs of delta and epsilon and returns the verdict of the search
-    that the single-cell call runs, over closed walks of length at most
-    ``bound`` where the table has them, at the same cap, read once here:
-    no certificate is built and no walk is scanned for BoundTooSmall.
-    An unknown name, an N below 1 and, for the closed-walk tables, a
-    bound below 1 are refused here, in that order, since the row rule
-    may pass every cell undecided (:func:`_best_delta`)."""
+def _decider(sys, prop, bound=8, cap=None, N=1, warn=False):
+    """The cell search of the property ``prop`` (see ``_TABLES``), whose
+    chains take the gaps n >= N, over closed walks of length at most
+    ``bound`` where it has them: given the cutoffs of delta and
+    epsilon, the first failing chain (n, walk), or None.  The one entry
+    to the searches; the cap is read once.  With ``warn`` (single cells
+    only) the closed-walk searches scan for BoundTooSmall.  An unknown
+    name, an N below 1, a closed-walk bound below 1 and a cap below 1
+    are refused here, in that order, since the row rule may pass every
+    cell undecided (:func:`_best_delta`)."""
     if prop not in _TABLES:
         raise ValueError(f"unknown property {prop!r}")
-    exact, chains = _TABLES[prop]
+    exact, chains, label = _TABLES[prop]
     gaps = gap_values(sys, N) if chains else (1,)
     if exact is not None:
         _at_least(bound, 1, "length bound")
     cap = subset_cap(cap)
     if exact is None:
         return lambda d_cut, e_cut: _first_dying_chain(
-            sys, d_cut, e_cut, gaps, cap) is None
+            sys, d_cut, e_cut, gaps, cap)
+    label = label if warn else None
     return lambda d_cut, e_cut: _first_untraced_chain(
-        sys, d_cut, e_cut, gaps, bound, cap, exact, None) is None
+        sys, d_cut, e_cut, gaps, bound, cap, exact, label)
 
 
 def shadowing_modulus(sys, epsilon, cap=None):
@@ -620,15 +615,16 @@ def shadowing_modulus(sys, epsilon, cap=None):
                        _decider(sys, "shadowing", cap=cap))
 
 
-def _best_delta(sys, prop, eps, holds, last=0):
+def _best_delta(sys, prop, eps, decide, last=0):
     """The largest grid delta whose cell passes at ``eps``, by bisection,
     for the table ``prop`` (see ``_TABLES``).
 
     The rule reads integers only.  The positive grid is the sub-minimal
     value, the positive distances and the top value, so its i-th value
     has the cutoff max(i, 1): the bisection runs over the positions,
-    which are the cutoffs from position 1 on, and a cell is decided by
-    ``holds(d_cut, e_cut)``, with the cutoff of ``eps`` computed once.
+    which are the cutoffs from position 1 on, and a cell passes when
+    ``decide(d_cut, e_cut)``, the cell search of :func:`_decider`,
+    finds no failing chain, with the cutoff of ``eps`` computed once.
     Every delta with a cutoff up to ``last``, that of a delta known to
     pass, passes undecided, and so do two kinds of sentinel cell, by
     definition:
@@ -652,11 +648,12 @@ def _best_delta(sys, prop, eps, holds, last=0):
     free = not _TABLES[prop][0] and e_cut == len(sys.distance_values)
     # position 0, the sub-minimal value, passes as a cutoff of 1 does
     best = _largest_passing(range(len(grid)), lambda d_cut: (
-        free or d_cut <= 1 or d_cut <= last or holds(d_cut, e_cut)))
+        free or d_cut <= 1 or d_cut <= last
+        or decide(d_cut, e_cut) is None))
     return grid[best]
 
 
-def _table(sys, prop, holds):
+def _table(sys, prop, decide):
     """The ModulusTable of rows (eps, best delta) over the positive grid,
     by :func:`_best_delta`.
 
@@ -666,7 +663,7 @@ def _table(sys, prop, holds):
     alone, in the same order, and the rows are the same."""
     rows, last = [], 0
     for eps in threshold_grid(sys).positive:
-        best = _best_delta(sys, prop, eps, holds, last)
+        best = _best_delta(sys, prop, eps, decide, last)
         rows.append((eps, best))
         last = sys.lt_cutoff(best)
     return ModulusTable(prop, tuple(rows))

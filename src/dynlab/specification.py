@@ -25,10 +25,9 @@ from .core import (Lasso, _Record, _at_least, _closed_walk_counts,
                    threshold_grid)
 from .errors import ModulusViolation, NotDecaying
 from .shadowing import (
+    _TABLES,
     _decider,
-    _first_dying_chain,
-    _first_untraced_chain,
-    _gap_graphs,
+    _gap_structures,
     _linear_envelope,
     _periodic_variant_holds,
     _phase_tracer,
@@ -36,7 +35,6 @@ from .shadowing import (
     gap_values,
     periodic_shadowing_holds,
     strong_periodic_shadowing_holds,
-    subset_cap,
     two_sided_limit_shadowing_check,
 )
 
@@ -95,9 +93,6 @@ class SpecCertificate(_Record):
         )
 
 
-_CHAIN_LABEL = "closed chains at gap {n}"
-
-
 def local_weak_spec_holds(sys, epsilon, N, delta, cap=None):
     """Can every segment chain with any gap n >= N be epsilon-traced?
 
@@ -109,9 +104,9 @@ def local_weak_spec_holds(sys, epsilon, N, delta, cap=None):
     would repeat a passing verdict.
     """
     epsilon, delta = _positive(epsilon, "epsilon"), _positive(delta, "delta")
+    dying = _decider(sys, "spec-weak", cap=cap, N=N)(
+        sys.lt_cutoff(delta), sys.lt_cutoff(epsilon))
     gaps = gap_values(sys, N)
-    dying = _first_dying_chain(sys, sys.lt_cutoff(delta),
-                               sys.lt_cutoff(epsilon), gaps, subset_cap(cap))
     if dying is None:
         return True, {"gap_range": gaps}
     n, walk = dying
@@ -156,12 +151,10 @@ def local_spec_holds(sys, epsilon, N, delta, k_bound=6, cap=None):
     has longer cycles.
     """
     epsilon, delta = as_fraction(epsilon), as_fraction(delta)
-    gaps = gap_values(sys, N)
-    _at_least(k_bound, 1, "length bound")
+    decide = _decider(sys, "spec-full", k_bound, cap, N, True)
     delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
-    untraced = _first_untraced_chain(
-        sys, sys.lt_cutoff(delta), sys.lt_cutoff(epsilon), gaps, k_bound,
-        subset_cap(cap), True, _CHAIN_LABEL)
+    untraced = decide(sys.lt_cutoff(delta), sys.lt_cutoff(epsilon))
+    gaps = gap_values(sys, N)
     if untraced is None:
         return True, {"gap_range": gaps}
     n, walk = untraced
@@ -364,15 +357,13 @@ def pairwise_tracing_chain(sys, delta, epsilon, k_bound=6, cap=None):
     delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
     d_cut = sys.lt_cutoff(delta)
     checked = 0
-    for n, succ, _, _ in _gap_graphs(sys, d_cut, sys.lt_cutoff(epsilon),
-                                     gap_values(sys, 1), k_bound,
-                                     _CHAIN_LABEL):
+    for n, succ, _, _ in _gap_structures(
+            sys, gap_values(sys, 1), d_cut, sys.lt_cutoff(epsilon), k_bound,
+            _TABLES["spec-full"][2]):
         # a count of graph structure, not a verdict: kept in the memo
-        key = ("chain counts", d_cut, n, k_bound)
-        if key not in sys._memo:
-            sys._memo[key] = sum(_closed_walk_counts(succ, k_bound,
-                                                     primitive=True))
-        checked += sys._memo[key]
+        checked += sys._memoized(
+            ("chain counts", d_cut, n, k_bound),
+            lambda: sum(_closed_walk_counts(succ, k_bound, primitive=True)))
     chain_ok = local_spec_holds(sys, epsilon, 1, delta, k_bound, cap)[0]
     periodic_ok = periodic_shadowing_holds(sys, delta, epsilon, k_bound, cap)[0]
     exact_ok = strong_periodic_shadowing_holds(
@@ -421,7 +412,7 @@ def derived_periodic_shadowing(sys, epsilon, k_bound=6, cap=None):
     (N is always 1); when no grid parameters fit the hypothesis shape,
     "applicable" is False and nothing is asserted.
 
-    The delta scan asks the cell predicate of the "spec-full" table
+    The delta scan asks the cell search of the "spec-full" table
     (:func:`~dynlab.shadowing._decider`, which refuses a k_bound below
     1), and the confirmation runs the search of
     periodic_shadowing_holds and builds its certificate.  The answer is
@@ -435,7 +426,8 @@ def derived_periodic_shadowing(sys, epsilon, k_bound=6, cap=None):
     h_cut = sys.lt_cutoff(half)
     # top-down: a bisection would decide other cells, which can hit the cap
     delta = next((delta for delta in reversed(grid.positive)
-                  if delta < half and spec(sys.lt_cutoff(delta), h_cut)),
+                  if delta < half
+                  and spec(sys.lt_cutoff(delta), h_cut) is None),
                  None)
     if delta is None:
         return {"applicable": False, "epsilon": epsilon}
@@ -444,7 +436,7 @@ def derived_periodic_shadowing(sys, epsilon, k_bound=6, cap=None):
         grid.positive, lambda v: eta_modulus(sys, v, 1) < delta)
     eta = eta_modulus(sys, delta1, 1)
     holds, certificate = _periodic_variant_holds(sys, delta1, epsilon, k_bound,
-                                                 False, cap, None)
+                                                 "periodic", cap, False)
     return {
         "applicable": True,
         "epsilon": epsilon,

@@ -20,7 +20,8 @@ from dynlab.gallery import build_random_system, build_xpq
 from dynlab.specification import local_spec_holds
 
 from helpers import cycle_system, scalene_cycle, stem_into_cycle
-from oracles import (local_spec_reference, myex_table_reference,
+from oracles import (local_spec_reference, local_weak_spec_reference,
+                     myex_table_reference, periodic_variant_reference,
                      window_table_reference)
 from test_recurrence import two_fixed_points
 from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
@@ -30,8 +31,7 @@ from test_metric import (check_built_as_reference, check_metric,
                          check_packed_triangles)
 from test_records import check_records
 from test_battery import check_order_laws, two_loop_window
-from test_shadowing import (check_failed_at_is_the_dying_step, check_tables,
-                            check_table_verdicts)
+from test_shadowing import check_failed_at_is_the_dying_step, check_tables
 from test_specification import check_gap_range
 from test_core import check_two_sided_shadows
 from test_expansive import check_hierarchy
@@ -287,13 +287,36 @@ def test_table_submin_rule_one_distance_too_far(monkeypatch):
         check_tables(two_loop_window())
 
 
+def check_strong_periodic_cells(sys, bound=3):
+    """Strong periodic shadowing answers as the walk-listing reference
+    at every grid cell, certificate included."""
+    grid = threshold_grid(sys).positive
+    for delta in grid:
+        for eps in grid:
+            assert (shadowing.strong_periodic_shadowing_holds(
+                sys, delta, eps, bound) == periodic_variant_reference(
+                    sys, delta, eps, bound, True)), (delta, eps)
+
+
+def check_weak_spec_cells(sys):
+    """Local weak specification at N = 1 answers as the frozenset
+    reference at every grid cell, counterexample included."""
+    grid = threshold_grid(sys).positive
+    for delta in grid:
+        for eps in grid:
+            assert (specification.local_weak_spec_holds(sys, eps, 1, delta)
+                    == local_weak_spec_reference(sys, eps, 1, delta)), (
+                        delta, eps)
+
+
 def test_table_verdict_ignoring_the_exact_period(monkeypatch):
     # the strong periodic cells at the top epsilon fail there, and pass
     # when any periodic tracer will do
-    check_table_verdicts(two_loop_window())
-    monkeypatch.setitem(shadowing._TABLES, "strong-periodic", (False, False))
+    check_strong_periodic_cells(two_loop_window())
+    monkeypatch.setitem(shadowing._TABLES, "strong-periodic",
+                        (False, False, "strong periodic"))
     with pytest.raises(AssertionError):
-        check_table_verdicts(two_loop_window())
+        check_strong_periodic_cells(two_loop_window())
 
 
 def test_weak_spec_rule_deciding_periodic_shadowing(monkeypatch):
@@ -301,12 +324,13 @@ def test_weak_spec_rule_deciding_periodic_shadowing(monkeypatch):
     # grid epsilons, from 1/12 on, so weak specification's order fails
     sys = build_random_system(7, 6)
     check_order_laws(sys)
-    check_tables(sys)
-    monkeypatch.setitem(shadowing._TABLES, "spec-weak", (False, False))
+    check_weak_spec_cells(sys)
+    monkeypatch.setitem(shadowing._TABLES, "spec-weak",
+                        (False, False, "periodic"))
     with pytest.raises(AssertionError):
         check_order_laws(sys)
     with pytest.raises(AssertionError):
-        check_tables(sys)
+        check_weak_spec_cells(sys)
 
 
 def test_gap_range_one_gap_short(monkeypatch):
@@ -338,7 +362,7 @@ def check_exact_period_hits():
 
 def test_exact_period_hits_reading_k_for_k_times_n(monkeypatch):
     check_exact_period_hits()
-    plant(monkeypatch, [shadowing, specification], "_first_untraced_chain",
+    plant(monkeypatch, [shadowing], "_first_untraced_chain",
           "k * n % len(sys.cycle(z))", "k % len(sys.cycle(z))")
     with pytest.raises(AssertionError):
         check_exact_period_hits()

@@ -33,13 +33,15 @@ from dynlab.recurrence import (chain_graph, cp_construction,
                                cyclic_decomposition, is_transitive,
                                spectral_decomposition)
 from dynlab.shadowing import (construct_shadow_point, delta_graph,
-                              modulus_table, shadowing_holds,
-                              shadowing_modulus, special_shadowing_holds,
+                              modulus_table, periodic_shadowing_holds,
+                              shadowing_holds, shadowing_modulus,
+                              special_shadowing_holds,
+                              strong_periodic_shadowing_holds,
                               strong_shadow_point, subset_cap,
                               two_sided_limit_shadowing_check)
 from dynlab.specification import (blockify, derived_periodic_shadowing,
                                   eta_modulus, generalized_spec_checks,
-                                  local_weak_spec_holds,
+                                  local_spec_holds, local_weak_spec_holds,
                                   spec_to_shadow_point, trace_chain)
 from dynlab.symbolic import (Sft, SymbolicPoint, build_sft, periodic_points,
                              product_system, window_system)
@@ -126,6 +128,24 @@ REFUSALS = {
     # a cap below 1 would report a cap hit on input that is only bad
     "shadowing-at-state-cap-zero": (
         lambda sys: shadowing_holds(sys, 1, 1, cap=0),
+        ValueError, "state cap must be at least 1, got 0"),
+    # a zero threshold and a zero cap together: the open-chain calls
+    # refuse the threshold first, the closed-walk calls the cap, which
+    # their cell search reads before the thresholds are converted
+    "shadowing-at-zero-delta-and-state-cap-zero": (
+        lambda sys: shadowing_holds(sys, 0, 1, cap=0),
+        ValueError, "delta must be positive, got 0"),
+    "weak-spec-at-zero-delta-and-state-cap-zero": (
+        lambda sys: local_weak_spec_holds(sys, 1, 1, 0, cap=0),
+        ValueError, "delta must be positive, got 0"),
+    "periodic-at-zero-delta-and-state-cap-zero": (
+        lambda sys: periodic_shadowing_holds(sys, 0, 1, 3, cap=0),
+        ValueError, "state cap must be at least 1, got 0"),
+    "strong-periodic-at-zero-delta-and-state-cap-zero": (
+        lambda sys: strong_periodic_shadowing_holds(sys, 0, 1, 3, cap=0),
+        ValueError, "state cap must be at least 1, got 0"),
+    "full-spec-at-zero-delta-and-state-cap-zero": (
+        lambda sys: local_spec_holds(sys, 1, 1, 0, cap=0),
         ValueError, "state cap must be at least 1, got 0"),
     "table-at-state-cap-minus-one": (
         lambda sys: modulus_table(sys, "shadowing", cap=-1),
@@ -268,21 +288,29 @@ REFUSERS = {"core._positive", "core._at_least"}
 RULE_WORDS = ("must be positive", "must be at least")
 
 
-def raised_texts(node, where):
-    """(where, text) for each raise under ``node``: ``where`` the dotted
-    name of the innermost function or class around it, ``text`` the
-    string constants of the raised expression, joined."""
+def scoped_nodes(node, where):
+    """(where, child) for each node under ``node`` but the function and
+    class definitions: ``where`` the dotted name of the innermost
+    function or class around it."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
-            yield from raised_texts(child, f"{where}.{child.name}")
+            yield from scoped_nodes(child, f"{where}.{child.name}")
             continue
+        yield where, child
+        yield from scoped_nodes(child, where)
+
+
+def raised_texts(node, where):
+    """(where, text) for each raise under ``node``: ``where`` as in
+    :func:`scoped_nodes`, ``text`` the string constants of the raised
+    expression, joined."""
+    for where, child in scoped_nodes(node, where):
         if isinstance(child, ast.Raise) and child.exc is not None:
             yield where, "".join(
                 leaf.value for leaf in ast.walk(child.exc)
                 if isinstance(leaf, ast.Constant)
                 and isinstance(leaf.value, str))
-        yield from raised_texts(child, where)
 
 
 def test_only_the_core_helpers_word_a_refusal():
@@ -315,3 +343,25 @@ def test_the_tables_are_named_in_one_registry():
                 spelled.append(path.stem)
     assert refusing == {"shadowing._decider"}
     assert spelled == ["shadowing"]
+
+
+SEARCHES = {"_first_dying_chain", "_first_untraced_chain"}
+
+
+def test_the_tracing_searches_have_one_caller():
+    # single cells and tables alike reach the two tracing searches
+    # through shadowing._decider, and no other module imports them
+    callers, imported = set(), set()
+    for path in sorted(pathlib.Path(dynlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for where, node in scoped_nodes(tree, path.stem):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                if name in SEARCHES:
+                    callers.add((where, name))
+            elif isinstance(node, ast.ImportFrom):
+                imported.update((path.stem, alias.name) for alias in node.names
+                                if alias.name in SEARCHES)
+    assert callers == {("shadowing._decider", name) for name in SEARCHES}
+    assert imported == set()

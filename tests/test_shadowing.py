@@ -414,16 +414,6 @@ def test_random_spot_checks_certificates():
 
 TABLES = ("shadowing", "periodic", "strong-periodic", "spec-weak", "spec-full")
 
-# the public single-cell decision of each table, which the references
-# call
-DECISIONS = (
-    (shadowing, "shadowing_holds", "shadowing"),
-    (shadowing, "periodic_shadowing_holds", "periodic"),
-    (shadowing, "strong_periodic_shadowing_holds", "strong-periodic"),
-    (specification, "local_weak_spec_holds", "spec-weak"),
-    (specification, "local_spec_holds", "spec-full"),
-)
-
 
 def library_table(sys, prop, bound):
     """The rows of one of the five tables, bound as period and k bound."""
@@ -450,17 +440,10 @@ def check_tables(sys, bound=3):
 
 def log_cells(monkeypatch):
     """Log (table, d_cut, e_cut) of every cell decided, with delta and
-    epsilon as their cutoffs: the library's tables decide a cell through
-    the predicate of ``shadowing._decider``, the references through the
-    public single-cell names, whose thresholds are logged as cutoffs."""
+    epsilon as their cutoffs: the library's tables and the public
+    single-cell names, which the references call, alike decide a cell
+    through the predicate of ``shadowing._decider``."""
     cells = []
-    for module, name, table in DECISIONS:
-        def logged(sys, *args, _decide=getattr(module, name), _table=table):
-            delta, eps = cell_thresholds(_table, args)
-            cells.append((_table, sys.lt_cutoff(delta), sys.lt_cutoff(eps)))
-            return _decide(sys, *args)
-        monkeypatch.setattr(module, name, logged)
-
     real = shadowing._decider
 
     def make_logged(sys, table, *args, **kwargs):
@@ -500,14 +483,6 @@ def test_tables_decide_a_subset_of_the_carry_free_cells(sys, prop):
 
 
 ANY_TRACER_TABLES = ("shadowing", "periodic", "spec-weak")
-
-
-def cell_thresholds(table, args):
-    """(delta, epsilon) of a public decision call: the spec decisions
-    take (epsilon, N, delta, ...), the others (delta, epsilon, ...)."""
-    if table.startswith("spec-"):
-        return args[2], args[0]
-    return args[0], args[1]
 
 
 def searched_cells(sys, prop, bound):
@@ -551,8 +526,9 @@ def test_single_row_moduli_answer_as_the_table_rows(sys):
 
 def table_decider(sys, prop, bound, cap):
     """The cell predicate of one of the five tables, bound as period and
-    k bound."""
-    return shadowing._decider(sys, prop, bound, cap)
+    k bound: its cell search finds no failing chain."""
+    decide = shadowing._decider(sys, prop, bound, cap)
+    return lambda d_cut, e_cut: decide(d_cut, e_cut) is None
 
 
 def public_cell(sys, prop, d_cut, e_cut, bound, cap):
