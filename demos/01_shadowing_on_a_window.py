@@ -2,10 +2,15 @@
 
 A two-loop shift is truncated to its central-window presentation, which
 is a finite multivalued system with an exact rational metric.  The demo
-shows the threshold grid, asks the shadowing question at a pinned
-parameter pair, exhibits a certificate when the answer is negative, and
+shows the threshold grid, asks the shadowing question at two pinned
+parameter pairs, exhibits a certificate when the answer is negative, and
 prints the full modulus table (the best step tolerance per tracking
 tolerance).
+
+The first pair, (delta, epsilon) = (1/8, 1/4), holds by definition, not
+by search: delta is below the least positive distance, 1/2, so every
+delta-pseudo-orbit is a true orbit and traces itself.  The second,
+delta = 2, is searched, and fails with a certificate.
 """
 
 from fractions import Fraction

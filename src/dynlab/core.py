@@ -431,9 +431,9 @@ class FiniteSystem:
         (``("balls", cut)``, ``("near", cut)``); the gap maps and
         tracking windows ``("windows", e_cut)``; the longest primitive
         closed walk of a gap graph ``("walks", d_cut, n)``; the tracer
-        masks, exact-period hits and step^k orbits of the closed-chain
-        search (``("masks", e_cut, n, bound)``, ``("hits", n, bound)``,
-        ``("orbits", n, bound)``); the closed-chain counts
+        masks of the closed-chain search ``("masks", e_cut, n, bound)``
+        and its exact-period hits and step^k orbits, read off the
+        cycles, ``("closures", n, bound)``; the closed-chain counts
         ``("chain counts", d_cut, n, k_bound)``; the admissible steps
         as successor bitmasks ``("steps",)``; f^(T + P) of every index
         ``("eventual",)``; and the expansiveness floors, the cutoffs up
@@ -707,7 +707,11 @@ def _assemble(points, scaled, scale, fmap, invertible, relation):
 
     rel = None
     if relation is not None:
-        rel = tuple(tuple(idx[y] for y in succ) for succ in relation)
+        try:
+            rel = tuple(tuple(idx[y] for y in succ) for succ in relation)
+        except KeyError as e:
+            raise ValueError("relation sends a point outside the space: "
+                             f"{e}") from None
         if len(rel) != n:
             raise ValueError("relation length does not match points")
 

@@ -55,7 +55,7 @@ from itertools import compress
 
 from .core import (Lasso, _Record, _at_least, _first_miss, _image,
                    _largest_passing, _positive, _shadows_backward,
-                   _strong_components, as_fraction, shadows, threshold_grid)
+                   _strong_components, shadows, threshold_grid)
 from .errors import BoundTooSmall, NotDecaying, NotInvertible, StateExplosion
 
 __all__ = [
@@ -267,9 +267,8 @@ def shadowing_holds(sys, delta, epsilon, cap=None):
         If the subset search would exceed the state cap
         (``DYNLAB_SUBSET_CAP``, default 2^20).
     """
-    delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
-    dying = _decider(sys, "shadowing", cap=cap)(
-        sys.lt_cutoff(delta), sys.lt_cutoff(epsilon))
+    delta, epsilon, dying = _decide_cell(sys, "shadowing", delta, epsilon,
+                                         8, cap, 1, True)
     if dying is None:
         return True, None
     # the dying walk, completed into a lasso by the true orbit of its
@@ -279,7 +278,7 @@ def shadowing_holds(sys, delta, epsilon, cap=None):
     lasso = Lasso(stem=tuple(sys.points[i] for i in (*walk, *prefixes[nxt])),
                   cycle=tuple(sys.points[i] for i in cycles[nxt]))
     return False, ShadowCertificate(
-        "counterexample", delta, epsilon, lasso, dying_step=len(walk) - 1
+        "counterexample", delta, epsilon, lasso, len(walk) - 1
     )
 
 
@@ -302,7 +301,7 @@ def construct_shadow_point(sys, lasso, epsilon):
                       or _shadows_backward(sys, i, lasso, cutoff))
         if misses[-1] is None and behind[-1]:
             return z, {"certificate": ShadowCertificate(
-                "traced", None, epsilon, lasso, point=z)}
+                "traced", None, epsilon, lasso, None, z)}
     if lasso.two_sided:
         forward = tuple(z for z, miss in zip(sys.points, misses)
                         if miss is None)
@@ -363,20 +362,21 @@ def _distinct(structures):
             yield structure
 
 
-def _orbit_masks(periodic, step, k):
-    """The orbits of step^k on the periodic points, as bitmasks."""
-    masks, done = [], 0
-    for z in periodic:
-        if done >> z & 1:
-            continue
-        mask, y = 0, z
-        while not mask >> y & 1:
-            mask |= 1 << y
-            for _ in range(k):
-                y = step[y]
-        masks.append(mask)
-        done |= mask
-    return tuple(masks)
+def _closures(cycles, n, bound):
+    """closures[k] for 1 <= k <= bound: (hits, orbits), the orbits of
+    f^(kn) on the periodic points as bitmasks, and the points it fixes,
+    those whose orbit is one point, as one bitmask.  f^(kn) turns a
+    cycle of length p by kn, so its orbits on the cycle are the
+    gcd(p, kn) residue classes of the positions."""
+    closures = [None]
+    for k in range(1, bound + 1):
+        orbits = []
+        for cyc in cycles:
+            g = math.gcd(len(cyc), k * n)
+            orbits += (sum(1 << z for z in cyc[j::g]) for j in range(g))
+        closures.append((sum(o for o in orbits if not o & o - 1),
+                         tuple(orbits)))
+    return tuple(closures)
 
 
 def _tracer_masks(periodic, step, allowed, bound):
@@ -411,7 +411,7 @@ def _first_untraced_chain(sys, d_cut, e_cut, gaps, bound, cap, exact,
     vertex v >= r, S) reached by a walk of length k from r, where the
     bitmask S holds the periodic z with step^i(z) in allowed[w_i] for
     every i < k; one edge to u is ``S & masks[k][u]``.  When the walk
-    closes (r is a successor of v) it is traced iff
+    closes (r is a successor of v) it is traced iff (see :func:`_closures`)
 
     - exact (the tracer has f^(kn)(z) = z): S meets {z : p(z) | kn};
     - otherwise (any period): some step^k-orbit of periodic points lies
@@ -438,17 +438,8 @@ def _first_untraced_chain(sys, d_cut, e_cut, gaps, bound, cap, exact,
         masks = sys._memoized(("masks", e_cut, n, bound),
                               lambda: _tracer_masks(periodic, step, allowed,
                                                     bound))
-        if exact:
-            hits = sys._memoized(("hits", n, bound), lambda: tuple(
-                sum(1 << z for z in periodic
-                    if k * n % len(sys.cycle(z)) == 0)
-                for k in range(bound + 1)))
-            traced = lambda k, s: s & hits[k]
-        else:
-            orbits = sys._memoized(("orbits", n, bound), lambda: (None,) + (
-                tuple(_orbit_masks(periodic, step, k)
-                      for k in range(1, bound + 1))))
-            traced = lambda k, s: any(o & s == o for o in orbits[k])
+        closures = sys._memoized(("closures", n, bound),
+                                 lambda: _closures(sys._cycles, n, bound))
         closes = [balls[y] for y in step]  # closes[v] >> u & 1: u in succ[v]
         level = []
         for r in range(sys.n):
@@ -457,8 +448,10 @@ def _first_untraced_chain(sys, d_cut, e_cut, gaps, bound, cap, exact,
                 raise StateExplosion(visited, cap, frontier_sample=(n, r, r, 1))
             level.append((r, r, masks[0][r], (r,)))
         for k in range(1, bound + 1):
+            hits, orbits = closures[k]
             for r, v, s, walk in level:
-                if closes[v] >> r & 1 and not traced(k, s):
+                if closes[v] >> r & 1 and not (
+                        s & hits if exact else any(o & s == o for o in orbits)):
                     return n, walk
             if k == bound:
                 break
@@ -484,10 +477,8 @@ def _periodic_variant_holds(sys, delta, epsilon, period_bound, prop, cap,
                             warn):
     """The verdict and certificate of the table ``prop``, "periodic" or
     "strong-periodic", at one cell; ``warn`` as in :func:`_decider`."""
-    delta, epsilon = as_fraction(delta), as_fraction(epsilon)
-    decide = _decider(sys, prop, period_bound, cap, 1, warn)
-    delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
-    untraced = decide(sys.lt_cutoff(delta), sys.lt_cutoff(epsilon))
+    delta, epsilon, untraced = _decide_cell(sys, prop, delta, epsilon,
+                                            period_bound, cap, 1, warn)
     if untraced is None:
         return True, None
     lasso = Lasso(cycle=tuple(sys.points[i] for i in untraced[1]))
@@ -602,6 +593,16 @@ def _decider(sys, prop, bound=8, cap=None, N=1, warn=False):
     label = label if warn else None
     return lambda d_cut, e_cut: _first_untraced_chain(
         sys, d_cut, e_cut, gaps, bound, cap, exact, label)
+
+
+def _decide_cell(sys, prop, delta, epsilon, bound, cap, N, warn):
+    """(delta, epsilon, first failing chain or None) at one cell of the
+    table ``prop``.  Every tracing question refuses in this order: what
+    :func:`_decider` refuses, then delta, then epsilon, before any search
+    or warning.  Open-chain cells pass the tables' default bound, 8."""
+    decide = _decider(sys, prop, bound, cap, N, warn)
+    delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
+    return delta, epsilon, decide(sys.lt_cutoff(delta), sys.lt_cutoff(epsilon))
 
 
 def shadowing_modulus(sys, epsilon, cap=None):

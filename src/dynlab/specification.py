@@ -21,11 +21,11 @@ import math
 from fractions import Fraction
 
 from .core import (Lasso, _Record, _at_least, _closed_walk_counts,
-                   _largest_passing, _positive, as_fraction, shadows,
-                   threshold_grid)
+                   _largest_passing, _positive, shadows, threshold_grid)
 from .errors import ModulusViolation, NotDecaying
 from .shadowing import (
     _TABLES,
+    _decide_cell,
     _decider,
     _gap_structures,
     _linear_envelope,
@@ -33,8 +33,6 @@ from .shadowing import (
     _phase_tracer,
     _table,
     gap_values,
-    periodic_shadowing_holds,
-    strong_periodic_shadowing_holds,
     two_sided_limit_shadowing_check,
 )
 
@@ -103,16 +101,23 @@ def local_weak_spec_holds(sys, epsilon, N, delta, cap=None):
     repeats one already searched in this call is skipped: its search
     would repeat a passing verdict.
     """
-    epsilon, delta = _positive(epsilon, "epsilon"), _positive(delta, "delta")
-    dying = _decider(sys, "spec-weak", cap=cap, N=N)(
-        sys.lt_cutoff(delta), sys.lt_cutoff(epsilon))
-    gaps = gap_values(sys, N)
-    if dying is None:
-        return True, {"gap_range": gaps}
-    n, walk = dying
-    chain = SpecInstance(sources=tuple(sys.points[i] for i in walk), gap=n,
-                         closed=False, delta=delta)
-    return False, {"gap_range": gaps, "counterexample": chain}
+    return _chain_cell(sys, "spec-weak", epsilon, N, delta, 8, cap)
+
+
+def _chain_cell(sys, prop, epsilon, N, delta, bound, cap):
+    """The answer of the chain table ``prop``, "spec-weak" or
+    "spec-full", at one cell, by :func:`~dynlab.shadowing._decide_cell`:
+    the gap range, and on failure the first failing chain, closed when
+    the table's tracer is periodic."""
+    delta, _, failing = _decide_cell(sys, prop, delta, epsilon, bound, cap,
+                                     N, True)
+    info = {"gap_range": gap_values(sys, N)}
+    if failing is not None:
+        n, walk = failing
+        info["counterexample"] = SpecInstance(
+            tuple(sys.points[i] for i in walk), n,
+            _TABLES[prop][0] is not None, delta)
+    return failing is None, info
 
 
 def trace_chain(sys, sources, gap, epsilon, periodic=False):
@@ -150,17 +155,7 @@ def local_spec_holds(sys, epsilon, N, delta, k_bound=6, cap=None):
     counts nothing.  Warns BoundTooSmall when the gap graph provably
     has longer cycles.
     """
-    epsilon, delta = as_fraction(epsilon), as_fraction(delta)
-    decide = _decider(sys, "spec-full", k_bound, cap, N, True)
-    delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
-    untraced = decide(sys.lt_cutoff(delta), sys.lt_cutoff(epsilon))
-    gaps = gap_values(sys, N)
-    if untraced is None:
-        return True, {"gap_range": gaps}
-    n, walk = untraced
-    chain = SpecInstance(sources=tuple(sys.points[i] for i in walk), gap=n,
-                         closed=True, delta=delta)
-    return False, {"gap_range": gaps, "counterexample": chain}
+    return _chain_cell(sys, "spec-full", epsilon, N, delta, k_bound, cap)
 
 
 def eta_modulus(sys, delta1, N):
@@ -298,7 +293,7 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     _at_least(N, 1, "N")
     if variant == "lipschitz":
         envelope = _linear_envelope(_table(
-            sys, "spec-weak", _decider(sys, "spec-weak", cap=cap, N=N)))
+            sys, "spec-weak", _decider(sys, "spec-weak", 8, cap, N)))
         return {"variant": variant, "holds": True, "envelope": envelope}
 
     if lasso is None:
@@ -352,8 +347,7 @@ def pairwise_tracing_chain(sys, delta, epsilon, k_bound=6, cap=None):
     searches count against the cap.  Returns a dict with one entry per
     link plus "holds" for their conjunction.
     """
-    delta, epsilon = as_fraction(delta), as_fraction(epsilon)
-    _at_least(k_bound, 1, "length bound")
+    _decider(sys, "spec-full", k_bound, cap)  # refuses before any warning
     delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
     d_cut = sys.lt_cutoff(delta)
     checked = 0
@@ -363,11 +357,11 @@ def pairwise_tracing_chain(sys, delta, epsilon, k_bound=6, cap=None):
         # a count of graph structure, not a verdict: kept in the memo
         checked += sys._memoized(
             ("chain counts", d_cut, n, k_bound),
-            lambda: sum(_closed_walk_counts(succ, k_bound, primitive=True)))
-    chain_ok = local_spec_holds(sys, epsilon, 1, delta, k_bound, cap)[0]
-    periodic_ok = periodic_shadowing_holds(sys, delta, epsilon, k_bound, cap)[0]
-    exact_ok = strong_periodic_shadowing_holds(
-        sys, delta, epsilon, k_bound, cap)[0]
+            lambda: sum(_closed_walk_counts(succ, k_bound, True)))
+    cell = (delta, epsilon, k_bound, cap, 1, True)
+    chain_ok = _decide_cell(sys, "spec-full", *cell)[2] is None
+    periodic_ok = _decide_cell(sys, "periodic", *cell)[2] is None
+    exact_ok = _decide_cell(sys, "strong-periodic", *cell)[2] is None
     links = {
         "exact_to_chain": {
             "holds": True,
@@ -419,8 +413,8 @@ def derived_periodic_shadowing(sys, epsilon, k_bound=6, cap=None):
     a transfer of thresholds, so, as in the tables, no gap graph is
     scanned for BoundTooSmall and nothing warns.
     """
-    epsilon = _positive(epsilon, "epsilon")
     spec = _decider(sys, "spec-full", k_bound, cap)
+    epsilon = _positive(epsilon, "epsilon")
     grid = threshold_grid(sys)
     half = epsilon / 2
     h_cut = sys.lt_cutoff(half)

@@ -36,7 +36,10 @@ bisections ``n_expansive_constant_reference`` and
 ``hypothesis_report_reference``) are the library's earlier scans of the
 whole spread at each delta, kept to check the per-system floors that
 replaced them; ``tracer_masks_reference`` is its earlier tracer masks,
-one bit test per periodic point, kept to check the pushed fibres.
+one bit test per periodic point, kept to check the pushed fibres, and
+``orbit_masks_reference`` its earlier step^k orbits of the closed-chain
+search, walked k steps per hop, kept to check the orbits read off the
+cycles.
 ``pushed_closed_walk_counts`` is the library's earlier closed-walk
 count, one dict push per start, kept to check the packed push of all
 starts at once that replaced it.  ``lt_cutoff_reference`` and
@@ -659,6 +662,23 @@ def tracer_masks_reference(periodic, step, allowed, bound):
         masks.append(tuple(sum(1 << z for z, y in zip(periodic, at)
                                if window >> y & 1) for window in allowed))
         at = [step[y] for y in at]
+    return tuple(masks)
+
+
+def orbit_masks_reference(periodic, step, k):
+    """The orbits of step^k on the periodic points, as bitmasks, walked
+    k steps per hop (the library's earlier ``_orbit_masks``)."""
+    masks, done = [], 0
+    for z in periodic:
+        if done >> z & 1:
+            continue
+        mask, y = 0, z
+        while not mask >> y & 1:
+            mask |= 1 << y
+            for _ in range(k):
+                y = step[y]
+        masks.append(mask)
+        done |= mask
     return tuple(masks)
 
 

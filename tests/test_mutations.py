@@ -31,7 +31,8 @@ from test_metric import (check_built_as_reference, check_metric,
                          check_packed_triangles)
 from test_records import check_records
 from test_battery import check_order_laws, two_loop_window
-from test_shadowing import check_failed_at_is_the_dying_step, check_tables
+from test_shadowing import (check_cell_arguments,
+                           check_failed_at_is_the_dying_step, check_tables)
 from test_specification import check_gap_range
 from test_core import check_two_sided_shadows
 from test_expansive import check_hierarchy
@@ -362,8 +363,7 @@ def check_exact_period_hits():
 
 def test_exact_period_hits_reading_k_for_k_times_n(monkeypatch):
     check_exact_period_hits()
-    plant(monkeypatch, [shadowing], "_first_untraced_chain",
-          "k * n % len(sys.cycle(z))", "k % len(sys.cycle(z))")
+    plant(monkeypatch, [shadowing], "_closures", "k * n", "k")
     with pytest.raises(AssertionError):
         check_exact_period_hits()
 
@@ -432,3 +432,27 @@ def test_record_equality_dropping_the_last_field(monkeypatch):
           "self._values(self)[:-1] == other._values(other)[:-1]")
     with pytest.raises(AssertionError):
         check_records()
+
+
+def test_periodic_wrapper_asking_the_strong_periodic_table(monkeypatch):
+    check_cell_arguments()
+    plant(monkeypatch, [shadowing], "periodic_shadowing_holds",
+          '"periodic", cap, True)', '"strong-periodic", cap, True)')
+    with pytest.raises(AssertionError):
+        check_cell_arguments()
+
+
+def test_full_spec_cell_dropping_its_cap(monkeypatch):
+    check_cell_arguments()
+    plant(monkeypatch, [specification], "local_spec_holds",
+          "k_bound, cap)", "k_bound, None)")
+    with pytest.raises(AssertionError):
+        check_cell_arguments()
+
+
+def test_weak_spec_cell_reading_gap_one(monkeypatch):
+    check_cell_arguments()
+    plant(monkeypatch, [specification], "local_weak_spec_holds",
+          "epsilon, N, delta, 8", "epsilon, 1, delta, 8")
+    with pytest.raises(AssertionError):
+        check_cell_arguments()

@@ -16,6 +16,7 @@ package words such a refusal itself.
 import ast
 import json
 import pathlib
+import warnings
 from dataclasses import field
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ import pytest
 
 import dynlab
 from dynlab.cli import main
-from dynlab.core import Lasso, _Record
+from dynlab.core import Lasso, _Record, build_finite_system
 from dynlab.errors import EmptyShift, NotInvertible
 from dynlab.gallery import (build_myex, build_product_truncation,
                             build_random_system, build_xpq)
@@ -42,7 +43,8 @@ from dynlab.shadowing import (construct_shadow_point, delta_graph,
 from dynlab.specification import (blockify, derived_periodic_shadowing,
                                   eta_modulus, generalized_spec_checks,
                                   local_spec_holds, local_weak_spec_holds,
-                                  spec_to_shadow_point, trace_chain)
+                                  pairwise_tracing_chain, spec_to_shadow_point,
+                                  trace_chain)
 from dynlab.symbolic import (Sft, SymbolicPoint, build_sft, periodic_points,
                              product_system, window_system)
 
@@ -129,15 +131,18 @@ REFUSALS = {
     "shadowing-at-state-cap-zero": (
         lambda sys: shadowing_holds(sys, 1, 1, cap=0),
         ValueError, "state cap must be at least 1, got 0"),
-    # a zero threshold and a zero cap together: the open-chain calls
-    # refuse the threshold first, the closed-walk calls the cap, which
-    # their cell search reads before the thresholds are converted
+    # a zero threshold and a zero cap together: every single-cell call
+    # refuses the cap, which its cell search reads before the thresholds
+    # are converted (see ORDER below)
     "shadowing-at-zero-delta-and-state-cap-zero": (
         lambda sys: shadowing_holds(sys, 0, 1, cap=0),
-        ValueError, "delta must be positive, got 0"),
+        ValueError, "state cap must be at least 1, got 0"),
     "weak-spec-at-zero-delta-and-state-cap-zero": (
         lambda sys: local_weak_spec_holds(sys, 1, 1, 0, cap=0),
-        ValueError, "delta must be positive, got 0"),
+        ValueError, "state cap must be at least 1, got 0"),
+    "periodic-at-inexact-delta-and-bound-zero": (
+        lambda sys: periodic_shadowing_holds(sys, 0.5, 1, 0),
+        ValueError, "length bound must be at least 1, got 0"),
     "periodic-at-zero-delta-and-state-cap-zero": (
         lambda sys: periodic_shadowing_holds(sys, 0, 1, 3, cap=0),
         ValueError, "state cap must be at least 1, got 0"),
@@ -237,6 +242,10 @@ REFUSALS = {
     "random-system-of-no-points": (
         lambda sys: build_random_system(1, 0),
         ValueError, "size must be at least 1, got 0"),
+    "relation-to-a-point-outside-the-space": (
+        lambda sys: build_finite_system(["a", "b"], [[0, 1], [1, 0]],
+                                        ["b", "a"], relation=[["b"], ["zz"]]),
+        ValueError, "relation sends a point outside the space: 'zz'"),
 }
 
 
@@ -247,6 +256,86 @@ def test_refusal(call, error, fragment):
         call(stem_into_cycle())
     assert type(raised.value) is error
     assert fragment in str(raised.value)
+
+
+# One refusal order for every tracing question: the counts its cell
+# search reads (N, then the length bound, then the state cap), then
+# delta, then epsilon.  Each call is listed with every count bad and
+# every threshold bad, the message it must give, then with only the
+# thresholds bad, and the message it must give then.
+ORDER = {
+    "shadowing": (
+        lambda sys: shadowing_holds(sys, 0, 0, cap=0),
+        "state cap must be at least 1, got 0",
+        lambda sys: shadowing_holds(sys, 0, 0),
+        "delta must be positive, got 0"),
+    "periodic": (
+        lambda sys: periodic_shadowing_holds(sys, 0, 0, 0, cap=0),
+        "length bound must be at least 1, got 0",
+        lambda sys: periodic_shadowing_holds(sys, 0, 0, 3),
+        "delta must be positive, got 0"),
+    "strong-periodic": (
+        lambda sys: strong_periodic_shadowing_holds(sys, 0, 0, 0, cap=0),
+        "length bound must be at least 1, got 0",
+        lambda sys: strong_periodic_shadowing_holds(sys, 0, 0, 3),
+        "delta must be positive, got 0"),
+    "weak-spec": (
+        lambda sys: local_weak_spec_holds(sys, 0, 0, 0, cap=0),
+        "N must be at least 1, got 0",
+        lambda sys: local_weak_spec_holds(sys, 0, 1, 0),
+        "delta must be positive, got 0"),
+    "full-spec": (
+        lambda sys: local_spec_holds(sys, 0, 0, 0, k_bound=0, cap=0),
+        "N must be at least 1, got 0",
+        lambda sys: local_spec_holds(sys, 0, 1, 0),
+        "delta must be positive, got 0"),
+    "pairwise": (
+        lambda sys: pairwise_tracing_chain(sys, 0, 0, k_bound=0, cap=0),
+        "length bound must be at least 1, got 0",
+        lambda sys: pairwise_tracing_chain(sys, 0, 0),
+        "delta must be positive, got 0"),
+    "derived-transfer": (
+        lambda sys: derived_periodic_shadowing(sys, 0, k_bound=0, cap=0),
+        "length bound must be at least 1, got 0",
+        lambda sys: derived_periodic_shadowing(sys, 0),
+        "epsilon must be positive, got 0"),
+    "shadowing-modulus": (
+        lambda sys: shadowing_modulus(sys, 0, cap=0),
+        "state cap must be at least 1, got 0",
+        lambda sys: shadowing_modulus(sys, 0),
+        "epsilon must be positive, got 0"),
+    "special-tracing": (
+        lambda sys: special_shadowing_holds(sys, 0, 0, cap=0),
+        "length bound must be at least 1, got 0",
+        lambda sys: special_shadowing_holds(sys, 0),
+        "epsilon must be positive, got 0"),
+}
+
+
+@pytest.mark.parametrize("counts_bad, count_text, thresholds_bad, "
+                         "threshold_text", ORDER.values(), ids=ORDER.keys())
+def test_counts_then_delta_then_epsilon(counts_bad, count_text,
+                                        thresholds_bad, threshold_text):
+    for call, text in ((counts_bad, count_text),
+                       (thresholds_bad, threshold_text)):
+        with pytest.raises(ValueError) as raised:
+            call(stem_into_cycle())
+        assert str(raised.value) == text
+
+
+def test_pairwise_chain_refuses_before_it_warns():
+    # at bound 1 this system warns BoundTooSmall for each gap it scans
+    sys = build_random_system(3, 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pairwise_tracing_chain(sys, 1, 1, k_bound=1)
+    assert caught
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError,
+                           match="state cap must be at least 1, got 0"):
+            pairwise_tracing_chain(sys, 1, 1, k_bound=1, cap=0)
+    assert caught == []
 
 
 def test_state_cap_below_one_from_the_environment_exits_two(

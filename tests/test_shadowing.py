@@ -524,56 +524,50 @@ def test_single_row_moduli_answer_as_the_table_rows(sys):
             assert d_cut > 1 and e_cut < top
 
 
-def table_decider(sys, prop, bound, cap):
-    """The cell predicate of one of the five tables, bound as period and
-    k bound: its cell search finds no failing chain."""
-    decide = shadowing._decider(sys, prop, bound, cap)
-    return lambda d_cut, e_cut: decide(d_cut, e_cut) is None
+# each public single-cell call, and the two calls built on single
+# cells, with the arguments (table, bound, cap, N, warn) it must hand
+# the cell search; a cap of 50 and N = 2 stand out from the defaults
+CELL_ARGUMENTS = (
+    (lambda sys: shadowing.shadowing_holds(sys, 1, 1, 50),
+     [("shadowing", 8, 50, 1, True)]),
+    (lambda sys: shadowing.periodic_shadowing_holds(sys, 1, 1, 3, 50),
+     [("periodic", 3, 50, 1, True)]),
+    (lambda sys: shadowing.strong_periodic_shadowing_holds(sys, 1, 1, 3, 50),
+     [("strong-periodic", 3, 50, 1, True)]),
+    (lambda sys: specification.local_weak_spec_holds(sys, 1, 2, 1, 50),
+     [("spec-weak", 8, 50, 2, True)]),
+    (lambda sys: specification.local_spec_holds(sys, 1, 2, 1, 3, 50),
+     [("spec-full", 3, 50, 2, True)]),
+    (lambda sys: specification.pairwise_tracing_chain(sys, 1, 1, 3, 50),
+     [(prop, 3, 50, 1, True)
+      for prop in ("spec-full", "periodic", "strong-periodic")]),
+    (lambda sys: specification.derived_periodic_shadowing(sys, 2, 3, 50),
+     [("periodic", 3, 50, 1, False)]),
+)
 
 
-def public_cell(sys, prop, d_cut, e_cut, bound, cap):
-    """The verdict of the public single-cell call of the table ``prop``
-    at the grid cell whose thresholds have the cutoffs given."""
-    cut = {sys.lt_cutoff(v): v for v in threshold_grid(sys).positive}
-    delta, eps = cut[d_cut], cut[e_cut]
-    if prop == "spec-weak":
-        return specification.local_weak_spec_holds(sys, eps, 1, delta, cap)[0]
-    if prop == "spec-full":
-        return specification.local_spec_holds(sys, eps, 1, delta, bound,
-                                              cap)[0]
-    if prop == "shadowing":
-        return shadowing_holds(sys, delta, eps, cap)[0]
-    decide = {"periodic": periodic_shadowing_holds,
-              "strong-periodic": strong_periodic_shadowing_holds}[prop]
-    return decide(sys, delta, eps, bound, cap)[0]
+def check_cell_arguments():
+    """Each call of ``CELL_ARGUMENTS`` on one small system asks the cell
+    search with its own table name, bound, cap and N.  The calls are
+    logged where ``_decide_cell`` reads the search, so a faulty copy of
+    a public call is logged too."""
+    sys, real = build_random_system(1, 4), shadowing._decider
+    for call, expected in CELL_ARGUMENTS:
+        logged = []
+
+        def logging_decider(sys, *args):
+            logged.append(args)
+            return real(sys, *args)
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundTooSmall)
+            mp.setattr(shadowing, "_decider", logging_decider)
+            call(sys)
+        assert logged == expected
 
 
-def verdict(decide, *args):
-    """A cell's verdict, or the fields of its cap hit."""
-    try:
-        return decide(*args)
-    except StateExplosion as exc:
-        return "cap hit", exc.visited, exc.cap, exc.frontier_sample
-
-
-def check_table_verdicts(sys, bound=3):
-    """At every grid cell of the five tables, with no cap and at cap 40,
-    the table's predicate answers as the public single-cell call: the
-    same verdict, or the same cap hit."""
-    cuts = sorted({sys.lt_cutoff(v) for v in threshold_grid(sys).positive})
-    for prop in TABLES:
-        for cap in (None, 40):
-            holds = table_decider(sys, prop, bound, cap)
-            for d_cut, e_cut in itertools.product(cuts, cuts):
-                assert verdict(holds, d_cut, e_cut) == verdict(
-                    public_cell, sys, prop, d_cut, e_cut, bound, cap), (
-                    prop, cap, d_cut, e_cut)
-
-
-@settings(deadline=None, max_examples=40)
-@given(small_systems)
-def test_table_verdicts_match_the_public_verdicts(sys):
-    check_table_verdicts(sys)
+def test_single_cells_pass_their_own_table_bound_cap_and_n():
+    check_cell_arguments()
 
 
 def test_tables_scan_no_walk_for_the_bound():

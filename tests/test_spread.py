@@ -31,7 +31,7 @@ from dynlab.expansive import (
     stable_sets,
     strong_measure_expansive_holds,
 )
-from dynlab.gallery import build_myex, build_random_system
+from dynlab.gallery import build_myex
 
 from helpers import gallery_corpus, random_metric, random_system, seeded_corpus
 from oracles import orbit_spread_reference, unstable_local_reference
@@ -188,16 +188,6 @@ def test_strong_measure_is_one_expansive_on_bijections(sys):
     for delta in threshold_grid(sys).positive:
         assert (strong_measure_expansive_holds(sys, delta)[0]
                 == n_expansive_holds(sys, 1, delta))
-
-
-def test_strong_measure_without_one_expansiveness_off_bijections():
-    """Claim 3 needs a map that is not invertible (see above): this
-    seeded 6-point map is strong measure expansive at delta = 1/3 and
-    not 1-expansive there."""
-    sys = build_random_system(2, 6)
-    assert not sys.invertible
-    assert not n_expansive_holds(sys, 1, Fraction(1, 3))
-    assert strong_measure_expansive_holds(sys, Fraction(1, 3))[0]
 
 
 def test_returned_spread_is_a_copy():

@@ -6,7 +6,10 @@ per-gap rebuild (``windows_reference``, ``FiniteSystem.power`` and the
 gap graph of ``gap_structures_reference``), on a fresh system and on
 one whose memo earlier calls have filled.  ``_tracer_masks``, which
 pushes the fibres of the n-step map, must give the masks of one bit
-test per periodic point (``tracer_masks_reference``).  ``_die_search``
+test per periodic point (``tracer_masks_reference``), and
+``_closures``, which reads the step^k orbits and the exact-period hits
+of the closed-chain search off the cycles, the orbits walked k steps
+per hop (``orbit_masks_reference``).  ``_die_search``
 on bitmasks must return the same walks and the same cap hits as the frozenset
 search (``die_search_reference``).  A system whose memo a battery has
 filled must answer as a freshly built one.  ``tests/test_mutations.py``
@@ -32,9 +35,10 @@ from dynlab.specification import (gap_values, local_spec_holds,
                                   pairwise_tracing_chain)
 
 from oracles import (die_search_reference, gap_structures_reference,
-                     local_spec_reference, periodic_variant_reference,
-                     stable_sets_reference, threshold_grid_reference,
-                     tracer_masks_reference, windows_reference)
+                     local_spec_reference, orbit_masks_reference,
+                     periodic_variant_reference, stable_sets_reference,
+                     threshold_grid_reference, tracer_masks_reference,
+                     windows_reference)
 from helpers import gallery_corpus, random_metric, seeded_corpus
 from test_closed_chains import outcome
 from test_recurrence_kernel import check_chain_graphs, check_nonwandering
@@ -217,6 +221,25 @@ def test_die_search_matches_the_frozenset_search(cell):
             assert (search_outcome(_die_search, succ, step, allowed, bound)
                     == search_outcome(die_search_reference, succ, step, sets,
                                       bound)), (n, cap)
+
+
+@untimed
+@given(st.integers(0, 10 ** 6), st.integers(1, 12), st.booleans(),
+       st.integers(1, 8), st.integers(1, 8))
+def test_closures_read_off_the_cycles_match_the_step_orbits(
+        seed, size, invertible, n, bound):
+    sys = build_random_system(seed, size, invertible)
+    periodic = sys.periodic_indices()
+    step = [sys.power(z, n) for z in range(sys.n)]
+    closures = shadowing._closures(sys._cycles, n, bound)
+    assert len(closures) == bound + 1
+    for k in range(1, bound + 1):
+        hits, orbits = closures[k]
+        assert sorted(orbits) == sorted(orbit_masks_reference(periodic, step,
+                                                              k))
+        # the exact-period test: the z whose period divides k * n
+        assert hits == sum(1 << z for z in periodic
+                           if k * n % len(sys.cycle(z)) == 0)
 
 
 def test_pushed_tracer_masks_match_a_bit_test_per_point():
