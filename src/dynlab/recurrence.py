@@ -60,7 +60,10 @@ def _step_sets(sys):
 
 
 def _mask(indices):
-    return sum(1 << i for i in indices)
+    mask = 0
+    for i in indices:
+        mask |= 1 << i  # a repeated index sets its bit once
+    return mask
 
 
 def _members(mask):

@@ -14,7 +14,7 @@ counterexample certificate.
 Tracer sets, windows and balls are Python-int bitmasks (bit z for
 point z).  Chain questions ask the same of gap graphs, whose edges
 advance n steps; :func:`_gap_structures` carries the n-step map and the
-tracking windows along a whole range of gaps in one pass.  These
+tracking windows along the gaps that :func:`_decider` walks.  These
 structures, the tracer masks of the closed-chain search and the walk
 lengths behind its bound warning are built once per system, in the
 system's memo, and shared by every call at the same cutoffs.
@@ -139,7 +139,7 @@ class ShadowCertificate(_Record):
     point: object | None = None
 
 
-def _gap_structures(sys, gaps, d_cut, e_cut, bound=0, label=None):
+def _gap_structures(sys, gaps, d_cut, e_cut):
     """Yield (n, succ, step, allowed) for each n of the ascending range
     ``gaps``: the gap graph (x -> y iff d(f^n(x), y) < delta), the n-step
     map, and the bitmask windows allowed[v] = {z : d(f^i(z), f^i(v)) <
@@ -156,9 +156,7 @@ def _gap_structures(sys, gaps, d_cut, e_cut, bound=0, label=None):
     windows are those at T + P, since every constraint d(f^i(z),
     f^i(v)) < epsilon with i >= T + P repeats one at i - P.  A call
     reads the layers it needs and extends the tuple when it needs
-    more.  With a ``label``, which single cells give, BoundTooSmall
-    warns where a gap graph's closed walks outrun ``bound``, named by
-    the label formatted with the gap n; tables scan no walk."""
+    more."""
     near, key = sys._near(d_cut), ("windows", e_cut)
     T, P = sys.max_preperiod, sys.cycle_lcm
     for n in gaps:
@@ -174,12 +172,7 @@ def _gap_structures(sys, gaps, d_cut, e_cut, bound=0, label=None):
             step, allowed = layers[T + (n - T) % P][0], layers[last][1]
         else:
             step, allowed = layers[n]
-        succ = tuple(near[y] for y in step)
-        if label is not None:
-            longest = sys._memoized(("walks", d_cut, n),
-                                    lambda: _longest_primitive_walk(succ))
-            _warn_if_bound_blind(longest, bound, label.format(n=n))
-        yield n, succ, step, allowed
+        yield n, tuple(near[y] for y in step), step, allowed
 
 
 def _carry_window(sys, e_cut, layers):
@@ -207,14 +200,9 @@ def _die_search(succ, step, allowed, cap):
     reachable.
     """
     rows = [1 << y for y in step]
-    visited = set()
-    queue = deque()
+    queue = deque((v, allowed[v]) for v in range(len(succ)))
+    visited = set(queue)  # the starts differ in their vertex
     parent = {}
-    for v in range(len(succ)):
-        state = (v, allowed[v])
-        if state not in visited:
-            visited.add(state)
-            queue.append(state)
     while queue:
         v, w = queue.popleft()
         image = _image(w, rows)
@@ -236,21 +224,6 @@ def _die_search(succ, step, allowed, cap):
                 walk.reverse()
                 return walk
             queue.append(state)
-    return None
-
-
-def _first_dying_chain(sys, d_cut, e_cut, gaps, cap):
-    """The first chain (n, walk) of the gap graphs at the cutoffs
-    ``d_cut`` and ``e_cut``, in (gap, length, lex) order, along which
-    the viable set empties (:func:`_die_search`, each gap with its own
-    ``cap``), or None.  A gap whose structure repeats one already
-    searched is skipped (:func:`_distinct`).  At gaps (1,) this is the
-    shadowing search."""
-    for n, succ, step, allowed in _distinct(_gap_structures(sys, gaps, d_cut,
-                                                          e_cut)):
-        walk = _die_search(succ, step, allowed, cap)
-        if walk is not None:
-            return n, walk
     return None
 
 
@@ -345,21 +318,13 @@ def _warn_if_bound_blind(longest, bound, label):
         )
 
 
-def _distinct(structures):
-    """The (n, succ, step, allowed) of ``structures`` whose (step,
-    allowed) no earlier one had.
-
-    With delta fixed, a chain search at gap n reads nothing else: succ
-    is read off step, and on a p-cycle f^n rotates by n mod p, so step
-    also fixes every residue of n that the exact-period test reads.  A
-    repeat can only follow a gap that passed, since a failing gap ends
-    the search, so dropping it keeps the first counterexample."""
-    seen = set()
-    for structure in structures:
-        key = structure[2:]
-        if key not in seen:
-            seen.add(key)
-            yield structure
+def _scan_gap(sys, d_cut, n, succ, bound, label):
+    """Warn BoundTooSmall, named by ``label`` formatted with the gap n,
+    when the gap graph ``succ`` at the delta cutoff ``d_cut`` has a
+    primitive closed walk longer than ``bound`` (kept in the memo)."""
+    longest = sys._memoized(("walks", d_cut, n),
+                            lambda: _longest_primitive_walk(succ))
+    _warn_if_bound_blind(longest, bound, label.format(n=n))
 
 
 def _closures(cycles, n, bound):
@@ -399,19 +364,17 @@ def _tracer_masks(periodic, step, allowed, bound):
     return tuple(masks)
 
 
-def _first_untraced_chain(sys, d_cut, e_cut, gaps, bound, cap, exact,
-                          label):
-    """The first closed chain (n, walk) of the gap graphs at the cutoffs
-    ``d_cut`` and ``e_cut``, in (gap, length, lex) order, that no
-    periodic point traces, or None.  ``bound`` and ``label`` are those
-    of :func:`_gap_structures`: single-cell calls give a label, table
-    cells none.
+def _closed_search(sys, d_cut, e_cut, n, succ, step, allowed, bound, cap,
+                   exact, visited):
+    """(walk, visited): the first closed walk of the gap structure (n,
+    succ, step, allowed) at the cutoffs ``d_cut`` and ``e_cut``, in
+    (length, lex) order, that no periodic point traces, or None.
 
-    Breadth-first search over tracer sets.  A state of gap n is (root r,
-    vertex v >= r, S) reached by a walk of length k from r, where the
-    bitmask S holds the periodic z with step^i(z) in allowed[w_i] for
-    every i < k; one edge to u is ``S & masks[k][u]``.  When the walk
-    closes (r is a successor of v) it is traced iff (see :func:`_closures`)
+    Breadth-first search over tracer sets.  A state is (root r, vertex
+    v >= r, S) reached by a walk of length k from r, where the bitmask S
+    holds the periodic z with step^i(z) in allowed[w_i] for every i < k;
+    one edge to u is ``S & masks[k][u]``.  When the walk closes (r is a
+    successor of v) it is traced iff (see :func:`_closures`)
 
     - exact (the tracer has f^(kn)(z) = z): S meets {z : p(z) | kn};
     - otherwise (any period): some step^k-orbit of periodic points lies
@@ -423,54 +386,49 @@ def _first_untraced_chain(sys, d_cut, e_cut, gaps, bound, cap, exact,
     level keeps one state per (r, v, S), reached by its lexicographically
     least walk, and all closures of level k are checked before level
     k + 1 is built.  The walk returned is therefore the first untraced
-    closed walk rooted at its least vertex in (gap, length, lex) order,
-    and it is primitive: a repetition of a traced walk is traced by the
-    same point.  A gap whose structure repeats one already searched in
-    this call is skipped (:func:`_distinct`).  Each new state counts
-    against the cap, one counter across the gaps searched, so the count
-    never exceeds the walk prefixes a listing of those closed walks
-    would visit.
+    closed walk rooted at its least vertex, and it is primitive: a
+    repetition of a traced walk is traced by the same point.  Each new
+    state counts against the cap, the count starting at ``visited``, so
+    one counter spans the gaps of a call and never exceeds the walk
+    prefixes a listing of those closed walks would visit.
     """
     periodic, balls = sys.periodic_indices(), sys._balls(d_cut)
-    visited = 0
-    for n, succ, step, allowed in _distinct(_gap_structures(
-            sys, gaps, d_cut, e_cut, bound, label)):
-        masks = sys._memoized(("masks", e_cut, n, bound),
-                              lambda: _tracer_masks(periodic, step, allowed,
-                                                    bound))
-        closures = sys._memoized(("closures", n, bound),
-                                 lambda: _closures(sys._cycles, n, bound))
-        closes = [balls[y] for y in step]  # closes[v] >> u & 1: u in succ[v]
-        level = []
-        for r in range(sys.n):
-            visited += 1
-            if visited > cap:
-                raise StateExplosion(visited, cap, frontier_sample=(n, r, r, 1))
-            level.append((r, r, masks[0][r], (r,)))
-        for k in range(1, bound + 1):
-            hits, orbits = closures[k]
-            for r, v, s, walk in level:
-                if closes[v] >> r & 1 and not (
-                        s & hits if exact else any(o & s == o for o in orbits)):
-                    return n, walk
-            if k == bound:
-                break
-            row, seen, nxt = masks[k], set(), []
-            for r, v, s, walk in level:
-                for u in succ[v]:
-                    if u < r:
-                        continue
-                    key = (r, u, s & row[u])
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    visited += 1
-                    if visited > cap:
-                        raise StateExplosion(visited, cap,
-                                             frontier_sample=(n, r, u, k + 1))
-                    nxt.append((*key, walk + (u,)))
-            level = nxt
-    return None
+    masks = sys._memoized(("masks", e_cut, n, bound),
+                          lambda: _tracer_masks(periodic, step, allowed,
+                                                bound))
+    closures = sys._memoized(("closures", n, bound),
+                             lambda: _closures(sys._cycles, n, bound))
+    closes = [balls[y] for y in step]  # closes[v] >> u & 1: u in succ[v]
+    level = []
+    for r in range(sys.n):
+        visited += 1
+        if visited > cap:
+            raise StateExplosion(visited, cap, frontier_sample=(n, r, r, 1))
+        level.append((r, r, masks[0][r], (r,)))
+    for k in range(1, bound + 1):
+        hits, orbits = closures[k]
+        for r, v, s, walk in level:
+            if closes[v] >> r & 1 and not (
+                    s & hits if exact else any(o & s == o for o in orbits)):
+                return walk, visited
+        if k == bound:
+            break
+        row, seen, nxt = masks[k], set(), []
+        for r, v, s, walk in level:
+            for u in succ[v]:
+                if u < r:
+                    continue
+                key = (r, u, s & row[u])
+                if key in seen:
+                    continue
+                seen.add(key)
+                visited += 1
+                if visited > cap:
+                    raise StateExplosion(visited, cap,
+                                         frontier_sample=(n, r, u, k + 1))
+                nxt.append((*key, walk + (u,)))
+        level = nxt
+    return None, visited
 
 
 def _periodic_variant_holds(sys, delta, epsilon, period_bound, prop, cap,
@@ -554,13 +512,13 @@ class ModulusTable(_Record):
 
 
 # The five tracing properties, by name: (exact, chains, label).
-# ``exact`` names the search that decides a cell: None the open-chain
-# die search (:func:`_first_dying_chain`), else the closed-chain search
-# (:func:`_first_untraced_chain`), whose tracer must have the walk's
-# exact period when True and may have any period when False.
+# ``exact`` names the search that decides a gap: None the open-chain
+# die search (:func:`_die_search`), else the closed-chain search
+# (:func:`_closed_search`), whose tracer must have the walk's exact
+# period when True and may have any period when False.
 # ``chains``: the chains take every gap n >= N, not the step alone.
 # ``label``: a closed-walk search's BoundTooSmall warning, formatted
-# with the gap n (see :func:`_gap_structures`).
+# with the gap n (see :func:`_scan_gap`).
 _TABLES = {
     "shadowing": (None, False, None),
     "periodic": (False, False, "periodic"),
@@ -574,12 +532,13 @@ def _decider(sys, prop, bound=8, cap=None, N=1, warn=False):
     """The cell search of the property ``prop`` (see ``_TABLES``), whose
     chains take the gaps n >= N, over closed walks of length at most
     ``bound`` where it has them: given the cutoffs of delta and
-    epsilon, the first failing chain (n, walk), or None.  The one entry
-    to the searches; the cap is read once.  With ``warn`` (single cells
-    only) the closed-walk searches scan for BoundTooSmall.  An unknown
-    name, an N below 1, a closed-walk bound below 1 and a cap below 1
-    are refused here, in that order, since the row rule may pass every
-    cell undecided (:func:`_best_delta`)."""
+    epsilon, the first failing chain (n, walk) in (gap, length, lex)
+    order, or None, one search per gap.  The one entry to the searches;
+    the cap is read once.  With ``warn`` (single cells only) the
+    closed-walk searches scan each gap graph for BoundTooSmall.  An
+    unknown name, an N below 1, a closed-walk bound below 1 and a cap
+    below 1 are refused here, in that order, since the row rule may
+    pass every cell undecided (:func:`_best_delta`)."""
     if prop not in _TABLES:
         raise ValueError(f"unknown property {prop!r}")
     exact, chains, label = _TABLES[prop]
@@ -587,12 +546,32 @@ def _decider(sys, prop, bound=8, cap=None, N=1, warn=False):
     if exact is not None:
         _at_least(bound, 1, "length bound")
     cap = subset_cap(cap)
-    if exact is None:
-        return lambda d_cut, e_cut: _first_dying_chain(
-            sys, d_cut, e_cut, gaps, cap)
     label = label if warn else None
-    return lambda d_cut, e_cut: _first_untraced_chain(
-        sys, d_cut, e_cut, gaps, bound, cap, exact, label)
+
+    def decide(d_cut, e_cut):
+        seen, visited = set(), 0
+        for n, succ, step, allowed in _gap_structures(sys, gaps, d_cut,
+                                                      e_cut):
+            if label is not None:
+                _scan_gap(sys, d_cut, n, succ, bound, label)
+            # at fixed delta a search reads (step, allowed) alone (step fixes
+            # succ and the residues of n the exact-period test reads), and a
+            # repeat follows a passing gap: skipping it keeps the first failure
+            key = step, allowed
+            if key in seen:
+                continue
+            seen.add(key)
+            if exact is None:
+                walk = _die_search(succ, step, allowed, cap)
+            else:
+                walk, visited = _closed_search(sys, d_cut, e_cut, n, succ,
+                                               step, allowed, bound, cap,
+                                               exact, visited)
+            if walk is not None:
+                return n, walk
+        return None
+
+    return decide
 
 
 def _decide_cell(sys, prop, delta, epsilon, bound, cap, N, warn):

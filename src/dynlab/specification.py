@@ -31,6 +31,7 @@ from .shadowing import (
     _linear_envelope,
     _periodic_variant_holds,
     _phase_tracer,
+    _scan_gap,
     _table,
     gap_values,
     two_sided_limit_shadowing_check,
@@ -351,9 +352,9 @@ def pairwise_tracing_chain(sys, delta, epsilon, k_bound=6, cap=None):
     delta, epsilon = _positive(delta, "delta"), _positive(epsilon, "epsilon")
     d_cut = sys.lt_cutoff(delta)
     checked = 0
-    for n, succ, _, _ in _gap_structures(
-            sys, gap_values(sys, 1), d_cut, sys.lt_cutoff(epsilon), k_bound,
-            _TABLES["spec-full"][2]):
+    for n, succ, _, _ in _gap_structures(sys, gap_values(sys, 1), d_cut,
+                                         sys.lt_cutoff(epsilon)):
+        _scan_gap(sys, d_cut, n, succ, k_bound, _TABLES["spec-full"][2])
         # a count of graph structure, not a verdict: kept in the memo
         checked += sys._memoized(
             ("chain counts", d_cut, n, k_bound),

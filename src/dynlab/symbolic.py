@@ -127,25 +127,40 @@ def build_sft(alphabet, edges):
     """Assemble an :class:`Sft`, pruning stranded vertices.
 
     Vertices without outgoing or without incoming edges carry no
-    bi-infinite walk and are removed (repeatedly, until stable).
+    bi-infinite walk and are removed (repeatedly, until stable), by a
+    worklist over their degrees, in time linear in letters plus edges.
 
     Raises
     ------
     EmptyShift
         If pruning eats the whole graph.
     """
-    alive = list(dict.fromkeys(alphabet))
+    alive = dict.fromkeys(alphabet)
     edge_set = {(a, b) for a, b in edges}
     for a, b in edge_set:
         if a not in alive or b not in alive:
             raise ValueError(f"edge {(a, b)!r} uses letters outside the alphabet")
-    while True:
-        outs = {a for a, _ in edge_set}
-        ins = {b for _, b in edge_set}
-        keep = [v for v in alive if v in outs and v in ins]
-        if keep == alive:
-            break
-        alive = keep
+    outs = {a for a, _ in edge_set}
+    ins = {b for _, b in edge_set}
+    dead = [v for v in alive if v not in outs or v not in ins]
+    if dead:
+        succ, pred = {v: [] for v in alive}, {v: [] for v in alive}
+        for a, b in edge_set:
+            succ[a].append(b)
+            pred[b].append(a)
+        into = {v: len(pred[v]) for v in alive}
+        out = {v: len(succ[v]) for v in alive}
+        for v in dead:
+            del alive[v]
+        while dead:
+            v = dead.pop()
+            for near, degree in ((succ[v], into), (pred[v], out)):
+                for u in near:
+                    if u in alive:
+                        degree[u] -= 1
+                        if not degree[u]:
+                            del alive[u]
+                            dead.append(u)
         edge_set = {(a, b) for a, b in edge_set if a in alive and b in alive}
     if not alive:
         raise EmptyShift("no vertex carries a bi-infinite walk")

@@ -69,7 +69,8 @@ from fractions import Fraction
 
 from dynlab import shadowing, specification
 from dynlab.core import Lasso, _image, _shadows_backward, as_fraction, shadows
-from dynlab.errors import BoundTooSmall, MetricViolation, StateExplosion
+from dynlab.errors import (BoundTooSmall, EmptyShift, MetricViolation,
+                           StateExplosion)
 from dynlab.recurrence import _step_sets
 from dynlab.shadowing import (
     DeltaGraph,
@@ -79,7 +80,7 @@ from dynlab.shadowing import (
     subset_cap,
 )
 from dynlab.specification import SpecInstance, gap_values, trace_chain
-from dynlab.symbolic import _allowed_words, build_sft
+from dynlab.symbolic import Sft, _allowed_words, build_sft
 
 
 def lasso_family_pareto(sys, max_len):
@@ -492,6 +493,27 @@ def window_table_reference(sft, w):
                       for b in sft.successors(word[-1])
                       if word[1:] + (b,) in pos) for word in words]
     return ids, dist, [min(row) for row in relation], None, relation
+
+
+def build_sft_reference(alphabet, edges):
+    """The library's earlier ``build_sft``: prune the letters without an
+    out- or an in-edge, round by round, until a round removes none."""
+    alive = list(dict.fromkeys(alphabet))
+    edge_set = {(a, b) for a, b in edges}
+    for a, b in edge_set:
+        if a not in alive or b not in alive:
+            raise ValueError(f"edge {(a, b)!r} uses letters outside the alphabet")
+    while True:
+        outs = {a for a, _ in edge_set}
+        ins = {b for _, b in edge_set}
+        keep = [v for v in alive if v in outs and v in ins]
+        if keep == alive:
+            break
+        alive = keep
+        edge_set = {(a, b) for a, b in edge_set if a in alive and b in alive}
+    if not alive:
+        raise EmptyShift("no vertex carries a bi-infinite walk")
+    return Sft(tuple(alive), frozenset(edge_set))
 
 
 def product_system_reference(sfts):

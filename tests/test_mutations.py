@@ -383,8 +383,8 @@ def check_step_only_cells():
 
 def test_gap_skip_keyed_on_the_step_map_alone(monkeypatch):
     check_step_only_cells()
-    plant(monkeypatch, [shadowing], "_distinct",
-          "key = structure[2:]", "key = structure[2]")
+    plant(monkeypatch, [shadowing], "_decider",
+          "key = step, allowed", "key = step")
     with pytest.raises(AssertionError):
         check_step_only_cells()
 

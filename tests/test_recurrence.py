@@ -281,3 +281,29 @@ def test_piece_without_a_periodic_anchor(tmp_path, capsys):
     assert main(["spectral", "--system", str(path), "--window", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert all(report["results"]["checks"].values())
+
+
+def repeated_successor_twins():
+    """A 3-cycle of points at mutual distance 1 with the relation of the
+    map, once with a's successor listed twice and once deduplicated."""
+    points, dist = ["a", "b", "c"], [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    return tuple(build_finite_system(points, dist, ["b", "c", "a"],
+                                     relation=[first, ["c"], ["a"]])
+                 for first in (["b", "b"], ["b"]))
+
+
+def test_a_repeated_successor_answers_as_its_deduplicated_twin():
+    repeated, twin = repeated_successor_twins()
+    assert nonwandering_set(repeated) == nonwandering_set(twin) == (
+        "a", "b", "c")
+    for delta in threshold_grid(twin).positive:
+        assert chain_graph(repeated, delta) == chain_graph(twin, delta)
+    dec = spectral_decomposition(repeated)
+    assert dec == spectral_decomposition(twin)
+    assert dec.verify(repeated) == dec.verify(twin)
+    assert all(dec.verify(repeated).values())
+    for piece in dec.pieces:
+        for part in piece.parts:
+            # a part listing a member twice is the same part
+            assert (is_mixing(repeated, part + part[:1], piece.period)
+                    == is_mixing(twin, part, piece.period) is True)

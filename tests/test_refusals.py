@@ -434,23 +434,46 @@ def test_the_tables_are_named_in_one_registry():
     assert spelled == ["shadowing"]
 
 
-SEARCHES = {"_first_dying_chain", "_first_untraced_chain"}
+SEARCHES = {"_die_search", "_closed_search"}
 
 
-def test_the_tracing_searches_have_one_caller():
-    # single cells and tables alike reach the two tracing searches
-    # through shadowing._decider, and no other module imports them
-    callers, imported = set(), set()
+def library_calls(names):
+    """{name: the scopes that call it} over the library's modules, and the
+    (module, name) pairs that import one of ``names``."""
+    callers, imported = {name: set() for name in names}, set()
     for path in sorted(pathlib.Path(dynlab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for where, node in scoped_nodes(tree, path.stem):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr",
                                                         None))
-                if name in SEARCHES:
-                    callers.add((where, name))
+                if name in names:
+                    callers[name].add(where)
             elif isinstance(node, ast.ImportFrom):
                 imported.update((path.stem, alias.name) for alias in node.names
-                                if alias.name in SEARCHES)
-    assert callers == {("shadowing._decider", name) for name in SEARCHES}
+                                if alias.name in names)
+    return callers, imported
+
+
+def test_the_tracing_searches_have_one_caller():
+    # single cells and tables alike reach the two per-gap searches
+    # through the gap loop of the cell search shadowing._decider returns,
+    # and no other module imports them
+    callers, imported = library_calls(SEARCHES)
+    assert callers == {name: {"shadowing._decider.decide"}
+                       for name in SEARCHES}
     assert imported == set()
+
+
+def test_the_bound_warning_is_scanned_in_two_places():
+    # the gap loop of _decider and the pairwise chain scan gap graphs
+    # for BoundTooSmall through one helper; the structures warn nothing
+    callers, _ = library_calls({"_scan_gap", "_warn_if_bound_blind", "warn"})
+    assert callers == {
+        "_scan_gap": {"shadowing._decider.decide",
+                      "specification.pairwise_tracing_chain"},
+        "_warn_if_bound_blind": {"shadowing._scan_gap"},
+        "warn": {"shadowing._warn_if_bound_blind"},
+    }
+    assert not any(where.startswith("shadowing._gap_structures")
+                   for scopes in callers.values() for where in scopes)

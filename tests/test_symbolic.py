@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlab import core, symbolic
 from dynlab.errors import EmptyShift, HorizonExceeded
@@ -21,7 +22,7 @@ from dynlab.symbolic import (
     window_system,
 )
 
-from oracles import product_system_reference
+from oracles import build_sft_reference, product_system_reference
 
 
 def full_shift(k):
@@ -47,6 +48,56 @@ def test_pruning_drops_stranded_vertices():
 def test_pruning_can_empty_the_shift():
     with pytest.raises(EmptyShift):
         build_sft(("a", "b"), {("a", "b")})
+
+
+def built(build, alphabet, edges):
+    """The Sft ``build`` returns, or its error's type and message."""
+    try:
+        return build(alphabet, edges)
+    except (ValueError, EmptyShift) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 7), max_size=8),
+       st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=20))
+def test_pruning_matches_the_round_by_round_reference(alphabet, edges):
+    # letter 8 lies outside every alphabet drawn, and letters repeat
+    assert (built(build_sft, alphabet, edges)
+            == built(build_sft_reference, alphabet, edges))
+
+
+class CountedLetter:
+    """A letter whose equality tests count against a shared budget."""
+
+    budget = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __eq__(self, other):
+        CountedLetter.budget -= 1
+        if CountedLetter.budget < 0:
+            raise AssertionError("too many letter comparisons")
+        return self.value == other.value
+
+
+def test_pruning_a_long_dangling_path_is_linear(monkeypatch):
+    # a path of 20,000 letters into a 2-cycle: a round-by-round pruning
+    # drops one letter per round, each round comparing every letter
+    size = 20_000
+    alphabet = [CountedLetter(i) for i in range(size + 2)]
+    # edges carry letters equal to, not the same as, the alphabet's
+    edges = [(CountedLetter(i), CountedLetter(i + 1)) for i in range(size + 1)]
+    edges.append((CountedLetter(size + 1), CountedLetter(size)))
+    monkeypatch.setattr(CountedLetter, "budget", 20 * (len(alphabet)
+                                                       + len(edges)))
+    sft = build_sft(alphabet, edges)
+    assert [letter.value for letter in sft.alphabet] == [size, size + 1]
+    assert len(sft.edges) == 2
 
 
 def test_point_validates_transitions():
