@@ -299,19 +299,30 @@ class FiniteSystem:
     @_cached
     def _orbits(self):
         """(prefixes, cycles): per index, the orbit before its cycle and
-        the cycle it enters, as index tuples."""
-        prefixes, cycles = [], []
+        the cycle it enters, read from where the orbit enters it, as
+        index tuples.
+
+        Built in one pass, reading each image once: a walk stops at the
+        first point with an entry, or at the first repeat, which closes
+        a new cycle whose points take its rotations.  The walk's
+        transients are then filled backwards, each taking its image's
+        prefix behind itself and its image's cycle."""
+        fmap = self.fmap
+        prefixes, cycles = [None] * self.n, [None] * self.n
         for start in range(self.n):
-            seen = {}
-            seq = []
-            v = start
-            while v not in seen:
-                seen[v] = len(seq)
-                seq.append(v)
-                v = self.fmap[v]
-            enter = seen[v]
-            prefixes.append(tuple(seq[:enter]))
-            cycles.append(tuple(seq[enter:]))
+            seen, walk, v = {}, [], start
+            while cycles[v] is None and v not in seen:
+                seen[v] = len(walk)
+                walk.append(v)
+                v = fmap[v]
+            if cycles[v] is None:
+                cycle = walk[seen[v]:]
+                del walk[seen[v]:]
+                for r, u in enumerate(cycle):
+                    prefixes[u], cycles[u] = (), tuple(cycle[r:] + cycle[:r])
+            for u in reversed(walk):
+                prefixes[u], cycles[u] = (u,) + prefixes[v], cycles[v]
+                v = u
         return tuple(prefixes), tuple(cycles)
 
     def preperiod(self, i):

@@ -138,20 +138,15 @@ def nonwandering_set(sys):
     admissible k-step image of the open ball B(x, eps) meets the ball
     again, k >= 1.  The least ball, at the sub-minimal epsilon, is {x},
     and every other ball contains it: if {x} returns to x, every ball
-    returns.  So x is non-wandering iff x is reached again from {x}.
-    That happens by step n (the number of points) if at all: a shortest
-    closed walk through x repeats no point.  Sets are pushed as bitmasks.
+    returns.  So x is non-wandering iff x is reached again from {x},
+    that is, iff x lies on a closed walk of the step relation: in a
+    strong component of it with more than one point, or alone with a
+    self-loop.  Those are read off one strong-component pass
+    (:func:`_cyclic_components`), in point order.
     """
-    steps = _step_masks(sys)
-    result = []
-    for x in range(sys.n):
-        layer = ball = 1 << x
-        for _ in range(sys.n):
-            layer = _image(layer, steps)
-            if layer & ball:
-                result.append(sys.points[x])
-                break
-    return tuple(result)
+    on_cycle = sorted(i for comp in _cyclic_components(_step_sets(sys))
+                      for i in comp)
+    return tuple(sys.points[i] for i in on_cycle)
 
 
 def basic_sets(sys):
@@ -273,9 +268,14 @@ def is_transitive(sys, subset):
     """Does one admissible orbit visit every point of the subset?
 
     Plain systems: some point's forward orbit, its prefix and cycle,
-    covers the subset.  Multivalued systems: the relation restricted to
-    the subset is strongly connected (a covering closed walk then
-    exists).
+    covers the subset.  Such an orbit covers it from its first member
+    of the subset on, and along an orbit the preperiod falls by one a
+    step down to 0, on the cycle.  So that first member has the largest
+    preperiod in the subset, and a member with the largest preperiod is
+    the one start worth trying: another member with the same positive
+    preperiod lies on no orbit through it.  Multivalued systems: the
+    relation restricted to the subset is strongly connected (a covering
+    closed walk then exists).
     """
     wanted = {sys.index[p] for p in subset}
     if not wanted:
@@ -283,8 +283,8 @@ def is_transitive(sys, subset):
     if len(wanted) == 1:
         return True
     if sys.relation is None:
-        return any(wanted <= {*prefix, *cycle}
-                   for prefix, cycle in zip(*sys._orbits))
+        start = max(wanted, key=sys.preperiod)
+        return wanted <= {*sys._orbits[0][start], *sys.cycle(start)}
     return len(_strong_components(_restricted_succ(sys, wanted))) == 1
 
 
@@ -299,9 +299,23 @@ def cp_construction(sys, B, p):
         raise ValueError("anchor must belong to the basic set")
     if sys.preperiod(sys.index[p]) != 0:
         raise ValueError("anchor must be periodic")
-    eventual = _eventual_images(sys)
-    return tuple(q for q in B
-                 if eventual[sys.index[q]] == eventual[sys.index[p]])
+    return _stable_parts(sys, B)[sys.index[p]]
+
+
+def _stable_parts(sys, B):
+    """C_p for every member p of B, keyed by its index: the members of
+    B, in B's order, whose eventual image is p's, one tuple per group.
+    Two orbits meet iff their eventual images agree, so this is the
+    global stable set of p intersected with B, grouped in one pass over
+    B."""
+    eventual, groups, part_of = _eventual_images(sys), {}, {}
+    for i in map(sys.index.__getitem__, B):
+        groups.setdefault(eventual[i], []).append(i)
+    for group in groups.values():
+        part = tuple(map(sys.points.__getitem__, group))
+        for i in group:
+            part_of[i] = part
+    return part_of
 
 
 def _cp_parts(sys, B):
@@ -317,8 +331,13 @@ def _cp_parts(sys, B):
     periodic = [p for p in B if sys.preperiod(sys.index[p]) == 0]
     if not periodic:
         return None
-    parts = [cp_construction(sys, B, sys.points[i])
-             for i in sys.cycle(sys.index[periodic[0]])]
+    part_of = _stable_parts(sys, B)
+    cycle = sys.cycle(sys.index[periodic[0]])
+    if any(i not in part_of for i in cycle):
+        # a relation that omits a step of the canonical map can leave
+        # the anchor's cycle partly outside the piece
+        raise ValueError("anchor must belong to the basic set")
+    parts = [part_of[i] for i in cycle]
     m = next((m for m in range(1, len(parts)) if parts[m] == parts[0]),
              len(parts))
     return m, tuple(parts[:m])

@@ -26,7 +26,12 @@ frozenset layers, the T + P return horizon, the ``any()`` chain graph
 loop and dense boolean matrix powers; ``basic_sets_reference`` and
 ``chain_recurrent_reference`` read the recurrence of every grid delta
 off its own chain graph, where the library decides it once, on the
-step relation.  ``metric_violation_reference``
+step relation.  ``orbits_reference`` is the library's earlier orbit
+table, one walk per start, kept to check the table built in one pass;
+``is_transitive_reference`` its earlier transitivity test, which tries
+every start, and ``cp_parts_reference`` its earlier stable-set route,
+one scan of the piece per point of the anchor's cycle, here with each
+stable set read from the definition.  ``metric_violation_reference``
 is the library's earlier metric check, the Fraction loop over every
 triple, and ``unstable_local_reference`` its earlier backward scan of
 the local unstable set over one lcm of all cycle lengths.
@@ -1167,3 +1172,46 @@ def is_mixing_reference(sys, part, a):
         reach = reach_after_reference(sys, (i,), a)
         matrix.append([(j in reach) for j in ids])
     return primitive_reference(matrix)
+
+
+def orbits_reference(sys):
+    """(prefixes, cycles) of the orbit table, one walk per start: the
+    orbit before its first repeat, cut where the repeat enters it."""
+    prefixes, cycles = [], []
+    for start in range(sys.n):
+        seen = {}
+        seq = []
+        v = start
+        while v not in seen:
+            seen[v] = len(seq)
+            seq.append(v)
+            v = sys.fmap[v]
+        enter = seen[v]
+        prefixes.append(tuple(seq[:enter]))
+        cycles.append(tuple(seq[enter:]))
+    return tuple(prefixes), tuple(cycles)
+
+
+def is_transitive_reference(sys, subset):
+    """Does the orbit of some point of a plain system cover the subset?
+    Tries every start."""
+    wanted = {sys.index[p] for p in subset}
+    return any(wanted <= {*prefix, *cycle}
+               for prefix, cycle in zip(*orbits_reference(sys)))
+
+
+def cp_parts_reference(sys, B):
+    """The stable-set route to the cyclic parts, one scan of B per point
+    of the anchor's cycle: C_p is the q in B whose orbit meets p's,
+    which happens within n steps if ever."""
+    periodic = [p for p in B if sys.preperiod(sys.index[p]) == 0]
+    if not periodic:
+        return None
+    parts = []
+    for i in sys.cycle(sys.index[periodic[0]]):
+        meet = sys.power(i, sys.n)
+        parts.append(tuple(q for q in B
+                           if sys.power(sys.index[q], sys.n) == meet))
+    m = next((m for m in range(1, len(parts)) if parts[m] == parts[0]),
+             len(parts))
+    return m, tuple(parts[:m])

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from helpers import (
     unrolled_pseudo_orbit,
     unrolled_shadows,
 )
-from oracles import le_cutoff_reference, lt_cutoff_reference
+from oracles import le_cutoff_reference, lt_cutoff_reference, orbits_reference
 
 
 def test_metric_validation_triangle():
@@ -94,6 +96,95 @@ def test_negative_powers_on_permutations():
             assert sys_.apply(sys_.apply(p, k), -k) == p
     with pytest.raises(NotInvertible):
         stem_into_cycle().apply("s0", -1)
+
+
+def discrete_system(fmap):
+    """Points 0..n-1 at mutual distance 1 under the map ``fmap``."""
+    n = len(fmap)
+    return build_finite_system(
+        range(n), [[int(i != j) for j in range(n)] for i in range(n)], fmap)
+
+
+@st.composite
+def self_maps(draw):
+    """A random self-map, relabelled at random: uniform, a permutation,
+    one long cycle, or tails of random lengths into one cycle, each
+    entering the cycle or an earlier tail."""
+    kind = draw(st.sampled_from(("uniform", "permutation", "cycle", "tails")))
+    if kind == "uniform":
+        n = draw(st.integers(1, 30))
+        fmap = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    elif kind == "permutation":
+        fmap = draw(st.permutations(range(draw(st.integers(1, 30)))))
+    elif kind == "cycle":
+        n = draw(st.integers(1, 60))
+        fmap = [(i + 1) % n for i in range(n)]
+    else:
+        period = draw(st.integers(1, 8))
+        fmap = [(i + 1) % period for i in range(period)]
+        for length in draw(st.lists(st.integers(1, 20), min_size=1,
+                                    max_size=4)):
+            target = draw(st.integers(0, len(fmap) - 1))
+            fmap += [*range(len(fmap) + 1, len(fmap) + length), target]
+    labels = draw(st.permutations(range(len(fmap))))
+    relabelled = [0] * len(fmap)
+    for i, j in enumerate(fmap):
+        relabelled[labels[i]] = labels[j]
+    return relabelled
+
+
+def check_orbit_table(sys_):
+    """The orbit table, and what is read off it, against one walk per
+    start and against iterating the map (its inverse for negative k)."""
+    prefixes, cycles = orbits_reference(sys_)
+    assert sys_._orbits == (prefixes, cycles)
+    assert sys_.max_preperiod == max(map(len, prefixes))
+    assert sys_.cycle_lcm == math.lcm(*map(len, cycles))
+    assert sys_.periodic_indices() == tuple(
+        i for i, prefix in enumerate(prefixes) if not prefix)
+    least = {cycle[cycle.index(min(cycle)):] + cycle[:cycle.index(min(cycle))]
+             for cycle in cycles}
+    assert sys_._cycles == tuple(sorted(least))
+    steps = [sys_.fmap]
+    if sys_.invertible:
+        inverse = [0] * sys_.n
+        for i, j in enumerate(sys_.fmap):
+            inverse[j] = i
+        steps.append(inverse)
+    for sign, step in zip((1, -1), steps):
+        for i in range(sys_.n):
+            v = i
+            for k in range(2 * sys_.n + 2):
+                assert sys_.power(i, sign * k) == v, (i, sign * k)
+                v = step[v]
+
+
+@settings(deadline=None)
+@given(self_maps())
+def test_orbit_table_matches_one_walk_per_start(fmap):
+    check_orbit_table(discrete_system(fmap))
+
+
+class CountedMap(tuple):
+    """A map whose reads are counted in ``reads``."""
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_orbit_table_reads_each_image_at_most_twice():
+    # a tail of 1,000 points into a 1,000-cycle: one walk per start reads
+    # about 2.5 million images.  The builder refuses 2,000 points, and
+    # the table reads only n and the map, so it is built on a stand-in
+    fmap = CountedMap([*range(1, 2000), 1000])
+    fmap.reads = 0
+    prefixes, cycles = FiniteSystem._orbits.build(
+        SimpleNamespace(n=len(fmap), fmap=fmap))
+    assert fmap.reads <= 2 * len(fmap)
+    assert prefixes[0] == tuple(range(1000))
+    assert cycles[0] == cycles[1000] == tuple(range(1000, 2000))
+    assert cycles[1999] == (1999, *range(1000, 1999))
 
 
 def test_lasso_indexing_two_sided():

@@ -24,9 +24,9 @@ from oracles import (local_spec_reference, local_weak_spec_reference,
                      myex_table_reference, periodic_variant_reference,
                      window_table_reference)
 from test_recurrence import two_fixed_points
-from test_recurrence_kernel import (check_chain_graphs, check_nonwandering,
-                                    check_primitive, check_recurrence,
-                                    wielandt)
+from test_recurrence_kernel import (check_chain_graphs, check_cp_parts,
+                                    check_nonwandering, check_primitive,
+                                    check_recurrence, wielandt)
 from test_metric import (check_built_as_reference, check_metric,
                          check_packed_triangles)
 from test_records import check_records
@@ -34,7 +34,7 @@ from test_battery import check_order_laws, two_loop_window
 from test_shadowing import (check_cell_arguments,
                            check_failed_at_is_the_dying_step, check_tables)
 from test_specification import check_gap_range
-from test_core import check_two_sided_shadows
+from test_core import check_orbit_table, check_two_sided_shadows
 from test_expansive import check_hierarchy
 from test_spread import check_spread
 from test_tracing_kernel import check_gap_structures
@@ -47,6 +47,8 @@ def plant(monkeypatch, owners, name, fragment, fault, *more):
     has ``fragment`` (occurring once) replaced by ``fault``; ``more``
     gives further (fragment, fault) pairs for the same copy."""
     original = getattr(owners[0], name)
+    # an attribute built on first read is planted in its build function
+    original = getattr(original, "build", original)
     source = textwrap.dedent(inspect.getsource(original))
     for old, new in ((fragment, fault), *more):
         assert source.count(old) == 1, (name, old)
@@ -87,13 +89,34 @@ def test_image_dropping_bit_zero(monkeypatch):
         check_chain_graphs(cycle_system(3))
 
 
-def test_nonwandering_horizon_one_short(monkeypatch):
-    # at the sub-minimal epsilon a 5-cycle first returns at step 5
-    check_nonwandering(cycle_system(5))
+def test_nonwandering_reading_every_strong_component(monkeypatch):
+    # the transient points s0 and s1 are strong components of their own,
+    # with no closed walk through them
+    check_nonwandering(stem_into_cycle())
     plant(monkeypatch, [recurrence], "nonwandering_set",
-          "for _ in range(sys.n):", "for _ in range(sys.n - 1):")
+          "_cyclic_components(_step_sets(sys))",
+          "_strong_components(_step_sets(sys))")
     with pytest.raises(AssertionError):
-        check_nonwandering(cycle_system(5))
+        check_nonwandering(stem_into_cycle())
+
+
+def test_orbit_table_transient_dropping_itself(monkeypatch):
+    # s0 and s1 take the prefixes of their images without themselves
+    check_orbit_table(stem_into_cycle())
+    plant(monkeypatch, [FiniteSystem], "_orbits",
+          "(u,) + prefixes[v]", "prefixes[v]")
+    with pytest.raises(AssertionError):
+        check_orbit_table(stem_into_cycle())
+
+
+def test_stable_set_parts_grouped_by_the_image(monkeypatch):
+    # in the width-1 window of xpq(3, 2) some members of the piece meet
+    # only after two steps
+    check_cp_parts(symbolic.window_system(build_xpq(3, 2), 1))
+    plant(monkeypatch, [recurrence], "_stable_parts",
+          "_eventual_images(sys), {}, {}", "sys.fmap, {}, {}")
+    with pytest.raises(AssertionError):
+        check_cp_parts(symbolic.window_system(build_xpq(3, 2), 1))
 
 
 def test_closed_walk_test_dropping_the_self_loop(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dynlab import recurrence
 from dynlab.battery import run_theorem_battery
 from dynlab.cli import main
 from dynlab.core import build_finite_system, threshold_grid
@@ -101,6 +102,20 @@ def test_recurrence_cost_does_not_grow_with_the_cycle_lcm():
     assert all(dec.verify(sys).values())
     assert [len(piece.points) for piece in dec.pieces] == [
         2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_nonwandering_set_images_at_most_n_sets(monkeypatch):
+    # a tail of 300 points into a 300-cycle: pushing each {x} until it
+    # returns, or for n steps, images about n^2 sets
+    n = 600
+    sys = build_finite_system(
+        range(n), [[int(i != j) for j in range(n)] for i in range(n)],
+        [*range(1, n), 300])
+    image, calls = recurrence._image, []
+    monkeypatch.setattr(recurrence, "_image",
+                        lambda w, rows: calls.append(w) or image(w, rows))
+    assert nonwandering_set(sys) == tuple(range(300, n))
+    assert len(calls) <= n
 
 
 def test_nonwandering_matches_cycle_points_on_plain_systems():
@@ -262,6 +277,17 @@ def test_hypothesis_report_fields():
     assert rep.strong_fails_at == (Fraction(1), Fraction(2))
     assert rep.invertible and rep.shadowing_populated and rep.passes
     assert not hypothesis_report(stem_into_cycle()).passes
+
+
+def test_anchor_cycle_leaving_its_piece_is_refused():
+    # the map swaps a and b, but the relation steps a -> a and b <-> c:
+    # the anchor a of the piece {a} has b, outside it, on its cycle
+    sys = build_finite_system("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                              "bac", relation=[["a"], ["c"], ["b"]])
+    assert basic_sets(sys) == (("a",), ("b", "c"))
+    with pytest.raises(ValueError, match="anchor must belong"):
+        spectral_decomposition(sys)
+
 
 def test_piece_without_a_periodic_anchor(tmp_path, capsys):
     # the canonical map sends '1,1,1' to '1,1,0', out of its basic set,

@@ -6,7 +6,9 @@ matrix kernel it replaced (the recurrence references in ``oracles``).
 and on window systems of random 2-4 letter shifts of finite type, and
 so are ``basic_sets`` and ``chain_recurrent_set``, which the library
 decides on the step relation, against their reading at every grid
-delta;
+delta, and the stable-set parts, grouped in one pass over each piece,
+against one scan per anchor; ``is_transitive`` on random plain systems
+and subsets against trying every start;
 ``_primitive`` on random digraphs and on Wielandt's digraphs, whose
 exponent (m - 1)^2 + 1 is the largest a primitive relation on m
 vertices can need.  ``tests/test_mutations.py`` plants faults under the
@@ -22,7 +24,8 @@ from dynlab.gallery import build_random_system
 from dynlab.symbolic import build_sft, window_system
 
 from oracles import (basic_sets_reference, chain_graph_reference,
-                     chain_recurrent_reference, is_mixing_reference,
+                     chain_recurrent_reference, cp_parts_reference,
+                     is_mixing_reference, is_transitive_reference,
                      nonwandering_reference, primitive_reference)
 
 # the properties are exact, so a slow host must not fail them on time
@@ -54,6 +57,13 @@ def check_recurrence(sys):
     assert (chain.points, chain.table) == chain_recurrent_reference(sys)
     union = tuple(p for p in sys.points if any(p in b for b in pieces))
     assert chain.points == union == recurrence.nonwandering_set(sys)
+
+
+def check_cp_parts(sys):
+    """The stable-set parts of every basic set against one scan of the
+    piece per point of the anchor's cycle."""
+    for B in recurrence.basic_sets(sys):
+        assert recurrence._cp_parts(sys, B) == cp_parts_reference(sys, B), B
 
 
 def check_primitive(succ):
@@ -125,6 +135,21 @@ def test_is_mixing_matches_dense_matrix_powers(sys, data):
     for a in range(1, 5):
         assert (recurrence.is_mixing(sys, part, a)
                 == is_mixing_reference(sys, part, a)), (part, a)
+
+
+@untimed
+@given(systems)
+def test_stable_set_parts_match_one_scan_per_anchor(sys):
+    check_cp_parts(sys)
+
+
+@untimed
+@given(plain_systems(), st.data())
+def test_is_transitive_matches_trying_every_start(sys, data):
+    ids = data.draw(st.sets(st.integers(0, sys.n - 1), min_size=1))
+    subset = tuple(sys.points[i] for i in sorted(ids))
+    assert (recurrence.is_transitive(sys, subset)
+            == is_transitive_reference(sys, subset)), subset
 
 
 @untimed
