@@ -226,7 +226,8 @@ def _decomposition_battery(result, sys, period_bound, cap):
     for name, ok in checks.items():
         _check(result, ok, f"decomposition invariant: {name}")
     for piece in dec.pieces:
-        _check(result, not dec.report.passes or piece.routes_agree,
+        _check(result, not dec.report.passes
+               or piece.routes_agree is not False,
                "construction routes must agree when the hypothesis report "
                "passes", piece=list(piece.points))
 

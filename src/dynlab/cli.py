@@ -294,8 +294,9 @@ def _cmd_check_expansive(args, sys_):
 def _cmd_spectral(args, sys_):
     dec = spectral_decomposition(sys_)
     checks = dec.verify(sys_)
+    # a piece with no stable-set parts (None) has no route to disagree
     routes_ok = (not dec.report.passes) or all(
-        piece.routes_agree for piece in dec.pieces)
+        piece.routes_agree is not False for piece in dec.pieces)
     results = {"decomposition": decomposition_to_obj(dec), "checks": checks,
                "routes_agree_under_hypotheses": routes_ok}
     return {}, results, 0 if all(checks.values()) and routes_ok else 1

@@ -446,7 +446,8 @@ class FiniteSystem:
         and its exact-period hits and step^k orbits, read off the
         cycles, ``("closures", n, bound)``; the closed-chain counts
         ``("chain counts", d_cut, n, k_bound)``; the admissible steps
-        as successor bitmasks ``("steps",)``; f^(T + P) of every index
+        as successor bitmasks ``("steps",)`` and the a-step rows
+        ``("steps", a)``; f^(T + P) of every index
         ``("eventual",)``; and the expansiveness floors, the cutoffs up
         to which each rung of the hierarchy holds (``("n floors",)``,
         ``("periodic floors",)``).  A key is a name followed by integer
@@ -895,15 +896,13 @@ def threshold_grid(sys):
 
 
 def _build_grid(sys):
-    positive = [v for v in sys.distance_values if v > 0]
-    values = {Fraction(0)}
-    if positive:
-        values.add(positive[0] / 2)
-        values.update(positive)
-        values.add(positive[-1] + 1)
-    else:
-        values.add(Fraction(1))
-    return ThresholdGrid(tuple(sorted(values)))
+    """The grid in order: ``distance_values`` ascend from 0, so 0, half
+    the least positive distance, the positive distances and the largest
+    plus one (0 and 1 on one point)."""
+    zero, *positive = sys.distance_values
+    if not positive:
+        return ThresholdGrid((zero, Fraction(1)))
+    return ThresholdGrid((zero, positive[0] / 2, *positive, positive[-1] + 1))
 
 
 def _largest_passing(values, predicate):

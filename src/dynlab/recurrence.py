@@ -8,7 +8,8 @@ alone would make recurrence structure (periods, basic sets, mixing) an
 artifact of that choice; the relation restores every admissible step.
 Vertex sets are integer bitmasks (bit i for index i); one step of a
 set is :func:`dynlab.core._image` over the steps as successor bitmasks,
-and mixing squares such rows up to Wielandt's exponent.
+the a-step rows are built once per system and a, and mixing squares
+such rows up to Wielandt's exponent.
 
 The spectral decomposition is computed twice, by independent routes:
 
@@ -28,9 +29,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
-from .core import (_Record, _image, _positive, _strong_components,
-                   threshold_grid)
+from .core import (_Record, _at_least, _image, _positive,
+                   _strong_components, threshold_grid)
 from .expansive import _eventual_images, _strong_constant
 from .shadowing import DeltaGraph
 
@@ -67,8 +69,14 @@ def _mask(indices):
 
 
 def _members(mask):
-    """The indices of the bits of ``mask``, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    """The indices of the bits of ``mask``, ascending: one step per set
+    bit, peeling the lowest."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _step_masks(sys):
@@ -76,6 +84,30 @@ def _step_masks(sys):
     built once per system."""
     return sys._memoized(("steps",), lambda: tuple(
         _mask(out) for out in _step_sets(sys)))
+
+
+def _power_masks(sys, a):
+    """The a-step successor bitmask of every index, a >= 1, built once
+    per system and a.  A map's row is read off the orbit table; a
+    relation's rows are the one-step rows squared and multiplied along
+    the bits of a, lowest first: O(n log a) images.  Intermediate steps
+    go anywhere."""
+    def build():
+        if sys.relation is None:
+            rows = []
+            for i in range(sys.n):
+                rows.append(1 << sys.power(i, a))
+            return tuple(rows)
+        k, rows, base = a, None, _step_masks(sys)
+        while True:
+            if k & 1:
+                rows = base if rows is None else tuple(
+                    map(_image, rows, repeat(base)))
+            k >>= 1
+            if not k:
+                return rows
+            base = tuple(map(_image, base, repeat(base)))
+    return sys._memoized(("steps", a), build)
 
 
 def _cyclic_components(succ):
@@ -222,14 +254,6 @@ def cyclic_decomposition(sys, B):
     return a, tuple(tuple(part) for part in parts)
 
 
-def _reach_after(steps, start, k):
-    """Bitmask of the indices reachable from the bitmask ``start`` in
-    exactly k steps of the successor bitmasks ``steps``."""
-    for _ in range(k):
-        start = _image(start, steps)
-    return start
-
-
 def _primitive(rows, full):
     """Is some power full of the relation whose successor bitmasks are
     ``rows``, a dict over the m bits of ``full``?  Squares the rows until
@@ -251,17 +275,19 @@ def _primitive(rows, full):
 def is_mixing(sys, part, a):
     """Is the a-step dynamics restricted to the part primitive?
 
-    Builds the "reachable in exactly ``a`` admissible steps" relation
-    between part members as bitmask rows and asks :func:`_primitive`
-    whether some power of it is full.  Walks may only pass through
-    points that can return to the part, so no explicit restriction of
-    the intermediate steps is needed for parts of a genuine
-    decomposition; a wrong ``a`` shows up as a parity-style
-    obstruction and yields False.
+    Reads the "reachable in exactly ``a`` admissible steps" relation
+    between part members off the a-step rows of the system
+    (:func:`_power_masks`, built once per system and ``a``), each row
+    cut to the part, and asks :func:`_primitive` whether some power of
+    it is full.  The intermediate steps are not restricted, so the
+    question keeps its meaning for any part and ``a`` >= 1; on the
+    parts of a genuine decomposition walks pass only through points
+    that return to the part anyway.  A wrong ``a`` shows up as a
+    parity-style obstruction and yields False.
     """
-    steps, full = _step_masks(sys), _mask(sys.index[p] for p in part)
-    return _primitive({i: _reach_after(steps, 1 << i, a) & full
-                       for i in _members(full)}, full)
+    _at_least(a, 1, "period")
+    rows, full = _power_masks(sys, a), _mask(sys.index[p] for p in part)
+    return _primitive({i: rows[i] & full for i in _members(full)}, full)
 
 
 def is_transitive(sys, subset):
@@ -324,9 +350,10 @@ def _cp_parts(sys, B):
 
     Returns (M, parts) where M is the least positive step count with
     C_{f^M(anchor)} == C_anchor (at most the anchor's period) and parts
-    are C_{f^m(anchor)} for m < M, or None when B holds no periodic
-    point to anchor on (possible only for multivalued systems, where
-    the canonical map may spiral out of the piece).
+    are C_{f^m(anchor)} for m < M, or None when the route has nothing
+    to rotate: B holds no periodic point to anchor on, or the anchor's
+    cycle leaves B.  Both happen only for multivalued systems, where
+    the canonical map may step out of the piece.
     """
     periodic = [p for p in B if sys.preperiod(sys.index[p]) == 0]
     if not periodic:
@@ -334,9 +361,7 @@ def _cp_parts(sys, B):
     part_of = _stable_parts(sys, B)
     cycle = sys.cycle(sys.index[periodic[0]])
     if any(i not in part_of for i in cycle):
-        # a relation that omits a step of the canonical map can leave
-        # the anchor's cycle partly outside the piece
-        raise ValueError("anchor must belong to the basic set")
+        return None
     parts = [part_of[i] for i in cycle]
     m = next((m for m in range(1, len(parts)) if parts[m] == parts[0]),
              len(parts))
@@ -434,21 +459,28 @@ class Decomposition(_Record):
                 invariant = False
             a, parts = piece.period, piece.parts
             masks = [_mask(sys.index[p] for p in part) for part in parts]
+            shifted = True
             for k, here in enumerate(masks):
                 if _image(here, steps) & members != masks[(k + 1) % a]:
-                    shift = False
-                back = here
-                for _ in range(a):
-                    back = _image(back, steps) & members
-                if back != here:
-                    power = False
+                    shifted = False
+            # when every part steps onto the next inside the piece, a
+            # steps bring each part back: the parts are pushed only when
+            # some part missed
+            if not shifted:
+                shift = False
+                for here in masks:
+                    back = here
+                    for _ in range(a):
+                        back = _image(back, steps) & members
+                    if back != here:
+                        power = False
             if not is_transitive(sys, piece.points):
                 transitive = False
             # mixing flags re-checked by a different criterion: primitive
             # iff strongly connected with trivial period
+            rows = _power_masks(sys, a)
             for flag, here in zip(piece.mixing, masks):
-                step_a = {i: _members(_reach_after(steps, 1 << i, a) & here)
-                          for i in _members(here)}
+                step_a = {i: _members(rows[i] & here) for i in _members(here)}
                 connected = len(_strong_components(step_a)) == 1
                 if flag != (connected and _phase_levels(step_a)[1] == 1):
                     primitive = False

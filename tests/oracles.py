@@ -26,8 +26,12 @@ frozenset layers, the T + P return horizon, the ``any()`` chain graph
 loop and dense boolean matrix powers; ``basic_sets_reference`` and
 ``chain_recurrent_reference`` read the recurrence of every grid delta
 off its own chain graph, where the library decides it once, on the
-step relation.  ``orbits_reference`` is the library's earlier orbit
-table, one walk per start, kept to check the table built in one pass;
+step relation.  ``reach_after_reference`` is the library's earlier
+a-step push, one set image per step, kept to check the a-step rows
+built once per system and a, and ``members_reference`` its earlier bit
+scan of a mask, one test per bit position.  ``orbits_reference`` is
+the library's earlier orbit table, one walk per start, kept to check
+the table built in one pass;
 ``is_transitive_reference`` its earlier transitivity test, which tries
 every start, and ``cp_parts_reference`` its earlier stable-set route,
 one scan of the piece per point of the anchor's cycle, here with each
@@ -1137,12 +1141,19 @@ def threshold_grid_reference(sys):
 
 
 def reach_after_reference(sys, start, n):
-    """Indices reachable from the index set ``start`` in exactly n steps."""
+    """Indices reachable from the index set ``start`` in exactly n steps,
+    one set image per step: the library's earlier a-step push."""
     steps = _step_sets(sys)
     layer = frozenset(start)
     for _ in range(n):
         layer = frozenset(j for i in layer for j in steps[i])
     return layer
+
+
+def members_reference(mask):
+    """The indices of the bits of ``mask``, ascending, one test per bit
+    position: the library's earlier bit scan."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def primitive_reference(matrix):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dynlab.core import (
     FiniteSystem,
     Lasso,
+    ThresholdGrid,
     _cached,
     as_fraction,
     build_finite_system,
@@ -30,7 +31,8 @@ from helpers import (
     unrolled_pseudo_orbit,
     unrolled_shadows,
 )
-from oracles import le_cutoff_reference, lt_cutoff_reference, orbits_reference
+from oracles import (le_cutoff_reference, lt_cutoff_reference,
+                     orbits_reference, threshold_grid_reference)
 
 
 def test_metric_validation_triangle():
@@ -274,6 +276,22 @@ def test_cached_attribute_read_on_the_class_is_its_descriptor():
 def test_threshold_grid_one_point():
     sys_ = build_finite_system(("x",), [[0]], ("x",))
     assert threshold_grid(sys_).values == (0, 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10 ** 6), st.integers(1, 7), st.booleans())
+def test_grid_built_in_order_is_the_sorted_set_grid(seed, size, invertible):
+    # one-point systems included: their grid is 0 and 1
+    sys_ = build_random_system(seed, size, invertible)
+    grid, values = threshold_grid(sys_), threshold_grid_reference(sys_)
+    assert grid.values == values
+    assert grid.positive == tuple(v for v in values if v > 0)
+
+
+def test_grid_built_by_hand_keeps_its_positive_values():
+    grid = ThresholdGrid((Fraction(1, 2), Fraction(0), Fraction(3)))
+    assert grid.positive == (Fraction(1, 2), Fraction(3))
+    assert grid.submin == Fraction(1, 2) and grid.top == Fraction(3)
 
 
 def test_threshold_grid_three_points_distance_one():

@@ -23,10 +23,12 @@ from helpers import cycle_system, scalene_cycle, stem_into_cycle
 from oracles import (local_spec_reference, local_weak_spec_reference,
                      myex_table_reference, periodic_variant_reference,
                      window_table_reference)
-from test_recurrence import two_fixed_points
+from test_recurrence import (check_parts_out_of_order,
+                             swap_beside_a_relation_cycle, two_fixed_points)
 from test_recurrence_kernel import (check_chain_graphs, check_cp_parts,
-                                    check_nonwandering, check_primitive,
-                                    check_recurrence, wielandt)
+                                    check_nonwandering, check_power_masks,
+                                    check_primitive, check_recurrence,
+                                    wielandt)
 from test_metric import (check_built_as_reference, check_metric,
                          check_packed_triangles)
 from test_records import check_records
@@ -79,6 +81,33 @@ def test_primitive_stopping_one_exponent_early(monkeypatch):
           "(len(rows) - 1) ** 2 + 1", "(len(rows) - 1) ** 2")
     with pytest.raises(AssertionError):
         check_wielandt_digraphs()
+
+
+def test_power_masks_of_a_map_one_step_short(monkeypatch):
+    check_power_masks(cycle_system(4), range(1, 9))
+    plant(monkeypatch, [recurrence], "_power_masks",
+          "sys.power(i, a)", "sys.power(i, a - 1)")
+    with pytest.raises(AssertionError):
+        check_power_masks(cycle_system(4), range(1, 9))
+
+
+def test_power_masks_of_a_relation_skipping_the_lowest_bit(monkeypatch):
+    # b and c swap under the relation, so odd and even powers differ
+    check_power_masks(swap_beside_a_relation_cycle(), range(1, 7))
+    plant(monkeypatch, [recurrence], "_power_masks",
+          "k, rows, base = a, None", "k, rows, base = a & ~1, None")
+    with pytest.raises(AssertionError):
+        check_power_masks(swap_beside_a_relation_cycle(), range(1, 7))
+
+
+def test_verify_pushing_parts_only_when_they_shift(monkeypatch):
+    # the shortcut inverted: parts listed out of order are not pushed,
+    # and their failed shift check is not recorded
+    check_parts_out_of_order(cycle_system(5))
+    plant(monkeypatch, [recurrence.Decomposition], "verify",
+          "if not shifted:", "if shifted:")
+    with pytest.raises(AssertionError):
+        check_parts_out_of_order(cycle_system(5))
 
 
 def test_image_dropping_bit_zero(monkeypatch):

@@ -23,7 +23,7 @@ from dynlab.recurrence import (
     nonwandering_set,
     spectral_decomposition,
 )
-from dynlab.serialize import canonical_json, sft_to_obj
+from dynlab.serialize import canonical_json, sft_to_obj, system_to_obj
 from dynlab.shadowing import modulus_table
 from dynlab.symbolic import build_sft, window_system
 
@@ -116,6 +116,22 @@ def test_nonwandering_set_images_at_most_n_sets(monkeypatch):
                         lambda w, rows: calls.append(w) or image(w, rows))
     assert nonwandering_set(sys) == tuple(range(300, n))
     assert len(calls) <= n
+
+
+def test_decomposition_and_verify_image_at_most_2n_sets(monkeypatch):
+    # a 600-cycle is 600 parts of one point at period 600: pushing each
+    # part 600 steps, in the mixing flags and in verify, images n^2 sets
+    n = 600
+    sys = build_finite_system(
+        range(n), [[int(i != j) for j in range(n)] for i in range(n)],
+        [*range(1, n), 0])
+    image, calls = recurrence._image, []
+    monkeypatch.setattr(recurrence, "_image",
+                        lambda w, rows: calls.append(w) or image(w, rows))
+    dec = spectral_decomposition(sys)
+    assert [piece.period for piece in dec.pieces] == [n]
+    assert all(dec.verify(sys).values())
+    assert len(calls) <= 2 * n
 
 
 def test_nonwandering_matches_cycle_points_on_plain_systems():
@@ -270,6 +286,24 @@ def test_decomposition_verify_catches_planted_faults():
         assert faulty.verify(sys)[flag] is False, flag
 
 
+def check_parts_out_of_order(sys):
+    """``verify`` on the decomposition of ``sys`` with the parts of its
+    first piece of period 3 or more listed backwards: each part still
+    comes back to itself after a steps, but no part steps onto the
+    next, so only the shift check fails."""
+    dec = spectral_decomposition(sys)
+    k = next(k for k, piece in enumerate(dec.pieces) if piece.period >= 3)
+    checks = with_piece(dec, k, parts=dec.pieces[k].parts[::-1]).verify(sys)
+    assert checks.pop("parts_shift") is False
+    assert all(checks.values()), checks
+
+
+def test_parts_listed_out_of_order_fail_only_the_shift_check():
+    for sys in (cycle_system(5), myex_system(3, 1),
+                random_system(seed=3, n=6, invertible=True)):
+        check_parts_out_of_order(sys)
+
+
 def test_hypothesis_report_fields():
     sys = cycle_system(3)
     rep = hypothesis_report(sys)
@@ -279,14 +313,37 @@ def test_hypothesis_report_fields():
     assert not hypothesis_report(stem_into_cycle()).passes
 
 
-def test_anchor_cycle_leaving_its_piece_is_refused():
-    # the map swaps a and b, but the relation steps a -> a and b <-> c:
-    # the anchor a of the piece {a} has b, outside it, on its cycle
-    sys = build_finite_system("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
-                              "bac", relation=[["a"], ["c"], ["b"]])
+def swap_beside_a_relation_cycle():
+    """Points a, b, c at mutual distance 1: the map swaps a and b and
+    fixes c, but the relation steps a -> a and b <-> c."""
+    return build_finite_system("abc", [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                               "bac", relation=[["a"], ["c"], ["b"]])
+
+
+def test_anchor_cycle_leaving_its_piece_takes_no_stable_set_parts(
+        tmp_path, capsys):
+    # the anchor a of the piece {a} has b, outside it, on its map cycle,
+    # and the anchor b of {b, c} has a
+    sys = swap_beside_a_relation_cycle()
     assert basic_sets(sys) == (("a",), ("b", "c"))
+    dec = spectral_decomposition(sys)
+    assert [(piece.period, piece.parts, piece.mixing) for piece in dec.pieces
+            ] == [(1, (("a",),), (True,)), (2, (("b",), ("c",)), (True, True))]
+    assert all(piece.cp_parts is None and piece.routes_agree is None
+               for piece in dec.pieces)
+    assert all(dec.verify(sys).values())
+    # the report passes, and a piece with no stable-set parts has no
+    # route to disagree with
+    assert dec.report.passes
+    assert run_theorem_battery(sys, "thmD", 6)["violations"] == []
+    # the stable-set construction itself still asks for an anchor in B
     with pytest.raises(ValueError, match="anchor must belong"):
-        spectral_decomposition(sys)
+        cp_construction(sys, ("b", "c"), "a")
+    path = tmp_path / "swap.json"
+    path.write_text(canonical_json(system_to_obj(sys)))
+    assert main(["spectral", "--system", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(report["results"]["checks"].values())
 
 
 def test_piece_without_a_periodic_anchor(tmp_path, capsys):

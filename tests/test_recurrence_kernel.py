@@ -11,14 +11,18 @@ against one scan per anchor; ``is_transitive`` on random plain systems
 and subsets against trying every start;
 ``_primitive`` on random digraphs and on Wielandt's digraphs, whose
 exponent (m - 1)^2 + 1 is the largest a primitive relation on m
-vertices can need.  ``tests/test_mutations.py`` plants faults under the
-``check_*`` comparisons defined here.
+vertices can need; the a-step rows, read off the orbit table or
+squared along the bits of a, against pushing a steps one set image at
+a time, on plain maps, random relations and window systems; and
+``_members`` against the bit scan it replaced.
+``tests/test_mutations.py`` plants faults under the ``check_*``
+comparisons defined here.
 """
 
 from hypothesis import assume, given, settings, strategies as st
 
 from dynlab import recurrence
-from dynlab.core import _image, threshold_grid
+from dynlab.core import _image, build_finite_system, threshold_grid
 from dynlab.errors import EmptyShift
 from dynlab.gallery import build_random_system
 from dynlab.symbolic import build_sft, window_system
@@ -26,7 +30,8 @@ from dynlab.symbolic import build_sft, window_system
 from oracles import (basic_sets_reference, chain_graph_reference,
                      chain_recurrent_reference, cp_parts_reference,
                      is_mixing_reference, is_transitive_reference,
-                     nonwandering_reference, primitive_reference)
+                     members_reference, nonwandering_reference,
+                     primitive_reference, reach_after_reference)
 
 # the properties are exact, so a slow host must not fail them on time
 untimed = settings(deadline=None)
@@ -64,6 +69,15 @@ def check_cp_parts(sys):
     piece per point of the anchor's cycle."""
     for B in recurrence.basic_sets(sys):
         assert recurrence._cp_parts(sys, B) == cp_parts_reference(sys, B), B
+
+
+def check_power_masks(sys, steps):
+    """The a-step rows for every a in ``steps`` against pushing each
+    point a steps, one set image per step."""
+    for a in steps:
+        assert recurrence._power_masks(sys, a) == tuple(
+            recurrence._mask(reach_after_reference(sys, (i,), a))
+            for i in range(sys.n)), a
 
 
 def check_primitive(succ):
@@ -110,6 +124,20 @@ def window_systems(draw):
     return window_system(sft, 1)
 
 
+@st.composite
+def relation_systems(draw):
+    """Points at mutual distance 1 with a random map and a random
+    relation, whose successor lists may omit the map's step, repeat a
+    successor or be empty."""
+    n = draw(st.integers(1, 8))
+    fmap = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    relation = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4),
+                             min_size=n, max_size=n))
+    return build_finite_system(
+        range(n), [[int(i != j) for j in range(n)] for i in range(n)], fmap,
+        relation=relation)
+
+
 systems = st.one_of(plain_systems(), window_systems())
 
 
@@ -135,6 +163,28 @@ def test_is_mixing_matches_dense_matrix_powers(sys, data):
     for a in range(1, 5):
         assert (recurrence.is_mixing(sys, part, a)
                 == is_mixing_reference(sys, part, a)), (part, a)
+
+
+@untimed
+@given(st.one_of(plain_systems(), relation_systems(), window_systems()))
+def test_power_masks_match_pushing_a_steps(sys):
+    check_power_masks(sys, range(1, 2 * sys.n + 1))
+
+
+def holed(start, holes):
+    """300 set bits but those of ``holes``, shifted to ``start``."""
+    return ((1 << 300) - 1) ^ (holes << start)
+
+
+@untimed
+@given(st.one_of(
+    st.sets(st.integers(0, 300), max_size=6).map(recurrence._mask),
+    st.integers(0, 2 ** 64 - 1),
+    st.builds(holed, st.integers(0, 200), st.integers(0, 2 ** 40 - 1))))
+def test_members_match_the_bit_scan(mask):
+    # sparse masks reaching high bits, 64-bit masks of any density, and
+    # dense 300-bit masks with drawn holes
+    assert recurrence._members(mask) == members_reference(mask)
 
 
 @untimed

@@ -31,8 +31,8 @@ from dynlab.gallery import (build_myex, build_product_truncation,
 from dynlab.expansive import (gamma_set, n_expansive_constant, stable_sets,
                               theorem_stableset_check)
 from dynlab.recurrence import (chain_graph, cp_construction,
-                               cyclic_decomposition, is_transitive,
-                               spectral_decomposition)
+                               cyclic_decomposition, is_mixing,
+                               is_transitive, spectral_decomposition)
 from dynlab.shadowing import (construct_shadow_point, delta_graph,
                               modulus_table, periodic_shadowing_holds,
                               shadowing_holds, shadowing_modulus,
@@ -118,6 +118,9 @@ REFUSALS = {
     "transitive-on-no-points": (
         lambda sys: is_transitive(sys, ()),
         ValueError, "empty subset"),
+    "mixing-at-period-zero": (
+        lambda sys: is_mixing(sys, ("z",), 0),
+        ValueError, "period must be at least 1, got 0"),
     "transient-anchor": (
         lambda sys: cp_construction(sys, ("s1", "z"), "s1"),
         ValueError, "anchor must be periodic"),
@@ -477,3 +480,32 @@ def test_the_bound_warning_is_scanned_in_two_places():
     }
     assert not any(where.startswith("shadowing._gap_structures")
                    for scopes in callers.values() for where in scopes)
+
+
+def test_a_step_rows_are_built_in_one_place():
+    # the a-step push is gone from the library (its second copy is the
+    # oracle reach_after_reference): is_mixing and verify's primitive
+    # check read the rows built once per system and a
+    names = set()
+    for path in sorted(pathlib.Path(dynlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names.add(getattr(node, "id", getattr(node, "attr", getattr(
+                node, "name", None))))
+    assert "_reach_after" not in names
+    callers, imported = library_calls({"_power_masks", "_image"})
+    assert callers["_power_masks"] == {"recurrence.is_mixing",
+                                       "recurrence.Decomposition.verify"}
+    assert ("recurrence", "_power_masks") not in imported
+    assert "recurrence.is_mixing" not in callers["_image"]
+    # every set verify images itself is cut back to the piece at once:
+    # its unrestricted steps come from the rows
+    source = (pathlib.Path(dynlab.__file__).parent / "recurrence.py")
+    verify = next(node for node in ast.walk(ast.parse(source.read_text(
+        encoding="utf-8"))) if getattr(node, "name", None) == "verify")
+    images = [node for node in ast.walk(verify) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_image"]
+    cut = [node.left for node in ast.walk(verify)
+           if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+           and getattr(node.right, "id", None) == "members"]
+    assert images and all(any(call is left for left in cut)
+                          for call in images)
