@@ -66,10 +66,12 @@ def periodic_spectrum(sys, bound):
     The count is the number of closed walks of length m of the
     admissible steps: closed relation walks when the system carries a
     relation, otherwise the fixed points of the m-th iterate.  It is
-    trace(A^m), made by :func:`~dynlab.core._closed_walk_counts`, which
-    pushes the walk counts of every start at once in packed integer
-    fields; the tests check it against dense matrix powers
-    (``tests/oracles.py``, ``dense_closed_walk_counts``).
+    trace(A^m), made by :func:`~dynlab.core._closed_walk_counts`.  A
+    map's count is read off its cycles, each p-cycle adding p at every
+    multiple m of p; a relation's walk counts are pushed from every
+    start at once in packed integer fields.  The tests check both
+    against dense matrix powers (``tests/oracles.py``,
+    ``dense_closed_walk_counts``).
     """
     counts = _closed_walk_counts(_step_sets(sys), bound)
     return {str(m): count for m, count in enumerate(counts, 1)}
@@ -185,22 +187,21 @@ def _matrix_battery(result, sys, period_bound, cap):
     asserted = result["asserted"] = (
         hypotheses["transitive"] and hypotheses["strong_measure_expansive"])
     result["rows"] = []
+    # each column lists its table's best deltas, aligned with grid.positive
     columns = _cell(result, "modulus tables", lambda: {
-        "local_spec": dict(modulus_table(
-            sys, "spec-full", period_bound, cap).rows),
-        "weak_spec": dict(modulus_table(sys, "spec-weak", cap=cap).rows),
-        "shadowing": dict(modulus_table(sys, "shadowing", cap=cap).rows),
-        "strong_periodic": dict(modulus_table(
-            sys, "strong-periodic", period_bound, cap).rows),
-        "periodic": dict(modulus_table(
-            sys, "periodic", period_bound, cap).rows),
-    })
+        name: [best for _, best in table.rows] for name, table in zip(
+            _MATRIX_COLUMNS, (
+                modulus_table(sys, "spec-full", period_bound, cap),
+                modulus_table(sys, "spec-weak", cap=cap),
+                modulus_table(sys, "shadowing", cap=cap),
+                modulus_table(sys, "strong-periodic", period_bound, cap),
+                modulus_table(sys, "periodic", period_bound, cap)))})
     if columns is None:
         return
-    for eps in grid.positive:
+    for k, eps in enumerate(grid.positive):
         row = {"epsilon": _frac(eps)}
         for name in _MATRIX_COLUMNS[:-1]:
-            row[name] = columns[name][eps] is not None
+            row[name] = columns[name][k] is not None
         # special_shadowing_holds is exactly these two searches again
         row["special"] = row["shadowing"] and row["periodic"]
         row["equivalent"] = len({row[name] for name in _MATRIX_COLUMNS}) <= 1
@@ -209,7 +210,7 @@ def _matrix_battery(result, sys, period_bound, cap):
                "properties must agree under the diagnosed hypotheses",
                epsilon=row["epsilon"])
         for lower, upper, law in _ORDER_LAWS:
-            low, high = columns[lower][eps], columns[upper][eps]
+            low, high = columns[lower][k], columns[upper][k]
             _check(result, low is None or high is not None and low <= high,
                    law, epsilon=row["epsilon"])
 

@@ -92,7 +92,7 @@ def _positive(value, name):
     """The threshold ``value`` as a Fraction; ValueError unless positive.
     With :func:`_at_least`, the one place a threshold or count is refused."""
     value = as_fraction(value)
-    if value <= 0:
+    if value.numerator <= 0:  # a Fraction's denominator is positive
         raise ValueError(f"{name} must be positive, got {value}")
     return value
 
@@ -985,31 +985,59 @@ def _closed_walk_counts(succ, m, primitive=False):
     digraph with edges {(v, w) : w in succ[v]}, i.e. trace(A^k); a
     repeated successor is one edge.
 
-    The walks of all starts are pushed at once, in packed integer fields
-    (the idiom of :func:`_triangles_hold`): ``at[v]`` is one int whose
-    W-bit field r counts the walks of the current length from r to v,
-    and one step sets ``at[v]`` to the sum of ``at[u]`` over the
-    predecessors u of v.  Masking field v of each ``at[v]`` gathers the
-    diagonal of A^k into one int, and halving folds, each adding the
-    upper half of its fields onto the lower half, sum it to trace(A^k)
-    in linear time, where one product with a 1 in every field would cost
-    a full multiplication of n*W-bit ints.  W is the bit length of the
-    largest number of walks of one length k <= m (at least n, the walks
-    of length 0), counted first by the same push on plain ints, or n
-    itself when no vertex has two successors.  That number bounds every
-    entry of A^k and every partial sum of trace(A^k), so no field
-    carries into the next.
+    A map, where no vertex has two successors (a vertex may have none),
+    is read off its cycles: its closed walks of length k are the whole
+    rounds of the cycles whose length p divides k, one from each of
+    their p points, so trace(A^k) = sum over p | k of p * c_p, c_p the
+    number of p-cycles.  One pointer walk from each unseen vertex finds
+    the cycles in O(n): each vertex is stamped once with a running step
+    count, and a walk that stops on a vertex stamped by itself, not by
+    an earlier walk, closes a cycle as long as the steps since that
+    stamp.
+
+    The walks of any other digraph are pushed from all starts at once,
+    in packed integer fields (the idiom of :func:`_triangles_hold`):
+    ``at[v]`` is one int whose W-bit field r counts the walks of the
+    current length from r to v, and one step sets ``at[v]`` to the sum
+    of ``at[u]`` over the predecessors u of v.  Masking field v of each
+    ``at[v]`` gathers the diagonal of A^k into one int, and halving
+    folds, each adding the upper half of its fields onto the lower
+    half, sum it to trace(A^k) in linear time, where one product with a
+    1 in every field would cost a full multiplication of n*W-bit ints.
+    W is the bit length of the largest number of walks of one length
+    k <= m (at least n, the walks of length 0), counted first by the
+    same push on plain ints.  That number bounds every entry of A^k and
+    every partial sum of trace(A^k), so no field carries into the next.
 
     With ``primitive``, count only the closed walks w with w[0] = min(w)
-    that repeat no shorter walk.  Each step clears the fields r > v of
-    ``at[v]``, so walks from r stay inside the vertices >= r.  Such a
-    walk of length k is the (k/d)-th power of exactly one primitive one
-    of length d, for one d dividing k, so subtracting the primitive
-    counts of the proper divisors leaves the primitive walks."""
+    that repeat no shorter walk: c_k for a map, one round of each
+    k-cycle from its least point.  The push clears the fields r > v of
+    ``at[v]`` at each step, so walks from r stay inside the vertices
+    >= r.  Such a walk of length k is the (k/d)-th power of exactly one
+    primitive one of length d, for one d dividing k, so subtracting the
+    primitive counts of the proper divisors leaves the primitive walks."""
     succ = [set(out) for out in succ]
     n = len(succ)
-    if not n:
-        return [0] * m
+    if all(len(out) < 2 for out in succ):
+        cycles, seen, steps = [0] * m, [0] * n, 0
+        for root in range(n):
+            v, first = root, steps + 1
+            while v is not None and not seen[v]:
+                steps += 1
+                seen[v] = steps
+                v = next(iter(succ[v]), None)
+            if v is not None and seen[v] >= first:
+                p = steps - seen[v] + 1
+                if p <= m:
+                    cycles[p - 1] += 1
+        if primitive:
+            return cycles
+        counts = [0] * m
+        for p, c in enumerate(cycles, 1):
+            if c:
+                for k in range(p - 1, m, p):
+                    counts[k] += p * c
+        return counts
     preds = [[] for _ in succ]
     for u, out in enumerate(succ):
         for v in out:
@@ -1021,12 +1049,10 @@ def _closed_walk_counts(succ, m, primitive=False):
         return [at[p] if type(p) is int else sum(map(at.__getitem__, p))
                 for p in preds]
 
-    most = n
-    if any(len(out) > 1 for out in succ):
-        at = [1] * n
-        for _ in range(m):
-            at = push(at)
-            most = max(most, sum(at))
+    most, at = n, [1] * n
+    for _ in range(m):
+        at = push(at)
+        most = max(most, sum(at))
     width = most.bit_length()
     shifts = range(0, n * width, width)
     at = [1 << s for s in shifts]

@@ -201,7 +201,7 @@ def _uniform(sys, cyc):
     weights, share = [Fraction(0)] * sys.n, Fraction(1, len(cyc))
     for i in cyc:
         weights[i] = share
-    return InvariantMeasure(tuple(weights), ergodic=True)
+    return InvariantMeasure(tuple(weights), True)  # ergodic
 
 
 def strong_measure_expansive_holds(sys, delta):

@@ -211,9 +211,10 @@ def periodic_point_count(sft, period):
     """trace(A^period) with exact integer arithmetic: the number of closed
     walks of length ``period`` in the transition graph.
 
-    Counted by :func:`~dynlab.core._closed_walk_counts`, which pushes
-    the walk counts of every start at once in packed integer fields;
-    the tests check it against dense matrix powers
+    Counted by :func:`~dynlab.core._closed_walk_counts`, which reads a
+    graph where no letter has two successors off its cycles and pushes
+    the walk counts of every start of any other at once in packed
+    integer fields; the tests check it against dense matrix powers
     (``tests/oracles.py``, ``dense_closed_walk_counts``)."""
     _at_least(period, 1, "period")
     pos = {a: i for i, a in enumerate(sft.alphabet)}

@@ -2,18 +2,24 @@
 
 Strong components are compared with mutual reachability and trial
 division with a sieve.  Closed walks are counted by
-``core._closed_walk_counts``, which pushes the walk counts of all starts
-at once in packed integer fields, one field per start.  Its counts are
-compared with traces of dense matrix powers
-(``oracles.dense_closed_walk_counts``), with the earlier one-start dict
-push (``oracles.pushed_closed_walk_counts``) in both modes, and, for
-the primitive least-rooted counts, with a walk listing
-(``oracles._closed_walks_of_graph``).  Closed forms whose walk count
-sets the field width exactly (a directed cycle, a looped vertex, the
-cycles of a map) fail when the field is one bit narrower: a partial
-sum of the trace then carries into the next field, as on the 3-, 6-
-and 7-cycles.  A fresh interpreter also checks that ``import dynlab``
-loads nothing outside the standard library.
+``core._closed_walk_counts``, which reads a map (no vertex with two
+successors) off its cycles and pushes the walk counts of all starts of
+any other digraph at once in packed integer fields, one field per
+start.  Its counts, on relations and on partial maps, are compared
+with traces of dense matrix powers (``oracles.dense_closed_walk_counts``),
+with the earlier one-start dict push
+(``oracles.pushed_closed_walk_counts``) in both modes, and, for the
+primitive least-rooted counts, with a walk listing
+(``oracles._closed_walks_of_graph``).  Closed forms catch a map count
+that adds one per cycle instead of its points, and a relation whose
+walk count sets the field width exactly (a looped vertex with an edge
+into another: at length 12 its 12 walks from the first to the second
+fill a field that the 14 walks in all make 4 bits wide) fails when the
+field is one bit narrower, as that entry then carries into the next
+field.  A 1,000-point cycle is counted without packed fields, within a
+memory bound that one list of them would exceed.  A fresh interpreter
+also checks that ``import dynlab`` loads nothing outside the standard
+library.
 """
 
 import json
@@ -21,6 +27,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +49,13 @@ from oracles import (
 # successor lists on 1..9 vertices; repeated successors are one edge
 digraphs = st.integers(1, 9).flatmap(lambda n: st.lists(
     st.lists(st.integers(0, n - 1), max_size=2 * n), min_size=n, max_size=n))
+
+# partial maps on 1..9 vertices: each row is empty, one successor or
+# that successor repeated (one edge); a row may be a self-loop
+maps = st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.integers(0, n - 1).flatmap(
+        lambda w: st.sampled_from([[], [w], [w, w]])),
+    min_size=n, max_size=n))
 
 # the properties are exact, so a slow host must not fail them on time
 untimed = settings(deadline=None)
@@ -89,6 +103,31 @@ def test_closed_walk_counts_match_the_one_start_push(succ, m, primitive):
         pushed_closed_walk_counts(succ, m, primitive))
 
 
+@untimed
+@given(maps, st.integers(1, 20), st.booleans())
+def test_closed_walk_counts_of_partial_maps_match_the_references(
+        succ, m, primitive):
+    counts = _closed_walk_counts(succ, m, primitive)
+    assert counts == pushed_closed_walk_counts(succ, m, primitive)
+    if not primitive:
+        assert counts == dense_closed_walk_counts(succ, m)
+
+
+def test_a_long_cycle_is_counted_without_packed_fields():
+    # packed fields would give each of the 1,000 vertices one int of
+    # 1,000 10-bit fields: 1.25 MB for one list of them alone
+    n, m = 1000, 512
+    cycle = [[(v + 1) % n] for v in range(n)]
+    tracemalloc.start()
+    try:
+        counts = _closed_walk_counts(cycle, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [0] * m
+    assert peak < 1_000_000
+
+
 def check_primitive_counts(succ, m):
     succ = [sorted(set(out)) for out in succ]
     listed = [len(_closed_walks_of_graph(succ, k, math.inf, [0]))
@@ -113,13 +152,17 @@ def test_primitive_counts_on_small_shifts():
 
 
 def check_closed_forms():
-    # one walk of each length from every vertex of a cycle or a loop, so
-    # the p closed walks of a p-cycle set the field width exactly
+    # one walk of each length from every vertex of a cycle or a loop
     for p in range(2, 10):
         cycle = [[(v + 1) % p] for v in range(p)]
         assert _closed_walk_counts(cycle, 12) == [
             p if k % p == 0 else 0 for k in range(1, 13)]
     assert _closed_walk_counts([[0]], 12) == [1] * 12
+    # a relation: a looped vertex with an edge into another looped one,
+    # 2 closed walks of each length; at length 12 the 12 walks from the
+    # first to the second fill their field, whose width the 14 walks in
+    # all set exactly
+    assert _closed_walk_counts([[0, 1], [1]], 12) == [2] * 12
     # a relation: the complete digraph with loops, n^k closed walks
     for n in range(1, 5):
         complete = [list(range(n)) * 2 for _ in range(n)]
