@@ -442,9 +442,11 @@ class FiniteSystem:
         (``("balls", cut)``, ``("near", cut)``); the gap maps and
         tracking windows ``("windows", e_cut)``; the longest primitive
         closed walk of a gap graph ``("walks", d_cut, n)``; the tracer
-        masks of the closed-chain search ``("masks", e_cut, n, bound)``
+        masks of the closed-chain search ``("masks", e_cut, n, length)``
         and its exact-period hits and step^k orbits, read off the
-        cycles, ``("closures", n, bound)``; the closed-chain counts
+        cycles, ``("closures", n, length)``, one entry per residue of
+        the walk length k modulo ``length``, the least of the bound and
+        the lcm of the cycle lengths; the closed-chain counts
         ``("chain counts", d_cut, n, k_bound)``; the admissible steps
         as successor bitmasks ``("steps",)`` and the a-step rows
         ``("steps", a)``; f^(T + P) of every index
@@ -817,7 +819,7 @@ def is_pseudo_orbit(sys, lasso, delta):
     for every i in its time set; the lasso structure reduces that to one
     pass over :meth:`Lasso.transitions`.
     """
-    cutoff = sys.lt_cutoff(as_fraction(delta))
+    cutoff = sys.lt_cutoff(_positive(delta, "delta"))
     for a, b in lasso.transitions():
         if sys.rank[sys.fmap[sys.index[a]]][sys.index[b]] >= cutoff:
             return False
@@ -831,6 +833,7 @@ def is_periodic_pseudo_orbit(sys, lasso, delta):
     The returned period is the declared cycle length, not necessarily
     the least one.
     """
+    delta = _positive(delta, "delta")
     if lasso.stem or (lasso.past_cycle is not None and lasso.past_cycle != lasso.cycle):
         return None
     if not is_pseudo_orbit(sys, lasso, delta):
@@ -854,7 +857,7 @@ def shadows(sys, point, lasso, epsilon):
     period forward (and one joint period backward for two-sided lassos,
     which require an invertible system).
     """
-    cutoff = sys.lt_cutoff(as_fraction(epsilon))
+    cutoff = sys.lt_cutoff(_positive(epsilon, "epsilon"))
     i0 = sys.index[point]
     if _first_miss(sys, i0, lasso, cutoff) is not None:
         return False

@@ -34,12 +34,12 @@ from itertools import repeat
 from .core import (_Record, _at_least, _image, _positive,
                    _strong_components, threshold_grid)
 from .expansive import _eventual_images, _strong_constant
-from .shadowing import DeltaGraph
 
 __all__ = [
     "BasicPiece",
     "ChainRecurrence",
     "Decomposition",
+    "DeltaGraph",
     "HypothesisReport",
     "basic_sets",
     "chain_graph",
@@ -115,6 +115,13 @@ def _cyclic_components(succ):
     length >= 1: more than one vertex, or a vertex with a self-loop."""
     return [comp for comp in _strong_components(succ)
             if len(comp) > 1 or comp[0] in succ[comp[0]]]
+
+
+class DeltaGraph(_Record):
+    """The chain graph of a system at threshold delta (strict inequality)."""
+
+    delta: Fraction
+    succ: tuple  # succ[i]: the j within delta of a step from i, ascending
 
 
 def chain_graph(sys, delta):

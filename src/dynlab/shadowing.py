@@ -59,19 +59,15 @@ from .core import (Lasso, _Record, _at_least, _first_miss, _image,
 from .errors import BoundTooSmall, NotDecaying, NotInvertible, StateExplosion
 
 __all__ = [
-    "DeltaGraph",
     "ModulusTable",
     "ShadowCertificate",
-    "delta_graph",
     "gap_values",
     "shadowing_holds",
     "shadowing_modulus",
     "construct_shadow_point",
     "periodic_shadowing_holds",
     "strong_periodic_shadowing_holds",
-    "strong_shadow_point",
     "special_shadowing_holds",
-    "limit_shadowing_check",
     "two_sided_limit_shadowing_check",
     "lipschitz_constants",
     "modulus_table",
@@ -107,20 +103,6 @@ def gap_values(sys, N):
     _at_least(N, 1, "N")
     T, P = sys.max_preperiod, sys.cycle_lcm
     return range(N, max(N + P, T + 2 * P))
-
-
-class DeltaGraph(_Record):
-    """The step graph of a system at threshold delta (strict inequality)."""
-
-    delta: Fraction
-    succ: tuple  # succ[i] = sorted tuple of j with d(f(i), j) < delta
-
-
-def delta_graph(sys, delta):
-    delta = _positive(delta, "delta")
-    cut = sys.lt_cutoff(delta)
-    # the step graph is the gap graph at gap 1
-    return DeltaGraph(delta, next(_gap_structures(sys, (1,), cut, cut))[1])
 
 
 class ShadowCertificate(_Record):
@@ -327,25 +309,25 @@ def _scan_gap(sys, d_cut, n, succ, bound, label):
     _warn_if_bound_blind(longest, bound, label.format(n=n))
 
 
-def _closures(cycles, n, bound):
-    """closures[k] for 1 <= k <= bound: (hits, orbits), the orbits of
-    f^(kn) on the periodic points as bitmasks, and the points it fixes,
-    those whose orbit is one point, as one bitmask.  f^(kn) turns a
-    cycle of length p by kn, so its orbits on the cycle are the
+def _closures(cycles, n, length):
+    """closures[k % length] for 1 <= k <= length: (hits, orbits), the
+    orbits of f^(kn) on the periodic points as bitmasks, and the points
+    it fixes, those whose orbit is one point, as one bitmask.  f^(kn)
+    turns a cycle of length p by kn, so its orbits on the cycle are the
     gcd(p, kn) residue classes of the positions."""
-    closures = [None]
-    for k in range(1, bound + 1):
+    closures = [None] * length
+    for k in range(1, length + 1):
         orbits = []
         for cyc in cycles:
             g = math.gcd(len(cyc), k * n)
             orbits += (sum(1 << z for z in cyc[j::g]) for j in range(g))
-        closures.append((sum(o for o in orbits if not o & o - 1),
-                         tuple(orbits)))
+        closures[k % length] = (sum(o for o in orbits if not o & o - 1),
+                                tuple(orbits))
     return tuple(closures)
 
 
-def _tracer_masks(periodic, step, allowed, bound):
-    """masks[k][u] for k < bound: the periodic z with step^k(z) in
+def _tracer_masks(periodic, step, allowed, length):
+    """masks[k][u] for k < length: the periodic z with step^k(z) in
     allowed[u], as bitmasks.
 
     pre[y] holds the periodic z with step^k(z) = y, so masks[k][u] is
@@ -355,7 +337,7 @@ def _tracer_masks(periodic, step, allowed, bound):
     for z in periodic:
         pre[z] = 1 << z
     masks = []
-    for _ in range(bound):
+    for _ in range(length):
         masks.append(tuple(_image(window, pre) for window in allowed))
         image = [0] * len(step)
         for y in periodic:
@@ -373,8 +355,9 @@ def _closed_search(sys, d_cut, e_cut, n, succ, step, allowed, bound, cap,
     Breadth-first search over tracer sets.  A state is (root r, vertex
     v >= r, S) reached by a walk of length k from r, where the bitmask S
     holds the periodic z with step^i(z) in allowed[w_i] for every i < k;
-    one edge to u is ``S & masks[k][u]``.  When the walk closes (r is a
-    successor of v) it is traced iff (see :func:`_closures`)
+    one edge to u is ``S & masks[k % length][u]``.  When the walk
+    closes (r is a successor of v) it is traced iff (see
+    :func:`_closures`, read at ``k % length``)
 
     - exact (the tracer has f^(kn)(z) = z): S meets {z : p(z) | kn};
     - otherwise (any period): some step^k-orbit of periodic points lies
@@ -393,11 +376,14 @@ def _closed_search(sys, d_cut, e_cut, n, succ, step, allowed, bound, cap,
     prefixes a listing of those closed walks would visit.
     """
     periodic, balls = sys.periodic_indices(), sys._balls(d_cut)
-    masks = sys._memoized(("masks", e_cut, n, bound),
+    # both tables depend on k only through k mod P (P the lcm of the
+    # cycle lengths): every periodic point returns after P steps
+    length = min(bound, sys.cycle_lcm)
+    masks = sys._memoized(("masks", e_cut, n, length),
                           lambda: _tracer_masks(periodic, step, allowed,
-                                                bound))
-    closures = sys._memoized(("closures", n, bound),
-                             lambda: _closures(sys._cycles, n, bound))
+                                                length))
+    closures = sys._memoized(("closures", n, length),
+                             lambda: _closures(sys._cycles, n, length))
     closes = [balls[y] for y in step]  # closes[v] >> u & 1: u in succ[v]
     level = []
     for r in range(sys.n):
@@ -406,14 +392,14 @@ def _closed_search(sys, d_cut, e_cut, n, succ, step, allowed, bound, cap,
             raise StateExplosion(visited, cap, frontier_sample=(n, r, r, 1))
         level.append((r, r, masks[0][r], (r,)))
     for k in range(1, bound + 1):
-        hits, orbits = closures[k]
+        hits, orbits = closures[k % length]
         for r, v, s, walk in level:
             if closes[v] >> r & 1 and not (
                     s & hits if exact else any(o & s == o for o in orbits)):
                 return walk, visited
         if k == bound:
             break
-        row, seen, nxt = masks[k], set(), []
+        row, seen, nxt = masks[k % length], set(), []
         for r, v, s, walk in level:
             for u in succ[v]:
                 if u < r:
@@ -467,27 +453,6 @@ def strong_periodic_shadowing_holds(sys, delta, epsilon, period_bound, cap=None)
     Same tracer-set search and cap count."""
     return _periodic_variant_holds(sys, delta, epsilon, period_bound,
                                    "strong-periodic", cap, True)
-
-
-def strong_shadow_point(sys, cycle_points, epsilon):
-    """Exact-period tracer for one purely periodic sequence of points.
-
-    Searches for x with f^N(x) = x (N = len(cycle_points)) whose orbit
-    stays epsilon-close to the sequence read cyclically, and returns it,
-    or None.  This is the single-instance form of the quantified
-    :func:`strong_periodic_shadowing_holds`; the sequence need not be a
-    pseudo-orbit at any particular delta.  A periodic x whose period
-    divides N is such a tracer iff it shadows the sequence as a lasso
-    cycle (:func:`~dynlab.core.shadows`).
-    """
-    epsilon = _positive(epsilon, "epsilon")
-    k = len(cycle_points)
-    if k == 0:
-        raise ValueError("need a non-empty cyclic sequence")
-    lasso = Lasso(cycle=tuple(cycle_points))
-    return next((sys.points[z] for z in sys.periodic_indices()
-                 if k % len(sys.cycle(z)) == 0
-                 and shadows(sys, sys.points[z], lasso, epsilon)), None)
 
 
 # -- moduli -----------------------------------------------------------------
@@ -682,30 +647,13 @@ def _require_exact_cycle(sys, cycle, what, power=1):
                 f"{what} step {j}: {name}({x!r}) = {image!r} != {nxt!r}")
 
 
-def _phase_tracer(sys, lasso, what, power=1):
+def _phase_tracer(sys, lasso, what, power):
     """The cycle entry whose f^power-orbit runs along the tail of the
     one-sided ``lasso`` from index 0 on, once the stem is past:
     NotDecaying (see :func:`_require_exact_cycle`) unless the cycle is
     an exact f^power cycle."""
     _require_exact_cycle(sys, lasso.cycle, what, power)
     return lasso.cycle[-len(lasso.stem) % len(lasso.cycle)]
-
-
-def limit_shadowing_check(sys, lasso):
-    """Tracer for an error-decaying pseudo-orbit (errors eventually zero).
-
-    On a finite metric space "errors -> 0" forces the tail to be an
-    exact orbit segment, i.e. the lasso's cycle must be a true cycle of
-    f (else :class:`NotDecaying`).  The point of that cycle whose orbit
-    is phase-aligned with the tail then satisfies d(f^i(x), x_i) = 0
-    for all i past the stem, so a tracer always exists.
-    """
-    if lasso.two_sided:
-        raise ValueError("one-sided lasso expected; see the two-sided variant")
-    x = _phase_tracer(sys, lasso, "cycle")
-    assert all(sys.apply(x, i) == lasso[i] for i in range(
-        len(lasso.stem), len(lasso.stem) + len(lasso.cycle)))
-    return x
 
 
 def two_sided_limit_shadowing_check(sys, lasso):

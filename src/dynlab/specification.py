@@ -188,7 +188,10 @@ class Blocked(_Record):
 
 
 def _block_plain(sys, lasso, N):
-    """y_i = x_(N*i) without any threshold bookkeeping."""
+    """y_i = x_(N*i) without any threshold bookkeeping; a two-sided
+    lasso is refused."""
+    if lasso.two_sided:
+        raise ValueError("blocking is a forward-time construction")
     s, c = len(lasso.stem), len(lasso.cycle)
     y_stem = tuple(lasso[N * i] for i in range(-(-s // N)))
     start = len(y_stem)
@@ -206,8 +209,6 @@ def blockify(sys, lasso, N, delta):
     whose terms are one-step errors pushed through f; the exact sums
     must stay below delta, else ModulusViolation reports the seam.
     """
-    if lasso.two_sided:
-        raise ValueError("blocking is a forward-time construction")
     _at_least(N, 1, "N")
     delta = _positive(delta, "delta")
     blocked = _block_plain(sys, lasso, N)
@@ -281,7 +282,8 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
 
     variant "limit": the blocked tail must be an exact f^N orbit
     segment; returns the phase-matched tracer whose errors vanish
-    eventually ("holds" False, no point, otherwise).
+    eventually ("holds" False, no point, otherwise); a two-sided lasso
+    is refused, as blocking is a forward-time construction.
     variant "two-sided": both tails must be exact cycles of f; searches
     for an orbit matching past and future phases (may legitimately
     fail).  Blocking is a forward-time construction, so this variant
@@ -329,12 +331,12 @@ def pairwise_tracing_chain(sys, delta, epsilon, k_bound=6, cap=None):
     Each link holds by definition:
 
     - exact => chain: a closed chain with gap n unrolls into the
-      period-(k*n) sequence of the sources' n-step orbit bursts, and
-      both an exact-period tracer of that sequence
-      (:func:`~dynlab.shadowing.strong_shadow_point`) and a periodic
-      chain tracer (:func:`trace_chain`) are a z with f^(kn)(z) = z and
-      d(f^(in+j)(z), f^j(x_i)) < epsilon for i < k, j < n.  So the two
-      routes agree ("routes_equal") and no chain is traced;
+      period-(k*n) sequence of the sources' n-step orbit bursts, and an
+      exact-period tracer of that sequence is a z with f^(kn)(z) = z and
+      d(f^(in+j)(z), f^j(x_i)) < epsilon for i < k, j < n: that is the
+      periodic chain tracer of :func:`trace_chain`, and at gap 1 the
+      unrolled sequence is the chain itself.  So the two routes are one
+      ("routes_equal") and no chain is traced;
       "instances_checked" counts the chains the link covers: the
       primitive closed walks of length 1..k_bound rooted at their least
       vertex, over the gap graphs of gap_values(sys, 1).

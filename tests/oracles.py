@@ -9,7 +9,9 @@ states and cycle classes; ``lasso_family_pareto``, which lists every
 sequence, is kept as its reference.
 The closed-chain references at the end list the closed walks with
 their own lister, which the library no longer has, and keep each
-decision's own loop, sharing with the library only the warning.
+decision's own loop, sharing with the library only the warning;
+``exact_period_tracer_reference`` is their exact-period tracer of one
+cyclic sequence, a scan of the definition.
 ``windows_reference`` and ``die_search_reference`` are the library's
 earlier tracing kernel on frozensets, one window rebuild per gap, kept
 to check the bitmask kernel that replaced it; with them,
@@ -80,12 +82,10 @@ from dynlab import shadowing, specification
 from dynlab.core import Lasso, _image, _shadows_backward, as_fraction, shadows
 from dynlab.errors import (BoundTooSmall, EmptyShift, MetricViolation,
                            StateExplosion)
-from dynlab.recurrence import _step_sets
+from dynlab.recurrence import DeltaGraph, _step_sets
 from dynlab.shadowing import (
-    DeltaGraph,
     ShadowCertificate,
     _warn_if_bound_blind,
-    strong_shadow_point,
     subset_cap,
 )
 from dynlab.specification import SpecInstance, gap_values, trace_chain
@@ -895,6 +895,16 @@ def local_spec_reference(sys, epsilon, N, delta, k_bound=6, cap=None):
     return True, {"gap_range": gaps}
 
 
+def exact_period_tracer_reference(sys, sequence, epsilon):
+    """The first point x with f^N(x) = x (N = len(sequence)) whose orbit
+    stays within epsilon of the sequence read cyclically, or None: one
+    Fraction comparison per point and time i < N."""
+    epsilon, N = as_fraction(epsilon), len(sequence)
+    return next((z for z in sys.points if sys.apply(z, N) == z and all(
+        sys.d(sys.apply(z, i), x) < epsilon for i, x in enumerate(sequence))),
+        None)
+
+
 def pairwise_chain_reference(sys, delta, epsilon, k_bound=6, cap=None):
     """pairwise_tracing_chain, with the reference loops for its links."""
     delta, epsilon = as_fraction(delta), as_fraction(epsilon)
@@ -915,7 +925,7 @@ def pairwise_chain_reference(sys, delta, epsilon, k_bound=6, cap=None):
                 unrolled = tuple(
                     sys.points[sys.power(i, r)] for i in walk for r in range(n)
                 )
-                exact = strong_shadow_point(sys, unrolled, epsilon)
+                exact = exact_period_tracer_reference(sys, unrolled, epsilon)
                 chain = trace_chain(sys, sources, n, epsilon, periodic=True)
                 if (exact is None) != (chain is None):
                     routes_equal = False

@@ -12,6 +12,7 @@ threshold fact that makes ``HypothesisReport.shadowing_populated``
 constant.
 """
 
+import tracemalloc
 import warnings
 
 import pytest
@@ -28,11 +29,12 @@ from dynlab.shadowing import (
     strong_periodic_shadowing_holds,
 )
 from dynlab.specification import (blockify, gap_values, local_spec_holds,
-                                  pairwise_tracing_chain)
+                                  pairwise_tracing_chain, trace_chain)
 from dynlab.symbolic import window_system
 
 from helpers import gallery_corpus, seeded_corpus
 from oracles import (
+    exact_period_tracer_reference,
     local_spec_reference,
     pairwise_chain_reference,
     periodic_variant_reference,
@@ -124,6 +126,20 @@ def test_pairwise_chain_matches_the_reference(cell):
         cap)
 
 
+@untimed
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.booleans(), st.data())
+def test_periodic_chain_tracer_at_gap_one_is_the_exact_period_scan(
+        seed, size, invertible, data):
+    # the pairwise chain's exact => chain link: one scan, not two routes
+    sys = build_random_system(seed, size, invertible)
+    sequence = data.draw(st.lists(st.sampled_from(sys.points), min_size=1,
+                                  max_size=7))
+    epsilon = data.draw(st.sampled_from(threshold_grid(sys).positive))
+    cert = trace_chain(sys, sequence, 1, epsilon, periodic=True)
+    assert (None if cert is None else cert.point) == (
+        exact_period_tracer_reference(sys, sequence, epsilon))
+
+
 def test_pairwise_chain_decides_where_the_listing_hits_the_cap():
     # the chain count takes no cap, and the three searches stay under it
     sys = build_random_system(2, 3, True)
@@ -195,6 +211,24 @@ def test_window_two_periodic_tables_are_decided(prop, holds, monkeypatch):
             above = [d for d in grid if best is None or d > best]
             if above:
                 assert not holds(sys, above[0], eps, 8)[0]
+
+
+def test_closed_chain_tables_are_sized_by_the_cycle_period():
+    # the tracer masks and closures repeat in the walk length with the
+    # lcm of the cycle lengths, 3 here, so a bound past it builds 3 of
+    # each; one per length up to the bound would take several MB
+    rows = modulus_table(window_system(build_xpq(3, 2), 1), "periodic",
+                         8).rows
+    sys = window_system(build_xpq(3, 2), 1)
+    tracemalloc.start()
+    try:
+        table = modulus_table(sys, "periodic", 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sys.cycle_lcm == 3
+    assert table.rows == rows
+    assert peak < 1_000_000
 
 
 @given(st.lists(st.integers(-50, 50), min_size=1, unique=True),

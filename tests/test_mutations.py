@@ -360,6 +360,17 @@ def check_strong_periodic_cells(sys, bound=3):
                     sys, delta, eps, bound, True)), (delta, eps)
 
 
+def test_closed_chain_tables_read_mod_a_proper_divisor_of_the_period(
+        monkeypatch):
+    # cycle lengths with lcm 4 at bound 5: walks of length 4 and 5 read
+    # the tables at residues 0 and 1, which the fault reads mod 2
+    check_strong_periodic_cells(build_random_system(0, 4, True), 5)
+    plant(monkeypatch, [shadowing], "_closed_search",
+          "min(bound, sys.cycle_lcm)", "min(bound, sys.cycle_lcm // 2)")
+    with pytest.raises(AssertionError):
+        check_strong_periodic_cells(build_random_system(0, 4, True), 5)
+
+
 def check_weak_spec_cells(sys):
     """Local weak specification at N = 1 answers as the frozenset
     reference at every grid cell, counterexample included."""

@@ -157,7 +157,7 @@ TWINS = [
     (recurrence.HypothesisReport, HypothesisReport),
     (recurrence.BasicPiece, BasicPiece),
     (recurrence.Decomposition, Decomposition),
-    (shadowing.DeltaGraph, DeltaGraph),
+    (recurrence.DeltaGraph, DeltaGraph),
     (shadowing.ShadowCertificate, ShadowCertificate),
     (shadowing.ModulusTable, ModulusTable),
     (specification.SpecInstance, SpecInstance),

@@ -24,7 +24,8 @@ import pytest
 
 import dynlab
 from dynlab.cli import main
-from dynlab.core import Lasso, _Record, build_finite_system
+from dynlab.core import (Lasso, _Record, build_finite_system,
+                         is_periodic_pseudo_orbit, is_pseudo_orbit, shadows)
 from dynlab.errors import EmptyShift, NotInvertible
 from dynlab.gallery import (build_myex, build_product_truncation,
                             build_random_system, build_xpq)
@@ -33,12 +34,10 @@ from dynlab.expansive import (gamma_set, n_expansive_constant, stable_sets,
 from dynlab.recurrence import (chain_graph, cp_construction,
                                cyclic_decomposition, is_mixing,
                                is_transitive, spectral_decomposition)
-from dynlab.shadowing import (construct_shadow_point, delta_graph,
-                              modulus_table, periodic_shadowing_holds,
-                              shadowing_holds, shadowing_modulus,
-                              special_shadowing_holds,
-                              strong_periodic_shadowing_holds,
-                              strong_shadow_point, subset_cap,
+from dynlab.shadowing import (construct_shadow_point, modulus_table,
+                              periodic_shadowing_holds, shadowing_holds,
+                              shadowing_modulus, special_shadowing_holds,
+                              strong_periodic_shadowing_holds, subset_cap,
                               two_sided_limit_shadowing_check)
 from dynlab.specification import (blockify, derived_periodic_shadowing,
                                   eta_modulus, generalized_spec_checks,
@@ -158,18 +157,21 @@ REFUSALS = {
     "table-at-state-cap-minus-one": (
         lambda sys: modulus_table(sys, "shadowing", cap=-1),
         ValueError, "state cap must be at least 1, got -1"),
-    "step-graph-at-zero-delta": (
-        lambda sys: delta_graph(sys, 0),
-        ValueError, "delta must be positive, got 0"),
     "shadow-point-at-zero-epsilon": (
         lambda sys: construct_shadow_point(sys, FIXED, 0),
         ValueError, "epsilon must be positive, got 0"),
-    "strong-shadow-at-zero-epsilon": (
-        lambda sys: strong_shadow_point(sys, ["z"], 0),
+    # the definitional lasso tests: a threshold that is not positive
+    # would answer False, and a stem would answer None before it is read
+    "pseudo-orbit-at-negative-delta": (
+        lambda sys: is_pseudo_orbit(sys, FIXED, -1),
+        ValueError, "delta must be positive, got -1"),
+    "periodic-pseudo-orbit-with-a-stem-at-zero-delta": (
+        lambda sys: is_periodic_pseudo_orbit(
+            sys, Lasso(stem=("s0",), cycle=("z",)), 0),
+        ValueError, "delta must be positive, got 0"),
+    "shadows-at-zero-epsilon": (
+        lambda sys: shadows(sys, "z", FIXED, 0),
         ValueError, "epsilon must be positive, got 0"),
-    "strong-shadow-of-no-points": (
-        lambda sys: strong_shadow_point(sys, [], 1),
-        ValueError, "need a non-empty cyclic sequence"),
     # above every distance the row rule searches no cell of these two
     "special-tracing-at-bound-zero": (
         lambda sys: special_shadowing_holds(sys, 100, 0),

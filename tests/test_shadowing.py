@@ -13,13 +13,12 @@ from hypothesis import given, settings, strategies as st
 import dynlab
 from dynlab import shadowing, specification
 from dynlab.core import Lasso, build_finite_system, is_pseudo_orbit, shadows, threshold_grid
-from dynlab.errors import BoundTooSmall, NotDecaying, StateExplosion
+from dynlab.errors import BoundTooSmall, StateExplosion
 from dynlab.gallery import build_random_system, build_xpq
+from dynlab.recurrence import chain_graph
 from dynlab.symbolic import window_system
 from dynlab.shadowing import (
     construct_shadow_point,
-    delta_graph,
-    limit_shadowing_check,
     lipschitz_constants,
     modulus_table,
     periodic_shadowing_holds,
@@ -293,7 +292,7 @@ def test_periodic_brute_check_on_random_systems():
         grid = threshold_grid(sys)
         bound = 4
         for delta in grid.positive:
-            g = delta_graph(sys, delta)
+            g = chain_graph(sys, delta)
             walks = []
 
             def grow(walk):
@@ -343,16 +342,19 @@ def test_limit_tracing_requires_exact_tail():
     r0, r1, r2 = sys.points
     # stem content is irrelevant; the phase of the cycle decides the tracer
     lasso = Lasso(stem=(r2, r2), cycle=(r2, r0, r1))
-    x = limit_shadowing_check(sys, lasso)
+    out = specification.generalized_spec_checks(sys, "limit", lasso)
+    assert out["holds"]
+    x = out["point"]
     assert x == r0  # f^2(r0) = r2 matches position 2, and onward exactly
     for i in range(2, 14):
         assert sys.apply(x, i) == lasso[i]
-    with pytest.raises(NotDecaying):
-        limit_shadowing_check(sys, Lasso(cycle=(r0, r2)))
-    with pytest.raises(ValueError):
-        limit_shadowing_check(
-            sys, Lasso(cycle=(r0, r1, r2), two_sided=True)
-        )
+    assert specification.generalized_spec_checks(
+        sys, "limit", Lasso(cycle=(r0, r2))) == {
+            "variant": "limit", "holds": False, "point": None}
+    with pytest.raises(ValueError,
+                       match="blocking is a forward-time construction"):
+        specification.generalized_spec_checks(
+            sys, "limit", Lasso(cycle=(r0, r1, r2), two_sided=True))
 
 
 def test_two_sided_limit_tracing():

@@ -231,10 +231,12 @@ def test_closures_read_off_the_cycles_match_the_step_orbits(
     sys = build_random_system(seed, size, invertible)
     periodic = sys.periodic_indices()
     step = [sys.power(z, n) for z in range(sys.n)]
-    closures = shadowing._closures(sys._cycles, n, bound)
-    assert len(closures) == bound + 1
+    # sized as the closed-chain search sizes it, and read as it reads it
+    length = min(bound, sys.cycle_lcm)
+    closures = shadowing._closures(sys._cycles, n, length)
+    assert len(closures) == length
     for k in range(1, bound + 1):
-        hits, orbits = closures[k]
+        hits, orbits = closures[k % length]
         assert sorted(orbits) == sorted(orbit_masks_reference(periodic, step,
                                                               k))
         # the exact-period test: the z whose period divides k * n
@@ -252,8 +254,11 @@ def test_pushed_tracer_masks_match_a_bit_test_per_point():
             for e_cut in cuts:
                 for _, _, step, allowed in shadowing._gap_structures(
                         sys, range(1, 4), d_cut, e_cut):
-                    assert (shadowing._tracer_masks(periodic, step,
-                                                    allowed, 6)
+                    # one period of masks, read at k mod its length
+                    length = min(6, sys.cycle_lcm)
+                    masks = shadowing._tracer_masks(periodic, step,
+                                                    allowed, length)
+                    assert (tuple(masks[k % length] for k in range(6))
                             == tracer_masks_reference(periodic, step,
                                                       allowed, 6))
                     cells += 1
