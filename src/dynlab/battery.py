@@ -49,7 +49,7 @@ from .expansive import (
     n_expansive_holds,
     strong_measure_expansive_holds,
 )
-from .recurrence import (_step_sets, hypothesis_report, is_transitive,
+from .recurrence import (hypothesis_report, is_transitive,
                          spectral_decomposition)
 from .serialize import _frac, decomposition_to_obj, fraction_str
 from .shadowing import modulus_table
@@ -65,15 +65,25 @@ def periodic_spectrum(sys, bound):
 
     The count is the number of closed walks of length m of the
     admissible steps: closed relation walks when the system carries a
-    relation, otherwise the fixed points of the m-th iterate.  It is
-    trace(A^m), made by :func:`~dynlab.core._closed_walk_counts`.  A
-    map's count is read off its cycles, each p-cycle adding p at every
-    multiple m of p; a relation's walk counts are pushed from every
-    start at once in packed integer fields.  The tests check both
-    against dense matrix powers (``tests/oracles.py``,
-    ``dense_closed_walk_counts``).
+    relation, otherwise the fixed points of the m-th iterate.  A map's
+    count is read off the system's cached cycles: its period-m points
+    are the points of the p-cycles with p dividing m, so the count is
+    the sum over p | m of p * c_p, c_p the number of p-cycles.  A
+    relation's count is trace(A^m), pushed from every start at once in
+    packed integer fields by :func:`~dynlab.core._closed_walk_counts`.
+    The tests check both against dense matrix powers
+    (``tests/oracles.py``, ``dense_closed_walk_counts``).
     """
-    counts = _closed_walk_counts(_step_sets(sys), bound)
+    if sys.relation is not None:
+        counts = _closed_walk_counts(sys.relation, bound)
+    else:
+        points = {}
+        for cycle in sys._cycles:
+            points[len(cycle)] = points.get(len(cycle), 0) + len(cycle)
+        counts = [0] * bound
+        for p, count in points.items():
+            for k in range(p - 1, bound, p):
+                counts[k] += count
     return {str(m): count for m, count in enumerate(counts, 1)}
 
 

@@ -10,6 +10,11 @@ field.  The CLI adds no mathematics — results quote library outputs.
 Every command that takes a system runs :func:`_run`: load and digest
 the system, get parameters, results and exit code from the command's
 handler, emit the report.  Output files are written before the report.
+The system file is read on every command, but a process that runs
+several commands (through :func:`main`) loads and digests each file
+text once per window: a command on the text and window of the one
+before reuses its system, with the threshold structures the earlier
+commands built.  A single shell command loads its file once, as ever.
 
 Exit codes: 0 all checks pass; 1 a checked property or a battery
 law failed (the report says which); 2 input error or an
@@ -85,33 +90,67 @@ def _json_int(text):
                          f"too long") from None
 
 
-def parse_system_file(path):
-    """Load and validate a system file (finite or shift kind)."""
+class _NotJson(Exception):
+    """Text that does not decode as JSON, raised by code that has no
+    file name; :func:`_read` names the file."""
+
+
+def _read(path, parse, *args):
+    """``parse(text, *args)`` on the text of the file at ``path``, read
+    afresh on every call; a file that cannot be read or is not JSON is
+    refused in words that name it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, parse_int=_json_int)
+            text = fh.read()
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc.strerror}") from exc
-    except (ValueError, RecursionError) as exc:
-        # ValueError: bad JSON, undecodable text or an over-long integer;
-        # RecursionError: arrays or objects nested too deep to decode
+    except ValueError as exc:  # undecodable text
         raise SchemaError("", f"{path} is not JSON: {exc}") from exc
+    try:
+        return parse(text, *args)
+    except _NotJson as exc:
+        raise SchemaError("", f"{path} is not JSON: {exc}") from exc.__cause__
+
+
+def _parse_system_text(text):
+    """A validated system (finite or shift kind) from a file's text."""
+    try:
+        obj = json.loads(text, parse_int=_json_int)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or an over-long integer; RecursionError:
+        # arrays or objects nested too deep to decode
+        raise _NotJson(exc) from exc
     return parse_system_obj(obj)
 
 
-def _load_finite(path, window):
-    """A finite system from a file, windowing shift files on request."""
-    loaded = parse_system_file(path)
+def parse_system_file(path):
+    """Load and validate a system file (finite or shift kind)."""
+    return _read(path, _parse_system_text)
+
+
+@functools.lru_cache(maxsize=1)
+def _loaded(text, window):
+    """The finite system of a system file's text and its digest,
+    windowing a shift on request; kept for the last (text, window)
+    only, so that a process running several commands on one file
+    builds, checks and digests its system once and the commands share
+    its memo.  An error is raised afresh on every call."""
+    loaded = _parse_system_text(text)
     if isinstance(loaded, Sft):
         if window is None:
             raise SchemaError(
                 "/kind", "this command needs a finite system; pass --window W "
                          "to run on the shift's window system")
-        return window_system(loaded, window)
-    if window is not None:
+        loaded = window_system(loaded, window)
+    elif window is not None:
         raise SchemaError(
             "/kind", "--window applies only to shift files")
-    return loaded
+    return loaded, digest_obj(system_to_obj(loaded))
+
+
+def _load_finite(path, window):
+    """The finite system of a file, windowing shift files on request."""
+    return _read(path, _loaded, window)[0]
 
 
 def _lasso_from_file(path, sys_, two_sided):
@@ -196,10 +235,11 @@ def _emit(args, command, parameters, digest, results, emitted=None):
 
 def _run(args):
     """The report path of every command that takes a system: load and
-    digest the system, run the command's handler on it, and emit the
-    parameters and results the handler returns, with its exit code."""
-    sys_ = _load_finite(args.system, args.window)
-    digest = digest_obj(system_to_obj(sys_))
+    digest the system (read the file, and build and digest the system
+    unless the last command loaded the same text at the same window),
+    run the command's handler on it, and emit the parameters and
+    results the handler returns, with its exit code."""
+    sys_, digest = _read(args.system, _loaded, args.window)
     params, results, code = args.handler(args, sys_)
     params["window"] = args.window
     command = f"check {args.what}" if args.command == "check" else args.command

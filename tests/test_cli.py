@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from dynlab import cli
+from dynlab import cli, core, symbolic
 from dynlab.cli import main, parse_system_file
 from dynlab.errors import SchemaError
 from dynlab.serialize import canonical_json, modulus_csv
@@ -523,6 +523,19 @@ FROZEN_REPORTS = json.loads(
     (pathlib.Path(__file__).parent / "cli_reports.json").read_text())
 
 
+def frozen_files(capsys, tmp_path):
+    """The files the frozen report cases name, written into ``tmp_path``."""
+    files = {"{random-5-4}": emit_random(capsys, tmp_path),
+             "{random-3-6-invertible}": str(tmp_path / "r3.json"),
+             "{lasso}": str(tmp_path / "lasso.json"),
+             "{out}": str(tmp_path / "out")}
+    run(capsys, "gallery", "random", "--seed", "3", "--size", "6",
+        "--invertible", "--emit", files["{random-3-6-invertible}"])
+    (tmp_path / "lasso.json").write_text(
+        json.dumps({"cycle": ["p0", "p5", "p1", "p5"]}))
+    return files
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN_REPORTS))
 def test_report_matches_frozen_report(capsys, tmp_path, monkeypatch, name):
     """Report paths no other test reaches (failing certificates, chain
@@ -532,14 +545,7 @@ def test_report_matches_frozen_report(capsys, tmp_path, monkeypatch, name):
     and before the commands shared one report path.  A case that writes
     a file (``--csv``, ``gallery --emit``) to ``{out}`` also pins the
     file's text."""
-    files = {"{random-5-4}": emit_random(capsys, tmp_path),
-             "{random-3-6-invertible}": str(tmp_path / "r3.json"),
-             "{lasso}": str(tmp_path / "lasso.json"),
-             "{out}": str(tmp_path / "out")}
-    run(capsys, "gallery", "random", "--seed", "3", "--size", "6",
-        "--invertible", "--emit", files["{random-3-6-invertible}"])
-    (tmp_path / "lasso.json").write_text(
-        json.dumps({"cycle": ["p0", "p5", "p1", "p5"]}))
+    files = frozen_files(capsys, tmp_path)
     case = FROZEN_REPORTS[name]
     for key, value in case["env"].items():
         monkeypatch.setenv(key, value)
@@ -548,6 +554,116 @@ def test_report_matches_frozen_report(capsys, tmp_path, monkeypatch, name):
     assert re.sub(r'"wall_ms": \d+', '"wall_ms": 0', out) == case["report"]
     if "written" in case:
         assert (tmp_path / "out").read_text() == case["written"]
+
+
+def check_shared_load(capsys, tmp_path, monkeypatch):
+    """Every frozen report case, plus commands on one shift file at
+    windows 1 and 2 (one system text, two systems), run in one process
+    three ways: in order sharing the loaded system, with the load cache
+    cleared before each command, and in reverse order.  Each way gives
+    the same exit codes, stdout, stderr and written files, and every
+    frozen case its frozen report."""
+    files = frozen_files(capsys, tmp_path)
+    shift = emit_x32(capsys, tmp_path)
+    cases = [(FROZEN_REPORTS[name]["argv"], FROZEN_REPORTS[name]["env"])
+             for name in sorted(FROZEN_REPORTS)]
+    cases += [(argv + ["--system", shift, "--window", w], {})
+              for w in ("1", "2", "1")
+              for argv in (["spectral"],
+                           ["check", "expansive", "--variant", "n",
+                            "--delta", "1/4"])]
+
+    def call(argv, env):
+        with monkeypatch.context() as patch:
+            for key, value in env.items():
+                patch.setenv(key, value)
+            code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+        out = re.sub(r'"wall_ms": \d+', '"wall_ms": 0', out)
+        written = (tmp_path / "out").read_text() if "{out}" in argv else None
+        return code, out, err, written
+
+    cli._loaded.cache_clear()
+    shared = [call(*case) for case in cases]
+    fresh = []
+    for case in cases:
+        cli._loaded.cache_clear()
+        fresh.append(call(*case))
+    cli._loaded.cache_clear()
+    backwards = [call(*case) for case in reversed(cases)][::-1]
+    assert shared == fresh
+    assert backwards == fresh
+    for name, (code, out, _, _) in zip(sorted(FROZEN_REPORTS), shared):
+        assert (code, out) == (FROZEN_REPORTS[name]["exit"],
+                               FROZEN_REPORTS[name]["report"]), name
+
+
+def test_shared_load_answers_as_a_fresh_one(capsys, tmp_path, monkeypatch):
+    check_shared_load(capsys, tmp_path, monkeypatch)
+
+
+def test_one_load_per_file_text(capsys, tmp_path, monkeypatch):
+    """Commands on an unchanged file assemble, parse and window its
+    system once; an edited file is read and parsed again; the cache
+    holds one entry; a refused file is refused as ever."""
+    shift = emit_x32(capsys, tmp_path)
+    finite = emit_random(capsys, tmp_path)
+    work = []
+
+    def counted(name, build):
+        def wrapper(*args, **kwargs):
+            work.append(name)
+            return build(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((core, "_assemble"), (symbolic, "_assemble"),
+                        (cli, "parse_system_obj"), (cli, "window_system")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+
+    def digest(*argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and err == "", err
+        return json.loads(out)["system_digest"]
+
+    cli._loaded.cache_clear()
+    commands = [("spectral",), ("battery", "--id", "thmC"),
+                ("check", "shadowing", "--epsilon", "1"),
+                ("check", "expansive", "--variant", "per", "--delta", "1"),
+                ("modulus", "--prop", "periodic")]
+    for system, window, load in (
+            (finite, (), ["parse_system_obj", "_assemble"]),
+            (shift, ("--window", "1"),
+             ["parse_system_obj", "window_system", "_assemble"])):
+        work.clear()
+        digests = {digest(*argv, "--system", system, *window)
+                   for argv in commands}
+        assert len(digests) == 1 and work == load
+    assert cli._loaded.cache_info().currsize == 1
+    # the finite file was evicted by the shift file: it loads again
+    work.clear()
+    first = digest("spectral", "--system", finite)
+    assert work == ["parse_system_obj", "_assemble"]
+    # an edited file is read afresh
+    pathlib.Path(finite).write_text(
+        pathlib.Path(emit_random(capsys, tmp_path, seed=6)).read_text())
+    work.clear()
+    assert digest("spectral", "--system", finite) != first
+    assert work == ["parse_system_obj", "_assemble"]
+    # a malformed file after a good one is refused as ever, and the good
+    # system stays loaded
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    code, out, err = run(capsys, "spectral", "--system", str(bad))
+    assert (code, out) == (2, "")
+    assert err == (f"dynlab: {bad} is not JSON: Expecting property name "
+                   f"enclosed in double quotes: line 1 column 2 (char 1)\n")
+    bad.write_bytes(b'{"kind": "\xff"}')
+    code, out, err = run(capsys, "spectral", "--system", str(bad))
+    assert (code, out) == (2, "")
+    assert err == (f"dynlab: {bad} is not JSON: 'utf-8' codec can't decode "
+                   f"byte 0xff in position 10: invalid start byte\n")
+    work.clear()
+    digest("spectral", "--system", finite)
+    assert work == []
 
 
 def test_hostile_window_is_refused_before_listing_words(capsys, tmp_path):

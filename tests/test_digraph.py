@@ -17,7 +17,10 @@ into another: at length 12 its 12 walks from the first to the second
 fill a field that the 14 walks in all make 4 bits wide) fails when the
 field is one bit narrower, as that entry then carries into the next
 field.  A 1,000-point cycle is counted without packed fields, within a
-memory bound that one list of them would exceed.  A fresh interpreter
+memory bound that one list of them would exceed.
+``battery.periodic_spectrum`` reads a map's counts off the system's
+cached cycles instead; they are compared with the same dense traces on
+the map systems of the gallery and a seeded corpus.  A fresh interpreter
 also checks that ``import dynlab`` loads nothing outside the standard
 library.
 """
@@ -37,7 +40,8 @@ from dynlab.core import _closed_walk_counts, _strong_components
 from dynlab.gallery import _is_prime
 from dynlab.symbolic import Sft, periodic_point_count
 
-from helpers import cycle_system, myex_system, seeded_corpus, stem_into_cycle
+from helpers import (cycle_system, gallery_corpus, myex_system, seeded_corpus,
+                     stem_into_cycle)
 from oracles import (
     _closed_walks_of_graph,
     dense_closed_walk_counts,
@@ -189,6 +193,17 @@ def check_map_spectra():
 
 def test_periodic_spectrum_of_maps_counts_periodic_points():
     check_map_spectra()
+
+
+def test_map_spectra_are_traces_of_matrix_powers():
+    # read off the cached cycles, as relation systems are pushed
+    maps = [sys_ for sys_ in [*gallery_corpus(), *seeded_corpus(30, 9)]
+            if sys_.relation is None]
+    assert len(maps) == 37
+    for sys_ in maps:
+        succ = [[j] for j in sys_.fmap]
+        assert list(periodic_spectrum(sys_, 12).values()) == (
+            dense_closed_walk_counts(succ, 12))
 
 
 def test_is_prime_matches_a_sieve():

@@ -29,6 +29,7 @@ from test_recurrence_kernel import (check_chain_graphs, check_cp_parts,
                                     check_nonwandering, check_power_masks,
                                     check_primitive, check_recurrence,
                                     wielandt)
+from test_cli import check_shared_load
 from test_metric import (check_built_as_reference, check_metric,
                          check_packed_triangles)
 from test_records import check_records
@@ -260,10 +261,13 @@ def test_walk_fields_one_bit_narrow(monkeypatch):
 def test_map_walks_counting_cycles_not_their_points(monkeypatch):
     test_digraph.check_closed_forms()
     test_digraph.check_map_spectra()
-    plant(monkeypatch, [core, battery, test_digraph], "_closed_walk_counts",
+    plant(monkeypatch, [core, test_digraph], "_closed_walk_counts",
           "counts[k] += p * c", "counts[k] += c")
     with pytest.raises(AssertionError):
         test_digraph.check_closed_forms()
+    plant(monkeypatch, [battery, test_digraph], "periodic_spectrum",
+          "points.get(len(cycle), 0) + len(cycle)",
+          "points.get(len(cycle), 0) + 1")
     with pytest.raises(AssertionError):
         test_digraph.check_map_spectra()
 
@@ -528,3 +532,19 @@ def test_weak_spec_cell_reading_gap_one(monkeypatch):
           "epsilon, N, delta, 8", "epsilon, 1, delta, 8")
     with pytest.raises(AssertionError):
         check_cell_arguments()
+
+
+def test_system_cache_keyed_without_the_window(capsys, tmp_path, monkeypatch):
+    check_shared_load(capsys, tmp_path, monkeypatch)
+    build, by_text = cli._loaded.__wrapped__, {}
+
+    def keyed_by_text(text, window):
+        if text not in by_text:
+            by_text.clear()
+            by_text[text] = build(text, window)
+        return by_text[text]
+
+    keyed_by_text.cache_clear = by_text.clear
+    monkeypatch.setattr(cli, "_loaded", keyed_by_text)
+    with pytest.raises(AssertionError):
+        check_shared_load(capsys, tmp_path, monkeypatch)
