@@ -40,7 +40,8 @@ id             contents
 
 from __future__ import annotations
 
-from .core import _at_least, _closed_walk_counts, threshold_grid
+from .core import (_at_least, _closed_walk_counts, _cycle_spectrum,
+                   threshold_grid)
 from .errors import StateExplosion
 from .expansive import (
     expansive_on_per,
@@ -66,24 +67,18 @@ def periodic_spectrum(sys, bound):
     The count is the number of closed walks of length m of the
     admissible steps: closed relation walks when the system carries a
     relation, otherwise the fixed points of the m-th iterate.  A map's
-    count is read off the system's cached cycles: its period-m points
-    are the points of the p-cycles with p dividing m, so the count is
-    the sum over p | m of p * c_p, c_p the number of p-cycles.  A
-    relation's count is trace(A^m), pushed from every start at once in
-    packed integer fields by :func:`~dynlab.core._closed_walk_counts`.
+    count is read off the lengths of the system's cached cycles by
+    :func:`~dynlab.core._cycle_spectrum`: its period-m points are the
+    points of the p-cycles with p dividing m.  A relation's count is
+    trace(A^m), pushed from every start at once in packed integer
+    fields by :func:`~dynlab.core._closed_walk_counts`.
     The tests check both against dense matrix powers
     (``tests/oracles.py``, ``dense_closed_walk_counts``).
     """
     if sys.relation is not None:
         counts = _closed_walk_counts(sys.relation, bound)
     else:
-        points = {}
-        for cycle in sys._cycles:
-            points[len(cycle)] = points.get(len(cycle), 0) + len(cycle)
-        counts = [0] * bound
-        for p, count in points.items():
-            for k in range(p - 1, bound, p):
-                counts[k] += count
+        counts = _cycle_spectrum(map(len, sys._cycles), bound)
     return {str(m): count for m, count in enumerate(counts, 1)}
 
 

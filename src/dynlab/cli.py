@@ -32,7 +32,7 @@ import time
 
 from . import __version__
 from .battery import BATTERY_IDS, run_theorem_battery
-from .core import Lasso, as_fraction
+from .core import Lasso, _at_least, _positive, as_fraction
 from .errors import DynlabError, SchemaError, StateExplosion
 from .expansive import (
     expansive_on_per,
@@ -290,6 +290,12 @@ def _cmd_check_spec(args, sys_):
             if args.variant == "weak" else
             local_spec_holds(sys_, epsilon, args.N, delta, args.k_bound))
         return params, {"holds": holds, **_chain_obj(info)}, 0 if holds else 1
+    # the other variants read no threshold, but refuse a bad one as every
+    # chain question does, before any work: N, then delta, then epsilon
+    _at_least(args.N, 1, "N")
+    if args.delta is not None:
+        _positive(args.delta, "delta")
+    _positive(epsilon, "epsilon")
     if args.variant == "lipschitz":
         out = generalized_spec_checks(sys_, "lipschitz", N=args.N)
         L, d0 = out["envelope"]
@@ -370,7 +376,11 @@ def _cmd_gallery(args):
         built = build_myex(args.lattice, args.K).system
         params = {"lattice": args.lattice, "K": args.K}
     elif args.family == "product":
-        primes = tuple(int(t) for t in args.primes.split(","))
+        try:
+            primes = tuple(int(t) for t in args.primes.split(","))
+        except ValueError:
+            raise ValueError("--primes must be comma-separated integers, "
+                             f"got {args.primes!r}") from None
         built = build_product_truncation(primes, args.factors)
         params = {"primes": list(primes), "factors": args.factors}
     else:  # random

@@ -941,6 +941,22 @@ def _image(w, rows):
     return out
 
 
+def _row_power(rows, a):
+    """The a-step successor bitmasks of the relation whose one-step
+    bitmasks are ``rows``, a >= 0 (the identity rows at a = 0): the
+    rows squared and multiplied along the bits of a, lowest first, in
+    O(n log a) images.  Intermediate steps go anywhere."""
+    power = None  # the identity, built only when a = 0
+    while a:
+        if a & 1:
+            power = rows if power is None else tuple(
+                map(_image, power, itertools.repeat(rows)))
+        a >>= 1
+        if a:
+            rows = tuple(map(_image, rows, itertools.repeat(rows)))
+    return tuple(1 << z for z in range(len(rows))) if power is None else power
+
+
 def _strong_components(succ):
     """Strongly connected components of a digraph, as a list of vertex lists.
 
@@ -983,20 +999,35 @@ def _strong_components(succ):
     return components
 
 
+def _cycle_spectrum(lengths, m):
+    """Closed walks of each length 1..m (entry k-1 for length k) of a
+    map whose cycles have the given lengths, one entry per cycle: the
+    closed walks of length k are the whole rounds of the cycles whose
+    length p divides k, one from each of their p points, so trace(A^k)
+    = sum over p | k of p * c_p, c_p the number of p-cycles."""
+    points = [0] * m  # entry p - 1: the points on p-cycles
+    for p in lengths:
+        if p <= m:
+            points[p - 1] += p
+    counts = [0] * m
+    for p, count in enumerate(points, 1):
+        if count:
+            for k in range(p - 1, m, p):
+                counts[k] += count
+    return counts
+
+
 def _closed_walk_counts(succ, m, primitive=False):
     """Closed walks of each length 1..m (entry k-1 for length k) of the
     digraph with edges {(v, w) : w in succ[v]}, i.e. trace(A^k); a
     repeated successor is one edge.
 
     A map, where no vertex has two successors (a vertex may have none),
-    is read off its cycles: its closed walks of length k are the whole
-    rounds of the cycles whose length p divides k, one from each of
-    their p points, so trace(A^k) = sum over p | k of p * c_p, c_p the
-    number of p-cycles.  One pointer walk from each unseen vertex finds
-    the cycles in O(n): each vertex is stamped once with a running step
-    count, and a walk that stops on a vertex stamped by itself, not by
-    an earlier walk, closes a cycle as long as the steps since that
-    stamp.
+    is read off its cycle lengths by :func:`_cycle_spectrum`.  One
+    pointer walk from each unseen vertex finds the cycles in O(n): each
+    vertex is stamped once with a running step count, and a walk that
+    stops on a vertex stamped by itself, not by an earlier walk, closes
+    a cycle as long as the steps since that stamp.
 
     The walks of any other digraph are pushed from all starts at once,
     in packed integer fields (the idiom of :func:`_triangles_hold`):
@@ -1022,7 +1053,7 @@ def _closed_walk_counts(succ, m, primitive=False):
     succ = [set(out) for out in succ]
     n = len(succ)
     if all(len(out) < 2 for out in succ):
-        cycles, seen, steps = [0] * m, [0] * n, 0
+        lengths, seen, steps = [], [0] * n, 0
         for root in range(n):
             v, first = root, steps + 1
             while v is not None and not seen[v]:
@@ -1030,17 +1061,10 @@ def _closed_walk_counts(succ, m, primitive=False):
                 seen[v] = steps
                 v = next(iter(succ[v]), None)
             if v is not None and seen[v] >= first:
-                p = steps - seen[v] + 1
-                if p <= m:
-                    cycles[p - 1] += 1
+                lengths.append(steps - seen[v] + 1)
         if primitive:
-            return cycles
-        counts = [0] * m
-        for p, c in enumerate(cycles, 1):
-            if c:
-                for k in range(p - 1, m, p):
-                    counts[k] += p * c
-        return counts
+            return [lengths.count(k) for k in range(1, m + 1)]
+        return _cycle_spectrum(lengths, m)
     preds = [[] for _ in succ]
     for u, out in enumerate(succ):
         for v in out:

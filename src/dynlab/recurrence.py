@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
 
-from .core import (_Record, _at_least, _image, _positive,
+from .core import (_Record, _at_least, _image, _positive, _row_power,
                    _strong_components, threshold_grid)
 from .expansive import _eventual_images, _strong_constant
 
@@ -89,24 +88,15 @@ def _step_masks(sys):
 def _power_masks(sys, a):
     """The a-step successor bitmask of every index, a >= 1, built once
     per system and a.  A map's row is read off the orbit table; a
-    relation's rows are the one-step rows squared and multiplied along
-    the bits of a, lowest first: O(n log a) images.  Intermediate steps
-    go anywhere."""
+    relation's rows are the one-step rows raised to the a-th power by
+    :func:`~dynlab.core._row_power`.  Intermediate steps go anywhere."""
     def build():
         if sys.relation is None:
             rows = []
             for i in range(sys.n):
                 rows.append(1 << sys.power(i, a))
             return tuple(rows)
-        k, rows, base = a, None, _step_masks(sys)
-        while True:
-            if k & 1:
-                rows = base if rows is None else tuple(
-                    map(_image, rows, repeat(base)))
-            k >>= 1
-            if not k:
-                return rows
-            base = tuple(map(_image, base, repeat(base)))
+        return _row_power(_step_masks(sys), a)
     return sys._memoized(("steps", a), build)
 
 

@@ -55,8 +55,8 @@ from itertools import compress
 
 from .core import (Lasso, _Record, _at_least, _first_miss, _image,
                    _largest_passing, _positive, _shadows_backward,
-                   _strong_components, shadows, threshold_grid)
-from .errors import BoundTooSmall, NotDecaying, NotInvertible, StateExplosion
+                   _strong_components, threshold_grid)
+from .errors import BoundTooSmall, StateExplosion
 
 __all__ = [
     "ModulusTable",
@@ -68,7 +68,6 @@ __all__ = [
     "periodic_shadowing_holds",
     "strong_periodic_shadowing_holds",
     "special_shadowing_holds",
-    "two_sided_limit_shadowing_check",
     "lipschitz_constants",
     "modulus_table",
     "subset_cap",
@@ -632,55 +631,6 @@ def special_shadowing_holds(sys, epsilon, period_bound=8, cap=None):
     return True, {"shadowing_delta": shadowing_modulus(sys, epsilon, cap),
                   "periodic_delta": _best_delta(sys, "periodic", epsilon,
                                                 periodic)}
-
-
-# -- limit-type variants ----------------------------------------------------
-
-
-def _require_exact_cycle(sys, cycle, what, power=1):
-    """NotDecaying unless f^power maps each cycle entry to the next."""
-    name = "f" if power == 1 else f"f^{power}"
-    for j, x in enumerate(cycle):
-        nxt, image = cycle[(j + 1) % len(cycle)], sys.apply(x, power)
-        if image != nxt:
-            raise NotDecaying(
-                f"{what} step {j}: {name}({x!r}) = {image!r} != {nxt!r}")
-
-
-def _phase_tracer(sys, lasso, what, power):
-    """The cycle entry whose f^power-orbit runs along the tail of the
-    one-sided ``lasso`` from index 0 on, once the stem is past:
-    NotDecaying (see :func:`_require_exact_cycle`) unless the cycle is
-    an exact f^power cycle."""
-    _require_exact_cycle(sys, lasso.cycle, what, power)
-    return lasso.cycle[-len(lasso.stem) % len(lasso.cycle)]
-
-
-def two_sided_limit_shadowing_check(sys, lasso):
-    """Orbit matching a two-sided decaying lasso in both time directions.
-
-    Both tails must be exact cycles of f.  On a finite invertible
-    system every orbit is a single cycle, so a matching point exists
-    iff the past and future tails lie on the same orbit with
-    compatible phases.  The search settles that exactly: a point
-    matches when it traces the past, and its image after the stem the
-    future cycle, both by :func:`~dynlab.core.shadows` below the least
-    positive distance, where tracing is equality.  Returns the point,
-    or None when past and future cannot be joined.
-    """
-    if not sys.invertible:
-        raise NotInvertible("two-sided limit tracing needs an invertible system")
-    if not lasso.two_sided:
-        raise ValueError("two-sided lasso expected")
-    _require_exact_cycle(sys, lasso.cycle, "future cycle")
-    _require_exact_cycle(sys, lasso.past, "past cycle")
-    tail = Lasso(cycle=lasso.cycle)
-    exact = threshold_grid(sys).submin  # below every positive distance
-    for i, z in enumerate(sys.points):
-        if (shadows(sys, sys.apply(z, len(lasso.stem)), tail, exact)
-                and _shadows_backward(sys, i, lasso, sys.lt_cutoff(exact))):
-            return z
-    return None
 
 
 def _linear_envelope(table):

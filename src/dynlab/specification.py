@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .core import (Lasso, _Record, _at_least, _closed_walk_counts,
                    _largest_passing, _positive, shadows, threshold_grid)
-from .errors import ModulusViolation, NotDecaying
+from .errors import ModulusViolation, NotDecaying, NotInvertible
 from .shadowing import (
     _TABLES,
     _decide_cell,
@@ -30,11 +30,9 @@ from .shadowing import (
     _gap_structures,
     _linear_envelope,
     _periodic_variant_holds,
-    _phase_tracer,
     _scan_gap,
     _table,
     gap_values,
-    two_sided_limit_shadowing_check,
 )
 
 __all__ = [
@@ -276,6 +274,16 @@ def spec_to_shadow_point(sys, lasso, N, epsilon, cap=None):
     )
 
 
+def _require_exact_cycle(sys, cycle, what, power=1):
+    """NotDecaying unless f^power maps each cycle entry to the next."""
+    name = "f" if power == 1 else f"f^{power}"
+    for j, x in enumerate(cycle):
+        nxt, image = cycle[(j + 1) % len(cycle)], sys.apply(x, power)
+        if image != nxt:
+            raise NotDecaying(
+                f"{what} step {j}: {name}({x!r}) = {image!r} != {nxt!r}")
+
+
 def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     """Finite-scale forms of the tail-exact and linear-envelope chain
     properties, each reduced through blocking.
@@ -284,10 +292,18 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     segment; returns the phase-matched tracer whose errors vanish
     eventually ("holds" False, no point, otherwise); a two-sided lasso
     is refused, as blocking is a forward-time construction.
-    variant "two-sided": both tails must be exact cycles of f; searches
-    for an orbit matching past and future phases (may legitimately
-    fail).  Blocking is a forward-time construction, so this variant
-    takes only N = 1 (ValueError otherwise).
+    variant "two-sided" (two-sided limit shadowing): a point whose
+    orbit runs along the past cycle before index 0 and along the
+    future cycle after the stem.  It needs an invertible system
+    (NotInvertible), a two-sided lasso, and past and future cycles
+    that are exact cycles of f (NotDecaying, the future cycle first).
+    On a bijection every orbit is one cycle, so the one point whose
+    backward orbit is the exact past cycle is z = past[0] = f(past[-1]),
+    and it traces the future iff f^s(z) = cycle[0], s the stem's
+    length: the point is z, or None when past and future cannot be
+    joined.
+    Blocking is a forward-time construction, so this variant takes
+    only N = 1 (ValueError otherwise).
     variant "lipschitz": fits the linear envelope (L, d0) to the chain
     tracing table over the gaps n >= N (no lasso needed): the rows of
     :func:`~dynlab.shadowing._table` over the "spec-weak" cells of
@@ -302,18 +318,30 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
     if lasso is None:
         raise ValueError(f"variant {variant!r} needs a lasso")
     if variant == "limit":
-        # the tracer whose f^N-orbit eventually agrees with the blocked tail
+        # the tracer whose f^N-orbit eventually agrees with the blocked
+        # tail: the cycle entry that runs along it from index 0 on, once
+        # the stem is past
+        blocked = _block_plain(sys, lasso, N)
         try:
-            point = _phase_tracer(sys, _block_plain(sys, lasso, N),
-                                  "blocked cycle", N)
+            _require_exact_cycle(sys, blocked.cycle, "blocked cycle", N)
         except NotDecaying:
             return {"variant": variant, "holds": False, "point": None}
+        point = blocked.cycle[-len(blocked.stem) % len(blocked.cycle)]
         return {"variant": variant, "holds": True, "point": point}
     if variant == "two-sided":
         if N != 1:
             raise ValueError("the two-sided variant takes N = 1 only: "
                              "blocking is a forward-time construction")
-        point = two_sided_limit_shadowing_check(sys, lasso)
+        if not sys.invertible:
+            raise NotInvertible(
+                "two-sided limit tracing needs an invertible system")
+        if not lasso.two_sided:
+            raise ValueError("two-sided lasso expected")
+        _require_exact_cycle(sys, lasso.cycle, "future cycle")
+        _require_exact_cycle(sys, lasso.past, "past cycle")
+        point = lasso.past[0]
+        if sys.apply(point, len(lasso.stem)) != lasso.cycle[0]:
+            point = None
         return {"variant": variant, "holds": point is not None, "point": point}
     raise ValueError(f"unknown variant {variant!r}")
 

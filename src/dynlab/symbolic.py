@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .core import (_DIGIT_BOUND, _MAX_POINTS, Lasso, _Record, _assemble,
                    _at_least, _check_budget, _check_size, _closed_walk_counts,
-                   _image)
+                   _row_power)
 from .errors import EmptyShift, HorizonExceeded
 
 __all__ = [
@@ -255,7 +255,7 @@ def _differ_at_radius(sft, w):
     radius w, listing none: whether some allowed block of 2w - 1 letters
     from x to y has more than one extension a + block + b, that is
     |pred(x)| |succ(y)| >= 2.  The letters each x reaches in 2w - 2
-    steps are pushed as bitmasks."""
+    steps are the bitmask rows of :func:`~dynlab.core._row_power`."""
     pos = {a: i for i, a in enumerate(sft.alphabet)}
     succ = [sft.successors(a) for a in sft.alphabet]
     rows = [sum(1 << pos[b] for b in out) for out in succ]
@@ -263,12 +263,9 @@ def _differ_at_radius(sft, w):
     for out in succ:
         for b in out:
             preds[pos[b]] += 1
-    reach = [1 << x for x in range(len(rows))]
-    for _ in range(2 * w - 2):
-        reach = [_image(r, rows) for r in reach]
     return any(preds[x] * len(succ[y]) >= 2
-               for x, r in enumerate(reach) for y in range(len(rows))
-               if r >> y & 1)
+               for x, r in enumerate(_row_power(rows, 2 * w - 2))
+               for y in range(len(rows)) if r >> y & 1)
 
 
 def window_system(sft, w):

@@ -68,6 +68,10 @@ Nothing here reads a system's memo of threshold structures: the grid,
 the gap graphs and their classes of mutual reachability are rebuilt
 from the distances (``threshold_grid_reference``,
 ``gap_structures_reference``, ``mutual_reachability_classes``).
+
+``two_sided_limit_reference`` is the library's earlier two-sided limit
+tracing, a scan of every point with ``shadows`` below the least
+positive distance, kept to check the closed form that replaced it.
 """
 
 import itertools
@@ -81,7 +85,7 @@ from fractions import Fraction
 from dynlab import shadowing, specification
 from dynlab.core import Lasso, _image, _shadows_backward, as_fraction, shadows
 from dynlab.errors import (BoundTooSmall, EmptyShift, MetricViolation,
-                           StateExplosion)
+                           NotDecaying, NotInvertible, StateExplosion)
 from dynlab.recurrence import DeltaGraph, _step_sets
 from dynlab.shadowing import (
     ShadowCertificate,
@@ -791,6 +795,33 @@ def construct_shadow_point_reference(sys, lasso, epsilon):
         i += 1
         w = _image(w, rows) & balls[sys.index[lasso[i]]]
     return None, {"failed_at": i}
+
+
+def two_sided_limit_reference(sys, lasso):
+    """The point whose orbit runs along the past cycle of the two-sided
+    ``lasso`` before index 0 and along its future cycle after the stem,
+    or None: every point is tried, both halves by ``shadows`` below the
+    least positive distance, where tracing is equality.  Refuses a
+    system that is not a bijection, a one-sided lasso, and a future or
+    past cycle that is not an exact cycle of f, in that order."""
+    if not sys.invertible:
+        raise NotInvertible("two-sided limit tracing needs an invertible system")
+    if not lasso.two_sided:
+        raise ValueError("two-sided lasso expected")
+    for what, cycle in (("future cycle", lasso.cycle),
+                        ("past cycle", lasso.past)):
+        for j, x in enumerate(cycle):
+            nxt, image = cycle[(j + 1) % len(cycle)], sys.apply(x)
+            if image != nxt:
+                raise NotDecaying(
+                    f"{what} step {j}: f({x!r}) = {image!r} != {nxt!r}")
+    tail = Lasso(cycle=lasso.cycle)
+    exact = sys.distance_values[1] / 2 if sys.n > 1 else Fraction(1)
+    for i, z in enumerate(sys.points):
+        if (shadows(sys, sys.apply(z, len(lasso.stem)), tail, exact)
+                and _shadows_backward(sys, i, lasso, sys.lt_cutoff(exact))):
+            return z
+    return None
 
 
 def gap_structures_reference(sys, n, delta, epsilon):

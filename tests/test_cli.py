@@ -353,6 +353,35 @@ def test_threshold_at_zero_is_refused_by_name(capsys, tmp_path):
                          "--epsilon", "1", "--system", path, "--window", "1")
     assert (code, out, err) == (
         2, "", "dynlab: delta must be positive, got 0\n")
+    # the limit, lipschitz and two-sided variants read no threshold, but
+    # refuse a bad one, N first, then delta, then epsilon, before any
+    # work: xpq(3,2) is not invertible, and no lasso file is read
+    rows = [
+        (["--epsilon", "0"], "epsilon must be positive, got 0"),
+        (["--epsilon", "-1"], "epsilon must be positive, got -1"),
+        (["--epsilon", "1", "--delta", "0"], "delta must be positive, got 0"),
+        (["--epsilon", "0", "--delta=-1/2"],
+         "delta must be positive, got -1/2"),
+        (["--epsilon", "0", "--delta", "0", "--N", "0"],
+         "N must be at least 1, got 0"),
+    ]
+    for variant in ("limit", "lipschitz", "two-sided"):
+        for argv, message in rows:
+            code, out, err = run(capsys, "check", "spec", "--variant",
+                                 variant, *argv, "--system", path,
+                                 "--window", "1", "--lasso",
+                                 str(tmp_path / "missing.json"))
+            assert (code, out, err) == (2, "", f"dynlab: {message}\n"), (
+                variant, argv)
+
+
+def test_primes_that_are_not_integers_are_refused_by_name(capsys):
+    for primes in ("a,b", "2,,3", "2.0,3", ""):
+        code, out, err = run(capsys, "gallery", "product", "--primes",
+                             primes, "--factors", "1")
+        assert (code, out, err) == (
+            2, "", f"dynlab: --primes must be comma-separated integers, "
+                   f"got {primes!r}\n"), primes
 
 
 def test_one_point_system_refuses_a_length_bound_of_zero(capsys, tmp_path):

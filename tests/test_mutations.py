@@ -36,12 +36,13 @@ from test_records import check_records
 from test_battery import check_order_laws, two_loop_window
 from test_shadowing import (check_cell_arguments,
                            check_failed_at_is_the_dying_step, check_tables)
-from test_specification import check_gap_range
+from test_specification import check_gap_range, check_two_sided_corpus
 from test_core import check_orbit_table, check_two_sided_shadows
 from test_expansive import check_hierarchy
 from test_spread import check_spread
 from test_tracing_kernel import check_gap_structures
 import test_digraph
+import test_specification
 import test_symbolic
 
 
@@ -95,8 +96,8 @@ def test_power_masks_of_a_map_one_step_short(monkeypatch):
 def test_power_masks_of_a_relation_skipping_the_lowest_bit(monkeypatch):
     # b and c swap under the relation, so odd and even powers differ
     check_power_masks(swap_beside_a_relation_cycle(), range(1, 7))
-    plant(monkeypatch, [recurrence], "_power_masks",
-          "k, rows, base = a, None", "k, rows, base = a & ~1, None")
+    plant(monkeypatch, [core, recurrence], "_row_power",
+          "    while a:\n", "    a &= ~1\n    while a:\n")
     with pytest.raises(AssertionError):
         check_power_masks(swap_beside_a_relation_cycle(), range(1, 7))
 
@@ -261,13 +262,11 @@ def test_walk_fields_one_bit_narrow(monkeypatch):
 def test_map_walks_counting_cycles_not_their_points(monkeypatch):
     test_digraph.check_closed_forms()
     test_digraph.check_map_spectra()
-    plant(monkeypatch, [core, test_digraph], "_closed_walk_counts",
-          "counts[k] += p * c", "counts[k] += c")
+    # one fault in the one cycle spectrum fails both routes to it
+    plant(monkeypatch, [core, battery], "_cycle_spectrum",
+          "points[p - 1] += p", "points[p - 1] += 1")
     with pytest.raises(AssertionError):
         test_digraph.check_closed_forms()
-    plant(monkeypatch, [battery, test_digraph], "periodic_spectrum",
-          "points.get(len(cycle), 0) + len(cycle)",
-          "points.get(len(cycle), 0) + 1")
     with pytest.raises(AssertionError):
         test_digraph.check_map_spectra()
 
@@ -278,6 +277,18 @@ def test_primitive_mask_keeping_the_next_field(monkeypatch):
           "(1 << s + width) - 1", "(1 << s + 2 * width) - 1")
     with pytest.raises(AssertionError):
         test_digraph.check_primitive_listing()
+
+
+def test_two_sided_closed_form_off_the_past_or_the_stem(monkeypatch):
+    check_two_sided_corpus()
+    for fragment, fault in (
+            ("point = lasso.past[0]", "point = lasso.past[-1]"),
+            ("sys.apply(point, len(lasso.stem))", "point")):
+        with monkeypatch.context() as faulty:
+            plant(faulty, [specification, test_specification],
+                  "generalized_spec_checks", fragment, fault)
+            with pytest.raises(AssertionError):
+                check_two_sided_corpus()
 
 
 def test_tracking_window_one_step_short(monkeypatch):

@@ -55,12 +55,13 @@ EARLIER_SURFACE = {
     "strong_measure_expansive_holds", "strong_periodic_shadowing_holds",
     "subset_cap", "system_to_obj",
     "theorem_stableset_check", "threshold_grid", "trace_chain",
-    "two_sided_limit_shadowing_check", "window_system",
+    "window_system",
 }
 
-# ... less the three that restated a public function that stays:
+# ... less the four that restated a public function that stays:
 # strong_shadow_point (trace_chain at gap 1 with periodic=True),
-# limit_shadowing_check (generalized_spec_checks' "limit" variant) and
+# limit_shadowing_check (generalized_spec_checks' "limit" variant),
+# two_sided_limit_shadowing_check (its "two-sided" variant) and
 # delta_graph (chain_graph) ...
 
 # ... and the names that republishing added to it

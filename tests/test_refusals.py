@@ -37,8 +37,7 @@ from dynlab.recurrence import (chain_graph, cp_construction,
 from dynlab.shadowing import (construct_shadow_point, modulus_table,
                               periodic_shadowing_holds, shadowing_holds,
                               shadowing_modulus, special_shadowing_holds,
-                              strong_periodic_shadowing_holds, subset_cap,
-                              two_sided_limit_shadowing_check)
+                              strong_periodic_shadowing_holds, subset_cap)
 from dynlab.specification import (blockify, derived_periodic_shadowing,
                                   eta_modulus, generalized_spec_checks,
                                   local_spec_holds, local_weak_spec_holds,
@@ -191,11 +190,11 @@ REFUSALS = {
         lambda sys: modulus_table(sys, "limit"),
         ValueError, "unknown property 'limit'"),
     "two-sided-limit-on-a-forward-map": (
-        lambda sys: two_sided_limit_shadowing_check(sys, TWO_SIDED),
+        lambda sys: generalized_spec_checks(sys, "two-sided", TWO_SIDED),
         NotInvertible, "needs an invertible system"),
     "two-sided-limit-of-a-one-sided-lasso": (
-        lambda sys: two_sided_limit_shadowing_check(
-            cycle_system(2), Lasso(cycle=("c0", "c1"))),
+        lambda sys: generalized_spec_checks(
+            cycle_system(2), "two-sided", Lasso(cycle=("c0", "c1"))),
         ValueError, "two-sided lasso expected"),
     "weak-spec-at-gap-zero": (
         lambda sys: local_weak_spec_holds(sys, 1, 0, 1),

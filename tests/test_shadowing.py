@@ -26,7 +26,6 @@ from dynlab.shadowing import (
     shadowing_modulus,
     special_shadowing_holds,
     strong_periodic_shadowing_holds,
-    two_sided_limit_shadowing_check,
 )
 
 from helpers import (cycle_system, random_system, seeded_corpus,
@@ -355,21 +354,6 @@ def test_limit_tracing_requires_exact_tail():
                        match="blocking is a forward-time construction"):
         specification.generalized_spec_checks(
             sys, "limit", Lasso(cycle=(r0, r1, r2), two_sided=True))
-
-
-def test_two_sided_limit_tracing():
-    sys = hand_system(
-        ("a0", "a1", "b0", "b1"),
-        lambda p, q: 0 if p == q else (1 if p[0] == q[0] else 10),
-        {"a0": "a1", "a1": "a0", "b0": "b1", "b1": "b0"},
-        invertible=True,
-    )
-    joined = Lasso(stem=(), cycle=("a0", "a1"), two_sided=True,
-                   past_cycle=("a0", "a1"))
-    assert two_sided_limit_shadowing_check(sys, joined) == "a0"
-    split = Lasso(stem=(), cycle=("b0", "b1"), two_sided=True,
-                  past_cycle=("a0", "a1"))
-    assert two_sided_limit_shadowing_check(sys, split) is None
 
 
 def test_linear_envelope_on_two_point_identity():

@@ -1,14 +1,17 @@
 """Chain tracing: definitional cross-checks and the block reductions."""
 
 import dataclasses
+import itertools
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynlab import specification
 from dynlab.core import Lasso, threshold_grid
-from dynlab.errors import BoundTooSmall, ModulusViolation
+from dynlab.errors import BoundTooSmall, DynlabError, ModulusViolation
+from dynlab.gallery import build_random_system
 from dynlab.shadowing import (
     _gap_structures,
     lipschitz_constants,
@@ -36,7 +39,7 @@ from dynlab.symbolic import window_system
 from helpers import (cycle_system, gallery_corpus, random_system,
                      scalene_cycle, seeded_corpus, stem_into_cycle,
                      two_points_identity)
-from oracles import gap_structures_reference
+from oracles import gap_structures_reference, two_sided_limit_reference
 
 
 def all_short_chains(sys, gap, delta, max_k):
@@ -323,8 +326,92 @@ def test_generalized_two_sided_variant():
                    past_cycle=("a0", "a1"))
     split = Lasso(stem=(), cycle=("b0", "b1"), two_sided=True,
                   past_cycle=("a0", "a1"))
-    assert generalized_spec_checks(sys, "two-sided", joined)["holds"]
-    assert not generalized_spec_checks(sys, "two-sided", split)["holds"]
+    assert generalized_spec_checks(sys, "two-sided", joined) == {
+        "variant": "two-sided", "holds": True, "point": "a0"}
+    assert generalized_spec_checks(sys, "two-sided", split) == {
+        "variant": "two-sided", "holds": False, "point": None}
+
+
+def two_sided_outcome(call):
+    """What a two-sided limit question answers, or the type and message
+    of its refusal."""
+    try:
+        return call()
+    except (ValueError, DynlabError) as exc:
+        return type(exc), str(exc)
+
+
+def check_two_sided(sys, lasso):
+    """The two-sided variant answers as the point scan it replaced
+    (``oracles.two_sided_limit_reference``): the same point, held iff
+    there is one, or the same refusal."""
+    def closed_form():
+        out = generalized_spec_checks(sys, "two-sided", lasso)
+        assert out["holds"] == (out["point"] is not None)
+        return out["point"]
+
+    assert two_sided_outcome(closed_form) == two_sided_outcome(
+        lambda: two_sided_limit_reference(sys, lasso)), lasso
+
+
+def orbit_cycle(sys, x, rounds=1):
+    """The orbit of x over ``rounds`` rounds of its cycle: an exact
+    cycle of f when x is periodic."""
+    period = len(sys.cycle(sys.index[x]))
+    return tuple(sys.apply(x, k) for k in range(rounds * period))
+
+
+def check_two_sided_corpus():
+    """Every pairing of exact future and past cycles, each run from each
+    of its points, after stems of 0-2 points, on a 3-cycle and seeded
+    bijections; some pairings join and some do not."""
+    answers = set()
+    for sys in (cycle_system(3), *(random_system(seed, 2 + seed % 6, True)
+                                   for seed in range(8))):
+        for x, y in itertools.product(sys.points, repeat=2):
+            for stem in ((), sys.points[:1], sys.points[-2:]):
+                lasso = Lasso(stem, orbit_cycle(sys, x), two_sided=True,
+                              past_cycle=orbit_cycle(sys, y))
+                check_two_sided(sys, lasso)
+                answers.add(generalized_spec_checks(
+                    sys, "two-sided", lasso)["holds"])
+    assert answers == {True, False}
+
+
+def test_two_sided_closed_form_matches_the_point_scan():
+    check_two_sided_corpus()
+
+
+@st.composite
+def two_sided_cases(draw):
+    """A seeded system of 1-9 points, most of them bijections, and a
+    lasso over its points: a stem of 0-3 points, and future and past
+    tails that are each an exact cycle over 1-2 rounds or any 1-3
+    points; the past is sometimes left to default to the future, and
+    some lassos are one-sided."""
+    sys = build_random_system(draw(st.integers(0, 10 ** 6)),
+                              draw(st.integers(1, 9)),
+                              draw(st.integers(0, 5)) > 0)
+
+    def tail():
+        if draw(st.booleans()):
+            return orbit_cycle(sys, draw(st.sampled_from(sys.points)),
+                               draw(st.integers(1, 2)))
+        return tuple(draw(st.lists(st.sampled_from(sys.points),
+                                   min_size=1, max_size=3)))
+
+    stem = tuple(draw(st.lists(st.sampled_from(sys.points), max_size=3)))
+    shape = draw(st.sampled_from(("past", "default past", "one-sided")))
+    if shape == "one-sided":
+        return sys, Lasso(stem, tail())
+    past = tail() if shape == "past" else None
+    return sys, Lasso(stem, tail(), two_sided=True, past_cycle=past)
+
+
+@settings(deadline=None, max_examples=300)
+@given(two_sided_cases())
+def test_two_sided_variant_matches_the_point_scan(case):
+    check_two_sided(*case)
 
 
 def test_bound_warnings_name_the_calling_line():
