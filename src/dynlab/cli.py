@@ -16,6 +16,13 @@ text once per window: a command on the text and window of the one
 before reuses its system, with the threshold structures the earlier
 commands built.  A single shell command loads its file once, as ever.
 
+The grammar of the command line is one table, ``_COMMANDS``.  A
+well-formed command line (the command words, then each option at most
+once and by its full name, each value not starting with "-") is parsed
+from the table without importing argparse.  Help, ``--version`` and
+every other command line, errors included, go through argparse, built
+from the same table on first need, so their text is argparse's as ever.
+
 Exit codes: 0 all checks pass; 1 a checked property or a battery
 law failed (the report says which); 2 input error or an
 unwritable output file; 3 resource cap hit (raise ``DYNLAB_SUBSET_CAP``
@@ -24,11 +31,11 @@ to retry).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys as _sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from .battery import BATTERY_IDS, run_theorem_battery
@@ -400,115 +407,184 @@ def _cmd_gallery(args):
     return 0
 
 
-# -- parser -------------------------------------------------------------------
+# -- command table ------------------------------------------------------------
+#
+# The grammar of the command line, written once.  A node is a dict:
+# "parser" holds the keyword arguments of its argparse parser (the help
+# line of a command's word), "defaults" the namespace values it sets,
+# "options" each option's flag and the keyword arguments of argparse's
+# add_argument (every option of a command that runs names its dest).  A
+# node with subcommands names the namespace key of the word that picks
+# one ("dest") and maps each word to its node ("commands").  _parse
+# reads the table for a well-formed command line; _parser builds
+# argparse from it for every other one.
+
+_FRAME = {
+    "--window": dict(dest="window", type=int, default=None,
+                     help="window radius; turns a shift file into its "
+                          "finite window system"),
+    "--emit": dict(dest="emit", default=None,
+                   help="also write the JSON output to this path"),
+}
 
 
-def _add_common(parser, handler=None):
-    """--window, --emit, and --system for a command run by ``handler``."""
-    if handler is not None:
-        parser.add_argument("--system", required=True,
-                            help="path to a system JSON file")
-        parser.set_defaults(func=_run, handler=handler)
-    parser.add_argument("--window", type=int, default=None,
-                        help="window radius; turns a shift file into its "
-                             "finite window system")
-    parser.add_argument("--emit", default=None,
-                        help="also write the JSON output to this path")
+def _on_system(handler, options, **parser):
+    """A command that runs ``handler`` on the system of ``--system``."""
+    return {"parser": parser, "defaults": {"func": _run, "handler": handler},
+            "options": {"--system": dict(dest="system", required=True,
+                                         help="path to a system JSON file"),
+                        **_FRAME, **options}}
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
+_COMMANDS = {
+    "parser": dict(
         prog="dynlab",
         description="Exact tracing, expansiveness and decomposition checks "
-                    "on finite metric systems and shifts of finite type.")
-    parser.add_argument("--version", action="version",
-                        version=f"dynlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+                    "on finite metric systems and shifts of finite type."),
+    "options": {"--version": dict(action="version",
+                                  version=f"dynlab {__version__}")},
+    "dest": "command",
+    "commands": {
+        "check": {"parser": dict(help="decide one property at thresholds"),
+                  "dest": "what", "commands": {
+            "shadowing": _on_system(_cmd_check_shadowing, {
+                "--epsilon": dict(dest="epsilon", required=True),
+                "--delta": dict(dest="delta", default=None,
+                                help="omit to compute the best grid delta "
+                                     "instead"),
+                "--period-bound": dict(dest="period_bound", type=int,
+                                       default=8)}),
+            "spec": _on_system(_cmd_check_spec, {
+                "--variant": dict(dest="variant", required=True,
+                                  choices=("weak", "full", "limit",
+                                           "lipschitz", "two-sided")),
+                "--epsilon": dict(dest="epsilon", required=True),
+                "--delta": dict(dest="delta", default=None),
+                "--N": dict(dest="N", type=int, default=1),
+                "--k-bound": dict(dest="k_bound", type=int, default=6),
+                "--lasso": dict(dest="lasso", default=None,
+                                help="JSON file with stem/cycle lists (limit, "
+                                     "two-sided) and an optional past list "
+                                     "(two-sided)")}),
+            "expansive": _on_system(_cmd_check_expansive, {
+                "--variant": dict(dest="variant", required=True,
+                                  choices=("n", "strong-measure", "measure",
+                                           "per")),
+                "--delta": dict(dest="delta", required=True),
+                "--n": dict(dest="n", type=int, default=1)}),
+        }},
+        "spectral": _on_system(_cmd_spectral, {},
+                               help="basic sets, cyclic parts, mixing"),
+        "gallery": {"parser": dict(help="construct a built-in example"),
+                    "defaults": {"func": _cmd_gallery},
+                    "dest": "family", "commands": {
+            "xpq": {"options": {
+                **_FRAME,
+                "--p": dict(dest="p", type=int, required=True),
+                "--q": dict(dest="q", type=int, required=True)}},
+            "myex": {"options": {
+                **_FRAME,
+                "--lattice": dict(dest="lattice", type=int, required=True),
+                "--K": dict(dest="K", type=int, required=True)}},
+            "product": {"options": {
+                **_FRAME,
+                "--primes": dict(dest="primes", required=True,
+                                 help="comma-separated strictly increasing "
+                                      "primes"),
+                "--factors": dict(dest="factors", type=int, required=True)}},
+            "random": {"options": {
+                **_FRAME,
+                "--seed": dict(dest="seed", type=int, required=True),
+                "--size": dict(dest="size", type=int, required=True),
+                "--invertible": dict(dest="invertible", action="store_true",
+                                     default=False)}},
+        }},
+        "battery": _on_system(_cmd_battery, {
+            "--id": dict(dest="id", required=True, choices=BATTERY_IDS),
+            "--period-bound": dict(dest="period_bound", type=int, default=6)},
+            help="run a quantified law battery"),
+        "modulus": _on_system(_cmd_modulus, {
+            "--prop": dict(dest="prop", required=True, choices=tuple(_TABLES)),
+            "--period-bound": dict(dest="period_bound", type=int, default=8),
+            "--k-bound": dict(dest="k_bound", type=int, default=6),
+            "--csv": dict(dest="csv", default=None,
+                          help="also write the table as CSV to this path")},
+            help="best-threshold table per epsilon"),
+    },
+}
 
-    check = sub.add_parser("check", help="decide one property at thresholds")
-    what = check.add_subparsers(dest="what", required=True)
 
-    p = what.add_parser("shadowing")
-    _add_common(p, _cmd_check_shadowing)
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--delta", default=None,
-                   help="omit to compute the best grid delta instead")
-    p.add_argument("--period-bound", type=int, default=8, dest="period_bound")
-
-    p = what.add_parser("spec")
-    _add_common(p, _cmd_check_spec)
-    p.add_argument("--variant", required=True,
-                   choices=("weak", "full", "limit", "lipschitz", "two-sided"))
-    p.add_argument("--epsilon", required=True)
-    p.add_argument("--delta", default=None)
-    p.add_argument("--N", type=int, default=1)
-    p.add_argument("--k-bound", type=int, default=6, dest="k_bound")
-    p.add_argument("--lasso", default=None,
-                   help="JSON file with stem/cycle lists (limit, two-sided) "
-                        "and an optional past list (two-sided)")
-
-    p = what.add_parser("expansive")
-    _add_common(p, _cmd_check_expansive)
-    p.add_argument("--variant", required=True,
-                   choices=("n", "strong-measure", "measure", "per"))
-    p.add_argument("--delta", required=True)
-    p.add_argument("--n", type=int, default=1)
-
-    p = sub.add_parser("spectral", help="basic sets, cyclic parts, mixing")
-    _add_common(p, _cmd_spectral)
-
-    gallery = sub.add_parser("gallery", help="construct a built-in example")
-    gallery.set_defaults(func=_cmd_gallery)
-    fam = gallery.add_subparsers(dest="family", required=True)
-
-    p = fam.add_parser("xpq")
-    _add_common(p)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = fam.add_parser("myex")
-    _add_common(p)
-    p.add_argument("--lattice", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
-
-    p = fam.add_parser("product")
-    _add_common(p)
-    p.add_argument("--primes", required=True,
-                   help="comma-separated strictly increasing primes")
-    p.add_argument("--factors", type=int, required=True)
-
-    p = fam.add_parser("random")
-    _add_common(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--invertible", action="store_true")
-
-    p = sub.add_parser("battery", help="run a quantified law battery")
-    _add_common(p, _cmd_battery)
-    p.add_argument("--id", required=True, choices=BATTERY_IDS)
-    p.add_argument("--period-bound", type=int, default=6, dest="period_bound")
-
-    p = sub.add_parser("modulus", help="best-threshold table per epsilon")
-    _add_common(p, _cmd_modulus)
-    p.add_argument("--prop", required=True, choices=tuple(_TABLES))
-    p.add_argument("--period-bound", type=int, default=8, dest="period_bound")
-    p.add_argument("--k-bound", type=int, default=6, dest="k_bound")
-    p.add_argument("--csv", default=None,
-                   help="also write the table as CSV to this path")
-
-    return parser
+def _parse(argv):
+    """The namespace argparse gives a well-formed command line, read off
+    the command table: the command words, then options of the command,
+    each at most once and by its full name, each but a flag followed by
+    a value that does not start with "-".  Applies an option's type and
+    choices and requires its required options.  None for any other
+    command line (help, --version, an abbreviated, "=" or repeated
+    option, a value that looks like an option, every error), which
+    :func:`main` hands to argparse."""
+    node, values, i = _COMMANDS, {}, 0
+    while "commands" in node:
+        if i == len(argv) or argv[i] not in node["commands"]:
+            return None
+        values[node["dest"]] = argv[i]
+        node = node["commands"][argv[i]]
+        values.update(node.get("defaults", {}))
+        i += 1
+    options, given = node["options"], {}
+    while i < len(argv):
+        spec = options.get(argv[i])
+        if spec is None or argv[i] in given:
+            return None
+        flag, i = argv[i], i + 1
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        if i == len(argv) or argv[i].startswith("-"):
+            return None
+        value, i = argv[i], i + 1
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        given[flag] = value
+    for flag, spec in options.items():
+        if flag not in given and spec.get("required"):
+            return None
+        values[spec["dest"]] = given.get(flag, spec.get("default"))
+    return SimpleNamespace(**values)
 
 
 @functools.cache
 def _parser():
-    """The parser of :func:`build_parser`, built once per process:
-    parsing reads it and changes nothing in it (no option has a mutable
-    default), and errors go to the ``sys.stderr`` of the moment."""
-    return build_parser()
+    """argparse built from the command table, once per process and only
+    for a command line :func:`_parse` declines, so that help, --version
+    and every error read as argparse words them.  Parsing reads it and
+    changes nothing in it (no option has a mutable default), and errors
+    go to the ``sys.stderr`` of the moment."""
+    import argparse
+
+    def build(parser, node):
+        parser.set_defaults(**node.get("defaults", {}))
+        for flag, spec in node.get("options", {}).items():
+            parser.add_argument(flag, **spec)
+        if "commands" in node:
+            sub = parser.add_subparsers(dest=node["dest"], required=True)
+            for word, child in node["commands"].items():
+                build(sub.add_parser(word, **child.get("parser", {})), child)
+        return parser
+
+    return build(argparse.ArgumentParser(**_COMMANDS["parser"]), _COMMANDS)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    args = _parse(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     args.t0 = time.monotonic()
     try:
         return args.func(args)

@@ -103,6 +103,17 @@ def _at_least(value, least, name):
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _known_points(sys, lasso, *points):
+    """ValueError naming the first of ``points``, then of the lasso's
+    entries, that is not a point of ``sys``; a public call that takes a
+    lasso asks this once, before any search."""
+    index = sys.index
+    for point in itertools.chain(points, lasso.stem, lasso.cycle,
+                                 lasso.past_cycle or ()):
+        if point not in index:
+            raise ValueError(f"{point!r} is not a point of the system")
+
+
 class _cached:
     """An attribute built by ``build(instance)`` on first read, then
     stored on the instance, where later reads find it.
@@ -820,6 +831,7 @@ def is_pseudo_orbit(sys, lasso, delta):
     pass over :meth:`Lasso.transitions`.
     """
     cutoff = sys.lt_cutoff(_positive(delta, "delta"))
+    _known_points(sys, lasso)
     for a, b in lasso.transitions():
         if sys.rank[sys.fmap[sys.index[a]]][sys.index[b]] >= cutoff:
             return False
@@ -833,10 +845,8 @@ def is_periodic_pseudo_orbit(sys, lasso, delta):
     The returned period is the declared cycle length, not necessarily
     the least one.
     """
-    delta = _positive(delta, "delta")
-    if lasso.stem or (lasso.past_cycle is not None and lasso.past_cycle != lasso.cycle):
-        return None
-    if not is_pseudo_orbit(sys, lasso, delta):
+    if (not is_pseudo_orbit(sys, lasso, delta) or lasso.stem
+            or lasso.past != lasso.cycle):
         return None
     return len(lasso.cycle)
 
@@ -858,6 +868,7 @@ def shadows(sys, point, lasso, epsilon):
     which require an invertible system).
     """
     cutoff = sys.lt_cutoff(_positive(epsilon, "epsilon"))
+    _known_points(sys, lasso, point)
     i0 = sys.index[point]
     if _first_miss(sys, i0, lasso, cutoff) is not None:
         return False

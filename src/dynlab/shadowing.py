@@ -54,8 +54,8 @@ from fractions import Fraction
 from itertools import compress
 
 from .core import (Lasso, _Record, _at_least, _first_miss, _image,
-                   _largest_passing, _positive, _shadows_backward,
-                   _strong_components, threshold_grid)
+                   _known_points, _largest_passing, _positive,
+                   _shadows_backward, _strong_components, threshold_grid)
 from .errors import BoundTooSmall, StateExplosion
 
 __all__ = [
@@ -247,6 +247,7 @@ def construct_shadow_point(sys, lasso, epsilon):
     of :func:`~dynlab.core.shadows`, run once per point.
     """
     epsilon = _positive(epsilon, "epsilon")
+    _known_points(sys, lasso)
     cutoff = sys.lt_cutoff(epsilon)
     misses, behind = [], []
     for i, z in enumerate(sys.points):

@@ -21,7 +21,8 @@ import math
 from fractions import Fraction
 
 from .core import (Lasso, _Record, _at_least, _closed_walk_counts,
-                   _largest_passing, _positive, shadows, threshold_grid)
+                   _known_points, _largest_passing, _positive, shadows,
+                   threshold_grid)
 from .errors import ModulusViolation, NotDecaying, NotInvertible
 from .shadowing import (
     _TABLES,
@@ -209,6 +210,7 @@ def blockify(sys, lasso, N, delta):
     """
     _at_least(N, 1, "N")
     delta = _positive(delta, "delta")
+    _known_points(sys, lasso)
     blocked = _block_plain(sys, lasso, N)
     seams = len(blocked.stem) + len(blocked.cycle)
     all_terms = []
@@ -240,6 +242,7 @@ def spec_to_shadow_point(sys, lasso, N, epsilon, cap=None):
     the same way.
     """
     epsilon = _positive(epsilon, "epsilon")
+    _known_points(sys, lasso)
     half = epsilon / 2
     grid = threshold_grid(sys)
     err = max(
@@ -317,6 +320,7 @@ def generalized_spec_checks(sys, variant, lasso=None, N=1, cap=None):
 
     if lasso is None:
         raise ValueError(f"variant {variant!r} needs a lasso")
+    _known_points(sys, lasso)
     if variant == "limit":
         # the tracer whose f^N-orbit eventually agrees with the blocked
         # tail: the cycle entry that runs along it from index 0 on, once

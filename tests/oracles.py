@@ -72,8 +72,14 @@ from the distances (``threshold_grid_reference``,
 ``two_sided_limit_reference`` is the library's earlier two-sided limit
 tracing, a scan of every point with ``shadows`` below the least
 positive distance, kept to check the closed form that replaced it.
+
+``build_parser`` is the command line's earlier argparse parser, written
+out by hand, kept to check the command table that replaced it: the
+table's own parse of a well-formed command line, and the argparse it
+builds for help, ``--version`` and errors.
 """
 
+import argparse
 import itertools
 import math
 import random
@@ -82,7 +88,8 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 
-from dynlab import shadowing, specification
+from dynlab import __version__, cli, shadowing, specification
+from dynlab.battery import BATTERY_IDS
 from dynlab.core import Lasso, _image, _shadows_backward, as_fraction, shadows
 from dynlab.errors import (BoundTooSmall, EmptyShift, MetricViolation,
                            NotDecaying, NotInvertible, StateExplosion)
@@ -1267,3 +1274,100 @@ def cp_parts_reference(sys, B):
     m = next((m for m in range(1, len(parts)) if parts[m] == parts[0]),
              len(parts))
     return m, tuple(parts[:m])
+
+
+def _add_common(parser, handler=None):
+    """--window, --emit, and --system for a command run by ``handler``."""
+    if handler is not None:
+        parser.add_argument("--system", required=True,
+                            help="path to a system JSON file")
+        parser.set_defaults(func=cli._run, handler=handler)
+    parser.add_argument("--window", type=int, default=None,
+                        help="window radius; turns a shift file into its "
+                             "finite window system")
+    parser.add_argument("--emit", default=None,
+                        help="also write the JSON output to this path")
+
+
+def build_parser():
+    """The command line's parser, one add_argument call per option."""
+    parser = argparse.ArgumentParser(
+        prog="dynlab",
+        description="Exact tracing, expansiveness and decomposition checks "
+                    "on finite metric systems and shifts of finite type.")
+    parser.add_argument("--version", action="version",
+                        version=f"dynlab {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    check = sub.add_parser("check", help="decide one property at thresholds")
+    what = check.add_subparsers(dest="what", required=True)
+
+    p = what.add_parser("shadowing")
+    _add_common(p, cli._cmd_check_shadowing)
+    p.add_argument("--epsilon", required=True)
+    p.add_argument("--delta", default=None,
+                   help="omit to compute the best grid delta instead")
+    p.add_argument("--period-bound", type=int, default=8, dest="period_bound")
+
+    p = what.add_parser("spec")
+    _add_common(p, cli._cmd_check_spec)
+    p.add_argument("--variant", required=True,
+                   choices=("weak", "full", "limit", "lipschitz", "two-sided"))
+    p.add_argument("--epsilon", required=True)
+    p.add_argument("--delta", default=None)
+    p.add_argument("--N", type=int, default=1)
+    p.add_argument("--k-bound", type=int, default=6, dest="k_bound")
+    p.add_argument("--lasso", default=None,
+                   help="JSON file with stem/cycle lists (limit, two-sided) "
+                        "and an optional past list (two-sided)")
+
+    p = what.add_parser("expansive")
+    _add_common(p, cli._cmd_check_expansive)
+    p.add_argument("--variant", required=True,
+                   choices=("n", "strong-measure", "measure", "per"))
+    p.add_argument("--delta", required=True)
+    p.add_argument("--n", type=int, default=1)
+
+    p = sub.add_parser("spectral", help="basic sets, cyclic parts, mixing")
+    _add_common(p, cli._cmd_spectral)
+
+    gallery = sub.add_parser("gallery", help="construct a built-in example")
+    gallery.set_defaults(func=cli._cmd_gallery)
+    fam = gallery.add_subparsers(dest="family", required=True)
+
+    p = fam.add_parser("xpq")
+    _add_common(p)
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
+
+    p = fam.add_parser("myex")
+    _add_common(p)
+    p.add_argument("--lattice", type=int, required=True)
+    p.add_argument("--K", type=int, required=True)
+
+    p = fam.add_parser("product")
+    _add_common(p)
+    p.add_argument("--primes", required=True,
+                   help="comma-separated strictly increasing primes")
+    p.add_argument("--factors", type=int, required=True)
+
+    p = fam.add_parser("random")
+    _add_common(p)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--invertible", action="store_true")
+
+    p = sub.add_parser("battery", help="run a quantified law battery")
+    _add_common(p, cli._cmd_battery)
+    p.add_argument("--id", required=True, choices=BATTERY_IDS)
+    p.add_argument("--period-bound", type=int, default=6, dest="period_bound")
+
+    p = sub.add_parser("modulus", help="best-threshold table per epsilon")
+    _add_common(p, cli._cmd_modulus)
+    p.add_argument("--prop", required=True, choices=tuple(shadowing._TABLES))
+    p.add_argument("--period-bound", type=int, default=8, dest="period_bound")
+    p.add_argument("--k-bound", type=int, default=6, dest="k_bound")
+    p.add_argument("--csv", default=None,
+                   help="also write the table as CSV to this path")
+
+    return parser

@@ -185,12 +185,14 @@ def test_reports_deterministic_modulo_wall_time(capsys, tmp_path):
 
 def test_parser_built_once_answers_as_a_fresh_one(capsys, tmp_path):
     path = emit_random(capsys, tmp_path, seed=13, size=4)
+    # "=" forms and an abbreviation: argparse reads these, not the table
     commands = [
-        ("check", "shadowing", "--system", path, "--epsilon", "1"),
-        ("battery", "--system", path, "--id", "hierarchy"),
-        ("check", "expansive", "--system", path, "--variant", "n",
+        ("check", "shadowing", f"--system={path}", "--epsilon", "1"),
+        ("battery", "--system", path, "--id=hierarchy"),
+        ("check", "expansive", "--sys", path, "--variant", "n",
          "--delta", "1"),
     ]
+    assert not any(cli._parse(list(argv)) for argv in commands)
 
     def call(argv):
         code, out, err = run(capsys, *argv)

@@ -30,6 +30,7 @@ from test_recurrence_kernel import (check_chain_graphs, check_cp_parts,
                                     check_primitive, check_recurrence,
                                     wielandt)
 from test_cli import check_shared_load
+from test_cli_table import check_table_grammar, grammar_files
 from test_metric import (check_built_as_reference, check_metric,
                          check_packed_triangles)
 from test_records import check_records
@@ -559,3 +560,19 @@ def test_system_cache_keyed_without_the_window(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_loaded", keyed_by_text)
     with pytest.raises(AssertionError):
         check_shared_load(capsys, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("fragment, fault", [
+    # an abbreviation argparse finds ambiguous or reads as another option
+    ("spec = options.get(argv[i])",
+     "spec = next((spec for flag, spec in options.items()\n"
+     "                     if flag.startswith(argv[i])), None)"),
+    ('if value not in spec.get("choices", (value,)):', "if False:"),
+], ids=["matching-a-flag-by-prefix", "skipping-the-choices-check"])
+def test_table_parse_off_the_reference_grammar(tmp_path, monkeypatch,
+                                               fragment, fault):
+    paths = grammar_files(tmp_path)
+    check_table_grammar(paths)
+    plant(monkeypatch, [cli], "_parse", fragment, fault)
+    with pytest.raises(AssertionError):
+        check_table_grammar(paths)

@@ -50,6 +50,7 @@ from helpers import cycle_system, stem_into_cycle
 
 FIXED = Lasso(cycle=("z",))
 TWO_SIDED = Lasso(cycle=("z",), two_sided=True)
+FOREIGN = Lasso(stem=("s0",), cycle=("z", "zz"))
 
 REFUSALS = {
     "float-threshold": (
@@ -250,6 +251,38 @@ REFUSALS = {
         lambda sys: build_finite_system(["a", "b"], [[0, 1], [1, 0]],
                                         ["b", "a"], relation=[["b"], ["zz"]]),
         ValueError, "relation sends a point outside the space: 'zz'"),
+    # a point or lasso entry outside the system, refused in the CLI's
+    # words by one helper of dynlab.core before any search
+    "pseudo-orbit-through-a-foreign-point": (
+        lambda sys: is_pseudo_orbit(sys, FOREIGN, 1),
+        ValueError, "'zz' is not a point of the system"),
+    "periodic-pseudo-orbit-with-a-foreign-stem": (
+        lambda sys: is_periodic_pseudo_orbit(
+            sys, Lasso(stem=("zz",), cycle=("z",)), 1),
+        ValueError, "'zz' is not a point of the system"),
+    "shadows-from-a-foreign-point": (
+        lambda sys: shadows(sys, "zz", FIXED, 1),
+        ValueError, "'zz' is not a point of the system"),
+    "shadows-a-foreign-lasso": (
+        lambda sys: shadows(sys, "z", FOREIGN, 1),
+        ValueError, "'zz' is not a point of the system"),
+    "shadow-point-of-a-foreign-lasso": (
+        lambda sys: construct_shadow_point(sys, FOREIGN, 1),
+        ValueError, "'zz' is not a point of the system"),
+    "blocking-a-foreign-lasso": (
+        lambda sys: blockify(sys, FOREIGN, 1, 1),
+        ValueError, "'zz' is not a point of the system"),
+    "chain-route-shadow-of-a-foreign-lasso": (
+        lambda sys: spec_to_shadow_point(sys, FOREIGN, 1, 1),
+        ValueError, "'zz' is not a point of the system"),
+    "limit-variant-of-a-foreign-lasso": (
+        lambda sys: generalized_spec_checks(sys, "limit", FOREIGN),
+        ValueError, "'zz' is not a point of the system"),
+    "two-sided-limit-of-a-foreign-past": (
+        lambda sys: generalized_spec_checks(
+            cycle_system(2), "two-sided",
+            Lasso(cycle=("c0", "c1"), two_sided=True, past_cycle=("zz",))),
+        ValueError, "'zz' is not a point of the system"),
 }
 
 
