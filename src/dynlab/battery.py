@@ -70,9 +70,13 @@ def periodic_spectrum(sys, bound):
     count is read off the lengths of the system's cached cycles by
     :func:`~dynlab.core._cycle_spectrum`: its period-m points are the
     points of the p-cycles with p dividing m.  A relation's count is
-    trace(A^m), pushed from every start at once in packed integer
-    fields by :func:`~dynlab.core._closed_walk_counts`.
-    The tests check both against dense matrix powers
+    trace(A^m), counted by :func:`~dynlab.core._closed_walk_counts`:
+    points with equal successor sets are merged round after round
+    (trace(A^m) is the same on the quotient, whose edges repeat once
+    per merged member reached), then the walks are pushed from every
+    start of the quotient at once in packed integer fields.  A window
+    system is mostly such twins, since words that end alike have the
+    same successors.  The tests check both against dense matrix powers
     (``tests/oracles.py``, ``dense_closed_walk_counts``).
     """
     if sys.relation is not None:

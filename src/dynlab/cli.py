@@ -298,10 +298,11 @@ def _cmd_check_spec(args, sys_):
             local_spec_holds(sys_, epsilon, args.N, delta, args.k_bound))
         return params, {"holds": holds, **_chain_obj(info)}, 0 if holds else 1
     # the other variants read no threshold, but refuse a bad one as every
-    # chain question does, before any work: N, then delta, then epsilon
+    # chain question does, before any work: N, then delta, then epsilon;
+    # a delta that is given is echoed, as for weak and full
     _at_least(args.N, 1, "N")
     if args.delta is not None:
-        _positive(args.delta, "delta")
+        params["delta"] = fraction_str(_positive(args.delta, "delta"))
     _positive(epsilon, "epsilon")
     if args.variant == "lipschitz":
         out = generalized_spec_checks(sys_, "lipschitz", N=args.N)

@@ -103,15 +103,23 @@ def _at_least(value, least, name):
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _point_indices(sys, points):
+    """The indices in ``sys`` of ``points``, in order; ValueError naming
+    the first that is not a point of ``sys``.  A public call that takes
+    points reads their indices here, before any search."""
+    try:
+        return list(map(sys.index.__getitem__, points))
+    except KeyError as missing:
+        raise ValueError(
+            f"{missing.args[0]!r} is not a point of the system") from None
+
+
 def _known_points(sys, lasso, *points):
     """ValueError naming the first of ``points``, then of the lasso's
     entries, that is not a point of ``sys``; a public call that takes a
     lasso asks this once, before any search."""
-    index = sys.index
-    for point in itertools.chain(points, lasso.stem, lasso.cycle,
-                                 lasso.past_cycle or ()):
-        if point not in index:
-            raise ValueError(f"{point!r} is not a point of the system")
+    _point_indices(sys, itertools.chain(points, lasso.stem, lasso.cycle,
+                                        lasso.past_cycle or ()))
 
 
 class _cached:
@@ -1028,6 +1036,31 @@ def _cycle_spectrum(lengths, m):
     return counts
 
 
+def _twin_quotient(succ):
+    """The digraph of the hashable successor rows ``succ`` with its twins
+    merged, round after round until no two rows are equal: twins are
+    vertices with equal rows, so frozensets of successors merge as sets
+    and tuples as multisets.
+
+    Each round keeps one vertex per class of equal rows, in order of
+    first members, and gives it the first member's row with every
+    successor replaced by its class, as a sorted tuple: a class reached
+    from that row through several members gets one edge per member.
+    With A = P·R, where P sends each vertex to its class and R keeps one
+    row per class, the quotient's matrix is R·P, and trace((P·R)^k) =
+    trace((R·P)^k) for k >= 1, so the closed-walk counts of every
+    positive length are kept.  Rows of a twin-free digraph come back
+    as given.  A window system, a higher-block model of a shift of
+    finite type, is mostly twins: the 70 points of the (2,3,5) product
+    window merge to 15 vertices."""
+    while True:
+        classes = {}
+        cls = [classes.setdefault(row, len(classes)) for row in succ]
+        if len(classes) == len(succ):
+            return succ
+        succ = [tuple(sorted(map(cls.__getitem__, row))) for row in classes]
+
+
 def _closed_walk_counts(succ, m, primitive=False):
     """Closed walks of each length 1..m (entry k-1 for length k) of the
     digraph with edges {(v, w) : w in succ[v]}, i.e. trace(A^k); a
@@ -1040,11 +1073,18 @@ def _closed_walk_counts(succ, m, primitive=False):
     stops on a vertex stamped by itself, not by an earlier walk, closes
     a cycle as long as the steps since that stamp.
 
-    The walks of any other digraph are pushed from all starts at once,
-    in packed integer fields (the idiom of :func:`_triangles_hold`):
-    ``at[v]`` is one int whose W-bit field r counts the walks of the
-    current length from r to v, and one step sets ``at[v]`` to the sum
-    of ``at[u]`` over the predecessors u of v.  Masking field v of each
+    Any other digraph is first merged to its twin quotient by
+    :func:`_twin_quotient` (vertices with equal successor rows share
+    their closed-walk counts), whose edges may repeat; n and A below
+    are the quotient's.  Primitive counts keep the unmerged digraph:
+    its least-rooted walks are ordered by vertex, and a class has no
+    least member.
+
+    The walks are then pushed from all starts at once, in packed
+    integer fields (the idiom of :func:`_triangles_hold`): ``at[v]`` is
+    one int whose W-bit field r counts the walks of the current length
+    from r to v, and one step sets ``at[v]`` to the sum of ``at[u]``
+    over the edges (u, v), once per edge.  Masking field v of each
     ``at[v]`` gathers the diagonal of A^k into one int, and halving
     folds, each adding the upper half of its fields onto the lower
     half, sum it to trace(A^k) in linear time, where one product with a
@@ -1061,11 +1101,10 @@ def _closed_walk_counts(succ, m, primitive=False):
     >= r.  Such a walk of length k is the (k/d)-th power of exactly one
     primitive one of length d, for one d dividing k, so subtracting the
     primitive counts of the proper divisors leaves the primitive walks."""
-    succ = [set(out) for out in succ]
-    n = len(succ)
+    succ = [frozenset(out) for out in succ]
     if all(len(out) < 2 for out in succ):
-        lengths, seen, steps = [], [0] * n, 0
-        for root in range(n):
+        lengths, seen, steps = [], [0] * len(succ), 0
+        for root in range(len(succ)):
             v, first = root, steps + 1
             while v is not None and not seen[v]:
                 steps += 1
@@ -1076,6 +1115,9 @@ def _closed_walk_counts(succ, m, primitive=False):
         if primitive:
             return [lengths.count(k) for k in range(1, m + 1)]
         return _cycle_spectrum(lengths, m)
+    if not primitive:
+        succ = _twin_quotient(succ)
+    n = len(succ)
     preds = [[] for _ in succ]
     for u, out in enumerate(succ):
         for v in out:

@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import _Record, _at_least, _positive, threshold_grid
+from .core import (_Record, _at_least, _point_indices, _positive,
+                   threshold_grid)
 from .errors import NotInvertible
 
 __all__ = [
@@ -85,7 +86,8 @@ class GammaSet(_Record):
 def gamma_set(sys, x, delta):
     delta = _positive(delta, "delta")
     cutoff = sys.le_cutoff(delta)
-    row = sys.spread_rank[sys.index[x]]
+    (xi,) = _point_indices(sys, (x,))
+    row = sys.spread_rank[xi]
     members = tuple(
         sys.points[y] for y in range(sys.n) if row[y] < cutoff
     )
@@ -307,7 +309,7 @@ def stable_sets(sys, x, epsilon, include_unstable=None):
         include_unstable = sys.invertible
     elif include_unstable and not sys.invertible:
         raise NotInvertible("unstable sets need backward time")
-    xi = sys.index[x]
+    (xi,) = _point_indices(sys, (x,))
     cutoff = sys.le_cutoff(epsilon)
     spread = sys.spread_rank[xi]
     s_local = tuple(sys.points[y] for y in range(sys.n)

@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import (_Record, _at_least, _image, _positive, _row_power,
-                   _strong_components, threshold_grid)
+from .core import (_Record, _at_least, _image, _point_indices, _positive,
+                   _row_power, _strong_components, threshold_grid)
 from .expansive import _eventual_images, _strong_constant
 
 __all__ = [
@@ -238,7 +238,7 @@ def cyclic_decomposition(sys, B):
     Raises ValueError when B is not strongly connected under the
     restricted steps (then it is not a basic set).
     """
-    members = {sys.index[p] for p in B}
+    members = set(_point_indices(sys, B))
     succ = _restricted_succ(sys, members)
     if any(not out for out in succ.values()):
         raise ValueError("not a basic set: a member has no step inside it")
@@ -283,7 +283,7 @@ def is_mixing(sys, part, a):
     parity-style obstruction and yields False.
     """
     _at_least(a, 1, "period")
-    rows, full = _power_masks(sys, a), _mask(sys.index[p] for p in part)
+    rows, full = _power_masks(sys, a), _mask(_point_indices(sys, part))
     return _primitive({i: rows[i] & full for i in _members(full)}, full)
 
 
@@ -300,7 +300,7 @@ def is_transitive(sys, subset):
     relation restricted to the subset is strongly connected (a covering
     closed walk then exists).
     """
-    wanted = {sys.index[p] for p in subset}
+    wanted = set(_point_indices(sys, subset))
     if not wanted:
         raise ValueError("empty subset")
     if len(wanted) == 1:

@@ -21,8 +21,8 @@ import math
 from fractions import Fraction
 
 from .core import (Lasso, _Record, _at_least, _closed_walk_counts,
-                   _known_points, _largest_passing, _positive, shadows,
-                   threshold_grid)
+                   _known_points, _largest_passing, _point_indices,
+                   _positive, shadows, threshold_grid)
 from .errors import ModulusViolation, NotDecaying, NotInvertible
 from .shadowing import (
     _TABLES,
@@ -124,13 +124,15 @@ def trace_chain(sys, sources, gap, epsilon, periodic=False):
     """Scan all points for a tracer of the given chain, definitionally.
 
     With periodic=True the tracer must also satisfy f^(k*gap)(x) = x.
-    Returns a SpecCertificate or None.  An empty chain, a gap below 1
-    and an epsilon that is not positive are refused before the scan.
+    Returns a SpecCertificate or None.  An empty chain, a gap below 1,
+    an epsilon that is not positive and a source that is not a point of
+    the system are refused before the scan.
     """
     k = len(sources)
     _at_least(k, 1, "number of sources")
     _at_least(gap, 1, "gap")
     epsilon = _positive(epsilon, "epsilon")
+    _point_indices(sys, sources)
     for z in sys.points:
         if periodic and sys.apply(z, k * gap) != z:
             continue

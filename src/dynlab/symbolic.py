@@ -212,9 +212,11 @@ def periodic_point_count(sft, period):
     walks of length ``period`` in the transition graph.
 
     Counted by :func:`~dynlab.core._closed_walk_counts`, which reads a
-    graph where no letter has two successors off its cycles and pushes
-    the walk counts of every start of any other at once in packed
-    integer fields; the tests check it against dense matrix powers
+    graph where no letter has two successors off its cycles; any other
+    graph has its twins (letters with equal successor sets) merged
+    round after round, which keeps every trace, and the walk counts of
+    every start of the quotient are pushed at once in packed integer
+    fields.  The tests check it against dense matrix powers
     (``tests/oracles.py``, ``dense_closed_walk_counts``)."""
     _at_least(period, 1, "period")
     pos = {a: i for i, a in enumerate(sft.alphabet)}

@@ -273,6 +273,33 @@ def test_check_spec_two_sided_variant(capsys, tmp_path):
     assert json.loads(out)["results"] == {"holds": False, "point": None}
 
 
+def test_threshold_free_spec_variants_echo_a_given_delta(capsys, tmp_path):
+    # limit, lipschitz and two-sided read no delta, but one that is given
+    # is echoed in the parameters, so two commands that differ only in
+    # --delta print different reports; with no --delta there is no key
+    system = two_cycle_pair(tmp_path)
+    lasso = tmp_path / "lasso.json"
+    lasso.write_text(json.dumps({"cycle": ["a0", "a1"]}))
+    for variant in ("limit", "lipschitz", "two-sided"):
+        reports = []
+        for delta in ([], ["--delta", "1/2"], ["--delta", "2/4"],
+                      ["--delta", "1/4"]):
+            code, out, err = run(capsys, "check", "spec", "--system", system,
+                                 "--variant", variant, "--epsilon", "1",
+                                 "--lasso", str(lasso), *delta)
+            assert (code, err) == (0, ""), variant
+            report = json.loads(out)
+            report.pop("wall_ms")
+            reports.append(report)
+        bare, half, also_half, quarter = reports
+        assert "delta" not in bare["parameters"]
+        assert half["parameters"]["delta"] == "1/2"
+        assert half == also_half
+        assert quarter["parameters"]["delta"] == "1/4"
+        assert half != quarter
+        assert half["results"] == quarter["results"] == bare["results"]
+
+
 def test_lasso_entries_must_be_points_of_the_system(capsys, tmp_path):
     system = two_cycle_pair(tmp_path)
     cases = [

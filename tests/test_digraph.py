@@ -5,18 +5,24 @@ division with a sieve.  Closed walks are counted by
 ``core._closed_walk_counts``, which reads a map (no vertex with two
 successors) off its cycles and pushes the walk counts of all starts of
 any other digraph at once in packed integer fields, one field per
-start.  Its counts, on relations and on partial maps, are compared
-with traces of dense matrix powers (``oracles.dense_closed_walk_counts``),
-with the earlier one-start dict push
-(``oracles.pushed_closed_walk_counts``) in both modes, and, for the
-primitive least-rooted counts, with a walk listing
+start; before the push, trace counts merge twins (vertices with equal
+successor rows) round after round (``core._twin_quotient``).  Its
+counts, on relations, on digraphs with planted twins and on partial
+maps, are compared with traces of dense matrix powers
+(``oracles.dense_closed_walk_counts``), with the earlier one-start dict
+push (``oracles.pushed_closed_walk_counts``) in both modes, and, for
+the primitive least-rooted counts, with a walk listing
 (``oracles._closed_walks_of_graph``).  Closed forms catch a map count
 that adds one per cycle instead of its points, and a relation whose
 walk count sets the field width exactly (a looped vertex with an edge
 into another: at length 12 its 12 walks from the first to the second
 fill a field that the 14 walks in all make 4 bits wide) fails when the
 field is one bit narrower, as that entry then carries into the next
-field.  A 1,000-point cycle is counted without packed fields, within a
+field; that relation is twin-free, so it is pushed as given.  Quotient
+rows that keep one edge per class, not one per member, fail the count
+of a -> c, b -> c, c -> {a, b} (4 closed walks of length 2, not 2),
+and the quotient sizes of two window relations are pinned.  A
+1,000-point cycle is counted without packed fields, within a
 memory bound that one list of them would exceed.
 ``battery.periodic_spectrum`` reads a map's counts off the system's
 cached cycles instead; they are compared with the same dense traces on
@@ -36,9 +42,10 @@ from hypothesis import given, settings, strategies as st
 
 import dynlab
 from dynlab.battery import periodic_spectrum
-from dynlab.core import _closed_walk_counts, _strong_components
-from dynlab.gallery import _is_prime
-from dynlab.symbolic import Sft, periodic_point_count
+from dynlab.core import (_closed_walk_counts, _strong_components,
+                         _twin_quotient)
+from dynlab.gallery import _is_prime, build_product_truncation, build_xpq
+from dynlab.symbolic import Sft, periodic_point_count, window_system
 
 from helpers import (cycle_system, gallery_corpus, myex_system, seeded_corpus,
                      stem_into_cycle)
@@ -60,6 +67,15 @@ maps = st.integers(1, 9).flatmap(lambda n: st.lists(
     st.integers(0, n - 1).flatmap(
         lambda w: st.sampled_from([[], [w], [w, w]])),
     min_size=n, max_size=n))
+
+# digraphs on 1..9 vertices whose rows are drawn from a pool of at most
+# four rows, so most have twins; a pooled row may be empty, repeat a
+# successor or hold a self-loop
+twinned = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, n - 1), max_size=2 * n),
+             min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), min_size=n, max_size=n))).map(
+        lambda drawn: [list(drawn[0][i % len(drawn[0])]) for i in drawn[1]])
 
 # the properties are exact, so a slow host must not fail them on time
 untimed = settings(deadline=None)
@@ -115,6 +131,43 @@ def test_closed_walk_counts_of_partial_maps_match_the_references(
     assert counts == pushed_closed_walk_counts(succ, m, primitive)
     if not primitive:
         assert counts == dense_closed_walk_counts(succ, m)
+
+
+@untimed
+@given(twinned, st.integers(1, 12))
+def test_closed_walk_counts_of_planted_twins_match_the_references(succ, m):
+    counts = _closed_walk_counts(succ, m)
+    assert counts == dense_closed_walk_counts(succ, m)
+    assert counts == pushed_closed_walk_counts(succ, m)
+
+
+def check_twin_quotients():
+    # a and b are twins; their class is reached from c through both, so
+    # c's quotient row keeps two edges into it: 4 closed walks of length
+    # 2 (a c a, b c b, c a c, c b c), none of odd length
+    assert _closed_walk_counts([[2], [2], [0, 1]], 6) == [0, 4, 0, 8, 0, 16]
+    # twins of the second round: c and d merge first, then a and b
+    succ = [[2], [3], [4], [4], [0, 1, 4]]
+    assert len(_twin_quotient(list(map(frozenset, succ)))) == 3
+    assert _closed_walk_counts(succ, 12) == dense_closed_walk_counts(succ, 12)
+
+
+def test_twins_merge_with_one_edge_per_member():
+    check_twin_quotients()
+
+
+def test_window_relations_merge_to_their_quotient_sizes():
+    # a window system is a higher-block model of a shift of finite type,
+    # so most of its points are twins
+    for window, points, quotient in (
+            (window_system(build_product_truncation((2, 3, 5), 2), 1),
+             70, 15),
+            (window_system(build_xpq(3, 2), 2), 12, 3)):
+        rows = list(map(frozenset, window.relation))
+        assert (window.n, len(_twin_quotient(rows))) == (points, quotient)
+    # a twin-free digraph comes back as given
+    rows = list(map(frozenset, [[0, 1], [1], [0, 2]]))
+    assert _twin_quotient(rows) is rows
 
 
 def test_a_long_cycle_is_counted_without_packed_fields():

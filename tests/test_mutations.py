@@ -252,12 +252,22 @@ def test_triangle_fields_one_bit_narrow(monkeypatch):
 
 def test_walk_fields_one_bit_narrow(monkeypatch):
     # maps never reach the packed fields; the walks of the relation with
-    # two looped vertices set the field width exactly
+    # two looped vertices, which has no twins, set the field width exactly
     test_digraph.check_closed_forms()
     plant(monkeypatch, [core, test_digraph], "_closed_walk_counts",
           "most.bit_length()", "most.bit_length() - 1")
     with pytest.raises(AssertionError):
         test_digraph.check_closed_forms()
+
+
+def test_twin_quotient_rows_as_sets(monkeypatch):
+    # one edge per class reached drops the edges of its other members
+    test_digraph.check_twin_quotients()
+    plant(monkeypatch, [core, test_digraph], "_twin_quotient",
+          "tuple(sorted(map(cls.__getitem__, row)))",
+          "tuple(sorted(set(map(cls.__getitem__, row))))")
+    with pytest.raises(AssertionError):
+        test_digraph.check_twin_quotients()
 
 
 def test_map_walks_counting_cycles_not_their_points(monkeypatch):

@@ -283,6 +283,24 @@ REFUSALS = {
             cycle_system(2), "two-sided",
             Lasso(cycle=("c0", "c1"), two_sided=True, past_cycle=("zz",))),
         ValueError, "'zz' is not a point of the system"),
+    "gamma-set-of-a-foreign-point": (
+        lambda sys: gamma_set(sys, "zz", 1),
+        ValueError, "'zz' is not a point of the system"),
+    "stable-sets-of-a-foreign-point": (
+        lambda sys: stable_sets(sys, "zz", 1),
+        ValueError, "'zz' is not a point of the system"),
+    "transitivity-of-a-foreign-subset": (
+        lambda sys: is_transitive(sys, ["z", "zz"]),
+        ValueError, "'zz' is not a point of the system"),
+    "cyclic-decomposition-of-a-foreign-set": (
+        lambda sys: cyclic_decomposition(sys, ["z", "zz"]),
+        ValueError, "'zz' is not a point of the system"),
+    "mixing-of-a-foreign-part": (
+        lambda sys: is_mixing(sys, ["zz", "z"], 1),
+        ValueError, "'zz' is not a point of the system"),
+    "chain-from-a-foreign-source": (
+        lambda sys: trace_chain(sys, ["z", "zz"], 1, 1),
+        ValueError, "'zz' is not a point of the system"),
 }
 
 
